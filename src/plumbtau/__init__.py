@@ -3,7 +3,7 @@
 Subpackages:
 
 - ``linalg``: exact integer/rational matrix arithmetic (Bareiss determinants,
-  adjugate inverses, Smith normal form, lattice membership).
+  Gauss–Jordan inverses, Smith normal form).
 - ``plumbing``: plumbing trees, intersection forms, characteristic vectors,
   boundary spin-c classes and correction terms.
 - ``tau``: the lattice tau-invariant of leaf-fibre links, tables and extrema.

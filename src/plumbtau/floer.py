@@ -261,16 +261,8 @@ def _hat_reduction(chain: frozenset) -> frozenset:
     return frozenset(g for g, e in chain if e == 0)
 
 
-def image_classes(c: FloerComplex) -> tuple[frozenset, frozenset, tuple[frozenset, ...]]:
-    """Reductions of the tower cycles in the hat complex.
-
-    Returns (theta_top, theta_bot, basis) where theta_top is the class
-    at the correction term d, theta_bot the one at d - basepoints + 1,
-    and basis lists all tower reductions.  These are nonzero and
-    independent: a dependency would exhibit a tower cycle in
-    U*C + boundaries, contradicting that the towers extend to an
-    F2[U]-basis with trivial differential.
-    """
+def _theta_classes(c: FloerComplex) -> tuple[int, frozenset, frozenset, tuple[frozenset, ...]]:
+    """(d, theta_top, theta_bot, basis) from a single decomposition; see ``image_classes``."""
     towers, _ = _decompose(c)
     if not towers:
         raise ValueError("homology has no free part")
@@ -283,7 +275,21 @@ def image_classes(c: FloerComplex) -> tuple[frozenset, frozenset, tuple[frozense
             "tower gradings do not single out top and bottom classes"
         )
     basis = tuple(_hat_reduction(chain) for _, chain in towers)
-    return _hat_reduction(tops[0]), _hat_reduction(bots[0]), basis
+    return d, _hat_reduction(tops[0]), _hat_reduction(bots[0]), basis
+
+
+def image_classes(c: FloerComplex) -> tuple[frozenset, frozenset, tuple[frozenset, ...]]:
+    """Reductions of the tower cycles in the hat complex.
+
+    Returns (theta_top, theta_bot, basis) where theta_top is the class
+    at the correction term d, theta_bot the one at d - basepoints + 1,
+    and basis lists all tower reductions.  These are nonzero and
+    independent: a dependency would exhibit a tower cycle in
+    U*C + boundaries, contradicting that the towers extend to an
+    F2[U]-basis with trivial differential.
+    """
+    _, theta_top, theta_bot, basis = _theta_classes(c)
+    return theta_top, theta_bot, basis
 
 
 # --- exact F2 linear algebra on bitmask vectors ---------------------------
@@ -403,7 +409,7 @@ class _HatSlice:
 
 
 def _theta_test(c: FloerComplex, cycle: Iterable[str], bottom: bool) -> bool:
-    theta_top, theta_bot, _ = image_classes(c)
+    d, theta_top, theta_bot, _ = _theta_classes(c)
     chain = frozenset(cycle)
     for g in chain:
         if g not in c.gradings:
@@ -411,7 +417,6 @@ def _theta_test(c: FloerComplex, cycle: Iterable[str], bottom: bool) -> bool:
     if not chain:
         return False
     grading = c.grading_of_chain(chain)
-    d = correction_term(c)
     target_grading = d - c.basepoints + 1 if bottom else d
     theta = theta_bot if bottom else theta_top
     slice_ = _HatSlice(c, grading)
@@ -444,8 +449,7 @@ def _sweep(c: FloerComplex, filt: AlexanderFiltration, qualifies) -> int:
 
 
 def _tau_theta(c: FloerComplex, filt: AlexanderFiltration, bottom: bool) -> int:
-    theta_top, theta_bot, _ = image_classes(c)
-    d = correction_term(c)
+    d, theta_top, theta_bot, _ = _theta_classes(c)
     grading = d - c.basepoints + 1 if bottom else d
     theta = theta_bot if bottom else theta_top
     slice_ = _HatSlice(c, grading)

@@ -88,34 +88,28 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _minor(m: IntMatrix, i: int, j: int) -> list[list[int]]:
-    return [[m[r][c] for c in range(len(m)) if c != j]
-            for r in range(len(m)) if r != i]
-
-
-def adjugate(m: IntMatrix) -> list[list[int]]:
-    """Transposed cofactor matrix; adj(A)·A = det(A)·I exactly."""
-    n = _check_square(m)
-    if n == 0:
-        return []
-    if n == 1:
-        return [[1]]
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            c = det(_minor(m, i, j))
-            adj[j][i] = c if (i + j) % 2 == 0 else -c
-    return adj
-
-
 def inverse(m: IntMatrix) -> list[list[Fraction]]:
-    """Exact inverse, computed as adjugate over determinant."""
+    """Exact inverse by one fraction-free Gauss–Jordan elimination on [m | I].
+
+    Each step is the Bareiss update of ``det`` applied to every other
+    row, so the divisions stay exact.  At the end the left block is d·I
+    and the right block d·m^{-1}, where d = ±det(m) is the last pivot.
+    """
     n = _check_square(m)
-    d = det(m)
-    if d == 0:
-        raise SingularMatrixError()
-    adj = adjugate(m)
-    return [[Fraction(adj[i][j], d) for j in range(n)] for i in range(n)]
+    a = [list(map(int, row)) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k] != 0), None)
+        if piv is None:
+            raise SingularMatrixError()
+        a[k], a[piv] = a[piv], a[k]
+        p, pivot_row = a[k][k], a[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
+    return [[Fraction(x, prev) for x in row[n:]] for row in a]
 
 
 def is_negative_definite(m: IntMatrix) -> bool:
@@ -139,35 +133,6 @@ def pair(qinv: RatMatrix, u: Vector, v: Vector) -> Fraction:
             continue
         total += u[i] * sum(qinv[i][j] * v[j] for j in range(n))
     return total
-
-
-def solve_exact(m, b) -> list[Fraction]:
-    """Solve m·x = b exactly over the rationals; m must be nonsingular."""
-    n = _check_square(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrixError()
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col] / pv
-                for c in range(col, n + 1):
-                    a[r][c] -= f * a[col][c]
-    return [a[i][n] / a[i][i] for i in range(n)]
-
-
-def in_image_of(lattice_gen: IntMatrix, v: Vector) -> bool:
-    """Decide v ∈ lattice_gen · Z^n for a nonsingular integer matrix.
-
-    Solves the system exactly over Q and checks the solution for
-    integrality, which is equivalent to a Hermite-form divisibility
-    test when the generator matrix has full rank.
-    """
-    x = solve_exact(lattice_gen, v)
-    return all(xi.denominator == 1 for xi in x)
 
 
 def smith_normal_form(m: IntMatrix):

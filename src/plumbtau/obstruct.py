@@ -263,7 +263,7 @@ def metaboliser_candidates(f: IntersectionForm) -> list[MetaboliserCandidate]:
     if root * root != order:
         return []
     diag, _, sinv = _h1_decomposition(f)
-    qinv = f.qinv()
+    qinv = f.qinv
 
     def lift(residue):
         return tuple(

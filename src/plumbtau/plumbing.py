@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Mapping, Optional, Sequence
@@ -105,18 +106,17 @@ class IntersectionForm:
     def n(self) -> int:
         return len(self.order)
 
+    @cached_property
     def qinv(self) -> list[list[Fraction]]:
-        cached = getattr(self, "_qinv", None)
-        if cached is None:
-            cached = linalg.inverse(self.q)
-            object.__setattr__(self, "_qinv", cached)
-        return cached
+        return linalg.inverse(self.q)
+
+    @cached_property
+    def _class_index(self) -> dict[tuple[Fraction, ...], "SpincClass"]:
+        """Spin-c classes keyed by ``_class_key``, in order of their reps."""
+        return _group_classes(self)
 
     def det(self) -> int:
         return linalg.det(self.q)
-
-    def two_q(self) -> list[list[int]]:
-        return [[2 * e for e in row] for row in self.q]
 
     def index_of(self, vertex_id: str) -> int:
         return self.order.index(vertex_id)
@@ -181,43 +181,38 @@ class SpincClass:
         return f"SpincClass{self.rep}"
 
 
-def _same_class(f: IntersectionForm, u: Sequence[int], v: Sequence[int]) -> bool:
-    diff = [a - b for a, b in zip(u, v)]
-    return linalg.in_image_of(f.two_q(), diff)
+def _class_key(f: IntersectionForm, kappa: Sequence[int]) -> tuple[Fraction, ...]:
+    """Canonical label of the class of kappa: Q^{-1}·kappa mod 2, entrywise.
+
+    Characteristic u and v lie in the same coset of 2Q·Z^n exactly when
+    Q^{-1}(u - v) is in 2Z^n, that is when their keys agree.
+    """
+    return tuple(x % 2 for x in linalg.mat_vec(f.qinv, kappa))
+
+
+def _group_classes(f: IntersectionForm) -> dict[tuple[Fraction, ...], SpincClass]:
+    f.require_negative_definite()
+    groups: dict[tuple[Fraction, ...], list[tuple[int, ...]]] = {}
+    for k in short_char_vectors(f):
+        groups.setdefault(_class_key(f, k), []).append(k)
+    if len(groups) != abs(f.det()):
+        raise AssertionError("class count must equal |det Q|")
+    index = {
+        key: SpincClass(rep=min(g), reps=tuple(sorted(g)), form=f) for key, g in groups.items()
+    }
+    return dict(sorted(index.items(), key=lambda item: item[1].rep))
 
 
 def spinc_classes(f: IntersectionForm) -> list[SpincClass]:
     """Partition of the short characteristic vectors into cosets mod 2Q·Z^n."""
-    f.require_negative_definite()
-    cached = getattr(f, "_classes", None)
-    if cached is not None:
-        return cached
-    groups: list[list[tuple[int, ...]]] = []
-    for k in short_char_vectors(f):
-        for g in groups:
-            if _same_class(f, k, g[0]):
-                g.append(k)
-                break
-        else:
-            groups.append([k])
-    classes = [
-        SpincClass(rep=min(g), reps=tuple(sorted(g)), form=f) for g in groups
-    ]
-    classes.sort(key=lambda s: s.rep)
-    if len(classes) != abs(f.det()):
-        raise AssertionError("class count must equal |det Q|")
-    object.__setattr__(f, "_classes", classes)
-    return classes
+    return list(f._class_index.values())
 
 
 def class_of(f: IntersectionForm, kappa: Sequence[int]) -> SpincClass:
     """The spin-c class containing an arbitrary characteristic vector."""
     if not is_characteristic(f, kappa):
         raise ValueError(f"{tuple(kappa)} is not characteristic for this form")
-    for s in spinc_classes(f):
-        if _same_class(f, kappa, s.rep):
-            return s
-    raise AssertionError("every characteristic vector lies in some class")
+    return f._class_index[_class_key(f, kappa)]
 
 
 def conjugate(s: SpincClass) -> SpincClass:
@@ -234,7 +229,7 @@ def spinc_translate(s: SpincClass, alpha: Sequence[int]) -> SpincClass:
 
 def square(f: IntersectionForm, kappa: Sequence[int]) -> Fraction:
     """kappa^T Q^{-1} kappa, exact."""
-    return linalg.pair(f.qinv(), kappa, kappa)
+    return linalg.pair(f.qinv, kappa, kappa)
 
 
 def d_candidate(f: IntersectionForm, kappa: Sequence[int]) -> Fraction:
@@ -276,6 +271,6 @@ def solve_square(f: IntersectionForm, target) -> list[tuple[int, ...]]:
     out = [
         k
         for k in itertools.product(*ranges)
-        if linalg.pair(f.qinv(), k, k) == target
+        if linalg.pair(f.qinv, k, k) == target
     ]
     return sorted(out)

@@ -59,12 +59,12 @@ def leaf_link(f: IntersectionForm, strands: Mapping[str, int]) -> LeafLink:
 
 def sigma_square(f: IntersectionForm, link: LeafLink) -> Fraction:
     """Self-pairing m^T Q^{-1} m of the fibre multiplicity vector."""
-    return linalg.pair(f.qinv(), link.m, link.m)
+    return linalg.pair(f.qinv, link.m, link.m)
 
 
 def pairing(f: IntersectionForm, kappa: Sequence[int], link: LeafLink) -> Fraction:
     """kappa^T Q^{-1} m, exact."""
-    return linalg.pair(f.qinv(), kappa, link.m)
+    return linalg.pair(f.qinv, kappa, link.m)
 
 
 def tau_detail(f: IntersectionForm, link: LeafLink, s: SpincClass):

@@ -1,7 +1,37 @@
 import random
+from fractions import Fraction
 
 from plumbtau import linalg
 from plumbtau.surgery import BraidDatum, SurgeryComponent, SurgeryPresentation
+
+
+def solve_exact(m, b) -> list[Fraction]:
+    """Solve m·x = b exactly over the rationals; m must be nonsingular."""
+    n = len(m)
+    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise linalg.SingularMatrixError()
+        a[col], a[piv] = a[piv], a[col]
+        pv = a[col][col]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col] / pv
+                for c in range(col, n + 1):
+                    a[r][c] -= f * a[col][c]
+    return [a[i][n] / a[i][i] for i in range(n)]
+
+
+def in_image_of(lattice_gen, v) -> bool:
+    """Decide v ∈ lattice_gen · Z^n for a nonsingular integer matrix.
+
+    Solves the system exactly over Q and checks the solution for
+    integrality, which is equivalent to a Hermite-form divisibility
+    test when the generator matrix has full rank.
+    """
+    x = solve_exact(lattice_gen, v)
+    return all(xi.denominator == 1 for xi in x)
 
 
 def random_presentation(rng: random.Random, max_components: int = 4) -> SurgeryPresentation:

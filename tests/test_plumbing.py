@@ -1,10 +1,12 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from plumbtau import linalg
+from conftest import in_image_of
+from plumbtau import linalg, seeds
 from plumbtau.plumbing import (
     PlumbingTree,
     class_of,
@@ -131,7 +133,17 @@ def test_translate_fixes_class_iff_alpha_in_image():
         for _ in range(10):
             alpha = [rng.randint(-4, 4) for _ in range(2)]
             fixed = spinc_translate(s, alpha) == s
-            assert fixed == linalg.in_image_of(list(map(list, L92.q)), alpha)
+            assert fixed == in_image_of(list(map(list, L92.q)), alpha)
+
+
+def _same_class(f, u, v):
+    """The pairwise route: u - v lies in 2Q·Z^n."""
+    two_q = [[2 * e for e in row] for row in f.q]
+    return in_image_of(two_q, [a - b for a, b in zip(u, v)])
+
+
+def _class_by_scan(classes, kappa):
+    return next(s for s in classes if _same_class(s.form, kappa, s.rep))
 
 
 def test_d_candidate_symmetry_and_class_count_property():
@@ -151,3 +163,36 @@ def test_d_candidate_symmetry_and_class_count_property():
         for s in classes:
             for k in s.reps:
                 assert d_candidate(f, k) == d_candidate(f, [-x for x in k])
+                assert _same_class(f, k, s.rep)
+        box = set(short_char_vectors(f))
+        for _ in range(5):
+            kappa = [f.q[i][i] + 2 * rng.randint(-8, 8) for i in range(n)]
+            if tuple(kappa) in box:
+                continue
+            s = class_of(f, kappa)
+            assert s == _class_by_scan(classes, kappa)
+            assert conjugate(s) == _class_by_scan(classes, [-k for k in kappa])
+            alpha = [rng.randint(-3, 3) for _ in range(n)]
+            shifted = [k + 2 * a for k, a in zip(s.rep, alpha)]
+            assert spinc_translate(s, alpha) == _class_by_scan(classes, shifted)
+
+
+def _lens_d(p, q, i):
+    """d(L(p, q), i) by the Ozsváth–Szabó recursion, with d(S^3) = 0."""
+    if p == 1:
+        return Fraction(0)
+    step = Fraction(-1, 4) + Fraction((2 * i + 1 - p - q) ** 2, 4 * p * q)
+    return step - _lens_d(q, p % q, i % q)
+
+
+def test_chain_d_invariants_match_lens_space_recursion():
+    # the chain a_1, ..., a_n bounds -L(p, q) with p/q = [-a_1, ..., -a_n]
+    rng = random.Random(seeds.property_seed())
+    for _ in range(30):
+        weights = [rng.randint(-7, -2) for _ in range(rng.randint(1, 4))]
+        p, q = 1, 0
+        for a in reversed(weights):
+            p, q = -a * p - q, p
+        f = form_from_tree(PlumbingTree.path(*weights))
+        got = Counter(d_invariant(s) for s in spinc_classes(f))
+        assert got == Counter(-_lens_d(p, q, i) for i in range(p)), weights
