@@ -39,6 +39,7 @@ from .tau import LeafLink, leaf_link, tau as tau_value
 SCHEMA_EXIT = 2
 MATH_EXIT = 3
 GOLDEN_EXIT = 4
+INTERNAL_EXIT = 5
 
 DOCUMENT_FIELDS = ("plumbing", "leaf_link", "surgery", "floer_complex", "basepoints", "subset")
 EXAMPLE_NAMES = ("l2d", "m3d", "nk", "m3", "eq72")
@@ -703,6 +704,11 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"plumbtau: {e}", file=sys.stderr)
         return MATH_EXIT
+    except Exception as e:
+        # a broken internal invariant, not bad input: one line, no traceback
+        detail = " ".join(str(e).split())
+        print(f"plumbtau: internal error: {type(e).__name__}: {detail}", file=sys.stderr)
+        return INTERNAL_EXIT
     sys.stdout.write(render(doc, args.format))
     return 0
 

@@ -10,7 +10,10 @@ computed by exact Gaussian cancellation over the principal ideal
 domain F2[U] (elimination with the globally U-minimal pivot is Smith
 normal form: each cancelled pair contributes either nothing or one
 U-power torsion summand, and the untouched generators are the free
-towers).
+towers).  The elimination is indexed: it keeps each generator's
+outgoing and incoming entries and pops the globally U-minimal pivot
+from a heap, so a row or column operation touches only the entries it
+changes.
 
 Setting U = 0 gives the hat complex over F2.  The tower classes reduce
 to independent nonzero classes there; the top and bottom reductions
@@ -22,8 +25,8 @@ a qualifying cycle.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from math import comb
 from typing import Iterable, Mapping, Optional
 
 
@@ -153,9 +156,9 @@ def verify_axioms(c: FloerComplex) -> AxiomReport:
     failures = _graded_d2_failures(c)
     if not failures:
         expected = 2 ** (c.basepoints - 1)
-        got = homology_minus(c).rank
-        if got != expected:
-            failures.append(f"rank: homology has {got} towers, expected {expected}")
+        towers, _ = _eliminate(c)
+        if len(towers) != expected:
+            failures.append(f"rank: homology has {len(towers)} towers, expected {expected}")
     return AxiomReport(ok=not failures, failures=tuple(failures))
 
 
@@ -169,61 +172,91 @@ def _shift(chain: frozenset, delta: int) -> frozenset:
     return frozenset((g, e + delta) for g, e in chain)
 
 
-def _toggle_entry(entries: dict, key: tuple[str, str], m: int) -> None:
-    if key in entries:
-        # the grading pins the exponent, so a collision must agree
-        assert entries[key] == m, (key, entries[key], m)
-        del entries[key]
-    else:
-        entries[key] = m
-
-
 def _decompose(c: FloerComplex) -> tuple[list[tuple[int, frozenset]], list[tuple[int, int]]]:
+    """Check the complex, then cancel it down to towers and torsion (``_eliminate``)."""
+    _require_valid(c)
+    return _eliminate(c)
+
+
+def _eliminate(c: FloerComplex) -> tuple[list[tuple[int, frozenset]], list[tuple[int, int]]]:
     """Gaussian cancellation over F2[U], tracking cycle representatives.
 
-    Returns (towers, torsion) where each tower is (grading, chain in the
+    The complex must satisfy the grading law and d^2 = 0.  Returns
+    (towers, torsion) where each tower is (grading, chain in the
     original basis) and each torsion summand is (grading, U-power).
     """
-    _require_valid(c)
-    entries: dict[tuple[str, str], int] = dict(c.entries)
-    gr = dict(c.gradings)
+    out: dict[str, dict[str, int]] = {g: {} for g in c.generators}
+    inn: dict[str, dict[str, int]] = {g: {} for g in c.generators}
+    for (x, y), m in c.entries.items():
+        out[x][y] = m
+        inn[y][x] = m
+    # Pivots pop in (m, x, y) order: the globally U-minimal entry, which
+    # keeps every elimination inside F2[U], ties broken by name.  This is
+    # the order of a plain minimum over all entries, kept on purpose: it
+    # fixes which cycle represents each tower, and with it the theta
+    # classes, tau and every output byte.
+    # An entry cancelled after its push stays in the heap and is skipped
+    # when popped; its U-power is pinned by the gradings, so presence in
+    # ``out`` is the only check needed.
+    heap = [(m, x, y) for (x, y), m in c.entries.items()]
+    heapq.heapify(heap)
+
+    def toggle(x: str, y: str, m: int) -> None:
+        row = out[x]
+        if y in row:
+            # the grading pins the exponent, so a collision must agree
+            if row[y] != m:
+                raise RuntimeError(f"entry {x} -> {y} met with U-powers {row[y]} and {m}")
+            del row[y]
+            del inn[y][x]
+        else:
+            row[y] = m
+            inn[y][x] = m
+            heapq.heappush(heap, (m, x, y))
+
+    reps: dict[str, frozenset] = {g: frozenset({(g, 0)}) for g in c.generators}
     alive = set(c.generators)
-    reps: dict[str, frozenset] = {g: frozenset({(g, 0)}) for g in alive}
     torsion: list[tuple[int, int]] = []
-    while entries:
-        # globally U-minimal pivot keeps every elimination inside F2[U]
-        (x, y), a = min(entries.items(), key=lambda kv: (kv[1], kv[0]))
+    while heap:
+        a, x, y = heapq.heappop(heap)
+        if y not in out[x]:
+            continue
         # clear the column of y: each other source w becomes w + U^delta x,
         # so its row gains a shifted row of x and arrows into w gain a
         # shifted copy into x
-        for w in sorted(w for (w, z) in entries if z == y and w != x):
-            delta = entries[(w, y)] - a
-            for (xx, z), m in sorted(entries.items()):
-                if xx == x:
-                    _toggle_entry(entries, (w, z), m + delta)
-            for (v, t), k in sorted(entries.items()):
-                if t == w:
-                    _toggle_entry(entries, (v, x), k + delta)
+        for w, k in list(inn[y].items()):
+            if w == x:
+                continue
+            delta = k - a
+            for z, m in list(out[x].items()):
+                toggle(w, z, m + delta)
+            for v, n in list(inn[w].items()):
+                toggle(v, x, n + delta)
             reps[w] = reps[w] ^ _shift(reps[x], delta)
         # clear the row of x: fold the remaining targets into y
-        for z in sorted(z for (xx, z) in entries if xx == x and z != y):
-            delta = entries[(x, z)] - a
+        for z, m in list(out[x].items()):
+            if z == y:
+                continue
+            delta = m - a
             reps[y] = reps[y] ^ _shift(reps[z], delta)
-            for (yy, t), n in sorted(entries.items()):
-                if yy == z:
-                    _toggle_entry(entries, (y, t), n + delta)
-            del entries[(x, z)]
+            for t, n in list(out[z].items()):
+                toggle(y, t, n + delta)
+            del out[x][z]
+            del inn[z][x]
         # d^2 = 0 now forces the pair to split off: y is a cycle and
         # nothing maps to x
-        assert not any(t == x for (_, t) in entries), "incoming arrow to a pivot"
-        assert not any(s == y for (s, _) in entries), "pivot target is not a cycle"
-        del entries[(x, y)]
+        if inn[x]:
+            raise RuntimeError(f"incoming arrow to the pivot source {x}")
+        if out[y]:
+            raise RuntimeError(f"pivot target {y} is not a cycle")
+        del out[x][y]
+        del inn[y][x]
         alive.discard(x)
         alive.discard(y)
         if a >= 1:
-            torsion.append((gr[y], a))
+            torsion.append((c.gradings[y], a))
     towers = sorted(
-        ((gr[g], reps[g]) for g in alive),
+        ((c.gradings[g], reps[g]) for g in alive),
         key=lambda t: (-t[0], sorted(t[1])),
     )
     return towers, sorted(torsion, key=lambda t: (-t[0], t[1]))
@@ -330,23 +363,19 @@ class _HatSlice:
         self.bit = {g: i for i, g in enumerate(self.gens)}
         below = sorted(g for g in c.generators if c.gradings[g] == grading - 1)
         bit_below = {g: i for i, g in enumerate(below)}
-        hat = {k: m for k, m in c.entries.items() if m == 0}
-        self.images = {}
-        for g in self.gens:
-            v = 0
-            for (x, y), _ in hat.items():
-                if x == g and y in bit_below:
-                    v ^= 1 << bit_below[y]
-            self.images[g] = v
+        self.images = dict.fromkeys(self.gens, 0)
+        above = dict.fromkeys(
+            sorted(g for g in c.generators if c.gradings[g] == grading + 1), 0
+        )
+        for (x, y), m in c.entries.items():
+            if m:
+                continue
+            if x in self.images and y in bit_below:
+                self.images[x] ^= 1 << bit_below[y]
+            elif x in above and y in self.bit:
+                above[x] ^= 1 << self.bit[y]
         # boundaries landing in this grading
-        self.boundaries = []
-        for u in sorted(g for g in c.generators if c.gradings[g] == grading + 1):
-            v = 0
-            for (x, y), _ in hat.items():
-                if x == u and y in self.bit:
-                    v ^= 1 << self.bit[y]
-            if v:
-                self.boundaries.append(v)
+        self.boundaries = [v for v in above.values() if v]
 
     def vector(self, chain: Iterable[str]) -> int:
         v = 0
@@ -396,7 +425,8 @@ class _HatSlice:
 
         def functional(cycle: int) -> int:
             mask = _express(pivots, cycle)
-            assert mask is not None, "vector outside the grading slice"
+            if mask is None:
+                raise RuntimeError("vector outside the grading slice")
             return mask & 1
 
         return functional
@@ -567,88 +597,3 @@ def format_complex(c: FloerComplex, filt: AlexanderFiltration) -> list[str]:
         f"{x} -> {y} pow {m}" for (x, y), m in sorted(c.entries.items())
     )
     return lines
-
-
-# --- random valid complexes for property tests ----------------------------
-
-
-def _apply_basis_change(
-    entries: dict, e: str, f: str, delta: int
-) -> None:
-    """Replace e by e + U^delta f in the basis, updating the differential."""
-    for (x, z), m in sorted(entries.items()):
-        if x == f:
-            _toggle_entry(entries, (e, z), m + delta)
-    for (w, x), k in sorted(entries.items()):
-        if x == e:
-            _toggle_entry(entries, (w, f), k + delta)
-
-
-def random_complex(
-    rng, max_generators: int = 6, max_basepoints: int = 2
-) -> tuple[FloerComplex, AlexanderFiltration]:
-    """Random valid filtered complex built from elementary pieces.
-
-    Towers in the model grading pattern plus U^a-cancelling pairs always
-    satisfy the axioms; random graded filtered basis changes then mix
-    the pieces without changing any invariant.
-    """
-    ell = rng.randint(1, max_basepoints)
-    g0 = rng.randint(-4, 4)
-    # grading pattern of the model: comb(ell-1, i) towers at g0 - i
-    tower_grs = [g0 - i for i in range(ell) for _ in range(comb(ell - 1, i))]
-    gr: dict[str, int] = {}
-    levels: dict[str, int] = {}
-    names: list[str] = []
-    for i, g in enumerate(tower_grs):
-        name = f"t{i}"
-        names.append(name)
-        gr[name] = g
-        levels[name] = rng.randint(-3, 3)
-    entries: dict[tuple[str, str], int] = {}
-    n_pairs = rng.randint(0, (max_generators - len(names)) // 2)
-    blocked = {g0, g0 - ell + 1}
-    for j in range(n_pairs):
-        while True:
-            a = rng.randint(0, 3)
-            gy = rng.randint(-5, 5)
-            # a U^a pair with a >= 1 leaves two hat homology classes, at
-            # the gradings of its two generators; keep those away from
-            # the distinguished gradings so that the theta classes span
-            # the hat homology there and every projection convention
-            # agrees (as in the complexes of rational homology spheres
-            # with minimal hat homology, the only ones used downstream)
-            if a == 0 or not ({gy, gy - 2 * a + 1} & blocked):
-                break
-        x, y = f"p{j}", f"q{j}"
-        gr[y] = gy
-        gr[x] = gy - 2 * a + 1
-        levels[y] = rng.randint(-3, 3)
-        levels[x] = levels[y] - a + rng.randint(0, 3)
-        names.extend([x, y])
-        entries[(x, y)] = a
-    for _ in range(rng.randint(0, 12)):
-        cands = [
-            (e, f)
-            for e in names
-            for f in names
-            if e != f
-            and (gr[f] - gr[e]) % 2 == 0
-            and gr[f] >= gr[e]
-            and levels[f] - (gr[f] - gr[e]) // 2 <= levels[e]
-        ]
-        if not cands:
-            break
-        e, f = rng.choice(cands)
-        _apply_basis_change(entries, e, f, (gr[f] - gr[e]) // 2)
-    shuffled = list(range(len(names)))
-    rng.shuffle(shuffled)
-    rename = {old: f"g{shuffled[i]}" for i, old in enumerate(names)}
-    c = FloerComplex(
-        generators=tuple(rename[n] for n in names),
-        gradings={rename[n]: gr[n] for n in names},
-        entries={(rename[x], rename[y]): m for (x, y), m in entries.items()},
-        basepoints=ell,
-    )
-    filt = AlexanderFiltration({rename[n]: levels[n] for n in names})
-    return c, filt

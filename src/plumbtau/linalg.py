@@ -47,14 +47,16 @@ def identity(n: int) -> list[list[int]]:
 
 
 def mat_mul(a, b):
-    assert len(a[0]) == len(b), "inner dimensions must agree"
+    if len(a[0]) != len(b):
+        raise RuntimeError("inner dimensions must agree")
     cols = len(b[0])
     return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
             for i in range(len(a))]
 
 
 def mat_vec(m, v):
-    assert len(m[0]) == len(v), "dimension mismatch"
+    if len(m[0]) != len(v):
+        raise RuntimeError("dimension mismatch")
     return [sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m))]
 
 

@@ -240,7 +240,8 @@ def d_candidate(f: IntersectionForm, kappa: Sequence[int]) -> Fraction:
 
 def d_invariant(s: SpincClass) -> Fraction:
     """Correction term of the class: max of d_candidate over its short representatives."""
-    assert s.reps, "classes are built from at least one short vector"
+    if not s.reps:
+        raise RuntimeError("classes are built from at least one short vector")
     return max(d_candidate(s.form, k) for k in s.reps)
 
 

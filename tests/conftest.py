@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import comb
 
 from plumbtau import linalg
+from plumbtau.floer import AlexanderFiltration, FloerComplex, _require_valid, _shift
 from plumbtau.surgery import BraidDatum, SurgeryComponent, SurgeryPresentation
 
 
@@ -32,6 +34,148 @@ def in_image_of(lattice_gen, v) -> bool:
     """
     x = solve_exact(lattice_gen, v)
     return all(xi.denominator == 1 for xi in x)
+
+
+def _toggle_entry(entries: dict, key: tuple[str, str], m: int) -> None:
+    if key in entries:
+        # the grading pins the exponent, so a collision must agree
+        assert entries[key] == m, (key, entries[key], m)
+        del entries[key]
+    else:
+        entries[key] = m
+
+
+def scan_decompose(c: FloerComplex) -> tuple[list[tuple[int, frozenset]], list[tuple[int, int]]]:
+    """Brute-force reference for ``floer._decompose``.
+
+    Gaussian cancellation over F2[U] that re-scans the whole entry dict
+    for the pivot and for every row and column operation.  Returns
+    (towers, torsion) where each tower is (grading, chain in the
+    original basis) and each torsion summand is (grading, U-power).
+    """
+    _require_valid(c)
+    entries: dict[tuple[str, str], int] = dict(c.entries)
+    gr = dict(c.gradings)
+    alive = set(c.generators)
+    reps: dict[str, frozenset] = {g: frozenset({(g, 0)}) for g in alive}
+    torsion: list[tuple[int, int]] = []
+    while entries:
+        # globally U-minimal pivot keeps every elimination inside F2[U]
+        (x, y), a = min(entries.items(), key=lambda kv: (kv[1], kv[0]))
+        # clear the column of y: each other source w becomes w + U^delta x,
+        # so its row gains a shifted row of x and arrows into w gain a
+        # shifted copy into x
+        for w in sorted(w for (w, z) in entries if z == y and w != x):
+            delta = entries[(w, y)] - a
+            for (xx, z), m in sorted(entries.items()):
+                if xx == x:
+                    _toggle_entry(entries, (w, z), m + delta)
+            for (v, t), k in sorted(entries.items()):
+                if t == w:
+                    _toggle_entry(entries, (v, x), k + delta)
+            reps[w] = reps[w] ^ _shift(reps[x], delta)
+        # clear the row of x: fold the remaining targets into y
+        for z in sorted(z for (xx, z) in entries if xx == x and z != y):
+            delta = entries[(x, z)] - a
+            reps[y] = reps[y] ^ _shift(reps[z], delta)
+            for (yy, t), n in sorted(entries.items()):
+                if yy == z:
+                    _toggle_entry(entries, (y, t), n + delta)
+            del entries[(x, z)]
+        # d^2 = 0 now forces the pair to split off: y is a cycle and
+        # nothing maps to x
+        assert not any(t == x for (_, t) in entries), "incoming arrow to a pivot"
+        assert not any(s == y for (s, _) in entries), "pivot target is not a cycle"
+        del entries[(x, y)]
+        alive.discard(x)
+        alive.discard(y)
+        if a >= 1:
+            torsion.append((gr[y], a))
+    towers = sorted(
+        ((gr[g], reps[g]) for g in alive),
+        key=lambda t: (-t[0], sorted(t[1])),
+    )
+    return towers, sorted(torsion, key=lambda t: (-t[0], t[1]))
+
+
+def _apply_basis_change(entries: dict, e: str, f: str, delta: int) -> None:
+    """Replace e by e + U^delta f in the basis, updating the differential."""
+    for (x, z), m in sorted(entries.items()):
+        if x == f:
+            _toggle_entry(entries, (e, z), m + delta)
+    for (w, x), k in sorted(entries.items()):
+        if x == e:
+            _toggle_entry(entries, (w, f), k + delta)
+
+
+def random_complex(
+    rng, max_generators: int = 6, max_basepoints: int = 2, max_changes: int = 12
+) -> tuple[FloerComplex, AlexanderFiltration]:
+    """Random valid filtered complex built from elementary pieces.
+
+    Towers in the model grading pattern plus U^a-cancelling pairs always
+    satisfy the axioms; up to ``max_changes`` random graded filtered
+    basis changes then mix the pieces without changing any invariant.
+    """
+    ell = rng.randint(1, max_basepoints)
+    g0 = rng.randint(-4, 4)
+    # grading pattern of the model: comb(ell-1, i) towers at g0 - i
+    tower_grs = [g0 - i for i in range(ell) for _ in range(comb(ell - 1, i))]
+    gr: dict[str, int] = {}
+    levels: dict[str, int] = {}
+    names: list[str] = []
+    for i, g in enumerate(tower_grs):
+        name = f"t{i}"
+        names.append(name)
+        gr[name] = g
+        levels[name] = rng.randint(-3, 3)
+    entries: dict[tuple[str, str], int] = {}
+    n_pairs = rng.randint(0, (max_generators - len(names)) // 2)
+    blocked = {g0, g0 - ell + 1}
+    for j in range(n_pairs):
+        while True:
+            a = rng.randint(0, 3)
+            gy = rng.randint(-5, 5)
+            # a U^a pair with a >= 1 leaves two hat homology classes, at
+            # the gradings of its two generators; keep those away from
+            # the distinguished gradings so that the theta classes span
+            # the hat homology there and every projection convention
+            # agrees (as in the complexes of rational homology spheres
+            # with minimal hat homology, the only ones used downstream)
+            if a == 0 or not ({gy, gy - 2 * a + 1} & blocked):
+                break
+        x, y = f"p{j}", f"q{j}"
+        gr[y] = gy
+        gr[x] = gy - 2 * a + 1
+        levels[y] = rng.randint(-3, 3)
+        levels[x] = levels[y] - a + rng.randint(0, 3)
+        names.extend([x, y])
+        entries[(x, y)] = a
+    cands = [
+        (e, f)
+        for e in names
+        for f in names
+        if e != f
+        and (gr[f] - gr[e]) % 2 == 0
+        and gr[f] >= gr[e]
+        and levels[f] - (gr[f] - gr[e]) // 2 <= levels[e]
+    ]
+    for _ in range(rng.randint(0, max_changes)):
+        if not cands:
+            break
+        e, f = rng.choice(cands)
+        _apply_basis_change(entries, e, f, (gr[f] - gr[e]) // 2)
+    shuffled = list(range(len(names)))
+    rng.shuffle(shuffled)
+    rename = {old: f"g{shuffled[i]}" for i, old in enumerate(names)}
+    c = FloerComplex(
+        generators=tuple(rename[n] for n in names),
+        gradings={rename[n]: gr[n] for n in names},
+        entries={(rename[x], rename[y]): m for (x, y), m in entries.items()},
+        basepoints=ell,
+    )
+    filt = AlexanderFiltration({rename[n]: levels[n] for n in names})
+    return c, filt
 
 
 def random_presentation(rng: random.Random, max_components: int = 4) -> SurgeryPresentation:

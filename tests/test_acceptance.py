@@ -7,7 +7,7 @@ single `pytest -v tests/test_acceptance.py` reads as a pass/fail scorecard.
 import random
 from fractions import Fraction
 
-from conftest import random_braid, random_presentation
+from conftest import random_braid, random_complex, random_presentation
 from test_floer import predicted_dims, truncated_dims
 
 from plumbtau import seeds
@@ -19,7 +19,6 @@ from plumbtau.floer import (
     homology_minus,
     image_classes,
     is_theta_supported,
-    random_complex,
     tau_alpha,
     tau_bot,
     tau_top,

@@ -1,8 +1,10 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
-from plumbtau import cli
+from plumbtau import cli, floer
 from plumbtau.cli import main
 
 L92_PLUMBING = {
@@ -239,6 +241,26 @@ def test_math_errors(tmp_path, capsys):
     )
     rc, _, err = run_cli(capsys, "tau", "--input", odd)
     assert rc == 3 and "subset" in err
+
+
+def test_internal_error_exit(tmp_path, capsys, monkeypatch):
+    def broken(c):
+        raise RuntimeError("pivot target y is not a cycle\nsecond line")
+
+    monkeypatch.setattr(floer, "_eliminate", broken)
+    path = write_doc(tmp_path, {"floer_complex": STAIRCASE})
+    rc, out, err = run_cli(capsys, "floer", "--input", path, "--what", "verify")
+    assert rc == cli.INTERNAL_EXIT == 5 and out == ""
+    assert err == "plumbtau: internal error: RuntimeError: pivot target y is not a cycle second line\n"
+
+
+def test_package_has_no_assert():
+    # runtime invariants must survive python -O and must not pass as exit 3
+    package = Path(cli.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert at lines {lines}"
 
 
 def test_output_is_deterministic(tmp_path, capsys):

@@ -3,11 +3,13 @@
 import random
 
 import pytest
+from conftest import random_complex, scan_decompose
 
-from plumbtau import seeds
+from plumbtau import floer, seeds
 from plumbtau.floer import (
     AlexanderFiltration,
     FloerComplex,
+    Tower,
     correction_term,
     dualize,
     format_complex,
@@ -17,7 +19,6 @@ from plumbtau.floer import (
     is_theta_star_supported,
     is_theta_supported,
     parse_complex,
-    random_complex,
     tau_alpha,
     tau_bot,
     tau_top,
@@ -342,3 +343,30 @@ def test_random_corpus_properties():
         assert correction_term(shifted) == d + shift
         assert tau_top(shifted, filt) == tt
         assert tau_bot(shifted, filt) == tb
+
+
+def test_indexed_elimination_matches_scan_oracle():
+    rng = random.Random(seeds.property_seed())
+    sizes = []
+    for _ in range(150):
+        c, _ = random_complex(rng, max_generators=60, max_basepoints=3, max_changes=400)
+        assert floer._decompose(c) == scan_decompose(c)
+        sizes.append((len(c.generators), len(c.entries)))
+    # far past the default draws, which stop at six generators
+    assert max(n for n, _ in sizes) > 30
+    assert sum(1 for _, e in sizes if e >= 100) >= 20
+
+
+def test_equal_power_pivots_pop_in_name_order():
+    # x -> a and x -> b tie at U^1.  The pivot (1, x, a) comes first and
+    # folds b into a's row, so b carries the tower; taking (1, x, b)
+    # first, or the entries in insertion order, would leave a instead.
+    c = FloerComplex(
+        ("x", "b", "a"),
+        {"x": 0, "b": 1, "a": 1},
+        {("x", "b"): 1, ("x", "a"): 1},
+    )
+    dec = homology_minus(c)
+    assert dec.towers == (Tower(1, (("b", 0),)),)
+    assert dec.torsion == ((1, 1),)
+    assert floer._decompose(c) == scan_decompose(c)
