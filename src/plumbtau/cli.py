@@ -9,8 +9,8 @@ canonical fraction strings, never floats, and every table is sorted, so
 output is byte-for-byte reproducible.
 
 Exit codes: 0 success, 2 malformed input (schema), 3 mathematical
-precondition failure, 4 regenerated golden table differs from the
-committed fixture.
+precondition failure or a work limit exceeded, 4 regenerated golden table
+differs from the committed fixture, 5 internal error.
 """
 
 from __future__ import annotations
@@ -136,12 +136,19 @@ def build_link(doc: dict, f: IntersectionForm) -> LeafLink:
         raise SchemaError(f"leaf_link: {e}")
 
 
-def build_presentation(doc: dict) -> surgery.SurgeryPresentation:
+def _surgery_node(doc: dict) -> dict:
     node = doc.get("surgery")
     if node is None:
-        raise SchemaError("surgery: field is required for this command")
+        return {}
     if not isinstance(node, dict):
         raise SchemaError("surgery: must be an object")
+    return node
+
+
+def build_presentation(doc: dict) -> surgery.SurgeryPresentation:
+    if doc.get("surgery") is None:
+        raise SchemaError("surgery: field is required for this command")
+    node = _surgery_node(doc)
     for key in node:
         if key not in ("components", "linking", "link_components", "braid"):
             raise SchemaError(f"surgery: unknown field {key!r}")
@@ -190,8 +197,7 @@ def build_presentation(doc: dict) -> surgery.SurgeryPresentation:
 
 
 def build_braid(doc: dict) -> surgery.BraidDatum:
-    node = doc.get("surgery") or {}
-    braid = node.get("braid")
+    braid = _surgery_node(doc).get("braid")
     if braid is None:
         raise SchemaError("surgery.braid: field is required for this computation")
     if not isinstance(braid, dict) or set(braid) != {"strands", "writhe", "components"}:
@@ -387,7 +393,7 @@ def run_obstruct(args) -> dict:
         s = _single_class(select_classes(f, doc, None, None), check)
         b = build_braid(doc)
         sl = Fraction(surgery.self_linking_braid(b))
-        if (doc.get("surgery") or {}).get("components") is not None:
+        if _surgery_node(doc).get("components") is not None:
             sl = surgery.self_linking_shift(sl, build_presentation(doc))
         verdict = obstruct.slice_bennequin_check(sl, profile.tau_at(s), link.ell)
     elif check == "metaboliser":
@@ -632,8 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="plumbtau",
         description="Exact tau-invariants and Stein-filling obstructions "
         "for links in negative-definite plumbed rational homology spheres.",
-        epilog="The PLUMBTAU_SEED environment variable seeds the randomized "
-        "property suites of the test battery.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

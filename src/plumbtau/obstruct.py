@@ -10,9 +10,10 @@ or fails, when one exists) and a JSON-friendly witness.
 The metaboliser machinery works in the invariant-factor decomposition of
 H_1 = Z^n / Q Z^n obtained from the Smith normal form of Q.  A metaboliser
 is a subgroup of order sqrt(|H_1|) on which the linking form
-lambda(a, b) = -a^T Q^{-1} b mod Z vanishes; subgroups are enumerated by
-closure search, which is exhaustive because every subgroup is reached by
-adding one generator at a time through subgroups of itself.
+lambda(a, b) = -a^T Q^{-1} b mod Z vanishes.  The candidates are found by
+one search that joins one element at a time and visits only isotropic
+subgroups of order at most sqrt(|H_1|); it is exhaustive because every
+subgroup of a metaboliser is isotropic too.
 """
 
 from __future__ import annotations
@@ -224,36 +225,19 @@ def h1_residues(f: IntersectionForm, vector: Sequence[int]) -> tuple[int, ...]:
     )
 
 
-def _close_subgroup(diag, seed):
-    group = set(seed)
-    grew = True
-    while grew:
-        grew = False
-        for a, b in itertools.product(tuple(group), repeat=2):
-            c = tuple((x + y) % m for x, y, m in zip(a, b, diag))
-            if c not in group:
-                group.add(c)
-                grew = True
-    return frozenset(group)
+def _join(diag, group, g):
+    """The subgroup H + <g>, built coset by coset: H, H + g, H + 2g, ...
 
-
-def _subgroups_of_order(diag, m):
-    """All subgroups of Z/d_1 x ... x Z/d_n of order m, by closure search."""
-    zero = tuple(0 for _ in diag)
-    elements = sorted(itertools.product(*[range(x) for x in diag]))
-    found = {frozenset({zero})}
-    frontier = [frozenset({zero})]
-    while frontier:
-        h = frontier.pop()
-        for g in elements:
-            if g in h:
-                continue
-            k = _close_subgroup(diag, h | {g})
-            # chains through subgroups of the target never exceed its order
-            if len(k) <= m and k not in found:
-                found.add(k)
-                frontier.append(k)
-    return sorted((h for h in found if len(h) == m), key=sorted)
+    Cosets of H are equal or disjoint and the first one to repeat is H, so
+    the loop stops at the first coset whose lead element is already in.
+    """
+    joined = set(group)
+    coset = list(group)
+    while True:
+        coset = [tuple((x + y) % m for x, y, m in zip(h, g, diag)) for h in coset]
+        if coset[0] in joined:
+            return frozenset(joined)
+        joined.update(coset)
 
 
 def metaboliser_candidates(f: IntersectionForm) -> list[MetaboliserCandidate]:
@@ -263,33 +247,47 @@ def metaboliser_candidates(f: IntersectionForm) -> list[MetaboliserCandidate]:
     if root * root != order:
         return []
     diag, _, sinv = _h1_decomposition(f)
-    qinv = f.qinv
+    lifts = {  # every residue with its integer lift to Z^n
+        r: tuple(sum(sinv[i][j] * r[j] for j in range(f.n)) for i in range(f.n))
+        for r in itertools.product(*[range(x) for x in diag])
+    }
 
-    def lift(residue):
-        return tuple(
-            sum(sinv[i][j] * residue[j] for j in range(f.n)) for i in range(f.n)
-        )
+    def integral(a, b):
+        return linalg.pair(f.qinv, lifts[a], lifts[b]).denominator == 1
+
+    # Isotropy passes to subgroups, so a metaboliser G is reached from {0}
+    # by joining one element at a time through isotropic subgroups of G,
+    # none of order above |G|: visiting only those keeps the search
+    # exhaustive.  Each subgroup H carries the elements g with lambda(g, g)
+    # and every lambda(g, h), h in H, integral; only they may join H, and
+    # H + <g> keeps those of them that also pair integrally with g.
+    zero = frozenset({tuple(0 for _ in diag)})
+    found = {zero}
+    frontier = [(zero, [g for g in lifts if integral(g, g)])]
+    while frontier:
+        h, allowed = frontier.pop()
+        for g in allowed:
+            if g in h:
+                continue
+            k = _join(diag, h, g)
+            if len(k) <= root and k not in found:
+                found.add(k)
+                frontier.append((k, [x for x in allowed if integral(x, g)]))
 
     out = []
-    for group in _subgroups_of_order(diag, root):
+    for group in sorted((h for h in found if len(h) == root), key=sorted):
         residues = tuple(sorted(group))
-        lifts = tuple(lift(r) for r in residues)
-        if any(
-            linalg.pair(qinv, a, b).denominator != 1
-            for a, b in itertools.combinations_with_replacement(lifts, 2)
-        ):
-            continue
         gens: list[tuple[int, ...]] = []
-        closed = frozenset({residues[0]}) if residues else frozenset()
+        closed = zero
         for r in residues:
             if r not in closed:
                 gens.append(r)
-                closed = _close_subgroup(diag, closed | {r})
+                closed = _join(diag, closed, r)
         out.append(
             MetaboliserCandidate(
-                generators=tuple(lift(r) for r in gens),
+                generators=tuple(lifts[r] for r in gens),
                 order=root,
-                elements=lifts,
+                elements=tuple(lifts[r] for r in residues),
                 residues=residues,
             )
         )

@@ -15,12 +15,15 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import linalg
 
 MARKINGS = ("marked", "unmarked_leaf", "internal")
+# Most short characteristic vectors an enumeration may walk; a box of
+# about 10^5 already takes tens of seconds and hundreds of megabytes.
+MAX_BOX = 100_000
 
 
 @dataclass(frozen=True)
@@ -158,6 +161,11 @@ def is_characteristic(f: IntersectionForm, kappa: Sequence[int]) -> bool:
 def short_char_vectors(f: IntersectionForm) -> list[tuple[int, ...]]:
     """All characteristic vectors in the box a_i + 2 <= kappa_i <= -a_i, lex order."""
     f.require_negative_definite()
+    size = prod(-f.q[i][i] for i in range(f.n))
+    if size > MAX_BOX:
+        raise ValueError(
+            f"the short-vector box holds {size} vectors, above the limit of {MAX_BOX}"
+        )
     ranges = []
     for i in range(f.n):
         a = f.q[i][i]
@@ -247,8 +255,9 @@ def d_invariant(s: SpincClass) -> Fraction:
 
 def d_realizing_reps(s: SpincClass) -> list[tuple[int, ...]]:
     """Short representatives attaining the maximal square (hence the correction term)."""
-    best = max(square(s.form, k) for k in s.reps)
-    return [k for k in s.reps if square(s.form, k) == best]
+    squares = [square(s.form, k) for k in s.reps]
+    best = max(squares)
+    return [k for k, q in zip(s.reps, squares) if q == best]
 
 
 def solve_square(f: IntersectionForm, target) -> list[tuple[int, ...]]:

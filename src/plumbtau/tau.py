@@ -75,8 +75,7 @@ def tau_detail(f: IntersectionForm, link: LeafLink, s: SpincClass):
     if s.form.q != f.q:
         raise ValueError("spin-c class belongs to a different form")
     candidates = d_realizing_reps(s)
-    best = min(pairing(f, k, link) for k in candidates)
-    minimizer = min(k for k in candidates if pairing(f, k, link) == best)
+    best, minimizer = min((pairing(f, k, link), k) for k in candidates)
     value = best / 2 - sigma_square(f, link) / 2
     return value, minimizer
 

@@ -1,10 +1,21 @@
+import itertools
+import math
+import os
 import random
 from fractions import Fraction
 from math import comb
 
 from plumbtau import linalg
 from plumbtau.floer import AlexanderFiltration, FloerComplex, _require_valid, _shift
+from plumbtau.obstruct import MetaboliserCandidate, _h1_decomposition
 from plumbtau.surgery import BraidDatum, SurgeryComponent, SurgeryPresentation
+
+DEFAULT_SEED = 20260814
+
+
+def property_seed() -> int:
+    """Seed for randomized suites; override with the PLUMBTAU_SEED env var."""
+    return int(os.environ.get("PLUMBTAU_SEED", DEFAULT_SEED))
 
 
 def solve_exact(m, b) -> list[Fraction]:
@@ -216,3 +227,80 @@ def random_braid(rng: random.Random) -> BraidDatum:
     n = rng.randint(1, 8)
     w = rng.randint(0, 14)
     return BraidDatum(strands=n, writhe=w, components=rng.randint(max(1, n - w), n))
+
+
+def _close_subgroup(diag, seed):
+    group = set(seed)
+    grew = True
+    while grew:
+        grew = False
+        for a, b in itertools.product(tuple(group), repeat=2):
+            c = tuple((x + y) % m for x, y, m in zip(a, b, diag))
+            if c not in group:
+                group.add(c)
+                grew = True
+    return frozenset(group)
+
+
+def _subgroups_of_order(diag, m):
+    """All subgroups of Z/d_1 x ... x Z/d_n of order m, by closure search."""
+    zero = tuple(0 for _ in diag)
+    elements = sorted(itertools.product(*[range(x) for x in diag]))
+    found = {frozenset({zero})}
+    frontier = [frozenset({zero})]
+    while frontier:
+        h = frontier.pop()
+        for g in elements:
+            if g in h:
+                continue
+            k = _close_subgroup(diag, h | {g})
+            # chains through subgroups of the target never exceed its order
+            if len(k) <= m and k not in found:
+                found.add(k)
+                frontier.append(k)
+    return sorted((h for h in found if len(h) == m), key=sorted)
+
+
+def closure_metaboliser_candidates(f) -> list[MetaboliserCandidate]:
+    """Brute-force reference for ``obstruct.metaboliser_candidates``.
+
+    Closes every subgroup of order at most sqrt(|H_1|) by an O(|H|^2)
+    fixpoint, keeps those of order sqrt(|H_1|) whose elements pair
+    integrally, and recovers generators by a second round of closures.
+    """
+    order = abs(f.det())
+    root = math.isqrt(order)
+    if root * root != order:
+        return []
+    diag, _, sinv = _h1_decomposition(f)
+    qinv = f.qinv
+
+    def lift(residue):
+        return tuple(
+            sum(sinv[i][j] * residue[j] for j in range(f.n)) for i in range(f.n)
+        )
+
+    out = []
+    for group in _subgroups_of_order(diag, root):
+        residues = tuple(sorted(group))
+        lifts = tuple(lift(r) for r in residues)
+        if any(
+            linalg.pair(qinv, a, b).denominator != 1
+            for a, b in itertools.combinations_with_replacement(lifts, 2)
+        ):
+            continue
+        gens: list[tuple[int, ...]] = []
+        closed = frozenset({residues[0]}) if residues else frozenset()
+        for r in residues:
+            if r not in closed:
+                gens.append(r)
+                closed = _close_subgroup(diag, closed | {r})
+        out.append(
+            MetaboliserCandidate(
+                generators=tuple(lift(r) for r in gens),
+                order=root,
+                elements=lifts,
+                residues=residues,
+            )
+        )
+    return out

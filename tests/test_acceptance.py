@@ -7,10 +7,9 @@ single `pytest -v tests/test_acceptance.py` reads as a pass/fail scorecard.
 import random
 from fractions import Fraction
 
-from conftest import random_braid, random_complex, random_presentation
+from conftest import property_seed, random_braid, random_complex, random_presentation
 from test_floer import predicted_dims, truncated_dims
 
-from plumbtau import seeds
 from plumbtau.floer import (
     AlexanderFiltration,
     FloerComplex,
@@ -141,7 +140,7 @@ def test_presentation_self_intersection_and_chern():
 
 
 def test_self_intersection_routes_agree():
-    rng = random.Random(seeds.property_seed())
+    rng = random.Random(property_seed())
     for _ in range(100):
         p = random_presentation(rng, max_components=4)
         assert self_intersection(p) == self_intersection_pairing(p)
@@ -174,7 +173,7 @@ def test_filtered_complex_suite():
     dual, dfilt = dualize(c, filt)
     assert tau_bot(dual, dfilt) == -1
 
-    rng = random.Random(seeds.property_seed())
+    rng = random.Random(property_seed())
     for _ in range(200):
         rc, rfilt = random_complex(rng)
         assert verify_axioms(rc).ok
@@ -199,7 +198,7 @@ def test_obstruction_verdicts_on_chain_links():
 
 
 def test_quasi_positive_tau_chain():
-    rng = random.Random(seeds.property_seed())
+    rng = random.Random(property_seed())
     for _ in range(50):
         b = random_braid(rng)
         value = tau_qp_braid(b)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from plumbtau import cli, floer
+from plumbtau import cli, floer, plumbing
 from plumbtau.cli import main
 
 L92_PLUMBING = {
@@ -217,13 +217,16 @@ def test_schema_errors(tmp_path, capsys):
         ({"plumbing": L92_PLUMBING, "leaf_link": {"v9": 1}}, "tau", "leaf_link"),
         ({"plumbing": L92_PLUMBING, "leaf_link": {"v1": 1}, "subset": "x"}, "tau", "subset"),
         ({"floer_complex": "a 0 1"}, "floer", "floer_complex"),
+        (
+            {"plumbing": L41_PLUMBING, "leaf_link": {"v1": 2}, "subset": [[-2]], "surgery": [1]},
+            "obstruct",
+            "surgery: must be an object",
+        ),
     ]
+    flags = {"floer": ["--what", "d"], "obstruct": ["--check", "slice-bennequin"]}
     for doc, command, field in cases:
         path = write_doc(tmp_path, doc)
-        args = [command, "--input", path]
-        if command == "floer":
-            args += ["--what", "d"]
-        rc, _, err = run_cli(capsys, *args)
+        rc, _, err = run_cli(capsys, command, "--input", path, *flags.get(command, []))
         assert rc == 2 and field in err
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{", encoding="utf-8")
@@ -241,6 +244,25 @@ def test_math_errors(tmp_path, capsys):
     )
     rc, _, err = run_cli(capsys, "tau", "--input", odd)
     assert rc == 3 and "subset" in err
+
+
+def test_short_vector_box_limit(tmp_path, capsys, monkeypatch):
+    chain = {
+        "vertices": [[f"v{i}", -40] for i in range(1, 5)],
+        "edges": [["v1", "v2"], ["v2", "v3"], ["v3", "v4"]],
+    }
+    path = write_doc(tmp_path, {"plumbing": chain})
+    rc, out, err = run_cli(capsys, "dinv", "--input", path)
+    assert rc == 3 and out == ""
+    assert "2560000 vectors" in err and f"limit of {plumbing.MAX_BOX}" in err
+    # the limit is inclusive: a box of exactly MAX_BOX vectors is walked
+    monkeypatch.setattr(plumbing, "MAX_BOX", 16)
+    square = {"vertices": [["v1", -4], ["v2", -4]], "edges": [["v1", "v2"]]}
+    rc, out, _ = run_cli(capsys, "dinv", "--input", write_doc(tmp_path, {"plumbing": square}))
+    assert rc == 0 and json.loads(out)["order"] == 15
+    wider = {"vertices": [["v1", -4], ["v2", -5]], "edges": [["v1", "v2"]]}
+    rc, _, err = run_cli(capsys, "dinv", "--input", write_doc(tmp_path, {"plumbing": wider}))
+    assert rc == 3 and "20 vectors" in err
 
 
 def test_internal_error_exit(tmp_path, capsys, monkeypatch):

@@ -3,9 +3,9 @@
 import random
 
 import pytest
-from conftest import random_complex, scan_decompose
+from conftest import property_seed, random_complex, scan_decompose
 
-from plumbtau import floer, seeds
+from plumbtau import floer
 from plumbtau.floer import (
     AlexanderFiltration,
     FloerComplex,
@@ -304,7 +304,7 @@ def test_text_format():
 
 
 def test_random_corpus_properties():
-    rng = random.Random(seeds.property_seed())
+    rng = random.Random(property_seed())
     for _ in range(200):
         c, filt = random_complex(rng)
         assert verify_axioms(c).ok
@@ -346,7 +346,7 @@ def test_random_corpus_properties():
 
 
 def test_indexed_elimination_matches_scan_oracle():
-    rng = random.Random(seeds.property_seed())
+    rng = random.Random(property_seed())
     sizes = []
     for _ in range(150):
         c, _ = random_complex(rng, max_generators=60, max_basepoints=3, max_changes=400)

@@ -1,8 +1,13 @@
+import itertools
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from conftest import closure_metaboliser_candidates, property_seed
 
+from plumbtau import linalg
 from plumbtau.obstruct import (
     CLEAR,
     FIRES,
@@ -29,6 +34,20 @@ from plumbtau.tau import LeafLink
 
 L41 = form_from_tree(PlumbingTree.path(-4))
 L92 = form_from_tree(PlumbingTree.path(-5, -2))
+
+
+def chain(*weights: int):
+    return form_from_tree(PlumbingTree.path(*weights))
+
+
+def star(center: int, *leaves: int):
+    ids = [f"v{i + 1}" for i in range(len(leaves))]
+    return form_from_tree(
+        PlumbingTree(
+            vertices=(("c", center),) + tuple(zip(ids, leaves)),
+            edges=tuple(("c", v) for v in ids),
+        )
+    )
 
 
 def nk_profile(k: int) -> TauProfile:
@@ -103,6 +122,34 @@ def test_metaboliser_candidates_l41_and_nonsquare():
         profile_from_link(half, LeafLink((0,), 0)), class_of(half, (0,))
     )
     assert verdict.verdict == FIRES and "no metaboliser" in verdict.witness
+
+
+def test_metaboliser_search_matches_closure_oracle():
+    d4 = star(-2, -2, -2, -2)
+    fixed = [L92, L41, chain(-4, -4), d4, chain(-16), chain(-25), chain(-36)]
+    assert metaboliser_candidates(chain(-4, -4)) == []
+    assert len(metaboliser_candidates(d4)) == 3
+    rng = random.Random(property_seed())
+    drawn = {}
+    while len(drawn) < 10:
+        if rng.random() < 0.5:
+            f = chain(*[rng.randint(-6, -1) for _ in range(rng.randint(1, 4))])
+        else:
+            f = star(*[rng.randint(-6, -1) for _ in range(4)])
+        det = abs(f.det())
+        if f.negative_definite and 4 <= det <= 36 and math.isqrt(det) ** 2 == det:
+            drawn[f.q] = f
+    for f in fixed + list(drawn.values()):
+        assert metaboliser_candidates(f) == closure_metaboliser_candidates(f), f.q
+
+
+def test_metaboliser_search_on_order_144():
+    # (-3)x5 has |H_1| = 144, past what the closure oracle can search
+    f = chain(-3, -3, -3, -3, -3)
+    [cand] = metaboliser_candidates(f)
+    assert cand.order == 12 and len(set(cand.residues)) == 12
+    for a, b in itertools.combinations_with_replacement(cand.elements, 2):
+        assert linalg.pair(f.qinv, a, b).denominator == 1
 
 
 def test_metaboliser_obstruction_nk():

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import in_image_of
-from plumbtau import linalg, seeds
+from conftest import in_image_of, property_seed
+from plumbtau import linalg
 from plumbtau.plumbing import (
     PlumbingTree,
     class_of,
@@ -187,7 +187,7 @@ def _lens_d(p, q, i):
 
 def test_chain_d_invariants_match_lens_space_recursion():
     # the chain a_1, ..., a_n bounds -L(p, q) with p/q = [-a_1, ..., -a_n]
-    rng = random.Random(seeds.property_seed())
+    rng = random.Random(property_seed())
     for _ in range(30):
         weights = [rng.randint(-7, -2) for _ in range(rng.randint(1, 4))]
         p, q = 1, 0
