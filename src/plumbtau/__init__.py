@@ -13,6 +13,7 @@ Subpackages:
   theta-supported cycles and tau of Alexander-type filtrations.
 - ``obstruct``: decision procedures obstructing links from bounding
   holomorphic curves in Stein fillings.
+- ``paper``: the paper's examples in L(9,2) and L(4,1) and their golden tables.
 - ``cli``: JSON front end and regression tables.
 """
 

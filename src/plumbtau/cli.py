@@ -18,12 +18,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
-from importlib import resources
 from typing import Optional
 
 from . import floer as floer_mod
-from . import linalg, obstruct, surgery
+from . import linalg, obstruct, paper, surgery
 from .plumbing import (
     IntersectionForm,
     PlumbingTree,
@@ -31,18 +31,14 @@ from .plumbing import (
     conjugate,
     d_invariant,
     form_from_tree,
-    solve_square,
     spinc_classes,
 )
-from .tau import LeafLink, leaf_link, tau as tau_value
+from .tau import LeafLink, d_zero_subset, leaf_link, tau as tau_value
 
 SCHEMA_EXIT = 2
 MATH_EXIT = 3
 GOLDEN_EXIT = 4
 INTERNAL_EXIT = 5
-
-DOCUMENT_FIELDS = ("plumbing", "leaf_link", "surgery", "floer_complex", "basepoints", "subset")
-EXAMPLE_NAMES = ("l2d", "m3d", "nk", "m3", "eq72")
 
 
 class SchemaError(ValueError):
@@ -57,11 +53,102 @@ def _fraction_str(x) -> str:
     return str(Fraction(x))
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 # --- input document -------------------------------------------------------
+
+
+def _is(kind):
+    return lambda x: isinstance(x, kind) and not isinstance(x, bool)
+
+
+def _list(check, nonempty=False):
+    return lambda x: isinstance(x, list) and (bool(x) or not nonempty) and all(map(check, x))
+
+
+def _pair(first, second):
+    return lambda x: isinstance(x, list) and len(x) == 2 and first(x[0]) and second(x[1])
+
+
+def _map(check):
+    return lambda x: isinstance(x, dict) and all(map(check, x.values()))
+
+
+class _Required(str):
+    """The default of a field that may be neither absent nor null: why it is needed."""
+
+
+INT, STR, OBJECT = _is(int), _is(str), _is(dict)
+REQUIRED = _Required("field is required for this command")
+BRAID = ("strands", "writhe", "components")
+_REPS = _list(_list(INT, nonempty=True), nonempty=True)
+
+# path: (check, message, default) for every field a command may read.  A
+# command checks a field when it reads it, and rejects the unknown fields of
+# an object when it reads the object.  An error names the first two parts of
+# the path, so a field of a component or of the braid is named by its owner.
+# ``subset`` also checks the ``--spinc`` flag; its default is the command's.
+SCHEMA = {
+    "plumbing": (OBJECT, "must be an object with vertices and edges", REQUIRED),
+    "plumbing.vertices": (_list(_pair(STR, INT)), "must be a list of [id, weight] pairs", None),
+    "plumbing.edges": (_list(_pair(STR, STR)), "must be a list of [id, id] pairs", []),
+    "plumbing.markings": (_map(STR), "must map vertex ids to marking names", {}),
+    "leaf_link": (_map(INT), "must map vertex ids to strand counts", REQUIRED),
+    "surgery": (OBJECT, "must be an object", REQUIRED),
+    "surgery.components": (_list(OBJECT), "must be a list of objects", []),
+    "surgery.components.kind": (STR, "each component needs a kind", None),
+    "surgery.components.tb": (INT, "tb and rot must be integers", 0),
+    "surgery.components.rot": (INT, "tb and rot must be integers", 0),
+    "surgery.linking": (_list(_list(INT)), "must be a matrix of integers", []),
+    "surgery.link_components": (_list(_list(INT)), "must be a list of integer vectors", []),
+    "surgery.braid": (
+        lambda x: OBJECT(x) and sorted(x) == sorted(BRAID),
+        "needs exactly strands, writhe and components",
+        _Required("field is required for this computation"),
+    ),
+    "surgery.braid.strands": (INT, "strands, writhe and components are integers", None),
+    "surgery.braid.writhe": (INT, "strands, writhe and components are integers", None),
+    "surgery.braid.components": (INT, "strands, writhe and components are integers", None),
+    "floer_complex": (_list(STR), "must be a list of strings", REQUIRED),
+    "basepoints": (INT, "must be an integer", 1),
+    "subset": (
+        lambda x: x in ("all", "d0") or _REPS(x),
+        "must be 'all', 'd0', or a non-empty list of integer representatives",
+        None,
+    ),
+}
+
+
+@contextmanager
+def _named(field: str, error=SchemaError):
+    """Re-raise a ValueError of the block as ``error``, its message prefixed by ``field``."""
+    try:
+        yield
+    except ValueError as e:
+        raise error(f"{field}: {e}")
+
+
+def _checked(value, path: str, label: Optional[str] = None):
+    check, message, _ = SCHEMA[path]
+    if not check(value):
+        raise SchemaError(f"{label or '.'.join(path.split('.')[:2])}: {message}")
+    return value
+
+
+def _value(node: dict, path: str):
+    """Field ``path`` of ``node``, checked against its row of ``SCHEMA``."""
+    default = SCHEMA[path][2]
+    value = node.get(path.rpartition(".")[2], default)
+    if isinstance(default, _Required) and (value is None or value is default):
+        raise SchemaError(f"{path}: {default}")
+    return _checked(value, path)
+
+
+def _fields(node: dict, path: str, *names: str) -> list:
+    """Reject fields of ``node`` that have no row, then read ``names``."""
+    known = {p.rpartition(".")[2] for p in SCHEMA if p.rpartition(".")[0] == path}
+    for key in node:
+        if key not in known:
+            raise SchemaError(f"{path or 'input'}: unknown field {key!r}")
+    return [_value(node, f"{path}.{name}") for name in names]
 
 
 def load_document(path: str) -> dict:
@@ -79,111 +166,36 @@ def load_document(path: str) -> dict:
         raise SchemaError(f"input: not valid JSON: {e}")
     if not isinstance(doc, dict):
         raise SchemaError("input: document must be a JSON object")
-    for key in doc:
-        if key not in DOCUMENT_FIELDS:
-            raise SchemaError(f"input: unknown field {key!r}")
+    _fields(doc, "")
     return doc
 
 
 def build_form(doc: dict) -> IntersectionForm:
-    node = doc.get("plumbing")
-    if node is None:
-        raise SchemaError("plumbing: field is required for this command")
-    if not isinstance(node, dict):
-        raise SchemaError("plumbing: must be an object with vertices and edges")
-    vertices = node.get("vertices")
-    if not isinstance(vertices, list) or not all(
-        isinstance(v, list) and len(v) == 2 and isinstance(v[0], str) and _is_int(v[1])
-        for v in vertices
-    ):
-        raise SchemaError("plumbing.vertices: must be a list of [id, weight] pairs")
-    edges = node.get("edges", [])
-    if not isinstance(edges, list) or not all(
-        isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e)
-        for e in edges
-    ):
-        raise SchemaError("plumbing.edges: must be a list of [id, id] pairs")
-    markings = node.get("markings", {})
-    if not isinstance(markings, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in markings.items()
-    ):
-        raise SchemaError("plumbing.markings: must map vertex ids to marking names")
-    for key in node:
-        if key not in ("vertices", "edges", "markings"):
-            raise SchemaError(f"plumbing: unknown field {key!r}")
-    try:
+    node = _value(doc, "plumbing")
+    vertices, edges, markings = _fields(node, "plumbing", "vertices", "edges", "markings")
+    with _named("plumbing"):
         tree = PlumbingTree(
             vertices=tuple((v, w) for v, w in vertices),
             edges=tuple((a, b) for a, b in edges),
             markings=dict(markings),
         )
-    except ValueError as e:
-        raise SchemaError(f"plumbing: {e}")
     return form_from_tree(tree)
 
 
 def build_link(doc: dict, f: IntersectionForm) -> LeafLink:
-    node = doc.get("leaf_link")
-    if node is None:
-        raise SchemaError("leaf_link: field is required for this command")
-    if not isinstance(node, dict) or not all(
-        isinstance(k, str) and _is_int(v) for k, v in node.items()
-    ):
-        raise SchemaError("leaf_link: must map vertex ids to strand counts")
-    try:
+    node = _value(doc, "leaf_link")
+    with _named("leaf_link"):
         return leaf_link(f, node)
-    except ValueError as e:
-        raise SchemaError(f"leaf_link: {e}")
-
-
-def _surgery_node(doc: dict) -> dict:
-    node = doc.get("surgery")
-    if node is None:
-        return {}
-    if not isinstance(node, dict):
-        raise SchemaError("surgery: must be an object")
-    return node
 
 
 def build_presentation(doc: dict) -> surgery.SurgeryPresentation:
-    if doc.get("surgery") is None:
-        raise SchemaError("surgery: field is required for this command")
-    node = _surgery_node(doc)
-    for key in node:
-        if key not in ("components", "linking", "link_components", "braid"):
-            raise SchemaError(f"surgery: unknown field {key!r}")
-    raw_components = node.get("components", [])
-    if not isinstance(raw_components, list) or not all(
-        isinstance(c, dict) for c in raw_components
-    ):
-        raise SchemaError("surgery.components: must be a list of objects")
+    node = _value(doc, "surgery")
+    raw, linking, vectors = _fields(node, "surgery", "components", "linking", "link_components")
     components = []
-    for c in raw_components:
-        for key in c:
-            if key not in ("kind", "tb", "rot"):
-                raise SchemaError(f"surgery.components: unknown field {key!r}")
-        if not isinstance(c.get("kind"), str):
-            raise SchemaError("surgery.components: each component needs a kind")
-        if not all(_is_int(c.get(k, 0)) for k in ("tb", "rot")):
-            raise SchemaError("surgery.components: tb and rot must be integers")
-        try:
-            components.append(
-                surgery.SurgeryComponent(
-                    kind=c["kind"], tb=c.get("tb", 0), rot=c.get("rot", 0)
-                )
-            )
-        except ValueError as e:
-            raise SchemaError(f"surgery.components: {e}")
-    linking = node.get("linking", [])
-    if not isinstance(linking, list) or not all(
-        isinstance(row, list) and all(_is_int(x) for x in row) for row in linking
-    ):
-        raise SchemaError("surgery.linking: must be a matrix of integers")
-    vectors = node.get("link_components", [])
-    if not isinstance(vectors, list) or not all(
-        isinstance(v, list) and all(_is_int(x) for x in v) for v in vectors
-    ):
-        raise SchemaError("surgery.link_components: must be a list of integer vectors")
+    for c in raw:
+        kind, tb, rot = _fields(c, "surgery.components", "kind", "tb", "rot")
+        with _named("surgery.components"):
+            components.append(surgery.SurgeryComponent(kind=kind, tb=tb, rot=rot))
     try:
         return surgery.SurgeryPresentation(
             components=tuple(components),
@@ -197,24 +209,24 @@ def build_presentation(doc: dict) -> surgery.SurgeryPresentation:
 
 
 def build_braid(doc: dict) -> surgery.BraidDatum:
-    braid = _surgery_node(doc).get("braid")
-    if braid is None:
-        raise SchemaError("surgery.braid: field is required for this computation")
-    if not isinstance(braid, dict) or set(braid) != {"strands", "writhe", "components"}:
-        raise SchemaError("surgery.braid: needs exactly strands, writhe and components")
-    if not all(_is_int(v) for v in braid.values()):
-        raise SchemaError("surgery.braid: strands, writhe and components are integers")
-    try:
-        return surgery.BraidDatum(**braid)
-    except ValueError as e:
-        raise ValueError(f"surgery.braid: {e}")
+    # with no surgery object, the braid is what is missing
+    node = {} if doc.get("surgery") is None else _value(doc, "surgery")
+    braid = _value(node, "surgery.braid")
+    strands, writhe, components = _fields(braid, "surgery.braid", *BRAID)
+    with _named("surgery.braid", ValueError):
+        return surgery.BraidDatum(strands, writhe, components)
 
 
-def _classes_checked(f: IntersectionForm):
-    try:
-        return spinc_classes(f)
-    except ValueError as e:
-        raise ValueError(f"plumbing: {e}")
+def build_floer(doc: dict):
+    lines = _value(doc, "floer_complex")
+    basepoints = _value(doc, "basepoints")
+    with _named("floer_complex"):
+        return floer_mod.parse_complex(lines, basepoints=basepoints)
+
+
+def _classes_checked(f: IntersectionForm, select=spinc_classes):
+    with _named("plumbing", ValueError):
+        return select(f)
 
 
 def _parse_rep_text(text: str, field: str) -> list[int]:
@@ -225,35 +237,18 @@ def _parse_rep_text(text: str, field: str) -> list[int]:
         raise SchemaError(f"{field}: bad class representative {text!r}")
 
 
-def select_classes(
-    f: IntersectionForm, doc: dict, flag: Optional[str], default: str
-):
+def select_classes(f: IntersectionForm, doc: dict, flag: Optional[str], default: Optional[str]):
     """Resolve the subset selector: flag first, then the document, then default."""
-    if flag is not None:
-        sel, field = flag, "spinc"
-    else:
-        sel, field = doc.get("subset", default), "subset"
-    if sel == "all":
-        return list(_classes_checked(f))
-    if sel == "d0":
-        return [s for s in _classes_checked(f) if d_invariant(s) == 0]
-    if isinstance(sel, str):
+    field, sel = ("subset", doc.get("subset", default)) if flag is None else ("spinc", flag)
+    if isinstance(sel, str) and sel not in ("all", "d0"):
         sel = [_parse_rep_text(sel, field)]
-    if not (
-        isinstance(sel, list)
-        and sel
-        and all(isinstance(r, list) and r and all(_is_int(x) for x in r) for r in sel)
-    ):
-        raise SchemaError(
-            f"{field}: must be 'all', 'd0', or a non-empty list of integer representatives"
-        )
-    out = []
-    for rep in sel:
-        try:
-            out.append(class_of(f, rep))
-        except ValueError as e:
-            raise ValueError(f"{field}: {e}")
-    return out
+    _checked(sel, "subset", field)
+    if sel == "all":
+        return _classes_checked(f)
+    if sel == "d0":
+        return _classes_checked(f, d_zero_subset)
+    with _named(field, ValueError):
+        return [class_of(f, rep) for rep in sel]
 
 
 def _single_class(classes, check: str):
@@ -320,10 +315,8 @@ def run_surgery(args) -> dict:
 
 
 def run_tau_qp(args) -> dict:
-    try:
+    with _named("braid", ValueError):
         b = surgery.BraidDatum(args.strands, args.writhe, args.components)
-    except ValueError as e:
-        raise ValueError(f"braid: {e}")
     return {
         "command": "tau-qp",
         "strands": b.strands,
@@ -331,21 +324,6 @@ def run_tau_qp(args) -> dict:
         "components": b.components,
         "tau": _fraction_str(surgery.tau_qp_braid(b)),
     }
-
-
-def build_floer(doc: dict):
-    lines = doc.get("floer_complex")
-    if lines is None:
-        raise SchemaError("floer_complex: field is required for this command")
-    if not isinstance(lines, list) or not all(isinstance(x, str) for x in lines):
-        raise SchemaError("floer_complex: must be a list of strings")
-    basepoints = doc.get("basepoints", 1)
-    if not _is_int(basepoints):
-        raise SchemaError("basepoints: must be an integer")
-    try:
-        return floer_mod.parse_complex(lines, basepoints=basepoints)
-    except ValueError as e:
-        raise SchemaError(f"floer_complex: {e}")
 
 
 def run_floer(args) -> dict:
@@ -359,15 +337,13 @@ def run_floer(args) -> dict:
             "ok": report.ok,
             "failures": list(report.failures),
         }
-    try:
+    with _named("floer_complex", ValueError):
         if args.what == "d":
             value = floer_mod.correction_term(c)
         elif args.what == "tau-top":
             value = floer_mod.tau_top(c, filt)
         else:  # tau-bot
             value = floer_mod.tau_bot(c, filt)
-    except ValueError as e:
-        raise ValueError(f"floer_complex: {e}")
     return {"command": "floer", "what": args.what, "value": _fraction_str(value)}
 
 
@@ -393,7 +369,7 @@ def run_obstruct(args) -> dict:
         s = _single_class(select_classes(f, doc, None, None), check)
         b = build_braid(doc)
         sl = Fraction(surgery.self_linking_braid(b))
-        if _surgery_node(doc).get("components") is not None:
+        if doc["surgery"].get("components") is not None:
             sl = surgery.self_linking_shift(sl, build_presentation(doc))
         verdict = obstruct.slice_bennequin_check(sl, profile.tau_at(s), link.ell)
     elif check == "metaboliser":
@@ -411,161 +387,12 @@ def run_obstruct(args) -> dict:
 # --- golden tables ---------------------------------------------------------
 
 
-def _form92() -> IntersectionForm:
-    return form_from_tree(PlumbingTree.path(-5, -2))
-
-
-def _form41() -> IntersectionForm:
-    return form_from_tree(PlumbingTree.path(-4))
-
-
-def _d_zero(f: IntersectionForm):
-    return [s for s in spinc_classes(f) if d_invariant(s) == 0]
-
-
-def _l2d_presentation(d: int, rot: int) -> surgery.SurgeryPresentation:
-    return surgery.SurgeryPresentation(
-        components=(surgery.SurgeryComponent(kind="surgery", tb=-3, rot=rot),),
-        linking=((0,),),
-        link_vectors=tuple((1,) for _ in range(2 * d)),
-    )
-
-
-def _m3d_presentation(d: int, rot: int) -> surgery.SurgeryPresentation:
-    return surgery.SurgeryPresentation(
-        components=(
-            surgery.SurgeryComponent(kind="surgery", tb=-4, rot=rot),
-            surgery.SurgeryComponent(kind="surgery", tb=-1, rot=0),
-        ),
-        linking=((0, 1), (1, 0)),
-        link_vectors=tuple((1, 0) for _ in range(3 * d)),
-    )
-
-
-def _golden_m3() -> dict:
-    f = _form92()
-    link = LeafLink((3, 0), 3)
-    return {
-        "plumbing": [-5, -2],
-        "strands": [3, 0],
-        "classes": [
-            {"rep": list(s.rep), "tau": _fraction_str(tau_value(f, link, s))}
-            for s in _d_zero(f)
-        ],
-    }
-
-
-def _golden_nk() -> dict:
-    f = _form92()
-    subset = _d_zero(f)
-    rows = []
-    for k in range(1, 13):
-        link = LeafLink((k, 0), k)
-        rows.append(
-            {
-                "k": k,
-                "taus": [_fraction_str(tau_value(f, link, s)) for s in subset],
-            }
-        )
-    return {
-        "plumbing": [-5, -2],
-        "classes": [list(s.rep) for s in subset],
-        "rows": rows,
-    }
-
-
-def _golden_l2d() -> dict:
-    f = _form41()
-    subset = _d_zero(f)
-    rows = []
-    for d in range(1, 11):
-        link = LeafLink((2 * d,), 2 * d)
-        values = [tau_value(f, link, s) for s in subset]
-        profile = obstruct.profile_from_link(f, link)
-        bound = obstruct.pl_genus_lower_bound(profile, subset)
-        rows.append(
-            {
-                "d": d,
-                "taus": [_fraction_str(v) for v in values],
-                "spread": _fraction_str(max(values) - min(values)),
-                "pl_genus": bound.genus,
-                "self_intersection": _fraction_str(
-                    surgery.self_intersection(_l2d_presentation(d, 2))
-                ),
-                "chern": [
-                    _fraction_str(surgery.chern_evaluation(_l2d_presentation(d, rot)))
-                    for rot in (2, -2)
-                ],
-            }
-        )
-    return {
-        "plumbing": [-4],
-        "classes": [list(s.rep) for s in subset],
-        "rows": rows,
-    }
-
-
-def _golden_m3d() -> dict:
-    f = _form92()
-    subset = _d_zero(f)
-    rows = []
-    for d in range(1, 7):
-        link = LeafLink((3 * d, 0), 3 * d)
-        values = [tau_value(f, link, s) for s in subset]
-        rows.append(
-            {
-                "d": d,
-                "taus": [_fraction_str(v) for v in values],
-                "self_intersection": _fraction_str(
-                    surgery.self_intersection(_m3d_presentation(d, 3))
-                ),
-                "chern": [
-                    _fraction_str(surgery.chern_evaluation(_m3d_presentation(d, rot)))
-                    for rot in (3, -3)
-                ],
-                "window": [
-                    _fraction_str(Fraction(d * (d - 1), 2)),
-                    _fraction_str(Fraction(3 * d * (d - 1), 2)),
-                ],
-            }
-        )
-    return {
-        "plumbing": [-5, -2],
-        "classes": [list(s.rep) for s in subset],
-        "rows": rows,
-    }
-
-
-def _golden_eq72() -> dict:
-    f = _form92()
-    return {
-        "plumbing": [-5, -2],
-        "target": "-2",
-        "solutions": [list(v) for v in solve_square(f, -2)],
-    }
-
-
-GOLDEN_GENERATORS = {
-    "l2d": _golden_l2d,
-    "m3d": _golden_m3d,
-    "nk": _golden_nk,
-    "m3": _golden_m3,
-    "eq72": _golden_eq72,
-}
-
-
-def committed_fixture(name: str) -> dict:
-    path = resources.files("plumbtau").joinpath(f"fixtures/{name}.json")
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
 def run_paper_examples(args) -> dict:
-    names = [args.example] if args.example else list(EXAMPLE_NAMES)
+    names = [args.example] if args.example else list(paper.EXAMPLE_NAMES)
     tables = {}
     for name in names:
-        generated = GOLDEN_GENERATORS[name]()
-        committed = committed_fixture(name)
-        if generated != committed:
+        generated = paper.GOLDEN_GENERATORS[name]()
+        if generated != paper.committed_fixture(name):
             raise GoldenMismatchError(
                 f"paper-examples: {name}: regenerated table differs from the committed fixture"
             )
@@ -688,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=run_obstruct)
 
     p = sub.add_parser("paper-examples", help="regenerate and diff the golden tables")
-    p.add_argument("example", nargs="?", choices=EXAMPLE_NAMES, default=None)
+    p.add_argument("example", nargs="?", choices=paper.EXAMPLE_NAMES, default=None)
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(handler=run_paper_examples)
 

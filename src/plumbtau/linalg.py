@@ -115,12 +115,21 @@ def inverse(m: IntMatrix) -> list[list[Fraction]]:
 
 
 def is_negative_definite(m: IntMatrix) -> bool:
-    """True iff (-1)^k times the k-th leading principal minor is positive for all k."""
+    """True iff (-1)^k times the k-th leading principal minor is positive for all k.
+
+    One pass: the pivots of Bareiss elimination without row swaps are these minors.
+    """
     n = _check_symmetric(m)
-    for k in range(1, n + 1):
-        minor_k = det([row[:k] for row in m[:k]])
-        if (-1) ** k * minor_k <= 0:
+    a = [list(map(int, row)) for row in m]
+    prev = 1
+    for k in range(n):
+        p = a[k][k]
+        if (-1) ** (k + 1) * p <= 0:
             return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * p - a[i][k] * a[k][j]) // prev
+        prev = p
     return True
 
 

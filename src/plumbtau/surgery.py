@@ -103,10 +103,12 @@ def self_intersection(p: SurgeryPresentation) -> Fraction:
     total = Fraction(0)
     for k in range(len(p.link_vectors)):
         total -= Fraction(linalg.det(bordered_matrix(p, k)), d)
+    # 2 sum_{a<b} <l_a, Q^-1 l_b> = <S, Q^-1 S> - sum_a <l_a, Q^-1 l_a>, S = sum_a l_a
     vs = p.link_vectors
-    for a in range(len(vs)):
-        for b in range(a + 1, len(vs)):
-            total += 2 * linalg.pair(qinv, vs[a], vs[b])
+    s = [sum(v[i] for v in vs) for i in range(len(q))]
+    total += linalg.pair(qinv, s, s)
+    for v in vs:
+        total -= linalg.pair(qinv, v, v)
     return total
 
 

@@ -5,6 +5,7 @@ single `pytest -v tests/test_acceptance.py` reads as a pass/fail scorecard.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from conftest import property_seed, random_braid, random_complex, random_presentation
@@ -31,18 +32,10 @@ from plumbtau.obstruct import (
     pl_genus_lower_bound,
     profile_from_link,
 )
-from plumbtau.plumbing import (
-    PlumbingTree,
-    class_of,
-    d_invariant,
-    form_from_tree,
-    solve_square,
-    spinc_classes,
-)
+from plumbtau.paper import form_41, form_92, l2d_presentation, m3d_presentation
+from plumbtau.plumbing import class_of, solve_square, spinc_classes
 from plumbtau.surgery import (
     CurveDatum,
-    SurgeryComponent,
-    SurgeryPresentation,
     bennequin_euler,
     chern_evaluation,
     self_intersection,
@@ -53,51 +46,18 @@ from plumbtau.surgery import (
 )
 from plumbtau.tau import d_zero_subset, leaf_link, tau, tau_extrema
 
-FORM_92 = form_from_tree(PlumbingTree.path(-5, -2))
-FORM_41 = form_from_tree(PlumbingTree.path(-4))
-
-
-def chain_link(k):
-    """k parallel copies of the knot dual to the -5 vertex of the (-5,-2) tree."""
-    return leaf_link(FORM_92, {"v1": k})
-
-
-def torus_link(d):
-    """2d parallel copies of the core dual to the single -4 vertex."""
-    return leaf_link(FORM_41, {"v1": 2 * d})
-
-
-def two_bridge_presentation(copies, rot):
-    """Surgery diagram with boundary L(9,2): tb = -4 and tb = -1 unknots,
-    linking once, plus `copies` parallel push-offs of the first component."""
-    return SurgeryPresentation(
-        components=(
-            SurgeryComponent(kind="surgery", tb=-4, rot=rot),
-            SurgeryComponent(kind="surgery", tb=-1, rot=0),
-        ),
-        linking=((0, 1), (1, 0)),
-        link_vectors=tuple((1, 0) for _ in range(copies)),
-    )
-
-
-def lens_presentation(copies, rot):
-    """Single tb = -3 unknot (boundary L(4,1)) with parallel push-offs."""
-    return SurgeryPresentation(
-        components=(SurgeryComponent(kind="surgery", tb=-3, rot=rot),),
-        linking=((0,),),
-        link_vectors=tuple((1,) for _ in range(copies)),
-    )
+L41, L92 = form_41(), form_92()
 
 
 def test_three_chain_tau_values():
-    link = chain_link(3)
-    assert [tau(FORM_92, link, s) for s in d_zero_subset(FORM_92)] == [2, 1, 0]
+    link = leaf_link(L92, {"v1": 3})
+    assert [tau(L92, link, s) for s in d_zero_subset(L92)] == [2, 1, 0]
 
 
 def test_chain_link_family_tau_formulas():
     for k in range(1, 31):
-        link = chain_link(k)
-        got = [tau(FORM_92, link, s) for s in d_zero_subset(FORM_92)]
+        link = leaf_link(L92, {"v1": k})
+        got = [tau(L92, link, s) for s in d_zero_subset(L92)]
         assert got == [
             Fraction(k * k + 3 * k, 9),
             Fraction(k * k, 9),
@@ -107,34 +67,34 @@ def test_chain_link_family_tau_formulas():
 
 def test_torus_link_family_tau_and_genus_bound():
     for d in range(1, 11):
-        link = torus_link(d)
-        got = [tau(FORM_41, link, s) for s in d_zero_subset(FORM_41)]
+        link = leaf_link(L41, {"v1": 2 * d})
+        got = [tau(L41, link, s) for s in d_zero_subset(L41)]
         assert got == [Fraction(d * (d + 1), 2), Fraction(d * (d - 1), 2)]
-        hi, lo = tau_extrema(FORM_41, link)
+        hi, lo = tau_extrema(L41, link)
         assert hi - lo == d
-        bound = pl_genus_lower_bound(profile_from_link(FORM_41, link))
+        bound = pl_genus_lower_bound(profile_from_link(L41, link))
         assert bound.genus == (d + 1) // 2 and bound.raw == Fraction(d, 2)
 
 
 def test_square_minus_two_solutions():
-    got = solve_square(FORM_92, -2)
+    got = solve_square(L92, -2)
     assert set(got) == {(-3, 0), (-1, 2), (1, -2), (3, 0)}
 
 
 def test_zero_d_class_counts():
-    assert len(spinc_classes(FORM_41)) == 4
-    assert len(d_zero_subset(FORM_41)) == 2
-    assert len(spinc_classes(FORM_92)) == 9
-    assert len(d_zero_subset(FORM_92)) == 3
+    assert len(spinc_classes(L41)) == 4
+    assert len(d_zero_subset(L41)) == 2
+    assert len(spinc_classes(L92)) == 9
+    assert len(d_zero_subset(L92)) == 3
 
 
 def test_presentation_self_intersection_and_chern():
     for d in range(1, 11):
         for sign in (1, -1):
-            lens = lens_presentation(2 * d, 2 * sign)
+            lens = l2d_presentation(d, 2 * sign)
             assert self_intersection(lens) == Fraction(-d * d)
             assert chern_evaluation(lens) == Fraction(sign * d)
-            bridge = two_bridge_presentation(3 * d, 3 * sign)
+            bridge = m3d_presentation(d, 3 * sign)
             assert self_intersection(bridge) == Fraction(-2 * d * d)
             assert chern_evaluation(bridge) == Fraction(2 * sign * d)
 
@@ -148,16 +108,16 @@ def test_self_intersection_routes_agree():
 
 def test_curve_route_matches_lattice_route():
     for k in range(1, 10):
-        link = chain_link(k)
+        link = leaf_link(L92, {"v1": k})
         for rot in (-3, 3):
-            p = two_bridge_presentation(k, rot)
+            p = replace(m3d_presentation(1, rot), link_vectors=((1, 0),) * k)
             datum = CurveDatum(
                 chi=k,
                 chern=chern_evaluation(p),
                 self_int=self_intersection(p),
                 boundary=k,
             )
-            assert tau_from_curve(datum) == tau(FORM_92, link, class_of(FORM_92, (rot, 0)))
+            assert tau_from_curve(datum) == tau(L92, link, class_of(L92, (rot, 0)))
 
 
 def test_filtered_complex_suite():
@@ -187,14 +147,14 @@ def test_filtered_complex_suite():
 
 
 def test_obstruction_verdicts_on_chain_links():
-    down = class_of(FORM_92, (3, 0))
+    down = class_of(L92, (3, 0))
     for k in range(1, 31):
-        profile = profile_from_link(FORM_92, chain_link(k))
+        profile = profile_from_link(L92, leaf_link(L92, {"v1": k}))
         assert metaboliser_obstruction(profile, down).verdict == FIRES
         fires = integrality_obstruction(profile.tau_at(down)).verdict == FIRES
         assert fires == (k % 3 != 0)
-    m3 = profile_from_link(FORM_92, chain_link(3))
-    assert conjugation_obstruction(m3, class_of(FORM_92, (-3, 0))).verdict == FIRES
+    m3 = profile_from_link(L92, leaf_link(L92, {"v1": 3}))
+    assert conjugation_obstruction(m3, class_of(L92, (-3, 0))).verdict == FIRES
 
 
 def test_quasi_positive_tau_chain():

@@ -1,10 +1,11 @@
 import ast
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from plumbtau import cli, floer, plumbing
+from plumbtau import cli, floer, paper, plumbing
 from plumbtau.cli import main
 
 L92_PLUMBING = {
@@ -137,9 +138,14 @@ def test_floer_commands(tmp_path, capsys):
     assert rc == 0 and not doc["ok"] and doc["failures"]
     rc, _, err = run_cli(capsys, "floer", "--input", acyclic, "--what", "d")
     assert rc == 3 and "floer_complex" in err
-    bad = write_doc(tmp_path, {"floer_complex": ["a 0"]})
-    rc, _, err = run_cli(capsys, "floer", "--input", bad, "--what", "d")
-    assert rc == 2 and "floer_complex" in err
+    # the expected rank 2^(basepoints - 1) is compared without being built
+    for basepoints, want in ((2, "2"), (10**8, "2^99999999"), (10**11, "2^99999999999")):
+        path = write_doc(tmp_path, {"floer_complex": STAIRCASE, "basepoints": basepoints})
+        start = time.perf_counter()
+        rc, out, _ = run_cli(capsys, "floer", "--input", path, "--what", "verify")
+        assert rc == 0 and time.perf_counter() - start < 1.0
+        doc = json.loads(out)
+        assert not doc["ok"] and doc["failures"] == [f"rank: homology has 1 towers, expected {want}"]
 
 
 def test_obstruct_commands(tmp_path, capsys):
@@ -187,10 +193,6 @@ def test_obstruct_slice_bennequin(tmp_path, capsys):
     assert rc == 0
     verdict = json.loads(out)
     assert verdict["verdict"] == "satisfied" and verdict["slack"] == "0"
-    doc["subset"] = "d0"
-    path = write_doc(tmp_path, doc)
-    rc, _, err = run_cli(capsys, "obstruct", "--input", path, "--check", "slice-bennequin")
-    assert rc == 2 and "subset" in err
 
 
 def test_paper_examples(tmp_path, capsys):
@@ -204,34 +206,109 @@ def test_paper_examples(tmp_path, capsys):
 
 
 def test_paper_examples_mismatch(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "committed_fixture", lambda name: {"tampered": True})
+    monkeypatch.setattr(paper, "committed_fixture", lambda name: {"tampered": True})
     rc, _, err = run_cli(capsys, "paper-examples", "m3")
     assert rc == 4 and "m3" in err
 
 
+TAU, DINV, SELF_INT = ["tau"], ["dinv"], ["surgery", "--what", "self-int"]
+SL, FLOER_D = ["surgery", "--what", "sl"], ["floer", "--what", "d"]
+SLICE = ["obstruct", "--check", "slice-bennequin"]
+SLICE_DOC = {"plumbing": L41_PLUMBING, "leaf_link": {"v1": 2}, "subset": [[-2]]}
+BRAID = {"strands": 2, "writhe": 2, "components": 2}
+REQUIRED = "field is required for this command"
+VERTICES = "plumbing.vertices: must be a list of [id, weight] pairs"
+TB_ROT = "surgery.components: tb and rot must be integers"
+NEEDS_BRAID = "surgery.braid: field is required for this computation"
+SELECT = "must be 'all', 'd0', or a non-empty list of integer representatives"
+
+
+def tau_doc(**fields):
+    return {"plumbing": L92_PLUMBING, "leaf_link": {"v1": 1}, **fields}
+
+
+def vertex(**fields):
+    return {"plumbing": {"vertices": [["v1", -2]], **fields}}
+
+
+def surgery(**fields):
+    return {"surgery": {**surgery_doc(1)["surgery"], **fields}}
+
+
+def component(**fields):
+    return surgery(components=[{"kind": "surgery", "tb": -2, **fields}])
+
+
+# (command line, document, exit code, stderr line after "plumbtau: ", or None for none)
+SCHEMA_CASES = [
+    (DINV, [1], 2, "input: document must be a JSON object"),
+    (TAU, tau_doc(extra=1), 2, "input: unknown field 'extra'"),
+    (TAU, {"leaf_link": {"v1": 1}}, 2, f"plumbing: {REQUIRED}"),
+    (DINV, {"plumbing": None}, 2, f"plumbing: {REQUIRED}"),
+    (DINV, {"plumbing": [1]}, 2, "plumbing: must be an object with vertices and edges"),
+    (DINV, {"plumbing": {}}, 2, VERTICES),
+    (DINV, vertex(vertices=[["v1", True]]), 2, VERTICES),
+    (DINV, vertex(edges=[["v1"]]), 2, "plumbing.edges: must be a list of [id, id] pairs"),
+    (DINV, vertex(markings=[]), 2, "plumbing.markings: must map vertex ids to marking names"),
+    (DINV, vertex(weights=[-2]), 2, "plumbing: unknown field 'weights'"),
+    (DINV, vertex(edges=[["v1", "v2"]]), 2, "plumbing: bad edge (v1,v2)"),
+    (TAU, {"plumbing": L92_PLUMBING}, 2, f"leaf_link: {REQUIRED}"),
+    (TAU, tau_doc(leaf_link={"v1": "3"}), 2, "leaf_link: must map vertex ids to strand counts"),
+    (TAU, tau_doc(leaf_link={"v9": 1}), 2, "leaf_link: unknown vertex 'v9'"),
+    (SELF_INT, {}, 2, f"surgery: {REQUIRED}"),
+    (SELF_INT, {"surgery": [1]}, 2, "surgery: must be an object"),
+    (SLICE, {**SLICE_DOC, "surgery": [1]}, 2, "surgery: must be an object"),
+    (SELF_INT, surgery(framing=[-5]), 2, "surgery: unknown field 'framing'"),
+    (SELF_INT, surgery(components=[1]), 2, "surgery.components: must be a list of objects"),
+    (SELF_INT, component(name="K"), 2, "surgery.components: unknown field 'name'"),
+    (SELF_INT, surgery(components=[{}]), 2, "surgery.components: each component needs a kind"),
+    (SELF_INT, component(tb="-2"), 2, TB_ROT),
+    (SELF_INT, component(rot=True), 2, TB_ROT),
+    (SELF_INT, component(kind="rational"), 2, "surgery.components: unknown component kind "
+     "'rational'; only integral (-1)-surgeries and 1-handles are supported"),
+    (SELF_INT, surgery(linking=[["0"]]), 2, "surgery.linking: must be a matrix of integers"),
+    (SELF_INT, surgery(link_components=[1]), 2,
+     "surgery.link_components: must be a list of integer vectors"),
+    (SELF_INT, surgery(linking=[[0, 1]]), 2, "surgery: linking matrix must be t x t"),
+    (SELF_INT, surgery(components=[{"kind": "handle"}], linking=[[0]], link_components=[]), 3,
+     "surgery.linking: surgery matrix is singular"),
+    (SELF_INT, surgery(braid=0), 0, None),  # self-int reads no braid
+    (SL, surgery(), 2, NEEDS_BRAID),
+    (SLICE, SLICE_DOC, 2, NEEDS_BRAID),
+    (SLICE, {**SLICE_DOC, "surgery": None}, 2, NEEDS_BRAID),
+    (SL, surgery(braid={}), 2, "surgery.braid: needs exactly strands, writhe and components"),
+    (SL, surgery(braid={**BRAID, "writhe": 2.0}), 2,
+     "surgery.braid: strands, writhe and components are integers"),
+    (SL, surgery(braid={**BRAID, "strands": 0}), 3,
+     "surgery.braid: braids need at least one strand and one component"),
+    # without components, slice-bennequin reads the braid alone
+    (SLICE, {**SLICE_DOC, "surgery": {"braid": BRAID, "linking": 0}}, 0, None),
+    (FLOER_D, {}, 2, f"floer_complex: {REQUIRED}"),
+    (FLOER_D, {"floer_complex": "a 0 1"}, 2, "floer_complex: must be a list of strings"),
+    (FLOER_D, {"floer_complex": ["a 0"]}, 2, "floer_complex: bad generator line 'a 0'"),
+    (FLOER_D, {"floer_complex": STAIRCASE, "basepoints": "2"}, 2, "basepoints: must be an integer"),
+    (FLOER_D, {"floer_complex": STAIRCASE, "basepoints": 0}, 2,
+     "floer_complex: basepoint count must be >= 1"),
+    (TAU, tau_doc(subset="x"), 2, "subset: bad class representative 'x'"),
+    (TAU, tau_doc(subset=[[3, "0"]]), 2, f"subset: {SELECT}"),
+    (TAU + ["--spinc", "[]"], tau_doc(), 2, f"spinc: {SELECT}"),
+    (["obstruct", "--check", "integrality"], tau_doc(), 2, f"subset: {SELECT}"),
+    (SLICE, {**SLICE_DOC, "subset": "d0", "surgery": {"braid": BRAID}}, 2,
+     "subset: the slice-bennequin check needs exactly one spin-c class"),
+]
+
+
 def test_schema_errors(tmp_path, capsys):
-    cases = [
-        ({"plumbing": L92_PLUMBING, "extra": 1}, "tau", "extra"),
-        ({"leaf_link": {"v1": 1}}, "tau", "plumbing"),
-        ({"plumbing": L92_PLUMBING}, "tau", "leaf_link"),
-        ({"plumbing": L92_PLUMBING, "leaf_link": {"v9": 1}}, "tau", "leaf_link"),
-        ({"plumbing": L92_PLUMBING, "leaf_link": {"v1": 1}, "subset": "x"}, "tau", "subset"),
-        ({"floer_complex": "a 0 1"}, "floer", "floer_complex"),
-        (
-            {"plumbing": L41_PLUMBING, "leaf_link": {"v1": 2}, "subset": [[-2]], "surgery": [1]},
-            "obstruct",
-            "surgery: must be an object",
-        ),
-    ]
-    flags = {"floer": ["--what", "d"], "obstruct": ["--check", "slice-bennequin"]}
-    for doc, command, field in cases:
-        path = write_doc(tmp_path, doc)
-        rc, _, err = run_cli(capsys, command, "--input", path, *flags.get(command, []))
-        assert rc == 2 and field in err
+    for argv, doc, code, message in SCHEMA_CASES:
+        rc, out, err = run_cli(capsys, argv[0], "--input", write_doc(tmp_path, doc), *argv[1:])
+        expected = f"plumbtau: {message}\n" if message else ""
+        assert (rc, err, out != "") == (code, expected, code == 0), (argv, doc)
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{", encoding="utf-8")
     rc, _, err = run_cli(capsys, "dinv", "--input", str(bad_json))
-    assert rc == 2 and "JSON" in err
+    assert rc == 2 and err.startswith("plumbtau: input: not valid JSON: ")
+    rc, _, err = run_cli(capsys, "dinv", "--input", str(tmp_path / "missing.json"))
+    assert rc == 2 and err.startswith("plumbtau: input: cannot read ")
 
 
 def test_math_errors(tmp_path, capsys):
@@ -255,6 +332,17 @@ def test_short_vector_box_limit(tmp_path, capsys, monkeypatch):
     rc, out, err = run_cli(capsys, "dinv", "--input", path)
     assert rc == 3 and out == ""
     assert "2560000 vectors" in err and f"limit of {plumbing.MAX_BOX}" in err
+    # a long chain reaches the limit at once: definiteness is one elimination pass
+    chain = {
+        "vertices": [[f"v{i}", -2] for i in range(200)],
+        "edges": [[f"v{i}", f"v{i + 1}"] for i in range(199)],
+    }
+    rc, out, err = run_cli(capsys, "dinv", "--input", write_doc(tmp_path, {"plumbing": chain}))
+    assert rc == 3 and out == ""
+    assert err == (
+        f"plumbtau: plumbing: the short-vector box holds {2**200} vectors, "
+        f"above the limit of {plumbing.MAX_BOX}\n"
+    )
     # the limit is inclusive: a box of exactly MAX_BOX vectors is walked
     monkeypatch.setattr(plumbing, "MAX_BOX", 16)
     square = {"vertices": [["v1", -4], ["v2", -4]], "edges": [["v1", "v2"]]}

@@ -29,11 +29,11 @@ from plumbtau.obstruct import (
     qhb4_filling_obstruction,
     slice_bennequin_check,
 )
+from plumbtau.paper import form_41, form_92
 from plumbtau.plumbing import PlumbingTree, class_of, form_from_tree, spinc_translate
 from plumbtau.tau import LeafLink
 
-L41 = form_from_tree(PlumbingTree.path(-4))
-L92 = form_from_tree(PlumbingTree.path(-5, -2))
+L41, L92 = form_41(), form_92()
 
 
 def chain(*weights: int):

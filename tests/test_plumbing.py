@@ -7,6 +7,7 @@ import pytest
 
 from conftest import in_image_of, property_seed
 from plumbtau import linalg
+from plumbtau.paper import form_41, form_92
 from plumbtau.plumbing import (
     PlumbingTree,
     class_of,
@@ -22,8 +23,7 @@ from plumbtau.plumbing import (
     square,
 )
 
-L41 = form_from_tree(PlumbingTree.path(-4))
-L92 = form_from_tree(PlumbingTree.path(-5, -2))
+L41, L92 = form_41(), form_92()
 
 
 def test_form_from_tree_matrices():

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_presentation
 from plumbtau import linalg
+from plumbtau.paper import l2d_presentation, m3d_presentation
 from plumbtau.surgery import (
     BraidDatum,
     CurveDatum,
@@ -23,28 +24,9 @@ from plumbtau.surgery import (
 )
 
 
-def l2d_presentation(d: int, rot: int = 2) -> SurgeryPresentation:
-    return SurgeryPresentation(
-        components=(SurgeryComponent(kind="surgery", tb=-3, rot=rot),),
-        linking=((0,),),
-        link_vectors=tuple((1,) for _ in range(2 * d)),
-    )
-
-
-def m3d_presentation(d: int, rot: int = 3) -> SurgeryPresentation:
-    return SurgeryPresentation(
-        components=(
-            SurgeryComponent(kind="surgery", tb=-4, rot=rot),
-            SurgeryComponent(kind="surgery", tb=-1, rot=0),
-        ),
-        linking=((0, 1), (1, 0)),
-        link_vectors=tuple((1, 0) for _ in range(3 * d)),
-    )
-
-
 def test_linking_matrices():
-    assert linking_matrix(l2d_presentation(1)) == [[-4]]
-    assert linking_matrix(m3d_presentation(1)) == [[-5, 1], [1, -2]]
+    assert linking_matrix(l2d_presentation(1, 2)) == [[-4]]
+    assert linking_matrix(m3d_presentation(1, 3)) == [[-5, 1], [1, -2]]
     empty = SurgeryPresentation(components=(), linking=(), link_vectors=())
     assert linking_matrix(empty) == []
     assert linalg.det(linking_matrix(empty)) == 1
@@ -64,14 +46,17 @@ def test_component_validation():
 
 
 def test_bordered_matrix():
-    p = m3d_presentation(1)
+    p = m3d_presentation(1, 3)
     assert bordered_matrix(p, 0) == [[0, 1, 0], [1, -5, 1], [0, 1, -2]]
 
 
 def test_self_intersection_tables():
     for d in range(1, 11):
-        assert self_intersection(l2d_presentation(d)) == -d * d
-        assert self_intersection(m3d_presentation(d)) == -2 * d * d
+        assert self_intersection(l2d_presentation(d, 2)) == -d * d
+        assert self_intersection(m3d_presentation(d, 3)) == -2 * d * d
+    # 2,000 components: the cross terms are one pairing of the total vector
+    many = l2d_presentation(1000, 2)
+    assert self_intersection(many) == self_intersection_pairing(many) == -(1000**2)
     none = SurgeryPresentation(
         components=(SurgeryComponent(kind="surgery", tb=-3),),
         linking=((0,),),

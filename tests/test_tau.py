@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from plumbtau.paper import form_41, form_92
 from plumbtau.plumbing import PlumbingTree, class_of, conjugate, form_from_tree, spinc_classes
 from plumbtau.tau import (
     LeafLink,
@@ -15,8 +16,7 @@ from plumbtau.tau import (
     tau_table,
 )
 
-L41 = form_from_tree(PlumbingTree.path(-4))
-L92 = form_from_tree(PlumbingTree.path(-5, -2))
+L41, L92 = form_41(), form_92()
 
 
 def test_leaf_link_validation():
