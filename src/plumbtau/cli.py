@@ -368,9 +368,7 @@ def run_obstruct(args) -> dict:
     elif check == "slice-bennequin":
         s = _single_class(select_classes(f, doc, None, None), check)
         b = build_braid(doc)
-        sl = Fraction(surgery.self_linking_braid(b))
-        if doc["surgery"].get("components") is not None:
-            sl = surgery.self_linking_shift(sl, build_presentation(doc))
+        sl = surgery.self_linking_shift(surgery.self_linking_braid(b), build_presentation(doc))
         verdict = obstruct.slice_bennequin_check(sl, profile.tau_at(s), link.ell)
     elif check == "metaboliser":
         s = _single_class(select_classes(f, doc, None, None), check)

@@ -330,17 +330,21 @@ def image_classes(c: FloerComplex) -> tuple[frozenset, frozenset, tuple[frozense
 # --- exact F2 linear algebra on bitmask vectors ---------------------------
 
 
-def _echelon_insert(pivots: dict, v: int, mask: int) -> bool:
-    """Reduce v against the pivot rows; insert if independent."""
+def _echelon_insert(pivots: dict, v: int, mask: int) -> Optional[int]:
+    """Reduce v against the pivot rows and insert it if independent (None).
+
+    Otherwise return the dependency: the reduced mask, whose inserted
+    vectors sum to zero.
+    """
     while v:
         h = v.bit_length() - 1
         if h not in pivots:
             pivots[h] = (v, mask)
-            return True
+            return None
         pv, pm = pivots[h]
         v ^= pv
         mask ^= pm
-    return False
+    return mask
 
 
 def _express(pivots: dict, v: int) -> Optional[int]:
@@ -395,18 +399,9 @@ class _HatSlice:
         """Basis of hat cycles supported on the allowed generators."""
         pivots: dict = {}
         kernel = []
-        for i, g in enumerate(sorted(set(allowed))):
-            v = self.images[g]
-            mask = 1 << self.bit[g]
-            while v:
-                h = v.bit_length() - 1
-                if h not in pivots:
-                    pivots[h] = (v, mask)
-                    break
-                pv, pm = pivots[h]
-                v ^= pv
-                mask ^= pm
-            if not v:
+        for g in sorted(set(allowed)):
+            mask = _echelon_insert(pivots, self.images[g], 1 << self.bit[g])
+            if mask is not None:
                 kernel.append(mask)
         return kernel
 
@@ -420,7 +415,7 @@ class _HatSlice:
         pivots: dict = {}
         for b in self.boundaries:
             _echelon_insert(pivots, b, 0)
-        if not _echelon_insert(pivots, distinguished, 1):
+        if _echelon_insert(pivots, distinguished, 1) is not None:
             raise ValueError("distinguished cycle is a boundary")
         for g in self.gens:
             _echelon_insert(pivots, 1 << self.bit[g], 0)

@@ -1,8 +1,9 @@
 """Exact integer and rational linear algebra.
 
-All computations are over arbitrary-precision integers or
-``fractions.Fraction``; nothing here ever touches floating point.
-Matrices are dense lists of row lists, which is plenty for the
+All computations are over arbitrary-precision integers; a rational
+inverse is one integer matrix over one denominator, and only a pairing
+returns a ``fractions.Fraction``.  Nothing here ever touches floating
+point.  Matrices are dense lists of row lists, which is plenty for the
 small symmetric forms this package works with.
 """
 
@@ -13,7 +14,8 @@ from typing import Sequence
 
 Vector = Sequence[int]
 IntMatrix = Sequence[Sequence[int]]
-RatMatrix = Sequence[Sequence[Fraction]]
+# m^{-1} = a / p with a integral and p = |det m| > 0
+Inverse = tuple[list[list[int]], int]
 
 
 class SingularMatrixError(ValueError):
@@ -30,15 +32,6 @@ def _check_square(m: IntMatrix) -> int:
         return 0
     if any(len(row) != n for row in m):
         raise ValueError("matrix is not square")
-    return n
-
-
-def _check_symmetric(m: IntMatrix) -> int:
-    n = _check_square(m)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i][j] != m[j][i]:
-                raise ValueError(f"matrix is not symmetric at ({i},{j})")
     return n
 
 
@@ -90,12 +83,13 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def inverse(m: IntMatrix) -> list[list[Fraction]]:
-    """Exact inverse by one fraction-free Gauss–Jordan elimination on [m | I].
+def inverse(m: IntMatrix) -> Inverse:
+    """Exact inverse (a, p), m^{-1} = a/p, by one fraction-free Gauss–Jordan pass on [m | I].
 
     Each step is the Bareiss update of ``det`` applied to every other
     row, so the divisions stay exact.  At the end the left block is d·I
-    and the right block d·m^{-1}, where d = ±det(m) is the last pivot.
+    and the right block d·m^{-1}, where d = ±det(m) is the last pivot;
+    the sign goes into a so that p = |det m|.  The empty matrix gives ([], 1).
     """
     n = _check_square(m)
     a = [list(map(int, row)) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
@@ -111,39 +105,21 @@ def inverse(m: IntMatrix) -> list[list[Fraction]]:
                 f = a[i][k]
                 a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
         prev = p
-    return [[Fraction(x, prev) for x in row[n:]] for row in a]
+    sign = -1 if prev < 0 else 1
+    return [[sign * x for x in row[n:]] for row in a], sign * prev
 
 
-def is_negative_definite(m: IntMatrix) -> bool:
-    """True iff (-1)^k times the k-th leading principal minor is positive for all k.
-
-    One pass: the pivots of Bareiss elimination without row swaps are these minors.
-    """
-    n = _check_symmetric(m)
-    a = [list(map(int, row)) for row in m]
-    prev = 1
-    for k in range(n):
-        p = a[k][k]
-        if (-1) ** (k + 1) * p <= 0:
-            return False
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * p - a[i][k] * a[k][j]) // prev
-        prev = p
-    return True
-
-
-def pair(qinv: RatMatrix, u: Vector, v: Vector) -> Fraction:
-    """The bilinear pairing u^T qinv v, exact."""
-    n = len(qinv)
-    if len(u) != n or len(v) != n or any(len(row) != n for row in qinv):
+def pair(inv: Inverse, u: Vector, v: Vector) -> Fraction:
+    """The bilinear pairing u^T m^{-1} v = (u^T a v) / p for inv = (a, p), exact."""
+    a, p = inv
+    n = len(a)
+    if len(u) != n or len(v) != n or any(len(row) != n for row in a):
         raise ValueError("dimension mismatch in pairing")
-    total = Fraction(0)
-    for i in range(n):
-        if u[i] == 0:
-            continue
-        total += u[i] * sum(qinv[i][j] * v[j] for j in range(n))
-    return total
+    total = 0
+    for ui, row in zip(u, a):
+        if ui:
+            total += ui * sum(x * y for x, y in zip(row, v))
+    return Fraction(total, p)
 
 
 def smith_normal_form(m: IntMatrix):

@@ -210,8 +210,7 @@ def _h1_decomposition(f: IntersectionForm):
     diag = tuple(dmat[i][i] for i in range(f.n))
     if any(x == 0 for x in diag):
         raise ValueError("the intersection form must be nonsingular")
-    sinv_frac = linalg.inverse(s)
-    sinv = [[int(x) for x in row] for row in sinv_frac]
+    sinv, _ = linalg.inverse(s)  # s is unimodular, so the denominator is 1
     return diag, s, sinv
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import isqrt, prod
-from typing import Iterable, Mapping, Optional, Sequence
+from operator import mul
+from typing import Mapping, Optional, Sequence
 
 from . import linalg
 
@@ -96,13 +97,11 @@ class PlumbingTree:
 
 @dataclass(frozen=True)
 class IntersectionForm:
-    """Symmetric matrix of a plumbing, with signature data when definite."""
+    """Symmetric matrix of a plumbing and whether it is negative definite."""
 
     q: tuple[tuple[int, ...], ...]
     order: tuple[str, ...]
     negative_definite: bool
-    sigma: Optional[int]
-    b2: Optional[int]
     tree: Optional[PlumbingTree] = field(default=None, compare=False, repr=False)
 
     @property
@@ -110,12 +109,13 @@ class IntersectionForm:
         return len(self.order)
 
     @cached_property
-    def qinv(self) -> list[list[Fraction]]:
+    def qinv(self) -> linalg.Inverse:
+        """Q^{-1} as (a, p): one integer matrix over the denominator p = |det Q|."""
         return linalg.inverse(self.q)
 
     @cached_property
-    def _class_index(self) -> dict[tuple[Fraction, ...], "SpincClass"]:
-        """Spin-c classes keyed by ``_class_key``, in order of their reps."""
+    def _class_index(self) -> dict[tuple[int, ...], "SpincClass"]:
+        """Spin-c classes keyed by the key of ``_image``, in order of their reps."""
         return _group_classes(self)
 
     def det(self) -> int:
@@ -129,6 +129,35 @@ class IntersectionForm:
             raise ValueError("intersection form is not negative definite")
 
 
+def _tree_negative_definite(t: PlumbingTree) -> bool:
+    """Negative definiteness of a tree's form, by eliminating leaves toward a root.
+
+    Removing a leaf w with pivot p_w changes only its neighbour's weight,
+    to a_v - 1/p_w (edges carry 1), so the pivots are
+    p_v = a_v - sum of 1/p_w over the neighbours w eliminated before v,
+    and the form is negative definite iff every pivot is negative.
+    """
+    adj = {v: [] for v, _ in t.vertices}
+    for a, b in t.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    root = t.vertices[0][0]
+    parent = {root: None}
+    order = [root]
+    for v in order:  # breadth first: every parent comes before its children
+        for w in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    pivot = {v: Fraction(a) for v, a in t.vertices}
+    for v in reversed(order):
+        if pivot[v] >= 0:
+            return False
+        if parent[v] is not None:
+            pivot[parent[v]] -= 1 / pivot[v]
+    return True
+
+
 def form_from_tree(t: PlumbingTree) -> IntersectionForm:
     """Intersection form of a plumbing tree: weights on the diagonal, 1 per edge."""
     order = tuple(v for v, _ in t.vertices)
@@ -140,14 +169,10 @@ def form_from_tree(t: PlumbingTree) -> IntersectionForm:
     for a, b in t.edges:
         q[idx[a]][idx[b]] = 1
         q[idx[b]][idx[a]] = 1
-    qt = tuple(tuple(row) for row in q)
-    neg = linalg.is_negative_definite(q)
     return IntersectionForm(
-        q=qt,
+        q=tuple(tuple(row) for row in q),
         order=order,
-        negative_definite=neg,
-        sigma=-n if neg else None,
-        b2=n if neg else None,
+        negative_definite=_tree_negative_definite(t),
         tree=t,
     )
 
@@ -178,35 +203,53 @@ class SpincClass:
     """Coset of characteristic vectors mod 2Q·Z^n on a fixed form.
 
     ``rep`` is the canonical representative (lexicographically least
-    short vector); ``reps`` collects every short vector in the coset.
+    short vector), ``d`` the correction term and ``realizing`` the short
+    vectors of the coset that attain it, in lex order.
     """
 
     rep: tuple[int, ...]
-    reps: tuple[tuple[int, ...], ...]
+    d: Fraction
+    realizing: tuple[tuple[int, ...], ...]
     form: IntersectionForm = field(compare=False, repr=False)
 
     def __repr__(self):
         return f"SpincClass{self.rep}"
 
 
-def _class_key(f: IntersectionForm, kappa: Sequence[int]) -> tuple[Fraction, ...]:
-    """Canonical label of the class of kappa: Q^{-1}·kappa mod 2, entrywise.
+def _image(f: IntersectionForm, kappa: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """Class key and square numerator of kappa, from y = a·kappa where Q^{-1} = a/p.
 
     Characteristic u and v lie in the same coset of 2Q·Z^n exactly when
-    Q^{-1}(u - v) is in 2Z^n, that is when their keys agree.
+    Q^{-1}(u - v) = (y_u - y_v)/p is in 2Z^n, so the key is y mod 2p;
+    and kappa^T Q^{-1} kappa = (kappa·y)/p.
     """
-    return tuple(x % 2 for x in linalg.mat_vec(f.qinv, kappa))
+    a, p = f.qinv
+    y = [sum(map(mul, row, kappa)) for row in a]
+    return tuple(v % (2 * p) for v in y), sum(map(mul, kappa, y))
 
 
-def _group_classes(f: IntersectionForm) -> dict[tuple[Fraction, ...], SpincClass]:
-    f.require_negative_definite()
-    groups: dict[tuple[Fraction, ...], list[tuple[int, ...]]] = {}
-    for k in short_char_vectors(f):
-        groups.setdefault(_class_key(f, k), []).append(k)
+def _group_classes(f: IntersectionForm) -> dict[tuple[int, ...], SpincClass]:
+    """Classes of the short box, each with d = max (kappa^2 + n)/4 over it.
+
+    The box walk checks definiteness and the box limit before Q^{-1} is built.
+    """
+    box = short_char_vectors(f)
+    groups: dict[tuple[int, ...], list] = {}  # key -> [rep, best numerator, its vectors]
+    for k in box:  # lex order: a group's first vector is its rep
+        key, num = _image(f, k)
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [k, num, [k]]
+        elif num > group[1]:
+            group[1:] = [num, [k]]
+        elif num == group[1]:
+            group[2].append(k)
     if len(groups) != abs(f.det()):
         raise AssertionError("class count must equal |det Q|")
+    p = f.qinv[1]
     index = {
-        key: SpincClass(rep=min(g), reps=tuple(sorted(g)), form=f) for key, g in groups.items()
+        key: SpincClass(rep=rep, d=Fraction(num + f.n * p, 4 * p), realizing=tuple(best), form=f)
+        for key, (rep, num, best) in groups.items()
     }
     return dict(sorted(index.items(), key=lambda item: item[1].rep))
 
@@ -220,7 +263,8 @@ def class_of(f: IntersectionForm, kappa: Sequence[int]) -> SpincClass:
     """The spin-c class containing an arbitrary characteristic vector."""
     if not is_characteristic(f, kappa):
         raise ValueError(f"{tuple(kappa)} is not characteristic for this form")
-    return f._class_index[_class_key(f, kappa)]
+    index = f._class_index  # built first: it checks the form and the box
+    return index[_image(f, kappa)[0]]
 
 
 def conjugate(s: SpincClass) -> SpincClass:
@@ -235,29 +279,9 @@ def spinc_translate(s: SpincClass, alpha: Sequence[int]) -> SpincClass:
     return class_of(s.form, [k + 2 * a for k, a in zip(s.rep, alpha)])
 
 
-def square(f: IntersectionForm, kappa: Sequence[int]) -> Fraction:
-    """kappa^T Q^{-1} kappa, exact."""
-    return linalg.pair(f.qinv, kappa, kappa)
-
-
-def d_candidate(f: IntersectionForm, kappa: Sequence[int]) -> Fraction:
-    """(kappa^2 - 3*sigma - 2*b2) / 4 for one characteristic vector."""
-    f.require_negative_definite()
-    return (square(f, kappa) - 3 * f.sigma - 2 * f.b2) / 4
-
-
 def d_invariant(s: SpincClass) -> Fraction:
-    """Correction term of the class: max of d_candidate over its short representatives."""
-    if not s.reps:
-        raise RuntimeError("classes are built from at least one short vector")
-    return max(d_candidate(s.form, k) for k in s.reps)
-
-
-def d_realizing_reps(s: SpincClass) -> list[tuple[int, ...]]:
-    """Short representatives attaining the maximal square (hence the correction term)."""
-    squares = [square(s.form, k) for k in s.reps]
-    best = max(squares)
-    return [k for k, q in zip(s.reps, squares) if q == best]
+    """Correction term of the class: the max of (kappa^2 + n)/4 over its short vectors."""
+    return s.d
 
 
 def solve_square(f: IntersectionForm, target) -> list[tuple[int, ...]]:

@@ -99,7 +99,7 @@ def self_intersection(p: SurgeryPresentation) -> Fraction:
     """
     q = linking_matrix(p)
     d = linalg.det(q)
-    qinv = linalg.inverse(q) if q else []
+    qinv = linalg.inverse(q)
     total = Fraction(0)
     for k in range(len(p.link_vectors)):
         total -= Fraction(linalg.det(bordered_matrix(p, k)), d)
@@ -115,7 +115,7 @@ def self_intersection(p: SurgeryPresentation) -> Fraction:
 def self_intersection_pairing(p: SurgeryPresentation) -> Fraction:
     """Independent route: pair the total linking vector with itself under Q^{-1}."""
     q = linking_matrix(p)
-    qinv = linalg.inverse(q) if q else []
+    qinv = linalg.inverse(q)
     t = len(p.components)
     total_vec = [sum(v[i] for v in p.link_vectors) for i in range(t)]
     return linalg.pair(qinv, total_vec, total_vec)
@@ -124,7 +124,7 @@ def self_intersection_pairing(p: SurgeryPresentation) -> Fraction:
 def chern_evaluation(p: SurgeryPresentation) -> Fraction:
     """-sum_k <rot, Q^{-1} l_k>, the Chern class evaluated on the capped surface."""
     q = linking_matrix(p)
-    qinv = linalg.inverse(q) if q else []
+    qinv = linalg.inverse(q)
     rot = p.rot_vector
     return -sum(
         (linalg.pair(qinv, rot, v) for v in p.link_vectors), start=Fraction(0)

@@ -24,7 +24,6 @@ from .plumbing import (
     IntersectionForm,
     SpincClass,
     d_invariant,
-    d_realizing_reps,
     spinc_classes,
 )
 
@@ -74,8 +73,7 @@ def tau_detail(f: IntersectionForm, link: LeafLink, s: SpincClass):
         raise ValueError("link multiplicity vector has wrong length")
     if s.form.q != f.q:
         raise ValueError("spin-c class belongs to a different form")
-    candidates = d_realizing_reps(s)
-    best, minimizer = min((pairing(f, k, link), k) for k in candidates)
+    best, minimizer = min((pairing(f, k, link), k) for k in s.realizing)
     value = best / 2 - sigma_square(f, link) / 2
     return value, minimizer
 

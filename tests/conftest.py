@@ -8,6 +8,7 @@ from math import comb
 from plumbtau import linalg
 from plumbtau.floer import AlexanderFiltration, FloerComplex, _require_valid, _shift
 from plumbtau.obstruct import MetaboliserCandidate, _h1_decomposition
+from plumbtau.plumbing import short_char_vectors
 from plumbtau.surgery import BraidDatum, SurgeryComponent, SurgeryPresentation
 
 DEFAULT_SEED = 20260814
@@ -34,6 +35,53 @@ def solve_exact(m, b) -> list[Fraction]:
                 for c in range(col, n + 1):
                     a[r][c] -= f * a[col][c]
     return [a[i][n] / a[i][i] for i in range(n)]
+
+
+def is_negative_definite(m) -> bool:
+    """Dense reference for the tree elimination of ``plumbing.form_from_tree``.
+
+    True iff (-1)^k times the k-th leading principal minor is positive
+    for all k; the pivots of Bareiss elimination without row swaps are
+    these minors.
+    """
+    n = len(m)
+    for i in range(n):
+        if len(m[i]) != n:
+            raise ValueError("matrix is not square")
+        for j in range(i + 1, n):
+            if m[i][j] != m[j][i]:
+                raise ValueError(f"matrix is not symmetric at ({i},{j})")
+    a = [list(map(int, row)) for row in m]
+    prev = 1
+    for k in range(n):
+        p = a[k][k]
+        if (-1) ** (k + 1) * p <= 0:
+            return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * p - a[i][k] * a[k][j]) // prev
+        prev = p
+    return True
+
+
+def fraction_classes(f) -> list[tuple[tuple, tuple, Fraction, tuple]]:
+    """Reference spin-c classes: (rep, all short reps, d, d-realizing reps), by rep.
+
+    Groups the short box by Q^{-1}·kappa mod 2 with ``solve_exact``, which
+    does not use the integer inverse, and takes d = max (kappa^2 + n)/4.
+    """
+    groups: dict[tuple, list] = {}
+    squares = {}
+    for k in short_char_vectors(f):
+        x = solve_exact(f.q, k)
+        groups.setdefault(tuple(xi % 2 for xi in x), []).append(k)
+        squares[k] = sum(ki * xi for ki, xi in zip(k, x))
+    out = []
+    for reps in groups.values():
+        best = max(squares[k] for k in reps)
+        realizing = tuple(k for k in reps if squares[k] == best)
+        out.append((reps[0], tuple(reps), (best + f.n) / 4, realizing))
+    return sorted(out)
 
 
 def in_image_of(lattice_gen, v) -> bool:

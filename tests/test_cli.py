@@ -281,8 +281,14 @@ SCHEMA_CASES = [
      "surgery.braid: strands, writhe and components are integers"),
     (SL, surgery(braid={**BRAID, "strands": 0}), 3,
      "surgery.braid: braids need at least one strand and one component"),
-    # without components, slice-bennequin reads the braid alone
-    (SLICE, {**SLICE_DOC, "surgery": {"braid": BRAID, "linking": 0}}, 0, None),
+    # slice-bennequin reads the whole surgery object, as surgery --what sl does
+    (SLICE, {**SLICE_DOC, "surgery": {"braid": BRAID, "linking": 0}}, 2,
+     "surgery.linking: must be a matrix of integers"),
+    (SL, {"surgery": {"braid": BRAID, "linking": 0}}, 2,
+     "surgery.linking: must be a matrix of integers"),
+    (SLICE, {**SLICE_DOC, "surgery": {"braid": BRAID, "extra": 1}}, 2,
+     "surgery: unknown field 'extra'"),
+    (SLICE, {**SLICE_DOC, "surgery": {"braid": BRAID}}, 0, None),
     (FLOER_D, {}, 2, f"floer_complex: {REQUIRED}"),
     (FLOER_D, {"floer_complex": "a 0 1"}, 2, "floer_complex: must be a list of strings"),
     (FLOER_D, {"floer_complex": ["a 0"]}, 2, "floer_complex: bad generator line 'a 0'"),
@@ -332,17 +338,20 @@ def test_short_vector_box_limit(tmp_path, capsys, monkeypatch):
     rc, out, err = run_cli(capsys, "dinv", "--input", path)
     assert rc == 3 and out == ""
     assert "2560000 vectors" in err and f"limit of {plumbing.MAX_BOX}" in err
-    # a long chain reaches the limit at once: definiteness is one elimination pass
-    chain = {
-        "vertices": [[f"v{i}", -2] for i in range(200)],
-        "edges": [[f"v{i}", f"v{i + 1}"] for i in range(199)],
-    }
-    rc, out, err = run_cli(capsys, "dinv", "--input", write_doc(tmp_path, {"plumbing": chain}))
-    assert rc == 3 and out == ""
-    assert err == (
-        f"plumbtau: plumbing: the short-vector box holds {2**200} vectors, "
-        f"above the limit of {plumbing.MAX_BOX}\n"
-    )
+    # a long chain reaches the limit at once: definiteness is one pass over the tree
+    for n in (200, 1000):
+        chain = {
+            "vertices": [[f"v{i}", -2] for i in range(n)],
+            "edges": [[f"v{i}", f"v{i + 1}"] for i in range(n - 1)],
+        }
+        path = write_doc(tmp_path, {"plumbing": chain})
+        start = time.perf_counter()
+        rc, out, err = run_cli(capsys, "dinv", "--input", path)
+        assert rc == 3 and out == "" and time.perf_counter() - start < 1.0
+        assert err == (
+            f"plumbtau: plumbing: the short-vector box holds {2**n} vectors, "
+            f"above the limit of {plumbing.MAX_BOX}\n"
+        )
     # the limit is inclusive: a box of exactly MAX_BOX vectors is walked
     monkeypatch.setattr(plumbing, "MAX_BOX", 16)
     square = {"vertices": [["v1", -4], ["v2", -4]], "edges": [["v1", "v2"]]}

@@ -5,22 +5,25 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import in_image_of, property_seed
+from conftest import (
+    fraction_classes,
+    in_image_of,
+    is_negative_definite,
+    property_seed,
+    solve_exact,
+)
 from plumbtau import linalg
 from plumbtau.paper import form_41, form_92
 from plumbtau.plumbing import (
     PlumbingTree,
     class_of,
     conjugate,
-    d_candidate,
     d_invariant,
-    d_realizing_reps,
     form_from_tree,
     short_char_vectors,
     solve_square,
     spinc_classes,
     spinc_translate,
-    square,
 )
 
 L41, L92 = form_41(), form_92()
@@ -31,7 +34,7 @@ def test_form_from_tree_matrices():
     assert L92.q == ((-5, 1), (1, -2))
     two_chain = form_from_tree(PlumbingTree.path(-2, -2))
     assert two_chain.q == ((-2, 1), (1, -2))
-    assert L92.sigma == -2 and L92.b2 == 2
+    assert L92.negative_definite and L41.negative_definite
 
 
 def test_tree_validation():
@@ -62,9 +65,9 @@ def test_spinc_classes_counts():
     assert [s.rep for s in spinc_classes(L41)] == [(-2,), (0,), (2,), (4,)]
     classes = spinc_classes(L92)
     assert len(classes) == 9
-    doubletons = [s for s in classes if len(s.reps) == 2]
-    assert len(doubletons) == 1
-    assert doubletons[0].reps == ((-3, 0), (5, 2))
+    doubletons = [reps for _, reps, _, _ in fraction_classes(L92) if len(reps) == 2]
+    assert doubletons == [((-3, 0), (5, 2))]
+    assert class_of(L92, (5, 2)) == classes[0] and classes[0].rep == (-3, 0)
     s3 = form_from_tree(PlumbingTree.path(-1))
     assert len(spinc_classes(s3)) == 1
 
@@ -78,15 +81,24 @@ def test_conjugate():
         assert d_invariant(conjugate(s)) == d_invariant(s)
 
 
+def _square(f, kappa):
+    """kappa^T Q^{-1} kappa through the integer inverse, checked against solve_exact."""
+    value = linalg.pair(f.qinv, kappa, kappa)
+    assert value == sum(k * x for k, x in zip(kappa, solve_exact(f.q, kappa)))
+    return value
+
+
 def test_square_and_d_candidate():
-    assert square(L92, (-3, 0)) == -2
-    assert square(L41, (-2,)) == -1
+    assert _square(L92, (-3, 0)) == -2
+    assert _square(L41, (-2,)) == -1
     even = form_from_tree(PlumbingTree.path(-2))
-    assert square(even, (0,)) == 0
-    assert d_candidate(L92, (-3, 0)) == 0
-    assert d_candidate(L41, (-2,)) == 0
-    assert d_candidate(L41, (0,)) == Fraction(1, 4)
-    assert d_candidate(L92, (5, 2)) == -2
+    assert _square(even, (0,)) == 0
+    # d = (kappa^2 + n)/4 for the vectors that attain it
+    assert class_of(L92, (-3, 0)).d == 0 and (-3, 0) in class_of(L92, (-3, 0)).realizing
+    assert class_of(L41, (-2,)).d == 0 and class_of(L41, (-2,)).realizing == ((-2,),)
+    assert class_of(L41, (0,)).d == Fraction(1, 4) and class_of(L41, (0,)).realizing == ((0,),)
+    assert (_square(L92, (5, 2)) + 2) / 4 == -2
+    assert (5, 2) not in class_of(L92, (5, 2)).realizing
 
 
 def test_d_invariant():
@@ -101,8 +113,8 @@ def test_d_invariant():
 
 def test_d_realizing_reps_picks_the_max_square():
     s = class_of(L92, (-3, 0))
-    assert s.reps == ((-3, 0), (5, 2))
-    assert d_realizing_reps(s) == [(-3, 0)]
+    assert ((-3, 0), ((-3, 0), (5, 2)), 0, ((-3, 0),)) in fraction_classes(L92)
+    assert s.realizing == ((-3, 0),) and s.d == 0
 
 
 def test_solve_square():
@@ -123,8 +135,11 @@ def test_spinc_translate():
 
 def test_classes_partition_the_box():
     for f in (L41, L92):
-        reps = [k for s in spinc_classes(f) for k in s.reps]
-        assert sorted(reps) == short_char_vectors(f)
+        oracle = fraction_classes(f)
+        assert sorted(k for _, reps, _, _ in oracle for k in reps) == short_char_vectors(f)
+        assert [s.rep for s in spinc_classes(f)] == [rep for rep, _, _, _ in oracle]
+        for rep, reps, _, _ in oracle:
+            assert all(class_of(f, k).rep == rep for k in reps)
 
 
 def test_translate_fixes_class_iff_alpha_in_image():
@@ -146,23 +161,61 @@ def _class_by_scan(classes, kappa):
     return next(s for s in classes if _same_class(s.form, kappa, s.rep))
 
 
+def _random_tree(rng, n, low, high):
+    """Random weights in [low, high]; vertex i hangs off a random earlier vertex."""
+    ids = [f"v{i}" for i in range(n)]
+    weights = [rng.randint(low, high) for _ in range(n)]
+    edges = tuple((ids[i], ids[rng.randrange(i)]) for i in range(1, n))
+    return PlumbingTree(vertices=tuple(zip(ids, weights)), edges=edges)
+
+
+def _star(center, *arms):
+    ids = [f"v{i}" for i in range(len(arms) + 1)]
+    return PlumbingTree(
+        vertices=tuple(zip(ids, (center, *arms))), edges=tuple(("v0", v) for v in ids[1:])
+    )
+
+
+def test_tree_definiteness_matches_dense_elimination():
+    rng = random.Random(property_seed())
+    trees = [_random_tree(rng, rng.randint(1, 8), -5, 1) for _ in range(400)]
+    trees += [
+        _star(-2, -2, -2, -2),  # D4: definite
+        _star(-2, -2, -2, -2, -2),  # affine D4: semidefinite
+        _star(-1, -2, -3, -7),  # bounded by Sigma(2,3,7): indefinite, |det| = 1
+        _star(-1, -2, -3, -6),  # semidefinite
+        _star(-1, -2, -2, -2),  # indefinite
+        PlumbingTree.path(-1, -1),  # semidefinite
+        PlumbingTree.path(-2, -2, 0),  # indefinite, with a zero weight
+    ]
+    kinds = Counter()
+    for t in trees:
+        f = form_from_tree(t)
+        assert f.negative_definite == is_negative_definite(f.q), t
+        kinds[(f.negative_definite, f.det() == 0)] += 1
+    # definite, semidefinite or singular, and nonsingular indefinite all occur
+    assert kinds[(True, False)] and kinds[(False, True)] and kinds[(False, False)]
+
+
 def test_d_candidate_symmetry_and_class_count_property():
     rng = random.Random(29)
-    for _ in range(12):
-        n = rng.randint(1, 4)
-        weights = [rng.randint(-7, -1) for _ in range(n)]
-        # random tree shape: attach vertex i to a random earlier vertex
-        ids = [f"v{i}" for i in range(n)]
-        edges = tuple((ids[i], ids[rng.randrange(i)]) for i in range(1, n))
-        tree = PlumbingTree(vertices=tuple(zip(ids, weights)), edges=edges)
+    # lazily, so that each tree is drawn right after the previous one's checks
+    trees = (_random_tree(rng, rng.randint(1, 4), -7, -1) for _ in range(12))
+    for tree in itertools.chain(trees, [_star(-2, -2, -3, -5)]):  # a vertex of degree 3
+        n = len(tree.vertices)
         f = form_from_tree(tree)
         if not f.negative_definite:
             continue
         classes = spinc_classes(f)
         assert len(classes) == abs(f.det())
-        for s in classes:
-            for k in s.reps:
-                assert d_candidate(f, k) == d_candidate(f, [-x for x in k])
+        oracle = fraction_classes(f)
+        assert [(s.rep, s.d, s.realizing) for s in classes] == [
+            (rep, d, realizing) for rep, _, d, realizing in oracle
+        ]
+        for s, (_, reps, _, _) in zip(classes, oracle):
+            assert d_invariant(conjugate(s)) == s.d
+            for k in reps:
+                assert _square(f, k) == _square(f, [-x for x in k])
                 assert _same_class(f, k, s.rep)
         box = set(short_char_vectors(f))
         for _ in range(5):
