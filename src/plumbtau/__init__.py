@@ -15,6 +15,23 @@ Subpackages:
   holomorphic curves in Stein fillings.
 - ``paper``: the paper's examples in L(9,2) and L(4,1) and their golden tables.
 - ``cli``: JSON front end and regression tables.
+
+``import plumbtau`` loads none of them: ``plumbtau.<layer>`` imports the
+layer on first use, so a CLI call loads only the layers its subcommand reads.
 """
 
 __version__ = "0.1.0"
+
+# The golden tables of ``paper``, named here so that the CLI parser can offer
+# them without importing paper and, through it, every layer.
+EXAMPLE_NAMES = ("l2d", "m3d", "nk", "m3", "eq72")
+
+_LAYERS = frozenset({"linalg", "plumbing", "tau", "surgery", "floer", "obstruct", "paper", "cli"})
+
+
+def __getattr__(name: str):
+    if name in _LAYERS:
+        from importlib import import_module
+
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,20 +20,16 @@ import json
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import floer as floer_mod
-from . import linalg, obstruct, paper, surgery
-from .plumbing import (
-    IntersectionForm,
-    PlumbingTree,
-    class_of,
-    conjugate,
-    d_invariant,
-    form_from_tree,
-    spinc_classes,
-)
-from .tau import LeafLink, d_zero_subset, leaf_link, tau as tau_value
+from . import EXAMPLE_NAMES
+
+# Each handler imports the layers it calls, so a call of one subcommand
+# loads no other subcommand's layers (a ``floer`` call loads only floer).
+if TYPE_CHECKING:
+    from . import surgery
+    from .plumbing import IntersectionForm
+    from .tau import LeafLink
 
 SCHEMA_EXIT = 2
 MATH_EXIT = 3
@@ -171,6 +167,8 @@ def load_document(path: str) -> dict:
 
 
 def build_form(doc: dict) -> IntersectionForm:
+    from .plumbing import PlumbingTree, form_from_tree
+
     node = _value(doc, "plumbing")
     vertices, edges, markings = _fields(node, "plumbing", "vertices", "edges", "markings")
     with _named("plumbing"):
@@ -183,12 +181,16 @@ def build_form(doc: dict) -> IntersectionForm:
 
 
 def build_link(doc: dict, f: IntersectionForm) -> LeafLink:
+    from .tau import leaf_link
+
     node = _value(doc, "leaf_link")
     with _named("leaf_link"):
         return leaf_link(f, node)
 
 
 def build_presentation(doc: dict) -> surgery.SurgeryPresentation:
+    from . import linalg, surgery
+
     node = _value(doc, "surgery")
     raw, linking, vectors = _fields(node, "surgery", "components", "linking", "link_components")
     components = []
@@ -209,6 +211,8 @@ def build_presentation(doc: dict) -> surgery.SurgeryPresentation:
 
 
 def build_braid(doc: dict) -> surgery.BraidDatum:
+    from . import surgery
+
     # with no surgery object, the braid is what is missing
     node = {} if doc.get("surgery") is None else _value(doc, "surgery")
     braid = _value(node, "surgery.braid")
@@ -218,13 +222,15 @@ def build_braid(doc: dict) -> surgery.BraidDatum:
 
 
 def build_floer(doc: dict):
+    from .floer import parse_complex
+
     lines = _value(doc, "floer_complex")
     basepoints = _value(doc, "basepoints")
     with _named("floer_complex"):
-        return floer_mod.parse_complex(lines, basepoints=basepoints)
+        return parse_complex(lines, basepoints=basepoints)
 
 
-def _classes_checked(f: IntersectionForm, select=spinc_classes):
+def _classes_checked(f: IntersectionForm, select):
     with _named("plumbing", ValueError):
         return select(f)
 
@@ -244,9 +250,15 @@ def select_classes(f: IntersectionForm, doc: dict, flag: Optional[str], default:
         sel = [_parse_rep_text(sel, field)]
     _checked(sel, "subset", field)
     if sel == "all":
-        return _classes_checked(f)
+        from .plumbing import spinc_classes
+
+        return _classes_checked(f, spinc_classes)
     if sel == "d0":
+        from .tau import d_zero_subset
+
         return _classes_checked(f, d_zero_subset)
+    from .plumbing import class_of
+
     with _named(field, ValueError):
         return [class_of(f, rep) for rep in sel]
 
@@ -261,6 +273,8 @@ def _single_class(classes, check: str):
 
 
 def run_tau(args) -> dict:
+    from .tau import tau as tau_value
+
     doc = load_document(args.input)
     f = build_form(doc)
     link = build_link(doc, f)
@@ -273,26 +287,32 @@ def run_tau(args) -> dict:
 
 
 def run_dinv(args) -> dict:
+    from .plumbing import d_invariant, spinc_classes
+
     doc = load_document(args.input)
     f = build_form(doc)
     rows = [
         {"rep": list(s.rep), "d": _fraction_str(d_invariant(s))}
-        for s in _classes_checked(f)
+        for s in _classes_checked(f, spinc_classes)
     ]
     return {"command": "dinv", "order": abs(f.det()), "classes": rows}
 
 
 def run_spinc(args) -> dict:
+    from .plumbing import conjugate, spinc_classes
+
     doc = load_document(args.input)
     f = build_form(doc)
     rows = [
         {"rep": list(s.rep), "conjugate": list(conjugate(s).rep)}
-        for s in _classes_checked(f)
+        for s in _classes_checked(f, spinc_classes)
     ]
     return {"command": "spinc", "order": abs(f.det()), "classes": rows}
 
 
 def run_surgery(args) -> dict:
+    from . import surgery
+
     doc = load_document(args.input)
     p = build_presentation(doc)
     if args.what == "self-int":
@@ -315,6 +335,8 @@ def run_surgery(args) -> dict:
 
 
 def run_tau_qp(args) -> dict:
+    from . import surgery
+
     with _named("braid", ValueError):
         b = surgery.BraidDatum(args.strands, args.writhe, args.components)
     return {
@@ -327,10 +349,12 @@ def run_tau_qp(args) -> dict:
 
 
 def run_floer(args) -> dict:
+    from . import floer
+
     doc = load_document(args.input)
     c, filt = build_floer(doc)
     if args.what == "verify":
-        report = floer_mod.verify_axioms(c)
+        report = floer.verify_axioms(c)
         return {
             "command": "floer",
             "what": "verify",
@@ -339,15 +363,17 @@ def run_floer(args) -> dict:
         }
     with _named("floer_complex", ValueError):
         if args.what == "d":
-            value = floer_mod.correction_term(c)
+            value = floer.correction_term(c)
         elif args.what == "tau-top":
-            value = floer_mod.tau_top(c, filt)
+            value = floer.tau_top(c, filt)
         else:  # tau-bot
-            value = floer_mod.tau_bot(c, filt)
+            value = floer.tau_bot(c, filt)
     return {"command": "floer", "what": args.what, "value": _fraction_str(value)}
 
 
 def run_obstruct(args) -> dict:
+    from . import obstruct
+
     doc = load_document(args.input)
     f = build_form(doc)
     link = build_link(doc, f)
@@ -366,6 +392,8 @@ def run_obstruct(args) -> dict:
         classes = select_classes(f, doc, None, "d0")
         verdict = obstruct.concordance_obstruction(profile, classes)
     elif check == "slice-bennequin":
+        from . import surgery
+
         s = _single_class(select_classes(f, doc, None, None), check)
         b = build_braid(doc)
         sl = surgery.self_linking_shift(surgery.self_linking_braid(b), build_presentation(doc))
@@ -386,7 +414,9 @@ def run_obstruct(args) -> dict:
 
 
 def run_paper_examples(args) -> dict:
-    names = [args.example] if args.example else list(paper.EXAMPLE_NAMES)
+    from . import paper
+
+    names = [args.example] if args.example else list(EXAMPLE_NAMES)
     tables = {}
     for name in names:
         generated = paper.GOLDEN_GENERATORS[name]()
@@ -513,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=run_obstruct)
 
     p = sub.add_parser("paper-examples", help="regenerate and diff the golden tables")
-    p.add_argument("example", nargs="?", choices=paper.EXAMPLE_NAMES, default=None)
+    p.add_argument("example", nargs="?", choices=EXAMPLE_NAMES, default=None)
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(handler=run_paper_examples)
 

@@ -26,12 +26,20 @@ a qualifying cycle.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
+
+# The records are NamedTuples, not dataclasses: ``dataclasses`` imports
+# ``inspect``, and a ``floer`` call of the CLI would pay for that on start-up.
 
 
-@dataclass(frozen=True)
-class FloerComplex:
+class _FloerFields(NamedTuple):
+    generators: tuple[str, ...]
+    gradings: Mapping[str, int]
+    entries: Mapping[tuple[str, str], int]
+    basepoints: int = 1
+
+
+class FloerComplex(_FloerFields):
     """Free graded complex over F2[U].
 
     ``entries`` maps (x, y) to the exponent m of the monomial U^m with
@@ -45,12 +53,16 @@ class FloerComplex:
     be built and diagnosed.
     """
 
-    generators: tuple[str, ...]
-    gradings: Mapping[str, int]
-    entries: Mapping[tuple[str, str], int]
-    basepoints: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(
+        cls,
+        generators: tuple[str, ...],
+        gradings: Mapping[str, int],
+        entries: Mapping[tuple[str, str], int],
+        basepoints: int = 1,
+    ):
+        self = super().__new__(cls, generators, gradings, entries, basepoints)
         if len(set(self.generators)) != len(self.generators):
             raise ValueError("generator names must be unique")
         for g in self.generators:
@@ -69,6 +81,7 @@ class FloerComplex:
                 raise ValueError(f"entry ({x!r},{y!r}) needs an integer U-power >= 0")
         if self.basepoints < 1:
             raise ValueError("basepoint count must be >= 1")
+        return self
 
     def grading_of_chain(self, chain: Iterable[str]) -> int:
         """Common grading of a homogeneous F2-chain of generators."""
@@ -79,8 +92,7 @@ class FloerComplex:
         return grs.pop()
 
 
-@dataclass(frozen=True)
-class AlexanderFiltration:
+class AlexanderFiltration(NamedTuple):
     """Integer filtration level per generator.
 
     Compatible with a complex when every entry x -> y pow m satisfies
@@ -101,16 +113,14 @@ class AlexanderFiltration:
                 )
 
 
-@dataclass(frozen=True)
-class Tower:
+class Tower(NamedTuple):
     """Free summand of the homology: a cycle whose class generates F2[U]."""
 
     grading: int
     chain: tuple[tuple[str, int], ...]  # (generator, U-exponent) pairs
 
 
-@dataclass(frozen=True)
-class HomologyDecomposition:
+class HomologyDecomposition(NamedTuple):
     towers: tuple[Tower, ...]
     torsion: tuple[tuple[int, int], ...]  # (grading, U-power) pairs
 
@@ -119,8 +129,7 @@ class HomologyDecomposition:
         return len(self.towers)
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     ok: bool
     failures: tuple[str, ...]
 

@@ -39,20 +39,6 @@ def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    if len(a[0]) != len(b):
-        raise RuntimeError("inner dimensions must agree")
-    cols = len(b[0])
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-            for i in range(len(a))]
-
-
-def mat_vec(m, v):
-    if len(m[0]) != len(v):
-        raise RuntimeError("dimension mismatch")
-    return [sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m))]
-
-
 def det(m: IntMatrix) -> int:
     """Exact determinant by fraction-free Bareiss elimination.
 

@@ -11,7 +11,7 @@ committed table of ``fixtures/``; ``plumbtau paper-examples`` diffs the two.
 import json
 from importlib import resources
 
-from . import obstruct, surgery
+from . import EXAMPLE_NAMES, obstruct, surgery
 from .plumbing import IntersectionForm, PlumbingTree, form_from_tree, solve_square
 from .tau import LeafLink, d_zero_subset, tau
 
@@ -113,10 +113,7 @@ def golden_eq72() -> dict:
     return {"plumbing": [-5, -2], "target": "-2", "solutions": solutions}
 
 
-GOLDEN_GENERATORS = {
-    "l2d": golden_l2d, "m3d": golden_m3d, "nk": golden_nk, "m3": golden_m3, "eq72": golden_eq72
-}
-EXAMPLE_NAMES = tuple(GOLDEN_GENERATORS)
+GOLDEN_GENERATORS = {name: globals()[f"golden_{name}"] for name in EXAMPLE_NAMES}
 
 
 def committed_fixture(name: str) -> dict:

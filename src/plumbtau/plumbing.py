@@ -163,14 +163,19 @@ def form_from_tree(t: PlumbingTree) -> IntersectionForm:
     order = tuple(v for v, _ in t.vertices)
     idx = {v: i for i, v in enumerate(order)}
     n = len(order)
-    q = [[0] * n for _ in range(n)]
-    for (v, w) in t.vertices:
-        q[idx[v]][idx[v]] = w
+    neighbours = [[] for _ in range(n)]
     for a, b in t.edges:
-        q[idx[a]][idx[b]] = 1
-        q[idx[b]][idx[a]] = 1
+        neighbours[idx[a]].append(idx[b])
+        neighbours[idx[b]].append(idx[a])
+    q = []
+    for i, (_, w) in enumerate(t.vertices):  # one row at a time: n^2 entries held once
+        row = [0] * n
+        row[i] = w
+        for j in neighbours[i]:
+            row[j] = 1
+        q.append(tuple(row))
     return IntersectionForm(
-        q=tuple(tuple(row) for row in q),
+        q=tuple(q),
         order=order,
         negative_definite=_tree_negative_definite(t),
         tree=t,

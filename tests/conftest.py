@@ -19,6 +19,20 @@ def property_seed() -> int:
     return int(os.environ.get("PLUMBTAU_SEED", DEFAULT_SEED))
 
 
+def mat_mul(a, b):
+    if len(a[0]) != len(b):
+        raise RuntimeError("inner dimensions must agree")
+    cols = len(b[0])
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
+            for i in range(len(a))]
+
+
+def mat_vec(m, v):
+    if len(m[0]) != len(v):
+        raise RuntimeError("dimension mismatch")
+    return [sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m))]
+
+
 def solve_exact(m, b) -> list[Fraction]:
     """Solve m·x = b exactly over the rationals; m must be nonsingular."""
     n = len(m)

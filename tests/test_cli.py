@@ -1,10 +1,15 @@
+import argparse
 import ast
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import plumbtau
 from plumbtau import cli, floer, paper, plumbing
 from plumbtau.cli import main
 
@@ -393,3 +398,66 @@ def test_output_is_deterministic(tmp_path, capsys):
     assert len(outputs) == 2  # one fixed byte string per format
     json_out = next(out for fmt, out in outputs if fmt == "json")
     assert json.loads(json_out)  # emitted JSON re-parses
+
+
+LAYERS = ("linalg", "plumbing", "tau", "surgery", "floer", "obstruct", "paper", "cli")
+
+
+def run_python(code: str, *argv: str, stdin: str = "") -> str:
+    """Last stdout line of ``code`` run in a fresh interpreter on this package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        input=stdin, capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def _layers(*names):
+    return {f"plumbtau.{name}" for name in names}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, absent",
+    [
+        (FLOER_D, {"floer_complex": STAIRCASE},
+         _layers("plumbing", "tau", "surgery", "obstruct", "paper", "linalg") | {"dataclasses"}),
+        (["tau-qp", "--strands", "2", "--writhe", "3", "--components", "1"], {},
+         _layers("plumbing", "tau", "floer", "obstruct", "paper")),
+        (DINV, {"plumbing": L92_PLUMBING}, _layers("floer", "obstruct", "surgery", "paper")),
+        (["spinc"], {"plumbing": L92_PLUMBING}, _layers("floer", "obstruct", "surgery", "paper")),
+        (TAU, {"plumbing": L92_PLUMBING, "leaf_link": {"v1": 3}},
+         _layers("floer", "obstruct", "surgery", "paper")),
+    ],
+)
+def test_subcommand_loads_only_its_layers(argv, doc, absent):
+    # each CLI call is a new interpreter: what it imports, it compiles and pays for
+    code = (
+        "import sys; before = set(sys.modules); from plumbtau.cli import main; "
+        "print(main(sys.argv[1:]), *set(sys.modules) - before)"
+    )
+    rc, *modules = run_python(code, *argv, stdin=json.dumps(doc)).split()
+    assert rc == "0"
+    assert absent.isdisjoint(modules), sorted(absent.intersection(modules))
+
+
+def test_layers_load_on_first_access():
+    code = (
+        "import json, sys, plumbtau; loaded = [m for m in sys.modules if m.startswith('plumbtau.')]; "
+        "print(json.dumps([loaded, [getattr(plumbtau, n).__name__ for n in sys.argv[1:]]]))"
+    )
+    loaded, names = json.loads(run_python(code, *LAYERS))
+    assert loaded == []
+    assert names == [f"plumbtau.{name}" for name in LAYERS]
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        plumbtau.nope
+    with pytest.raises(ImportError):
+        from plumbtau import nope  # noqa: F401
+
+
+def test_paper_examples_choices():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    example = next(a for a in sub.choices["paper-examples"]._actions if a.dest == "example")
+    assert example.choices == paper.EXAMPLE_NAMES == tuple(paper.GOLDEN_GENERATORS)

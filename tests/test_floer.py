@@ -127,6 +127,27 @@ def test_complex_validation():
         FloerComplex(("bad name",), {"bad name": 0}, {})
 
 
+def test_records_keep_their_fields_and_stay_frozen():
+    c, filt = staircase()
+    dec = homology_minus(c)
+    report = verify_axioms(c)
+    records = [
+        (c, ("generators", "gradings", "entries", "basepoints")),
+        (filt, ("levels",)),
+        (dec.towers[0], ("grading", "chain")),
+        (dec, ("towers", "torsion")),
+        (report, ("ok", "failures")),
+    ]
+    for record, fields in records:
+        assert record._fields == fields
+        with pytest.raises(AttributeError):
+            setattr(record, fields[0], None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+    assert c == FloerComplex(generators=c.generators, gradings=c.gradings, entries=c.entries)
+    assert c.basepoints == 1 and dec.rank == 1 and report.ok
+
+
 def test_verify_axioms():
     single = FloerComplex(("x",), {"x": 3}, {})
     assert verify_axioms(single).ok

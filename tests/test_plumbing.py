@@ -9,6 +9,7 @@ from conftest import (
     fraction_classes,
     in_image_of,
     is_negative_definite,
+    mat_vec,
     property_seed,
     solve_exact,
 )
@@ -127,7 +128,7 @@ def test_spinc_translate():
     assert spinc_translate(class_of(L41, (-2,)), [2]).rep == (2,)
     # translating by a vector in Q·Z^n fixes the class
     s = class_of(L92, (1, 0))
-    q_elem = linalg.mat_vec(L92.q, [1, 1])
+    q_elem = mat_vec(L92.q, [1, 1])
     assert spinc_translate(s, q_elem) == s
     hit = {spinc_translate(class_of(L92, (-3, 0)), [a, 0]).rep for a in (0, 3, 6)}
     assert hit == {(-3, 0), (-1, 2), (3, 0)}
