@@ -18,9 +18,11 @@ changes.
 Setting U = 0 gives the hat complex over F2.  The tower classes reduce
 to independent nonzero classes there; the top and bottom reductions
 are the distinguished classes used to test cycles for theta support.
-The tau invariants of an Alexander-type filtration are found by an
-exact sublevel sweep: the smallest level whose hat subcomplex contains
-a qualifying cycle.
+The tau invariants of an Alexander-type filtration are the smallest
+level whose hat subcomplex contains a qualifying cycle.  One pass finds
+it: the generators of the relevant grading enter one F2 echelon in
+level order, each dependency closes a new cycle, and the first cycle
+that qualifies fixes the level.
 """
 
 from __future__ import annotations
@@ -339,34 +341,35 @@ def image_classes(c: FloerComplex) -> tuple[frozenset, frozenset, tuple[frozense
 # --- exact F2 linear algebra on bitmask vectors ---------------------------
 
 
+def _reduce(pivots: dict, v: int, mask: int = 0) -> tuple[int, int]:
+    """Reduce v against the pivot rows: (remainder, mask of rows used)."""
+    while v:
+        h = v.bit_length() - 1
+        if h not in pivots:
+            break
+        pv, pm = pivots[h]
+        v ^= pv
+        mask ^= pm
+    return v, mask
+
+
 def _echelon_insert(pivots: dict, v: int, mask: int) -> Optional[int]:
     """Reduce v against the pivot rows and insert it if independent (None).
 
     Otherwise return the dependency: the reduced mask, whose inserted
     vectors sum to zero.
     """
-    while v:
-        h = v.bit_length() - 1
-        if h not in pivots:
-            pivots[h] = (v, mask)
-            return None
-        pv, pm = pivots[h]
-        v ^= pv
-        mask ^= pm
-    return mask
+    v, mask = _reduce(pivots, v, mask)
+    if not v:
+        return mask
+    pivots[v.bit_length() - 1] = (v, mask)
+    return None
 
 
 def _express(pivots: dict, v: int) -> Optional[int]:
     """Mask of inserted vectors summing to v, or None if outside the span."""
-    mask = 0
-    while v:
-        h = v.bit_length() - 1
-        if h not in pivots:
-            return None
-        pv, pm = pivots[h]
-        v ^= pv
-        mask ^= pm
-    return mask
+    v, mask = _reduce(pivots, v)
+    return None if v else mask
 
 
 class _HatSlice:
@@ -404,15 +407,20 @@ class _HatSlice:
             v ^= self.images[g]
         return v == 0
 
-    def cycle_space(self, allowed: Iterable[str]) -> list[int]:
-        """Basis of hat cycles supported on the allowed generators."""
+    def first_level(self, levels: Mapping[str, int], found) -> int:
+        """Least level whose sublevel holds a hat cycle that ``found`` accepts.
+
+        The generators enter one echelon in (level, name) order.  Each one
+        whose image depends on those before closes a new cycle, passed to
+        ``found`` as a generator mask; the cycles closed so far span the
+        cycles of the sublevel, so ``found`` must be decided by that span.
+        """
         pivots: dict = {}
-        kernel = []
-        for g in sorted(set(allowed)):
+        for g in sorted(self.gens, key=lambda g: (levels[g], g)):
             mask = _echelon_insert(pivots, self.images[g], 1 << self.bit[g])
-            if mask is not None:
-                kernel.append(mask)
-        return kernel
+            if mask is not None and found(mask):
+                return levels[g]
+        raise ValueError("no qualifying cycle at any filtration level")
 
     def class_functional(self, distinguished: int):
         """Coefficient of the distinguished class in a fixed homology basis.
@@ -436,12 +444,6 @@ class _HatSlice:
             return mask & 1
 
         return functional
-
-    def same_class(self, u: int, v: int) -> bool:
-        pivots: dict = {}
-        for b in self.boundaries:
-            _echelon_insert(pivots, b, 0)
-        return _express(pivots, u ^ v) is not None
 
 
 def _theta_test(c: FloerComplex, cycle: Iterable[str], bottom: bool) -> bool:
@@ -474,28 +476,14 @@ def is_theta_star_supported(c: FloerComplex, cycle: Iterable[str]) -> bool:
     return _theta_test(c, cycle, bottom=True)
 
 
-def _sweep(c: FloerComplex, filt: AlexanderFiltration, qualifies) -> int:
-    filt.check(c)
-    levels = sorted({filt.levels[g] for g in c.generators})
-    for m in levels:
-        allowed = [g for g in c.generators if filt.levels[g] <= m]
-        if qualifies(allowed):
-            return m
-    raise ValueError("no qualifying cycle at any filtration level")
-
-
 def _tau_theta(c: FloerComplex, filt: AlexanderFiltration, bottom: bool) -> int:
     d, theta_top, theta_bot, _ = _theta_classes(c)
     grading = d - c.basepoints + 1 if bottom else d
     theta = theta_bot if bottom else theta_top
     slice_ = _HatSlice(c, grading)
     functional = slice_.class_functional(slice_.vector(theta))
-
-    def qualifies(allowed: list[str]) -> bool:
-        here = [g for g in allowed if c.gradings[g] == grading]
-        return any(functional(v) for v in slice_.cycle_space(here))
-
-    return _sweep(c, filt, qualifies)
+    filt.check(c)
+    return slice_.first_level(filt.levels, functional)
 
 
 def tau_top(c: FloerComplex, filt: AlexanderFiltration) -> int:
@@ -519,19 +507,18 @@ def tau_alpha(c: FloerComplex, filt: AlexanderFiltration, alpha: Iterable[str]) 
     if not slice_.is_cycle(chain):
         raise ValueError("alpha is not a cycle of the hat complex")
     target = slice_.vector(chain)
-    if slice_.same_class(target, 0):
+    pivots: dict = {}
+    for b in slice_.boundaries:
+        _echelon_insert(pivots, b, 0)
+    if _express(pivots, target) is not None:
         raise ValueError("alpha must be a nonzero class")
+    filt.check(c)
 
-    def qualifies(allowed: list[str]) -> bool:
-        here = [g for g in allowed if c.gradings[g] == grading]
-        pivots: dict = {}
-        for b in slice_.boundaries:
-            _echelon_insert(pivots, b, 0)
-        for v in slice_.cycle_space(here):
-            _echelon_insert(pivots, v, 0)
+    def found(cycle: int) -> bool:
+        _echelon_insert(pivots, cycle, 0)
         return _express(pivots, target) is not None
 
-    return _sweep(c, filt, qualifies)
+    return slice_.first_level(filt.levels, found)
 
 
 def dualize(

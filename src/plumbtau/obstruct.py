@@ -29,7 +29,6 @@ from .plumbing import (
     IntersectionForm,
     SpincClass,
     conjugate,
-    d_invariant,
     spinc_classes,
     spinc_translate,
 )
@@ -41,6 +40,12 @@ INCONCLUSIVE = "inconclusive"
 SATISFIED = "satisfied"
 VIOLATED = "violated"
 
+# Work limit of the metaboliser search, whose cost is exponential in the
+# 2-rank of H_1.  A step is a linking-form pairing test or a subgroup join,
+# about 11-13 us each on a Xeon server core, so a search that reaches the
+# limit stops in 1.1-1.3 s.  Past it the search raises ValueError (exit 3).
+MAX_SEARCH_STEPS = 100_000
+
 
 class IncompleteProfileError(ValueError):
     """A check needed a tau value the profile does not contain."""
@@ -48,26 +53,19 @@ class IncompleteProfileError(ValueError):
 
 @dataclass(frozen=True)
 class TauProfile:
-    """Tau and correction-term values of one link over a set of spin-c classes."""
+    """Tau values of one link over a set of spin-c classes."""
 
     tau: Mapping[SpincClass, Fraction]
-    d: Mapping[SpincClass, Fraction]
     ell: int
-    order: int
 
     def __post_init__(self):
         if self.ell < 0:
             raise ValueError("component count must be non-negative")
-        if self.order < 1:
-            raise ValueError("the first homology order is at least 1")
-        if set(self.tau) != set(self.d):
-            raise ValueError("tau and d maps must cover the same classes")
-        for table in (self.tau, self.d):
-            for s, v in table.items():
-                if not isinstance(s, SpincClass):
-                    raise ValueError("profile keys must be spin-c classes")
-                if not isinstance(v, (int, Fraction)):
-                    raise ValueError("profile values must be exact rationals")
+        for s, v in self.tau.items():
+            if not isinstance(s, SpincClass):
+                raise ValueError("profile keys must be spin-c classes")
+            if not isinstance(v, (int, Fraction)):
+                raise ValueError("profile values must be exact rationals")
 
     def tau_at(self, s: SpincClass) -> Fraction:
         if s not in self.tau:
@@ -80,17 +78,13 @@ class TauProfile:
         return sorted(self.tau, key=lambda s: s.rep)
 
     def d_zero_classes(self) -> list[SpincClass]:
-        return [s for s in self.classes() if self.d[s] == 0]
+        return [s for s in self.classes() if s.d == 0]
 
 
 def profile_from_link(f: IntersectionForm, link: LeafLink) -> TauProfile:
-    """Full profile of a leaf-fibre link: tau and d at every spin-c class."""
-    classes = spinc_classes(f)
+    """Full profile of a leaf-fibre link: tau at every spin-c class."""
     return TauProfile(
-        tau={s: tau_value(f, link, s) for s in classes},
-        d={s: d_invariant(s) for s in classes},
-        ell=link.ell,
-        order=abs(f.det()),
+        tau={s: tau_value(f, link, s) for s in spinc_classes(f)}, ell=link.ell
     )
 
 
@@ -251,7 +245,20 @@ def metaboliser_candidates(f: IntersectionForm) -> list[MetaboliserCandidate]:
         for r in itertools.product(*[range(x) for x in diag])
     }
 
+    steps = 0
+
+    def step():
+        nonlocal steps
+        steps += 1
+        if steps > MAX_SEARCH_STEPS:
+            raise ValueError(
+                f"the metaboliser search in a group of order {order} took {steps}"
+                f" steps (pairing tests and subgroup joins), above the limit of"
+                f" {MAX_SEARCH_STEPS}"
+            )
+
     def integral(a, b):
+        step()
         return linalg.pair(f.qinv, lifts[a], lifts[b]).denominator == 1
 
     # Isotropy passes to subgroups, so a metaboliser G is reached from {0}
@@ -268,6 +275,7 @@ def metaboliser_candidates(f: IntersectionForm) -> list[MetaboliserCandidate]:
         for g in allowed:
             if g in h:
                 continue
+            step()
             k = _join(diag, h, g)
             if len(k) <= root and k not in found:
                 found.add(k)

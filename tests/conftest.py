@@ -6,7 +6,14 @@ from fractions import Fraction
 from math import comb
 
 from plumbtau import linalg
-from plumbtau.floer import AlexanderFiltration, FloerComplex, _require_valid, _shift
+from plumbtau.floer import (
+    AlexanderFiltration,
+    FloerComplex,
+    _HatSlice,
+    _require_valid,
+    _shift,
+    _theta_classes,
+)
 from plumbtau.obstruct import MetaboliserCandidate, _h1_decomposition
 from plumbtau.plumbing import short_char_vectors
 from plumbtau.surgery import BraidDatum, SurgeryComponent, SurgeryPresentation
@@ -249,6 +256,110 @@ def random_complex(
     )
     filt = AlexanderFiltration({rename[n]: levels[n] for n in names})
     return c, filt
+
+
+def _sweep_insert(pivots: dict, v: int, mask: int):
+    """Echelon insertion of the per-level reference (None if independent).
+
+    The reference keeps its own reduction loops, so it does not rest on
+    the one that ``floer`` shares between insertion and expression.
+    """
+    while v:
+        h = v.bit_length() - 1
+        if h not in pivots:
+            pivots[h] = (v, mask)
+            return None
+        pv, pm = pivots[h]
+        v ^= pv
+        mask ^= pm
+    return mask
+
+
+def _sweep_express(pivots: dict, v: int):
+    mask = 0
+    while v:
+        h = v.bit_length() - 1
+        if h not in pivots:
+            return None
+        pv, pm = pivots[h]
+        v ^= pv
+        mask ^= pm
+    return mask
+
+
+def sweep_cycle_space(slice_: _HatSlice, allowed) -> list[int]:
+    """Basis of hat cycles supported on the allowed generators."""
+    pivots: dict = {}
+    kernel = []
+    for g in sorted(set(allowed)):
+        mask = _sweep_insert(pivots, slice_.images[g], 1 << slice_.bit[g])
+        if mask is not None:
+            kernel.append(mask)
+    return kernel
+
+
+def _sweep(c: FloerComplex, filt: AlexanderFiltration, qualifies) -> int:
+    filt.check(c)
+    levels = sorted({filt.levels[g] for g in c.generators})
+    for m in levels:
+        allowed = [g for g in c.generators if filt.levels[g] <= m]
+        if qualifies(allowed):
+            return m
+    raise ValueError("no qualifying cycle at any filtration level")
+
+
+def sweep_tau_theta(c: FloerComplex, filt: AlexanderFiltration, bottom: bool) -> int:
+    """Per-level reference for ``floer.tau_top`` / ``tau_bot``.
+
+    Rebuilds the cycle space of the hat slice from nothing at every
+    distinct filtration level, lowest first, and stops at the first
+    level holding a cycle with a nonzero distinguished coordinate.
+    """
+    d, theta_top, theta_bot, _ = _theta_classes(c)
+    grading = d - c.basepoints + 1 if bottom else d
+    theta = theta_bot if bottom else theta_top
+    slice_ = _HatSlice(c, grading)
+    functional = slice_.class_functional(slice_.vector(theta))
+
+    def qualifies(allowed: list[str]) -> bool:
+        here = [g for g in allowed if c.gradings[g] == grading]
+        return any(functional(v) for v in sweep_cycle_space(slice_, here))
+
+    return _sweep(c, filt, qualifies)
+
+
+def sweep_tau_alpha(c: FloerComplex, filt: AlexanderFiltration, alpha) -> int:
+    """Per-level reference for ``floer.tau_alpha``.
+
+    At every distinct filtration level, lowest first, builds one echelon
+    of the boundaries and the sublevel cycles from nothing and tests
+    whether alpha lies in its span.
+    """
+    _require_valid(c)
+    chain = frozenset(alpha)
+    if not chain:
+        raise ValueError("alpha must be a nonzero class")
+    grading = c.grading_of_chain(chain)
+    slice_ = _HatSlice(c, grading)
+    if not slice_.is_cycle(chain):
+        raise ValueError("alpha is not a cycle of the hat complex")
+    target = slice_.vector(chain)
+    boundaries: dict = {}
+    for b in slice_.boundaries:
+        _sweep_insert(boundaries, b, 0)
+    if _sweep_express(boundaries, target) is not None:
+        raise ValueError("alpha must be a nonzero class")
+
+    def qualifies(allowed: list[str]) -> bool:
+        here = [g for g in allowed if c.gradings[g] == grading]
+        pivots: dict = {}
+        for b in slice_.boundaries:
+            _sweep_insert(pivots, b, 0)
+        for v in sweep_cycle_space(slice_, here):
+            _sweep_insert(pivots, v, 0)
+        return _sweep_express(pivots, target) is not None
+
+    return _sweep(c, filt, qualifies)
 
 
 def random_presentation(rng: random.Random, max_components: int = 4) -> SurgeryPresentation:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import plumbtau
-from plumbtau import cli, floer, paper, plumbing
+from plumbtau import cli, floer, obstruct, paper, plumbing
 from plumbtau.cli import main
 
 L92_PLUMBING = {
@@ -365,6 +365,24 @@ def test_short_vector_box_limit(tmp_path, capsys, monkeypatch):
     wider = {"vertices": [["v1", -4], ["v2", -5]], "edges": [["v1", "v2"]]}
     rc, _, err = run_cli(capsys, "dinv", "--input", write_doc(tmp_path, {"plumbing": wider}))
     assert rc == 3 and "20 vectors" in err
+
+
+def test_metaboliser_search_limit(tmp_path, capsys):
+    # the (-6; -2 x 10) star: |H_1| = 1,024 with 2-rank 10, whose search
+    # would run for minutes without the limit
+    star = {
+        "vertices": [["c", -6]] + [[f"v{i}", -2] for i in range(1, 11)],
+        "edges": [["c", f"v{i}"] for i in range(1, 11)],
+    }
+    path = write_doc(tmp_path, {"plumbing": star, "leaf_link": {"v1": 1}, "subset": [[0] * 11]})
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "obstruct", "--input", path, "--check", "metaboliser")
+    assert rc == 3 and out == "" and time.perf_counter() - start < 5.0
+    assert err == (
+        "plumbtau: the metaboliser search in a group of order 1024 took "
+        f"{obstruct.MAX_SEARCH_STEPS + 1} steps (pairing tests and subgroup joins), "
+        f"above the limit of {obstruct.MAX_SEARCH_STEPS}\n"
+    )
 
 
 def test_internal_error_exit(tmp_path, capsys, monkeypatch):

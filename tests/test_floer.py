@@ -3,7 +3,14 @@
 import random
 
 import pytest
-from conftest import property_seed, random_complex, scan_decompose
+from conftest import (
+    property_seed,
+    random_complex,
+    scan_decompose,
+    sweep_cycle_space,
+    sweep_tau_alpha,
+    sweep_tau_theta,
+)
 
 from plumbtau import floer
 from plumbtau.floer import (
@@ -376,6 +383,50 @@ def test_indexed_elimination_matches_scan_oracle():
     # far past the default draws, which stop at six generators
     assert max(n for n, _ in sizes) > 30
     assert sum(1 for _, e in sizes if e >= 100) >= 20
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error is part of the answer
+        return type(exc), str(exc)
+
+
+def test_single_pass_tau_matches_per_level_oracle():
+    rng = random.Random(property_seed())
+    outcomes = []
+    for _ in range(1000):
+        c, filt = random_complex(
+            rng,
+            max_generators=rng.randint(4, 30),
+            max_basepoints=3,
+            max_changes=rng.randint(0, 60),
+        )
+        if rng.random() < 0.1:
+            # a random filtration, often incompatible with the differential
+            filt = AlexanderFiltration({g: rng.randint(-3, 3) for g in c.generators})
+        for bottom, fn in ((False, tau_top), (True, tau_bot)):
+            assert _outcome(fn, c, filt) == _outcome(sweep_tau_theta, c, filt, bottom)
+        for grading in sorted(set(c.gradings.values())):
+            slice_ = floer._HatSlice(c, grading)
+            cycles = sweep_cycle_space(slice_, slice_.gens)
+            alphas = [rng.sample(slice_.gens, rng.randint(1, len(slice_.gens)))]
+            for _ in range(3 if cycles else 0):
+                v = 0
+                while not v:
+                    for cycle in cycles:
+                        v ^= cycle * rng.randint(0, 1)
+                alphas.append([g for g in slice_.gens if v >> slice_.bit[g] & 1])
+            for alpha in alphas:
+                got = _outcome(tau_alpha, c, filt, alpha)
+                assert got == _outcome(sweep_tau_alpha, c, filt, alpha)
+                outcomes.append(got)
+    # every branch is reached: values, non-cycles, zero classes, bad filtrations
+    assert sum(isinstance(o, int) for o in outcomes) > 1000
+    errors = {o[1] for o in outcomes if isinstance(o, tuple)}
+    assert "alpha is not a cycle of the hat complex" in errors
+    assert "alpha must be a nonzero class" in errors
+    assert any("raises the filtration level" in e for e in errors)
 
 
 def test_equal_power_pivots_pop_in_name_order():

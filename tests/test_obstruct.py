@@ -60,14 +60,12 @@ def l2d_profile(d: int) -> TauProfile:
 
 def test_profile_validation():
     p = nk_profile(3)
-    assert p.ell == 3 and p.order == 9 and len(p.tau) == 9
+    assert p.ell == 3 and len(p.tau) == 9
     assert [s.rep for s in p.d_zero_classes()] == [(-3, 0), (-1, 2), (3, 0)]
     with pytest.raises(ValueError):
-        TauProfile(tau={}, d={list(p.tau)[0]: Fraction(0)}, ell=1, order=9)
-    with pytest.raises(ValueError):
-        TauProfile(tau={}, d={}, ell=-1, order=9)
+        TauProfile(tau={}, ell=-1)
     with pytest.raises(IncompleteProfileError):
-        TauProfile(tau={}, d={}, ell=1, order=9).tau_at(class_of(L92, (3, 0)))
+        TauProfile(tau={}, ell=1).tau_at(class_of(L92, (3, 0)))
 
 
 def test_slice_bennequin_check():
@@ -179,12 +177,7 @@ def test_metaboliser_incomplete_profile():
     p = nk_profile(2)
     s1 = class_of(L92, (-3, 0))
     s2 = class_of(L92, (3, 0))
-    partial = TauProfile(
-        tau={s1: p.tau[s1], s2: p.tau[s2]},
-        d={s1: p.d[s1], s2: p.d[s2]},
-        ell=p.ell,
-        order=p.order,
-    )
+    partial = TauProfile(tau={s1: p.tau[s1], s2: p.tau[s2]}, ell=p.ell)
     with pytest.raises(IncompleteProfileError, match=r"\(-1, 2\)"):
         metaboliser_obstruction(partial, s2)
 
@@ -200,9 +193,7 @@ def test_conjugation_obstruction():
     assert self_conj.verdict == CLEAR and self_conj.slack == 0
     flat = conjugation_obstruction(nk_profile(0), s1)
     assert flat.verdict == CLEAR
-    partial = TauProfile(
-        tau={s1: p.tau[s1]}, d={s1: p.d[s1]}, ell=p.ell, order=p.order
-    )
+    partial = TauProfile(tau={s1: p.tau[s1]}, ell=p.ell)
     missing = conjugation_obstruction(partial, s1)
     assert missing.verdict == INCONCLUSIVE and "(3, 0)" in missing.witness
 
@@ -221,12 +212,7 @@ def test_pl_genus_lower_bound():
 def test_pl_genus_bound_shift_invariance():
     p = nk_profile(4)
     for c in (Fraction(7), Fraction(-5, 3)):
-        shifted = TauProfile(
-            tau={s: v + c for s, v in p.tau.items()},
-            d=dict(p.d),
-            ell=p.ell,
-            order=p.order,
-        )
+        shifted = TauProfile(tau={s: v + c for s, v in p.tau.items()}, ell=p.ell)
         assert pl_genus_lower_bound(shifted) == pl_genus_lower_bound(p)
 
 

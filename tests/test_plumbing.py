@@ -198,6 +198,40 @@ def test_tree_definiteness_matches_dense_elimination():
     assert kinds[(True, False)] and kinds[(False, True)] and kinds[(False, False)]
 
 
+def test_tree_inverse_matches_path_deleted_minors():
+    # Eisenbud-Neumann: on a tree, (-Q)^-1_uv = det(-Q off the path [u, v]) /
+    # det(-Q), and the minor is positive because -Q is positive definite
+    rng = random.Random(property_seed())
+    trees = entries = 0
+    while trees < 1000:
+        f = form_from_tree(_random_tree(rng, rng.randint(1, 8), -5, -1))
+        if not f.negative_definite:
+            continue
+        trees += 1
+        a, p = f.qinv
+        minus_q = [[-x for x in row] for row in f.q]
+        assert p == linalg.det(minus_q)
+        for u in range(f.n):
+            parent = {u: None}  # the tree hung from u
+            stack = [u]
+            while stack:
+                x = stack.pop()
+                for y in range(f.n):
+                    if y != x and f.q[x][y] and y not in parent:
+                        parent[y] = x
+                        stack.append(y)
+            for v in range(f.n):
+                path, w = {v}, v
+                while parent[w] is not None:
+                    w = parent[w]
+                    path.add(w)
+                rest = [i for i in range(f.n) if i not in path]
+                minor = linalg.det([[minus_q[i][j] for j in rest] for i in rest])
+                assert -a[u][v] == minor > 0, (f.tree, u, v)
+                entries += 1
+    assert entries > 10_000
+
+
 def test_d_candidate_symmetry_and_class_count_property():
     rng = random.Random(29)
     # lazily, so that each tree is drawn right after the previous one's checks
