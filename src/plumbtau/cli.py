@@ -19,7 +19,6 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
 from . import EXAMPLE_NAMES
@@ -43,10 +42,6 @@ class SchemaError(ValueError):
 
 class GoldenMismatchError(Exception):
     """A regenerated table differs from its committed fixture."""
-
-
-def _fraction_str(x) -> str:
-    return str(Fraction(x))
 
 
 # --- input document -------------------------------------------------------
@@ -236,9 +231,16 @@ def _classes_checked(f: IntersectionForm, select):
 
 
 def _parse_rep_text(text: str, field: str) -> list[int]:
-    cleaned = text.strip().strip("()[]")
+    """The integers of a representative such as ``-3,0``, ``[ -3, 0 ]`` or ``(66,)``.
+
+    One trailing comma is allowed, as in a Python tuple; any other empty item is not.
+    """
+    cleaned = text.strip().strip("()[]").strip()
+    parts = cleaned.split(",") if cleaned else []
+    if len(parts) > 1 and not parts[-1].strip():
+        parts.pop()
     try:
-        return [int(part.strip()) for part in cleaned.split(",") if part.strip()]
+        return [int(part) for part in parts]
     except ValueError:
         raise SchemaError(f"{field}: bad class representative {text!r}")
 
@@ -271,6 +273,9 @@ def _single_class(classes, check: str):
 
 # --- subcommand handlers ---------------------------------------------------
 
+# Every value a layer returns is an int or a Fraction, and ``str`` of either is
+# the canonical fraction string, so cli never imports ``fractions`` itself.
+
 
 def run_tau(args) -> dict:
     from .tau import tau as tau_value
@@ -280,7 +285,7 @@ def run_tau(args) -> dict:
     link = build_link(doc, f)
     classes = select_classes(f, doc, args.spinc, "all")
     rows = [
-        {"rep": list(s.rep), "tau": _fraction_str(tau_value(f, link, s))}
+        {"rep": list(s.rep), "tau": str(tau_value(f, link, s))}
         for s in sorted(classes, key=lambda s: s.rep)
     ]
     return {"command": "tau", "ell": link.ell, "classes": rows}
@@ -292,7 +297,7 @@ def run_dinv(args) -> dict:
     doc = load_document(args.input)
     f = build_form(doc)
     rows = [
-        {"rep": list(s.rep), "d": _fraction_str(d_invariant(s))}
+        {"rep": list(s.rep), "d": str(d_invariant(s))}
         for s in _classes_checked(f, spinc_classes)
     ]
     return {"command": "dinv", "order": abs(f.det()), "classes": rows}
@@ -331,7 +336,7 @@ def run_surgery(args) -> dict:
             boundary=b.components,
         )
         value = surgery.tau_from_curve(curve)
-    return {"command": "surgery", "what": args.what, "value": _fraction_str(value)}
+    return {"command": "surgery", "what": args.what, "value": str(value)}
 
 
 def run_tau_qp(args) -> dict:
@@ -344,7 +349,7 @@ def run_tau_qp(args) -> dict:
         "strands": b.strands,
         "writhe": b.writhe,
         "components": b.components,
-        "tau": _fraction_str(surgery.tau_qp_braid(b)),
+        "tau": str(surgery.tau_qp_braid(b)),
     }
 
 
@@ -368,7 +373,7 @@ def run_floer(args) -> dict:
             value = floer.tau_top(c, filt)
         else:  # tau-bot
             value = floer.tau_bot(c, filt)
-    return {"command": "floer", "what": args.what, "value": _fraction_str(value)}
+    return {"command": "floer", "what": args.what, "value": str(value)}
 
 
 def run_obstruct(args) -> dict:
@@ -386,7 +391,7 @@ def run_obstruct(args) -> dict:
             "command": "obstruct",
             "check": "pl_genus",
             "genus": bound.genus,
-            "raw": _fraction_str(bound.raw),
+            "raw": str(bound.raw),
         }
     if check == "concordance":
         classes = select_classes(f, doc, None, "d0")

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -51,14 +50,18 @@ class IncompleteProfileError(ValueError):
     """A check needed a tau value the profile does not contain."""
 
 
-@dataclass(frozen=True)
-class TauProfile:
-    """Tau values of one link over a set of spin-c classes."""
-
+class _ProfileFields(NamedTuple):
     tau: Mapping[SpincClass, Fraction]
     ell: int
 
-    def __post_init__(self):
+
+class TauProfile(_ProfileFields):
+    """Tau values of one link over a set of spin-c classes."""
+
+    __slots__ = ()
+
+    def __new__(cls, tau: Mapping[SpincClass, Fraction], ell: int):
+        self = super().__new__(cls, tau, ell)
         if self.ell < 0:
             raise ValueError("component count must be non-negative")
         for s, v in self.tau.items():
@@ -66,6 +69,7 @@ class TauProfile:
                 raise ValueError("profile keys must be spin-c classes")
             if not isinstance(v, (int, Fraction)):
                 raise ValueError("profile values must be exact rationals")
+        return self
 
     def tau_at(self, s: SpincClass) -> Fraction:
         if s not in self.tau:
@@ -98,8 +102,7 @@ def _jsonable(value):
     return value
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     check: str
     verdict: str
     witness: object = None
@@ -176,22 +179,33 @@ def qhb4_filling_obstruction(
     )
 
 
-@dataclass(frozen=True)
-class MetaboliserCandidate:
+class _CandidateFields(NamedTuple):
+    generators: tuple[tuple[int, ...], ...]
+    order: int
+    elements: tuple[tuple[int, ...], ...]
+    residues: tuple[tuple[int, ...], ...]
+
+
+class MetaboliserCandidate(_CandidateFields):
     """Subgroup of H_1 of square-root order with integral linking pairings.
 
     Generators and elements are integer lifts to Z^n; residues are the
     corresponding coordinates in the invariant-factor decomposition.
     """
 
-    generators: tuple[tuple[int, ...], ...]
-    order: int
-    elements: tuple[tuple[int, ...], ...]
-    residues: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(
+        cls,
+        generators: tuple[tuple[int, ...], ...],
+        order: int,
+        elements: tuple[tuple[int, ...], ...],
+        residues: tuple[tuple[int, ...], ...],
+    ):
+        self = super().__new__(cls, generators, order, elements, residues)
         if self.order < 1 or len(self.elements) != self.order:
             raise ValueError("element list must realize the stated order")
+        return self
 
 
 def _h1_decomposition(f: IntersectionForm):

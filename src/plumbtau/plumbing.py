@@ -12,12 +12,11 @@ which makes all the enumerations below finite and exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import isqrt, prod
 from operator import mul
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import linalg
 
@@ -27,8 +26,13 @@ MARKINGS = ("marked", "unmarked_leaf", "internal")
 MAX_BOX = 100_000
 
 
-@dataclass(frozen=True)
-class PlumbingTree:
+class _TreeFields(NamedTuple):
+    vertices: tuple[tuple[str, int], ...]
+    edges: tuple[tuple[str, str], ...]
+    markings: Optional[Mapping[str, str]] = None
+
+
+class PlumbingTree(_TreeFields):
     """Connected acyclic graph with integer vertex weights.
 
     ``markings`` flags which vertices may carry link strands
@@ -37,11 +41,16 @@ class PlumbingTree:
     "internal" elsewhere.
     """
 
-    vertices: tuple[tuple[str, int], ...]
-    edges: tuple[tuple[str, str], ...]
-    markings: Mapping[str, str] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(
+        cls,
+        vertices: tuple[tuple[str, int], ...],
+        edges: tuple[tuple[str, str], ...],
+        markings: Optional[Mapping[str, str]] = None,
+    ):
+        # a new dict per tree: no default is shared between instances
+        self = super().__new__(cls, vertices, edges, {} if markings is None else markings)
         ids = [v for v, _ in self.vertices]
         if len(set(ids)) != len(ids):
             raise ValueError("vertex ids must be unique")
@@ -60,6 +69,7 @@ class PlumbingTree:
                 raise ValueError(f"unknown marking {mk!r}")
             if mk == "unmarked_leaf" and self.degree(v) > 1:
                 raise ValueError(f"vertex {v!r} has degree > 1, cannot be an unmarked leaf")
+        return self
 
     def _connected(self) -> bool:
         if not self.vertices:
@@ -95,14 +105,52 @@ class PlumbingTree:
         )
 
 
-@dataclass(frozen=True)
-class IntersectionForm:
-    """Symmetric matrix of a plumbing and whether it is negative definite."""
+class _Frozen:
+    """Refuses assignment: ``__init__`` sets the fields with ``object.__setattr__``."""
 
-    q: tuple[tuple[int, ...], ...]
-    order: tuple[str, ...]
-    negative_definite: bool
-    tree: Optional[PlumbingTree] = field(default=None, compare=False, repr=False)
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class IntersectionForm(_Frozen):
+    """Symmetric matrix of a plumbing and whether it is negative definite.
+
+    Equality, hash and repr read ``q``, ``order`` and ``negative_definite``;
+    ``tree`` and the cached inverse and classes are left out.
+    """
+
+    def __init__(
+        self,
+        q: tuple[tuple[int, ...], ...],
+        order: tuple[str, ...],
+        negative_definite: bool,
+        tree: Optional[PlumbingTree] = None,
+    ):
+        # through __dict__, where cached_property keeps the inverse and the classes
+        self.__dict__.update(q=q, order=order, negative_definite=negative_definite, tree=tree)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.q, self.order, self.negative_definite) == (
+            other.q,
+            other.order,
+            other.negative_definite,
+        )
+
+    def __hash__(self):
+        return hash((self.q, self.order, self.negative_definite))
+
+    def __repr__(self):
+        return (
+            f"IntersectionForm(q={self.q!r}, order={self.order!r},"
+            f" negative_definite={self.negative_definite!r})"
+        )
 
     @property
     def n(self) -> int:
@@ -203,19 +251,37 @@ def short_char_vectors(f: IntersectionForm) -> list[tuple[int, ...]]:
     return [tuple(k) for k in itertools.product(*ranges)]
 
 
-@dataclass(frozen=True)
-class SpincClass:
+class SpincClass(_Frozen):
     """Coset of characteristic vectors mod 2Q·Z^n on a fixed form.
 
     ``rep`` is the canonical representative (lexicographically least
     short vector), ``d`` the correction term and ``realizing`` the short
-    vectors of the coset that attain it, in lex order.
+    vectors of the coset that attain it, in lex order.  Equality and hash
+    read ``rep``, ``d`` and ``realizing``, not ``form``.
     """
 
-    rep: tuple[int, ...]
-    d: Fraction
-    realizing: tuple[tuple[int, ...], ...]
-    form: IntersectionForm = field(compare=False, repr=False)
+    __slots__ = ("rep", "d", "realizing", "form")
+
+    def __init__(
+        self,
+        rep: tuple[int, ...],
+        d: Fraction,
+        realizing: tuple[tuple[int, ...], ...],
+        form: IntersectionForm,
+    ):
+        init = object.__setattr__
+        init(self, "rep", rep)
+        init(self, "d", d)
+        init(self, "realizing", realizing)
+        init(self, "form", form)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rep, self.d, self.realizing) == (other.rep, other.d, other.realizing)
+
+    def __hash__(self):
+        return hash((self.rep, self.d, self.realizing))
 
     def __repr__(self):
         return f"SpincClass{self.rep}"

@@ -11,28 +11,31 @@ quasi-positive braid identity tau = (w - n + l)/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg
 
 KINDS = ("surgery", "handle")
 
 
-@dataclass(frozen=True)
-class SurgeryComponent:
+class _ComponentFields(NamedTuple):
+    kind: str
+    tb: int = 0
+    rot: int = 0
+
+
+class SurgeryComponent(_ComponentFields):
     """One component of the surgery diagram.
 
     kind "surgery" is a contact (-1)-surgery with coefficient tb - 1;
     kind "handle" is a Stein 1-handle with coefficient 0 and rot 0.
     """
 
-    kind: str
-    tb: int = 0
-    rot: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, kind: str, tb: int = 0, rot: int = 0):
+        self = super().__new__(cls, kind, tb, rot)
         if self.kind not in KINDS:
             raise ValueError(
                 f"unknown component kind {self.kind!r}; only integral "
@@ -40,19 +43,29 @@ class SurgeryComponent:
             )
         if self.kind == "handle" and self.rot != 0:
             raise ValueError("1-handle components carry rot = 0")
+        return self
 
     @property
     def coefficient(self) -> int:
         return self.tb - 1 if self.kind == "surgery" else 0
 
 
-@dataclass(frozen=True)
-class SurgeryPresentation:
+class _PresentationFields(NamedTuple):
     components: tuple[SurgeryComponent, ...]
     linking: tuple[tuple[int, ...], ...]  # lk(J_i, J_j), zero diagonal
     link_vectors: tuple[tuple[int, ...], ...]  # one vector per transverse component
 
-    def __post_init__(self):
+
+class SurgeryPresentation(_PresentationFields):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        components: tuple[SurgeryComponent, ...],
+        linking: tuple[tuple[int, ...], ...],
+        link_vectors: tuple[tuple[int, ...], ...],
+    ):
+        self = super().__new__(cls, components, linking, link_vectors)
         t = len(self.components)
         if len(self.linking) != t or any(len(row) != t for row in self.linking):
             raise ValueError("linking matrix must be t x t")
@@ -67,6 +80,7 @@ class SurgeryPresentation:
                 raise ValueError("link component vector has wrong length")
         if t and linalg.det(self._matrix()) == 0:
             raise linalg.SingularMatrixError("surgery linking matrix is singular")
+        return self
 
     def _matrix(self) -> list[list[int]]:
         t = len(self.components)
@@ -131,17 +145,22 @@ def chern_evaluation(p: SurgeryPresentation) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class BraidDatum:
-    """Braid bookkeeping: strand count, writhe (signed band count), components."""
-
+class _BraidFields(NamedTuple):
     strands: int
     writhe: int
     components: int
 
-    def __post_init__(self):
+
+class BraidDatum(_BraidFields):
+    """Braid bookkeeping: strand count, writhe (signed band count), components."""
+
+    __slots__ = ()
+
+    def __new__(cls, strands: int, writhe: int, components: int):
+        self = super().__new__(cls, strands, writhe, components)
         if self.strands < 1 or self.components < 1:
             raise ValueError("braids need at least one strand and one component")
+        return self
 
 
 def self_linking_braid(b: BraidDatum) -> int:
@@ -163,20 +182,25 @@ def tau_qp_braid(b: BraidDatum) -> Fraction:
     return Fraction(b.writhe - b.strands + b.components, 2)
 
 
-@dataclass(frozen=True)
-class CurveDatum:
-    """Caller-supplied invariants of a bounding curve: the geometry stays outside."""
-
+class _CurveFields(NamedTuple):
     chi: int
     chern: Fraction
     self_int: Fraction
     boundary: int
 
-    def __post_init__(self):
+
+class CurveDatum(_CurveFields):
+    """Caller-supplied invariants of a bounding curve: the geometry stays outside."""
+
+    __slots__ = ()
+
+    def __new__(cls, chi: int, chern: Fraction, self_int: Fraction, boundary: int):
+        self = super().__new__(cls, chi, chern, self_int, boundary)
         if self.boundary < 1:
             raise ValueError("a bounding curve has at least one boundary circle")
         if self.chi > self.boundary:
             raise ValueError("Euler characteristic cannot exceed boundary count")
+        return self
 
 
 def tau_from_curve(c: CurveDatum) -> Fraction:

@@ -15,9 +15,8 @@ short representative that must not enter the minimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import linalg
 from .plumbing import (
@@ -28,18 +27,23 @@ from .plumbing import (
 )
 
 
-@dataclass(frozen=True)
-class LeafLink:
-    """Fibre multiplicities over the tree vertices; each strand is a component."""
-
+class _LinkFields(NamedTuple):
     m: tuple[int, ...]
     ell: int
 
-    def __post_init__(self):
+
+class LeafLink(_LinkFields):
+    """Fibre multiplicities over the tree vertices; each strand is a component."""
+
+    __slots__ = ()
+
+    def __new__(cls, m: tuple[int, ...], ell: int):
+        self = super().__new__(cls, m, ell)
         if any(x < 0 for x in self.m):
             raise ValueError("multiplicities must be non-negative")
         if self.ell != sum(self.m):
             raise ValueError("component count must equal total multiplicity")
+        return self
 
 
 def leaf_link(f: IntersectionForm, strands: Mapping[str, int]) -> LeafLink:

@@ -189,13 +189,21 @@ def _apply_basis_change(entries: dict, e: str, f: str, delta: int) -> None:
 
 
 def random_complex(
-    rng, max_generators: int = 6, max_basepoints: int = 2, max_changes: int = 12
+    rng,
+    max_generators: int = 6,
+    max_basepoints: int = 2,
+    max_changes: int = 12,
+    distinguished_pairs: int = 0,
 ) -> tuple[FloerComplex, AlexanderFiltration]:
     """Random valid filtered complex built from elementary pieces.
 
     Towers in the model grading pattern plus U^a-cancelling pairs always
     satisfy the axioms; up to ``max_changes`` random graded filtered
     basis changes then mix the pieces without changing any invariant.
+    ``distinguished_pairs`` adds that many U^0-cancelling pairs, beyond
+    ``max_generators``, each with one generator in a distinguished grading
+    (g0 or g0 - ell + 1), so that the hat slices tau_top and tau_bot sweep
+    hold more than their tower; with 0 the draws are the same as without it.
     """
     ell = rng.randint(1, max_basepoints)
     g0 = rng.randint(-4, 4)
@@ -231,6 +239,15 @@ def random_complex(
         levels[x] = levels[y] - a + rng.randint(0, 3)
         names.extend([x, y])
         entries[(x, y)] = a
+    for j in range(distinguished_pairs):
+        # y in the grading, or x (one above y) in it
+        gy = rng.choice(sorted(blocked)) - rng.randint(0, 1)
+        x, y = f"r{j}", f"s{j}"
+        gr[y], gr[x] = gy, gy + 1
+        levels[y] = rng.randint(-3, 3)
+        levels[x] = levels[y] + rng.randint(0, 3)
+        names.extend([x, y])
+        entries[(x, y)] = 0
     cands = [
         (e, f)
         for e in names

@@ -5,7 +5,6 @@ single `pytest -v tests/test_acceptance.py` reads as a pass/fail scorecard.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 from conftest import property_seed, random_braid, random_complex, random_presentation
@@ -36,6 +35,7 @@ from plumbtau.paper import form_41, form_92, l2d_presentation, m3d_presentation
 from plumbtau.plumbing import class_of, solve_square, spinc_classes
 from plumbtau.surgery import (
     CurveDatum,
+    SurgeryPresentation,
     bennequin_euler,
     chern_evaluation,
     self_intersection,
@@ -110,7 +110,8 @@ def test_curve_route_matches_lattice_route():
     for k in range(1, 10):
         link = leaf_link(L92, {"v1": k})
         for rot in (-3, 3):
-            p = replace(m3d_presentation(1, rot), link_vectors=((1, 0),) * k)
+            base = m3d_presentation(1, rot)
+            p = SurgeryPresentation(base.components, base.linking, ((1, 0),) * k)
             datum = CurveDatum(
                 chi=k,
                 chern=chern_evaluation(p),

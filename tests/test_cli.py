@@ -303,6 +303,16 @@ SCHEMA_CASES = [
     (TAU, tau_doc(subset="x"), 2, "subset: bad class representative 'x'"),
     (TAU, tau_doc(subset=[[3, "0"]]), 2, f"subset: {SELECT}"),
     (TAU + ["--spinc", "[]"], tau_doc(), 2, f"spinc: {SELECT}"),
+    # an empty item between commas, or a leading one, is an error; one trailing comma is not
+    (TAU + ["--spinc", "1,,2"], tau_doc(), 2, "spinc: bad class representative '1,,2'"),
+    (TAU + ["--spinc", ",-3,0"], tau_doc(), 2, "spinc: bad class representative ',-3,0'"),
+    (TAU + ["--spinc=-3,0,,"], tau_doc(), 2, "spinc: bad class representative '-3,0,,'"),
+    (TAU, tau_doc(subset="1,,2"), 2, "subset: bad class representative '1,,2'"),
+    (TAU, tau_doc(subset=",-3,0"), 2, "subset: bad class representative ',-3,0'"),
+    (TAU + ["--spinc=-3,0"], tau_doc(), 0, None),
+    (TAU + ["--spinc", "[ -3, 0 ]"], tau_doc(), 0, None),
+    (TAU, tau_doc(subset="(-3, 0,)"), 0, None),
+    (TAU + ["--spinc", "(66,)"], {"plumbing": L41_PLUMBING, "leaf_link": {"v1": 2}}, 0, None),
     (["obstruct", "--check", "integrality"], tau_doc(), 2, f"subset: {SELECT}"),
     (SLICE, {**SLICE_DOC, "subset": "d0", "surgery": {"braid": BRAID}}, 2,
      "subset: the slice-bennequin check needs exactly one spin-c class"),
@@ -436,17 +446,29 @@ def _layers(*names):
     return {f"plumbtau.{name}" for name in names}
 
 
+def _absent(*names, also=()):
+    # no call builds its records with dataclasses, which imports inspect
+    return _layers(*names) | {"dataclasses", "inspect", *also}
+
+
 @pytest.mark.parametrize(
     "argv, doc, absent",
     [
         (FLOER_D, {"floer_complex": STAIRCASE},
-         _layers("plumbing", "tau", "surgery", "obstruct", "paper", "linalg") | {"dataclasses"}),
+         _absent("plumbing", "tau", "surgery", "obstruct", "paper", "linalg", also=["fractions"])),
         (["tau-qp", "--strands", "2", "--writhe", "3", "--components", "1"], {},
-         _layers("plumbing", "tau", "floer", "obstruct", "paper")),
-        (DINV, {"plumbing": L92_PLUMBING}, _layers("floer", "obstruct", "surgery", "paper")),
-        (["spinc"], {"plumbing": L92_PLUMBING}, _layers("floer", "obstruct", "surgery", "paper")),
+         _absent("plumbing", "tau", "floer", "obstruct", "paper")),
+        (DINV, {"plumbing": L92_PLUMBING}, _absent("floer", "obstruct", "surgery", "paper")),
+        (["spinc"], {"plumbing": L92_PLUMBING}, _absent("floer", "obstruct", "surgery", "paper")),
         (TAU, {"plumbing": L92_PLUMBING, "leaf_link": {"v1": 3}},
-         _layers("floer", "obstruct", "surgery", "paper")),
+         _absent("floer", "obstruct", "surgery", "paper")),
+        (SLICE, {**SLICE_DOC, "surgery": {"braid": BRAID}}, _absent("floer", "paper")),
+        (["obstruct", "--check", "metaboliser"],
+         {"plumbing": L92_PLUMBING, "leaf_link": {"v1": 2}, "subset": [[3, 0]]},
+         _absent("floer", "surgery", "paper")),
+        (["surgery", "--what", "chern"], surgery_doc(1),
+         _absent("plumbing", "tau", "floer", "obstruct", "paper")),
+        (["paper-examples"], {}, _absent("floer")),
     ],
 )
 def test_subcommand_loads_only_its_layers(argv, doc, absent):

@@ -395,13 +395,18 @@ def _outcome(fn, *args):
 def test_single_pass_tau_matches_per_level_oracle():
     rng = random.Random(property_seed())
     outcomes = []
-    for _ in range(1000):
+    top_sizes = []
+    for draw in range(1300):
+        # the last 300 draws put extra generators into the distinguished gradings
         c, filt = random_complex(
             rng,
             max_generators=rng.randint(4, 30),
             max_basepoints=3,
             max_changes=rng.randint(0, 60),
+            distinguished_pairs=0 if draw < 1000 else rng.randint(2, 8),
         )
+        if draw >= 1000:
+            top_sizes.append(len(floer._HatSlice(c, correction_term(c)).gens))
         if rng.random() < 0.1:
             # a random filtration, often incompatible with the differential
             filt = AlexanderFiltration({g: rng.randint(-3, 3) for g in c.generators})
@@ -427,6 +432,8 @@ def test_single_pass_tau_matches_per_level_oracle():
     assert "alpha is not a cycle of the hat complex" in errors
     assert "alpha must be a nonzero class" in errors
     assert any("raises the filtration level" in e for e in errors)
+    # most of those draws sweep a top slice of three generators or more
+    assert sum(n >= 3 for n in top_sizes) >= 0.75 * len(top_sizes)
 
 
 def test_equal_power_pivots_pop_in_name_order():
