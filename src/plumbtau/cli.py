@@ -153,7 +153,7 @@ def load_document(path: str) -> dict:
             raise SchemaError(f"input: cannot read {path!r}: {e}")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also too deep, or an int past 4,300 digits
         raise SchemaError(f"input: not valid JSON: {e}")
     if not isinstance(doc, dict):
         raise SchemaError("input: document must be a JSON object")

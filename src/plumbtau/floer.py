@@ -28,7 +28,7 @@ that qualifies fixes the level.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 # The package's records are NamedTuples or plain classes, never dataclasses:
 # ``dataclasses`` imports ``inspect`` (and through it ``ast``, ``dis`` and
@@ -143,35 +143,39 @@ class AxiomReport(NamedTuple):
     failures: tuple[str, ...]
 
 
-def _graded_d2_failures(c: FloerComplex) -> list[str]:
-    failures = []
+def _graded_d2_failures(c: FloerComplex) -> Iterator[str]:
+    """Failures of the grading law, else of d^2 = 0, lazily and in sorted order.
+
+    The d^2 rows are built one source at a time, so the first failure
+    costs one row, not the whole square.
+    """
+    graded = True
     for (x, y), m in sorted(c.entries.items()):
         if c.gradings[y] - 2 * m != c.gradings[x] - 1:
-            failures.append(
+            graded = False
+            yield (
                 f"grading: entry {x} -> {y} pow {m} has gr {c.gradings[y]} - 2*{m}"
                 f" != gr {c.gradings[x]} - 1"
             )
-    if failures:
-        return failures
+    if not graded:
+        return
     # d^2 = 0 over F2[U]: compose entries and cancel mod 2
-    square: dict[tuple[str, str], int] = {}
-    outgoing: dict[str, list[tuple[str, int]]] = {}
-    for (x, y), m in c.entries.items():
-        outgoing.setdefault(x, []).append((y, m))
-    for (x, y), m in c.entries.items():
-        for z, n in outgoing.get(y, ()):
-            key = (x, z)
-            square[key] = square.get(key, 0) ^ 1
-            # the grading pins the exponent m + n, so parity is enough
-    for (x, z), parity in sorted(square.items()):
-        if parity:
-            failures.append(f"d_squared: d(d({x})) has a surviving {z} term")
-    return failures
+    outgoing: dict[str, list[str]] = {}
+    for x, y in c.entries:
+        outgoing.setdefault(x, []).append(y)
+    for x in sorted(outgoing):
+        row: dict[str, int] = {}
+        for y in outgoing[x]:
+            for z in outgoing.get(y, ()):
+                row[z] = row.get(z, 0) ^ 1
+                # the grading pins the exponent m + n, so parity is enough
+        for z in sorted(z for z, parity in row.items() if parity):
+            yield f"d_squared: d(d({x})) has a surviving {z} term"
 
 
 def verify_axioms(c: FloerComplex) -> AxiomReport:
     """Check the grading law, d^2 = 0 and the homology rank."""
-    failures = _graded_d2_failures(c)
+    failures = list(_graded_d2_failures(c))
     if not failures:
         rank, power = len(_eliminate(c)[0]), c.basepoints - 1
         # 2^power is built only while it could equal the rank, at most #generators
@@ -183,9 +187,9 @@ def verify_axioms(c: FloerComplex) -> AxiomReport:
 
 
 def _require_valid(c: FloerComplex) -> None:
-    failures = _graded_d2_failures(c)
-    if failures:
-        raise ValueError(failures[0])
+    failure = next(_graded_d2_failures(c), None)
+    if failure is not None:
+        raise ValueError(failure)
 
 
 def _shift(chain: frozenset, delta: int) -> frozenset:

@@ -318,11 +318,11 @@ def _group_classes(f: IntersectionForm) -> dict[tuple[int, ...], SpincClass]:
     if len(groups) != abs(f.det()):
         raise AssertionError("class count must equal |det Q|")
     p = f.qinv[1]
-    index = {
+    # groups were opened in lex order of their reps, so the index is in rep order
+    return {
         key: SpincClass(rep=rep, d=Fraction(num + f.n * p, 4 * p), realizing=tuple(best), form=f)
         for key, (rep, num, best) in groups.items()
     }
-    return dict(sorted(index.items(), key=lambda item: item[1].rep))
 
 
 def spinc_classes(f: IntersectionForm) -> list[SpincClass]:

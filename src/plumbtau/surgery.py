@@ -4,9 +4,11 @@ A presentation consists of contact (-1)-surgery components (framing
 tb - 1) and Stein 1-handles (framing 0), with their pairwise linking
 numbers, plus the linking vectors of the transverse link components
 with the surgery link.  From the resulting matrix Q the module
-evaluates the capped-surface self-intersection, the Chern-class
-evaluation against the rotation vector, self-linking numbers, and the
-quasi-positive braid identity tau = (w - n + l)/2.
+evaluates the capped-surface self-intersection [C]^2 = <S, Q^{-1} S>
+and the Chern-class evaluation c1[C] = -<rot, Q^{-1} S>, with S the
+sum of the link vectors (one Q^{-1} and one pairing each), the
+self-linking numbers, and the quasi-positive braid identity
+tau = (w - n + l)/2.
 """
 
 from __future__ import annotations
@@ -78,16 +80,9 @@ class SurgeryPresentation(_PresentationFields):
         for v in self.link_vectors:
             if len(v) != t:
                 raise ValueError("link component vector has wrong length")
-        if t and linalg.det(self._matrix()) == 0:
+        if t and linalg.det(linking_matrix(self)) == 0:
             raise linalg.SingularMatrixError("surgery linking matrix is singular")
         return self
-
-    def _matrix(self) -> list[list[int]]:
-        t = len(self.components)
-        q = [list(row) for row in self.linking]
-        for i in range(t):
-            q[i][i] = self.components[i].coefficient
-        return q
 
     @property
     def rot_vector(self) -> tuple[int, ...]:
@@ -96,53 +91,34 @@ class SurgeryPresentation(_PresentationFields):
 
 def linking_matrix(p: SurgeryPresentation) -> list[list[int]]:
     """Q with surgery coefficients on the diagonal and linking numbers off it."""
-    return p._matrix()
+    q = [list(row) for row in p.linking]
+    for i, c in enumerate(p.components):
+        q[i][i] = c.coefficient
+    return q
 
 
-def bordered_matrix(p: SurgeryPresentation, k: int) -> list[list[int]]:
-    """Q bordered by the k-th linking vector: top-left 0, then Q."""
-    q = linking_matrix(p)
-    v = p.link_vectors[k]
-    return [[0, *v]] + [[v[i], *q[i]] for i in range(len(q))]
+def _total_link_vector(p: SurgeryPresentation) -> list[int]:
+    # not zip(*vs): with no link vectors S is still the zero vector of length t
+    vs = p.link_vectors
+    return [sum(v[i] for v in vs) for i in range(len(p.components))]
 
 
 def self_intersection(p: SurgeryPresentation) -> Fraction:
-    """Self-intersection of the capped surface, by the bordered-determinant formula.
+    """Self-intersection of the capped surface, <S, Q^{-1} S> with S = sum_k l_k.
 
-    -sum_k det(Q_k(0, a_1..a_t))/det(Q) + 2 sum_{a<b} <l_a, Q^{-1} l_b>.
+    This is the bordered-determinant formula
+    -sum_k det(Q_k)/det(Q) + 2 sum_{a<b} <l_a, Q^{-1} l_b>, where Q_k is Q
+    bordered by l_k with top-left entry 0: by the Schur complement,
+    det(Q_k) = -det(Q) <l_k, Q^{-1} l_k>, so the sum collapses to one pairing.
     """
-    q = linking_matrix(p)
-    d = linalg.det(q)
-    qinv = linalg.inverse(q)
-    total = Fraction(0)
-    for k in range(len(p.link_vectors)):
-        total -= Fraction(linalg.det(bordered_matrix(p, k)), d)
-    # 2 sum_{a<b} <l_a, Q^-1 l_b> = <S, Q^-1 S> - sum_a <l_a, Q^-1 l_a>, S = sum_a l_a
-    vs = p.link_vectors
-    s = [sum(v[i] for v in vs) for i in range(len(q))]
-    total += linalg.pair(qinv, s, s)
-    for v in vs:
-        total -= linalg.pair(qinv, v, v)
-    return total
-
-
-def self_intersection_pairing(p: SurgeryPresentation) -> Fraction:
-    """Independent route: pair the total linking vector with itself under Q^{-1}."""
-    q = linking_matrix(p)
-    qinv = linalg.inverse(q)
-    t = len(p.components)
-    total_vec = [sum(v[i] for v in p.link_vectors) for i in range(t)]
-    return linalg.pair(qinv, total_vec, total_vec)
+    s = _total_link_vector(p)
+    return linalg.pair(linalg.inverse(linking_matrix(p)), s, s)
 
 
 def chern_evaluation(p: SurgeryPresentation) -> Fraction:
-    """-sum_k <rot, Q^{-1} l_k>, the Chern class evaluated on the capped surface."""
-    q = linking_matrix(p)
-    qinv = linalg.inverse(q)
-    rot = p.rot_vector
-    return -sum(
-        (linalg.pair(qinv, rot, v) for v in p.link_vectors), start=Fraction(0)
-    )
+    """-<rot, Q^{-1} S> = -sum_k <rot, Q^{-1} l_k>, the Chern class on the capped surface."""
+    qinv = linalg.inverse(linking_matrix(p))
+    return -linalg.pair(qinv, p.rot_vector, _total_link_vector(p))
 
 
 class _BraidFields(NamedTuple):

@@ -16,7 +16,7 @@ from plumbtau.floer import (
 )
 from plumbtau.obstruct import MetaboliserCandidate, _h1_decomposition
 from plumbtau.plumbing import short_char_vectors
-from plumbtau.surgery import BraidDatum, SurgeryComponent, SurgeryPresentation
+from plumbtau.surgery import BraidDatum, SurgeryComponent, SurgeryPresentation, linking_matrix
 
 DEFAULT_SEED = 20260814
 
@@ -409,6 +409,34 @@ def random_presentation(rng: random.Random, max_components: int = 4) -> SurgeryP
             linking=tuple(tuple(row) for row in linking),
             link_vectors=vectors,
         )
+
+
+def bordered_matrix(p: SurgeryPresentation, k: int) -> list[list[int]]:
+    """Q bordered by the k-th linking vector: top-left 0, then Q."""
+    q = linking_matrix(p)
+    v = p.link_vectors[k]
+    return [[0, *v]] + [[v[i], *q[i]] for i in range(len(q))]
+
+
+def bordered_self_intersection(p: SurgeryPresentation) -> Fraction:
+    """Self-intersection of the capped surface, by the bordered-determinant formula.
+
+    -sum_k det(Q_k(0, a_1..a_t))/det(Q) + 2 sum_{a<b} <l_a, Q^{-1} l_b>.
+    Oracle for ``surgery.self_intersection``, the single pairing <S, Q^{-1} S>.
+    """
+    q = linking_matrix(p)
+    d = linalg.det(q)
+    qinv = linalg.inverse(q)
+    total = Fraction(0)
+    for k in range(len(p.link_vectors)):
+        total -= Fraction(linalg.det(bordered_matrix(p, k)), d)
+    # 2 sum_{a<b} <l_a, Q^-1 l_b> = <S, Q^-1 S> - sum_a <l_a, Q^-1 l_a>, S = sum_a l_a
+    vs = p.link_vectors
+    s = [sum(v[i] for v in vs) for i in range(len(q))]
+    total += linalg.pair(qinv, s, s)
+    for v in vs:
+        total -= linalg.pair(qinv, v, v)
+    return total
 
 
 def random_braid(rng: random.Random) -> BraidDatum:

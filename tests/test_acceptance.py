@@ -7,7 +7,13 @@ single `pytest -v tests/test_acceptance.py` reads as a pass/fail scorecard.
 import random
 from fractions import Fraction
 
-from conftest import property_seed, random_braid, random_complex, random_presentation
+from conftest import (
+    bordered_self_intersection,
+    property_seed,
+    random_braid,
+    random_complex,
+    random_presentation,
+)
 from test_floer import predicted_dims, truncated_dims
 
 from plumbtau.floer import (
@@ -39,7 +45,6 @@ from plumbtau.surgery import (
     bennequin_euler,
     chern_evaluation,
     self_intersection,
-    self_intersection_pairing,
     self_linking_braid,
     tau_from_curve,
     tau_qp_braid,
@@ -103,7 +108,7 @@ def test_self_intersection_routes_agree():
     rng = random.Random(property_seed())
     for _ in range(100):
         p = random_presentation(rng, max_components=4)
-        assert self_intersection(p) == self_intersection_pairing(p)
+        assert self_intersection(p) == bordered_self_intersection(p)
 
 
 def test_curve_route_matches_lattice_route():

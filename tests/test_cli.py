@@ -325,9 +325,11 @@ def test_schema_errors(tmp_path, capsys):
         expected = f"plumbtau: {message}\n" if message else ""
         assert (rc, err, out != "") == (code, expected, code == 0), (argv, doc)
     bad_json = tmp_path / "bad.json"
-    bad_json.write_text("{", encoding="utf-8")
-    rc, _, err = run_cli(capsys, "dinv", "--input", str(bad_json))
-    assert rc == 2 and err.startswith("plumbtau: input: not valid JSON: ")
+    # truncated; nested past the recursion limit; an integer of 5,000 digits
+    for text in ("{", "[" * 100_000 + "]" * 100_000, '{"basepoints": 1' + "0" * 4_999 + "}"):
+        bad_json.write_text(text, encoding="utf-8")
+        rc, _, err = run_cli(capsys, "dinv", "--input", str(bad_json))
+        assert rc == 2 and err.startswith("plumbtau: input: not valid JSON: "), err[:80]
     rc, _, err = run_cli(capsys, "dinv", "--input", str(tmp_path / "missing.json"))
     assert rc == 2 and err.startswith("plumbtau: input: cannot read ")
 

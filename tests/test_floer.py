@@ -1,6 +1,7 @@
 """Homology decompositions, theta classes and tau of filtered complexes."""
 
 import random
+import time
 
 import pytest
 from conftest import (
@@ -182,6 +183,22 @@ def test_verify_axioms():
     report = verify_axioms(chain)
     assert not report.ok
     assert any("d_squared" in f for f in report.failures)
+
+
+def test_first_failure_stops_the_check():
+    # star a_i -> b -> c_j: d^2 has 10^6 surviving terms, and the
+    # check reports the first one without building the others
+    n = 1000
+    a, cs = [f"a{i}" for i in range(n)], [f"c{j}" for j in range(n)]
+    star = FloerComplex(
+        (*a, "b", *cs),
+        {**dict.fromkeys(a, 2), "b": 1, **dict.fromkeys(cs, 0)},
+        {**{(x, "b"): 0 for x in a}, **{("b", z): 0 for z in cs}},
+    )
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^d_squared: d\(d\(a0\)\) has a surviving c0 term$"):
+        correction_term(star)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_homology_minus():

@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
 
+import time
+from collections import Counter
+
 import pytest
 
-from conftest import random_presentation
-from plumbtau import linalg
+from conftest import bordered_matrix, bordered_self_intersection, random_presentation
+from plumbtau import linalg, surgery
 from plumbtau.paper import l2d_presentation, m3d_presentation
 from plumbtau.surgery import (
     BraidDatum,
@@ -12,11 +15,9 @@ from plumbtau.surgery import (
     SurgeryComponent,
     SurgeryPresentation,
     bennequin_euler,
-    bordered_matrix,
     chern_evaluation,
     linking_matrix,
     self_intersection,
-    self_intersection_pairing,
     self_linking_braid,
     self_linking_shift,
     tau_from_curve,
@@ -54,9 +55,9 @@ def test_self_intersection_tables():
     for d in range(1, 11):
         assert self_intersection(l2d_presentation(d, 2)) == -d * d
         assert self_intersection(m3d_presentation(d, 3)) == -2 * d * d
-    # 2,000 components: the cross terms are one pairing of the total vector
+    # 2,000 link components: one pairing of the total vector, against the oracle
     many = l2d_presentation(1000, 2)
-    assert self_intersection(many) == self_intersection_pairing(many) == -(1000**2)
+    assert self_intersection(many) == bordered_self_intersection(many) == -(1000**2)
     none = SurgeryPresentation(
         components=(SurgeryComponent(kind="surgery", tb=-3),),
         linking=((0,),),
@@ -79,7 +80,44 @@ def test_self_intersection_cross_check_random():
     rng = random.Random(101)
     for _ in range(100):
         p = random_presentation(rng)
-        assert self_intersection(p) == self_intersection_pairing(p)
+        assert self_intersection(p) == bordered_self_intersection(p)
+
+
+def test_surgery_terms_take_one_inverse_and_one_pairing(monkeypatch):
+    p = SurgeryPresentation(
+        components=(
+            SurgeryComponent(kind="surgery", tb=-2, rot=1),
+            SurgeryComponent(kind="handle"),
+            SurgeryComponent(kind="surgery", tb=0, rot=-1),
+        ),
+        linking=((0, 1, 2), (1, 0, 1), (2, 1, 0)),
+        link_vectors=((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, -1, 3)),
+    )
+    calls = Counter()
+    for name in ("det", "inverse", "pair"):
+        def counted(*args, _name=name, _f=getattr(linalg, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(surgery.linalg, name, counted)
+    for term in (self_intersection, chern_evaluation):
+        calls.clear()
+        term(p)
+        assert calls == {"inverse": 1, "pair": 1}, term.__name__
+
+
+def test_self_intersection_long_chain():
+    # (-2) chain of 120 surgeries, one meridian per component: -Q is the A_120
+    # Cartan matrix, whose inverse has entry sum n(n+1)(n+2)/12
+    t = 120
+    p = SurgeryPresentation(
+        components=tuple(SurgeryComponent(kind="surgery", tb=-1) for _ in range(t)),
+        linking=tuple(tuple(int(abs(i - j) == 1) for j in range(t)) for i in range(t)),
+        link_vectors=tuple(tuple(int(i == k) for i in range(t)) for k in range(t)),
+    )
+    start = time.perf_counter()
+    assert self_intersection(p) == -t * (t + 1) * (t + 2) // 12
+    # one 120 x 120 inverse; the bordered route takes 120 determinants of 121 x 121
+    assert time.perf_counter() - start < 2.0
 
 
 def test_chern_negation_symmetry():
