@@ -278,15 +278,16 @@ def _single_class(classes, check: str):
 
 
 def run_tau(args) -> dict:
-    from .tau import tau as tau_value
+    from .tau import tau_table
 
     doc = load_document(args.input)
     f = build_form(doc)
     link = build_link(doc, f)
     classes = select_classes(f, doc, args.spinc, "all")
+    table = tau_table(f, link, classes)
+    # one row per selected class: a subset may name a class twice
     rows = [
-        {"rep": list(s.rep), "tau": str(tau_value(f, link, s))}
-        for s in sorted(classes, key=lambda s: s.rep)
+        {"rep": list(s.rep), "tau": str(table[s])} for s in sorted(classes, key=lambda s: s.rep)
     ]
     return {"command": "tau", "ell": link.ell, "classes": rows}
 

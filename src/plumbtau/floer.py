@@ -28,7 +28,12 @@ that qualifies fixes the level.
 from __future__ import annotations
 
 import heapq
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
+
+# Most failures ``verify_axioms`` lists; one last line counts the rest, so a
+# broken complex of e entries reports in bounded output, not e^2 lines.
+MAX_LISTED_FAILURES = 100
 
 # The package's records are NamedTuples or plain classes, never dataclasses:
 # ``dataclasses`` imports ``inspect`` (and through it ``ast``, ``dis`` and
@@ -174,8 +179,16 @@ def _graded_d2_failures(c: FloerComplex) -> Iterator[str]:
 
 
 def verify_axioms(c: FloerComplex) -> AxiomReport:
-    """Check the grading law, d^2 = 0 and the homology rank."""
-    failures = list(_graded_d2_failures(c))
+    """Check the grading law, d^2 = 0 and the homology rank.
+
+    The first ``MAX_LISTED_FAILURES`` failures are listed, then one line
+    ``... and N more failures`` if there are more.
+    """
+    found = _graded_d2_failures(c)
+    failures = list(islice(found, MAX_LISTED_FAILURES))
+    more = sum(1 for _ in found)
+    if more:
+        failures.append(f"... and {more} more failures")
     if not failures:
         rank, power = len(_eliminate(c)[0]), c.basepoints - 1
         # 2^power is built only while it could equal the rank, at most #generators

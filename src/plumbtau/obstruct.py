@@ -31,7 +31,7 @@ from .plumbing import (
     spinc_classes,
     spinc_translate,
 )
-from .tau import LeafLink, tau as tau_value
+from .tau import LeafLink, tau_table
 
 FIRES = "fires"
 CLEAR = "does not fire"
@@ -87,9 +87,7 @@ class TauProfile(_ProfileFields):
 
 def profile_from_link(f: IntersectionForm, link: LeafLink) -> TauProfile:
     """Full profile of a leaf-fibre link: tau at every spin-c class."""
-    return TauProfile(
-        tau={s: tau_value(f, link, s) for s in spinc_classes(f)}, ell=link.ell
-    )
+    return TauProfile(tau=tau_table(f, link, spinc_classes(f)), ell=link.ell)
 
 
 def _jsonable(value):

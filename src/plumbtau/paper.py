@@ -13,7 +13,7 @@ from importlib import resources
 
 from . import EXAMPLE_NAMES, obstruct, surgery
 from .plumbing import IntersectionForm, PlumbingTree, form_from_tree, solve_square
-from .tau import LeafLink, d_zero_subset, tau
+from .tau import LeafLink, d_zero_subset, tau_table
 
 
 def form_92() -> IntersectionForm:
@@ -53,7 +53,10 @@ def golden_m3() -> dict:
     return {
         "plumbing": [-5, -2],
         "strands": [3, 0],
-        "classes": [{"rep": list(s.rep), "tau": str(tau(f, link, s))} for s in d_zero_subset(f)],
+        "classes": [
+            {"rep": list(s.rep), "tau": str(v)}
+            for s, v in tau_table(f, link, d_zero_subset(f)).items()
+        ],
     }
 
 
@@ -61,7 +64,7 @@ def golden_nk() -> dict:
     f = form_92()
     subset = d_zero_subset(f)
     rows = [
-        {"k": k, "taus": [str(tau(f, LeafLink((k, 0), k), s)) for s in subset]}
+        {"k": k, "taus": [str(v) for v in tau_table(f, LeafLink((k, 0), k), subset).values()]}
         for k in range(1, 13)
     ]
     return {"plumbing": [-5, -2], "classes": [list(s.rep) for s in subset], "rows": rows}
@@ -73,7 +76,7 @@ def golden_l2d() -> dict:
     rows = []
     for d in range(1, 11):
         link = LeafLink((2 * d,), 2 * d)
-        values = [tau(f, link, s) for s in subset]
+        values = list(tau_table(f, link, subset).values())
         profile = obstruct.profile_from_link(f, link)
         rows.append(
             {
@@ -96,7 +99,7 @@ def golden_m3d() -> dict:
     rows = [
         {
             "d": d,
-            "taus": [str(tau(f, LeafLink((3 * d, 0), 3 * d), s)) for s in subset],
+            "taus": [str(v) for v in tau_table(f, LeafLink((3 * d, 0), 3 * d), subset).values()],
             "self_intersection": str(surgery.self_intersection(m3d_presentation(d, 3))),
             "chern": [
                 str(surgery.chern_evaluation(m3d_presentation(d, rot))) for rot in (3, -3)

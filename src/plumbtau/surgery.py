@@ -148,9 +148,13 @@ def self_linking_shift(sl_t0, p: SurgeryPresentation) -> Fraction:
     """Rational self-linking number of the induced link in the surgered manifold.
 
     Inverts the shift sl(T) = sl(L) + c1[C'] + [C']^2 along the surgery
-    cobordism: sl(L) = sl(T0) - chern_evaluation - self_intersection.
+    cobordism: sl(L) = sl(T0) - chern_evaluation - self_intersection, and
+    -c1[C] - [C]^2 = <rot, Q^{-1} S> - <S, Q^{-1} S> = <rot - S, Q^{-1} S>
+    takes one Q^{-1} and one pairing.
     """
-    return Fraction(sl_t0) - chern_evaluation(p) - self_intersection(p)
+    s = _total_link_vector(p)
+    rot_minus_s = [r - x for r, x in zip(p.rot_vector, s)]
+    return Fraction(sl_t0) + linalg.pair(linalg.inverse(linking_matrix(p)), rot_minus_s, s)
 
 
 def tau_qp_braid(b: BraidDatum) -> Fraction:

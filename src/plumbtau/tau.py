@@ -11,14 +11,21 @@ correction term d(s) (those of maximal square).  Restricting to the
 d-realizing representatives is what reproduces every known table; the
 coset class of (-3,0) on the (-5,-2) chain has a second, lower-square
 short representative that must not enter the minimum.
+
+With Q^{-1} = a/p (a integral, p = |det Q|) and w = a·m built once per
+link, kappa^T Q^{-1} m = (kappa·w)/p and m^T Q^{-1} m = (m·w)/p, so
+
+    tau = (min over kappa of kappa·w  -  m·w) / 2p:
+
+one integer dot product per candidate and one division per class.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional, Sequence
+from operator import mul
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from . import linalg
 from .plumbing import (
     IntersectionForm,
     SpincClass,
@@ -60,25 +67,27 @@ def leaf_link(f: IntersectionForm, strands: Mapping[str, int]) -> LeafLink:
     return LeafLink(m=tuple(m), ell=sum(m))
 
 
-def sigma_square(f: IntersectionForm, link: LeafLink) -> Fraction:
-    """Self-pairing m^T Q^{-1} m of the fibre multiplicity vector."""
-    return linalg.pair(f.qinv, link.m, link.m)
-
-
-def pairing(f: IntersectionForm, kappa: Sequence[int], link: LeafLink) -> Fraction:
-    """kappa^T Q^{-1} m, exact."""
-    return linalg.pair(f.qinv, kappa, link.m)
+def _tau_rows(
+    f: IntersectionForm, link: LeafLink, classes: Iterable[SpincClass]
+) -> Iterator[tuple[SpincClass, Fraction, tuple[int, ...]]]:
+    """(class, tau, lex-least minimizer) per class, from one pairing vector w = a·m."""
+    f.require_negative_definite()
+    if len(link.m) != f.n:
+        raise ValueError("link multiplicity vector has wrong length")
+    a, p = f.qinv
+    w = [sum(map(mul, row, link.m)) for row in a]
+    mw = sum(map(mul, link.m, w))
+    for s in classes:
+        if s.form.q != f.q:
+            raise ValueError("spin-c class belongs to a different form")
+        # p > 0, so the integer k·w orders the candidates as k^T Q^{-1} m does
+        best, minimizer = min((sum(map(mul, k, w)), k) for k in s.realizing)
+        yield s, Fraction(best - mw, 2 * p), minimizer
 
 
 def tau_detail(f: IntersectionForm, link: LeafLink, s: SpincClass):
     """Tau value together with its lexicographically least minimizing vector."""
-    f.require_negative_definite()
-    if len(link.m) != f.n:
-        raise ValueError("link multiplicity vector has wrong length")
-    if s.form.q != f.q:
-        raise ValueError("spin-c class belongs to a different form")
-    best, minimizer = min((pairing(f, k, link), k) for k in s.realizing)
-    value = best / 2 - sigma_square(f, link) / 2
+    _, value, minimizer = next(_tau_rows(f, link, (s,)))
     return value, minimizer
 
 
@@ -87,25 +96,13 @@ def tau(f: IntersectionForm, link: LeafLink, s: SpincClass) -> Fraction:
     return tau_detail(f, link, s)[0]
 
 
-def tau_table(f: IntersectionForm, link: LeafLink) -> dict[SpincClass, Fraction]:
-    """Per-class tau values, keyed in canonical-representative order."""
-    return {s: tau(f, link, s) for s in spinc_classes(f)}
+def tau_table(
+    f: IntersectionForm, link: LeafLink, classes: Iterable[SpincClass]
+) -> dict[SpincClass, Fraction]:
+    """Tau value of each of the given classes, keyed in their order."""
+    return {s: value for s, value, _ in _tau_rows(f, link, classes)}
 
 
 def d_zero_subset(f: IntersectionForm) -> list[SpincClass]:
-    """The spin-c classes with vanishing correction term (default extrema subset)."""
+    """The spin-c classes with vanishing correction term (the default pl-genus subset)."""
     return [s for s in spinc_classes(f) if d_invariant(s) == 0]
-
-
-def tau_extrema(
-    f: IntersectionForm,
-    link: LeafLink,
-    subset: Optional[Sequence[SpincClass]] = None,
-) -> tuple[Fraction, Fraction]:
-    """(tau_max, tau_min) over a subset of classes; defaults to the d = 0 classes."""
-    if subset is None:
-        subset = d_zero_subset(f)
-    if not subset:
-        raise ValueError("subset of spin-c classes must be non-empty")
-    values = [tau(f, link, s) for s in subset]
-    return max(values), min(values)

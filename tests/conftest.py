@@ -15,7 +15,7 @@ from plumbtau.floer import (
     _theta_classes,
 )
 from plumbtau.obstruct import MetaboliserCandidate, _h1_decomposition
-from plumbtau.plumbing import short_char_vectors
+from plumbtau.plumbing import PlumbingTree, short_char_vectors
 from plumbtau.surgery import BraidDatum, SurgeryComponent, SurgeryPresentation, linking_matrix
 
 DEFAULT_SEED = 20260814
@@ -103,6 +103,41 @@ def fraction_classes(f) -> list[tuple[tuple, tuple, Fraction, tuple]]:
         realizing = tuple(k for k in reps if squares[k] == best)
         out.append((reps[0], tuple(reps), (best + f.n) / 4, realizing))
     return sorted(out)
+
+
+def random_tree(rng, n, low, high):
+    """Random weights in [low, high]; vertex i hangs off a random earlier vertex."""
+    ids = [f"v{i}" for i in range(n)]
+    weights = [rng.randint(low, high) for _ in range(n)]
+    edges = tuple((ids[i], ids[rng.randrange(i)]) for i in range(1, n))
+    return PlumbingTree(vertices=tuple(zip(ids, weights)), edges=edges)
+
+
+def sigma_square(f, link) -> Fraction:
+    """Self-pairing m^T Q^{-1} m of the fibre multiplicity vector."""
+    return linalg.pair(f.qinv, link.m, link.m)
+
+
+def pairing(f, kappa, link) -> Fraction:
+    """kappa^T Q^{-1} m, exact."""
+    return linalg.pair(f.qinv, kappa, link.m)
+
+
+def pairing_tau_detail(f, link, s):
+    """Reference for ``tau.tau_detail`` and ``tau.tau_table``: (tau, lex-least minimizer).
+
+    One ``linalg.pair`` per d-realizing vector and one for m^T Q^{-1} m,
+    each a Fraction, where the package takes integer dot products with
+    the one pairing vector w = a·m.
+    """
+    f.require_negative_definite()
+    if len(link.m) != f.n:
+        raise ValueError("link multiplicity vector has wrong length")
+    if s.form.q != f.q:
+        raise ValueError("spin-c class belongs to a different form")
+    best, minimizer = min((pairing(f, k, link), k) for k in s.realizing)
+    value = best / 2 - sigma_square(f, link) / 2
+    return value, minimizer
 
 
 def in_image_of(lattice_gen, v) -> bool:

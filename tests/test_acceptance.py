@@ -49,7 +49,7 @@ from plumbtau.surgery import (
     tau_from_curve,
     tau_qp_braid,
 )
-from plumbtau.tau import d_zero_subset, leaf_link, tau, tau_extrema
+from plumbtau.tau import d_zero_subset, leaf_link, tau, tau_table
 
 L41, L92 = form_41(), form_92()
 
@@ -75,7 +75,8 @@ def test_torus_link_family_tau_and_genus_bound():
         link = leaf_link(L41, {"v1": 2 * d})
         got = [tau(L41, link, s) for s in d_zero_subset(L41)]
         assert got == [Fraction(d * (d + 1), 2), Fraction(d * (d - 1), 2)]
-        hi, lo = tau_extrema(L41, link)
+        d0 = tau_table(L41, link, d_zero_subset(L41)).values()
+        hi, lo = max(d0), min(d0)
         assert hi - lo == d
         bound = pl_genus_lower_bound(profile_from_link(L41, link))
         assert bound.genus == (d + 1) // 2 and bound.raw == Fraction(d, 2)

@@ -56,6 +56,17 @@ def test_tau_subset_precedence(tmp_path, capsys):
     assert json.loads(out)["classes"] == [{"rep": [-3, 0], "tau": "4/9"}]
 
 
+def test_tau_prints_one_row_per_selected_class(tmp_path, capsys):
+    # a subset that names a class twice gets its row twice
+    path = write_doc(
+        tmp_path,
+        {"plumbing": L92_PLUMBING, "leaf_link": {"v1": 1}, "subset": [[-3, 0], [-3, 0]]},
+    )
+    rc, out, _ = run_cli(capsys, "tau", "--input", path)
+    assert rc == 0
+    assert json.loads(out)["classes"] == [{"rep": [-3, 0], "tau": "4/9"}] * 2
+
+
 def test_dinv_tables(tmp_path, capsys):
     s3 = write_doc(tmp_path, {"plumbing": {"vertices": [["v1", -1]]}})
     rc, out, _ = run_cli(capsys, "dinv", "--input", s3)

@@ -15,6 +15,7 @@ from conftest import (
 
 from plumbtau import floer
 from plumbtau.floer import (
+    MAX_LISTED_FAILURES,
     AlexanderFiltration,
     FloerComplex,
     Tower,
@@ -185,20 +186,39 @@ def test_verify_axioms():
     assert any("d_squared" in f for f in report.failures)
 
 
-def test_first_failure_stops_the_check():
-    # star a_i -> b -> c_j: d^2 has 10^6 surviving terms, and the
-    # check reports the first one without building the others
-    n = 1000
-    a, cs = [f"a{i}" for i in range(n)], [f"c{j}" for j in range(n)]
-    star = FloerComplex(
+def _star(sources: int, targets: int) -> FloerComplex:
+    """a_i -> b -> c_j: every d(d(a_i)) has a surviving c_j term, sources x targets in all."""
+    a, cs = [f"a{i}" for i in range(sources)], [f"c{j}" for j in range(targets)]
+    return FloerComplex(
         (*a, "b", *cs),
         {**dict.fromkeys(a, 2), "b": 1, **dict.fromkeys(cs, 0)},
         {**{(x, "b"): 0 for x in a}, **{("b", z): 0 for z in cs}},
     )
+
+
+def test_first_failure_stops_the_check():
+    # d^2 has 10^6 surviving terms, and the check reports the first one
+    # without building the others
+    star = _star(1000, 1000)
     start = time.perf_counter()
     with pytest.raises(ValueError, match=r"^d_squared: d\(d\(a0\)\) has a surviving c0 term$"):
         correction_term(star)
     assert time.perf_counter() - start < 0.5
+
+
+def test_verify_lists_at_most_the_cap():
+    assert MAX_LISTED_FAILURES == 100
+    exact = verify_axioms(_star(10, 10)).failures
+    assert len(exact) == 100 and exact[-1] == "d_squared: d(d(a9)) has a surviving c9 term"
+    over = verify_axioms(_star(101, 1)).failures
+    assert over[:100] == tuple(
+        f"d_squared: d(d(a{i})) has a surviving c0 term" for i in sorted(map(str, range(101)))[:100]
+    )
+    assert over[100:] == ("... and 1 more failures",)
+    # 2,000 entries, 10^6 failures: 100 listed and one count
+    report = verify_axioms(_star(1000, 1000))
+    assert not report.ok and len(report.failures) == 101
+    assert report.failures[-1] == "... and 999900 more failures"
 
 
 def test_homology_minus():

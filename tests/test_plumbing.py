@@ -11,6 +11,7 @@ from conftest import (
     is_negative_definite,
     mat_vec,
     property_seed,
+    random_tree,
     solve_exact,
 )
 from plumbtau import linalg
@@ -162,14 +163,6 @@ def _class_by_scan(classes, kappa):
     return next(s for s in classes if _same_class(s.form, kappa, s.rep))
 
 
-def _random_tree(rng, n, low, high):
-    """Random weights in [low, high]; vertex i hangs off a random earlier vertex."""
-    ids = [f"v{i}" for i in range(n)]
-    weights = [rng.randint(low, high) for _ in range(n)]
-    edges = tuple((ids[i], ids[rng.randrange(i)]) for i in range(1, n))
-    return PlumbingTree(vertices=tuple(zip(ids, weights)), edges=edges)
-
-
 def _star(center, *arms):
     ids = [f"v{i}" for i in range(len(arms) + 1)]
     return PlumbingTree(
@@ -179,7 +172,7 @@ def _star(center, *arms):
 
 def test_tree_definiteness_matches_dense_elimination():
     rng = random.Random(property_seed())
-    trees = [_random_tree(rng, rng.randint(1, 8), -5, 1) for _ in range(400)]
+    trees = [random_tree(rng, rng.randint(1, 8), -5, 1) for _ in range(400)]
     trees += [
         _star(-2, -2, -2, -2),  # D4: definite
         _star(-2, -2, -2, -2, -2),  # affine D4: semidefinite
@@ -204,7 +197,7 @@ def test_tree_inverse_matches_path_deleted_minors():
     rng = random.Random(property_seed())
     trees = entries = 0
     while trees < 1000:
-        f = form_from_tree(_random_tree(rng, rng.randint(1, 8), -5, -1))
+        f = form_from_tree(random_tree(rng, rng.randint(1, 8), -5, -1))
         if not f.negative_definite:
             continue
         trees += 1
@@ -235,7 +228,7 @@ def test_tree_inverse_matches_path_deleted_minors():
 def test_d_candidate_symmetry_and_class_count_property():
     rng = random.Random(29)
     # lazily, so that each tree is drawn right after the previous one's checks
-    trees = (_random_tree(rng, rng.randint(1, 4), -7, -1) for _ in range(12))
+    trees = (random_tree(rng, rng.randint(1, 4), -7, -1) for _ in range(12))
     for tree in itertools.chain(trees, [_star(-2, -2, -3, -5)]):  # a vertex of degree 3
         n = len(tree.vertices)
         f = form_from_tree(tree)

@@ -99,10 +99,14 @@ def test_surgery_terms_take_one_inverse_and_one_pairing(monkeypatch):
             calls[_name] += 1
             return _f(*args)
         monkeypatch.setattr(surgery.linalg, name, counted)
-    for term in (self_intersection, chern_evaluation):
+    for name, term in (
+        ("self_intersection", self_intersection),
+        ("chern_evaluation", chern_evaluation),
+        ("self_linking_shift", lambda p: self_linking_shift(3, p)),
+    ):
         calls.clear()
         term(p)
-        assert calls == {"inverse": 1, "pair": 1}, term.__name__
+        assert calls == {"inverse": 1, "pair": 1}, name
 
 
 def test_self_intersection_long_chain():
@@ -149,6 +153,16 @@ def test_self_linking_shift():
         p = l2d_presentation(d, rot=2)
         sl_t0 = 7  # arbitrary transverse representative upstairs
         assert self_linking_shift(sl_t0, p) == sl_t0 - d + d * d
+
+
+def test_self_linking_shift_is_the_two_terms():
+    # sl(T0) - c1[C] - [C]^2, with -c1[C] - [C]^2 = <rot - S, Q^-1 S> in one pairing
+    rng = random.Random(61)
+    for _ in range(300):
+        p = random_presentation(rng, max_components=6)
+        sl_t0 = rng.randint(-20, 20)
+        want = Fraction(sl_t0) - chern_evaluation(p) - self_intersection(p)
+        assert repr(self_linking_shift(sl_t0, p)) == repr(want), p
 
 
 def test_tau_qp_braid():
