@@ -8,6 +8,12 @@ Subcommands pick the pieces they need.  All rationals are printed as
 canonical fraction strings, never floats, and every table is sorted, so
 output is byte-for-byte reproducible.
 
+A call builds the argument parser of the one subcommand that its first
+argument names; ``-h``, an unknown word or no argument at all builds
+every subcommand's.  Both parsers give the same namespace, help and
+errors for that subcommand, and the one-command parser skips the set-up
+of the other seven.
+
 Exit codes: 0 success, 2 malformed input (schema), 3 mathematical
 precondition failure or a work limit exceeded, 4 regenerated golden table
 differs from the committed fixture, 5 internal error.
@@ -117,6 +123,23 @@ def _named(field: str, error=SchemaError):
         raise error(f"{field}: {e}")
 
 
+@contextmanager
+def _printing():
+    """Refuse an answer that Python will not print in plumbtau's words, keeping exit 3.
+
+    The block only turns numbers into text, and ``str`` of an int or a
+    Fraction fails only past ``sys.get_int_max_str_digits()``, which stays
+    as the interpreter has it.
+    """
+    try:
+        yield
+    except ValueError:
+        raise ValueError(
+            f"the answer has more than {sys.get_int_max_str_digits()} digits, the most that "
+            "Python prints; the environment variable PYTHONINTMAXSTRDIGITS raises that limit"
+        )
+
+
 def _checked(value, path: str, label: Optional[str] = None):
     check, message, _ = SCHEMA[path]
     if not check(value):
@@ -172,7 +195,9 @@ def build_form(doc: dict) -> IntersectionForm:
             edges=tuple((a, b) for a, b in edges),
             markings=dict(markings),
         )
-    return form_from_tree(tree)
+    # every command that reads a plumbing enumerates its short-vector box
+    with _named("plumbing", ValueError):
+        return form_from_tree(tree, check_box=True)
 
 
 def build_link(doc: dict, f: IntersectionForm) -> LeafLink:
@@ -286,9 +311,11 @@ def run_tau(args) -> dict:
     classes = select_classes(f, doc, args.spinc, "all")
     table = tau_table(f, link, classes)
     # one row per selected class: a subset may name a class twice
-    rows = [
-        {"rep": list(s.rep), "tau": str(table[s])} for s in sorted(classes, key=lambda s: s.rep)
-    ]
+    with _printing():
+        rows = [
+            {"rep": list(s.rep), "tau": str(table[s])}
+            for s in sorted(classes, key=lambda s: s.rep)
+        ]
     return {"command": "tau", "ell": link.ell, "classes": rows}
 
 
@@ -337,7 +364,8 @@ def run_surgery(args) -> dict:
             boundary=b.components,
         )
         value = surgery.tau_from_curve(curve)
-    return {"command": "surgery", "what": args.what, "value": str(value)}
+    with _printing():
+        return {"command": "surgery", "what": args.what, "value": str(value)}
 
 
 def run_tau_qp(args) -> dict:
@@ -345,13 +373,15 @@ def run_tau_qp(args) -> dict:
 
     with _named("braid", ValueError):
         b = surgery.BraidDatum(args.strands, args.writhe, args.components)
-    return {
-        "command": "tau-qp",
-        "strands": b.strands,
-        "writhe": b.writhe,
-        "components": b.components,
-        "tau": str(surgery.tau_qp_braid(b)),
-    }
+    tau = surgery.tau_qp_braid(b)
+    with _printing():
+        return {
+            "command": "tau-qp",
+            "strands": b.strands,
+            "writhe": b.writhe,
+            "components": b.components,
+            "tau": str(tau),
+        }
 
 
 def run_floer(args) -> dict:
@@ -388,12 +418,13 @@ def run_obstruct(args) -> dict:
     if check == "pl-genus":
         classes = select_classes(f, doc, None, "d0")
         bound = obstruct.pl_genus_lower_bound(profile, classes)
-        return {
-            "command": "obstruct",
-            "check": "pl_genus",
-            "genus": bound.genus,
-            "raw": str(bound.raw),
-        }
+        with _printing():
+            return {
+                "command": "obstruct",
+                "check": "pl_genus",
+                "genus": bound.genus,
+                "raw": str(bound.raw),
+            }
     if check == "concordance":
         classes = select_classes(f, doc, None, "d0")
         verdict = obstruct.concordance_obstruction(profile, classes)
@@ -413,7 +444,8 @@ def run_obstruct(args) -> dict:
     else:  # integrality
         s = _single_class(select_classes(f, doc, None, None), check)
         verdict = obstruct.integrality_obstruction(profile.tau_at(s))
-    return {"command": "obstruct", **verdict.to_json()}
+    with _printing():
+        return {"command": "obstruct", **verdict.to_json()}
 
 
 # --- golden tables ---------------------------------------------------------
@@ -489,75 +521,80 @@ def render(doc: dict, fmt: str) -> str:
 # --- argument parsing ------------------------------------------------------
 
 
-def _add_io(sub):
-    sub.add_argument("--input", default="-", help="input JSON document, - for stdin")
-    sub.add_argument("--format", choices=("json", "table"), default="json")
+_FORMAT = ("--format", {"choices": ("json", "table"), "default": "json"})
+_IO = (("--input", {"default": "-", "help": "input JSON document, - for stdin"}), _FORMAT)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _choice(flag: str, *choices: str):
+    return (flag, {"choices": choices, "required": True})
+
+
+def _integer(flag: str):
+    return (flag, {"type": int, "required": True})
+
+
+# name, help, arguments (flag or name, keywords), handler; in the order of
+# ``plumbtau --help``.  The handler is named, not held: ``build_parser`` reads
+# it from the module when it runs, so a rebinding of ``run_*`` is seen.
+SUBCOMMANDS = (
+    ("tau", "per-class tau table of a leaf-fibre link",
+     _IO + (("--spinc", {"default": None, "help": "all | d0 | representative like -3,0"}),),
+     "run_tau"),
+    ("dinv", "correction-term table of the boundary", _IO, "run_dinv"),
+    ("spinc", "spin-c classes and conjugation pairing", _IO, "run_spinc"),
+    ("surgery", "linking-matrix quantities of a presentation",
+     _IO + (_choice("--what", "self-int", "chern", "sl", "tau-curve"),),
+     "run_surgery"),
+    ("tau-qp", "tau of a quasi-positive braid closure",
+     (_integer("--strands"), _integer("--writhe"), _integer("--components"), _FORMAT),
+     "run_tau_qp"),
+    ("floer", "invariants of a filtered chain complex",
+     _IO + (_choice("--what", "d", "tau-top", "tau-bot", "verify"),),
+     "run_floer"),
+    ("obstruct", "obstruction verdicts from the tau profile",
+     _IO + (_choice("--check", "slice-bennequin", "metaboliser", "conjugation",
+                    "pl-genus", "integrality", "concordance"),),
+     "run_obstruct"),
+    ("paper-examples", "regenerate and diff the golden tables",
+     (("example", {"nargs": "?", "choices": EXAMPLE_NAMES, "default": None}), _FORMAT),
+     "run_paper_examples"),
+)
+COMMANDS = tuple(name for name, *_ in SUBCOMMANDS)
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone if it names one.
+
+    A one-command parser reads that command's argv to the same namespace,
+    help and errors as the full one, at a fraction of the set-up cost.
+    """
     parser = argparse.ArgumentParser(
         prog="plumbtau",
         description="Exact tau-invariants and Stein-filling obstructions "
         "for links in negative-definite plumbed rational homology spheres.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("tau", help="per-class tau table of a leaf-fibre link")
-    _add_io(p)
-    p.add_argument("--spinc", default=None, help="all | d0 | representative like -3,0")
-    p.set_defaults(handler=run_tau)
-
-    p = sub.add_parser("dinv", help="correction-term table of the boundary")
-    _add_io(p)
-    p.set_defaults(handler=run_dinv)
-
-    p = sub.add_parser("spinc", help="spin-c classes and conjugation pairing")
-    _add_io(p)
-    p.set_defaults(handler=run_spinc)
-
-    p = sub.add_parser("surgery", help="linking-matrix quantities of a presentation")
-    _add_io(p)
-    p.add_argument("--what", choices=("self-int", "chern", "sl", "tau-curve"), required=True)
-    p.set_defaults(handler=run_surgery)
-
-    p = sub.add_parser("tau-qp", help="tau of a quasi-positive braid closure")
-    p.add_argument("--strands", type=int, required=True)
-    p.add_argument("--writhe", type=int, required=True)
-    p.add_argument("--components", type=int, required=True)
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.set_defaults(handler=run_tau_qp)
-
-    p = sub.add_parser("floer", help="invariants of a filtered chain complex")
-    _add_io(p)
-    p.add_argument("--what", choices=("d", "tau-top", "tau-bot", "verify"), required=True)
-    p.set_defaults(handler=run_floer)
-
-    p = sub.add_parser("obstruct", help="obstruction verdicts from the tau profile")
-    _add_io(p)
-    p.add_argument(
-        "--check",
-        choices=(
-            "slice-bennequin",
-            "metaboliser",
-            "conjugation",
-            "pl-genus",
-            "integrality",
-            "concordance",
-        ),
-        required=True,
-    )
-    p.set_defaults(handler=run_obstruct)
-
-    p = sub.add_parser("paper-examples", help="regenerate and diff the golden tables")
-    p.add_argument("example", nargs="?", choices=EXAMPLE_NAMES, default=None)
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.set_defaults(handler=run_paper_examples)
-
+    if command in COMMANDS:
+        # the usage line of an error still lists every command
+        sub = parser.add_subparsers(
+            dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}"
+        )
+    else:
+        # no metavar: errors name the argument "command", as they always have
+        command = None
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name, summary, arguments, handler in SUBCOMMANDS:
+        if command in (None, name):
+            p = sub.add_parser(name, help=summary)
+            for flag, keywords in arguments:
+                p.add_argument(flag, **keywords)
+            p.set_defaults(handler=globals()[handler])
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         doc = args.handler(args)
     except SchemaError as e:

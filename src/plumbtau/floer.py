@@ -148,23 +148,19 @@ class AxiomReport(NamedTuple):
     failures: tuple[str, ...]
 
 
-def _graded_d2_failures(c: FloerComplex) -> Iterator[str]:
-    """Failures of the grading law, else of d^2 = 0, lazily and in sorted order.
-
-    The d^2 rows are built one source at a time, so the first failure
-    costs one row, not the whole square.
-    """
-    graded = True
+def _ungraded(c: FloerComplex) -> Iterator[tuple[str, str, int]]:
+    """Entries x -> y pow m that break the grading law, in sorted order."""
     for (x, y), m in sorted(c.entries.items()):
         if c.gradings[y] - 2 * m != c.gradings[x] - 1:
-            graded = False
-            yield (
-                f"grading: entry {x} -> {y} pow {m} has gr {c.gradings[y]} - 2*{m}"
-                f" != gr {c.gradings[x]} - 1"
-            )
-    if not graded:
-        return
-    # d^2 = 0 over F2[U]: compose entries and cancel mod 2
+            yield x, y, m
+
+
+def _d2_rows(c: FloerComplex) -> Iterator[tuple[str, list[str]]]:
+    """Each source x in name order, with the z that survive in d(d(x)), unsorted.
+
+    Over F2[U] with the grading law the exponent of every composite x -> z
+    is pinned, so a z survives when an odd number of paths reach it.
+    """
     outgoing: dict[str, list[str]] = {}
     for x, y in c.entries:
         outgoing.setdefault(x, []).append(y)
@@ -173,9 +169,31 @@ def _graded_d2_failures(c: FloerComplex) -> Iterator[str]:
         for y in outgoing[x]:
             for z in outgoing.get(y, ()):
                 row[z] = row.get(z, 0) ^ 1
-                # the grading pins the exponent m + n, so parity is enough
-        for z in sorted(z for z, parity in row.items() if parity):
-            yield f"d_squared: d(d({x})) has a surviving {z} term"
+        yield x, [z for z, parity in row.items() if parity]
+
+
+def _graded_d2_failures(c: FloerComplex) -> Iterator[str]:
+    """Failures of the grading law, else of d^2 = 0, lazily and in sorted order.
+
+    The d^2 rows are built one source at a time, so the first failure
+    costs one row, not the whole square.
+    """
+    graded = True
+    for x, y, m in _ungraded(c):
+        graded = False
+        yield (
+            f"grading: entry {x} -> {y} pow {m} has gr {c.gradings[y]} - 2*{m}"
+            f" != gr {c.gradings[x]} - 1"
+        )
+    if graded:
+        for x, survivors in _d2_rows(c):
+            for z in sorted(survivors):
+                yield f"d_squared: d(d({x})) has a surviving {z} term"
+
+
+def _failure_count(c: FloerComplex) -> int:
+    """How many failures ``_graded_d2_failures`` yields, none of them formatted."""
+    return sum(1 for _ in _ungraded(c)) or sum(len(zs) for _, zs in _d2_rows(c))
 
 
 def verify_axioms(c: FloerComplex) -> AxiomReport:
@@ -184,11 +202,11 @@ def verify_axioms(c: FloerComplex) -> AxiomReport:
     The first ``MAX_LISTED_FAILURES`` failures are listed, then one line
     ``... and N more failures`` if there are more.
     """
-    found = _graded_d2_failures(c)
-    failures = list(islice(found, MAX_LISTED_FAILURES))
-    more = sum(1 for _ in found)
-    if more:
-        failures.append(f"... and {more} more failures")
+    failures = list(islice(_graded_d2_failures(c), MAX_LISTED_FAILURES))
+    if len(failures) == MAX_LISTED_FAILURES:
+        more = _failure_count(c) - MAX_LISTED_FAILURES
+        if more:
+            failures.append(f"... and {more} more failures")
     if not failures:
         rank, power = len(_eliminate(c)[0]), c.basepoints - 1
         # 2^power is built only while it could equal the rank, at most #generators

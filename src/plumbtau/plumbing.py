@@ -12,11 +12,12 @@ which makes all the enumerations below finite and exact.
 from __future__ import annotations
 
 import itertools
+import sys
 from functools import cached_property
 from fractions import Fraction
 from math import isqrt, prod
 from operator import mul
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import linalg
 
@@ -173,8 +174,12 @@ class IntersectionForm(_Frozen):
         return self.order.index(vertex_id)
 
     def require_negative_definite(self):
-        if not self.negative_definite:
-            raise ValueError("intersection form is not negative definite")
+        _require_definite(self.negative_definite)
+
+
+def _require_definite(negative_definite: bool) -> None:
+    if not negative_definite:
+        raise ValueError("intersection form is not negative definite")
 
 
 def _tree_negative_definite(t: PlumbingTree) -> bool:
@@ -206,8 +211,16 @@ def _tree_negative_definite(t: PlumbingTree) -> bool:
     return True
 
 
-def form_from_tree(t: PlumbingTree) -> IntersectionForm:
-    """Intersection form of a plumbing tree: weights on the diagonal, 1 per edge."""
+def form_from_tree(t: PlumbingTree, check_box: bool = False) -> IntersectionForm:
+    """Intersection form of a plumbing tree: weights on the diagonal, 1 per edge.
+
+    With ``check_box``, first raise what ``short_char_vectors`` would raise
+    on the form, from the tree alone: a form that is refused at once costs
+    no n x n matrix.
+    """
+    negative_definite = _tree_negative_definite(t)
+    if check_box:
+        _require_box(negative_definite, (w for _, w in t.vertices))
     order = tuple(v for v, _ in t.vertices)
     idx = {v: i for i, v in enumerate(order)}
     n = len(order)
@@ -225,7 +238,7 @@ def form_from_tree(t: PlumbingTree) -> IntersectionForm:
     return IntersectionForm(
         q=tuple(q),
         order=order,
-        negative_definite=_tree_negative_definite(t),
+        negative_definite=negative_definite,
         tree=t,
     )
 
@@ -236,14 +249,23 @@ def is_characteristic(f: IntersectionForm, kappa: Sequence[int]) -> bool:
     )
 
 
+def _require_box(negative_definite: bool, weights: Iterable[int]) -> None:
+    """Refuse an indefinite form, then a box of more than ``MAX_BOX`` vectors."""
+    _require_definite(negative_definite)
+    size = prod(-a for a in weights)
+    if size > MAX_BOX:
+        try:
+            shown = str(size)
+        except ValueError:  # more digits than sys.get_int_max_str_digits() converts
+            shown = f"at least 10^{sys.get_int_max_str_digits()}"
+        raise ValueError(
+            f"the short-vector box holds {shown} vectors, above the limit of {MAX_BOX}"
+        )
+
+
 def short_char_vectors(f: IntersectionForm) -> list[tuple[int, ...]]:
     """All characteristic vectors in the box a_i + 2 <= kappa_i <= -a_i, lex order."""
-    f.require_negative_definite()
-    size = prod(-f.q[i][i] for i in range(f.n))
-    if size > MAX_BOX:
-        raise ValueError(
-            f"the short-vector box holds {size} vectors, above the limit of {MAX_BOX}"
-        )
+    _require_box(f.negative_definite, (f.q[i][i] for i in range(f.n)))
     ranges = []
     for i in range(f.n):
         a = f.q[i][i]

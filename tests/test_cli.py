@@ -1,10 +1,12 @@
 import argparse
 import ast
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -162,6 +164,34 @@ def test_floer_commands(tmp_path, capsys):
         assert rc == 0 and time.perf_counter() - start < 1.0
         doc = json.loads(out)
         assert not doc["ok"] and doc["failures"] == [f"rank: homology has 1 towers, expected {want}"]
+
+
+def test_floer_verify_counts_what_it_does_not_list(tmp_path, capsys):
+    # the star a_i -> b -> c_j of 2,000 entries has 10^6 d^2 failures: the
+    # first 100 are listed and the other 999,900 only counted
+    sources, targets = [f"a{i}" for i in range(1000)], [f"c{j}" for j in range(1000)]
+    lines = (
+        [f"{x} 2 0" for x in sources] + ["b 1 0"] + [f"{z} 0 0" for z in targets]
+        + [f"{x} -> b" for x in sources] + [f"b -> {z}" for z in targets]
+    )
+    path = write_doc(tmp_path, {"floer_complex": lines})
+    listed = [f"d_squared: d(d(a0)) has a surviving {z} term" for z in sorted(targets)[:100]]
+    outputs = {}
+    for fmt, sha1 in (
+        ("json", "1db15855e23510695c21ff274e9eeead377cfe1f"),
+        ("table", "ed75d0a2bae6d36e73ac1e9043b6062f1add56d8"),
+    ):
+        rc, outputs[fmt], err = run_cli(
+            capsys, "floer", "--input", path, "--what", "verify", "--format", fmt
+        )
+        assert rc == 0 and err == ""
+        assert hashlib.sha1(outputs[fmt].encode()).hexdigest() == sha1, fmt
+    assert json.loads(outputs["json"]) == {
+        "command": "floer",
+        "what": "verify",
+        "ok": False,
+        "failures": listed + ["... and 999900 more failures"],
+    }
 
 
 def test_obstruct_commands(tmp_path, capsys):
@@ -390,6 +420,74 @@ def test_short_vector_box_limit(tmp_path, capsys, monkeypatch):
     assert rc == 3 and "20 vectors" in err
 
 
+def test_box_limit_answers_before_the_matrix(tmp_path, capsys):
+    # the (-2) chain of 2,000 vertices: the dense Q alone would be 4 * 10^6 entries
+    n = 2000
+    chain = {
+        "vertices": [[f"v{i}", -2] for i in range(n)],
+        "edges": [[f"v{i}", f"v{i + 1}"] for i in range(n - 1)],
+    }
+    path = write_doc(tmp_path, {"plumbing": chain})
+    tracemalloc.start()
+    try:
+        rc, out, err = run_cli(capsys, "dinv", "--input", path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3 and out == ""
+    assert err == (
+        f"plumbtau: plumbing: the short-vector box holds {2**n} vectors, "
+        f"above the limit of {plumbing.MAX_BOX}\n"
+    )
+    assert peak < 8 * 2**20, peak  # the n x n tuples would take over 32 MB
+    # definiteness is still checked first, with today's message
+    chain["vertices"][0][1] = 5
+    rc, _, err = run_cli(capsys, "dinv", "--input", write_doc(tmp_path, {"plumbing": chain}))
+    assert (rc, err) == (3, "plumbtau: plumbing: intersection form is not negative definite\n")
+
+
+def test_box_size_past_the_digit_limit(tmp_path, capsys):
+    # 2^15,000 has 4,516 digits, more than Python converts by default
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not 0 < limit < 4516:
+        pytest.skip("the interpreter prints 2^15000")
+    n = 15_000
+    chain = {
+        "vertices": [[f"v{i}", -2] for i in range(n)],
+        "edges": [[f"v{i}", f"v{i + 1}"] for i in range(n - 1)],
+    }
+    rc, out, err = run_cli(capsys, "spinc", "--input", write_doc(tmp_path, {"plumbing": chain}))
+    assert rc == 3 and out == ""
+    assert err == (
+        f"plumbtau: plumbing: the short-vector box holds at least 10^{limit} vectors, "
+        f"above the limit of {plumbing.MAX_BOX}\n"
+    )
+
+
+def test_answer_past_the_digit_limit(tmp_path, capsys):
+    # one (-5)-framed component and a link vector of 3,000 digits: the
+    # self-intersection -v^2/5 has about 6,000
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not 0 < limit < 5999:
+        pytest.skip("the interpreter prints the answer")
+    node = {
+        "components": [{"kind": "surgery", "tb": -4, "rot": 0}],
+        "linking": [[0]],
+        "link_components": [[10**2999]],
+    }
+    path = write_doc(tmp_path, {"surgery": node})
+    rc, out, err = run_cli(capsys, *SELF_INT, "--input", path)
+    assert rc == 3 and out == ""
+    assert err == (
+        f"plumbtau: the answer has more than {limit} digits, the most that Python prints; "
+        "the environment variable PYTHONINTMAXSTRDIGITS raises that limit\n"
+    )
+    assert sys.get_int_max_str_digits() == limit  # the interpreter keeps its limit
+    # the same vector is fine where the answer is short
+    rc, out, _ = run_cli(capsys, "surgery", "--what", "chern", "--input", path)
+    assert rc == 0 and json.loads(out)["value"] == "0"
+
+
 def test_metaboliser_search_limit(tmp_path, capsys):
     # the (-6; -2 x 10) star: |H_1| = 1,024 with 2-rank 10, whose search
     # would run for minutes without the limit
@@ -514,3 +612,57 @@ def test_paper_examples_choices():
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     example = next(a for a in sub.choices["paper-examples"]._actions if a.dest == "example")
     assert example.choices == paper.EXAMPLE_NAMES == tuple(paper.GOLDEN_GENERATORS)
+
+
+# argv whose parse the one-command parser must repeat byte for byte
+PARSES = (
+    [[name, "-h"] for name in cli.COMMANDS]
+    + [
+        ["surgery"],  # a required flag is missing
+        ["tau-qp", "--strands", "2", "--writhe", "3"],
+        ["surgery", "--what", "nope"],  # a bad choice
+        ["floer", "--what", "tau"],
+        ["obstruct", "--check", "genus"],
+        ["dinv", "--format", "xml"],
+        ["paper-examples", "nope"],
+        ["tau-qp", "--strands", "two", "--writhe", "3", "--components", "1"],
+        ["tau", "--input", "-", "junk"],  # an unrecognised extra argument
+        ["spinc", "--spinc", "d0"],
+        [],  # no command, an unknown one, or help first
+        ["nope"],
+        ["-h", "tau"],
+        ["--help"],
+        ["tau", "--input", "doc.json", "--spinc=-3,0", "--format", "table"],  # parses
+        ["tau-qp", "--strands", "2", "--writhe", "3", "--components", "1"],
+        ["paper-examples", paper.EXAMPLE_NAMES[0]],
+        ["floer", "--what", "tau-bot"],
+    ]
+)
+
+
+def _parse(parser, argv, capsys):
+    try:
+        result = parser.parse_args(argv)
+    except SystemExit as e:
+        result = ("exit", e.code)
+    return result, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARSES, ids=" ".join)
+def test_one_command_parser_agrees_with_full_parser(argv, capsys):
+    one = cli.build_parser(argv[0] if argv else None)
+    sub = next(a for a in one._actions if isinstance(a, argparse._SubParsersAction))
+    named = bool(argv) and argv[0] in cli.COMMANDS
+    assert list(sub.choices) == ([argv[0]] if named else list(cli.COMMANDS))
+    assert _parse(one, argv, capsys) == _parse(cli.build_parser(), argv, capsys)
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    argv = ["tau-qp", "--strands", "2", "--writhe", "3", "--components", "1"]
+    monkeypatch.setattr(sys, "argv", ["plumbtau", *argv])
+    assert (main(), *capsys.readouterr()) == (main(argv), *capsys.readouterr())
+    monkeypatch.setattr(sys, "argv", ["plumbtau", "nope"])
+    with pytest.raises(SystemExit) as exit_:
+        main()
+    assert exit_.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
