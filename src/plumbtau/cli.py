@@ -185,7 +185,7 @@ def load_document(path: str) -> dict:
 
 
 def build_form(doc: dict) -> IntersectionForm:
-    from .plumbing import PlumbingTree, form_from_tree
+    from .plumbing import PlumbingTree, form_from_tree, require_box
 
     node = _value(doc, "plumbing")
     vertices, edges, markings = _fields(node, "plumbing", "vertices", "edges", "markings")
@@ -195,9 +195,11 @@ def build_form(doc: dict) -> IntersectionForm:
             edges=tuple((a, b) for a, b in edges),
             markings=dict(markings),
         )
-    # every command that reads a plumbing enumerates its short-vector box
+    # every command that reads a plumbing enumerates its short-vector box, so
+    # a refused one is reported before the rest of the document is read
     with _named("plumbing", ValueError):
-        return form_from_tree(tree, check_box=True)
+        require_box(tree)
+    return form_from_tree(tree)
 
 
 def build_link(doc: dict, f: IntersectionForm) -> LeafLink:
@@ -521,45 +523,12 @@ def render(doc: dict, fmt: str) -> str:
 # --- argument parsing ------------------------------------------------------
 
 
-_FORMAT = ("--format", {"choices": ("json", "table"), "default": "json"})
-_IO = (("--input", {"default": "-", "help": "input JSON document, - for stdin"}), _FORMAT)
+COMMANDS = ("tau", "dinv", "spinc", "surgery", "tau-qp", "floer", "obstruct", "paper-examples")
 
 
-def _choice(flag: str, *choices: str):
-    return (flag, {"choices": choices, "required": True})
-
-
-def _integer(flag: str):
-    return (flag, {"type": int, "required": True})
-
-
-# name, help, arguments (flag or name, keywords), handler; in the order of
-# ``plumbtau --help``.  The handler is named, not held: ``build_parser`` reads
-# it from the module when it runs, so a rebinding of ``run_*`` is seen.
-SUBCOMMANDS = (
-    ("tau", "per-class tau table of a leaf-fibre link",
-     _IO + (("--spinc", {"default": None, "help": "all | d0 | representative like -3,0"}),),
-     "run_tau"),
-    ("dinv", "correction-term table of the boundary", _IO, "run_dinv"),
-    ("spinc", "spin-c classes and conjugation pairing", _IO, "run_spinc"),
-    ("surgery", "linking-matrix quantities of a presentation",
-     _IO + (_choice("--what", "self-int", "chern", "sl", "tau-curve"),),
-     "run_surgery"),
-    ("tau-qp", "tau of a quasi-positive braid closure",
-     (_integer("--strands"), _integer("--writhe"), _integer("--components"), _FORMAT),
-     "run_tau_qp"),
-    ("floer", "invariants of a filtered chain complex",
-     _IO + (_choice("--what", "d", "tau-top", "tau-bot", "verify"),),
-     "run_floer"),
-    ("obstruct", "obstruction verdicts from the tau profile",
-     _IO + (_choice("--check", "slice-bennequin", "metaboliser", "conjugation",
-                    "pl-genus", "integrality", "concordance"),),
-     "run_obstruct"),
-    ("paper-examples", "regenerate and diff the golden tables",
-     (("example", {"nargs": "?", "choices": EXAMPLE_NAMES, "default": None}), _FORMAT),
-     "run_paper_examples"),
-)
-COMMANDS = tuple(name for name, *_ in SUBCOMMANDS)
+def _add_io(sub):
+    sub.add_argument("--input", default="-", help="input JSON document, - for stdin")
+    sub.add_argument("--format", choices=("json", "table"), default="json")
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
@@ -582,12 +551,66 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         # no metavar: errors name the argument "command", as they always have
         command = None
         sub = parser.add_subparsers(dest="command", required=True)
-    for name, summary, arguments, handler in SUBCOMMANDS:
-        if command in (None, name):
-            p = sub.add_parser(name, help=summary)
-            for flag, keywords in arguments:
-                p.add_argument(flag, **keywords)
-            p.set_defaults(handler=globals()[handler])
+
+    if command in (None, "tau"):
+        p = sub.add_parser("tau", help="per-class tau table of a leaf-fibre link")
+        _add_io(p)
+        p.add_argument("--spinc", default=None, help="all | d0 | representative like -3,0")
+        p.set_defaults(handler=run_tau)
+
+    if command in (None, "dinv"):
+        p = sub.add_parser("dinv", help="correction-term table of the boundary")
+        _add_io(p)
+        p.set_defaults(handler=run_dinv)
+
+    if command in (None, "spinc"):
+        p = sub.add_parser("spinc", help="spin-c classes and conjugation pairing")
+        _add_io(p)
+        p.set_defaults(handler=run_spinc)
+
+    if command in (None, "surgery"):
+        p = sub.add_parser("surgery", help="linking-matrix quantities of a presentation")
+        _add_io(p)
+        p.add_argument("--what", choices=("self-int", "chern", "sl", "tau-curve"), required=True)
+        p.set_defaults(handler=run_surgery)
+
+    if command in (None, "tau-qp"):
+        p = sub.add_parser("tau-qp", help="tau of a quasi-positive braid closure")
+        p.add_argument("--strands", type=int, required=True)
+        p.add_argument("--writhe", type=int, required=True)
+        p.add_argument("--components", type=int, required=True)
+        p.add_argument("--format", choices=("json", "table"), default="json")
+        p.set_defaults(handler=run_tau_qp)
+
+    if command in (None, "floer"):
+        p = sub.add_parser("floer", help="invariants of a filtered chain complex")
+        _add_io(p)
+        p.add_argument("--what", choices=("d", "tau-top", "tau-bot", "verify"), required=True)
+        p.set_defaults(handler=run_floer)
+
+    if command in (None, "obstruct"):
+        p = sub.add_parser("obstruct", help="obstruction verdicts from the tau profile")
+        _add_io(p)
+        p.add_argument(
+            "--check",
+            choices=(
+                "slice-bennequin",
+                "metaboliser",
+                "conjugation",
+                "pl-genus",
+                "integrality",
+                "concordance",
+            ),
+            required=True,
+        )
+        p.set_defaults(handler=run_obstruct)
+
+    if command in (None, "paper-examples"):
+        p = sub.add_parser("paper-examples", help="regenerate and diff the golden tables")
+        p.add_argument("example", nargs="?", choices=EXAMPLE_NAMES, default=None)
+        p.add_argument("--format", choices=("json", "table"), default="json")
+        p.set_defaults(handler=run_paper_examples)
+
     return parser
 
 

@@ -211,16 +211,16 @@ def _tree_negative_definite(t: PlumbingTree) -> bool:
     return True
 
 
-def form_from_tree(t: PlumbingTree, check_box: bool = False) -> IntersectionForm:
-    """Intersection form of a plumbing tree: weights on the diagonal, 1 per edge.
+def require_box(t: PlumbingTree) -> None:
+    """Raise what ``short_char_vectors`` would raise on the tree's form, from the tree alone.
 
-    With ``check_box``, first raise what ``short_char_vectors`` would raise
-    on the form, from the tree alone: a form that is refused at once costs
-    no n x n matrix.
+    A plumbing refused here costs no n x n matrix.
     """
-    negative_definite = _tree_negative_definite(t)
-    if check_box:
-        _require_box(negative_definite, (w for _, w in t.vertices))
+    _require_box(_tree_negative_definite(t), (w for _, w in t.vertices))
+
+
+def form_from_tree(t: PlumbingTree) -> IntersectionForm:
+    """Intersection form of a plumbing tree: weights on the diagonal, 1 per edge."""
     order = tuple(v for v, _ in t.vertices)
     idx = {v: i for i, v in enumerate(order)}
     n = len(order)
@@ -238,7 +238,7 @@ def form_from_tree(t: PlumbingTree, check_box: bool = False) -> IntersectionForm
     return IntersectionForm(
         q=tuple(q),
         order=order,
-        negative_definite=negative_definite,
+        negative_definite=_tree_negative_definite(t),
         tree=t,
     )
 

@@ -267,6 +267,13 @@ VERTICES = "plumbing.vertices: must be a list of [id, weight] pairs"
 TB_ROT = "surgery.components: tb and rot must be integers"
 NEEDS_BRAID = "surgery.braid: field is required for this computation"
 SELECT = "must be 'all', 'd0', or a non-empty list of integer representatives"
+WIDE = {  # the (-40)x4 chain, whose short-vector box is over the limit
+    "vertices": [[f"v{i}", -40] for i in range(1, 5)],
+    "edges": [["v1", "v2"], ["v2", "v3"], ["v3", "v4"]],
+}
+BOX = "plumbing: the short-vector box holds 2560000 vectors, above the limit of 100000"
+INDEFINITE = {"vertices": [["v1", 5]]}
+DEFINITE = "plumbing: intersection form is not negative definite"
 
 
 def tau_doc(**fields):
@@ -357,6 +364,13 @@ SCHEMA_CASES = [
     (["obstruct", "--check", "integrality"], tau_doc(), 2, f"subset: {SELECT}"),
     (SLICE, {**SLICE_DOC, "subset": "d0", "surgery": {"braid": BRAID}}, 2,
      "subset: the slice-bennequin check needs exactly one spin-c class"),
+    # a refused plumbing is reported before the faults above in the rest of the document
+    (TAU, {"plumbing": WIDE, "leaf_link": {"v1": "3"}}, 3, BOX),
+    (TAU, {"plumbing": WIDE, "leaf_link": {"v9": 1}}, 3, BOX),
+    (TAU, {"plumbing": WIDE}, 3, BOX),
+    (TAU + ["--spinc", "1,,2"], {"plumbing": WIDE, "leaf_link": {"v1": 1}}, 3, BOX),
+    (TAU, {"plumbing": INDEFINITE, "leaf_link": {"v1": 1}, "subset": "x"}, 3, DEFINITE),
+    (SLICE, {**SLICE_DOC, "plumbing": INDEFINITE}, 3, DEFINITE),
 ]
 
 
@@ -440,7 +454,7 @@ def test_box_limit_answers_before_the_matrix(tmp_path, capsys):
         f"above the limit of {plumbing.MAX_BOX}\n"
     )
     assert peak < 8 * 2**20, peak  # the n x n tuples would take over 32 MB
-    # definiteness is still checked first, with today's message
+    # definiteness is checked before the box size
     chain["vertices"][0][1] = 5
     rc, _, err = run_cli(capsys, "dinv", "--input", write_doc(tmp_path, {"plumbing": chain}))
     assert (rc, err) == (3, "plumbtau: plumbing: intersection form is not negative definite\n")
