@@ -11,18 +11,20 @@ domain F2[U] (elimination with the globally U-minimal pivot is Smith
 normal form: each cancelled pair contributes either nothing or one
 U-power torsion summand, and the untouched generators are the free
 towers).  The elimination is indexed: it keeps each generator's
-outgoing and incoming entries and pops the globally U-minimal pivot
-from a heap, so a row or column operation touches only the entries it
-changes.
+targets and sources as sets of names, derives every exponent from the
+gradings, and pops the globally U-minimal pivot from a heap, so a row
+or column operation touches only the entries it changes.
 
 Setting U = 0 gives the hat complex over F2.  The tower classes reduce
 to independent nonzero classes there; the top and bottom reductions
 are the distinguished classes used to test cycles for theta support.
-The tau invariants of an Alexander-type filtration are the smallest
-level whose hat subcomplex contains a qualifying cycle.  One pass finds
-it: the generators of the relevant grading enter one F2 echelon in
-level order, each dependency closes a new cycle, and the first cycle
-that qualifies fixes the level.
+Nothing downstream reads more of a tower cycle than its reduction, so
+the elimination tracks only that: a basis change by U^delta with
+delta > 0 leaves every reduction as it was.  The tau invariants of an
+Alexander-type filtration are the smallest level whose hat subcomplex
+contains a qualifying cycle.  One pass finds it: the generators of the
+relevant grading enter one F2 echelon in level order, each dependency
+closes a new cycle, and the first cycle that qualifies fixes the level.
 """
 
 from __future__ import annotations
@@ -127,32 +129,21 @@ class AlexanderFiltration(NamedTuple):
                 )
 
 
-class Tower(NamedTuple):
-    """Free summand of the homology: a cycle whose class generates F2[U]."""
-
-    grading: int
-    chain: tuple[tuple[str, int], ...]  # (generator, U-exponent) pairs
-
-
-class HomologyDecomposition(NamedTuple):
-    towers: tuple[Tower, ...]
-    torsion: tuple[tuple[int, int], ...]  # (grading, U-power) pairs
-
-    @property
-    def rank(self) -> int:
-        return len(self.towers)
-
-
 class AxiomReport(NamedTuple):
     ok: bool
     failures: tuple[str, ...]
 
 
-def _ungraded(c: FloerComplex) -> Iterator[tuple[str, str, int]]:
-    """Entries x -> y pow m that break the grading law, in sorted order."""
-    for (x, y), m in sorted(c.entries.items()):
-        if c.gradings[y] - 2 * m != c.gradings[x] - 1:
-            yield x, y, m
+def _ungraded(c: FloerComplex) -> list[tuple[str, str, int]]:
+    """Entries x -> y pow m that break the grading law, in sorted order.
+
+    The scan runs in entry order and only the failures are sorted, so a
+    graded complex costs no sort.
+    """
+    gr = c.gradings
+    return sorted(
+        (x, y, m) for (x, y), m in c.entries.items() if gr[y] - 2 * m != gr[x] - 1
+    )
 
 
 def _d2_rows(c: FloerComplex) -> Iterator[tuple[str, list[str]]]:
@@ -193,7 +184,7 @@ def _graded_d2_failures(c: FloerComplex) -> Iterator[str]:
 
 def _failure_count(c: FloerComplex) -> int:
     """How many failures ``_graded_d2_failures`` yields, none of them formatted."""
-    return sum(1 for _ in _ungraded(c)) or sum(len(zs) for _, zs in _d2_rows(c))
+    return len(_ungraded(c)) or sum(len(zs) for _, zs in _d2_rows(c))
 
 
 def verify_axioms(c: FloerComplex) -> AxiomReport:
@@ -223,28 +214,42 @@ def _require_valid(c: FloerComplex) -> None:
         raise ValueError(failure)
 
 
-def _shift(chain: frozenset, delta: int) -> frozenset:
-    return frozenset((g, e + delta) for g, e in chain)
-
-
-def _decompose(c: FloerComplex) -> tuple[list[tuple[int, frozenset]], list[tuple[int, int]]]:
+def _decompose(c: FloerComplex) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """Check the complex, then cancel it down to towers and torsion (``_eliminate``)."""
     _require_valid(c)
     return _eliminate(c)
 
 
-def _eliminate(c: FloerComplex) -> tuple[list[tuple[int, frozenset]], list[tuple[int, int]]]:
-    """Gaussian cancellation over F2[U], tracking cycle representatives.
+def _eliminate(c: FloerComplex) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Gaussian cancellation over F2[U], tracking the hat part of each cycle.
 
     The complex must satisfy the grading law and d^2 = 0.  Returns
-    (towers, torsion) where each tower is (grading, chain in the
-    original basis) and each torsion summand is (grading, U-power).
+    (towers, torsion).  Each tower is (grading, hat reduction of its
+    cycle), the reduction a bitmask whose bit i stands for
+    ``c.generators[i]``; towers are sorted by grading, highest first, then
+    by mask.  Each torsion summand is (grading, U-power).
+
+    Rows are sets: ``out[x]`` holds the targets of x and ``inn[y]`` the
+    sources of y.  No exponent is stored.  The grading law pins that of
+    x -> y to (gr y - gr x + 1) / 2, and it holds throughout: every caller
+    checks it first (``_decompose`` and ``verify_axioms``), and graded
+    basis changes keep it.
+
+    A representative is kept only as its hat reduction.  The pivot is a
+    globally U-minimal entry x -> y pow a, so every other source w of y
+    has an entry w -> y pow k with k >= a, and the column clear
+    w <- w + U^delta x shifts by delta = k - a >= 0.  A shift by delta > 0
+    puts nothing at exponent 0, so the reduction of w gains that of x
+    exactly when delta = 0, that is when gr w = gr x.  The row clear
+    changes only the representative of y, which leaves with x and is
+    never read again.
     """
-    out: dict[str, dict[str, int]] = {g: {} for g in c.generators}
-    inn: dict[str, dict[str, int]] = {g: {} for g in c.generators}
-    for (x, y), m in c.entries.items():
-        out[x][y] = m
-        inn[y][x] = m
+    gr = c.gradings
+    out: dict[str, set[str]] = {g: set() for g in c.generators}
+    inn: dict[str, set[str]] = {g: set() for g in c.generators}
+    for x, y in c.entries:
+        out[x].add(y)
+        inn[y].add(x)
     # Pivots pop in (m, x, y) order: the globally U-minimal entry, which
     # keeps every elimination inside F2[U], ties broken by name.  This is
     # the order of a plain minimum over all entries, kept on purpose: it
@@ -255,75 +260,61 @@ def _eliminate(c: FloerComplex) -> tuple[list[tuple[int, frozenset]], list[tuple
     # ``out`` is the only check needed.
     heap = [(m, x, y) for (x, y), m in c.entries.items()]
     heapq.heapify(heap)
-
-    def toggle(x: str, y: str, m: int) -> None:
-        row = out[x]
-        if y in row:
-            # the grading pins the exponent, so a collision must agree
-            if row[y] != m:
-                raise RuntimeError(f"entry {x} -> {y} met with U-powers {row[y]} and {m}")
-            del row[y]
-            del inn[y][x]
-        else:
-            row[y] = m
-            inn[y][x] = m
-            heapq.heappush(heap, (m, x, y))
-
-    reps: dict[str, frozenset] = {g: frozenset({(g, 0)}) for g in c.generators}
+    pop, push = heapq.heappop, heapq.heappush
+    hat = {g: 1 << i for i, g in enumerate(c.generators)}
     alive = set(c.generators)
     torsion: list[tuple[int, int]] = []
     while heap:
-        a, x, y = heapq.heappop(heap)
-        if y not in out[x]:
+        a, x, y = pop(heap)
+        targets = out[x]
+        if y not in targets:
             continue
+        targets.discard(y)
+        sources = inn[y]
+        sources.discard(x)
+        gx = gr[x]
         # clear the column of y: each other source w becomes w + U^delta x,
-        # so its row gains a shifted row of x and arrows into w gain a
-        # shifted copy into x
-        for w, k in list(inn[y].items()):
-            if w == x:
-                continue
-            delta = k - a
-            for z, m in list(out[x].items()):
-                toggle(w, z, m + delta)
-            for v, n in list(inn[w].items()):
-                toggle(v, x, n + delta)
-            reps[w] = reps[w] ^ _shift(reps[x], delta)
-        # clear the row of x: fold the remaining targets into y
-        for z, m in list(out[x].items()):
-            if z == y:
-                continue
-            delta = m - a
-            reps[y] = reps[y] ^ _shift(reps[z], delta)
-            for t, n in list(out[z].items()):
-                toggle(y, t, n + delta)
-            del out[x][z]
-            del inn[z][x]
-        # d^2 = 0 now forces the pair to split off: y is a cycle and
-        # nothing maps to x
-        if inn[x]:
+        # so w loses y and its row gains the other targets of x
+        incoming = set(inn[x])
+        for w in sources:
+            row = out[w]
+            row.discard(y)
+            gw = gr[w]
+            for z in targets:
+                if z in row:
+                    row.discard(z)
+                    inn[z].discard(w)
+                else:
+                    row.add(z)
+                    inn[z].add(w)
+                    push(heap, ((gr[z] - gw + 1) // 2, w, z))
+            if gw == gx:
+                hat[w] ^= hat[x]
+            incoming ^= inn[w]
+        # the same change gives each source v of w an arrow v -> x, and
+        # d^2 = 0 makes these cancel the arrows into x: nothing maps to x
+        if incoming:
             raise RuntimeError(f"incoming arrow to the pivot source {x}")
-        if out[y]:
+        for v in inn[x]:
+            out[v].discard(x)
+        # clear the row of x: y <- y + sum of U^delta z over its other
+        # targets z, and d^2 = 0 makes the new y a cycle
+        outgoing = set(out[y])
+        for z in targets:
+            outgoing ^= out[z]
+            inn[z].discard(x)
+        if outgoing:
             raise RuntimeError(f"pivot target {y} is not a cycle")
-        del out[x][y]
-        del inn[y][x]
-        alive.discard(x)
-        alive.discard(y)
+        for t in out[y]:
+            inn[t].discard(y)
+        for g in (x, y):
+            out[g].clear()
+            inn[g].clear()
+            alive.discard(g)
         if a >= 1:
-            torsion.append((c.gradings[y], a))
-    towers = sorted(
-        ((c.gradings[g], reps[g]) for g in alive),
-        key=lambda t: (-t[0], sorted(t[1])),
-    )
+            torsion.append((gr[y], a))
+    towers = sorted(((gr[g], hat[g]) for g in alive), key=lambda t: (-t[0], t[1]))
     return towers, sorted(torsion, key=lambda t: (-t[0], t[1]))
-
-
-def homology_minus(c: FloerComplex) -> HomologyDecomposition:
-    """Exact homology of the complex as a module over F2[U]."""
-    towers, torsion = _decompose(c)
-    return HomologyDecomposition(
-        towers=tuple(Tower(g, tuple(sorted(chain))) for g, chain in towers),
-        torsion=tuple(torsion),
-    )
 
 
 def correction_term(c: FloerComplex) -> int:
@@ -331,53 +322,32 @@ def correction_term(c: FloerComplex) -> int:
     towers, _ = _decompose(c)
     if not towers:
         raise ValueError("homology has no free part, correction term undefined")
-    return max(g for g, _ in towers)
+    return towers[0][0]
 
 
-def hat_complex(c: FloerComplex) -> FloerComplex:
-    """Set U = 0: keep only the exponent-zero differential entries."""
-    return FloerComplex(
-        generators=c.generators,
-        gradings=dict(c.gradings),
-        entries={k: 0 for k, m in c.entries.items() if m == 0},
-        basepoints=c.basepoints,
-    )
+def _chain(c: FloerComplex, mask: int) -> frozenset:
+    """The generators whose bits are set in ``mask``."""
+    return frozenset(g for i, g in enumerate(c.generators) if mask >> i & 1)
 
 
-def _hat_reduction(chain: frozenset) -> frozenset:
-    """Exponent-zero part of a homogeneous F2[U]-chain, as an F2-chain."""
-    return frozenset(g for g, e in chain if e == 0)
+def _theta_classes(c: FloerComplex) -> tuple[int, frozenset, frozenset]:
+    """(d, theta_top, theta_bot) from a single decomposition.
 
-
-def _theta_classes(c: FloerComplex) -> tuple[int, frozenset, frozenset, tuple[frozenset, ...]]:
-    """(d, theta_top, theta_bot, basis) from a single decomposition; see ``image_classes``."""
+    theta_top is the hat reduction of the tower at the correction term d,
+    theta_bot that of the tower at d - basepoints + 1.
+    """
     towers, _ = _decompose(c)
     if not towers:
         raise ValueError("homology has no free part")
-    d = max(g for g, _ in towers)
+    d = towers[0][0]
     bottom = d - c.basepoints + 1
-    tops = [chain for g, chain in towers if g == d]
-    bots = [chain for g, chain in towers if g == bottom]
+    tops = [hat for g, hat in towers if g == d]
+    bots = [hat for g, hat in towers if g == bottom]
     if len(tops) != 1 or len(bots) != 1:
         raise ValueError(
             "tower gradings do not single out top and bottom classes"
         )
-    basis = tuple(_hat_reduction(chain) for _, chain in towers)
-    return d, _hat_reduction(tops[0]), _hat_reduction(bots[0]), basis
-
-
-def image_classes(c: FloerComplex) -> tuple[frozenset, frozenset, tuple[frozenset, ...]]:
-    """Reductions of the tower cycles in the hat complex.
-
-    Returns (theta_top, theta_bot, basis) where theta_top is the class
-    at the correction term d, theta_bot the one at d - basepoints + 1,
-    and basis lists all tower reductions.  These are nonzero and
-    independent: a dependency would exhibit a tower cycle in
-    U*C + boundaries, contradicting that the towers extend to an
-    F2[U]-basis with trivial differential.
-    """
-    _, theta_top, theta_bot, basis = _theta_classes(c)
-    return theta_top, theta_bot, basis
+    return d, _chain(c, tops[0]), _chain(c, bots[0])
 
 
 # --- exact F2 linear algebra on bitmask vectors ---------------------------
@@ -488,38 +458,8 @@ class _HatSlice:
         return functional
 
 
-def _theta_test(c: FloerComplex, cycle: Iterable[str], bottom: bool) -> bool:
-    d, theta_top, theta_bot, _ = _theta_classes(c)
-    chain = frozenset(cycle)
-    for g in chain:
-        if g not in c.gradings:
-            raise ValueError(f"unknown generator {g!r}")
-    if not chain:
-        return False
-    grading = c.grading_of_chain(chain)
-    target_grading = d - c.basepoints + 1 if bottom else d
-    theta = theta_bot if bottom else theta_top
-    slice_ = _HatSlice(c, grading)
-    if not slice_.is_cycle(chain):
-        raise ValueError("chain is not a cycle of the hat complex")
-    if grading != target_grading:
-        return False
-    functional = slice_.class_functional(slice_.vector(theta))
-    return functional(slice_.vector(chain)) == 1
-
-
-def is_theta_supported(c: FloerComplex, cycle: Iterable[str]) -> bool:
-    """Whether the hat cycle has a nonzero top distinguished coordinate."""
-    return _theta_test(c, cycle, bottom=False)
-
-
-def is_theta_star_supported(c: FloerComplex, cycle: Iterable[str]) -> bool:
-    """Bottom-grading counterpart of ``is_theta_supported``."""
-    return _theta_test(c, cycle, bottom=True)
-
-
 def _tau_theta(c: FloerComplex, filt: AlexanderFiltration, bottom: bool) -> int:
-    d, theta_top, theta_bot, _ = _theta_classes(c)
+    d, theta_top, theta_bot = _theta_classes(c)
     grading = d - c.basepoints + 1 if bottom else d
     theta = theta_bot if bottom else theta_top
     slice_ = _HatSlice(c, grading)
@@ -561,21 +501,6 @@ def tau_alpha(c: FloerComplex, filt: AlexanderFiltration, alpha: Iterable[str]) 
         return _express(pivots, target) is not None
 
     return slice_.first_level(filt.levels, found)
-
-
-def dualize(
-    c: FloerComplex, filt: AlexanderFiltration
-) -> tuple[FloerComplex, AlexanderFiltration]:
-    """Transpose the differential and negate gradings and levels."""
-    filt.check(c)
-    dual = FloerComplex(
-        generators=c.generators,
-        gradings={g: -v for g, v in c.gradings.items()},
-        entries={(y, x): m for (x, y), m in c.entries.items()},
-        basepoints=c.basepoints,
-    )
-    dual_filt = AlexanderFiltration({g: -v for g, v in filt.levels.items()})
-    return dual, dual_filt
 
 
 # --- textual format -------------------------------------------------------
@@ -623,12 +548,3 @@ def parse_complex(
             levels[name] = a
     c = FloerComplex(tuple(gens), gradings, entries, basepoints)
     return c, AlexanderFiltration(levels)
-
-
-def format_complex(c: FloerComplex, filt: AlexanderFiltration) -> list[str]:
-    filt.check(c)
-    lines = [f"{g} {c.gradings[g]} {filt.levels[g]}" for g in c.generators]
-    lines.extend(
-        f"{x} -> {y} pow {m}" for (x, y), m in sorted(c.entries.items())
-    )
-    return lines

@@ -4,6 +4,7 @@ import os
 import random
 from fractions import Fraction
 from math import comb
+from typing import Iterable, NamedTuple
 
 from plumbtau import linalg
 from plumbtau.floer import (
@@ -11,7 +12,6 @@ from plumbtau.floer import (
     FloerComplex,
     _HatSlice,
     _require_valid,
-    _shift,
     _theta_classes,
 )
 from plumbtau.obstruct import MetaboliserCandidate, _h1_decomposition
@@ -160,6 +160,10 @@ def _toggle_entry(entries: dict, key: tuple[str, str], m: int) -> None:
         entries[key] = m
 
 
+def _shift(chain: frozenset, delta: int) -> frozenset:
+    return frozenset((g, e + delta) for g, e in chain)
+
+
 def scan_decompose(c: FloerComplex) -> tuple[list[tuple[int, frozenset]], list[tuple[int, int]]]:
     """Brute-force reference for ``floer._decompose``.
 
@@ -211,6 +215,144 @@ def scan_decompose(c: FloerComplex) -> tuple[list[tuple[int, frozenset]], list[t
         key=lambda t: (-t[0], sorted(t[1])),
     )
     return towers, sorted(torsion, key=lambda t: (-t[0], t[1]))
+
+
+def hat_view(c: FloerComplex, decomposition) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """A ``scan_decompose`` result in the form ``floer._eliminate`` returns.
+
+    Each tower chain becomes its hat reduction, the exponent-zero part,
+    as a bitmask whose bit i stands for ``c.generators[i]``; towers are
+    sorted by grading, highest first, then by mask.
+    """
+    bit = {g: 1 << i for i, g in enumerate(c.generators)}
+    towers, torsion = decomposition
+    hats = [(gr, sum(bit[g] for g, e in chain if e == 0)) for gr, chain in towers]
+    return sorted(hats, key=lambda t: (-t[0], t[1])), torsion
+
+
+# --- full F2[U] homology and the hat classes, from the scan oracle --------
+
+
+class Tower(NamedTuple):
+    """Free summand of the homology: a cycle whose class generates F2[U]."""
+
+    grading: int
+    chain: tuple[tuple[str, int], ...]  # (generator, U-exponent) pairs
+
+
+class HomologyDecomposition(NamedTuple):
+    towers: tuple[Tower, ...]
+    torsion: tuple[tuple[int, int], ...]  # (grading, U-power) pairs
+
+    @property
+    def rank(self) -> int:
+        return len(self.towers)
+
+
+def homology_minus(c: FloerComplex) -> HomologyDecomposition:
+    """Exact homology of the complex as a module over F2[U] (``scan_decompose``)."""
+    towers, torsion = scan_decompose(c)
+    return HomologyDecomposition(
+        towers=tuple(Tower(g, tuple(sorted(chain))) for g, chain in towers),
+        torsion=tuple(torsion),
+    )
+
+
+def _hat_reduction(chain: frozenset) -> frozenset:
+    """Exponent-zero part of a homogeneous F2[U]-chain, as an F2-chain."""
+    return frozenset(g for g, e in chain if e == 0)
+
+
+def image_classes(c: FloerComplex) -> tuple[frozenset, frozenset, tuple[frozenset, ...]]:
+    """Reductions of the tower cycles of ``scan_decompose`` in the hat complex.
+
+    Returns (theta_top, theta_bot, basis) where theta_top is the class
+    at the correction term d, theta_bot the one at d - basepoints + 1,
+    and basis lists all tower reductions.  These are nonzero and
+    independent: a dependency would exhibit a tower cycle in
+    U*C + boundaries, contradicting that the towers extend to an
+    F2[U]-basis with trivial differential.
+    """
+    towers, _ = scan_decompose(c)
+    if not towers:
+        raise ValueError("homology has no free part")
+    d = max(g for g, _ in towers)
+    bottom = d - c.basepoints + 1
+    tops = [chain for g, chain in towers if g == d]
+    bots = [chain for g, chain in towers if g == bottom]
+    if len(tops) != 1 or len(bots) != 1:
+        raise ValueError(
+            "tower gradings do not single out top and bottom classes"
+        )
+    basis = tuple(_hat_reduction(chain) for _, chain in towers)
+    return _hat_reduction(tops[0]), _hat_reduction(bots[0]), basis
+
+
+# --- complexes: the hat complex, theta support, duality, text -------------
+
+
+def hat_complex(c: FloerComplex) -> FloerComplex:
+    """Set U = 0: keep only the exponent-zero differential entries."""
+    return FloerComplex(
+        generators=c.generators,
+        gradings=dict(c.gradings),
+        entries={k: 0 for k, m in c.entries.items() if m == 0},
+        basepoints=c.basepoints,
+    )
+
+
+def _theta_test(c: FloerComplex, cycle: Iterable[str], bottom: bool) -> bool:
+    d, theta_top, theta_bot = _theta_classes(c)
+    chain = frozenset(cycle)
+    for g in chain:
+        if g not in c.gradings:
+            raise ValueError(f"unknown generator {g!r}")
+    if not chain:
+        return False
+    grading = c.grading_of_chain(chain)
+    target_grading = d - c.basepoints + 1 if bottom else d
+    theta = theta_bot if bottom else theta_top
+    slice_ = _HatSlice(c, grading)
+    if not slice_.is_cycle(chain):
+        raise ValueError("chain is not a cycle of the hat complex")
+    if grading != target_grading:
+        return False
+    functional = slice_.class_functional(slice_.vector(theta))
+    return functional(slice_.vector(chain)) == 1
+
+
+def is_theta_supported(c: FloerComplex, cycle: Iterable[str]) -> bool:
+    """Whether the hat cycle has a nonzero top distinguished coordinate."""
+    return _theta_test(c, cycle, bottom=False)
+
+
+def is_theta_star_supported(c: FloerComplex, cycle: Iterable[str]) -> bool:
+    """Bottom-grading counterpart of ``is_theta_supported``."""
+    return _theta_test(c, cycle, bottom=True)
+
+
+def dualize(
+    c: FloerComplex, filt: AlexanderFiltration
+) -> tuple[FloerComplex, AlexanderFiltration]:
+    """Transpose the differential and negate gradings and levels."""
+    filt.check(c)
+    dual = FloerComplex(
+        generators=c.generators,
+        gradings={g: -v for g, v in c.gradings.items()},
+        entries={(y, x): m for (x, y), m in c.entries.items()},
+        basepoints=c.basepoints,
+    )
+    dual_filt = AlexanderFiltration({g: -v for g, v in filt.levels.items()})
+    return dual, dual_filt
+
+
+def format_complex(c: FloerComplex, filt: AlexanderFiltration) -> list[str]:
+    filt.check(c)
+    lines = [f"{g} {c.gradings[g]} {filt.levels[g]}" for g in c.generators]
+    lines.extend(
+        f"{x} -> {y} pow {m}" for (x, y), m in sorted(c.entries.items())
+    )
+    return lines
 
 
 def _apply_basis_change(entries: dict, e: str, f: str, delta: int) -> None:
@@ -367,7 +509,7 @@ def sweep_tau_theta(c: FloerComplex, filt: AlexanderFiltration, bottom: bool) ->
     distinct filtration level, lowest first, and stops at the first
     level holding a cycle with a nonzero distinguished coordinate.
     """
-    d, theta_top, theta_bot, _ = _theta_classes(c)
+    d, theta_top, theta_bot = _theta_classes(c)
     grading = d - c.basepoints + 1 if bottom else d
     theta = theta_bot if bottom else theta_top
     slice_ = _HatSlice(c, grading)

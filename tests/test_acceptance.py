@@ -9,6 +9,10 @@ from fractions import Fraction
 
 from conftest import (
     bordered_self_intersection,
+    dualize,
+    homology_minus,
+    image_classes,
+    is_theta_supported,
     property_seed,
     random_braid,
     random_complex,
@@ -20,10 +24,6 @@ from plumbtau.floer import (
     AlexanderFiltration,
     FloerComplex,
     correction_term,
-    dualize,
-    homology_minus,
-    image_classes,
-    is_theta_supported,
     tau_alpha,
     tau_bot,
     tau_top,

@@ -1,10 +1,24 @@
 """Homology decompositions, theta classes and tau of filtered complexes."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from conftest import (
+    Tower,
+    dualize,
+    format_complex,
+    hat_complex,
+    hat_view,
+    homology_minus,
+    image_classes,
+    is_theta_star_supported,
+    is_theta_supported,
     property_seed,
     random_complex,
     scan_decompose,
@@ -18,15 +32,7 @@ from plumbtau.floer import (
     MAX_LISTED_FAILURES,
     AlexanderFiltration,
     FloerComplex,
-    Tower,
     correction_term,
-    dualize,
-    format_complex,
-    hat_complex,
-    homology_minus,
-    image_classes,
-    is_theta_star_supported,
-    is_theta_supported,
     parse_complex,
     tau_alpha,
     tau_bot,
@@ -415,7 +421,7 @@ def test_indexed_elimination_matches_scan_oracle():
     sizes = []
     for _ in range(150):
         c, _ = random_complex(rng, max_generators=60, max_basepoints=3, max_changes=400)
-        assert floer._decompose(c) == scan_decompose(c)
+        assert floer._decompose(c) == hat_view(c, scan_decompose(c))
         sizes.append((len(c.generators), len(c.entries)))
     # far past the default draws, which stop at six generators
     assert max(n for n, _ in sizes) > 30
@@ -485,4 +491,50 @@ def test_equal_power_pivots_pop_in_name_order():
     dec = homology_minus(c)
     assert dec.towers == (Tower(1, (("b", 0),)),)
     assert dec.torsion == ((1, 1),)
-    assert floer._decompose(c) == scan_decompose(c)
+    # the kernel keeps b's hat reduction: bit 1, for c.generators[1]
+    assert floer._decompose(c) == ([(1, 0b010)], [(1, 1)])
+    assert floer._decompose(c) == hat_view(c, scan_decompose(c))
+
+
+def test_floer_answers_do_not_follow_the_hash_seed(tmp_path):
+    # the elimination keeps its rows as sets of generator names, and set
+    # iteration order follows PYTHONHASHSEED; no answer may depend on it
+    rng = random.Random(property_seed())
+    paths = []
+    while len(paths) < 8:
+        c, filt = random_complex(rng, max_generators=60, max_basepoints=3, max_changes=400)
+        if len(c.entries) >= 100:
+            path = tmp_path / f"complex{len(paths)}.json"
+            doc = {"floer_complex": format_complex(c, filt), "basepoints": c.basepoints}
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            paths.append(str(path))
+    # each answer, then the kernel's towers and torsion, which the answers
+    # read only in part
+    code = (
+        "import json, sys; from plumbtau import floer; from plumbtau.cli import main\n"
+        "for path in sys.argv[1:]:\n"
+        "    for what in ('verify', 'd', 'tau-top', 'tau-bot'):\n"
+        "        print(main(['floer', '--what', what, '--input', path]))\n"
+        "    with open(path, encoding='utf-8') as f:\n"
+        "        doc = json.load(f)\n"
+        "    c, _ = floer.parse_complex(doc['floer_complex'], doc['basepoints'])\n"
+        "    print(floer._decompose(c))"
+    )
+    outputs = set()
+    for seed in ("0", "1"):
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(floer.__file__).parents[1]),
+            "PYTHONHASHSEED": seed,
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *paths],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    out = outputs.pop()
+    # every question answers: exit 0 after each of the 32 outputs
+    assert out.count('"command": "floer"') == 32
+    assert out.splitlines().count("0") == 32
