@@ -136,6 +136,9 @@ class BraidDatum(_BraidFields):
         self = super().__new__(cls, strands, writhe, components)
         if self.strands < 1 or self.components < 1:
             raise ValueError("braids need at least one strand and one component")
+        if self.components > self.strands:
+            # each component of the closure takes at least one strand
+            raise ValueError("a braid closure has at most one component per strand")
         return self
 
 

@@ -165,7 +165,7 @@ def _shift(chain: frozenset, delta: int) -> frozenset:
 
 
 def scan_decompose(c: FloerComplex) -> tuple[list[tuple[int, frozenset]], list[tuple[int, int]]]:
-    """Brute-force reference for ``floer._decompose``.
+    """Brute-force reference for ``floer._eliminate``.
 
     Gaussian cancellation over F2[U] that re-scans the whole entry dict
     for the pivot and for every row and column operation.  Returns

@@ -115,10 +115,11 @@ def test_surgery_quantities(tmp_path, capsys):
     assert rc == 0 and json.loads(out)["value"] == "-8"
     _, out, _ = run_cli(capsys, "surgery", "--input", path, "--what", "chern")
     assert json.loads(out)["value"] == "4"
-    braid = {"strands": 3, "writhe": 5, "components": 6}
+    # six components need six strands: a closure has at most one per strand
+    braid = {"strands": 6, "writhe": 8, "components": 6}
     path = write_doc(tmp_path, surgery_doc(2, braid=braid))
     _, out, _ = run_cli(capsys, "surgery", "--input", path, "--what", "sl")
-    assert json.loads(out)["value"] == "6"  # (5 - 3) - 4 + 8
+    assert json.loads(out)["value"] == "6"  # (8 - 6) - 4 + 8
     _, out, _ = run_cli(capsys, "surgery", "--input", path, "--what", "tau-curve")
     # chi = -2, boundary = 6, so tau = -(-2 - 6 + 4 - 8)/2
     assert json.loads(out)["value"] == "6"
@@ -133,12 +134,22 @@ def test_tau_qp(capsys):
         capsys, "tau-qp", "--strands", "0", "--writhe", "3", "--components", "1"
     )
     assert rc == 3 and "braid" in err
+    # an n-strand closure has at most n components
+    rc, out, err = run_cli(
+        capsys, "tau-qp", "--strands", "1", "--writhe", "0", "--components", "5"
+    )
+    assert rc == 3 and out == "" and "braid" in err
 
 
 STAIRCASE = ["a 0 1", "b -1 0", "c -2 -1", "b -> a pow 1", "b -> c"]
 
 
-def test_floer_commands(tmp_path, capsys):
+def test_floer_commands(tmp_path, capsys, monkeypatch):
+    # the elimination is the d^2 check: a valid complex builds no d^2 row
+    def no_rows(c):
+        raise AssertionError("d^2 rows built for a valid complex")
+
+    monkeypatch.setattr(floer, "_d2_rows", no_rows)
     path = write_doc(tmp_path, {"floer_complex": STAIRCASE})
     rc, out, _ = run_cli(capsys, "floer", "--input", path, "--what", "verify")
     assert rc == 0 and json.loads(out) == {
@@ -150,12 +161,23 @@ def test_floer_commands(tmp_path, capsys):
     for what, value in (("d", "0"), ("tau-top", "1"), ("tau-bot", "1")):
         rc, out, _ = run_cli(capsys, "floer", "--input", path, "--what", what)
         assert rc == 0 and json.loads(out)["value"] == value
+    monkeypatch.undo()
     acyclic = write_doc(tmp_path, {"floer_complex": ["x 0 0", "y 1 0", "y -> x"]})
     rc, out, _ = run_cli(capsys, "floer", "--input", acyclic, "--what", "verify")
     doc = json.loads(out)
     assert rc == 0 and not doc["ok"] and doc["failures"]
     rc, _, err = run_cli(capsys, "floer", "--input", acyclic, "--what", "d")
     assert rc == 3 and "floer_complex" in err
+    # d^2 != 0: every answer names the first failure verify lists
+    square = write_doc(
+        tmp_path, {"floer_complex": ["a 2 0", "b 1 0", "c 0 0", "a -> b", "b -> c"]}
+    )
+    failure = "d_squared: d(d(a)) has a surviving c term"
+    for what in ("d", "tau-top", "tau-bot"):
+        rc, out, err = run_cli(capsys, "floer", "--input", square, "--what", what)
+        assert (rc, out, err) == (3, "", f"plumbtau: floer_complex: {failure}\n")
+    rc, out, _ = run_cli(capsys, "floer", "--input", square, "--what", "verify")
+    assert rc == 0 and json.loads(out)["failures"][0] == failure
     # the expected rank 2^(basepoints - 1) is compared without being built
     for basepoints, want in ((2, "2"), (10**8, "2^99999999"), (10**11, "2^99999999999")):
         path = write_doc(tmp_path, {"floer_complex": STAIRCASE, "basepoints": basepoints})
@@ -334,6 +356,8 @@ SCHEMA_CASES = [
      "surgery.braid: strands, writhe and components are integers"),
     (SL, surgery(braid={**BRAID, "strands": 0}), 3,
      "surgery.braid: braids need at least one strand and one component"),
+    (SL, surgery(braid={**BRAID, "components": 3}), 3,
+     "surgery.braid: a braid closure has at most one component per strand"),
     # slice-bennequin reads the whole surgery object, as surgery --what sl does
     (SLICE, {**SLICE_DOC, "surgery": {"braid": BRAID, "linking": 0}}, 2,
      "surgery.linking: must be a matrix of integers"),

@@ -421,7 +421,7 @@ def test_indexed_elimination_matches_scan_oracle():
     sizes = []
     for _ in range(150):
         c, _ = random_complex(rng, max_generators=60, max_basepoints=3, max_changes=400)
-        assert floer._decompose(c) == hat_view(c, scan_decompose(c))
+        assert floer._eliminate(c) == hat_view(c, scan_decompose(c))
         sizes.append((len(c.generators), len(c.entries)))
     # far past the default draws, which stop at six generators
     assert max(n for n, _ in sizes) > 30
@@ -492,8 +492,8 @@ def test_equal_power_pivots_pop_in_name_order():
     assert dec.towers == (Tower(1, (("b", 0),)),)
     assert dec.torsion == ((1, 1),)
     # the kernel keeps b's hat reduction: bit 1, for c.generators[1]
-    assert floer._decompose(c) == ([(1, 0b010)], [(1, 1)])
-    assert floer._decompose(c) == hat_view(c, scan_decompose(c))
+    assert floer._eliminate(c) == ([(1, 0b010)], [(1, 1)])
+    assert floer._eliminate(c) == hat_view(c, scan_decompose(c))
 
 
 def test_floer_answers_do_not_follow_the_hash_seed(tmp_path):
@@ -518,7 +518,7 @@ def test_floer_answers_do_not_follow_the_hash_seed(tmp_path):
         "    with open(path, encoding='utf-8') as f:\n"
         "        doc = json.load(f)\n"
         "    c, _ = floer.parse_complex(doc['floer_complex'], doc['basepoints'])\n"
-        "    print(floer._decompose(c))"
+        "    print(floer._eliminate(c))"
     )
     outputs = set()
     for seed in ("0", "1"):
@@ -538,3 +538,68 @@ def test_floer_answers_do_not_follow_the_hash_seed(tmp_path):
     # every question answers: exit 0 after each of the 32 outputs
     assert out.count('"command": "floer"') == 32
     assert out.splitlines().count("0") == 32
+
+
+def _toggle_graded_entries(rng, c: FloerComplex, count: int) -> FloerComplex:
+    """``c`` with ``count`` random entries x -> y toggled, each at the U-power
+    the gradings pin, so the grading law still holds and d^2 may fail."""
+    entries = dict(c.entries)
+    for _ in range(count):
+        x = rng.choice(c.generators)
+        # the grading law allows y exactly when gr y = gr x - 1 + 2m, m >= 0
+        targets = [
+            y for y in c.generators
+            if c.gradings[y] >= c.gradings[x] - 1 and (c.gradings[x] - c.gradings[y]) % 2
+        ]
+        if targets:
+            y = rng.choice(targets)
+            if entries.pop((x, y), None) is None:
+                entries[(x, y)] = (c.gradings[y] - c.gradings[x] + 1) // 2
+    return FloerComplex(c.generators, c.gradings, entries, c.basepoints)
+
+
+def _check_elimination_against_listing(c: FloerComplex) -> bool:
+    """Whether ``c`` fails d^2 = 0, after checking that the elimination
+    raises exactly then, naming the first failure ``verify_axioms`` lists."""
+    broken = any(zs for _, zs in floer._d2_rows(c))
+    try:
+        floer._eliminate(c)
+    except ValueError as exc:
+        listed = list(floer._graded_d2_failures(c))
+        assert broken and str(exc) == listed[0]
+        want = listed[:MAX_LISTED_FAILURES]
+        if len(listed) > MAX_LISTED_FAILURES:
+            want.append(f"... and {len(listed) - MAX_LISTED_FAILURES} more failures")
+        assert verify_axioms(c).failures == tuple(want)
+        return True
+    assert not broken
+    assert not any(f.startswith("d_squared") for f in verify_axioms(c).failures)
+    return False
+
+
+def test_elimination_is_the_d_squared_check():
+    # no d^2 row is built before the elimination: it raises exactly when
+    # some row has a survivor
+    rng = random.Random(property_seed())
+    failing = 0
+    for draw in range(1500):
+        c, _ = random_complex(
+            rng,
+            max_generators=12 if draw < 1200 else 60,
+            max_basepoints=3,
+            max_changes=rng.randint(0, 40),
+        )
+        failing += _check_elimination_against_listing(
+            _toggle_graded_entries(rng, c, rng.randint(1, 3))
+        )
+    # both outcomes are common
+    assert 200 <= failing <= 1300
+    # the star a_i -> b -> c_j has 144 failures: 100 listed, 44 counted
+    sources, targets = [f"a{i}" for i in range(12)], [f"c{j}" for j in range(12)]
+    star = FloerComplex(
+        (*sources, "b", *targets),
+        {**dict.fromkeys(sources, 2), "b": 1, **dict.fromkeys(targets, 0)},
+        {**{(x, "b"): 0 for x in sources}, **{("b", z): 0 for z in targets}},
+    )
+    assert _check_elimination_against_listing(star)
+    assert verify_axioms(star).failures[-1] == "... and 44 more failures"

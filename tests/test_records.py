@@ -117,6 +117,8 @@ RECORDS = [
              "braids need at least one strand and one component"),
             ({"strands": 2, "writhe": 3, "components": 0},
              "braids need at least one strand and one component"),
+            ({"strands": 1, "writhe": 0, "components": 5},
+             "a braid closure has at most one component per strand"),
         ],
     ),
     row(
