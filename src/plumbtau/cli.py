@@ -166,14 +166,16 @@ def _fields(node: dict, path: str, *names: str) -> list:
 
 
 def load_document(path: str) -> dict:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as e:
-            raise SchemaError(f"input: cannot read {path!r}: {e}")
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"input: not UTF-8 text: {e}")
+    except OSError as e:
+        raise SchemaError(f"input: cannot read {path!r}: {e}")
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as e:  # also too deep, or an int past 4,300 digits
@@ -375,6 +377,19 @@ def run_tau_qp(args) -> dict:
 
     with _named("braid", ValueError):
         b = surgery.BraidDatum(args.strands, args.writhe, args.components)
+        # the closure of n strands and l components has writhe congruent to n - l mod 2,
+        # and a quasi-positive one has writhe >= n - l
+        floor = b.strands - b.components
+        if (b.writhe - floor) % 2:
+            raise ValueError(
+                f"writhe {b.writhe} and strands - components = {floor} differ in parity,"
+                " which no braid closure has"
+            )
+        if b.writhe < floor:
+            raise ValueError(
+                f"writhe {b.writhe} is below strands - components = {floor},"
+                " which no quasi-positive closure has"
+            )
     tau = surgery.tau_qp_braid(b)
     with _printing():
         return {

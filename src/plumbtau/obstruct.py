@@ -78,12 +78,6 @@ class TauProfile(_ProfileFields):
             )
         return Fraction(self.tau[s])
 
-    def classes(self) -> list[SpincClass]:
-        return sorted(self.tau, key=lambda s: s.rep)
-
-    def d_zero_classes(self) -> list[SpincClass]:
-        return [s for s in self.classes() if s.d == 0]
-
 
 def profile_from_link(f: IntersectionForm, link: LeafLink) -> TauProfile:
     """Full profile of a leaf-fibre link: tau at every spin-c class."""
@@ -164,7 +158,7 @@ def qhb4_filling_obstruction(
             verdict=INCONCLUSIVE,
             witness="profile covers no spin-c classes",
         )
-    best_class = max(profile.classes(), key=lambda s: (profile.tau_at(s), s.rep))
+    best_class = max(profile.tau, key=lambda s: (profile.tau_at(s), s.rep))
     slack = 2 * profile.tau_at(best_class) - profile.ell - best_sl
     return Verdict(
         check="qhb4_filling",
@@ -218,16 +212,6 @@ def _h1_decomposition(f: IntersectionForm):
         raise ValueError("the intersection form must be nonsingular")
     sinv, _ = linalg.inverse(s)  # s is unimodular, so the denominator is 1
     return diag, s, sinv
-
-
-def h1_residues(f: IntersectionForm, vector: Sequence[int]) -> tuple[int, ...]:
-    """Coordinates of a class of Z^n / Q Z^n in the invariant-factor form."""
-    diag, s, _ = _h1_decomposition(f)
-    if len(vector) != f.n:
-        raise ValueError("vector has wrong length")
-    return tuple(
-        sum(s[i][j] * vector[j] for j in range(f.n)) % diag[i] for i in range(f.n)
-    )
 
 
 def _join(diag, group, g):
@@ -380,65 +364,17 @@ class PLGenusBound(NamedTuple):
     raw: Fraction
 
 
-def pl_genus_lower_bound(
-    profile: TauProfile, subset: Optional[Sequence[SpincClass]] = None
-) -> PLGenusBound:
-    """Lower bound |tau_max - tau_min| / 2 for the PL slice genus.
+def pl_genus_lower_bound(profile: TauProfile, subset: Sequence[SpincClass]) -> PLGenusBound:
+    """Lower bound |tau_max - tau_min| / 2 over ``subset`` for the PL slice genus.
 
     The raw rational bound comes with its ceiling, since a genus is an
-    integer.  The default subset is the d = 0 classes of the profile.
+    integer.
     """
-    if subset is None:
-        subset = profile.d_zero_classes()
     if not subset:
         raise ValueError("subset of spin-c classes must be non-empty")
     values = [profile.tau_at(s) for s in subset]
     raw = abs(max(values) - min(values)) / 2
     return PLGenusBound(genus=math.ceil(raw), raw=raw)
-
-
-def genus_bounds_check(
-    tau_s,
-    tau_L0,
-    g: int,
-    ellL: int,
-    sizeF: int,
-    unlink: bool,
-) -> Verdict:
-    """Cobordism bounds through a genus-g surface with |F| = |L0| pieces.
-
-    Equal component counts give |tau - tau_0| <= g; when the far end is an
-    unlink the two-sided bound -g <= tau <= g + ellL - sizeF applies instead.
-    """
-    tau_s = Fraction(tau_s)
-    if unlink:
-        slack = min(tau_s + g, g + ellL - sizeF - tau_s)
-    else:
-        slack = g - abs(tau_s - Fraction(tau_L0))
-    return Verdict(
-        check="genus_bounds",
-        verdict=SATISFIED if slack >= 0 else VIOLATED,
-        witness={
-            "tau": tau_s,
-            "tau_reference": None if unlink else Fraction(tau_L0),
-            "genus": g,
-            "ell": ellL,
-            "surface_components": sizeF,
-            "unlink": unlink,
-        },
-        slack=slack,
-    )
-
-
-def adjunction_bound(tau_alpha, g: int, ell2: int, sizeF: int, c1F, FF) -> Fraction:
-    """Right-hand side of the relative adjunction inequality."""
-    return (
-        Fraction(tau_alpha)
-        + g
-        + ell2
-        - sizeF
-        - (Fraction(c1F) + Fraction(FF)) / 2
-    )
 
 
 def integrality_obstruction(tau) -> Verdict:
@@ -451,12 +387,8 @@ def integrality_obstruction(tau) -> Verdict:
     )
 
 
-def concordance_obstruction(
-    profile: TauProfile, subset: Optional[Sequence[SpincClass]] = None
-) -> Verdict:
-    """Constant tau is necessary for concordance to a local link."""
-    if subset is None:
-        subset = profile.d_zero_classes()
+def concordance_obstruction(profile: TauProfile, subset: Sequence[SpincClass]) -> Verdict:
+    """Constant tau over ``subset`` is necessary for concordance to a local link."""
     if not subset:
         return Verdict(
             check="concordance",

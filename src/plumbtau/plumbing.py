@@ -17,7 +17,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import isqrt, prod
 from operator import mul
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import linalg
 
@@ -218,7 +218,7 @@ def require_box(t: PlumbingTree) -> None:
 
     A plumbing refused here costs no n x n matrix.
     """
-    _require_box(_tree_negative_definite(t), (w for _, w in t.vertices))
+    _require_box(_tree_negative_definite(t), [w for _, w in t.vertices])
 
 
 def form_from_tree(t: PlumbingTree) -> IntersectionForm:
@@ -251,8 +251,15 @@ def is_characteristic(f: IntersectionForm, kappa: Sequence[int]) -> bool:
     )
 
 
-def _require_box(negative_definite: bool, weights: Iterable[int]) -> None:
-    """Refuse an indefinite form, then a box of more than ``MAX_BOX`` vectors."""
+def _require_box(negative_definite: bool, weights: Sequence[int]) -> None:
+    """Refuse an indefinite form, a box of more than ``MAX_BOX`` vectors, then too much work.
+
+    Each of the box's vectors costs an n x n product for its class key, and
+    Q^-1 and det cost O(n^3), so the work is bounded by (box + n) * n^2.  Its
+    limit is that of a box of ``MAX_BOX`` vectors on m = floor(log2(MAX_BOX))
+    vertices: a tree whose weights are all <= -2 has a box of at least 2^n,
+    so every such tree the box limit accepts has n <= m and passes.
+    """
     _require_definite(negative_definite)
     size = prod(-a for a in weights)
     if size > MAX_BOX:
@@ -263,11 +270,18 @@ def _require_box(negative_definite: bool, weights: Iterable[int]) -> None:
         raise ValueError(
             f"the short-vector box holds {shown} vectors, above the limit of {MAX_BOX}"
         )
+    n, m = len(weights), MAX_BOX.bit_length() - 1
+    work, limit = (size + n) * n * n, (MAX_BOX + m) * m * m
+    if work > limit:
+        raise ValueError(
+            f"{n} vertices and a short-vector box of {size} vectors make"
+            f" (box + n) * n^2 = {work}, above the limit of {limit}"
+        )
 
 
 def short_char_vectors(f: IntersectionForm) -> list[tuple[int, ...]]:
     """All characteristic vectors in the box a_i + 2 <= kappa_i <= -a_i, lex order."""
-    _require_box(f.negative_definite, (f.q[i][i] for i in range(f.n)))
+    _require_box(f.negative_definite, [f.q[i][i] for i in range(f.n)])
     ranges = []
     for i in range(f.n):
         a = f.q[i][i]

@@ -4,7 +4,7 @@ import os
 import random
 from fractions import Fraction
 from math import comb
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from plumbtau import linalg
 from plumbtau.floer import (
@@ -14,8 +14,14 @@ from plumbtau.floer import (
     _require_valid,
     _theta_classes,
 )
-from plumbtau.obstruct import MetaboliserCandidate, _h1_decomposition
-from plumbtau.plumbing import PlumbingTree, short_char_vectors
+from plumbtau.obstruct import (
+    SATISFIED,
+    VIOLATED,
+    MetaboliserCandidate,
+    Verdict,
+    _h1_decomposition,
+)
+from plumbtau.plumbing import IntersectionForm, PlumbingTree, short_char_vectors
 from plumbtau.surgery import BraidDatum, SurgeryComponent, SurgeryPresentation, linking_matrix
 
 DEFAULT_SEED = 20260814
@@ -699,3 +705,60 @@ def closure_metaboliser_candidates(f) -> list[MetaboliserCandidate]:
             )
         )
     return out
+
+
+# --- obstruction formulas no CLI check runs yet -----------------------------
+
+
+def h1_residues(f: IntersectionForm, vector: Sequence[int]) -> tuple[int, ...]:
+    """Coordinates of a class of Z^n / Q Z^n in the invariant-factor form."""
+    diag, s, _ = _h1_decomposition(f)
+    if len(vector) != f.n:
+        raise ValueError("vector has wrong length")
+    return tuple(
+        sum(s[i][j] * vector[j] for j in range(f.n)) % diag[i] for i in range(f.n)
+    )
+
+
+def genus_bounds_check(
+    tau_s,
+    tau_L0,
+    g: int,
+    ellL: int,
+    sizeF: int,
+    unlink: bool,
+) -> Verdict:
+    """Cobordism bounds through a genus-g surface with |F| = |L0| pieces.
+
+    Equal component counts give |tau - tau_0| <= g; when the far end is an
+    unlink the two-sided bound -g <= tau <= g + ellL - sizeF applies instead.
+    """
+    tau_s = Fraction(tau_s)
+    if unlink:
+        slack = min(tau_s + g, g + ellL - sizeF - tau_s)
+    else:
+        slack = g - abs(tau_s - Fraction(tau_L0))
+    return Verdict(
+        check="genus_bounds",
+        verdict=SATISFIED if slack >= 0 else VIOLATED,
+        witness={
+            "tau": tau_s,
+            "tau_reference": None if unlink else Fraction(tau_L0),
+            "genus": g,
+            "ell": ellL,
+            "surface_components": sizeF,
+            "unlink": unlink,
+        },
+        slack=slack,
+    )
+
+
+def adjunction_bound(tau_alpha, g: int, ell2: int, sizeF: int, c1F, FF) -> Fraction:
+    """Right-hand side of the relative adjunction inequality."""
+    return (
+        Fraction(tau_alpha)
+        + g
+        + ell2
+        - sizeF
+        - (Fraction(c1F) + Fraction(FF)) / 2
+    )

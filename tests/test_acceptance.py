@@ -78,7 +78,7 @@ def test_torus_link_family_tau_and_genus_bound():
         d0 = tau_table(L41, link, d_zero_subset(L41)).values()
         hi, lo = max(d0), min(d0)
         assert hi - lo == d
-        bound = pl_genus_lower_bound(profile_from_link(L41, link))
+        bound = pl_genus_lower_bound(profile_from_link(L41, link), d_zero_subset(L41))
         assert bound.genus == (d + 1) // 2 and bound.raw == Fraction(d, 2)
 
 

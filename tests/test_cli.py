@@ -1,6 +1,7 @@
 import argparse
 import ast
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -139,6 +140,13 @@ def test_tau_qp(capsys):
         capsys, "tau-qp", "--strands", "1", "--writhe", "0", "--components", "5"
     )
     assert rc == 3 and out == "" and "braid" in err
+    # a closure's writhe has the parity of strands - components, and a
+    # quasi-positive one's is at least that
+    for strands, writhe in (("2", "2"), ("5", "0")):
+        rc, out, err = run_cli(
+            capsys, "tau-qp", "--strands", strands, "--writhe", writhe, "--components", "1"
+        )
+        assert rc == 3 and out == "" and err.startswith("plumbtau: braid: "), err
 
 
 STAIRCASE = ["a 0 1", "b -1 0", "c -2 -1", "b -> a pow 1", "b -> c"]
@@ -398,7 +406,7 @@ SCHEMA_CASES = [
 ]
 
 
-def test_schema_errors(tmp_path, capsys):
+def test_schema_errors(tmp_path, capsys, monkeypatch):
     for argv, doc, code, message in SCHEMA_CASES:
         rc, out, err = run_cli(capsys, argv[0], "--input", write_doc(tmp_path, doc), *argv[1:])
         expected = f"plumbtau: {message}\n" if message else ""
@@ -411,6 +419,13 @@ def test_schema_errors(tmp_path, capsys):
         assert rc == 2 and err.startswith("plumbtau: input: not valid JSON: "), err[:80]
     rc, _, err = run_cli(capsys, "dinv", "--input", str(tmp_path / "missing.json"))
     assert rc == 2 and err.startswith("plumbtau: input: cannot read ")
+    # a byte that is not UTF-8, in a file and on stdin
+    bad_json.write_bytes(b'{"plumbing": \xff}')
+    rc, _, err = run_cli(capsys, "dinv", "--input", str(bad_json))
+    assert rc == 2 and err.startswith("plumbtau: input: not UTF-8 text: "), err
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8"))
+    rc, _, err = run_cli(capsys, "dinv", "--input", "-")
+    assert rc == 2 and err.startswith("plumbtau: input: not UTF-8 text: "), err
 
 
 def test_math_errors(tmp_path, capsys):
@@ -456,6 +471,30 @@ def test_short_vector_box_limit(tmp_path, capsys, monkeypatch):
     wider = {"vertices": [["v1", -4], ["v2", -5]], "edges": [["v1", "v2"]]}
     rc, _, err = run_cli(capsys, "dinv", "--input", write_doc(tmp_path, {"plumbing": wider}))
     assert rc == 3 and "20 vectors" in err
+
+
+def test_lattice_work_limit(tmp_path, capsys):
+    # stars whose boxes pass but whose class keys and Q^-1 would take minutes
+    def star(center, leaves):
+        ids = [f"v{i}" for i in range(len(leaves))]
+        return {
+            "vertices": [["c", center]] + [[v, w] for v, w in zip(ids, leaves)],
+            "edges": [["c", v] for v in ids],
+        }
+
+    for center, leaves, box in ((-91, [-1] * 80 + [-2] * 10, 93184), (-801, [-1] * 800, 801)):
+        path = write_doc(tmp_path, {"plumbing": star(center, leaves)})
+        start = time.perf_counter()
+        rc, out, err = run_cli(capsys, "dinv", "--input", path)
+        assert rc == 3 and out == "" and time.perf_counter() - start < 1.0
+        n = len(leaves) + 1
+        assert err == (
+            f"plumbtau: plumbing: {n} vertices and a short-vector box of {box} vectors make"
+            f" (box + n) * n^2 = {(box + n) * n * n}, above the limit of 25604096\n"
+        )
+    # a tree whose weights are all <= -2 and whose box passes has at most 16
+    # vertices, and passes: here the chain (-2)x15, -3, whose box is 98,304
+    plumbing.require_box(plumbing.PlumbingTree.path(*[-2] * 15, -3))
 
 
 def test_box_limit_answers_before_the_matrix(tmp_path, capsys):
@@ -562,6 +601,44 @@ def test_package_has_no_assert():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name}: assert at lines {lines}"
+
+
+# Public names of the package that no code of the package names, each with
+# why it stays public
+SURFACE_EXEMPT = {
+    **{
+        f"paper.golden_{name}": "GOLDEN_GENERATORS looks it up by name"
+        for name in plumbtau.EXAMPLE_NAMES
+    },
+    "obstruct.qhb4_filling_obstruction": "to be run by obstruct --check qhb4-filling",
+    "floer.tau_alpha": "to be run by floer --what tau-alpha",
+}
+
+
+def test_public_surface_is_used():
+    # a public function, class or method that only the tests call belongs in the tests
+    package = Path(cli.__file__).parent
+    public, named = set(), set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                public.add((f"{path.stem}.{node.name}", node.name))
+                if isinstance(node, ast.ClassDef):
+                    public.update(
+                        (f"{path.stem}.{node.name}.{m.name}", m.name)
+                        for m in node.body
+                        if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                    )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    unused = {dotted for dotted, name in public if name not in named}
+    assert unused == set(SURFACE_EXEMPT), sorted(unused ^ set(SURFACE_EXEMPT))
 
 
 def test_output_is_deterministic(tmp_path, capsys):

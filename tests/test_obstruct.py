@@ -5,7 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import closure_metaboliser_candidates, property_seed
+from conftest import (
+    adjunction_bound,
+    closure_metaboliser_candidates,
+    genus_bounds_check,
+    h1_residues,
+    property_seed,
+)
 
 from plumbtau import linalg
 from plumbtau.obstruct import (
@@ -16,11 +22,8 @@ from plumbtau.obstruct import (
     VIOLATED,
     IncompleteProfileError,
     TauProfile,
-    adjunction_bound,
     concordance_obstruction,
     conjugation_obstruction,
-    genus_bounds_check,
-    h1_residues,
     integrality_obstruction,
     metaboliser_candidates,
     metaboliser_obstruction,
@@ -31,7 +34,7 @@ from plumbtau.obstruct import (
 )
 from plumbtau.paper import form_41, form_92
 from plumbtau.plumbing import PlumbingTree, class_of, form_from_tree, spinc_translate
-from plumbtau.tau import LeafLink
+from plumbtau.tau import LeafLink, d_zero_subset
 
 L41, L92 = form_41(), form_92()
 
@@ -61,7 +64,7 @@ def l2d_profile(d: int) -> TauProfile:
 def test_profile_validation():
     p = nk_profile(3)
     assert p.ell == 3 and len(p.tau) == 9
-    assert [s.rep for s in p.d_zero_classes()] == [(-3, 0), (-1, 2), (3, 0)]
+    assert [s.rep for s in d_zero_subset(L92) if s in p.tau] == [(-3, 0), (-1, 2), (3, 0)]
     with pytest.raises(ValueError):
         TauProfile(tau={}, ell=-1)
     with pytest.raises(IncompleteProfileError):
@@ -200,11 +203,11 @@ def test_conjugation_obstruction():
 
 def test_pl_genus_lower_bound():
     for d in range(1, 7):
-        bound = pl_genus_lower_bound(l2d_profile(d))
+        bound = pl_genus_lower_bound(l2d_profile(d), d_zero_subset(L41))
         assert bound.raw == Fraction(d, 2)
         assert bound.genus == (d + 1) // 2
-    assert pl_genus_lower_bound(nk_profile(3)) == (1, 1)
-    assert pl_genus_lower_bound(nk_profile(0)) == (0, 0)
+    assert pl_genus_lower_bound(nk_profile(3), d_zero_subset(L92)) == (1, 1)
+    assert pl_genus_lower_bound(nk_profile(0), d_zero_subset(L92)) == (0, 0)
     with pytest.raises(ValueError):
         pl_genus_lower_bound(nk_profile(1), subset=[])
 
@@ -213,7 +216,8 @@ def test_pl_genus_bound_shift_invariance():
     p = nk_profile(4)
     for c in (Fraction(7), Fraction(-5, 3)):
         shifted = TauProfile(tau={s: v + c for s, v in p.tau.items()}, ell=p.ell)
-        assert pl_genus_lower_bound(shifted) == pl_genus_lower_bound(p)
+        d0 = d_zero_subset(L92)
+        assert pl_genus_lower_bound(shifted, d0) == pl_genus_lower_bound(p, d0)
 
 
 def test_genus_bounds_check():
@@ -230,7 +234,7 @@ def test_genus_bounds_check():
     for d in range(1, 6):
         p = l2d_profile(d)
         hi = max(p.tau.values())
-        lo = min(p.tau[s] for s in p.d_zero_classes())
+        lo = min(p.tau[s] for s in d_zero_subset(L41))
         g = (hi - lo + 1) // 2
         assert genus_bounds_check(hi - lo, 0, g, 1, 1, unlink=False).verdict == (
             SATISFIED if g >= hi - lo else VIOLATED
@@ -264,12 +268,12 @@ def test_integrality_obstruction():
 
 def test_concordance_obstruction():
     for d in range(1, 7):
-        assert concordance_obstruction(l2d_profile(d)).verdict == FIRES
+        assert concordance_obstruction(l2d_profile(d), d_zero_subset(L41)).verdict == FIRES
     for d in (1, 2):
-        v = concordance_obstruction(nk_profile(3 * d))
+        v = concordance_obstruction(nk_profile(3 * d), d_zero_subset(L92))
         # exact spread 2d dominates the adjunction-window estimate 3d - d^2
         assert v.verdict == FIRES and v.slack == 2 * d >= 3 * d - d * d
-    assert concordance_obstruction(nk_profile(0)).verdict == CLEAR
+    assert concordance_obstruction(nk_profile(0), d_zero_subset(L92)).verdict == CLEAR
     single = concordance_obstruction(nk_profile(5), subset=[class_of(L92, (3, 0))])
     assert single.verdict == CLEAR
     assert concordance_obstruction(nk_profile(1), subset=[]).verdict == INCONCLUSIVE
@@ -283,7 +287,7 @@ def test_verdict_json():
         metaboliser_obstruction(p, class_of(L92, (3, 0))),
         conjugation_obstruction(p, class_of(L92, (-3, 0))),
         integrality_obstruction(Fraction(4, 9)),
-        concordance_obstruction(p),
+        concordance_obstruction(p, d_zero_subset(L92)),
     ]
     for v in verdicts:
         doc = v.to_json()
