@@ -2,8 +2,8 @@
 
 Subpackages:
 
-- ``linalg``: exact integer/rational matrix arithmetic (Bareiss determinants,
-  Gauss–Jordan inverses, Smith normal form).
+- ``linalg``: exact integer/rational matrix arithmetic (fraction-free
+  Gauss–Jordan inverses over the denominator |det|, Smith normal form).
 - ``plumbing``: plumbing trees, intersection forms, characteristic vectors,
   boundary spin-c classes and correction terms.
 - ``tau``: the lattice tau-invariant of leaf-fibre links, per class and as tables.

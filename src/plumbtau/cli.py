@@ -105,7 +105,7 @@ SCHEMA = {
     "surgery.braid.writhe": (INT, "strands, writhe and components are integers", None),
     "surgery.braid.components": (INT, "strands, writhe and components are integers", None),
     "floer_complex": (_list(STR), "must be a list of strings", REQUIRED),
-    "basepoints": (INT, "must be an integer", 1),
+    "basepoints": (lambda x: INT(x) and x >= 1, "must be an integer >= 1", 1),
     "subset": (
         lambda x: x in ("all", "d0") or _REPS(x),
         "must be 'all', 'd0', or a non-empty list of integer representatives",
@@ -332,7 +332,7 @@ def run_dinv(args) -> dict:
         {"rep": list(s.rep), "d": str(d_invariant(s))}
         for s in _classes_checked(f, spinc_classes)
     ]
-    return {"command": "dinv", "order": abs(f.det()), "classes": rows}
+    return {"command": "dinv", "order": f.qinv[1], "classes": rows}
 
 
 def run_spinc(args) -> dict:
@@ -344,7 +344,7 @@ def run_spinc(args) -> dict:
         {"rep": list(s.rep), "conjugate": list(conjugate(s).rep)}
         for s in _classes_checked(f, spinc_classes)
     ]
-    return {"command": "spinc", "order": abs(f.det()), "classes": rows}
+    return {"command": "spinc", "order": f.qinv[1], "classes": rows}
 
 
 def run_surgery(args) -> dict:

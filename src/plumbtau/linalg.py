@@ -39,43 +39,15 @@ def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free Bareiss elimination.
-
-    Intermediate values stay integral: after step k every entry is a
-    k-th leading minor of the original matrix, so the divisions below
-    are exact.  Empty matrices have det 1 by convention.
-    """
-    n = _check_square(m)
-    if n == 0:
-        return 1
-    a = [list(map(int, row)) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def inverse(m: IntMatrix) -> Inverse:
     """Exact inverse (a, p), m^{-1} = a/p, by one fraction-free Gauss–Jordan pass on [m | I].
 
-    Each step is the Bareiss update of ``det`` applied to every other
-    row, so the divisions stay exact.  At the end the left block is d·I
-    and the right block d·m^{-1}, where d = ±det(m) is the last pivot;
-    the sign goes into a so that p = |det m|.  The empty matrix gives ([], 1).
+    Each step is Bareiss's fraction-free update applied to every other
+    row: the entries stay minors of [m | I], so each division by the
+    previous pivot is exact.  At the end the left block is d·I and the
+    right block d·m^{-1}, where d = ±det(m) is the last pivot; the sign
+    goes into a so that p = |det m|.  This is the package's only route to
+    a determinant.  The empty matrix gives ([], 1).
     """
     n = _check_square(m)
     a = [list(map(int, row)) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]

@@ -231,7 +231,7 @@ def _join(diag, group, g):
 
 def metaboliser_candidates(f: IntersectionForm) -> list[MetaboliserCandidate]:
     """Order-sqrt(|H_1|) subgroups on which the linking form is integral."""
-    order = abs(f.det())
+    order = f.qinv[1]  # |det Q|; a singular form raises SingularMatrixError
     root = math.isqrt(order)
     if root * root != order:
         return []
@@ -310,7 +310,7 @@ def metaboliser_obstruction(profile: TauProfile, s: SpincClass) -> Verdict:
         return Verdict(
             check="metaboliser",
             verdict=FIRES,
-            witness=f"no metaboliser exists in a group of order {abs(s.form.det())}",
+            witness=f"no metaboliser exists in a group of order {s.form.qinv[1]}",
         )
     base = profile.tau_at(s)
     best = None

@@ -169,9 +169,6 @@ class IntersectionForm(_Frozen):
         """Spin-c classes keyed by the key of ``_image``, in order of their reps."""
         return _group_classes(self)
 
-    def det(self) -> int:
-        return linalg.det(self.q)
-
     def index_of(self, vertex_id: str) -> int:
         return self.order.index(vertex_id)
 
@@ -255,7 +252,7 @@ def _require_box(negative_definite: bool, weights: Sequence[int]) -> None:
     """Refuse an indefinite form, a box of more than ``MAX_BOX`` vectors, then too much work.
 
     Each of the box's vectors costs an n x n product for its class key, and
-    Q^-1 and det cost O(n^3), so the work is bounded by (box + n) * n^2.  Its
+    Q^-1 costs O(n^3), so the work is bounded by (box + n) * n^2.  Its
     limit is that of a box of ``MAX_BOX`` vectors on m = floor(log2(MAX_BOX))
     vertices: a tree whose weights are all <= -2 has a box of at least 2^n,
     so every such tree the box limit accepts has n <= m and passes.
@@ -353,9 +350,9 @@ def _group_classes(f: IntersectionForm) -> dict[tuple[int, ...], SpincClass]:
             group[1:] = [num, [k]]
         elif num == group[1]:
             group[2].append(k)
-    if len(groups) != abs(f.det()):
-        raise AssertionError("class count must equal |det Q|")
-    p = f.qinv[1]
+    p = f.qinv[1]  # |det Q|
+    if len(groups) != p:
+        raise RuntimeError("class count must equal |det Q|")
     # groups were opened in lex order of their reps, so the index is in rep order
     return {
         key: SpincClass(rep=rep, d=Fraction(num + f.n * p, 4 * p), realizing=tuple(best), form=f)

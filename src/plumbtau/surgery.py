@@ -6,14 +6,16 @@ numbers, plus the linking vectors of the transverse link components
 with the surgery link.  From the resulting matrix Q the module
 evaluates the capped-surface self-intersection [C]^2 = <S, Q^{-1} S>
 and the Chern-class evaluation c1[C] = -<rot, Q^{-1} S>, with S the
-sum of the link vectors (one Q^{-1} and one pairing each), the
-self-linking numbers, and the quasi-positive braid identity
-tau = (w - n + l)/2.
+sum of the link vectors (one pairing each), the self-linking numbers,
+and the quasi-positive braid identity tau = (w - n + l)/2.  Each
+presentation's Q^{-1} is computed once, when it is built, and every term
+reads it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from . import linalg
@@ -67,7 +69,10 @@ class SurgeryPresentation(_PresentationFields):
         linking: tuple[tuple[int, ...], ...],
         link_vectors: tuple[tuple[int, ...], ...],
     ):
-        self = super().__new__(cls, components, linking, link_vectors)
+        # tuples throughout, so that the record hashes as the key of ``_inverse``
+        self = super().__new__(
+            cls, tuple(components), tuple(map(tuple, linking)), tuple(map(tuple, link_vectors))
+        )
         t = len(self.components)
         if len(self.linking) != t or any(len(row) != t for row in self.linking):
             raise ValueError("linking matrix must be t x t")
@@ -80,8 +85,10 @@ class SurgeryPresentation(_PresentationFields):
         for v in self.link_vectors:
             if len(v) != t:
                 raise ValueError("link component vector has wrong length")
-        if t and linalg.det(linking_matrix(self)) == 0:
-            raise linalg.SingularMatrixError("surgery linking matrix is singular")
+        try:
+            _inverse(self)
+        except linalg.SingularMatrixError:
+            raise linalg.SingularMatrixError("surgery linking matrix is singular") from None
         return self
 
     @property
@@ -95,6 +102,16 @@ def linking_matrix(p: SurgeryPresentation) -> list[list[int]]:
     for i, c in enumerate(p.components):
         q[i][i] = c.coefficient
     return q
+
+
+@lru_cache(maxsize=1)
+def _inverse(p: SurgeryPresentation) -> linalg.Inverse:
+    """Q^{-1} of the presentation as (a, p).
+
+    ``SurgeryPresentation`` computes it when it checks singularity, and the
+    cache of one keeps it for the terms of that presentation read next.
+    """
+    return linalg.inverse(linking_matrix(p))
 
 
 def _total_link_vector(p: SurgeryPresentation) -> list[int]:
@@ -112,13 +129,12 @@ def self_intersection(p: SurgeryPresentation) -> Fraction:
     det(Q_k) = -det(Q) <l_k, Q^{-1} l_k>, so the sum collapses to one pairing.
     """
     s = _total_link_vector(p)
-    return linalg.pair(linalg.inverse(linking_matrix(p)), s, s)
+    return linalg.pair(_inverse(p), s, s)
 
 
 def chern_evaluation(p: SurgeryPresentation) -> Fraction:
     """-<rot, Q^{-1} S> = -sum_k <rot, Q^{-1} l_k>, the Chern class on the capped surface."""
-    qinv = linalg.inverse(linking_matrix(p))
-    return -linalg.pair(qinv, p.rot_vector, _total_link_vector(p))
+    return -linalg.pair(_inverse(p), p.rot_vector, _total_link_vector(p))
 
 
 class _BraidFields(NamedTuple):
@@ -153,11 +169,11 @@ def self_linking_shift(sl_t0, p: SurgeryPresentation) -> Fraction:
     Inverts the shift sl(T) = sl(L) + c1[C'] + [C']^2 along the surgery
     cobordism: sl(L) = sl(T0) - chern_evaluation - self_intersection, and
     -c1[C] - [C]^2 = <rot, Q^{-1} S> - <S, Q^{-1} S> = <rot - S, Q^{-1} S>
-    takes one Q^{-1} and one pairing.
+    takes one pairing.
     """
     s = _total_link_vector(p)
     rot_minus_s = [r - x for r, x in zip(p.rot_vector, s)]
-    return Fraction(sl_t0) + linalg.pair(linalg.inverse(linking_matrix(p)), rot_minus_s, s)
+    return Fraction(sl_t0) + linalg.pair(_inverse(p), rot_minus_s, s)
 
 
 def tau_qp_braid(b: BraidDatum) -> Fraction:

@@ -85,17 +85,6 @@ def _tau_rows(
         yield s, Fraction(best - mw, 2 * p), minimizer
 
 
-def tau_detail(f: IntersectionForm, link: LeafLink, s: SpincClass):
-    """Tau value together with its lexicographically least minimizing vector."""
-    _, value, minimizer = next(_tau_rows(f, link, (s,)))
-    return value, minimizer
-
-
-def tau(f: IntersectionForm, link: LeafLink, s: SpincClass) -> Fraction:
-    """Tau-invariant of the leaf-fibre link in the spin-c class s."""
-    return tau_detail(f, link, s)[0]
-
-
 def tau_table(
     f: IntersectionForm, link: LeafLink, classes: Iterable[SpincClass]
 ) -> dict[SpincClass, Fraction]:

@@ -23,6 +23,7 @@ from plumbtau.obstruct import (
 )
 from plumbtau.plumbing import IntersectionForm, PlumbingTree, short_char_vectors
 from plumbtau.surgery import BraidDatum, SurgeryComponent, SurgeryPresentation, linking_matrix
+from plumbtau.tau import _tau_rows
 
 DEFAULT_SEED = 20260814
 
@@ -44,6 +45,40 @@ def mat_vec(m, v):
     if len(m[0]) != len(v):
         raise RuntimeError("dimension mismatch")
     return [sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m))]
+
+
+def det(m) -> int:
+    """Exact determinant by fraction-free Bareiss elimination.
+
+    Intermediate values stay integral: after step k every entry is a
+    k-th leading minor of the original matrix, so the divisions below
+    are exact.  Empty matrices have det 1 by convention.  The package
+    reads |det Q| off the denominator of ``linalg.inverse``; this is the
+    second route the tests check it against.
+    """
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix is not square")
+    if n == 0:
+        return 1
+    a = [list(map(int, row)) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def solve_exact(m, b) -> list[Fraction]:
@@ -129,8 +164,22 @@ def pairing(f, kappa, link) -> Fraction:
     return linalg.pair(f.qinv, kappa, link.m)
 
 
+def tau_detail(f, link, s):
+    """Tau value together with its lexicographically least minimizing vector.
+
+    The one-class view of ``tau._tau_rows``, the rows ``tau.tau_table`` keeps.
+    """
+    _, value, minimizer = next(_tau_rows(f, link, (s,)))
+    return value, minimizer
+
+
+def tau(f, link, s) -> Fraction:
+    """Tau-invariant of the leaf-fibre link in the spin-c class s."""
+    return tau_detail(f, link, s)[0]
+
+
 def pairing_tau_detail(f, link, s):
-    """Reference for ``tau.tau_detail`` and ``tau.tau_table``: (tau, lex-least minimizer).
+    """Reference for ``tau_detail`` and ``tau.tau_table``: (tau, lex-least minimizer).
 
     One ``linalg.pair`` per d-realizing vector and one for m^T Q^{-1} m,
     each a Fraction, where the package takes integer dot products with
@@ -581,7 +630,7 @@ def random_presentation(rng: random.Random, max_components: int = 4) -> SurgeryP
         q = [list(row) for row in linking]
         for i in range(t):
             q[i][i] = comps[i].coefficient
-        if linalg.det(q) == 0:
+        if det(q) == 0:
             continue
         n_links = rng.randint(0, 4)
         vectors = tuple(
@@ -608,11 +657,11 @@ def bordered_self_intersection(p: SurgeryPresentation) -> Fraction:
     Oracle for ``surgery.self_intersection``, the single pairing <S, Q^{-1} S>.
     """
     q = linking_matrix(p)
-    d = linalg.det(q)
+    d = det(q)
     qinv = linalg.inverse(q)
     total = Fraction(0)
     for k in range(len(p.link_vectors)):
-        total -= Fraction(linalg.det(bordered_matrix(p, k)), d)
+        total -= Fraction(det(bordered_matrix(p, k)), d)
     # 2 sum_{a<b} <l_a, Q^-1 l_b> = <S, Q^-1 S> - sum_a <l_a, Q^-1 l_a>, S = sum_a l_a
     vs = p.link_vectors
     s = [sum(v[i] for v in vs) for i in range(len(q))]
@@ -669,7 +718,7 @@ def closure_metaboliser_candidates(f) -> list[MetaboliserCandidate]:
     fixpoint, keeps those of order sqrt(|H_1|) whose elements pair
     integrally, and recovers generators by a second round of closures.
     """
-    order = abs(f.det())
+    order = abs(det(f.q))
     root = math.isqrt(order)
     if root * root != order:
         return []

@@ -17,6 +17,7 @@ from conftest import (
     random_braid,
     random_complex,
     random_presentation,
+    tau,
 )
 from test_floer import predicted_dims, truncated_dims
 
@@ -49,7 +50,7 @@ from plumbtau.surgery import (
     tau_from_curve,
     tau_qp_braid,
 )
-from plumbtau.tau import d_zero_subset, leaf_link, tau, tau_table
+from plumbtau.tau import d_zero_subset, leaf_link, tau_table
 
 L41, L92 = form_41(), form_92()
 

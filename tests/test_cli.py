@@ -1,6 +1,7 @@
 import argparse
 import ast
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -377,9 +379,9 @@ SCHEMA_CASES = [
     (FLOER_D, {}, 2, f"floer_complex: {REQUIRED}"),
     (FLOER_D, {"floer_complex": "a 0 1"}, 2, "floer_complex: must be a list of strings"),
     (FLOER_D, {"floer_complex": ["a 0"]}, 2, "floer_complex: bad generator line 'a 0'"),
-    (FLOER_D, {"floer_complex": STAIRCASE, "basepoints": "2"}, 2, "basepoints: must be an integer"),
-    (FLOER_D, {"floer_complex": STAIRCASE, "basepoints": 0}, 2,
-     "floer_complex: basepoint count must be >= 1"),
+    (FLOER_D, {"floer_complex": STAIRCASE, "basepoints": "2"}, 2,
+     "basepoints: must be an integer >= 1"),
+    (FLOER_D, {"floer_complex": STAIRCASE, "basepoints": 0}, 2, "basepoints: must be an integer >= 1"),
     (TAU, tau_doc(subset="x"), 2, "subset: bad class representative 'x'"),
     (TAU, tau_doc(subset=[[3, "0"]]), 2, f"subset: {SELECT}"),
     (TAU + ["--spinc", "[]"], tau_doc(), 2, f"spinc: {SELECT}"),
@@ -594,6 +596,66 @@ def test_internal_error_exit(tmp_path, capsys, monkeypatch):
     assert err == "plumbtau: internal error: RuntimeError: pivot target y is not a cycle second line\n"
 
 
+@pytest.mark.parametrize(
+    "argv, doc, matrices",
+    [
+        (DINV, {"plumbing": L92_PLUMBING}, 1),
+        (["spinc"], {"plumbing": L92_PLUMBING}, 1),
+        (TAU, tau_doc(), 1),
+        (["obstruct", "--check", "pl-genus"], tau_doc(), 1),
+        # Q and the unimodular transform of its Smith form
+        (["obstruct", "--check", "metaboliser"], tau_doc(subset=[[3, 0]]), 2),
+        # Q and the surgery matrix, here the empty one
+        (SLICE, {**SLICE_DOC, "surgery": {"braid": BRAID}}, 2),
+        (["surgery", "--what", "tau-curve"],
+         surgery_doc(2, braid={"strands": 6, "writhe": 8, "components": 6}), 1),
+    ],
+)
+def test_each_matrix_is_inverted_once(argv, doc, matrices, tmp_path, capsys, monkeypatch):
+    # |det Q| is the denominator of Q^-1 and a presentation keeps its inverse
+    # for every term, so a command inverts each matrix once; every public
+    # linalg route is counted, so a determinant taken on the way would show
+    from plumbtau import linalg, surgery
+
+    calls, inverted = Counter(), Counter()
+    for name, fn in vars(linalg).items():
+        if inspect.isfunction(fn) and not name.startswith("_"):
+            def counted(*args, _name=name, _f=fn):
+                calls[_name] += 1
+                if _name == "inverse":
+                    inverted[tuple(map(tuple, args[0]))] += 1
+                return _f(*args)
+            monkeypatch.setattr(linalg, name, counted)
+    surgery._inverse.cache_clear()  # an equal presentation built by an earlier test
+    rc, _, err = run_cli(capsys, argv[0], "--input", write_doc(tmp_path, doc), *argv[1:])
+    assert rc == 0, err
+    assert calls["det"] == 0 and calls["inverse"] == len(inverted) == matrices, calls
+    if "plumbing" in doc:
+        assert inverted[cli.build_form(doc).q] == 1
+
+
+def test_package_takes_no_determinant():
+    # the package's one determinant is the denominator p = |det Q| of
+    # linalg.inverse; Bareiss elimination lives in the tests as its oracle
+    package = Path(cli.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            assert not (isinstance(node, ast.FunctionDef) and node.name == "det"), path.name
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                assert node.func.attr != "det", f"{path.name}:{node.lineno}"
+
+
+def test_class_count_invariant_exit(tmp_path, capsys, monkeypatch):
+    # every vector keyed alike gives one class where |det Q| = 9: a broken
+    # invariant of the program, exit 5, not a precondition of the input
+    monkeypatch.setattr(plumbing, "_image", lambda f, kappa: ((), 0))
+    path = write_doc(tmp_path, {"plumbing": L92_PLUMBING})
+    rc, out, err = run_cli(capsys, "dinv", "--input", path)
+    assert rc == cli.INTERNAL_EXIT and out == ""
+    assert err == "plumbtau: internal error: RuntimeError: class count must equal |det Q|\n"
+
+
 def test_package_has_no_assert():
     # runtime invariants must survive python -O and must not pass as exit 3
     package = Path(cli.__file__).parent
@@ -615,30 +677,72 @@ SURFACE_EXEMPT = {
 }
 
 
-def test_public_surface_is_used():
-    # a public function, class or method that only the tests call belongs in the tests
-    package = Path(cli.__file__).parent
-    public, named = set(), set()
+def _qualified_uses(package: Path) -> tuple[set, set]:
+    """(public, used): dotted names of the public functions, classes and methods, and of the uses.
+
+    A top-level name is used through ``module.name`` on a module imported
+    with ``from . import module``, through ``from .module import name``, or
+    by name inside its own module.  A method is used through any ``.name``,
+    since receivers are not typed here.
+    """
+    stems = {path.stem for path in package.glob("*.py")}
+    public, used, attrs = set(), set(), set()
     for path in sorted(package.glob("*.py")):
+        mod = path.stem
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                public.add((f"{path.stem}.{node.name}", node.name))
+                public.add(f"{mod}.{node.name}")
                 if isinstance(node, ast.ClassDef):
                     public.update(
-                        (f"{path.stem}.{node.name}.{m.name}", m.name)
+                        f"{mod}.{node.name}.{m.name}"
                         for m in node.body
                         if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
                     )
+        modules = {}  # local name -> package module, from ``from . import module``
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is not None:
+                        used.add(f"{node.module}.{alias.name}")
+                    elif alias.name in stems:
+                        modules[alias.asname or alias.name] = alias.name
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                named.add(node.id)
+                used.add(f"{mod}.{node.id}")
             elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-            elif isinstance(node, ast.alias):
-                named.add(node.name)
-    unused = {dotted for dotted, name in public if name not in named}
+                attrs.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in modules:
+                    used.add(f"{modules[node.value.id]}.{node.attr}")
+    methods = {name for name in public if name.count(".") == 2}
+    used |= {name for name in methods if name.rpartition(".")[2] in attrs}
+    return public, used
+
+
+def test_public_surface_is_used():
+    # a public function, class or method that only the tests call belongs in the tests
+    public, used = _qualified_uses(Path(cli.__file__).parent)
+    unused = public - used
     assert unused == set(SURFACE_EXEMPT), sorted(unused ^ set(SURFACE_EXEMPT))
+
+
+def test_surface_scan_resolves_qualified_names(tmp_path):
+    # a bare name that is also a module, a field or a local is not a use of
+    # another module's function of that name
+    (tmp_path / "a.py").write_text(
+        "def tau():\n    pass\n\ndef used():\n    pass\n\n"
+        "def local():\n    pass\n\nlocal()\n"
+        "class K:\n    def meth(self):\n        pass\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "b.py").write_text(
+        "from . import a\nfrom .a import used\n\n"
+        "def f(profile):\n    tau = profile.tau\n    profile.meth()\n    return a.K, tau\n",
+        encoding="utf-8",
+    )
+    public, used = _qualified_uses(tmp_path)
+    assert public == {"a.tau", "a.used", "a.local", "a.K", "a.K.meth", "b.f"}
+    assert public - used == {"a.tau", "b.f"}
 
 
 def test_output_is_deterministic(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     adjunction_bound,
     closure_metaboliser_candidates,
+    det,
     genus_bounds_check,
     h1_residues,
     property_seed,
@@ -122,7 +123,12 @@ def test_metaboliser_candidates_l41_and_nonsquare():
     verdict = metaboliser_obstruction(
         profile_from_link(half, LeafLink((0,), 0)), class_of(half, (0,))
     )
-    assert verdict.verdict == FIRES and "no metaboliser" in verdict.witness
+    assert verdict.verdict == FIRES
+    assert verdict.witness == "no metaboliser exists in a group of order 2"
+    # H_1 of a singular form is infinite: no order to take a square root of
+    singular = form_from_tree(PlumbingTree.path(-1, -1))
+    with pytest.raises(ValueError):
+        metaboliser_candidates(singular)
 
 
 def test_metaboliser_search_matches_closure_oracle():
@@ -137,8 +143,8 @@ def test_metaboliser_search_matches_closure_oracle():
             f = chain(*[rng.randint(-6, -1) for _ in range(rng.randint(1, 4))])
         else:
             f = star(*[rng.randint(-6, -1) for _ in range(4)])
-        det = abs(f.det())
-        if f.negative_definite and 4 <= det <= 36 and math.isqrt(det) ** 2 == det:
+        order = abs(det(f.q))
+        if f.negative_definite and 4 <= order <= 36 and math.isqrt(order) ** 2 == order:
             drawn[f.q] = f
     for f in fixed + list(drawn.values()):
         assert metaboliser_candidates(f) == closure_metaboliser_candidates(f), f.q

@@ -5,19 +5,21 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import pairing, pairing_tau_detail, property_seed, random_tree, sigma_square
+from conftest import (
+    det,
+    pairing,
+    pairing_tau_detail,
+    property_seed,
+    random_tree,
+    sigma_square,
+    tau,
+    tau_detail,
+)
 from plumbtau import linalg
 from plumbtau.obstruct import profile_from_link
 from plumbtau.paper import form_41, form_92
 from plumbtau.plumbing import PlumbingTree, class_of, conjugate, form_from_tree, spinc_classes
-from plumbtau.tau import (
-    LeafLink,
-    d_zero_subset,
-    leaf_link,
-    tau,
-    tau_detail,
-    tau_table,
-)
+from plumbtau.tau import LeafLink, d_zero_subset, leaf_link, tau_table
 
 L41, L92 = form_41(), form_92()
 
@@ -107,7 +109,7 @@ def test_tau_denominator_bounded_by_det():
     for k in range(1, 8):
         link = LeafLink((k, 0), k)
         for v in tau_table(L92, link, spinc_classes(L92)).values():
-            assert (2 * abs(L92.det()) * v).denominator == 1
+            assert (2 * abs(det(L92.q)) * v).denominator == 1
 
 
 def test_tau_extrema_and_subset():
