@@ -53,8 +53,8 @@ class GoldenMismatchError(Exception):
 # --- input document -------------------------------------------------------
 
 
-def _is(kind):
-    return lambda x: isinstance(x, kind) and not isinstance(x, bool)
+def _int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _list(check, nonempty=False):
@@ -73,7 +73,10 @@ class _Required(str):
     """The default of a field that may be neither absent nor null: why it is needed."""
 
 
-INT, STR, OBJECT = _is(int), _is(str), _is(dict)
+# No bool is a str or a dict, so only INT excludes bool.  STR and OBJECT are
+# isinstance(x, str) and isinstance(x, dict) as one C call each, with no
+# Python frame: a floer_complex document checks one string per line.
+INT, STR, OBJECT = _int, str.__instancecheck__, dict.__instancecheck__
 REQUIRED = _Required("field is required for this command")
 BRAID = ("strands", "writhe", "components")
 _REPS = _list(_list(INT, nonempty=True), nonempty=True)
@@ -406,15 +409,16 @@ def run_floer(args) -> dict:
 
     doc = load_document(args.input)
     c, filt = build_floer(doc)
-    if args.what == "verify":
-        report = floer.verify_axioms(c)
-        return {
-            "command": "floer",
-            "what": "verify",
-            "ok": report.ok,
-            "failures": list(report.failures),
-        }
+    # past floer.MAX_WORK every question, verify too, exits 3 with the counts
     with _named("floer_complex", ValueError):
+        if args.what == "verify":
+            report = floer.verify_axioms(c)
+            return {
+                "command": "floer",
+                "what": "verify",
+                "ok": report.ok,
+                "failures": list(report.failures),
+            }
         if args.what == "d":
             value = floer.correction_term(c)
         elif args.what == "tau-top":

@@ -10,10 +10,10 @@ computed by exact Gaussian cancellation over the principal ideal
 domain F2[U] (elimination with the globally U-minimal pivot is Smith
 normal form: each cancelled pair contributes either nothing or one
 U-power torsion summand, and the untouched generators are the free
-towers).  The elimination is indexed: it keeps each generator's
-targets and sources as sets of names, derives every exponent from the
-gradings, and pops the globally U-minimal pivot from a heap, so a row
-or column operation touches only the entries it changes.
+towers).  The elimination keeps each generator's targets and sources
+as Python ints, one bit per generator in (grading, name) order, and
+derives every exponent from the gradings: a pivot costs one XOR per row
+it changes, and a heap of each row's least entry pops the next pivot.
 
 Setting U = 0 gives the hat complex over F2.  The tower classes reduce
 to independent nonzero classes there; the top and bottom reductions
@@ -37,15 +37,9 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 # broken complex of e entries reports in bounded output, not e^2 lines.
 MAX_LISTED_FAILURES = 100
 
-# The package's records are NamedTuples or plain classes, never dataclasses:
-# ``dataclasses`` imports ``inspect`` (and through it ``ast``, ``dis`` and
-# ``tokenize``), 9-11.5 ms of every CLI call, and builds each class in about
-# 1 ms, against 0.1-0.2 ms for a NamedTuple.  A record with checks is a
-# NamedTuple of its fields plus a subclass whose ``__new__`` runs them, as
-# below; ``_replace`` and ``_make`` skip ``__new__``, so the package uses
-# neither.  ``IntersectionForm`` and ``SpincClass`` (``plumbing``) are plain
-# classes, since their equality leaves fields out and the form caches its
-# inverse.
+# Most work n^2 + 16 e a complex of n generators and e entries may ask for
+# (``_require_size``); the largest allowed complexes answer in about 1 s.
+MAX_WORK = 4_500_000
 
 
 class _FloerFields(NamedTuple):
@@ -71,22 +65,18 @@ class FloerComplex(_FloerFields):
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        generators: tuple[str, ...],
-        gradings: Mapping[str, int],
-        entries: Mapping[tuple[str, str], int],
-        basepoints: int = 1,
-    ):
+    def __new__(cls, generators: tuple[str, ...], gradings: Mapping[str, int],
+                entries: Mapping[tuple[str, str], int], basepoints: int = 1):
         self = super().__new__(cls, generators, gradings, entries, basepoints)
-        if len(set(self.generators)) != len(self.generators):
+        gset = set(self.generators)
+        if len(gset) != len(self.generators):
             raise ValueError("generator names must be unique")
         for g in self.generators:
-            if not g or any(ch.isspace() for ch in g):
+            # one word, not empty and without whitespace
+            if g.split() != [g]:
                 raise ValueError(f"bad generator name {g!r}")
             if g not in self.gradings:
                 raise ValueError(f"generator {g!r} has no grading")
-        gset = set(self.generators)
         for key in self.gradings:
             if key not in gset:
                 raise ValueError(f"grading for unknown generator {key!r}")
@@ -101,8 +91,7 @@ class FloerComplex(_FloerFields):
 
     def grading_of_chain(self, chain: Iterable[str]) -> int:
         """Common grading of a homogeneous F2-chain of generators."""
-        gens = set(chain)
-        grs = {self.gradings[g] for g in gens}
+        grs = {self.gradings[g] for g in chain}
         if len(grs) != 1:
             raise ValueError("chain is not homogeneous")
         return grs.pop()
@@ -124,9 +113,7 @@ class AlexanderFiltration(NamedTuple):
                 raise ValueError(f"generator {g!r} has no filtration level")
         for (x, y), m in c.entries.items():
             if self.levels[y] - m > self.levels[x]:
-                raise ValueError(
-                    f"entry {x} -> {y} pow {m} raises the filtration level"
-                )
+                raise ValueError(f"entry {x} -> {y} pow {m} raises the filtration level")
 
 
 class AxiomReport(NamedTuple):
@@ -135,64 +122,96 @@ class AxiomReport(NamedTuple):
 
 
 def _ungraded(c: FloerComplex) -> list[tuple[str, str, int]]:
-    """Entries x -> y pow m that break the grading law, in sorted order.
+    """Entries x -> y pow m that break the grading law, sorted; a graded complex sorts nothing."""
+    gr = c.gradings
+    return sorted((x, y, m) for (x, y), m in c.entries.items() if gr[y] - 2 * m != gr[x] - 1)
 
-    The scan runs in entry order and only the failures are sorted, so a
-    graded complex costs no sort.
+
+def _require_size(c: FloerComplex) -> None:
+    """Refuse n generators and e entries whose work n^2 + 16 e exceeds ``MAX_WORK``.
+
+    A pivot x -> y XORs two rows per other source of y and per other target
+    of x, and one per source of x and per target of y.  The grading law puts
+    the sources of x and of y in gradings of opposite parity, and so their
+    targets: a pivot among m live generators XORs at most 4(m - 2) rows of
+    n bits, each with at most one heap push, and the n/2 pivots fewer than
+    n^2.  A hat slice of tau costs as much, n vectors reduced against n
+    pivots.  Reading and checking the entries, and the d^2 masks, cost a
+    few steps per entry, measured at about 16 units of n^2.
+    """
+    n, e = len(c.generators), len(c.entries)
+    work = n * n + 16 * e
+    if work > MAX_WORK:
+        raise ValueError(
+            f"{n} generators and {e} entries make n^2 + 16 e = {work},"
+            f" above the limit of {MAX_WORK}"
+        )
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _rows(c: FloerComplex) -> tuple[list[str], list[int], list[int]]:
+    """The generators in (grading, name) order, and their bit rows ``out`` and ``inn``.
+
+    Bit j of ``out[i]``, and bit i of ``inn[j]``, is set when names[i] ->
+    names[j] is an entry.  The grading law makes the exponent grow with the
+    target's grading, so the lowest bit of a row is its (m, name)-least entry.
     """
     gr = c.gradings
-    return sorted(
-        (x, y, m) for (x, y), m in c.entries.items() if gr[y] - 2 * m != gr[x] - 1
-    )
-
-
-def _d2_rows(c: FloerComplex) -> Iterator[tuple[str, list[str]]]:
-    """Each source x in name order, with the z that survive in d(d(x)), unsorted.
-
-    Over F2[U] with the grading law the exponent of every composite x -> z
-    is pinned, so a z survives when an odd number of paths reach it.
-    """
-    outgoing: dict[str, list[str]] = {}
+    names = sorted(c.generators, key=lambda g: (gr[g], g))
+    index = {g: i for i, g in enumerate(names)}
+    out, inn = [0] * len(names), [0] * len(names)
     for x, y in c.entries:
-        outgoing.setdefault(x, []).append(y)
-    for x in sorted(outgoing):
-        row: dict[str, int] = {}
-        for y in outgoing[x]:
-            for z in outgoing.get(y, ()):
-                row[z] = row.get(z, 0) ^ 1
-        yield x, [z for z, parity in row.items() if parity]
+        i, j = index[x], index[y]
+        out[i] |= 1 << j
+        inn[j] |= 1 << i
+    return names, out, inn
+
+
+def _d2_masks(names: list[str], out: list[int]) -> Iterator[tuple[str, int]]:
+    """Each source x in name order, with d(d(x)) as a mask over ``names``: the
+    XOR of the rows of x's targets, as the grading law pins each exponent."""
+    for i in sorted(range(len(names)), key=names.__getitem__):
+        square = 0
+        for j in _bits(out[i]):
+            square ^= out[j]
+        yield names[i], square
 
 
 def _graded_d2_failures(c: FloerComplex) -> Iterator[str]:
-    """Failures of the grading law, else of d^2 = 0, lazily and in sorted order.
-
-    The d^2 rows are built one source at a time, so the first failure
-    costs one row, not the whole square.
-    """
-    graded = True
+    """Failures of the grading law, else of d^2 = 0, in sorted order: the first costs one mask."""
+    graded, gr = True, c.gradings
     for x, y, m in _ungraded(c):
         graded = False
-        yield (
-            f"grading: entry {x} -> {y} pow {m} has gr {c.gradings[y]} - 2*{m}"
-            f" != gr {c.gradings[x]} - 1"
-        )
+        yield f"grading: entry {x} -> {y} pow {m} has gr {gr[y]} - 2*{m} != gr {gr[x]} - 1"
     if graded:
-        for x, survivors in _d2_rows(c):
-            for z in sorted(survivors):
+        names, out, _ = _rows(c)
+        for x, square in _d2_masks(names, out):
+            for z in sorted(names[k] for k in _bits(square)):
                 yield f"d_squared: d(d({x})) has a surviving {z} term"
 
 
 def _failure_count(c: FloerComplex) -> int:
     """How many failures ``_graded_d2_failures`` yields, none of them formatted."""
-    return len(_ungraded(c)) or sum(len(zs) for _, zs in _d2_rows(c))
+    if ungraded := len(_ungraded(c)):
+        return ungraded
+    names, out, _ = _rows(c)
+    return sum(square.bit_count() for _, square in _d2_masks(names, out))
 
 
 def verify_axioms(c: FloerComplex) -> AxiomReport:
-    """Check the grading law and d^2 = 0 (by eliminating), then the rank.
+    """Check the size, the grading law and d^2 = 0 (by eliminating), then the rank.
 
     The first ``MAX_LISTED_FAILURES`` failures are listed, then one line
     ``... and N more failures`` if there are more.
     """
+    _require_size(c)
     try:
         rank, power = len(_eliminate(c)[0]), c.basepoints - 1
     except ValueError:
@@ -212,8 +231,7 @@ def verify_axioms(c: FloerComplex) -> AxiomReport:
 
 
 def _require_valid(c: FloerComplex) -> None:
-    failure = next(_graded_d2_failures(c), None)
-    if failure is not None:
+    for failure in _graded_d2_failures(c):  # raise the first, if any
         raise ValueError(failure)
 
 
@@ -226,99 +244,87 @@ def _eliminate(c: FloerComplex) -> tuple[list[tuple[int, int]], list[tuple[int, 
     stands for ``c.generators[i]``; towers are sorted by grading, highest
     first, then by mask.  Each torsion summand is (grading, U-power).
 
-    Rows are sets: ``out[x]`` holds the targets of x and ``inn[y]`` the
-    sources of y.  No exponent is stored.  The grading law pins that of
-    x -> y to (gr y - gr x + 1) / 2; it is checked first, and the graded
-    basis changes keep it, and D^2 up to conjugation.  So the elimination
-    is the d^2 check: d^2 = 0 makes every pivot pair split off, and if
-    all do, d^2 = 0.  Only a pair that fails lists the d^2 rows.
+    The rows are those of ``_rows``; the grading law, checked first, pins
+    each exponent, and the graded basis changes keep it, and D^2 up to
+    conjugation.  So the elimination is the d^2 check: d^2 = 0 makes every
+    pivot pair split off, and if all do, d^2 = 0.
 
-    A representative is kept only as its hat reduction.  The pivot is a
-    globally U-minimal entry x -> y pow a, so every other source w of y
-    has an entry w -> y pow k with k >= a, and the column clear
-    w <- w + U^delta x shifts by delta = k - a >= 0.  A shift by delta > 0
-    puts nothing at exponent 0, so the reduction of w gains that of x
-    exactly when delta = 0, that is when gr w = gr x.  The row clear
-    changes only the representative of y, which leaves with x and is
-    never read again.
+    A pivot x -> y pow a does ``out[w] ^= out[x]`` for each other source w
+    of y and ``inn[z] ^= inn[y]`` for each other target z of x.  As the
+    pivot is globally U-minimal, the basis change w <- w + U^delta x has
+    delta >= 0, and only delta = 0, that is gr w = gr x, puts anything at
+    exponent 0: only then does the reduction of w gain that of x.  The row
+    clear changes only the representative of y, which leaves with x.
     """
     if _ungraded(c):
         _require_valid(c)
-    gr = c.gradings
-    out: dict[str, set[str]] = {g: set() for g in c.generators}
-    inn: dict[str, set[str]] = {g: set() for g in c.generators}
-    for x, y in c.entries:
-        out[x].add(y)
-        inn[y].add(x)
-    # Pivots pop in (m, x, y) order: the globally U-minimal entry, which
-    # keeps every elimination inside F2[U], ties broken by name.  This is
-    # the order of a plain minimum over all entries, kept on purpose: it
-    # fixes which cycle represents each tower, and with it the theta
-    # classes, tau and every output byte.
-    # An entry cancelled after its push stays in the heap and is skipped
-    # when popped; its U-power is pinned by the gradings, so presence in
-    # ``out`` is the only check needed.
-    heap = [(m, x, y) for (x, y), m in c.entries.items()]
-    heapq.heapify(heap)
+    names, out, inn = _rows(c)
+    grs = [c.gradings[g] for g in names]
+    position = {g: i for i, g in enumerate(c.generators)}
+    hat = [1 << position[g] for g in names]
+    heap: list[tuple] = []
     pop, push = heapq.heappop, heapq.heappush
-    hat = {g: 1 << i for i, g in enumerate(c.generators)}
-    alive = set(c.generators)
+    def offer(w: int) -> None:  # push w's least entry, if it has one
+        row = out[w]
+        if row:
+            z = (row & -row).bit_length() - 1
+            push(heap, ((grs[z] - grs[w] + 1) // 2, names[w], names[z], w, 1 << z))
+
+    # Pivots pop in (m, x, y) order, the globally U-minimal entry with ties
+    # broken by name, as a plain minimum over all entries would: that fixes
+    # the cycle of each tower, so the theta classes, tau and every output
+    # byte.  Each row's least entry is pushed whenever it changes, enough as
+    # a pivot ends its row; a popped entry is stale unless still its lowest.
+    for w in range(len(names)):
+        offer(w)
+    alive = set(range(len(names)))
     torsion: list[tuple[int, int]] = []
     while heap:
-        a, x, y = pop(heap)
-        targets = out[x]
-        if y not in targets:
+        a, _, _, x, ybit = pop(heap)
+        row = out[x]
+        if row & -row != ybit:
             continue
-        targets.discard(y)
-        sources = inn[y]
-        sources.discard(x)
-        gx = gr[x]
+        y, xbit = ybit.bit_length() - 1, 1 << x
+        column, gx, hx = inn[y], grs[x], hat[x]
         # clear the column of y: each other source w becomes w + U^delta x,
-        # so w loses y and its row gains the other targets of x
-        incoming = set(inn[x])
-        for w in sources:
-            row = out[w]
-            row.discard(y)
-            gw = gr[w]
-            for z in targets:
-                if z in row:
-                    row.discard(z)
-                    inn[z].discard(w)
-                else:
-                    row.add(z)
-                    inn[z].add(w)
-                    push(heap, ((gr[z] - gw + 1) // 2, w, z))
-            if gw == gx:
-                hat[w] ^= hat[x]
+        # so w loses y and gains the other targets of x; y is row's lowest bit
+        incoming = inn[x]
+        for w in _bits(column ^ xbit):
+            out[w] ^= row
+            if not out[w] & (ybit - 1):  # w's least entry was w -> y
+                offer(w)
+            if grs[w] == gx:
+                hat[w] ^= hx
             incoming ^= inn[w]
         # the same change gives each source v of w an arrow v -> x, and
         # d^2 = 0 makes these cancel the arrows into x: nothing maps to x
-        for v in inn[x]:
-            out[v].discard(x)
+        for v in _bits(inn[x]):
+            out[v] ^= xbit
+            if not out[v] & (xbit - 1):  # v's least entry was v -> x
+                offer(v)
         # clear the row of x: y <- y + sum of U^delta z over its other
         # targets z, and d^2 = 0 makes the new y a cycle
-        outgoing = set(out[y])
-        for z in targets:
+        outgoing = out[y]
+        for z in _bits(row ^ ybit):
             outgoing ^= out[z]
-            inn[z].discard(x)
+            inn[z] ^= column
         if incoming or outgoing:
             # d^2 != 0, so the listing finds a failure unless this code is wrong
             _require_valid(c)
-            raise RuntimeError(f"pivot {x} -> {y} does not split off")
-        for t in out[y]:
-            inn[t].discard(y)
-        for g in (x, y):
-            out[g].clear()
-            inn[g].clear()
-            alive.discard(g)
+            raise RuntimeError(f"pivot {names[x]} -> {names[y]} does not split off")
+        for t in _bits(out[y]):
+            inn[t] ^= ybit
+        out[x] = out[y] = inn[x] = inn[y] = 0
+        alive -= {x, y}
         if a >= 1:
-            torsion.append((gr[y], a))
-    towers = sorted(((gr[g], hat[g]) for g in alive), key=lambda t: (-t[0], t[1]))
+            torsion.append((grs[y], a))
+    towers = sorted(((grs[g], hat[g]) for g in alive), key=lambda t: (-t[0], t[1]))
     return towers, sorted(torsion, key=lambda t: (-t[0], t[1]))
 
 
 def correction_term(c: FloerComplex) -> int:
     """Maximal grading of a cycle whose class is not U-torsion."""
+    _require_size(c)
     towers, _ = _eliminate(c)
     if not towers:
         raise ValueError("homology has no free part, correction term undefined")
@@ -336,6 +342,7 @@ def _theta_classes(c: FloerComplex) -> tuple[int, frozenset, frozenset]:
     theta_top is the hat reduction of the tower at the correction term d,
     theta_bot that of the tower at d - basepoints + 1.
     """
+    _require_size(c)
     towers, _ = _eliminate(c)
     if not towers:
         raise ValueError("homology has no free part")
@@ -344,9 +351,7 @@ def _theta_classes(c: FloerComplex) -> tuple[int, frozenset, frozenset]:
     tops = [hat for g, hat in towers if g == d]
     bots = [hat for g, hat in towers if g == bottom]
     if len(tops) != 1 or len(bots) != 1:
-        raise ValueError(
-            "tower gradings do not single out top and bottom classes"
-        )
+        raise ValueError("tower gradings do not single out top and bottom classes")
     return d, _chain(c, tops[0]), _chain(c, bots[0])
 
 
@@ -388,15 +393,12 @@ class _HatSlice:
     """F2 linear algebra of the hat complex in one fixed grading."""
 
     def __init__(self, c: FloerComplex, grading: int):
-        self.grading = grading
         self.gens = sorted(g for g in c.generators if c.gradings[g] == grading)
         self.bit = {g: i for i, g in enumerate(self.gens)}
         below = sorted(g for g in c.generators if c.gradings[g] == grading - 1)
         bit_below = {g: i for i, g in enumerate(below)}
         self.images = dict.fromkeys(self.gens, 0)
-        above = dict.fromkeys(
-            sorted(g for g in c.generators if c.gradings[g] == grading + 1), 0
-        )
+        above = dict.fromkeys(sorted(g for g in c.generators if c.gradings[g] == grading + 1), 0)
         for (x, y), m in c.entries.items():
             if m:
                 continue
@@ -480,6 +482,7 @@ def tau_bot(c: FloerComplex, filt: AlexanderFiltration) -> int:
 
 def tau_alpha(c: FloerComplex, filt: AlexanderFiltration, alpha: Iterable[str]) -> int:
     """Least filtration level holding a cycle in the class of ``alpha``."""
+    _require_size(c)
     _require_valid(c)
     chain = frozenset(alpha)
     if not chain:
@@ -515,36 +518,33 @@ def parse_complex(
     levels: dict[str, int] = {}
     entries: dict[tuple[str, str], int] = {}
     for raw in lines:
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        # one split for a line without a comment
+        line = raw.split("#", 1)[0] if "#" in raw else raw
         parts = line.split()
-        if "->" in parts:
-            if len(parts) == 3 and parts[1] == "->":
-                x, y, m = parts[0], parts[2], 0
-            elif len(parts) == 5 and parts[1] == "->" and parts[3] == "pow":
-                x, y = parts[0], parts[2]
-                try:
-                    m = int(parts[4])
-                except ValueError:
-                    raise ValueError(f"bad U-power in line {line!r}")
-            else:
-                raise ValueError(f"bad differential line {line!r}")
-            if (x, y) in entries:
-                raise ValueError(f"duplicate entry {x} -> {y}")
-            entries[(x, y)] = m
-        else:
-            if len(parts) != 3:
-                raise ValueError(f"bad generator line {line!r}")
+        n = len(parts)
+        if n in (3, 5) and parts[1] == "->" and (n == 3 or parts[3] == "pow"):
+            key = parts[0], parts[2]
+            try:
+                m = int(parts[4]) if n == 5 else 0
+            except ValueError:
+                raise ValueError(f"bad U-power in line {line.strip()!r}")
+            if key in entries:
+                raise ValueError(f"duplicate entry {key[0]} -> {key[1]}")
+            entries[key] = m
+        elif "->" in parts:
+            raise ValueError(f"bad differential line {line.strip()!r}")
+        elif n == 3:
             name = parts[0]
             try:
                 gr, a = int(parts[1]), int(parts[2])
             except ValueError:
-                raise ValueError(f"bad grading or level in line {line!r}")
+                raise ValueError(f"bad grading or level in line {line.strip()!r}")
             if name in gradings:
                 raise ValueError(f"duplicate generator {name!r}")
             gens.append(name)
             gradings[name] = gr
             levels[name] = a
+        elif n:
+            raise ValueError(f"bad generator line {line.strip()!r}")
     c = FloerComplex(tuple(gens), gradings, entries, basepoints)
     return c, AlexanderFiltration(levels)

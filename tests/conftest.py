@@ -219,6 +219,32 @@ def _shift(chain: frozenset, delta: int) -> frozenset:
     return frozenset((g, e + delta) for g, e in chain)
 
 
+def d2_rows(c: FloerComplex) -> list[tuple[str, list[str]]]:
+    """Reference for the d^2 listing: each source x in name order, with the
+    z that survive in d(d(x)), sorted.
+
+    Over F2[U] with the grading law the exponent of every composite x -> z
+    is pinned, so a z survives when an odd number of paths reach it; the
+    paths are counted one at a time.
+    """
+    outgoing: dict[str, list[str]] = {}
+    for x, y in c.entries:
+        outgoing.setdefault(x, []).append(y)
+    rows = []
+    for x in sorted(outgoing):
+        parity: dict[str, int] = {}
+        for y in outgoing[x]:
+            for z in outgoing.get(y, ()):
+                parity[z] = parity.get(z, 0) ^ 1
+        rows.append((x, sorted(z for z, odd in parity.items() if odd)))
+    return rows
+
+
+def d2_listing(c: FloerComplex) -> list[str]:
+    """Every d^2 failure line that ``verify_axioms`` may list, in its order (``d2_rows``)."""
+    return [f"d_squared: d(d({x})) has a surviving {z} term" for x, zs in d2_rows(c) for z in zs]
+
+
 def scan_decompose(c: FloerComplex) -> tuple[list[tuple[int, frozenset]], list[tuple[int, int]]]:
     """Brute-force reference for ``floer._eliminate``.
 

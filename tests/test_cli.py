@@ -156,10 +156,10 @@ STAIRCASE = ["a 0 1", "b -1 0", "c -2 -1", "b -> a pow 1", "b -> c"]
 
 def test_floer_commands(tmp_path, capsys, monkeypatch):
     # the elimination is the d^2 check: a valid complex builds no d^2 row
-    def no_rows(c):
-        raise AssertionError("d^2 rows built for a valid complex")
+    def no_rows(names, out):
+        raise AssertionError("d^2 masks built for a valid complex")
 
-    monkeypatch.setattr(floer, "_d2_rows", no_rows)
+    monkeypatch.setattr(floer, "_d2_masks", no_rows)
     path = write_doc(tmp_path, {"floer_complex": STAIRCASE})
     rc, out, _ = run_cli(capsys, "floer", "--input", path, "--what", "verify")
     assert rc == 0 and json.loads(out) == {
@@ -224,6 +224,36 @@ def test_floer_verify_counts_what_it_does_not_list(tmp_path, capsys):
         "ok": False,
         "failures": listed + ["... and 999900 more failures"],
     }
+
+
+def test_floer_work_limit(tmp_path, capsys, monkeypatch):
+    # 1,000 + 1,000 + 1 generators and 31 arrows a_i -> b_j per source make
+    # n^2 + 16 e = 2,001^2 + 16 * 31,000 = 4,500,001, one step past the limit
+    assert floer.MAX_WORK == 4_500_000
+    lines = [f"a{i} 1 0" for i in range(1000)] + [f"b{j} 0 0" for j in range(1000)]
+    lines += ["t 0 0"] + [f"a{i} -> b{(i + k) % 1000}" for i in range(1000) for k in range(31)]
+
+    def never(*args):
+        raise AssertionError("eliminated or listed d^2 past the work limit")
+
+    monkeypatch.setattr(floer, "_eliminate", never)
+    monkeypatch.setattr(floer, "_d2_masks", never)
+    path = write_doc(tmp_path, {"floer_complex": lines})
+    refusal = (
+        "2001 generators and 31000 entries make n^2 + 16 e = 4500001, above the limit of 4500000"
+    )
+    for what in ("verify", "d", "tau-top", "tau-bot"):
+        rc, out, err = run_cli(capsys, "floer", "--input", path, "--what", what)
+        assert (rc, out, err) == (3, "", f"plumbtau: floer_complex: {refusal}\n"), what
+    past, filt = floer.parse_complex(lines)
+    with pytest.raises(ValueError) as info:
+        floer.tau_alpha(past, filt, ["a0"])
+    assert str(info.value) == refusal
+    # without t and with 250 more arrows, 2,000^2 + 16 * 31,250 is exactly
+    # the limit, which passes
+    at = [line for line in lines if line != "t 0 0"]
+    at += [f"a{i} -> b{(i + 31) % 1000}" for i in range(250)]
+    floer._require_size(floer.parse_complex(at)[0])
 
 
 def test_obstruct_commands(tmp_path, capsys):

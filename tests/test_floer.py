@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from conftest import (
     Tower,
+    d2_listing,
     dualize,
     format_complex,
     hat_complex,
@@ -426,6 +427,33 @@ def test_indexed_elimination_matches_scan_oracle():
     # far past the default draws, which stop at six generators
     assert max(n for n, _ in sizes) > 30
     assert sum(1 for _, e in sizes if e >= 100) >= 20
+    # dense two-level complexes a_i -> b_j, each arrow with probability 1/2,
+    # plus one tower: every pivot updates many rows, and rows fill in
+    for _ in range(6):
+        n = rng.randint(30, 40)
+        a, b = [f"a{i}" for i in range(n)], [f"b{j}" for j in range(n)]
+        gens = [*a, *b, "t"]
+        rng.shuffle(gens)
+        c = FloerComplex(
+            tuple(gens),
+            {**dict.fromkeys(a, 1), **dict.fromkeys(b, 0), "t": rng.choice([0, 1])},
+            {(x, y): 0 for x in a for y in b if rng.random() < 0.5},
+        )
+        assert len(c.entries) > n * n / 3
+        assert floer._eliminate(c) == hat_view(c, scan_decompose(c))
+
+
+def test_a_pivot_that_takes_a_row_s_least_entry_offers_the_next():
+    # The square v -> a, v -> b, a -> y, b -> y, plus a tower t.  The first
+    # pivot a -> y takes a out of v's row, where v -> a was the least entry;
+    # v -> b must then be offered, or v and b stay as two false towers.
+    c = FloerComplex(
+        ("t", "v", "a", "b", "y"),
+        {"t": 0, "v": 2, "a": 1, "b": 1, "y": 0},
+        {("v", "a"): 0, ("v", "b"): 0, ("a", "y"): 0, ("b", "y"): 0},
+    )
+    assert floer._eliminate(c) == ([(0, 0b00001)], []) == hat_view(c, scan_decompose(c))
+    assert verify_axioms(c).ok and correction_term(c) == 0
 
 
 def _outcome(fn, *args):
@@ -497,8 +525,8 @@ def test_equal_power_pivots_pop_in_name_order():
 
 
 def test_floer_answers_do_not_follow_the_hash_seed(tmp_path):
-    # the elimination keeps its rows as sets of generator names, and set
-    # iteration order follows PYTHONHASHSEED; no answer may depend on it
+    # set and dict iteration over generator names follows PYTHONHASHSEED;
+    # no answer, and no pivot order, may depend on it
     rng = random.Random(property_seed())
     paths = []
     while len(paths) < 8:
@@ -560,19 +588,20 @@ def _toggle_graded_entries(rng, c: FloerComplex, count: int) -> FloerComplex:
 
 def _check_elimination_against_listing(c: FloerComplex) -> bool:
     """Whether ``c`` fails d^2 = 0, after checking that the elimination
-    raises exactly then, naming the first failure ``verify_axioms`` lists."""
-    broken = any(zs for _, zs in floer._d2_rows(c))
+    raises exactly then, naming the first failure the path-parity oracle
+    lists, and that ``verify_axioms`` lists and counts what the oracle does."""
+    listed = d2_listing(c)
     try:
         floer._eliminate(c)
     except ValueError as exc:
-        listed = list(floer._graded_d2_failures(c))
-        assert broken and str(exc) == listed[0]
+        assert listed and str(exc) == listed[0]
+        assert list(floer._graded_d2_failures(c)) == listed
         want = listed[:MAX_LISTED_FAILURES]
         if len(listed) > MAX_LISTED_FAILURES:
             want.append(f"... and {len(listed) - MAX_LISTED_FAILURES} more failures")
         assert verify_axioms(c).failures == tuple(want)
         return True
-    assert not broken
+    assert not listed
     assert not any(f.startswith("d_squared") for f in verify_axioms(c).failures)
     return False
 

@@ -18,7 +18,14 @@ from conftest import (
 from plumbtau import linalg
 from plumbtau.obstruct import profile_from_link
 from plumbtau.paper import form_41, form_92
-from plumbtau.plumbing import PlumbingTree, class_of, conjugate, form_from_tree, spinc_classes
+from plumbtau.plumbing import (
+    PlumbingTree,
+    class_of,
+    conjugate,
+    form_from_tree,
+    spinc_classes,
+    spinc_translate,
+)
 from plumbtau.tau import LeafLink, d_zero_subset, leaf_link, tau_table
 
 L41, L92 = form_41(), form_92()
@@ -190,3 +197,36 @@ def test_profile_takes_no_pairing(monkeypatch):
     profile = profile_from_link(f, leaf_link(f, {"v1": 2, "v4": 1}))
     assert len(profile.tau) == 55
     assert calls == {"inverse": 1}
+
+
+def test_tau_of_a_leaf_fibre_from_d():
+    # A second route to tau.  The fibre K over a leaf v is Floer-simple in an
+    # L-space, so tau(K, s) = (d(s) - d(s - [K])) / 2 (Rasmussen; Ni-Wu;
+    # Raoux), and [K] = e_v acts as translation by -e_v.  With l strands
+    # only the bound holds: for a realiser kappa of s, kappa - 2m lies in
+    # s - [L], so d(s - [L]) >= d(s) - 2 tau, and the gap is an integer.
+    rng = random.Random(property_seed())
+    seen = {"chain": 0, "star": 0}
+    for k in range(120):
+        if k < 60:
+            tree = PlumbingTree.path(*(rng.randint(-6, -2) for _ in range(rng.randint(1, 5))))
+        else:
+            ids = [f"v{i}" for i in range(rng.randint(4, 5))]
+            weights = [rng.randint(-6, -2) for _ in ids]
+            tree = PlumbingTree(tuple(zip(ids, weights)), tuple(("v0", v) for v in ids[1:]))
+        f = form_from_tree(tree)
+        if not f.negative_definite:
+            continue
+        v = rng.choice([v for v, _ in tree.vertices if tree.marking(v) == "unmarked_leaf"])
+        classes = spinc_classes(f)
+        for ell in (1, rng.randint(2, 4)):
+            table = tau_table(f, leaf_link(f, {v: ell}), classes)
+            shift = tuple(-ell if u == v else 0 for u, _ in tree.vertices)
+            for s in classes:
+                gap = table[s] - (s.d - spinc_translate(s, shift).d) / 2
+                if ell == 1:
+                    assert gap == 0, (tree, v, s.rep)
+                else:
+                    assert gap >= 0 and gap.denominator == 1, (tree, v, ell, s.rep, gap)
+        seen["chain" if k < 60 else "star"] += len(classes)
+    assert seen["chain"] > 2000 and seen["star"] > 2000, seen
