@@ -25,6 +25,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Optional
 
 from . import EXAMPLE_NAMES
@@ -190,7 +191,7 @@ def load_document(path: str) -> dict:
 
 
 def build_form(doc: dict) -> IntersectionForm:
-    from .plumbing import PlumbingTree, form_from_tree, require_box
+    from .plumbing import PlumbingTree, boxed_form
 
     node = _value(doc, "plumbing")
     vertices, edges, markings = _fields(node, "plumbing", "vertices", "edges", "markings")
@@ -203,8 +204,7 @@ def build_form(doc: dict) -> IntersectionForm:
     # every command that reads a plumbing enumerates its short-vector box, so
     # a refused one is reported before the rest of the document is read
     with _named("plumbing", ValueError):
-        require_box(tree)
-    return form_from_tree(tree)
+        return boxed_form(tree)
 
 
 def build_link(doc: dict, f: IntersectionForm) -> LeafLink:
@@ -531,9 +531,45 @@ def _emit_block(mapping: dict, indent: int, out: list):
             out.append(f"{pad}{key}: {_cell(value)}")
 
 
+# The text of each value whose class is exactly one of these, as json writes it
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _json(value, pad: str) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, nested at ``pad``.
+
+    With ``indent`` set, json yields every token through one generator per
+    level; this joins each level once.  It writes str, int, bool, None and
+    lists, tuples and str-keyed dicts of them; any other value, a float or
+    a Fraction, raises json's TypeError.
+    """
+    write = _SCALARS.get(value.__class__)
+    if write is not None:
+        return write(value)
+    inner, sep = pad + "  ", ",\n" + pad + "  "
+    if isinstance(value, dict) and value:
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{\n" + inner + sep.join(items) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)) and value:
+        kinds = set(map(type, value))  # one scalar class, such as a rep's ints: one map
+        write = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(write, value) if write else [_json(v, inner) for v in value]
+        return "[\n" + inner + sep.join(items) + "\n" + pad + "]"
+    if isinstance(value, (dict, list, tuple)):
+        return "{}" if isinstance(value, dict) else "[]"
+    if isinstance(value, (str, int)):  # subclasses, which json writes as their base
+        return encode_basestring_ascii(value) if isinstance(value, str) else int.__repr__(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
 def render(doc: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(doc, indent=2) + "\n"
+        return _json(doc, "") + "\n"
     out: list = []
     _emit_block(doc, 0, out)
     return "\n".join(out) + "\n"

@@ -16,16 +16,17 @@ import sys
 from functools import cached_property
 from fractions import Fraction
 from math import isqrt, prod
-from operator import mul
+from operator import add, mod, mul
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import linalg
 
 MARKINGS = ("marked", "unmarked_leaf", "internal")
 # Most short characteristic vectors an enumeration may walk.  Near the limit
-# a call takes seconds: ``dinv`` on the chain (-2)x15, -3, a box of 98,304,
-# takes 2.3 s and 33 MB, and on (-3)x10, a box of 59,049, 1.3 s (Intel Xeon,
-# Python 3.11).
+# the classes, not the walk, set the cost of a call: ``dinv`` on the chain
+# (-2)x15, -3, a box of 98,304 with 33 classes, takes 0.35 s and 16 MB, and on
+# (-10)x5, a box of 100,000 with 96,030 classes, 2.0 s and 153 MB (CLI wall
+# time and peak RSS, Intel Xeon, Python 3.11).
 MAX_BOX = 100_000
 
 
@@ -210,16 +211,22 @@ def _tree_negative_definite(t: PlumbingTree) -> bool:
     return True
 
 
-def require_box(t: PlumbingTree) -> None:
-    """Raise what ``short_char_vectors`` would raise on the tree's form, from the tree alone.
-
-    A plumbing refused here costs no n x n matrix.
-    """
-    _require_box(_tree_negative_definite(t), [w for _, w in t.vertices])
-
-
 def form_from_tree(t: PlumbingTree) -> IntersectionForm:
     """Intersection form of a plumbing tree: weights on the diagonal, 1 per edge."""
+    return _form(t, _tree_negative_definite(t))
+
+
+def boxed_form(t: PlumbingTree) -> IntersectionForm:
+    """The tree's form, after refusing from the tree alone what the box walk would refuse.
+
+    A refused plumbing costs no n x n matrix, and definiteness is decided once.
+    """
+    negative_definite = _tree_negative_definite(t)
+    _require_box(negative_definite, [w for _, w in t.vertices])
+    return _form(t, negative_definite)
+
+
+def _form(t: PlumbingTree, negative_definite: bool) -> IntersectionForm:
     order = tuple(v for v, _ in t.vertices)
     idx = {v: i for i, v in enumerate(order)}
     n = len(order)
@@ -234,12 +241,7 @@ def form_from_tree(t: PlumbingTree) -> IntersectionForm:
         for j in neighbours[i]:
             row[j] = 1
         q.append(tuple(row))
-    return IntersectionForm(
-        q=tuple(q),
-        order=order,
-        negative_definite=_tree_negative_definite(t),
-        tree=t,
-    )
+    return IntersectionForm(q=tuple(q), order=order, negative_definite=negative_definite, tree=t)
 
 
 def is_characteristic(f: IntersectionForm, kappa: Sequence[int]) -> bool:
@@ -251,11 +253,14 @@ def is_characteristic(f: IntersectionForm, kappa: Sequence[int]) -> bool:
 def _require_box(negative_definite: bool, weights: Sequence[int]) -> None:
     """Refuse an indefinite form, a box of more than ``MAX_BOX`` vectors, then too much work.
 
-    Each of the box's vectors costs an n x n product for its class key, and
-    Q^-1 costs O(n^3), so the work is bounded by (box + n) * n^2.  Its
-    limit is that of a box of ``MAX_BOX`` vectors on m = floor(log2(MAX_BOX))
-    vertices: a tree whose weights are all <= -2 has a box of at least 2^n,
-    so every such tree the box limit accepts has n <= m and passes.
+    The walk of ``_group_classes`` costs O(n) per vector of the box and
+    Q^-1 costs O(n^3), so the work is box * n + n^3.  Its limit is that of
+    a box of ``MAX_BOX`` vectors on m = floor(log2(MAX_BOX)) vertices: a
+    tree whose weights are all <= -2 has a box of at least 2^n, so every
+    such tree the box limit accepts has n <= m and passes.  Near the limit,
+    ``spinc_classes`` takes 1.5 s on the star (-100000; -1 x 15), most of it
+    for its 99,985 classes, and 0.3 s on the star (-117; -1 x 115), n = 116,
+    most of it for Q^-1 (in-process, Intel Xeon, Python 3.11).
     """
     _require_definite(negative_definite)
     size = prod(-a for a in weights)
@@ -268,22 +273,12 @@ def _require_box(negative_definite: bool, weights: Sequence[int]) -> None:
             f"the short-vector box holds {shown} vectors, above the limit of {MAX_BOX}"
         )
     n, m = len(weights), MAX_BOX.bit_length() - 1
-    work, limit = (size + n) * n * n, (MAX_BOX + m) * m * m
+    work, limit = size * n + n**3, MAX_BOX * m + m**3
     if work > limit:
         raise ValueError(
             f"{n} vertices and a short-vector box of {size} vectors make"
-            f" (box + n) * n^2 = {work}, above the limit of {limit}"
+            f" box * n + n^3 = {work}, above the limit of {limit}"
         )
-
-
-def short_char_vectors(f: IntersectionForm) -> list[tuple[int, ...]]:
-    """All characteristic vectors in the box a_i + 2 <= kappa_i <= -a_i, lex order."""
-    _require_box(f.negative_definite, [f.q[i][i] for i in range(f.n)])
-    ranges = []
-    for i in range(f.n):
-        a = f.q[i][i]
-        ranges.append(range(a + 2, -a + 1, 2))
-    return [tuple(k) for k in itertools.product(*ranges)]
 
 
 class SpincClass(_Frozen):
@@ -337,25 +332,69 @@ def _image(f: IntersectionForm, kappa: Sequence[int]) -> tuple[tuple[int, ...], 
 def _group_classes(f: IntersectionForm) -> dict[tuple[int, ...], SpincClass]:
     """Classes of the short box, each with d = max (kappa^2 + n)/4 over it.
 
-    The box walk checks definiteness and the box limit before Q^{-1} is built.
+    The box a_i + 2 <= kappa_i <= -a_i is walked in ``itertools.product``
+    order without being built.  A vector is a head (its first s
+    coordinates) followed by a tail, and y = a·kappa is y_h + y_t, the
+    partial sums of the head and of the tail: the tails' are built once,
+    the heads' one at a time, each from the last by O(n) additions.  A
+    coordinate of weight -1 has one value and goes into its half's
+    constant.  As a is symmetric, kappa·y = head·y_h + tail·y_t +
+    2·head·y_t, so a vector costs O(n) where ``_image`` costs n^2, and its
+    key is ``_image(f, kappa)[0]``.  Definiteness and the box limit are
+    checked before Q^{-1} is built.
     """
-    box = short_char_vectors(f)
+    n = f.n
+    diag = [f.q[i][i] for i in range(n)]
+    _require_box(f.negative_definite, diag)
+    a, p = f.qinv
+    ranges = [range(w + 2, -w + 1, 2) for w in diag]
+    sizes = list(itertools.accumulate(map(len, ranges), mul, initial=1))
+    # fewest heads plus tails, and of those the fewest tails: only the tails are held
+    s = min(range(n, -1, -1), key=lambda i: sizes[i] + sizes[-1] // sizes[i])
+
+    def half(lo, hi):
+        """(kappa[lo:hi], its y, its kappa·y) for each value of the coordinates, in product order."""
+        y0, varying = [0] * n, []
+        for i in range(lo, hi):  # row i of the symmetric a is its column i
+            if len(ranges[i]) == 1:  # weight -1
+                y0 = [y + ranges[i][0] * x for y, x in zip(y0, a[i])]
+            else:
+                varying.append((ranges[i], a[i]))
+
+        def sums(j, y):
+            if j == len(varying):
+                yield y
+                return
+            values, col = varying[j]
+            y = [u + values[0] * x for u, x in zip(y, col)]
+            step = [2 * x for x in col]
+            for _ in values:
+                yield from sums(j + 1, y)
+                y = list(map(add, y, step))
+
+        for k, y in zip(itertools.product(*ranges[lo:hi]), sums(0, y0)):
+            yield k, y, sum(map(mul, k, y[lo:]))
+
+    tails = list(half(s, n))
+    modulus = itertools.repeat(2 * p)
     groups: dict[tuple[int, ...], list] = {}  # key -> [rep, best numerator, its vectors]
-    for k in box:  # lex order: a group's first vector is its rep
-        key, num = _image(f, k)
-        group = groups.get(key)
-        if group is None:
-            groups[key] = [k, num, [k]]
-        elif num > group[1]:
-            group[1:] = [num, [k]]
-        elif num == group[1]:
-            group[2].append(k)
-    p = f.qinv[1]  # |det Q|
-    if len(groups) != p:
+    for head, yh, sh in half(0, s):
+        for tail, yt, st in tails:  # lex order: a group's first vector is its rep
+            key = tuple(map(mod, map(add, yh, yt), modulus))
+            num = sh + st + 2 * sum(map(mul, head, yt))
+            group = groups.get(key)
+            if group is None:
+                k = head + tail
+                groups[key] = [k, num, [k]]
+            elif num > group[1]:
+                group[1:] = [num, [head + tail]]
+            elif num == group[1]:
+                group[2].append(head + tail)
+    if len(groups) != p:  # p = |det Q|
         raise RuntimeError("class count must equal |det Q|")
     # groups were opened in lex order of their reps, so the index is in rep order
     return {
-        key: SpincClass(rep=rep, d=Fraction(num + f.n * p, 4 * p), realizing=tuple(best), form=f)
+        key: SpincClass(rep=rep, d=Fraction(num + n * p, 4 * p), realizing=tuple(best), form=f)
         for key, (rep, num, best) in groups.items()
     }
 

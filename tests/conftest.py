@@ -21,7 +21,7 @@ from plumbtau.obstruct import (
     Verdict,
     _h1_decomposition,
 )
-from plumbtau.plumbing import IntersectionForm, PlumbingTree, short_char_vectors
+from plumbtau.plumbing import IntersectionForm, PlumbingTree, SpincClass, _image, _require_box
 from plumbtau.surgery import BraidDatum, SurgeryComponent, SurgeryPresentation, linking_matrix
 from plumbtau.tau import _tau_rows
 
@@ -124,6 +124,42 @@ def is_negative_definite(m) -> bool:
                 a[i][j] = (a[i][j] * p - a[i][k] * a[k][j]) // prev
         prev = p
     return True
+
+
+def short_char_vectors(f: IntersectionForm) -> list[tuple[int, ...]]:
+    """All characteristic vectors in the box a_i + 2 <= kappa_i <= -a_i, lex order."""
+    _require_box(f.negative_definite, [f.q[i][i] for i in range(f.n)])
+    ranges = []
+    for i in range(f.n):
+        a = f.q[i][i]
+        ranges.append(range(a + 2, -a + 1, 2))
+    return [tuple(k) for k in itertools.product(*ranges)]
+
+
+def box_classes(f: IntersectionForm) -> dict[tuple[int, ...], SpincClass]:
+    """Reference for ``plumbing._group_classes``: the built box, keyed by one ``_image`` each.
+
+    Each vector pays an n x n product where the walk pays O(n); the keys,
+    their order, the reps, d and the realizing tuples must agree.
+    """
+    box = short_char_vectors(f)
+    groups: dict[tuple[int, ...], list] = {}  # key -> [rep, best numerator, its vectors]
+    for k in box:  # lex order: a group's first vector is its rep
+        key, num = _image(f, k)
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [k, num, [k]]
+        elif num > group[1]:
+            group[1:] = [num, [k]]
+        elif num == group[1]:
+            group[2].append(k)
+    p = f.qinv[1]  # |det Q|
+    if len(groups) != p:
+        raise RuntimeError("class count must equal |det Q|")
+    return {
+        key: SpincClass(rep=rep, d=Fraction(num + f.n * p, 4 * p), realizing=tuple(best), form=f)
+        for key, (rep, num, best) in groups.items()
+    }
 
 
 def fraction_classes(f) -> list[tuple[tuple, tuple, Fraction, tuple]]:

@@ -5,16 +5,19 @@ import inspect
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import plumbtau
+from conftest import property_seed
 from plumbtau import cli, floer, obstruct, paper, plumbing
 from plumbtau.cli import main
 
@@ -495,7 +498,12 @@ def test_short_vector_box_limit(tmp_path, capsys, monkeypatch):
             f"plumbtau: plumbing: the short-vector box holds {2**n} vectors, "
             f"above the limit of {plumbing.MAX_BOX}\n"
         )
-    # the limit is inclusive: a box of exactly MAX_BOX vectors is walked
+    # the limit is inclusive: a box of exactly MAX_BOX vectors passes, one more does not
+    assert plumbing.MAX_BOX == 100_000
+    plumbing.boxed_form(plumbing.PlumbingTree.path(*[-10] * 5))
+    with pytest.raises(ValueError, match="holds 100001 vectors, above the limit of 100000$"):
+        plumbing.boxed_form(plumbing.PlumbingTree.path(-11, -9091))
+    # and a box of exactly MAX_BOX vectors is walked
     monkeypatch.setattr(plumbing, "MAX_BOX", 16)
     square = {"vertices": [["v1", -4], ["v2", -4]], "edges": [["v1", "v2"]]}
     rc, out, _ = run_cli(capsys, "dinv", "--input", write_doc(tmp_path, {"plumbing": square}))
@@ -506,7 +514,7 @@ def test_short_vector_box_limit(tmp_path, capsys, monkeypatch):
 
 
 def test_lattice_work_limit(tmp_path, capsys):
-    # stars whose boxes pass but whose class keys and Q^-1 would take minutes
+    # stars whose boxes pass but whose walk and Q^-1 would take too long
     def star(center, leaves):
         ids = [f"v{i}" for i in range(len(leaves))]
         return {
@@ -514,7 +522,13 @@ def test_lattice_work_limit(tmp_path, capsys):
             "edges": [["c", v] for v in ids],
         }
 
-    for center, leaves, box in ((-91, [-1] * 80 + [-2] * 10, 93184), (-801, [-1] * 800, 801)):
+    cases = (
+        (-91, [-1] * 80 + [-2] * 10, 93184),
+        (-801, [-1] * 800, 801),
+        (-100000, [-1] * 16, 100000),  # one vertex past the star at the limit below
+        (-118, [-1] * 116, 118),  # likewise on the n^3 side
+    )
+    for center, leaves, box in cases:
         path = write_doc(tmp_path, {"plumbing": star(center, leaves)})
         start = time.perf_counter()
         rc, out, err = run_cli(capsys, "dinv", "--input", path)
@@ -522,11 +536,22 @@ def test_lattice_work_limit(tmp_path, capsys):
         n = len(leaves) + 1
         assert err == (
             f"plumbtau: plumbing: {n} vertices and a short-vector box of {box} vectors make"
-            f" (box + n) * n^2 = {(box + n) * n * n}, above the limit of 25604096\n"
+            f" box * n + n^3 = {box * n + n**3}, above the limit of 1604096\n"
         )
+    # the limit is the work of a box of MAX_BOX vectors on 16 vertices, and is inclusive
+    at_limit = plumbing.PlumbingTree(
+        vertices=(("c", -100000), *((f"v{i}", -1) for i in range(15))),
+        edges=tuple(("c", f"v{i}") for i in range(15)),
+    )
+    assert plumbing.boxed_form(at_limit).n == 16
+    below = plumbing.PlumbingTree(  # 117 * 116 + 116^3 = 1,574,468
+        vertices=(("c", -117), *((f"v{i}", -1) for i in range(115))),
+        edges=tuple(("c", f"v{i}") for i in range(115)),
+    )
+    assert plumbing.boxed_form(below).n == 116
     # a tree whose weights are all <= -2 and whose box passes has at most 16
     # vertices, and passes: here the chain (-2)x15, -3, whose box is 98,304
-    plumbing.require_box(plumbing.PlumbingTree.path(*[-2] * 15, -3))
+    plumbing.boxed_form(plumbing.PlumbingTree.path(*[-2] * 15, -3))
 
 
 def test_box_limit_answers_before_the_matrix(tmp_path, capsys):
@@ -677,9 +702,9 @@ def test_package_takes_no_determinant():
 
 
 def test_class_count_invariant_exit(tmp_path, capsys, monkeypatch):
-    # every vector keyed alike gives one class where |det Q| = 9: a broken
+    # the walk's keys reduced to 0 give one class where |det Q| = 9: a broken
     # invariant of the program, exit 5, not a precondition of the input
-    monkeypatch.setattr(plumbing, "_image", lambda f, kappa: ((), 0))
+    monkeypatch.setattr(plumbing, "mod", lambda y, modulus: 0)
     path = write_doc(tmp_path, {"plumbing": L92_PLUMBING})
     rc, out, err = run_cli(capsys, "dinv", "--input", path)
     assert rc == cli.INTERNAL_EXIT and out == ""
@@ -773,6 +798,54 @@ def test_surface_scan_resolves_qualified_names(tmp_path):
     public, used = _qualified_uses(tmp_path)
     assert public == {"a.tau", "a.used", "a.local", "a.K", "a.K.meth", "b.f"}
     assert public - used == {"a.tau", "b.f"}
+
+
+def _random_json(rng, depth=0):
+    """A nested document of every kind of value that ``cli._json`` writes."""
+    kind = rng.randrange(10 if depth < 4 else 6)
+    if kind == 0:
+        return rng.choice([True, False, None])
+    if kind == 1:
+        return rng.choice([0, -1, 7, -(10**30), 2**70, rng.randint(-(10**6), 10**6)])
+    if kind <= 5:  # ASCII, Latin-1, U+2028, astral and control characters, quotes and backslashes
+        alphabet = 'ab "\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\u2029\U0001d70f'
+        return "".join(rng.choice(alphabet) for _ in range(rng.randrange(6)))
+    if kind <= 7:
+        items = [_random_json(rng, depth + 1) for _ in range(rng.randrange(4))]
+        return tuple(items) if rng.random() < 0.3 else items
+    keys = ("rep", "d", "\u00e9", "", "a\u2028b", "\x01")
+    return {rng.choice(keys): _random_json(rng, depth + 1) for _ in range(rng.randrange(4))}
+
+
+def test_json_rendering_matches_json_dumps(capsys):
+    def same(doc):
+        assert cli.render(doc, "json") == json.dumps(doc, indent=2) + "\n", doc
+
+    for name in plumbtau.EXAMPLE_NAMES:
+        same(paper.committed_fixture(name))
+    rc, out, _ = run_cli(capsys, "paper-examples")
+    assert rc == 0 and out == json.dumps(json.loads(out), indent=2) + "\n"
+    rng = random.Random(property_seed())
+    for _ in range(2000):
+        same({"doc": _random_json(rng)})
+
+    class Tag(str):
+        pass
+
+    class Count(int):
+        pass
+
+    # subclasses of str and int are written as their base class
+    for scalar in ([], {}, (), "", True, False, None, -5, 10**40, "\u2028", Tag("\u00e9"), Count(-3)):
+        same({"x": scalar, "y": [scalar, [scalar]]})
+    # a Fraction raises json's TypeError; so does a float, which no handler returns
+    for value in (Fraction(1, 2), [1, Fraction(1, 2)]):
+        with pytest.raises(TypeError) as theirs:
+            json.dumps({"x": value}, indent=2)
+        with pytest.raises(TypeError, match=f"^{theirs.value}$"):
+            cli.render({"x": value}, "json")
+    with pytest.raises(TypeError, match="^Object of type float is not JSON serializable$"):
+        cli.render({"x": 0.5}, "json")
 
 
 def test_output_is_deterministic(tmp_path, capsys):

@@ -2,10 +2,12 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from conftest import (
+    box_classes,
     det,
     fraction_classes,
     in_image_of,
@@ -13,17 +15,19 @@ from conftest import (
     mat_vec,
     property_seed,
     random_tree,
+    short_char_vectors,
     solve_exact,
 )
 from plumbtau import linalg
 from plumbtau.paper import form_41, form_92
 from plumbtau.plumbing import (
     PlumbingTree,
+    _group_classes,
+    _image,
     class_of,
     conjugate,
     d_invariant,
     form_from_tree,
-    short_char_vectors,
     solve_square,
     spinc_classes,
     spinc_translate,
@@ -257,6 +261,36 @@ def test_d_candidate_symmetry_and_class_count_property():
             alpha = [rng.randint(-3, 3) for _ in range(n)]
             shifted = [k + 2 * a for k, a in zip(s.rep, alpha)]
             assert spinc_translate(s, alpha) == _class_by_scan(classes, shifted)
+
+
+def test_box_walk_matches_the_image_oracle():
+    # the walk keys, orders and weighs the box as one _image per vector does,
+    # on trees whose vertices come in any order, so that -1 coordinates and
+    # ranging ones fall into both halves of the walk
+    rng = random.Random(property_seed())
+    trees = [PlumbingTree.path(w) for w in range(-6, 0)]
+    trees += [_star(-50, *[-1] * 20), _star(-7, -1, -2, -1, -3), _star(-2, -2, -3, -5)]
+    trees += [random_tree(rng, rng.randint(1, 7), -6, -1) for _ in range(600)]
+    kinds = Counter()
+    for tree in trees:
+        vertices = list(tree.vertices)
+        rng.shuffle(vertices)
+        tree = PlumbingTree(vertices=tuple(vertices), edges=tree.edges)
+        f = form_from_tree(tree)
+        if not f.negative_definite or prod(-w for _, w in vertices) > 1000:
+            continue
+        walked, oracle = _group_classes(f), box_classes(f)
+        assert list(walked) == list(oracle), tree
+        assert [(s.rep, s.d, s.realizing) for s in walked.values()] == [
+            (s.rep, s.d, s.realizing) for s in oracle.values()
+        ], tree
+        for key, s in walked.items():
+            assert all(_image(f, k)[0] == key for k in (s.rep, *s.realizing))
+        degree = max(map(tree.degree, (v for v, _ in vertices)))
+        kinds["n = 1" if f.n == 1 else "chain" if degree <= 2 else "degree >= 3"] += 1
+        kinds["-1 leaf"] += any(w == -1 and tree.degree(v) == 1 for v, w in vertices)
+        kinds["-1 inside"] += any(w == -1 and tree.degree(v) > 1 for v, w in vertices)
+    assert min(kinds.values()) >= 10 and len(kinds) == 5, kinds
 
 
 def _lens_d(p, q, i):
