@@ -8,11 +8,12 @@ Subcommands pick the pieces they need.  All rationals are printed as
 canonical fraction strings, never floats, and every table is sorted, so
 output is byte-for-byte reproducible.
 
-A call builds the argument parser of the one subcommand that its first
-argument names; ``-h``, an unknown word or no argument at all builds
-every subcommand's.  Both parsers give the same namespace, help and
-errors for that subcommand, and the one-command parser skips the set-up
-of the other seven.
+One table in ``build_parser`` gives each name in ``COMMANDS`` its handler,
+help line and argument specs; every subcommand takes the ``_FORMAT`` spec,
+and each that reads a document the ``_INPUT`` spec.  A call builds the
+parser of the one subcommand that its first argument names; ``-h``, an
+unknown word or no argument at all builds every subcommand's.  Both
+parsers give the same namespace, help and errors for that subcommand.
 
 Exit codes: 0 success, 2 malformed input (schema), 3 mathematical
 precondition failure or a work limit exceeded, 4 regenerated golden table
@@ -447,24 +448,22 @@ def run_obstruct(args) -> dict:
                 "raw": str(bound.raw),
             }
     if check == "concordance":
-        classes = select_classes(f, doc, None, "d0")
-        verdict = obstruct.concordance_obstruction(profile, classes)
-    elif check == "slice-bennequin":
-        from . import surgery
+        verdict = obstruct.concordance_obstruction(profile, select_classes(f, doc, None, "d0"))
+    else:
+        # every other check reads one class, checked before the braid
+        s = _single_class(select_classes(f, doc, None, None), check)
+        if check == "slice-bennequin":
+            from . import surgery
 
-        s = _single_class(select_classes(f, doc, None, None), check)
-        b = build_braid(doc)
-        sl = surgery.self_linking_shift(surgery.self_linking_braid(b), build_presentation(doc))
-        verdict = obstruct.slice_bennequin_check(sl, profile.tau_at(s), link.ell)
-    elif check == "metaboliser":
-        s = _single_class(select_classes(f, doc, None, None), check)
-        verdict = obstruct.metaboliser_obstruction(profile, s)
-    elif check == "conjugation":
-        s = _single_class(select_classes(f, doc, None, None), check)
-        verdict = obstruct.conjugation_obstruction(profile, s)
-    else:  # integrality
-        s = _single_class(select_classes(f, doc, None, None), check)
-        verdict = obstruct.integrality_obstruction(profile.tau_at(s))
+            b = build_braid(doc)
+            sl = surgery.self_linking_shift(surgery.self_linking_braid(b), build_presentation(doc))
+            verdict = obstruct.slice_bennequin_check(sl, profile.tau_at(s), link.ell)
+        elif check == "metaboliser":
+            verdict = obstruct.metaboliser_obstruction(profile, s)
+        elif check == "conjugation":
+            verdict = obstruct.conjugation_obstruction(profile, s)
+        else:  # integrality
+            verdict = obstruct.integrality_obstruction(profile.tau_at(s))
     with _printing():
         return {"command": "obstruct", **verdict.to_json()}
 
@@ -581,9 +580,13 @@ def render(doc: dict, fmt: str) -> str:
 COMMANDS = ("tau", "dinv", "spinc", "surgery", "tau-qp", "floer", "obstruct", "paper-examples")
 
 
-def _add_io(sub):
-    sub.add_argument("--input", default="-", help="input JSON document, - for stdin")
-    sub.add_argument("--format", choices=("json", "table"), default="json")
+def _arg(*flags: str, **options) -> tuple:
+    """One argument spec of a subcommand: the flags and keywords of its ``add_argument``."""
+    return flags, options
+
+
+_INPUT = _arg("--input", default="-", help="input JSON document, - for stdin")
+_FORMAT = _arg("--format", choices=("json", "table"), default="json")
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
@@ -607,65 +610,32 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         command = None
         sub = parser.add_subparsers(dest="command", required=True)
 
-    if command in (None, "tau"):
-        p = sub.add_parser("tau", help="per-class tau table of a leaf-fibre link")
-        _add_io(p)
-        p.add_argument("--spinc", default=None, help="all | d0 | representative like -3,0")
-        p.set_defaults(handler=run_tau)
-
-    if command in (None, "dinv"):
-        p = sub.add_parser("dinv", help="correction-term table of the boundary")
-        _add_io(p)
-        p.set_defaults(handler=run_dinv)
-
-    if command in (None, "spinc"):
-        p = sub.add_parser("spinc", help="spin-c classes and conjugation pairing")
-        _add_io(p)
-        p.set_defaults(handler=run_spinc)
-
-    if command in (None, "surgery"):
-        p = sub.add_parser("surgery", help="linking-matrix quantities of a presentation")
-        _add_io(p)
-        p.add_argument("--what", choices=("self-int", "chern", "sl", "tau-curve"), required=True)
-        p.set_defaults(handler=run_surgery)
-
-    if command in (None, "tau-qp"):
-        p = sub.add_parser("tau-qp", help="tau of a quasi-positive braid closure")
-        p.add_argument("--strands", type=int, required=True)
-        p.add_argument("--writhe", type=int, required=True)
-        p.add_argument("--components", type=int, required=True)
-        p.add_argument("--format", choices=("json", "table"), default="json")
-        p.set_defaults(handler=run_tau_qp)
-
-    if command in (None, "floer"):
-        p = sub.add_parser("floer", help="invariants of a filtered chain complex")
-        _add_io(p)
-        p.add_argument("--what", choices=("d", "tau-top", "tau-bot", "verify"), required=True)
-        p.set_defaults(handler=run_floer)
-
-    if command in (None, "obstruct"):
-        p = sub.add_parser("obstruct", help="obstruction verdicts from the tau profile")
-        _add_io(p)
-        p.add_argument(
-            "--check",
-            choices=(
-                "slice-bennequin",
-                "metaboliser",
-                "conjugation",
-                "pl-genus",
-                "integrality",
-                "concordance",
-            ),
-            required=True,
-        )
-        p.set_defaults(handler=run_obstruct)
-
-    if command in (None, "paper-examples"):
-        p = sub.add_parser("paper-examples", help="regenerate and diff the golden tables")
-        p.add_argument("example", nargs="?", choices=EXAMPLE_NAMES, default=None)
-        p.add_argument("--format", choices=("json", "table"), default="json")
-        p.set_defaults(handler=run_paper_examples)
-
+    # name: (handler, help, argument specs in --help order).  The handlers are
+    # looked up at each build, so a wrapper bound to ``cli.run_*`` is the one run.
+    rows = {
+        "tau": (run_tau, "per-class tau table of a leaf-fibre link", _INPUT, _FORMAT,
+            _arg("--spinc", default=None, help="all | d0 | representative like -3,0")),
+        "dinv": (run_dinv, "correction-term table of the boundary", _INPUT, _FORMAT),
+        "spinc": (run_spinc, "spin-c classes and conjugation pairing", _INPUT, _FORMAT),
+        "surgery": (run_surgery, "linking-matrix quantities of a presentation", _INPUT, _FORMAT,
+            _arg("--what", choices=("self-int", "chern", "sl", "tau-curve"), required=True)),
+        "tau-qp": (run_tau_qp, "tau of a quasi-positive braid closure",
+            _arg("--strands", type=int, required=True), _arg("--writhe", type=int, required=True),
+            _arg("--components", type=int, required=True), _FORMAT),
+        "floer": (run_floer, "invariants of a filtered chain complex", _INPUT, _FORMAT,
+            _arg("--what", choices=("d", "tau-top", "tau-bot", "verify"), required=True)),
+        "obstruct": (run_obstruct, "obstruction verdicts from the tau profile", _INPUT, _FORMAT,
+            _arg("--check", required=True, choices=("slice-bennequin", "metaboliser",
+                "conjugation", "pl-genus", "integrality", "concordance"))),
+        "paper-examples": (run_paper_examples, "regenerate and diff the golden tables",
+            _arg("example", nargs="?", choices=EXAMPLE_NAMES, default=None), _FORMAT),
+    }
+    for name in COMMANDS if command is None else (command,):
+        handler, text, *specs = rows[name]
+        p = sub.add_parser(name, help=text)
+        for flags, options in specs:
+            p.add_argument(*flags, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 

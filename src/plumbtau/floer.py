@@ -483,7 +483,7 @@ def tau_bot(c: FloerComplex, filt: AlexanderFiltration) -> int:
 def tau_alpha(c: FloerComplex, filt: AlexanderFiltration, alpha: Iterable[str]) -> int:
     """Least filtration level holding a cycle in the class of ``alpha``."""
     _require_size(c)
-    _require_valid(c)
+    _eliminate(c)  # the d^2 = 0 check, as for every other answer
     chain = frozenset(alpha)
     if not chain:
         raise ValueError("alpha must be a nonzero class")

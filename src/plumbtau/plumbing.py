@@ -286,8 +286,9 @@ class SpincClass(_Frozen):
 
     ``rep`` is the canonical representative (lexicographically least
     short vector), ``d`` the correction term and ``realizing`` the short
-    vectors of the coset that attain it, in lex order.  Equality and hash
-    read ``rep``, ``d`` and ``realizing``, not ``form``.
+    vectors of the coset that attain it, in lex order.  Equality reads
+    ``rep``, ``d`` and ``realizing``, not ``form``; the hash reads ``rep``
+    alone, which decides the class on one form, so hashing takes no Fraction.
     """
 
     __slots__ = ("rep", "d", "realizing", "form")
@@ -311,7 +312,7 @@ class SpincClass(_Frozen):
         return (self.rep, self.d, self.realizing) == (other.rep, other.d, other.realizing)
 
     def __hash__(self):
-        return hash((self.rep, self.d, self.realizing))
+        return hash(self.rep)
 
     def __repr__(self):
         return f"SpincClass{self.rep}"

@@ -979,6 +979,73 @@ def test_one_command_parser_agrees_with_full_parser(argv, capsys):
     assert _parse(one, argv, capsys) == _parse(cli.build_parser(), argv, capsys)
 
 
+INPUT_SPEC = (
+    "input", ("--input",), None, "-", False, None, None, "input JSON document, - for stdin"
+)
+FORMAT_SPEC = ("format", ("--format",), ("json", "table"), "json", False, None, None, None)
+
+# name: (help line, handler, the (dest, option strings, choices, default,
+# required, type, nargs, help) of each argument in order), read off the
+# actions, not the --help text, whose layout differs between Python versions
+ARGUMENTS = {
+    "tau": ("per-class tau table of a leaf-fibre link", "run_tau", [
+        INPUT_SPEC, FORMAT_SPEC,
+        ("spinc", ("--spinc",), None, None, False, None, None,
+         "all | d0 | representative like -3,0"),
+    ]),
+    "dinv": ("correction-term table of the boundary", "run_dinv", [INPUT_SPEC, FORMAT_SPEC]),
+    "spinc": ("spin-c classes and conjugation pairing", "run_spinc", [INPUT_SPEC, FORMAT_SPEC]),
+    "surgery": ("linking-matrix quantities of a presentation", "run_surgery", [
+        INPUT_SPEC, FORMAT_SPEC,
+        ("what", ("--what",), ("self-int", "chern", "sl", "tau-curve"),
+         None, True, None, None, None),
+    ]),
+    "tau-qp": ("tau of a quasi-positive braid closure", "run_tau_qp", [
+        ("strands", ("--strands",), None, None, True, "int", None, None),
+        ("writhe", ("--writhe",), None, None, True, "int", None, None),
+        ("components", ("--components",), None, None, True, "int", None, None),
+        FORMAT_SPEC,
+    ]),
+    "floer": ("invariants of a filtered chain complex", "run_floer", [
+        INPUT_SPEC, FORMAT_SPEC,
+        ("what", ("--what",), ("d", "tau-top", "tau-bot", "verify"),
+         None, True, None, None, None),
+    ]),
+    "obstruct": ("obstruction verdicts from the tau profile", "run_obstruct", [
+        INPUT_SPEC, FORMAT_SPEC,
+        ("check", ("--check",), ("slice-bennequin", "metaboliser", "conjugation",
+                                 "pl-genus", "integrality", "concordance"),
+         None, True, None, None, None),
+    ]),
+    "paper-examples": ("regenerate and diff the golden tables", "run_paper_examples", [
+        ("example", (), ("l2d", "m3d", "nk", "m3", "eq72"), None, False, None, "?", None),
+        FORMAT_SPEC,
+    ]),
+}
+
+
+def _arguments(parser):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    lines = {a.dest: a.help for a in sub._choices_actions}
+    return {
+        name: (lines[name], p.get_default("handler").__name__, [
+            (a.dest, tuple(a.option_strings), a.choices and tuple(a.choices), a.default,
+             a.required, getattr(a.type, "__name__", a.type), a.nargs, a.help)
+            for a in p._actions
+            if not isinstance(a, argparse._HelpAction)
+        ])
+        for name, p in sub.choices.items()
+    }
+
+
+def test_every_subcommand_keeps_its_arguments():
+    # a change made to the full and the one-command parser alike shows here
+    assert list(ARGUMENTS) == list(cli.COMMANDS)
+    assert _arguments(cli.build_parser()) == ARGUMENTS
+    for name in cli.COMMANDS:
+        assert _arguments(cli.build_parser(name)) == {name: ARGUMENTS[name]}
+
+
 def test_main_reads_sys_argv(monkeypatch, capsys):
     argv = ["tau-qp", "--strands", "2", "--writhe", "3", "--components", "1"]
     monkeypatch.setattr(sys, "argv", ["plumbtau", *argv])

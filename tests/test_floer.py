@@ -326,6 +326,32 @@ def test_tau_values():
         tau_alpha(c, filt, [])
 
 
+def test_tau_alpha_builds_no_d_squared_mask(monkeypatch):
+    # the elimination is tau_alpha's d^2 = 0 check, as it is every other answer's
+    def refuse(*_):
+        raise AssertionError("a d^2 mask was built")
+
+    monkeypatch.setattr(floer, "_d2_masks", refuse)
+    c, filt = staircase()
+    assert tau_alpha(c, filt, ["a"]) == 1
+    u, ufilt = two_point_model()
+    assert tau_alpha(u, ufilt, ["e0"]) == 0
+
+
+def test_tau_alpha_refuses_a_broken_complex_as_the_elimination_does():
+    # one entry breaks the grading law; in the other, d(d(a)) = c survives
+    ungraded = FloerComplex(("a", "b"), {"a": 0, "b": 0}, {("a", "b"): 0})
+    unsquared = FloerComplex(
+        ("a", "b", "c"), {"a": 2, "b": 1, "c": 0}, {("a", "b"): 0, ("b", "c"): 0}
+    )
+    for c in (ungraded, unsquared):
+        with pytest.raises(ValueError) as eliminated:
+            floer._eliminate(c)
+        with pytest.raises(ValueError) as answered:
+            tau_alpha(c, AlexanderFiltration(dict.fromkeys(c.generators, 0)), ["a"])
+        assert str(answered.value) == str(eliminated.value)
+
+
 def test_tau_respects_class_bound_on_bigger_hat_homology():
     # a second class lives in the top grading here, so the top tau is a
     # minimum over both supported classes

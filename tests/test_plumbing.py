@@ -149,6 +149,16 @@ def test_classes_partition_the_box():
             assert all(class_of(f, k).rep == rep for k in reps)
 
 
+def test_class_hash_reads_the_rep_alone():
+    # equal classes hash equal, and hashing a class hashes no Fraction d
+    rng = random.Random(property_seed())
+    forms = [L41, L92] + [form_from_tree(random_tree(rng, 4, -5, -2)) for _ in range(4)]
+    for f in forms:
+        classes = spinc_classes(f)
+        assert all(hash(s) == hash(s.rep) for s in classes)
+        assert len(set(classes)) == len(classes)
+
+
 def test_translate_fixes_class_iff_alpha_in_image():
     rng = random.Random(23)
     for s in spinc_classes(L92):
