@@ -600,15 +600,16 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         description="Exact tau-invariants and Stein-filling obstructions "
         "for links in negative-definite plumbed rational homology spheres.",
     )
+    # with prog given, argparse does not format the top usage line to derive it
     if command in COMMANDS:
         # the usage line of an error still lists every command
         sub = parser.add_subparsers(
-            dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}"
+            dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}", prog="plumbtau"
         )
     else:
         # no metavar: errors name the argument "command", as they always have
         command = None
-        sub = parser.add_subparsers(dest="command", required=True)
+        sub = parser.add_subparsers(dest="command", required=True, prog="plumbtau")
 
     # name: (handler, help, argument specs in --help order).  The handlers are
     # looked up at each build, so a wrapper bound to ``cli.run_*`` is the one run.

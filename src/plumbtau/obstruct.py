@@ -31,7 +31,7 @@ from .plumbing import (
     spinc_classes,
     spinc_translate,
 )
-from .tau import LeafLink, tau_table
+from .tau import LazyTauTable, LeafLink
 
 FIRES = "fires"
 CLEAR = "does not fire"
@@ -72,16 +72,18 @@ class TauProfile(_ProfileFields):
         return self
 
     def tau_at(self, s: SpincClass) -> Fraction:
-        if s not in self.tau:
+        try:
+            return Fraction(self.tau[s])
+        except KeyError:
             raise IncompleteProfileError(
                 f"profile has no tau value at the spin-c class {s.rep}"
-            )
-        return Fraction(self.tau[s])
+            ) from None
 
 
 def profile_from_link(f: IntersectionForm, link: LeafLink) -> TauProfile:
-    """Full profile of a leaf-fibre link: tau at every spin-c class."""
-    return TauProfile(tau=tau_table(f, link, spinc_classes(f)), ell=link.ell)
+    """Full profile of a leaf-fibre link: tau at every spin-c class, each computed when read."""
+    # its checks are the link's and the form's, so it skips those of a caller's dict
+    return _ProfileFields.__new__(TauProfile, LazyTauTable(f, link), link.ell)
 
 
 def _jsonable(value):
@@ -312,6 +314,7 @@ def metaboliser_obstruction(profile: TauProfile, s: SpincClass) -> Verdict:
             verdict=FIRES,
             witness=f"no metaboliser exists in a group of order {s.form.qinv[1]}",
         )
+    spinc_classes(s.form)  # the candidates reach many classes: one walk keys them all
     base = profile.tau_at(s)
     best = None
     for cand in candidates:

@@ -16,7 +16,7 @@ import sys
 from functools import cached_property
 from fractions import Fraction
 from math import isqrt, prod
-from operator import add, mod, mul
+from operator import add, mod, mul, sub
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import linalg
@@ -125,7 +125,8 @@ class IntersectionForm(_Frozen):
     """Symmetric matrix of a plumbing and whether it is negative definite.
 
     Equality, hash and repr read ``q``, ``order`` and ``negative_definite``;
-    ``tree`` and the cached inverse and classes are left out.
+    ``tree`` and the caches are left out: the inverse, the index of every
+    class, and the classes that ``class_of`` found without the index.
     """
 
     def __init__(
@@ -170,11 +171,19 @@ class IntersectionForm(_Frozen):
         """Spin-c classes keyed by the key of ``_image``, in order of their reps."""
         return _group_classes(self)
 
+    @cached_property
+    def _looked_up(self) -> dict[tuple[int, ...], "SpincClass"]:
+        """Classes that ``class_of`` found without the index, by the same keys."""
+        return {}
+
     def index_of(self, vertex_id: str) -> int:
         return self.order.index(vertex_id)
 
     def require_negative_definite(self):
         _require_definite(self.negative_definite)
+
+    def require_box(self):
+        _require_box(self.negative_definite, [self.q[i][i] for i in range(self.n)])
 
 
 def _require_definite(negative_definite: bool) -> None:
@@ -330,31 +339,28 @@ def _image(f: IntersectionForm, kappa: Sequence[int]) -> tuple[tuple[int, ...], 
     return tuple(v % (2 * p) for v in y), sum(map(mul, kappa, y))
 
 
-def _group_classes(f: IntersectionForm) -> dict[tuple[int, ...], SpincClass]:
-    """Classes of the short box, each with d = max (kappa^2 + n)/4 over it.
+def _walk(f: IntersectionForm, head_cost: int = 1):
+    """The short box a_i + 2 <= kappa_i <= -a_i as (heads, tails, p), unbuilt.
 
-    The box a_i + 2 <= kappa_i <= -a_i is walked in ``itertools.product``
-    order without being built.  A vector is a head (its first s
-    coordinates) followed by a tail, and y = a·kappa is y_h + y_t, the
-    partial sums of the head and of the tail: the tails' are built once,
-    the heads' one at a time, each from the last by O(n) additions.  A
-    coordinate of weight -1 has one value and goes into its half's
-    constant.  As a is symmetric, kappa·y = head·y_h + tail·y_t +
-    2·head·y_t, so a vector costs O(n) where ``_image`` costs n^2, and its
-    key is ``_image(f, kappa)[0]``.  Definiteness and the box limit are
-    checked before Q^{-1} is built.
+    A vector is a head (its first s coordinates) followed by a tail, and
+    y = a·kappa is y_h + y_t, the partial sums of the head and of the tail.
+    Each half yields (kappa[lo:hi], its y, its kappa·y) in
+    ``itertools.product`` order: the tails as a list, built once, the heads
+    one at a time, each from the last by O(n) additions.  A coordinate of
+    weight -1 has one value and goes into its half's constant.  As a is
+    symmetric, kappa·y = head·y_h + tail·y_t + 2·head·y_t, so a vector
+    costs O(n) where ``_image`` costs n^2.  Definiteness and the box limit
+    are checked before Q^{-1} = a/p is built.
     """
     n = f.n
-    diag = [f.q[i][i] for i in range(n)]
-    _require_box(f.negative_definite, diag)
+    f.require_box()
     a, p = f.qinv
-    ranges = [range(w + 2, -w + 1, 2) for w in diag]
+    ranges = [range(f.q[i][i] + 2, -f.q[i][i] + 1, 2) for i in range(n)]
     sizes = list(itertools.accumulate(map(len, ranges), mul, initial=1))
-    # fewest heads plus tails, and of those the fewest tails: only the tails are held
-    s = min(range(n, -1, -1), key=lambda i: sizes[i] + sizes[-1] // sizes[i])
+    # least head_cost·heads + tails, and of those the fewest tails: only the tails are held
+    s = min(range(n, -1, -1), key=lambda i: head_cost * sizes[i] + sizes[-1] // sizes[i])
 
     def half(lo, hi):
-        """(kappa[lo:hi], its y, its kappa·y) for each value of the coordinates, in product order."""
         y0, varying = [0] * n, []
         for i in range(lo, hi):  # row i of the symmetric a is its column i
             if len(ranges[i]) == 1:  # weight -1
@@ -376,10 +382,27 @@ def _group_classes(f: IntersectionForm) -> dict[tuple[int, ...], SpincClass]:
         for k, y in zip(itertools.product(*ranges[lo:hi]), sums(0, y0)):
             yield k, y, sum(map(mul, k, y[lo:]))
 
-    tails = list(half(s, n))
+    return half(0, s), list(half(s, n)), p
+
+
+def _classes(f: IntersectionForm, groups: dict, p: int) -> dict[tuple[int, ...], SpincClass]:
+    """One class per [rep, best numerator, its vectors], with d = (num + n·p)/4p."""
+    return {
+        key: SpincClass(rep=rep, d=Fraction(num + f.n * p, 4 * p), realizing=tuple(best), form=f)
+        for key, (rep, num, best) in groups.items()
+    }
+
+
+def _group_classes(f: IntersectionForm) -> dict[tuple[int, ...], SpincClass]:
+    """Classes of the short box, each with d = max (kappa^2 + n)/4 over it.
+
+    Every head meets every tail of ``_walk``, in lex order, and a vector's
+    key is ``_image(f, kappa)[0]``.
+    """
+    heads, tails, p = _walk(f)
     modulus = itertools.repeat(2 * p)
     groups: dict[tuple[int, ...], list] = {}  # key -> [rep, best numerator, its vectors]
-    for head, yh, sh in half(0, s):
+    for head, yh, sh in heads:
         for tail, yt, st in tails:  # lex order: a group's first vector is its rep
             key = tuple(map(mod, map(add, yh, yt), modulus))
             num = sh + st + 2 * sum(map(mul, head, yt))
@@ -394,10 +417,36 @@ def _group_classes(f: IntersectionForm) -> dict[tuple[int, ...], SpincClass]:
     if len(groups) != p:  # p = |det Q|
         raise RuntimeError("class count must equal |det Q|")
     # groups were opened in lex order of their reps, so the index is in rep order
-    return {
-        key: SpincClass(rep=rep, d=Fraction(num + n * p, 4 * p), realizing=tuple(best), form=f)
-        for key, (rep, num, best) in groups.items()
-    }
+    return _classes(f, groups, p)
+
+
+def _meet(f: IntersectionForm, keys) -> dict[tuple[int, ...], SpincClass]:
+    """The classes of ``keys`` alone: each head meets only the tails that complete a key.
+
+    A vector's key is (y_h + y_t) mod 2p, so with the tails bucketed by
+    y_t mod 2p in walk order, a head reaches the members of key t among
+    the tails of residue (t - y_h) mod 2p, in lex order.  That costs
+    O((heads + tails + members)·n), about sqrt(box)·n, for the walk's box·n.
+    """
+    heads, tails, p = _walk(f, 1 + len(keys))  # a head costs one lookup per key
+    modulus = itertools.repeat(2 * p)
+    buckets: dict[tuple[int, ...], list] = {}
+    for tail in tails:
+        buckets.setdefault(tuple(map(mod, tail[1], modulus)), []).append(tail)
+    groups: dict[tuple[int, ...], list] = {}
+    for head, yh, sh in heads:
+        for key in keys:
+            for tail, yt, st in buckets.get(tuple(map(mod, map(sub, key, yh), modulus)), ()):
+                num = sh + st + 2 * sum(map(mul, head, yt))
+                group = groups.get(key)
+                if group is None:
+                    k = head + tail
+                    groups[key] = [k, num, [k]]
+                elif num > group[1]:
+                    group[1:] = [num, [head + tail]]
+                elif num == group[1]:
+                    group[2].append(head + tail)
+    return _classes(f, groups, p)
 
 
 def spinc_classes(f: IntersectionForm) -> list[SpincClass]:
@@ -406,11 +455,25 @@ def spinc_classes(f: IntersectionForm) -> list[SpincClass]:
 
 
 def class_of(f: IntersectionForm, kappa: Sequence[int]) -> SpincClass:
-    """The spin-c class containing an arbitrary characteristic vector."""
+    """The spin-c class containing an arbitrary characteristic vector.
+
+    A form that holds its index looks the class up there.  Otherwise
+    ``_meet`` finds the class and its conjugate, and the form keeps both.
+    """
     if not is_characteristic(f, kappa):
         raise ValueError(f"{tuple(kappa)} is not characteristic for this form")
-    index = f._class_index  # built first: it checks the form and the box
-    return index[_image(f, kappa)[0]]
+    held = f.__dict__.get("_class_index")
+    if held is None:
+        f.require_box()  # before Q^-1, as the walk checks
+    key = _image(f, kappa)[0]
+    s = (f._looked_up if held is None else held).get(key)
+    if s is None and held is None:
+        found = _meet(f, {key, tuple(-t % (2 * f.qinv[1]) for t in key)})
+        f._looked_up.update(found)
+        s = found.get(key)
+    if s is None:
+        raise RuntimeError(f"the short box misses the class of {tuple(kappa)}")
+    return s
 
 
 def conjugate(s: SpincClass) -> SpincClass:

@@ -22,9 +22,10 @@ one integer dot product per candidate and one division per class.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .plumbing import (
     IntersectionForm,
@@ -67,29 +68,59 @@ def leaf_link(f: IntersectionForm, strands: Mapping[str, int]) -> LeafLink:
     return LeafLink(m=tuple(m), ell=sum(m))
 
 
-def _tau_rows(
-    f: IntersectionForm, link: LeafLink, classes: Iterable[SpincClass]
-) -> Iterator[tuple[SpincClass, Fraction, tuple[int, ...]]]:
-    """(class, tau, lex-least minimizer) per class, from one pairing vector w = a·m."""
+def _tau_of(f: IntersectionForm, link: LeafLink):
+    """The link's checks on f, then (tau, lex-least minimizer) at a class, from one w = a·m."""
     f.require_negative_definite()
     if len(link.m) != f.n:
         raise ValueError("link multiplicity vector has wrong length")
     a, p = f.qinv
     w = [sum(map(mul, row, link.m)) for row in a]
     mw = sum(map(mul, link.m, w))
-    for s in classes:
+
+    def row(s: SpincClass) -> tuple[Fraction, tuple[int, ...]]:
         if s.form.q != f.q:
             raise ValueError("spin-c class belongs to a different form")
         # p > 0, so the integer k·w orders the candidates as k^T Q^{-1} m does
         best, minimizer = min((sum(map(mul, k, w)), k) for k in s.realizing)
-        yield s, Fraction(best - mw, 2 * p), minimizer
+        return Fraction(best - mw, 2 * p), minimizer
+
+    return row
 
 
 def tau_table(
     f: IntersectionForm, link: LeafLink, classes: Iterable[SpincClass]
 ) -> dict[SpincClass, Fraction]:
     """Tau value of each of the given classes, keyed in their order."""
-    return {s: value for s, value, _ in _tau_rows(f, link, classes)}
+    row = _tau_of(f, link)
+    return {s: row(s)[0] for s in classes}
+
+
+class LazyTauTable(Mapping):
+    """Tau of a link at every spin-c class of its form, each computed when first read.
+
+    It iterates in ``spinc_classes`` order, which builds every class; a
+    read builds none.  Its keys are the spin-c classes of forms with this
+    matrix.
+    """
+
+    def __init__(self, f: IntersectionForm, link: LeafLink):
+        f.require_box()  # what spinc_classes and class_of need, before Q^-1
+        self._form, self._row, self._values = f, _tau_of(f, link), {}
+
+    def __getitem__(self, s: SpincClass) -> Fraction:
+        value = self._values.get(s)
+        if value is None:
+            try:
+                value = self._values[s] = self._row(s)[0]
+            except (AttributeError, ValueError):  # not a class, or of another form
+                raise KeyError(s) from None
+        return value
+
+    def __iter__(self):
+        return iter(spinc_classes(self._form))
+
+    def __len__(self) -> int:
+        return self._form.qinv[1]
 
 
 def d_zero_subset(f: IntersectionForm) -> list[SpincClass]:

@@ -23,7 +23,7 @@ from plumbtau.obstruct import (
 )
 from plumbtau.plumbing import IntersectionForm, PlumbingTree, SpincClass, _image, _require_box
 from plumbtau.surgery import BraidDatum, SurgeryComponent, SurgeryPresentation, linking_matrix
-from plumbtau.tau import _tau_rows
+from plumbtau.tau import _tau_of
 
 DEFAULT_SEED = 20260814
 
@@ -203,10 +203,9 @@ def pairing(f, kappa, link) -> Fraction:
 def tau_detail(f, link, s):
     """Tau value together with its lexicographically least minimizing vector.
 
-    The one-class view of ``tau._tau_rows``, the rows ``tau.tau_table`` keeps.
+    The row of ``tau._tau_of`` whose values ``tau.tau_table`` keeps.
     """
-    _, value, minimizer = next(_tau_rows(f, link, (s,)))
-    return value, minimizer
+    return _tau_of(f, link)(s)
 
 
 def tau(f, link, s) -> Fraction:

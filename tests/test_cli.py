@@ -701,6 +701,66 @@ def test_package_takes_no_determinant():
                 assert node.func.attr != "det", f"{path.name}:{node.lineno}"
 
 
+CHAIN_3333 = {
+    "vertices": [[f"v{i}", -3] for i in range(1, 5)],
+    "edges": [[f"v{i}", f"v{i + 1}"] for i in range(1, 4)],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, walks, classes, taus",
+    [
+        (["tau", "--spinc=7,-5,1,9"], {}, 0, 2, 1),
+        (SLICE, {"subset": [[7, -5, 1, 9]], "surgery": {"braid": BRAID}}, 0, 2, 1),
+        (["obstruct", "--check", "integrality"], {"subset": [[-1, 3, 1, -1]]}, 0, 2, 1),
+        (["obstruct", "--check", "conjugation"], {"subset": [[-1, 3, 1, -1]]}, 0, 2, 2),
+        # the whole-table checks walk the box once, and read tau at their classes alone
+        (["obstruct", "--check", "pl-genus"], tau_doc(), 1, None, 3),  # 3 of 9 have d = 0
+        (["obstruct", "--check", "concordance"], {"subset": "all"}, 1, None, 55),
+        (["obstruct", "--check", "metaboliser"],
+         {"plumbing": L92_PLUMBING, "leaf_link": {"v1": 2}, "subset": [[3, 0]]}, 1, None, None),
+    ],
+)
+def test_single_class_queries_build_one_class_and_its_conjugate(
+    argv, doc, walks, classes, taus, tmp_path, capsys, monkeypatch
+):
+    # (-3)x4 has 55 classes: a query of one class builds it and its
+    # conjugate, not the index, and evaluates tau where its check reads it
+    from plumbtau import tau
+
+    counts = Counter()
+    group, init, tau_of = plumbing._group_classes, plumbing.SpincClass.__init__, tau._tau_of
+
+    def walk(f):
+        counts["walks"] += 1
+        return group(f)
+
+    def made(self, *args, **kwargs):
+        counts["classes"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_tau_of(f, link):
+        row = tau_of(f, link)
+
+        def counted(s):
+            counts["taus"] += 1
+            return row(s)
+
+        return counted
+
+    monkeypatch.setattr(plumbing, "_group_classes", walk)
+    monkeypatch.setattr(plumbing.SpincClass, "__init__", made)
+    monkeypatch.setattr(tau, "_tau_of", counted_tau_of)
+    doc = {"plumbing": CHAIN_3333, "leaf_link": {"v1": 2, "v4": 1}, **doc}
+    rc, _, err = run_cli(capsys, argv[0], "--input", write_doc(tmp_path, doc), *argv[1:])
+    assert rc == 0, err
+    assert counts["walks"] <= walks, counts
+    if classes is not None:
+        assert counts["classes"] <= classes, counts
+    if taus is not None:
+        assert counts["taus"] <= taus, counts
+
+
 def test_class_count_invariant_exit(tmp_path, capsys, monkeypatch):
     # the walk's keys reduced to 0 give one class where |det Q| = 9: a broken
     # invariant of the program, exit 5, not a precondition of the input

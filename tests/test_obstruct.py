@@ -12,9 +12,10 @@ from conftest import (
     genus_bounds_check,
     h1_residues,
     property_seed,
+    random_tree,
 )
 
-from plumbtau import linalg
+from plumbtau import linalg, tau
 from plumbtau.obstruct import (
     CLEAR,
     FIRES,
@@ -34,8 +35,14 @@ from plumbtau.obstruct import (
     slice_bennequin_check,
 )
 from plumbtau.paper import form_41, form_92
-from plumbtau.plumbing import PlumbingTree, class_of, form_from_tree, spinc_translate
-from plumbtau.tau import LeafLink, d_zero_subset
+from plumbtau.plumbing import (
+    PlumbingTree,
+    class_of,
+    form_from_tree,
+    spinc_classes,
+    spinc_translate,
+)
+from plumbtau.tau import LeafLink, d_zero_subset, leaf_link, tau_table
 
 L41, L92 = form_41(), form_92()
 
@@ -70,6 +77,47 @@ def test_profile_validation():
         TauProfile(tau={}, ell=-1)
     with pytest.raises(IncompleteProfileError):
         TauProfile(tau={}, ell=1).tau_at(class_of(L92, (3, 0)))
+
+
+def test_profile_computes_tau_when_read(monkeypatch):
+    # a profile from a link evaluates tau at a class when the class is first
+    # read, from one pairing vector, and as a whole it is tau_table over
+    # every class, in spinc_classes order
+    rng = random.Random(property_seed())
+    made, tau_of = [], tau._tau_of
+
+    def counted_tau_of(f, link):
+        row, at = tau_of(f, link), len(made)
+        made.append(0)
+
+        def counted(s):
+            made[at] += 1
+            return row(s)
+
+        return counted
+
+    monkeypatch.setattr(tau, "_tau_of", counted_tau_of)
+    profiles = 0
+    while profiles < 30:
+        tree = random_tree(rng, rng.randint(1, 5), -6, -1)
+        f = form_from_tree(tree)
+        if not f.negative_definite:
+            continue
+        profiles += 1
+        leaves = [v for v, _ in tree.vertices if tree.marking(v) == "unmarked_leaf"]
+        link = leaf_link(f, {v: rng.randint(0, 4) for v in leaves})
+        fresh = form_from_tree(tree)
+        p = profile_from_link(fresh, link)
+        s = class_of(fresh, [2 * rng.randint(-3, 3) - w for _, w in tree.vertices])
+        value = p.tau_at(s)
+        assert made[-1] == 1 and "_class_index" not in fresh.__dict__
+        assert p.tau_at(s) == value and made[-1] == 1
+        table = tau_table(f, link, spinc_classes(f))
+        assert list(p.tau.items()) == list(table.items()) and p.tau == table
+        assert made[-2] == len(table)  # one pairing vector per profile, one row per class
+    with pytest.raises(IncompleteProfileError):
+        TauProfile(tau={}, ell=1).tau_at(class_of(L92, (3, 0)))
+    assert class_of(L41, (-2,)) not in nk_profile(1).tau and (-3, 0) not in nk_profile(1).tau
 
 
 def test_slice_bennequin_check():

@@ -322,3 +322,33 @@ def test_chain_d_invariants_match_lens_space_recursion():
         f = form_from_tree(PlumbingTree.path(*weights))
         got = Counter(d_invariant(s) for s in spinc_classes(f))
         assert got == Counter(-_lens_d(p, q, i) for i in range(p)), weights
+
+
+def test_class_lookup_meets_the_indexed_class():
+    # on a fresh form, class_of meets the box's heads and tails at one key and
+    # at its conjugate: each class, reached from rep + 2Qx for an arbitrary x,
+    # must be the indexed class in rep, d and realizing, and no index is built
+    rng = random.Random(property_seed())
+    kinds, trees, classes = Counter(), 0, 0
+    while trees < 40 or min(kinds["-1 leaf"], kinds["-1 inside"]) < 5:
+        tree = random_tree(rng, rng.randint(1, 7), -6, -1)
+        vertices = list(tree.vertices)
+        rng.shuffle(vertices)
+        tree = PlumbingTree(vertices=tuple(vertices), edges=tree.edges)
+        f = form_from_tree(tree)
+        if not f.negative_definite or prod(-w for _, w in vertices) > 2000:
+            continue
+        trees += 1
+        for s in spinc_classes(f):
+            fresh = form_from_tree(tree)
+            x = [rng.randint(-3, 3) for _ in range(f.n)]
+            kappa = [k + 2 * sum(q * y for q, y in zip(row, x)) for k, row in zip(s.rep, f.q)]
+            found = class_of(fresh, kappa)
+            assert (found.rep, found.d, found.realizing) == (s.rep, s.d, s.realizing), tree
+            sbar, want = conjugate(found), conjugate(s)
+            assert (sbar.rep, sbar.d, sbar.realizing) == (want.rep, want.d, want.realizing), tree
+            assert "_class_index" not in fresh.__dict__ and len(fresh._looked_up) <= 2
+            classes += 1
+        kinds["-1 leaf"] += any(w == -1 and tree.degree(v) == 1 for v, w in vertices)
+        kinds["-1 inside"] += any(w == -1 and tree.degree(v) > 1 for v, w in vertices)
+    assert classes > 2_000, classes
