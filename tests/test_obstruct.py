@@ -115,8 +115,6 @@ def test_profile_computes_tau_when_read(monkeypatch):
         table = tau_table(f, link, spinc_classes(f))
         assert list(p.tau.items()) == list(table.items()) and p.tau == table
         assert made[-2] == len(table)  # one pairing vector per profile, one row per class
-    with pytest.raises(IncompleteProfileError):
-        TauProfile(tau={}, ell=1).tau_at(class_of(L92, (3, 0)))
     assert class_of(L41, (-2,)) not in nk_profile(1).tau and (-3, 0) not in nk_profile(1).tau
 
 
