@@ -258,11 +258,6 @@ def build_floer(doc: dict):
         return parse_complex(lines, basepoints=basepoints)
 
 
-def _classes_checked(f: IntersectionForm, select):
-    with _named("plumbing", ValueError):
-        return select(f)
-
-
 def _parse_rep_text(text: str, field: str) -> list[int]:
     """The integers of a representative such as ``-3,0``, ``[ -3, 0 ]`` or ``(66,)``.
 
@@ -287,11 +282,11 @@ def select_classes(f: IntersectionForm, doc: dict, flag: Optional[str], default:
     if sel == "all":
         from .plumbing import spinc_classes
 
-        return _classes_checked(f, spinc_classes)
+        return spinc_classes(f)
     if sel == "d0":
         from .tau import d_zero_subset
 
-        return _classes_checked(f, d_zero_subset)
+        return d_zero_subset(f)
     from .plumbing import class_of
 
     with _named(field, ValueError):
@@ -334,7 +329,7 @@ def run_dinv(args) -> dict:
     f = build_form(doc)
     rows = [
         {"rep": list(s.rep), "d": str(d_invariant(s))}
-        for s in _classes_checked(f, spinc_classes)
+        for s in spinc_classes(f)
     ]
     return {"command": "dinv", "order": f.qinv[1], "classes": rows}
 
@@ -346,7 +341,7 @@ def run_spinc(args) -> dict:
     f = build_form(doc)
     rows = [
         {"rep": list(s.rep), "conjugate": list(conjugate(s).rep)}
-        for s in _classes_checked(f, spinc_classes)
+        for s in spinc_classes(f)
     ]
     return {"command": "spinc", "order": f.qinv[1], "classes": rows}
 

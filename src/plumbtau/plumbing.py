@@ -126,7 +126,7 @@ class IntersectionForm(_Frozen):
 
     Equality, hash and repr read ``q``, ``order`` and ``negative_definite``;
     ``tree`` and the caches are left out: the inverse, the index of every
-    class, and the classes that ``class_of`` found without the index.
+    class, and the classes that ``_class_at`` met without the index.
     """
 
     def __init__(
@@ -169,11 +169,11 @@ class IntersectionForm(_Frozen):
     @cached_property
     def _class_index(self) -> dict[tuple[int, ...], "SpincClass"]:
         """Spin-c classes keyed by the key of ``_image``, in order of their reps."""
-        return _group_classes(self)
+        return _scan(self)
 
     @cached_property
     def _looked_up(self) -> dict[tuple[int, ...], "SpincClass"]:
-        """Classes that ``class_of`` found without the index, by the same keys."""
+        """Classes that ``_class_at`` met without the index, by the same keys."""
         return {}
 
     def index_of(self, vertex_id: str) -> int:
@@ -262,7 +262,7 @@ def is_characteristic(f: IntersectionForm, kappa: Sequence[int]) -> bool:
 def _require_box(negative_definite: bool, weights: Sequence[int]) -> None:
     """Refuse an indefinite form, a box of more than ``MAX_BOX`` vectors, then too much work.
 
-    The walk of ``_group_classes`` costs O(n) per vector of the box and
+    The walk of ``_scan`` costs O(n) per vector of the box and
     Q^-1 costs O(n^3), so the work is box * n + n^3.  Its limit is that of
     a box of ``MAX_BOX`` vectors on m = floor(log2(MAX_BOX)) vertices: a
     tree whose weights are all <= -2 has a box of at least 2^n, so every
@@ -295,12 +295,14 @@ class SpincClass(_Frozen):
 
     ``rep`` is the canonical representative (lexicographically least
     short vector), ``d`` the correction term and ``realizing`` the short
-    vectors of the coset that attain it, in lex order.  Equality reads
-    ``rep``, ``d`` and ``realizing``, not ``form``; the hash reads ``rep``
-    alone, which decides the class on one form, so hashing takes no Fraction.
+    vectors of the coset that attain it, in lex order.  ``key`` is the key
+    of ``_image`` that the form indexes the class by.  Equality reads
+    ``rep``, ``d`` and ``realizing``, not ``form`` or ``key``; the hash reads
+    ``rep`` alone, which decides the class on one form, so hashing takes no
+    Fraction.
     """
 
-    __slots__ = ("rep", "d", "realizing", "form")
+    __slots__ = ("rep", "d", "realizing", "form", "key")
 
     def __init__(
         self,
@@ -308,12 +310,14 @@ class SpincClass(_Frozen):
         d: Fraction,
         realizing: tuple[tuple[int, ...], ...],
         form: IntersectionForm,
+        key: tuple[int, ...],
     ):
         init = object.__setattr__
         init(self, "rep", rep)
         init(self, "d", d)
         init(self, "realizing", realizing)
         init(self, "form", form)
+        init(self, "key", key)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -385,68 +389,47 @@ def _walk(f: IntersectionForm, head_cost: int = 1):
     return half(0, s), list(half(s, n)), p
 
 
-def _classes(f: IntersectionForm, groups: dict, p: int) -> dict[tuple[int, ...], SpincClass]:
-    """One class per [rep, best numerator, its vectors], with d = (num + n·p)/4p."""
-    return {
-        key: SpincClass(rep=rep, d=Fraction(num + f.n * p, 4 * p), realizing=tuple(best), form=f)
-        for key, (rep, num, best) in groups.items()
-    }
+def _scan(f: IntersectionForm, keys=None) -> dict[tuple[int, ...], SpincClass]:
+    """Classes of the short box, or of ``keys`` alone, each with d = max (kappa^2 + n)/4.
 
-
-def _group_classes(f: IntersectionForm) -> dict[tuple[int, ...], SpincClass]:
-    """Classes of the short box, each with d = max (kappa^2 + n)/4 over it.
-
-    Every head meets every tail of ``_walk``, in lex order, and a vector's
-    key is ``_image(f, kappa)[0]``.
+    A vector's key is (y_h + y_t) mod 2p, so with ``_walk``'s tails bucketed
+    by y_t mod 2p in lex order, a head meets a bucket under one key and its
+    members in lex order.  With no keys a head meets every bucket, so the
+    whole box is grouped in lex order, one dot product per vector: a group's
+    first vector is its rep, and the buckets, met in the order of their first
+    tails, open the groups in the order of their reps.  With keys a head
+    meets only the bucket of residue (t - y_h) mod 2p for each key t, which
+    costs O((heads + tails + members)·n), about sqrt(box)·n, for box·n.
     """
-    heads, tails, p = _walk(f)
-    modulus = itertools.repeat(2 * p)
-    groups: dict[tuple[int, ...], list] = {}  # key -> [rep, best numerator, its vectors]
-    for head, yh, sh in heads:
-        for tail, yt, st in tails:  # lex order: a group's first vector is its rep
-            key = tuple(map(mod, map(add, yh, yt), modulus))
-            num = sh + st + 2 * sum(map(mul, head, yt))
-            group = groups.get(key)
-            if group is None:
-                k = head + tail
-                groups[key] = [k, num, [k]]
-            elif num > group[1]:
-                group[1:] = [num, [head + tail]]
-            elif num == group[1]:
-                group[2].append(head + tail)
-    if len(groups) != p:  # p = |det Q|
-        raise RuntimeError("class count must equal |det Q|")
-    # groups were opened in lex order of their reps, so the index is in rep order
-    return _classes(f, groups, p)
-
-
-def _meet(f: IntersectionForm, keys) -> dict[tuple[int, ...], SpincClass]:
-    """The classes of ``keys`` alone: each head meets only the tails that complete a key.
-
-    A vector's key is (y_h + y_t) mod 2p, so with the tails bucketed by
-    y_t mod 2p in walk order, a head reaches the members of key t among
-    the tails of residue (t - y_h) mod 2p, in lex order.  That costs
-    O((heads + tails + members)·n), about sqrt(box)·n, for the walk's box·n.
-    """
-    heads, tails, p = _walk(f, 1 + len(keys))  # a head costs one lookup per key
+    heads, tails, p = _walk(f, 1 if keys is None else 1 + len(keys))  # a lookup per key
     modulus = itertools.repeat(2 * p)
     buckets: dict[tuple[int, ...], list] = {}
     for tail in tails:
         buckets.setdefault(tuple(map(mod, tail[1], modulus)), []).append(tail)
-    groups: dict[tuple[int, ...], list] = {}
+    pairs = buckets.items() if keys is None else [(t, None) for t in keys]
+    groups: dict[tuple[int, ...], list] = {}  # key -> [rep, best numerator, its vectors]
     for head, yh, sh in heads:
-        for key in keys:
-            for tail, yt, st in buckets.get(tuple(map(mod, map(sub, key, yh), modulus)), ()):
+        for x, members in pairs:
+            if keys is None:  # x is the residue of the bucket
+                key = tuple(map(mod, map(add, yh, x), modulus))
+            else:  # x is the key, and the bucket is the one that completes it
+                key, members = x, buckets.get(tuple(map(mod, map(sub, x, yh), modulus)), ())
+            group = groups.get(key)
+            for tail, yt, st in members:
                 num = sh + st + 2 * sum(map(mul, head, yt))
-                group = groups.get(key)
                 if group is None:
                     k = head + tail
-                    groups[key] = [k, num, [k]]
+                    group = groups[key] = [k, num, [k]]
                 elif num > group[1]:
                     group[1:] = [num, [head + tail]]
                 elif num == group[1]:
                     group[2].append(head + tail)
-    return _classes(f, groups, p)
+    if keys is None and len(groups) != p:  # p = |det Q|
+        raise RuntimeError("class count must equal |det Q|")
+    return {
+        key: SpincClass(rep, Fraction(num + f.n * p, 4 * p), tuple(best), f, key)
+        for key, (rep, num, best) in groups.items()
+    }
 
 
 def spinc_classes(f: IntersectionForm) -> list[SpincClass]:
@@ -454,38 +437,47 @@ def spinc_classes(f: IntersectionForm) -> list[SpincClass]:
     return list(f._class_index.values())
 
 
-def class_of(f: IntersectionForm, kappa: Sequence[int]) -> SpincClass:
-    """The spin-c class containing an arbitrary characteristic vector.
+def _class_at(f: IntersectionForm, key: tuple[int, ...]) -> SpincClass:
+    """The class of a key, read from the form's index or ``_looked_up``.
 
-    A form that holds its index looks the class up there.  Otherwise
-    ``_meet`` finds the class and its conjugate, and the form keeps both.
+    A form without its index that has not looked the key up meets it and
+    its conjugate's in one ``_scan``, and keeps both classes.
     """
-    if not is_characteristic(f, kappa):
-        raise ValueError(f"{tuple(kappa)} is not characteristic for this form")
     held = f.__dict__.get("_class_index")
-    if held is None:
-        f.require_box()  # before Q^-1, as the walk checks
-    key = _image(f, kappa)[0]
     s = (f._looked_up if held is None else held).get(key)
     if s is None and held is None:
-        found = _meet(f, {key, tuple(-t % (2 * f.qinv[1]) for t in key)})
+        found = _scan(f, {key, tuple(-t % (2 * f.qinv[1]) for t in key)})
         f._looked_up.update(found)
         s = found.get(key)
     if s is None:
-        raise RuntimeError(f"the short box misses the class of {tuple(kappa)}")
+        raise RuntimeError(f"the short box misses the class of key {key}")
     return s
 
 
+def class_of(f: IntersectionForm, kappa: Sequence[int]) -> SpincClass:
+    """The spin-c class containing an arbitrary characteristic vector."""
+    if not is_characteristic(f, kappa):
+        raise ValueError(f"{tuple(kappa)} is not characteristic for this form")
+    if "_class_index" not in f.__dict__:
+        f.require_box()  # before Q^-1, as the walk checks
+    return _class_at(f, _image(f, kappa)[0])
+
+
 def conjugate(s: SpincClass) -> SpincClass:
-    """Conjugation acts on characteristic vectors by negation."""
-    return class_of(s.form, [-k for k in s.rep])
+    """Conjugation negates characteristic vectors, and so their keys."""
+    return _class_at(s.form, tuple(-t % (2 * s.form.qinv[1]) for t in s.key))
 
 
 def spinc_translate(s: SpincClass, alpha: Sequence[int]) -> SpincClass:
-    """Action of H_1 = Z^n / Q·Z^n: translate the coset by 2·alpha."""
+    """Action of H_1 = Z^n / Q·Z^n: translate the coset by 2·alpha, the key by 2·a·alpha."""
     if len(alpha) != s.form.n:
         raise ValueError("translation vector has wrong length")
-    return class_of(s.form, [k + 2 * a for k, a in zip(s.rep, alpha)])
+    if any(x % 1 for x in alpha):
+        raise ValueError("translation vector must be integral")
+    alpha = list(map(int, alpha))
+    a, p = s.form.qinv
+    key = tuple((t + 2 * sum(map(mul, row, alpha))) % (2 * p) for t, row in zip(s.key, a))
+    return _class_at(s.form, key)
 
 
 def d_invariant(s: SpincClass) -> Fraction:

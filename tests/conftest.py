@@ -137,7 +137,7 @@ def short_char_vectors(f: IntersectionForm) -> list[tuple[int, ...]]:
 
 
 def box_classes(f: IntersectionForm) -> dict[tuple[int, ...], SpincClass]:
-    """Reference for ``plumbing._group_classes``: the built box, keyed by one ``_image`` each.
+    """Reference for ``plumbing._scan``: the built box, keyed by one ``_image`` each.
 
     Each vector pays an n x n product where the walk pays O(n); the keys,
     their order, the reps, d and the realizing tuples must agree.
@@ -157,7 +157,9 @@ def box_classes(f: IntersectionForm) -> dict[tuple[int, ...], SpincClass]:
     if len(groups) != p:
         raise RuntimeError("class count must equal |det Q|")
     return {
-        key: SpincClass(rep=rep, d=Fraction(num + f.n * p, 4 * p), realizing=tuple(best), form=f)
+        key: SpincClass(
+            rep=rep, d=Fraction(num + f.n * p, 4 * p), realizing=tuple(best), form=f, key=key
+        )
         for key, (rep, num, best) in groups.items()
     }
 

@@ -729,11 +729,11 @@ def test_single_class_queries_build_one_class_and_its_conjugate(
     from plumbtau import tau
 
     counts = Counter()
-    group, init, tau_of = plumbing._group_classes, plumbing.SpincClass.__init__, tau._tau_of
+    scan, init, tau_of = plumbing._scan, plumbing.SpincClass.__init__, tau._tau_of
 
-    def walk(f):
-        counts["walks"] += 1
-        return group(f)
+    def counted_scan(f, keys=None):
+        counts["walks"] += keys is None  # a scan without keys walks the whole box
+        return scan(f, keys)
 
     def made(self, *args, **kwargs):
         counts["classes"] += 1
@@ -748,7 +748,7 @@ def test_single_class_queries_build_one_class_and_its_conjugate(
 
         return counted
 
-    monkeypatch.setattr(plumbing, "_group_classes", walk)
+    monkeypatch.setattr(plumbing, "_scan", counted_scan)
     monkeypatch.setattr(plumbing.SpincClass, "__init__", made)
     monkeypatch.setattr(tau, "_tau_of", counted_tau_of)
     doc = {"plumbing": CHAIN_3333, "leaf_link": {"v1": 2, "v4": 1}, **doc}

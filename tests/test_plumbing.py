@@ -18,12 +18,12 @@ from conftest import (
     short_char_vectors,
     solve_exact,
 )
-from plumbtau import linalg
+from plumbtau import linalg, plumbing
 from plumbtau.paper import form_41, form_92
 from plumbtau.plumbing import (
     PlumbingTree,
-    _group_classes,
     _image,
+    _scan,
     class_of,
     conjugate,
     d_invariant,
@@ -138,6 +138,54 @@ def test_spinc_translate():
     assert spinc_translate(s, q_elem) == s
     hit = {spinc_translate(class_of(L92, (-3, 0)), [a, 0]).rep for a in (0, 3, 6)}
     assert hit == {(-3, 0), (-1, 2), (3, 0)}
+
+
+def test_spinc_translate_refuses_a_bad_vector():
+    s = class_of(L41, (-2,))
+    refusals = [
+        ([1, 0], "translation vector has wrong length"),
+        ([Fraction(1, 2)], "translation vector must be integral"),
+        ([0.5], "translation vector must be integral"),
+    ]
+    for alpha, message in refusals:
+        with pytest.raises(ValueError) as caught:
+            spinc_translate(s, alpha)
+        assert str(caught.value) == message, alpha
+    # an integral entry of another type translates as its int
+    assert spinc_translate(s, [Fraction(2)]).rep == spinc_translate(s, [2.0]).rep == (2,)
+
+
+def test_conjugate_and_translate_read_keys(monkeypatch):
+    # conjugate and spinc_translate reach their classes by key arithmetic,
+    # with no _image product, on a form that holds its index and on a fresh
+    # form's looked-up class alike
+    rng = random.Random(property_seed())
+    image, calls = plumbing._image, Counter()
+
+    def counted_image(f, kappa):
+        calls["image"] += 1
+        return image(f, kappa)
+
+    monkeypatch.setattr(plumbing, "_image", counted_image)
+    trees = 0
+    while trees < 20:
+        tree = random_tree(rng, rng.randint(1, 5), -6, -1)
+        f = form_from_tree(tree)
+        if not f.negative_definite or prod(-w for _, w in tree.vertices) > 2000:
+            continue
+        trees += 1
+        for s in spinc_classes(f):
+            alpha = [rng.randint(-3, 3) for _ in range(f.n)]
+            fresh = form_from_tree(tree)
+            found = class_of(fresh, s.rep)
+            before = calls["image"]
+            got = [conjugate(s), spinc_translate(s, alpha)]
+            got_fresh = [conjugate(found), spinc_translate(found, alpha)]
+            assert calls["image"] == before, tree
+            assert [t.rep for t in got_fresh] == [t.rep for t in got], tree
+            assert "_class_index" not in fresh.__dict__
+            negated, shifted = [-k for k in s.rep], [k + 2 * a for k, a in zip(s.rep, alpha)]
+            assert got == [class_of(f, negated), class_of(f, shifted)], tree  # the _image route
 
 
 def test_classes_partition_the_box():
@@ -289,12 +337,13 @@ def test_box_walk_matches_the_image_oracle():
         f = form_from_tree(tree)
         if not f.negative_definite or prod(-w for _, w in vertices) > 1000:
             continue
-        walked, oracle = _group_classes(f), box_classes(f)
+        walked, oracle = _scan(f), box_classes(f)
         assert list(walked) == list(oracle), tree
         assert [(s.rep, s.d, s.realizing) for s in walked.values()] == [
             (s.rep, s.d, s.realizing) for s in oracle.values()
         ], tree
         for key, s in walked.items():
+            assert s.key == key
             assert all(_image(f, k)[0] == key for k in (s.rep, *s.realizing))
         degree = max(map(tree.degree, (v for v, _ in vertices)))
         kinds["n = 1" if f.n == 1 else "chain" if degree <= 2 else "degree >= 3"] += 1

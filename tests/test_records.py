@@ -3,7 +3,7 @@
 Each row builds one record positionally with its defaults left out and by
 keyword with every field spelled out, and lists every check of its
 constructor with the exact message.  ``IntersectionForm`` and ``SpincClass``
-also leave one field out of equality, hash and repr.
+also leave fields out of equality, hash and repr.
 """
 
 from fractions import Fraction
@@ -67,9 +67,9 @@ RECORDS = [
     ),
     row(
         SpincClass,
-        (S1.rep, S1.d, S1.realizing, F1),
-        {"rep": S1.rep, "d": S1.d, "realizing": S1.realizing, "form": F1},
-        twins=[S1, S2, SpincClass(S1.rep, S1.d, S1.realizing, form_41())],
+        (S1.rep, S1.d, S1.realizing, F1, S1.key),
+        {"rep": S1.rep, "d": S1.d, "realizing": S1.realizing, "form": F1, "key": S1.key},
+        twins=[S1, S2, SpincClass(S1.rep, S1.d, S1.realizing, form_41(), (0,))],
         shown=f"SpincClass{S1.rep}",
     ),
     row(
