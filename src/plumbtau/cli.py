@@ -8,12 +8,13 @@ Subcommands pick the pieces they need.  All rationals are printed as
 canonical fraction strings, never floats, and every table is sorted, so
 output is byte-for-byte reproducible.
 
-One table in ``build_parser`` gives each name in ``COMMANDS`` its handler,
-help line and argument specs; every subcommand takes the ``_FORMAT`` spec,
-and each that reads a document the ``_INPUT`` spec.  A call builds the
-parser of the one subcommand that its first argument names; ``-h``, an
-unknown word or no argument at all builds every subcommand's.  Both
-parsers give the same namespace, help and errors for that subcommand.
+One table, ``_table``, gives each name in ``COMMANDS`` its handler, help
+line and argument specs; every subcommand takes the ``_FORMAT`` spec, and
+each that reads a document the ``_INPUT`` spec.  A well-formed call is read
+straight from its row by ``_read_args``, to the namespace argparse would
+give it, so it neither imports nor builds argparse.  Every other call (help,
+an error, an abbreviated flag) goes to ``build_parser``, the argparse parser
+of every row, which prints the help and the errors.
 
 Exit codes: 0 success, 2 malformed input (schema), 3 mathematical
 precondition failure or a work limit exceeded, 4 regenerated golden table
@@ -22,11 +23,11 @@ differs from the committed fixture, 5 internal error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional
 
 from . import EXAMPLE_NAMES
@@ -34,6 +35,8 @@ from . import EXAMPLE_NAMES
 # Each handler imports the layers it calls, so a call of one subcommand
 # loads no other subcommand's layers (a ``floer`` call loads only floer).
 if TYPE_CHECKING:
+    import argparse
+
     from . import surgery
     from .plumbing import IntersectionForm
     from .tau import LeafLink
@@ -293,7 +296,8 @@ def select_classes(f: IntersectionForm, doc: dict, flag: Optional[str], default:
         return [class_of(f, rep) for rep in sel]
 
 
-def _single_class(classes, check: str):
+def _one_class(f: IntersectionForm, doc: dict, check: str):
+    classes = select_classes(f, doc, None, None)
     if len(classes) != 1:
         raise SchemaError(f"subset: the {check} check needs exactly one spin-c class")
     return classes[0]
@@ -444,17 +448,25 @@ def run_obstruct(args) -> dict:
             }
     if check == "concordance":
         verdict = obstruct.concordance_obstruction(profile, select_classes(f, doc, None, "d0"))
+    elif check == "metaboliser":
+        # search first, so that the walk of a search with candidates keys the
+        # class too; a class the subset names badly is refused all the same
+        # before a search past its limit
+        try:
+            candidates = obstruct.metaboliser_search(f)
+        except ValueError:
+            _one_class(f, doc, check)
+            raise
+        verdict = obstruct.metaboliser_obstruction(profile, _one_class(f, doc, check), candidates)
     else:
         # every other check reads one class, checked before the braid
-        s = _single_class(select_classes(f, doc, None, None), check)
+        s = _one_class(f, doc, check)
         if check == "slice-bennequin":
             from . import surgery
 
             b = build_braid(doc)
             sl = surgery.self_linking_shift(surgery.self_linking_braid(b), build_presentation(doc))
             verdict = obstruct.slice_bennequin_check(sl, profile.tau_at(s), link.ell)
-        elif check == "metaboliser":
-            verdict = obstruct.metaboliser_obstruction(profile, s)
         elif check == "conjugation":
             verdict = obstruct.conjugation_obstruction(profile, s)
         else:  # integrality
@@ -584,31 +596,12 @@ _INPUT = _arg("--input", default="-", help="input JSON document, - for stdin")
 _FORMAT = _arg("--format", choices=("json", "table"), default="json")
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of ``command`` alone if it names one.
+def _table() -> dict:
+    """name: (handler, help, argument specs in --help order) for each name in ``COMMANDS``.
 
-    A one-command parser reads that command's argv to the same namespace,
-    help and errors as the full one, at a fraction of the set-up cost.
+    Built at each call, so a wrapper bound to ``cli.run_*`` is the one run.
     """
-    parser = argparse.ArgumentParser(
-        prog="plumbtau",
-        description="Exact tau-invariants and Stein-filling obstructions "
-        "for links in negative-definite plumbed rational homology spheres.",
-    )
-    # with prog given, argparse does not format the top usage line to derive it
-    if command in COMMANDS:
-        # the usage line of an error still lists every command
-        sub = parser.add_subparsers(
-            dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}", prog="plumbtau"
-        )
-    else:
-        # no metavar: errors name the argument "command", as they always have
-        command = None
-        sub = parser.add_subparsers(dest="command", required=True, prog="plumbtau")
-
-    # name: (handler, help, argument specs in --help order).  The handlers are
-    # looked up at each build, so a wrapper bound to ``cli.run_*`` is the one run.
-    rows = {
+    return {
         "tau": (run_tau, "per-class tau table of a leaf-fibre link", _INPUT, _FORMAT,
             _arg("--spinc", default=None, help="all | d0 | representative like -3,0")),
         "dinv": (run_dinv, "correction-term table of the boundary", _INPUT, _FORMAT),
@@ -626,8 +619,20 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         "paper-examples": (run_paper_examples, "regenerate and diff the golden tables",
             _arg("example", nargs="?", choices=EXAMPLE_NAMES, default=None), _FORMAT),
     }
-    for name in COMMANDS if command is None else (command,):
-        handler, text, *specs = rows[name]
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, which prints the help and the errors."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="plumbtau",
+        description="Exact tau-invariants and Stein-filling obstructions "
+        "for links in negative-definite plumbed rational homology spheres.",
+    )
+    # with prog given, argparse does not format the top usage line to derive it
+    sub = parser.add_subparsers(dest="command", required=True, prog="plumbtau")
+    for name, (handler, text, *specs) in _table().items():
         p = sub.add_parser(name, help=text)
         for flags, options in specs:
             p.add_argument(*flags, **options)
@@ -635,10 +640,62 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _read_args(argv: list) -> Optional[SimpleNamespace]:
+    """The namespace ``build_parser().parse_args(argv)`` reads, or None to leave argv to it.
+
+    It reads only argv that argparse reads to the same namespace: a name in
+    ``COMMANDS``, then flags of that row spelled exactly, as ``--flag value``
+    or ``--flag=value`` with a value, each at most once, and the row's
+    positional.  A spaced value may start with ``-`` only if it is ``-``.
+    Values are converted by the spec's ``type`` and checked against its
+    ``choices``, and every required flag must be there.  Anything else (help,
+    an abbreviation, a repeat, ``--``, a bad value, a missing or extra
+    argument) is argparse's to read or refuse.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    handler, _, *specs = _table()[argv[0]]
+    names = {flags[0] for flags, _ in specs}
+    positional = next((name for name in names if not name.startswith("-")), None)
+    read = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            name, eq, text = token.partition("=")
+            if not eq:
+                text = next(tokens, None)
+                if text is None or (text.startswith("-") and text != "-"):
+                    return None
+            if name not in names or name in read or (eq and not text):
+                return None
+        elif positional is not None and positional not in read:
+            name, text = positional, token
+        else:
+            return None
+        read[name] = text
+    values = {"command": argv[0]}
+    for (name, *_), options in specs:
+        value = read.get(name)
+        if value is None:
+            if options.get("required"):
+                return None
+            value = options.get("default")
+        else:
+            try:
+                value = options.get("type", str)(value)
+            except (TypeError, ValueError):
+                return None
+            choices = options.get("choices")
+            if choices is not None and value not in choices:
+                return None
+        values[name.lstrip("-").replace("-", "_")] = value
+    return SimpleNamespace(**values, handler=handler)
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _read_args(argv) or build_parser().parse_args(argv)
     try:
         doc = args.handler(args)
     except SchemaError as e:

@@ -299,22 +299,39 @@ def metaboliser_candidates(f: IntersectionForm) -> list[MetaboliserCandidate]:
     return out
 
 
-def metaboliser_obstruction(profile: TauProfile, s: SpincClass) -> Verdict:
+def metaboliser_search(f: IntersectionForm) -> list[MetaboliserCandidate]:
+    """``metaboliser_candidates(f)``, with the short box walked when there are any.
+
+    The metaboliser check translates its class by every element of every
+    candidate, and one walk keys all the classes it reaches.  A class
+    selected after the search is read from that index, not met in the box.
+    A non-square order has no candidates and walks nothing.
+    """
+    candidates = metaboliser_candidates(f)
+    if candidates:
+        spinc_classes(f)
+    return candidates
+
+
+def metaboliser_obstruction(
+    profile: TauProfile, s: SpincClass, candidates: Optional[list[MetaboliserCandidate]] = None
+) -> Verdict:
     """Rule out bounding a holomorphic curve in a rational-ball filling.
 
     A candidate metaboliser G survives when |tau(s + a)| <= tau(s) for every
     a in G; the obstruction fires when no candidate survives (in particular
     when no metaboliser exists at all).  Slack is the best margin
-    tau(s) - max |tau(s + a)| over the candidates.
+    tau(s) - max |tau(s + a)| over the candidates.  ``candidates`` is
+    ``metaboliser_search(s.form)`` if the caller has run it.
     """
-    candidates = metaboliser_candidates(s.form)
+    if candidates is None:
+        candidates = metaboliser_search(s.form)
     if not candidates:
         return Verdict(
             check="metaboliser",
             verdict=FIRES,
             witness=f"no metaboliser exists in a group of order {s.form.qinv[1]}",
         )
-    spinc_classes(s.form)  # the candidates reach many classes: one walk keys them all
     base = profile.tau_at(s)
     best = None
     for cand in candidates:

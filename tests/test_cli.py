@@ -640,6 +640,31 @@ def test_metaboliser_search_limit(tmp_path, capsys):
     )
 
 
+def test_metaboliser_check_selects_its_class_after_the_search(tmp_path, capsys, monkeypatch):
+    # a search with candidates walks the box, and the class is then read from
+    # the index: no meet; with no candidates the class is met and nothing walked
+    scans = []
+    scan = plumbing._scan
+    monkeypatch.setattr(
+        plumbing, "_scan", lambda f, keys=None: scans.append(keys is None) or scan(f, keys)
+    )
+    for weight, rep, walked in ((-16, 0, [True]), (-15, 1, [False])):
+        scans.clear()
+        plumbing_ = {"vertices": [["v1", weight]]}
+        path = write_doc(tmp_path, {"plumbing": plumbing_, "leaf_link": {"v1": 1}, "subset": [[rep]]})
+        rc, _, err = run_cli(capsys, "obstruct", "--input", path, "--check", "metaboliser")
+        assert rc == 0 and scans == walked, (weight, err, scans)
+    # a class the subset names badly is refused before a search past its limit
+    star = {
+        "vertices": [["c", -6]] + [[f"v{i}", -2] for i in range(1, 11)],
+        "edges": [["c", f"v{i}"] for i in range(1, 11)],
+    }
+    path = write_doc(tmp_path, {"plumbing": star, "leaf_link": {"v1": 1}, "subset": [[1] * 11]})
+    rc, out, err = run_cli(capsys, "obstruct", "--input", path, "--check", "metaboliser")
+    assert (rc, out) == (3, "")
+    assert err == f"plumbtau: subset: {(1,) * 11} is not characteristic for this form\n"
+
+
 def test_internal_error_exit(tmp_path, capsys, monkeypatch):
     def broken(c):
         raise RuntimeError("pivot target y is not a cycle\nsecond line")
@@ -940,8 +965,9 @@ def _layers(*names):
 
 
 def _absent(*names, also=()):
-    # no call builds its records with dataclasses, which imports inspect
-    return _layers(*names) | {"dataclasses", "inspect", *also}
+    # no call builds its records with dataclasses, which imports inspect, and
+    # no well-formed argv builds the argparse parser
+    return _layers(*names) | {"dataclasses", "inspect", "argparse", *also}
 
 
 @pytest.mark.parametrize(
@@ -966,13 +992,30 @@ def _absent(*names, also=()):
 )
 def test_subcommand_loads_only_its_layers(argv, doc, absent):
     # each CLI call is a new interpreter: what it imports, it compiles and pays for
-    code = (
-        "import sys; before = set(sys.modules); from plumbtau.cli import main; "
-        "print(main(sys.argv[1:]), *set(sys.modules) - before)"
-    )
-    rc, *modules = run_python(code, *argv, stdin=json.dumps(doc)).split()
+    rc, modules = _loaded(argv, doc)
     assert rc == "0"
     assert absent.isdisjoint(modules), sorted(absent.intersection(modules))
+
+
+def _loaded(argv, doc):
+    """main's exit code in a fresh interpreter, and the modules the call loaded."""
+    code = (
+        "import sys; before = set(sys.modules); from plumbtau.cli import main\n"
+        "try:\n    rc = main(sys.argv[1:])\nexcept SystemExit as e:\n    rc = e.code\n"
+        "print(rc, *set(sys.modules) - before)"
+    )
+    rc, *modules = run_python(code, *argv, stdin=json.dumps(doc)).split()
+    return rc, modules
+
+
+@pytest.mark.parametrize(
+    "argv, rc", [(["tau-qp", "-h"], "0"), (["floer", "--what", "tau"], "2")],
+    ids=["help", "bad-choice"],
+)
+def test_help_and_errors_load_argparse(argv, rc):
+    # argparse prints every help and every error: only then is it imported
+    code, modules = _loaded(argv, {})
+    assert code == rc and "argparse" in modules
 
 
 def test_layers_load_on_first_access():
@@ -996,7 +1039,7 @@ def test_paper_examples_choices():
     assert example.choices == paper.EXAMPLE_NAMES == tuple(paper.GOLDEN_GENERATORS)
 
 
-# argv whose parse the one-command parser must repeat byte for byte
+# argv that the reader must read as the full parser does, or leave to it
 PARSES = (
     [[name, "-h"] for name in cli.COMMANDS]
     + [
@@ -1030,13 +1073,111 @@ def _parse(parser, argv, capsys):
     return result, capsys.readouterr()
 
 
+def _read_as_full_parser(parser, argv, capsys):
+    """``cli._read_args(argv)``, checked against the full parser's parse of argv, and that parse."""
+    full, _ = _parse(parser, argv, capsys)
+    read = cli._read_args(list(argv))
+    if read is not None:
+        # argv the full parser refuses, or answers with help, is its own to print
+        assert not isinstance(full, tuple), (argv, full)
+        assert vars(read) == vars(full), argv
+    return read, full
+
+
 @pytest.mark.parametrize("argv", PARSES, ids=" ".join)
 def test_one_command_parser_agrees_with_full_parser(argv, capsys):
-    one = cli.build_parser(argv[0] if argv else None)
-    sub = next(a for a in one._actions if isinstance(a, argparse._SubParsersAction))
-    named = bool(argv) and argv[0] in cli.COMMANDS
-    assert list(sub.choices) == ([argv[0]] if named else list(cli.COMMANDS))
-    assert _parse(one, argv, capsys) == _parse(cli.build_parser(), argv, capsys)
+    # the one-command route is the reader: a call that parses is read from its
+    # row of the table, and every other goes to the full parser unchanged
+    read, full = _read_as_full_parser(cli.build_parser(), argv, capsys)
+    assert (read is None) == isinstance(full, tuple)
+
+
+def _value(rng, options):
+    """A value the spec accepts."""
+    if "choices" in options:
+        return rng.choice(options["choices"])
+    if options.get("type") is int:
+        return rng.choice(["0", "7", "+3", "-2", " 5 ", "1_000"])
+    return rng.choice(["-", "doc.json", "x=y", "a b", "", "d0", "-3,0", "--format"])
+
+
+def _unit(rng, flag, value):
+    """The tokens of ``flag`` with ``value``: spaced, or joined by ``=``."""
+    if not flag.startswith("-"):
+        return [value]
+    if value == "" or (value != "-" and not value.startswith("-") and rng.random() < 0.5):
+        return [flag, value]
+    return [f"{flag}={value}"]
+
+
+def _well_formed(rng, specs) -> list:
+    """(flag, tokens) of a row's argv that argparse parses: its required and some optional specs."""
+    units = [
+        (flags[0], _unit(rng, flags[0], _value(rng, options)))
+        for flags, options in specs
+        if options.get("required") or rng.random() < 0.5
+    ]
+    rng.shuffle(units)
+    return units
+
+
+def _ill_formed(rng, kind, specs, units) -> list:
+    """``units`` made into argv that the reader must leave to argparse, in one of 10 ways."""
+    options = {flags[0]: o for flags, o in specs}
+    flag = rng.choice([f for f in options if f.startswith("-")])
+    units = [u for u in units if u[0] != flag] if 2 <= kind <= 6 else list(units)
+    if kind == 0:  # help
+        units.insert(rng.randrange(len(units) + 1), ("", [rng.choice(["-h", "--help"])]))
+    elif kind == 1:  # the end of the options
+        units.insert(rng.randrange(len(units) + 1), ("", ["--"]))
+    elif kind == 2:  # an abbreviation, which argparse reads when it is unique
+        value = _value(rng, options[flag])
+        units.append((flag, _unit(rng, flag[: rng.randrange(3, len(flag))], value)))
+    elif kind == 3:  # a repeat
+        units += [(flag, _unit(rng, flag, _value(rng, options[flag]))) for _ in range(2)]
+    elif kind == 4:  # a value after a space that starts with -
+        units.append((flag, [flag, rng.choice(["-3", "-x", "-3,0", "--", "--format"])]))
+    elif kind == 5:  # an empty value after =
+        units.append((flag, [f"{flag}="]))
+    elif kind == 6:  # a flag with no value at the end
+        units.append((flag, [flag]))
+    elif kind == 7:  # a value that is not a choice, or not an int
+        bad = [
+            (f, rng.choice(["nope", o["choices"][0].upper(), ""]) if "choices" in o else "two")
+            for f, o in options.items()
+            if "choices" in o or o.get("type") is int
+        ]
+        f, value = rng.choice(bad)
+        units = [u for u in units if u[0] != f] + [(f, _unit(rng, f, value))]
+    elif kind == 8:  # a missing required flag, or an unknown one
+        required = [f for f, o in options.items() if o.get("required")]
+        if required:
+            dropped = rng.choice(required)
+            units = [u for u in units if u[0] != dropped]
+        else:
+            units.append(("", rng.choice([["--nope", "1"], ["--inp"], ["--what", "d"]])))
+    else:  # an extra word: a positional the row has no room for
+        words = options["example"]["choices"] if "example" in options else ["junk"]
+        if "example" in options and all(u[0] != "example" for u in units):
+            units.append(("example", [rng.choice(words)]))
+        units.append(("", [rng.choice(words)]))
+    return [token for _, tokens in units for token in tokens]
+
+
+def test_reader_agrees_with_full_parser_on_seeded_argv(capsys):
+    # the reader reads every well-formed argv as argparse does, and leaves
+    # every other to argparse: a reader that took an abbreviation or skipped a
+    # choices check would read some of these where it must not
+    rng = random.Random(property_seed())
+    parser = cli.build_parser()
+    for name, (_, _, *specs) in cli._table().items():
+        for kind in range(10):
+            for _ in range(4):
+                units = _well_formed(rng, specs)
+                argv = [name] + [token for _, tokens in units for token in tokens]
+                assert _read_as_full_parser(parser, argv, capsys)[0] is not None, argv
+                bad = [name] + _ill_formed(rng, kind, specs, units)
+                assert _read_as_full_parser(parser, bad, capsys)[0] is None, (kind, bad)
 
 
 INPUT_SPEC = (
@@ -1099,11 +1240,21 @@ def _arguments(parser):
 
 
 def test_every_subcommand_keeps_its_arguments():
-    # a change made to the full and the one-command parser alike shows here
+    # a change to the table shows here, in the full parser and in the reader
     assert list(ARGUMENTS) == list(cli.COMMANDS)
     assert _arguments(cli.build_parser()) == ARGUMENTS
-    for name in cli.COMMANDS:
-        assert _arguments(cli.build_parser(name)) == {name: ARGUMENTS[name]}
+    for name, (_, handler, specs) in ARGUMENTS.items():
+        # each required flag with its first choice, or 1 for an int
+        argv = [name] + [
+            token
+            for dest, flags, choices, _, required, *_ in specs
+            if required
+            for token in (flags[0], choices[0] if choices else "1")
+        ]
+        read = vars(cli._read_args(argv))
+        assert list(read) == ["command", *(spec[0] for spec in specs), "handler"]
+        assert read["handler"].__name__ == handler
+        assert read == vars(cli.build_parser().parse_args(argv))
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):
