@@ -327,14 +327,18 @@ def run_tau(args) -> dict:
 
 
 def run_dinv(args) -> dict:
-    from .plumbing import d_invariant, spinc_classes
+    from math import gcd
+
+    from .plumbing import spinc_classes
 
     doc = load_document(args.input)
     f = build_form(doc)
-    rows = [
-        {"rep": list(s.rep), "d": str(d_invariant(s))}
-        for s in spinc_classes(f)
-    ]
+    den = 4 * f.qinv[1]  # d = d_num / den, written in lowest terms as str(Fraction) writes it
+    rows = []
+    for s in spinc_classes(f):
+        g = gcd(s.d_num, den)
+        d = f"{s.d_num // g}/{den // g}" if g < den else str(s.d_num // g)
+        rows.append({"rep": list(s.rep), "d": d})
     return {"command": "dinv", "order": f.qinv[1], "classes": rows}
 
 

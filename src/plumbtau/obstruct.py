@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -255,9 +256,12 @@ def metaboliser_candidates(f: IntersectionForm) -> list[MetaboliserCandidate]:
                 f" {MAX_SEARCH_STEPS}"
             )
 
-    def integral(a, b):
+    a, p = f.qinv  # lambda(x, y) = x·a·y / p
+    images = {r: [sum(map(operator.mul, row, x)) for row in a] for r, x in lifts.items()}
+
+    def integral(r, t):
         step()
-        return linalg.pair(f.qinv, lifts[a], lifts[b]).denominator == 1
+        return sum(map(operator.mul, lifts[r], images[t])) % p == 0
 
     # Isotropy passes to subgroups, so a metaboliser G is reached from {0}
     # by joining one element at a time through isotropic subgroups of G,

@@ -23,10 +23,12 @@ from . import linalg
 
 MARKINGS = ("marked", "unmarked_leaf", "internal")
 # Most short characteristic vectors an enumeration may walk.  Near the limit
-# the classes, not the walk, set the cost of a call: ``dinv`` on the chain
-# (-2)x15, -3, a box of 98,304 with 33 classes, takes 0.35 s and 16 MB, and on
-# (-10)x5, a box of 100,000 with 96,030 classes, 2.0 s and 153 MB (CLI wall
-# time and peak RSS, Intel Xeon, Python 3.11).
+# the classes and their output rows, not the walk, set the cost of a call:
+# ``dinv`` on the chain (-2)x15, -3, a box of 98,304 with 33 classes, takes
+# 0.12-0.21 s and 16 MB; on (-10)x5, a box of 100,000 with 96,030 classes,
+# 1.5-1.6 s and 147 MB; on the star (-100000; -1 x 15), 99,985 classes,
+# 1.9-3.0 s and 253 MB (CLI wall time and the process's own peak RSS, medians
+# of 3-5 runs in two sessions on a shared Intel Xeon, Python 3.11).
 MAX_BOX = 100_000
 
 
@@ -47,12 +49,7 @@ class PlumbingTree(_TreeFields):
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        vertices: tuple[tuple[str, int], ...],
-        edges: tuple[tuple[str, str], ...],
-        markings: Optional[Mapping[str, str]] = None,
-    ):
+    def __new__(cls, vertices, edges, markings=None):  # the fields' types are _TreeFields'
         # a new dict per tree: no default is shared between instances
         self = super().__new__(cls, vertices, edges, {} if markings is None else markings)
         ids = [v for v, _ in self.vertices]
@@ -197,7 +194,9 @@ def _tree_negative_definite(t: PlumbingTree) -> bool:
     Removing a leaf w with pivot p_w changes only its neighbour's weight,
     to a_v - 1/p_w (edges carry 1), so the pivots are
     p_v = a_v - sum of 1/p_w over the neighbours w eliminated before v,
-    and the form is negative definite iff every pivot is negative.
+    and the form is negative definite iff every pivot is negative.  In
+    integers, p_v = D_v / P_v with D_v the determinant of v's subtree and
+    P_v the product of its children's D_w, so 1/p_w = P_w / D_w.
     """
     adj = {v: [] for v, _ in t.vertices}
     for a, b in t.edges:
@@ -211,12 +210,13 @@ def _tree_negative_definite(t: PlumbingTree) -> bool:
             if w not in parent:
                 parent[w] = v
                 order.append(w)
-    pivot = {v: Fraction(a) for v, a in t.vertices}
+    pivot = {v: (a, 1) for v, a in t.vertices}  # p_v as (D_v, P_v)
     for v in reversed(order):
-        if pivot[v] >= 0:
+        d, q = pivot[v]
+        if d == 0 or (d < 0) == (q < 0):  # p_v >= 0; q != 0, as every D_w before v was
             return False
-        if parent[v] is not None:
-            pivot[parent[v]] -= 1 / pivot[v]
+        if (u := parent[v]) is not None:
+            pivot[u] = (pivot[u][0] * d - q * pivot[u][1], pivot[u][1] * d)
     return True
 
 
@@ -254,9 +254,7 @@ def _form(t: PlumbingTree, negative_definite: bool) -> IntersectionForm:
 
 
 def is_characteristic(f: IntersectionForm, kappa: Sequence[int]) -> bool:
-    return len(kappa) == f.n and all(
-        (k - f.q[i][i]) % 2 == 0 for i, k in enumerate(kappa)
-    )
+    return len(kappa) == f.n and all((k - f.q[i][i]) % 2 == 0 for i, k in enumerate(kappa))
 
 
 def _require_box(negative_definite: bool, weights: Sequence[int]) -> None:
@@ -267,9 +265,9 @@ def _require_box(negative_definite: bool, weights: Sequence[int]) -> None:
     a box of ``MAX_BOX`` vectors on m = floor(log2(MAX_BOX)) vertices: a
     tree whose weights are all <= -2 has a box of at least 2^n, so every
     such tree the box limit accepts has n <= m and passes.  Near the limit,
-    ``spinc_classes`` takes 1.5 s on the star (-100000; -1 x 15), most of it
-    for its 99,985 classes, and 0.3 s on the star (-117; -1 x 115), n = 116,
-    most of it for Q^-1 (in-process, Intel Xeon, Python 3.11).
+    ``spinc_classes`` takes 1.05 s on the star (-100000; -1 x 15), most of it
+    for its 99,985 classes, and 0.25 s on the star (-117; -1 x 115), n = 116,
+    most of it for Q^-1 (in-process, minimum of 3, Intel Xeon, Python 3.11).
     """
     _require_definite(negative_definite)
     size = prod(-a for a in weights)
@@ -293,36 +291,33 @@ def _require_box(negative_definite: bool, weights: Sequence[int]) -> None:
 class SpincClass(_Frozen):
     """Coset of characteristic vectors mod 2Q·Z^n on a fixed form.
 
-    ``rep`` is the canonical representative (lexicographically least
-    short vector), ``d`` the correction term and ``realizing`` the short
-    vectors of the coset that attain it, in lex order.  ``key`` is the key
-    of ``_image`` that the form indexes the class by.  Equality reads
-    ``rep``, ``d`` and ``realizing``, not ``form`` or ``key``; the hash reads
-    ``rep`` alone, which decides the class on one form, so hashing takes no
-    Fraction.
+    ``rep`` is the canonical representative (lexicographically least short
+    vector), ``d_num`` the correction term d over 4·|det Q|, an int (``d``
+    makes its Fraction when read), and ``realizing`` the short vectors of
+    the coset that attain d, in lex order.  ``key`` is the key of ``_image``
+    that the form indexes the class by.  Equality reads ``rep``, ``d_num``
+    and ``realizing``, not ``form`` or ``key``; the hash reads ``rep`` alone,
+    which decides the class on one form.
     """
 
-    __slots__ = ("rep", "d", "realizing", "form", "key")
+    __slots__ = ("rep", "d_num", "realizing", "form", "key")
 
-    def __init__(
-        self,
-        rep: tuple[int, ...],
-        d: Fraction,
-        realizing: tuple[tuple[int, ...], ...],
-        form: IntersectionForm,
-        key: tuple[int, ...],
-    ):
+    def __init__(self, rep: tuple, d_num: int, realizing: tuple, form: IntersectionForm, key):
         init = object.__setattr__
         init(self, "rep", rep)
-        init(self, "d", d)
+        init(self, "d_num", d_num)
         init(self, "realizing", realizing)
         init(self, "form", form)
         init(self, "key", key)
 
+    @property
+    def d(self) -> Fraction:
+        return d_invariant(self)
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.rep, self.d, self.realizing) == (other.rep, other.d, other.realizing)
+        return (self.rep, self.d_num, self.realizing) == (other.rep, other.d_num, other.realizing)
 
     def __hash__(self):
         return hash(self.rep)
@@ -348,11 +343,11 @@ def _walk(f: IntersectionForm, head_cost: int = 1):
 
     A vector is a head (its first s coordinates) followed by a tail, and
     y = a·kappa is y_h + y_t, the partial sums of the head and of the tail.
-    Each half yields (kappa[lo:hi], its y, its kappa·y) in
-    ``itertools.product`` order: the tails as a list, built once, the heads
-    one at a time, each from the last by O(n) additions.  A coordinate of
-    weight -1 has one value and goes into its half's constant.  As a is
-    symmetric, kappa·y = head·y_h + tail·y_t + 2·head·y_t, so a vector
+    Each half gives (kappa[lo:hi], its y, its kappa·y) in ``itertools.product``
+    order, one list per varying coordinate: the tails in full, the heads up to
+    their last varying coordinate, then streamed by O(n) additions each.  A
+    coordinate of weight -1 has one value and goes into its half's constant.
+    As a is symmetric, kappa·y = head·y_h + tail·y_t + 2·head·y_t, so a vector
     costs O(n) where ``_image`` costs n^2.  Definiteness and the box limit
     are checked before Q^{-1} = a/p is built.
     """
@@ -364,29 +359,36 @@ def _walk(f: IntersectionForm, head_cost: int = 1):
     # least head_cost·heads + tails, and of those the fewest tails: only the tails are held
     s = min(range(n, -1, -1), key=lambda i: head_cost * sizes[i] + sizes[-1] // sizes[i])
 
-    def half(lo, hi):
-        y0, varying = [0] * n, []
+    def levels(lo, hi):  # the -1s before the first varying coordinate, then each varying one
+        k0, y0, varying = [], [0] * n, []
         for i in range(lo, hi):  # row i of the symmetric a is its column i
-            if len(ranges[i]) == 1:  # weight -1
-                y0 = [y + ranges[i][0] * x for y, x in zip(y0, a[i])]
-            else:
-                varying.append((ranges[i], a[i]))
+            v = ranges[i][0]
+            if len(ranges[i]) > 1:
+                varying.append((ranges[i], a[i], []))
+            else:  # weight -1: one value, and its y goes into the constant
+                y0 = [y + v * x for y, x in zip(y0, a[i])]
+                (varying[-1][2] if varying else k0).append(v)  # after the last varying one
+        # (each value with the -1s after it, the column, the first value)
+        return [(tuple(k0), y0)], [([(v, *run) for v in r], c, r[0]) for r, c, run in varying]
 
-        def sums(j, y):
-            if j == len(varying):
-                yield y
-                return
-            values, col = varying[j]
-            y = [u + values[0] * x for u, x in zip(y, col)]
-            step = [2 * x for x in col]
-            for _ in values:
-                yield from sums(j + 1, y)
+    def grow(entries, varying):  # one list per varying coordinate
+        for values, col, _ in varying:
+            step = [(kv, [kv[0] * x for x in col]) for kv in values]
+            entries = [(k + kv, list(map(add, y, c))) for k, y in entries for kv, c in step]
+        return entries
+
+    def heads(entries, varying):  # streamed over the last varying coordinate
+        values, col, first = varying.pop() if varying else ([()], [0] * n, 0)
+        step = [2 * x for x in col]
+        for k, y in grow(entries, varying):
+            y = [u + first * x for u, x in zip(y, col)]
+            for kv in values:
+                head = k + kv
+                yield head, y, sum(map(mul, head, y))
                 y = list(map(add, y, step))
 
-        for k, y in zip(itertools.product(*ranges[lo:hi]), sums(0, y0)):
-            yield k, y, sum(map(mul, k, y[lo:]))
-
-    return half(0, s), list(half(s, n)), p
+    tails = [(k, y, sum(map(mul, k, y[s:]))) for k, y in grow(*levels(s, n))]
+    return heads(*levels(0, s)), tails, p
 
 
 def _scan(f: IntersectionForm, keys=None) -> dict[tuple[int, ...], SpincClass]:
@@ -426,8 +428,9 @@ def _scan(f: IntersectionForm, keys=None) -> dict[tuple[int, ...], SpincClass]:
                     group[2].append(head + tail)
     if keys is None and len(groups) != p:  # p = |det Q|
         raise RuntimeError("class count must equal |det Q|")
+    shift = f.n * p  # d = (num/p + n)/4 = (num + n·p)/4p
     return {
-        key: SpincClass(rep, Fraction(num + f.n * p, 4 * p), tuple(best), f, key)
+        key: SpincClass(rep, num + shift, tuple(best), f, key)
         for key, (rep, num, best) in groups.items()
     }
 
@@ -482,7 +485,7 @@ def spinc_translate(s: SpincClass, alpha: Sequence[int]) -> SpincClass:
 
 def d_invariant(s: SpincClass) -> Fraction:
     """Correction term of the class: the max of (kappa^2 + n)/4 over its short vectors."""
-    return s.d
+    return Fraction(s.d_num, 4 * s.form.qinv[1])
 
 
 def solve_square(f: IntersectionForm, target) -> list[tuple[int, ...]]:

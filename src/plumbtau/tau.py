@@ -30,7 +30,6 @@ from typing import Iterable, NamedTuple
 from .plumbing import (
     IntersectionForm,
     SpincClass,
-    d_invariant,
     spinc_classes,
 )
 
@@ -125,4 +124,4 @@ class LazyTauTable(Mapping):
 
 def d_zero_subset(f: IntersectionForm) -> list[SpincClass]:
     """The spin-c classes with vanishing correction term (the default pl-genus subset)."""
-    return [s for s in spinc_classes(f) if d_invariant(s) == 0]
+    return [s for s in spinc_classes(f) if s.d_num == 0]  # d = d_num / 4|det Q|

@@ -157,9 +157,7 @@ def box_classes(f: IntersectionForm) -> dict[tuple[int, ...], SpincClass]:
     if len(groups) != p:
         raise RuntimeError("class count must equal |det Q|")
     return {
-        key: SpincClass(
-            rep=rep, d=Fraction(num + f.n * p, 4 * p), realizing=tuple(best), form=f, key=key
-        )
+        key: SpincClass(rep=rep, d_num=num + f.n * p, realizing=tuple(best), form=f, key=key)
         for key, (rep, num, best) in groups.items()
     }
 

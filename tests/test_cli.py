@@ -814,6 +814,7 @@ SURFACE_EXEMPT = {
     },
     "obstruct.qhb4_filling_obstruction": "to be run by obstruct --check qhb4-filling",
     "floer.tau_alpha": "to be run by floer --what tau-alpha",
+    "plumbing.SpincClass.d": "d as a Fraction to callers; the package reads the integer d_num",
 }
 
 

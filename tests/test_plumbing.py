@@ -24,6 +24,7 @@ from plumbtau.plumbing import (
     PlumbingTree,
     _image,
     _scan,
+    _walk,
     class_of,
     conjugate,
     d_invariant,
@@ -321,10 +322,17 @@ def test_d_candidate_symmetry_and_class_count_property():
             assert spinc_translate(s, alpha) == _class_by_scan(classes, shifted)
 
 
+def _split(f, head_cost):
+    """The walk's s: the number of coordinates in a head."""
+    return f.n - len(_walk(f, head_cost)[1][0][0])
+
+
 def test_box_walk_matches_the_image_oracle():
     # the walk keys, orders and weighs the box as one _image per vector does,
     # on trees whose vertices come in any order, so that -1 coordinates and
-    # ranging ones fall into both halves of the walk
+    # ranging ones fall into both halves of the walk; one keyed meet per tree
+    # finds a class and its conjugate as the oracle does, with heads that
+    # hold only -1 coordinates, none at all (s = 0) or the whole vector (s = n)
     rng = random.Random(property_seed())
     trees = [PlumbingTree.path(w) for w in range(-6, 0)]
     trees += [_star(-50, *[-1] * 20), _star(-7, -1, -2, -1, -3), _star(-2, -2, -3, -5)]
@@ -345,11 +353,55 @@ def test_box_walk_matches_the_image_oracle():
         for key, s in walked.items():
             assert s.key == key
             assert all(_image(f, k)[0] == key for k in (s.rep, *s.realizing))
+        key = rng.choice(list(oracle))
+        keys = {key, tuple(-t % (2 * f.qinv[1]) for t in key)}
+        met = _scan(f, keys)
+        assert sorted(met) == sorted(keys), tree
+        assert [(s.rep, s.d_num, s.realizing, s.key) for s in map(met.get, keys)] == [
+            (s.rep, s.d_num, s.realizing, s.key) for s in map(oracle.get, keys)
+        ], tree
+        for split in (_split(f, 1), _split(f, 1 + len(keys))):  # the walk's and the meet's
+            kinds["s = 0"] += split == 0
+            kinds["s = n"] += split == f.n
+            kinds["-1 head"] += split > 0 and all(f.q[i][i] == -1 for i in range(split))
         degree = max(map(tree.degree, (v for v, _ in vertices)))
         kinds["n = 1" if f.n == 1 else "chain" if degree <= 2 else "degree >= 3"] += 1
         kinds["-1 leaf"] += any(w == -1 and tree.degree(v) == 1 for v, w in vertices)
         kinds["-1 inside"] += any(w == -1 and tree.degree(v) > 1 for v, w in vertices)
-    assert min(kinds.values()) >= 10 and len(kinds) == 5, kinds
+    assert min(kinds.values()) >= 10 and len(kinds) == 8, kinds
+
+
+def test_classes_build_no_fraction_until_d_is_read(monkeypatch):
+    # a class holds d as an integer over 4|det Q|: definiteness, the walk, the
+    # meet, conjugation and the d = 0 subset build no Fraction through plumbing,
+    # and reading d builds one there
+    from plumbtau.tau import d_zero_subset
+
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(plumbing, "Fraction", counted)
+    rng = random.Random(property_seed())
+    trees = [PlumbingTree.path(-5, -2), _star(-2, -2, -3, -5), _star(-50, *[-1] * 20)]
+    trees += [random_tree(rng, rng.randint(1, 6), -6, -1) for _ in range(40)]
+    for tree in trees:
+        f, fresh = form_from_tree(tree), form_from_tree(tree)
+        if not f.negative_definite or prod(-w for _, w in tree.vertices) > 2000:
+            continue
+        classes = spinc_classes(f)
+        zero = d_zero_subset(f)
+        found = class_of(fresh, rng.choice(classes).rep)
+        sbar = conjugate(found)
+        assert made == [], tree
+        assert sbar.d == d_invariant(sbar) == Fraction(sbar.d_num, 4 * f.qinv[1])
+        assert made == [(sbar.d_num, 4 * f.qinv[1])] * 2, tree
+        assert zero == [s for s in classes if s.d == 0]
+        with pytest.raises(AttributeError):
+            sbar.d = 0  # read-only, as every field of the record
+        made.clear()
 
 
 def _lens_d(p, q, i):

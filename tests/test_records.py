@@ -67,9 +67,9 @@ RECORDS = [
     ),
     row(
         SpincClass,
-        (S1.rep, S1.d, S1.realizing, F1, S1.key),
-        {"rep": S1.rep, "d": S1.d, "realizing": S1.realizing, "form": F1, "key": S1.key},
-        twins=[S1, S2, SpincClass(S1.rep, S1.d, S1.realizing, form_41(), (0,))],
+        (S1.rep, S1.d_num, S1.realizing, F1, S1.key),
+        {"rep": S1.rep, "d_num": S1.d_num, "realizing": S1.realizing, "form": F1, "key": S1.key},
+        twins=[S1, S2, SpincClass(S1.rep, S1.d_num, S1.realizing, form_41(), (0,))],
         shown=f"SpincClass{S1.rep}",
     ),
     row(
