@@ -6,7 +6,10 @@ complex (as a string array in the textual format of ``floer``), and a
 spin-c subset selector ("all", "d0", or explicit representatives).
 Subcommands pick the pieces they need.  All rationals are printed as
 canonical fraction strings, never floats, and every table is sorted, so
-output is byte-for-byte reproducible.
+output is byte-for-byte reproducible.  JSON is written as
+``json.dumps(doc, indent=2)`` writes it; a row table, such as a class table
+whose rows share their keys and each column one kind of value, is written
+from one template per table instead of value by value (``_rows``).
 
 One table, ``_table``, gives each name in ``COMMANDS`` its handler, help
 line and argument specs; every subcommand takes the ``_FORMAT`` spec, and
@@ -26,7 +29,11 @@ from __future__ import annotations
 import json
 import sys
 from contextlib import contextmanager
+from functools import partial
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from math import gcd
+from operator import itemgetter
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional
 
@@ -305,40 +312,41 @@ def _one_class(f: IntersectionForm, doc: dict, check: str):
 
 # --- subcommand handlers ---------------------------------------------------
 
-# Every value a layer returns is an int or a Fraction, and ``str`` of either is
-# the canonical fraction string, so cli never imports ``fractions`` itself.
+# Every value a layer returns is an int, a Fraction, or (d and tau) an integer
+# over a known denominator; ``str`` or ``_quotient`` writes the canonical
+# fraction string, so cli never imports ``fractions`` itself.
+
+
+def _quotient(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for den > 0, written with one gcd and no Fraction."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}" if g < den else str(num // g)
 
 
 def run_tau(args) -> dict:
-    from .tau import tau_table
+    from .tau import _tau_of
 
     doc = load_document(args.input)
     f = build_form(doc)
     link = build_link(doc, f)
     classes = select_classes(f, doc, args.spinc, "all")
-    table = tau_table(f, link, classes)
+    row, den = _tau_of(f, link), 2 * f.qinv[1]  # tau = row(s)[0] / den
     # one row per selected class: a subset may name a class twice
     with _printing():
         rows = [
-            {"rep": list(s.rep), "tau": str(table[s])}
+            {"rep": list(s.rep), "tau": _quotient(row(s)[0], den)}
             for s in sorted(classes, key=lambda s: s.rep)
         ]
     return {"command": "tau", "ell": link.ell, "classes": rows}
 
 
 def run_dinv(args) -> dict:
-    from math import gcd
-
     from .plumbing import spinc_classes
 
     doc = load_document(args.input)
     f = build_form(doc)
-    den = 4 * f.qinv[1]  # d = d_num / den, written in lowest terms as str(Fraction) writes it
-    rows = []
-    for s in spinc_classes(f):
-        g = gcd(s.d_num, den)
-        d = f"{s.d_num // g}/{den // g}" if g < den else str(s.d_num // g)
-        rows.append({"rep": list(s.rep), "d": d})
+    den = 4 * f.qinv[1]  # d = d_num / den
+    rows = [{"rep": list(s.rep), "d": _quotient(s.d_num, den)} for s in spinc_classes(f)]
     return {"command": "dinv", "order": f.qinv[1], "classes": rows}
 
 
@@ -550,26 +558,64 @@ _SCALARS = {
 }
 
 
+def _rows(rows, pad: str) -> Optional[str]:
+    """``_json(rows, pad)`` of a row table, each row written from one template; else None.
+
+    A row table is a list of dicts with one key order, each column of one
+    class of ``_SCALARS`` or of non-empty lists of one such class.  Each
+    column is checked in C-level passes, and each row's text is made in one
+    pass by the table's %-template.
+    """
+    if len(set(map(tuple, rows))) != 1 or not rows[0]:
+        return None
+    at, cell = pad + "    ", pad + "      "
+    template, columns = "{", []
+    for key in rows[0]:
+        get = itemgetter(key)
+        kinds, lists = set(map(type, map(get, rows))), False
+        if kinds == {list} and all(map(get, rows)):
+            kinds, lists = set(map(type, chain.from_iterable(map(get, rows)))), True
+        write = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        if write is None:
+            return None
+        name = encode_basestring_ascii(key).replace("%", "%%")
+        if lists:
+            template += f"\n{at}{name}: [\n{cell}%s\n{at}],"
+            columns.append(map((",\n" + cell).join, map(partial(map, write), map(get, rows))))
+        else:
+            template += f"\n{at}{name}: %s,"
+            columns.append(map(write, map(get, rows)))
+    sep = ",\n" + pad + "  "
+    template = template[:-1] + sep[1:] + "}"
+    return "".join(("[", sep[1:], sep.join(map(template.__mod__, zip(*columns))), "\n", pad, "]"))
+
+
 def _json(value, pad: str) -> str:
     """``json.dumps(value, indent=2)``, byte for byte, nested at ``pad``.
 
     With ``indent`` set, json yields every token through one generator per
-    level; this joins each level once.  It writes str, int, bool, None and
-    lists, tuples and str-keyed dicts of them; any other value, a float or
-    a Fraction, raises json's TypeError.
+    level; this joins each level once, and writes a row table (``_rows``)
+    from one template.  It writes str, int, bool, None and lists, tuples
+    and str-keyed dicts of them; any other value, a float or a Fraction,
+    raises json's TypeError.
     """
     write = _SCALARS.get(value.__class__)
     if write is not None:
         return write(value)
     inner, sep = pad + "  ", ",\n" + pad + "  "
+    # each level is one join, so a long table's text is copied once, not once per +
     if isinstance(value, dict) and value:
         items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in value.items()]
-        return "{\n" + inner + sep.join(items) + "\n" + pad + "}"
+        return "".join(("{\n", inner, sep.join(items), "\n", pad, "}"))
     if isinstance(value, (list, tuple)) and value:
-        kinds = set(map(type, value))  # one scalar class, such as a rep's ints: one map
-        write = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        kinds = set(map(type, value))  # one class: a rep's ints, or a table's rows
+        kind = kinds.pop() if len(kinds) == 1 else None
+        table = _rows(value, pad) if kind is dict else None
+        if table is not None:
+            return table
+        write = _SCALARS.get(kind)
         items = map(write, value) if write else [_json(v, inner) for v in value]
-        return "[\n" + inner + sep.join(items) + "\n" + pad + "]"
+        return "".join(("[\n", inner, sep.join(items), "\n", pad, "]"))
     if isinstance(value, (dict, list, tuple)):
         return "{}" if isinstance(value, dict) else "[]"
     if isinstance(value, (str, int)):  # subclasses, which json writes as their base

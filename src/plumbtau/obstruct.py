@@ -74,11 +74,12 @@ class TauProfile(_ProfileFields):
 
     def tau_at(self, s: SpincClass) -> Fraction:
         try:
-            return Fraction(self.tau[s])
+            value = self.tau[s]
         except KeyError:
             raise IncompleteProfileError(
                 f"profile has no tau value at the spin-c class {s.rep}"
             ) from None
+        return value if isinstance(value, Fraction) else Fraction(value)
 
 
 def profile_from_link(f: IntersectionForm, link: LeafLink) -> TauProfile:

@@ -17,7 +17,8 @@ link, kappa^T Q^{-1} m = (kappa·w)/p and m^T Q^{-1} m = (m·w)/p, so
 
     tau = (min over kappa of kappa·w  -  m·w) / 2p:
 
-one integer dot product per candidate and one division per class.
+one integer dot product per candidate.  A row holds tau's integer
+numerator over 2p; ``tau_table`` and ``LazyTauTable`` make the Fraction.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def leaf_link(f: IntersectionForm, strands: Mapping[str, int]) -> LeafLink:
 
 
 def _tau_of(f: IntersectionForm, link: LeafLink):
-    """The link's checks on f, then (tau, lex-least minimizer) at a class, from one w = a·m."""
+    """The link's checks, then (2|det Q|·tau, lex-least minimizer) at a class, from one w = a·m."""
     f.require_negative_definite()
     if len(link.m) != f.n:
         raise ValueError("link multiplicity vector has wrong length")
@@ -76,12 +77,12 @@ def _tau_of(f: IntersectionForm, link: LeafLink):
     w = [sum(map(mul, row, link.m)) for row in a]
     mw = sum(map(mul, link.m, w))
 
-    def row(s: SpincClass) -> tuple[Fraction, tuple[int, ...]]:
+    def row(s: SpincClass) -> tuple[int, tuple[int, ...]]:
         if s.form.q != f.q:
             raise ValueError("spin-c class belongs to a different form")
         # p > 0, so the integer k·w orders the candidates as k^T Q^{-1} m does
         best, minimizer = min((sum(map(mul, k, w)), k) for k in s.realizing)
-        return Fraction(best - mw, 2 * p), minimizer
+        return best - mw, minimizer
 
     return row
 
@@ -90,8 +91,8 @@ def tau_table(
     f: IntersectionForm, link: LeafLink, classes: Iterable[SpincClass]
 ) -> dict[SpincClass, Fraction]:
     """Tau value of each of the given classes, keyed in their order."""
-    row = _tau_of(f, link)
-    return {s: row(s)[0] for s in classes}
+    row, den = _tau_of(f, link), 2 * f.qinv[1]
+    return {s: Fraction(row(s)[0], den) for s in classes}
 
 
 class LazyTauTable(Mapping):
@@ -105,12 +106,13 @@ class LazyTauTable(Mapping):
     def __init__(self, f: IntersectionForm, link: LeafLink):
         f.require_box()  # what spinc_classes and class_of need, before Q^-1
         self._form, self._row, self._values = f, _tau_of(f, link), {}
+        self._den = 2 * f.qinv[1]  # tau = row(s)[0] / den
 
     def __getitem__(self, s: SpincClass) -> Fraction:
         value = self._values.get(s)
         if value is None:
             try:
-                value = self._values[s] = self._row(s)[0]
+                value = self._values[s] = Fraction(self._row(s)[0], self._den)
             except (AttributeError, ValueError):  # not a class, or of another form
                 raise KeyError(s) from None
         return value

@@ -203,9 +203,11 @@ def pairing(f, kappa, link) -> Fraction:
 def tau_detail(f, link, s):
     """Tau value together with its lexicographically least minimizing vector.
 
-    The row of ``tau._tau_of`` whose values ``tau.tau_table`` keeps.
+    The row of ``tau._tau_of``, its numerator over 2|det Q| made the
+    ``Fraction`` that ``tau.tau_table`` keeps.
     """
-    return _tau_of(f, link)(s)
+    num, minimizer = _tau_of(f, link)(s)
+    return Fraction(num, 2 * f.qinv[1]), minimizer
 
 
 def tau(f, link, s) -> Fraction:

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import plumbtau
-from conftest import property_seed
+from conftest import property_seed, random_tree
 from plumbtau import cli, floer, obstruct, paper, plumbing
 from plumbtau.cli import main
 
@@ -73,6 +73,42 @@ def test_tau_prints_one_row_per_selected_class(tmp_path, capsys):
     rc, out, _ = run_cli(capsys, "tau", "--input", path)
     assert rc == 0
     assert json.loads(out)["classes"] == [{"rep": [-3, 0], "tau": "4/9"}] * 2
+
+
+def test_tau_table_builds_no_fraction(tmp_path, capsys, monkeypatch):
+    # a tau row is an integer over 2|det Q|, written with one gcd: CLI tau
+    # builds no Fraction in tau, and writes what str of tau_table's Fraction writes
+    from plumbtau import tau
+    from plumbtau.plumbing import form_from_tree, spinc_classes
+
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(tau, "Fraction", counted)
+    rng = random.Random(property_seed())
+    tables = 0
+    while tables < 30:
+        tree = random_tree(rng, rng.randint(1, 5), -6, -1)
+        f = form_from_tree(tree)
+        if not f.negative_definite:
+            continue
+        tables += 1
+        leaves = [v for v, _ in tree.vertices if tree.marking(v) == "unmarked_leaf"]
+        strands = {v: rng.randint(0, 4) for v in leaves}
+        doc = {
+            "plumbing": {"vertices": [list(v) for v in tree.vertices], "edges": [list(e) for e in tree.edges]},
+            "leaf_link": strands,
+        }
+        rc, out, err = run_cli(capsys, "tau", "--input", write_doc(tmp_path, doc))
+        assert rc == 0 and made == [], (tree, err)
+        classes = sorted(spinc_classes(f), key=lambda s: s.rep)
+        table = tau.tau_table(f, tau.leaf_link(f, strands), classes)
+        assert json.loads(out)["classes"] == [{"rep": list(s.rep), "tau": str(table[s])} for s in classes]
+        assert len(made) == len(classes)  # the library's table makes one per class
+        made.clear()
 
 
 def test_dinv_tables(tmp_path, capsys):
@@ -903,6 +939,30 @@ def _random_json(rng, depth=0):
     return {rng.choice(keys): _random_json(rng, depth + 1) for _ in range(rng.randrange(4))}
 
 
+ROW_KEYS = ("rep", "d", "%", "%s", "%(d)s", "{}", "{0}", '"', "\u2028", "\u00e9", "\U0001d70f", "")
+
+
+def _random_row_table(rng):
+    """A row table: dicts with one key order, each column of one scalar class or of its lists."""
+
+    def scalar(kind):
+        if kind == "str":
+            return "".join(rng.choice('ab "\\%{}\n\u00e9\u2028\U0001d70f') for _ in range(rng.randrange(6)))
+        if kind == "int":
+            return rng.choice([0, -1, 7, -(10**30), 2**70, rng.randint(-(10**6), 10**6)])
+        return rng.choice([True, False]) if kind == "bool" else None
+
+    columns = [
+        (key, rng.choice(("str", "int", "bool", "null")), rng.random() < 0.5)
+        for key in rng.sample(ROW_KEYS, rng.randint(1, 4))
+    ]
+    return [
+        {key: [scalar(kind) for _ in range(rng.randint(1, 4))] if lists else scalar(kind)
+         for key, kind, lists in columns}
+        for _ in range(rng.randint(1, 6))
+    ]
+
+
 def test_json_rendering_matches_json_dumps(capsys):
     def same(doc):
         assert cli.render(doc, "json") == json.dumps(doc, indent=2) + "\n", doc
@@ -924,14 +984,75 @@ def test_json_rendering_matches_json_dumps(capsys):
     # subclasses of str and int are written as their base class
     for scalar in ([], {}, (), "", True, False, None, -5, 10**40, "\u2028", Tag("\u00e9"), Count(-3)):
         same({"x": scalar, "y": [scalar, [scalar]]})
-    # a Fraction raises json's TypeError; so does a float, which no handler returns
-    for value in (Fraction(1, 2), [1, Fraction(1, 2)]):
-        with pytest.raises(TypeError) as theirs:
+    # row tables, written from one template per table, alone and as a cell
+    # of a row, which is then not a row table
+    for _ in range(500):
+        table = _random_row_table(rng)
+        same({"classes": table})
+        same({"rows": [{"rep": [i], "sub": table} for i in range(2)]})
+    row = {"rep": [-3, 0], "d": "1/2"}
+    for table in (
+        [row],
+        [row, {"d": "0", "rep": [3, 0]}],  # the same keys in another order
+        [row, {"rep": [3, 0], "d": 0}],  # two classes in one column
+        [{"n": 1}, {"n": True}],
+        [{"n": 1}, {"n": Count(2)}],
+        [{"n": Count(2)}],
+        [{"s": "a"}, {"s": Tag("b")}],
+        [{"rep": [1, True]}],
+        [{"rep": [Count(1)]}],
+        [{"rep": [Tag("x")]}],
+        [row, {"rep": [], "d": "0"}],  # an empty-list cell
+        [{"rep": [[1]]}, {"rep": [[2]]}],
+        [{"m": {"a": 1}}],
+        [{}, {}],
+        [{key: key for key in ROW_KEYS}],
+        [{key: [len(key)] for key in ROW_KEYS}] * 2,
+    ):
+        same({"classes": table})
+    # a Fraction raises json's TypeError, an int past Python's digit limit its
+    # ValueError, also in a row table; a float, which no handler returns, too
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bad = [Fraction(1, 2), [1, Fraction(1, 2)], [row, {"rep": [1, 0], "d": Fraction(1, 2)}]]
+    bad += [[{"d": Fraction(1, 2)}, {"d": Fraction(1, 3)}]]
+    if limit:
+        huge = 10**limit
+        bad += [[{"rep": [huge]}, {"rep": [1]}], [{"n": 1}, {"n": huge}], [row, {"rep": [1, 0], "d": huge}]]
+    for value in bad:
+        with pytest.raises((TypeError, ValueError)) as theirs:
             json.dumps({"x": value}, indent=2)
-        with pytest.raises(TypeError, match=f"^{theirs.value}$"):
+        with pytest.raises(theirs.type) as ours:
             cli.render({"x": value}, "json")
+        assert str(ours.value) == str(theirs.value)
     with pytest.raises(TypeError, match="^Object of type float is not JSON serializable$"):
         cli.render({"x": 0.5}, "json")
+
+
+def test_class_tables_render_in_calls_independent_of_rows(tmp_path, capsys, monkeypatch):
+    # dinv, spinc and tau write their class tables as row tables: as many calls
+    # of cli._json for the chain (-3)x5 (144 classes, a box of 243) as for
+    # (-3)x2 (8 classes), so a table that falls back to a call per row fails
+    json_of, calls = cli._json, []
+
+    def counted(value, pad):
+        calls.append(pad)
+        return json_of(value, pad)
+
+    monkeypatch.setattr(cli, "_json", counted)
+    seen = {}
+    for n in (2, 5):
+        plumbing = {
+            "vertices": [[f"v{i}", -3] for i in range(n)],
+            "edges": [[f"v{i}", f"v{i + 1}"] for i in range(n - 1)],
+        }
+        path = write_doc(tmp_path, {"plumbing": plumbing, "leaf_link": {"v0": 1}})
+        for command in ("dinv", "spinc", "tau"):
+            calls.clear()
+            rc, out, err = run_cli(capsys, command, "--input", path)
+            assert rc == 0, err
+            seen[command, len(json.loads(out)["classes"])] = len(calls)
+    # the document and its three fields: command, order or ell, classes
+    assert seen == {(command, rows): 4 for command in ("dinv", "spinc", "tau") for rows in (8, 144)}
 
 
 def test_output_is_deterministic(tmp_path, capsys):
