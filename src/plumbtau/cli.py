@@ -461,11 +461,16 @@ def run_obstruct(args) -> dict:
     if check == "concordance":
         verdict = obstruct.concordance_obstruction(profile, select_classes(f, doc, None, "d0"))
     elif check == "metaboliser":
-        # search first, so that the walk of a search with candidates keys the
-        # class too; a class the subset names badly is refused all the same
-        # before a search past its limit
+        # search first, and walk the box only when there are candidates: the
+        # walk keys the class and all its translates, read from the index, not
+        # met; a class the subset names badly is refused all the same before
+        # a search past its limit
+        from .plumbing import spinc_classes
+
         try:
-            candidates = obstruct.metaboliser_search(f)
+            candidates = obstruct.metaboliser_candidates(f)
+            if candidates:
+                spinc_classes(f)
         except ValueError:
             _one_class(f, doc, check)
             raise

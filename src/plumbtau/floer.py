@@ -20,7 +20,10 @@ to independent nonzero classes there; the top and bottom reductions
 are the distinguished classes used to test cycles for theta support.
 Nothing downstream reads more of a tower cycle than its reduction, so
 the elimination tracks only that: a basis change by U^delta with
-delta > 0 leaves every reduction as it was.  The tau invariants of an
+delta > 0 leaves every reduction as it was.  A reduction is a mask over
+the complex's generator order, bit i for ``generators[i]``, and every
+hat chain below is numbered the same way, so the distinguished classes
+reach tau as the elimination returns them.  The tau invariants of an
 Alexander-type filtration are the smallest level whose hat subcomplex
 contains a qualifying cycle.  One pass finds it: the generators of the
 relevant grading enter one F2 echelon in level order, each dependency
@@ -331,16 +334,11 @@ def correction_term(c: FloerComplex) -> int:
     return towers[0][0]
 
 
-def _chain(c: FloerComplex, mask: int) -> frozenset:
-    """The generators whose bits are set in ``mask``."""
-    return frozenset(g for i, g in enumerate(c.generators) if mask >> i & 1)
-
-
-def _theta_classes(c: FloerComplex) -> tuple[int, frozenset, frozenset]:
+def _theta_classes(c: FloerComplex) -> tuple[int, int, int]:
     """(d, theta_top, theta_bot) from a single decomposition.
 
     theta_top is the hat reduction of the tower at the correction term d,
-    theta_bot that of the tower at d - basepoints + 1.
+    theta_bot that of the tower at d - basepoints + 1, as masks over ``c.generators``.
     """
     _require_size(c)
     towers, _ = _eliminate(c)
@@ -352,7 +350,7 @@ def _theta_classes(c: FloerComplex) -> tuple[int, frozenset, frozenset]:
     bots = [hat for g, hat in towers if g == bottom]
     if len(tops) != 1 or len(bots) != 1:
         raise ValueError("tower gradings do not single out top and bottom classes")
-    return d, _chain(c, tops[0]), _chain(c, bots[0])
+    return d, tops[0], bots[0]
 
 
 # --- exact F2 linear algebra on bitmask vectors ---------------------------
@@ -390,21 +388,20 @@ def _express(pivots: dict, v: int) -> Optional[int]:
 
 
 class _HatSlice:
-    """F2 linear algebra of the hat complex in one fixed grading."""
+    """F2 linear algebra of the hat complex in one fixed grading, on masks over ``c.generators``."""
 
     def __init__(self, c: FloerComplex, grading: int):
-        self.gens = sorted(g for g in c.generators if c.gradings[g] == grading)
-        self.bit = {g: i for i, g in enumerate(self.gens)}
-        below = sorted(g for g in c.generators if c.gradings[g] == grading - 1)
-        bit_below = {g: i for i, g in enumerate(below)}
+        gr = c.gradings
+        self.gens = sorted(g for g in c.generators if gr[g] == grading)
+        self.bit = {g: i for i, g in enumerate(c.generators)}
         self.images = dict.fromkeys(self.gens, 0)
-        above = dict.fromkeys(sorted(g for g in c.generators if c.gradings[g] == grading + 1), 0)
+        above = dict.fromkeys(sorted(g for g in c.generators if gr[g] == grading + 1), 0)
         for (x, y), m in c.entries.items():
             if m:
                 continue
-            if x in self.images and y in bit_below:
-                self.images[x] ^= 1 << bit_below[y]
-            elif x in above and y in self.bit:
+            if x in self.images and gr[y] == grading - 1:
+                self.images[x] ^= 1 << self.bit[y]
+            elif x in above and gr[y] == grading:
                 above[x] ^= 1 << self.bit[y]
         # boundaries landing in this grading
         self.boundaries = [v for v in above.values() if v]
@@ -465,7 +462,7 @@ def _tau_theta(c: FloerComplex, filt: AlexanderFiltration, bottom: bool) -> int:
     grading = d - c.basepoints + 1 if bottom else d
     theta = theta_bot if bottom else theta_top
     slice_ = _HatSlice(c, grading)
-    functional = slice_.class_functional(slice_.vector(theta))
+    functional = slice_.class_functional(theta)
     filt.check(c)
     return slice_.first_level(filt.levels, functional)
 

@@ -13,7 +13,9 @@ is a subgroup of order sqrt(|H_1|) on which the linking form
 lambda(a, b) = -a^T Q^{-1} b mod Z vanishes.  The candidates are found by
 one search that joins one element at a time and visits only isotropic
 subgroups of order at most sqrt(|H_1|); it is exhaustive because every
-subgroup of a metaboliser is isotropic too.
+subgroup of a metaboliser is isotropic too.  ``metaboliser_candidates(f)``
+runs it, and ``metaboliser_obstruction(profile, s, candidates)`` takes its
+result; the CLI walks the short box in between when there are candidates.
 """
 
 from __future__ import annotations
@@ -25,13 +27,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import linalg
-from .plumbing import (
-    IntersectionForm,
-    SpincClass,
-    conjugate,
-    spinc_classes,
-    spinc_translate,
-)
+from .plumbing import IntersectionForm, SpincClass, conjugate, spinc_translate
 from .tau import LazyTauTable, LeafLink
 
 FIRES = "fires"
@@ -212,8 +208,6 @@ def _h1_decomposition(f: IntersectionForm):
     """
     s, dmat, _ = linalg.smith_normal_form(f.q)
     diag = tuple(dmat[i][i] for i in range(f.n))
-    if any(x == 0 for x in diag):
-        raise ValueError("the intersection form must be nonsingular")
     sinv, _ = linalg.inverse(s)  # s is unimodular, so the denominator is 1
     return diag, s, sinv
 
@@ -304,33 +298,17 @@ def metaboliser_candidates(f: IntersectionForm) -> list[MetaboliserCandidate]:
     return out
 
 
-def metaboliser_search(f: IntersectionForm) -> list[MetaboliserCandidate]:
-    """``metaboliser_candidates(f)``, with the short box walked when there are any.
-
-    The metaboliser check translates its class by every element of every
-    candidate, and one walk keys all the classes it reaches.  A class
-    selected after the search is read from that index, not met in the box.
-    A non-square order has no candidates and walks nothing.
-    """
-    candidates = metaboliser_candidates(f)
-    if candidates:
-        spinc_classes(f)
-    return candidates
-
-
 def metaboliser_obstruction(
-    profile: TauProfile, s: SpincClass, candidates: Optional[list[MetaboliserCandidate]] = None
+    profile: TauProfile, s: SpincClass, candidates: list[MetaboliserCandidate]
 ) -> Verdict:
     """Rule out bounding a holomorphic curve in a rational-ball filling.
 
     A candidate metaboliser G survives when |tau(s + a)| <= tau(s) for every
     a in G; the obstruction fires when no candidate survives (in particular
     when no metaboliser exists at all).  Slack is the best margin
-    tau(s) - max |tau(s + a)| over the candidates.  ``candidates`` is
-    ``metaboliser_search(s.form)`` if the caller has run it.
+    tau(s) - max |tau(s + a)| over the candidates, which are
+    ``metaboliser_candidates(s.form)``.
     """
-    if candidates is None:
-        candidates = metaboliser_search(s.form)
     if not candidates:
         return Verdict(
             check="metaboliser",

@@ -61,7 +61,7 @@ class PlumbingTree(_TreeFields):
                 raise ValueError(f"bad edge ({a},{b})")
         if len(self.edges) != len(ids) - 1:
             raise ValueError("a tree needs exactly |V| - 1 edges")
-        if not self._connected():
+        if len(_rooted(self)[0]) != len(ids):
             raise ValueError("plumbing graph must be connected")
         for v, mk in self.markings.items():
             if v not in idset:
@@ -71,22 +71,6 @@ class PlumbingTree(_TreeFields):
             if mk == "unmarked_leaf" and self.degree(v) > 1:
                 raise ValueError(f"vertex {v!r} has degree > 1, cannot be an unmarked leaf")
         return self
-
-    def _connected(self) -> bool:
-        if not self.vertices:
-            return False
-        adj = {v: [] for v, _ in self.vertices}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {self.vertices[0][0]}
-        stack = [self.vertices[0][0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
 
     def degree(self, v: str) -> int:
         return sum(1 for a, b in self.edges if v in (a, b))
@@ -183,6 +167,26 @@ class IntersectionForm(_Frozen):
         _require_box(self.negative_definite, [self.q[i][i] for i in range(self.n)])
 
 
+def _rooted(t: PlumbingTree) -> tuple[list[str], dict[str, Optional[str]]]:
+    """The vertices reached from the first one, breadth first, and each one's parent.
+
+    Every parent comes before its children; the root's parent is None.
+    """
+    adj = {v: [] for v, _ in t.vertices}
+    for a, b in t.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    root = t.vertices[0][0]
+    parent = {root: None}
+    order = [root]
+    for v in order:
+        for w in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    return order, parent
+
+
 def _require_definite(negative_definite: bool) -> None:
     if not negative_definite:
         raise ValueError("intersection form is not negative definite")
@@ -198,18 +202,7 @@ def _tree_negative_definite(t: PlumbingTree) -> bool:
     integers, p_v = D_v / P_v with D_v the determinant of v's subtree and
     P_v the product of its children's D_w, so 1/p_w = P_w / D_w.
     """
-    adj = {v: [] for v, _ in t.vertices}
-    for a, b in t.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    root = t.vertices[0][0]
-    parent = {root: None}
-    order = [root]
-    for v in order:  # breadth first: every parent comes before its children
-        for w in adj[v]:
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
+    order, parent = _rooted(t)
     pivot = {v: (a, 1) for v, a in t.vertices}  # p_v as (D_v, P_v)
     for v in reversed(order):
         d, q = pivot[v]

@@ -435,7 +435,7 @@ def _theta_test(c: FloerComplex, cycle: Iterable[str], bottom: bool) -> bool:
         raise ValueError("chain is not a cycle of the hat complex")
     if grading != target_grading:
         return False
-    functional = slice_.class_functional(slice_.vector(theta))
+    functional = slice_.class_functional(theta)
     return functional(slice_.vector(chain)) == 1
 
 
@@ -631,7 +631,7 @@ def sweep_tau_theta(c: FloerComplex, filt: AlexanderFiltration, bottom: bool) ->
     grading = d - c.basepoints + 1 if bottom else d
     theta = theta_bot if bottom else theta_top
     slice_ = _HatSlice(c, grading)
-    functional = slice_.class_functional(slice_.vector(theta))
+    functional = slice_.class_functional(theta)
 
     def qualifies(allowed: list[str]) -> bool:
         here = [g for g in allowed if c.gradings[g] == grading]

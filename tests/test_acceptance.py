@@ -34,6 +34,7 @@ from plumbtau.obstruct import (
     FIRES,
     conjugation_obstruction,
     integrality_obstruction,
+    metaboliser_candidates,
     metaboliser_obstruction,
     pl_genus_lower_bound,
     profile_from_link,
@@ -156,9 +157,10 @@ def test_filtered_complex_suite():
 
 def test_obstruction_verdicts_on_chain_links():
     down = class_of(L92, (3, 0))
+    candidates = metaboliser_candidates(L92)
     for k in range(1, 31):
         profile = profile_from_link(L92, leaf_link(L92, {"v1": k}))
-        assert metaboliser_obstruction(profile, down).verdict == FIRES
+        assert metaboliser_obstruction(profile, down, candidates).verdict == FIRES
         fires = integrality_obstruction(profile.tau_at(down)).verdict == FIRES
         assert fires == (k % 3 != 0)
     m3 = profile_from_link(L92, leaf_link(L92, {"v1": 3}))

@@ -690,6 +690,18 @@ def test_metaboliser_check_selects_its_class_after_the_search(tmp_path, capsys, 
         path = write_doc(tmp_path, {"plumbing": plumbing_, "leaf_link": {"v1": 1}, "subset": [[rep]]})
         rc, _, err = run_cli(capsys, "obstruct", "--input", path, "--check", "metaboliser")
         assert rc == 0 and scans == walked, (weight, err, scans)
+    # the walk follows the candidates, not the order: the star (-3; -3, -3, -3, -2)
+    # has |H_1| = 81, a square, and no metaboliser, so its class is met once
+    scans.clear()
+    square = {
+        "vertices": [["c", -3], ["v1", -3], ["v2", -3], ["v3", -3], ["v4", -2]],
+        "edges": [["c", f"v{i}"] for i in range(1, 5)],
+    }
+    doc = {"plumbing": square, "leaf_link": {"v1": 1}, "subset": [[1, 1, 1, 1, 0]]}
+    rc, out, err = run_cli(capsys, "obstruct", "--input", write_doc(tmp_path, doc),
+                           "--check", "metaboliser")
+    assert rc == 0 and scans == [False], (err, scans)
+    assert json.loads(out)["witness"] == "no metaboliser exists in a group of order 81"
     # a class the subset names badly is refused before a search past its limit
     star = {
         "vertices": [["c", -6]] + [[f"v{i}", -2] for i in range(1, 11)],

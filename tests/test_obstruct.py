@@ -167,7 +167,7 @@ def test_metaboliser_candidates_l41_and_nonsquare():
     half = form_from_tree(PlumbingTree.path(-2))  # |H_1| = 2 is not a square
     assert metaboliser_candidates(half) == []
     verdict = metaboliser_obstruction(
-        profile_from_link(half, LeafLink((0,), 0)), class_of(half, (0,))
+        profile_from_link(half, LeafLink((0,), 0)), class_of(half, (0,)), []
     )
     assert verdict.verdict == FIRES
     assert verdict.witness == "no metaboliser exists in a group of order 2"
@@ -210,21 +210,21 @@ def test_metaboliser_obstruction_nk():
     s2 = class_of(L92, (3, 0))
     for k in range(1, 13):
         p = nk_profile(k)
-        fired = metaboliser_obstruction(p, s2)
+        fired = metaboliser_obstruction(p, s2, metaboliser_candidates(L92))
         assert fired.verdict == FIRES and fired.slack < 0
         # the class carrying the curve has maximal tau, so it always survives
-        quiet = metaboliser_obstruction(p, s1)
+        quiet = metaboliser_obstruction(p, s1, metaboliser_candidates(L92))
         assert quiet.verdict == CLEAR and quiet.slack >= 0
-    zero = metaboliser_obstruction(nk_profile(0), s2)
+    zero = metaboliser_obstruction(nk_profile(0), s2, metaboliser_candidates(L92))
     assert zero.verdict == CLEAR and zero.slack == 0
 
 
 def test_metaboliser_obstruction_curve_side():
     for d in range(1, 6):
         p = l2d_profile(d)
-        quiet = metaboliser_obstruction(p, class_of(L41, (-2,)))
+        quiet = metaboliser_obstruction(p, class_of(L41, (-2,)), metaboliser_candidates(L41))
         assert quiet.verdict == CLEAR
-        fired = metaboliser_obstruction(p, class_of(L41, (2,)))
+        fired = metaboliser_obstruction(p, class_of(L41, (2,)), metaboliser_candidates(L41))
         assert fired.verdict == FIRES
 
 
@@ -234,7 +234,7 @@ def test_metaboliser_incomplete_profile():
     s2 = class_of(L92, (3, 0))
     partial = TauProfile(tau={s1: p.tau[s1], s2: p.tau[s2]}, ell=p.ell)
     with pytest.raises(IncompleteProfileError, match=r"\(-1, 2\)"):
-        metaboliser_obstruction(partial, s2)
+        metaboliser_obstruction(partial, s2, metaboliser_candidates(L92))
 
 
 def test_conjugation_obstruction():
@@ -336,7 +336,7 @@ def test_verdict_json():
     verdicts = [
         slice_bennequin_check(1, Fraction(1), 1),
         qhb4_filling_obstruction(p, []),
-        metaboliser_obstruction(p, class_of(L92, (3, 0))),
+        metaboliser_obstruction(p, class_of(L92, (3, 0)), metaboliser_candidates(L92)),
         conjugation_obstruction(p, class_of(L92, (-3, 0))),
         integrality_obstruction(Fraction(4, 9)),
         concordance_obstruction(p, d_zero_subset(L92)),

@@ -51,6 +51,9 @@ RECORDS = [
             ({"vertices": (), "edges": ()}, "a tree needs exactly |V| - 1 edges"),
             ({"vertices": V3, "edges": (("v1", "v2"), ("v2", "v1"))},
              "plumbing graph must be connected"),
+            # the walk meets a cycle: a triangle and an isolated vertex
+            ({"vertices": V3 + (("v4", -2),), "edges": E3 + (("v3", "v1"),)},
+             "plumbing graph must be connected"),
             ({"vertices": V3, "edges": E3, "markings": {"v9": "internal"}},
              "marking on unknown vertex 'v9'"),
             ({"vertices": V3, "edges": E3, "markings": {"v1": "leaf"}}, "unknown marking 'leaf'"),
