@@ -6,7 +6,7 @@ Subpackages:
   Gauss–Jordan inverses over the denominator |det|, Smith normal form).
 - ``plumbing``: plumbing trees, intersection forms, characteristic vectors,
   boundary spin-c classes and correction terms.
-- ``tau``: the lattice tau-invariant of leaf-fibre links, per class and as tables.
+- ``tau``: the lattice tau-invariant of leaf-fibre links, held as one integer profile.
 - ``surgery``: linking-matrix formulas for surgery presentations, self-linking
   numbers, braid and curve identities.
 - ``floer``: filtered chain complexes over F2[U], their correction terms

@@ -128,6 +128,12 @@ SCHEMA = {
     ),
 }
 
+# object path -> the names of its fields, the object path "" for the document's top level
+_KNOWN: dict[str, set] = {}
+for _path in SCHEMA:
+    _owner, _, _name = _path.rpartition(".")
+    _KNOWN.setdefault(_owner, set()).add(_name)
+
 
 @contextmanager
 def _named(field: str, error=SchemaError):
@@ -173,7 +179,7 @@ def _value(node: dict, path: str):
 
 def _fields(node: dict, path: str, *names: str) -> list:
     """Reject fields of ``node`` that have no row, then read ``names``."""
-    known = {p.rpartition(".")[2] for p in SCHEMA if p.rpartition(".")[0] == path}
+    known = _KNOWN.get(path, ())
     for key in node:
         if key not in known:
             raise SchemaError(f"{path or 'input'}: unknown field {key!r}")
@@ -324,13 +330,15 @@ def _quotient(num: int, den: int) -> str:
 
 
 def run_tau(args) -> dict:
-    from .tau import _tau_of
+    from .tau import TauProfile
 
     doc = load_document(args.input)
     f = build_form(doc)
     link = build_link(doc, f)
     classes = select_classes(f, doc, args.spinc, "all")
-    row, den = _tau_of(f, link), 2 * f.qinv[1]  # tau = row(s)[0] / den
+    profile = TauProfile(f, link)
+    # tau = row(s)[0] / den; row keeps nothing, where num would keep a value per class
+    row, den = profile.row, profile.den
     # one row per selected class: a subset may name a class twice
     with _printing():
         rows = [
@@ -446,7 +454,7 @@ def run_obstruct(args) -> dict:
     doc = load_document(args.input)
     f = build_form(doc)
     link = build_link(doc, f)
-    profile = obstruct.profile_from_link(f, link)
+    profile = obstruct.TauProfile(f, link)
     check = args.check
     if check == "pl-genus":
         classes = select_classes(f, doc, None, "d0")

@@ -1,11 +1,14 @@
 """Decision procedures built on top of the per-class tau profile.
 
-Every check returns a Verdict.  The obstruction-style checks answer with
-"fires" / "does not fire" / "inconclusive" (they are one-directional: a
-firing check rules something out, a silent one proves nothing), while the
-plain inequality checks answer "satisfied" / "violated".  Each verdict
-carries a slack (the exact margin by which the deciding inequality holds
-or fails, when one exists) and a JSON-friendly witness.
+The profile is ``tau.TauProfile``: the checks compare its integer
+numerators over 2|det Q| and make a Fraction only for a slack or a
+witness.  Every check returns a Verdict.  The obstruction-style checks
+answer with "fires" / "does not fire" / "inconclusive" (they are
+one-directional: a firing check rules something out, a silent one proves
+nothing), while the plain inequality checks answer "satisfied" /
+"violated".  Each verdict carries a slack (the exact margin by which the
+deciding inequality holds or fails, when one exists) and a JSON-friendly
+witness.
 
 The metaboliser machinery works in the invariant-factor decomposition of
 H_1 = Z^n / Q Z^n obtained from the Smith normal form of Q.  A metaboliser
@@ -24,11 +27,11 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .plumbing import IntersectionForm, SpincClass, conjugate, spinc_translate
-from .tau import LazyTauTable, LeafLink
+from .tau import TauProfile
 
 FIRES = "fires"
 CLEAR = "does not fire"
@@ -41,47 +44,6 @@ VIOLATED = "violated"
 # about 11-13 us each on a Xeon server core, so a search that reaches the
 # limit stops in 1.1-1.3 s.  Past it the search raises ValueError (exit 3).
 MAX_SEARCH_STEPS = 100_000
-
-
-class IncompleteProfileError(ValueError):
-    """A check needed a tau value the profile does not contain."""
-
-
-class _ProfileFields(NamedTuple):
-    tau: Mapping[SpincClass, Fraction]
-    ell: int
-
-
-class TauProfile(_ProfileFields):
-    """Tau values of one link over a set of spin-c classes."""
-
-    __slots__ = ()
-
-    def __new__(cls, tau: Mapping[SpincClass, Fraction], ell: int):
-        self = super().__new__(cls, tau, ell)
-        if self.ell < 0:
-            raise ValueError("component count must be non-negative")
-        for s, v in self.tau.items():
-            if not isinstance(s, SpincClass):
-                raise ValueError("profile keys must be spin-c classes")
-            if not isinstance(v, (int, Fraction)):
-                raise ValueError("profile values must be exact rationals")
-        return self
-
-    def tau_at(self, s: SpincClass) -> Fraction:
-        try:
-            value = self.tau[s]
-        except KeyError:
-            raise IncompleteProfileError(
-                f"profile has no tau value at the spin-c class {s.rep}"
-            ) from None
-        return value if isinstance(value, Fraction) else Fraction(value)
-
-
-def profile_from_link(f: IntersectionForm, link: LeafLink) -> TauProfile:
-    """Full profile of a leaf-fibre link: tau at every spin-c class, each computed when read."""
-    # its checks are the link's and the form's, so it skips those of a caller's dict
-    return _ProfileFields.__new__(TauProfile, LazyTauTable(f, link), link.ell)
 
 
 def _jsonable(value):
@@ -129,8 +91,8 @@ def qhb4_filling_obstruction(
 
     Fires when some supplied self-linking number exceeds 2*tau - ell at the
     contact class.  With no contact class given, the verdict fires only if
-    every class in the profile is violated: otherwise an unviolated class
-    could still be the contact one.
+    every spin-c class of the form is violated: otherwise an unviolated
+    class could still be the contact one.
     """
     if not sl_values:
         return Verdict(
@@ -139,8 +101,9 @@ def qhb4_filling_obstruction(
             witness="no transverse representatives supplied",
         )
     best_sl = max(Fraction(v) for v in sl_values)
+    den, ell = profile.den, profile.ell
     if contact_class is not None:
-        bound = 2 * profile.tau_at(contact_class) - profile.ell
+        bound = Fraction(2 * profile.num(contact_class) - ell * den, den)  # 2*tau - ell
         slack = bound - best_sl
         return Verdict(
             check="qhb4_filling",
@@ -152,14 +115,8 @@ def qhb4_filling_obstruction(
             },
             slack=slack,
         )
-    if not profile.tau:
-        return Verdict(
-            check="qhb4_filling",
-            verdict=INCONCLUSIVE,
-            witness="profile covers no spin-c classes",
-        )
-    best_class = max(profile.tau, key=lambda s: (profile.tau_at(s), s.rep))
-    slack = 2 * profile.tau_at(best_class) - profile.ell - best_sl
+    best_class = max(profile, key=lambda s: (profile.num(s), s.rep))
+    slack = Fraction(2 * profile.num(best_class) - ell * den, den) - best_sl
     return Verdict(
         check="qhb4_filling",
         verdict=FIRES if slack < 0 else CLEAR,
@@ -315,16 +272,16 @@ def metaboliser_obstruction(
             verdict=FIRES,
             witness=f"no metaboliser exists in a group of order {s.form.qinv[1]}",
         )
-    base = profile.tau_at(s)
+    base = profile.num(s)
     best = None
     for cand in candidates:
         margin = min(
-            base - abs(profile.tau_at(spinc_translate(s, alpha)))
-            for alpha in cand.elements
+            base - abs(profile.num(spinc_translate(s, alpha))) for alpha in cand.elements
         )
         if best is None or margin > best[0]:
             best = (margin, cand)
-    slack, cand = best
+    margin, cand = best
+    slack = Fraction(margin, profile.den)
     witness = {
         "class": list(s.rep),
         "metaboliser": [list(g) for g in cand.generators],
@@ -341,24 +298,17 @@ def metaboliser_obstruction(
 def conjugation_obstruction(profile: TauProfile, s: SpincClass) -> Verdict:
     """Holomorphic curves for both J and -J force tau(s) = tau(conjugate)."""
     sbar = conjugate(s)
-    if s not in profile.tau or sbar not in profile.tau:
-        missing = sbar if s in profile.tau else s
-        return Verdict(
-            check="conjugation",
-            verdict=INCONCLUSIVE,
-            witness=f"profile has no tau value at the spin-c class {missing.rep}",
-        )
-    gap = Fraction(profile.tau[s]) - Fraction(profile.tau[sbar])
+    gap = profile.num(s) - profile.num(sbar)
     return Verdict(
         check="conjugation",
         verdict=FIRES if gap != 0 else CLEAR,
         witness={
             "class": list(s.rep),
             "conjugate": list(sbar.rep),
-            "tau": Fraction(profile.tau[s]),
-            "tau_conjugate": Fraction(profile.tau[sbar]),
+            "tau": profile.tau_at(s),
+            "tau_conjugate": profile.tau_at(sbar),
         },
-        slack=gap,
+        slack=Fraction(gap, profile.den),
     )
 
 
@@ -375,8 +325,8 @@ def pl_genus_lower_bound(profile: TauProfile, subset: Sequence[SpincClass]) -> P
     """
     if not subset:
         raise ValueError("subset of spin-c classes must be non-empty")
-    values = [profile.tau_at(s) for s in subset]
-    raw = abs(max(values) - min(values)) / 2
+    values = [profile.num(s) for s in subset]
+    raw = Fraction(max(values) - min(values), 2 * profile.den)
     return PLGenusBound(genus=math.ceil(raw), raw=raw)
 
 
@@ -398,11 +348,11 @@ def concordance_obstruction(profile: TauProfile, subset: Sequence[SpincClass]) -
             verdict=INCONCLUSIVE,
             witness="no spin-c classes supplied",
         )
-    values = [profile.tau_at(s) for s in subset]
-    spread = max(values) - min(values)
+    values = [profile.num(s) for s in subset]
+    hi, lo, den = max(values), min(values), profile.den
     return Verdict(
         check="concordance",
-        verdict=FIRES if spread != 0 else CLEAR,
-        witness={"tau_max": max(values), "tau_min": min(values)},
-        slack=spread,
+        verdict=FIRES if hi != lo else CLEAR,
+        witness={"tau_max": Fraction(hi, den), "tau_min": Fraction(lo, den)},
+        slack=Fraction(hi - lo, den),
     )

@@ -13,7 +13,7 @@ from importlib import resources
 
 from . import EXAMPLE_NAMES, obstruct, surgery
 from .plumbing import IntersectionForm, PlumbingTree, form_from_tree, solve_square
-from .tau import LeafLink, d_zero_subset, tau_table
+from .tau import LeafLink, TauProfile, d_zero_subset
 
 
 def form_92() -> IntersectionForm:
@@ -48,14 +48,18 @@ def m3d_presentation(d: int, rot: int) -> surgery.SurgeryPresentation:
     )
 
 
+def _taus(profile: TauProfile, subset) -> list[str]:
+    return [str(profile.tau_at(s)) for s in subset]
+
+
 def golden_m3() -> dict:
-    f, link = form_92(), LeafLink((3, 0), 3)
+    f = form_92()
+    profile = TauProfile(f, LeafLink((3, 0), 3))
     return {
         "plumbing": [-5, -2],
         "strands": [3, 0],
         "classes": [
-            {"rep": list(s.rep), "tau": str(v)}
-            for s, v in tau_table(f, link, d_zero_subset(f)).items()
+            {"rep": list(s.rep), "tau": str(profile.tau_at(s))} for s in d_zero_subset(f)
         ],
     }
 
@@ -64,8 +68,7 @@ def golden_nk() -> dict:
     f = form_92()
     subset = d_zero_subset(f)
     rows = [
-        {"k": k, "taus": [str(v) for v in tau_table(f, LeafLink((k, 0), k), subset).values()]}
-        for k in range(1, 13)
+        {"k": k, "taus": _taus(TauProfile(f, LeafLink((k, 0), k)), subset)} for k in range(1, 13)
     ]
     return {"plumbing": [-5, -2], "classes": [list(s.rep) for s in subset], "rows": rows}
 
@@ -75,9 +78,8 @@ def golden_l2d() -> dict:
     subset = d_zero_subset(f)
     rows = []
     for d in range(1, 11):
-        link = LeafLink((2 * d,), 2 * d)
-        values = list(tau_table(f, link, subset).values())
-        profile = obstruct.profile_from_link(f, link)
+        profile = TauProfile(f, LeafLink((2 * d,), 2 * d))
+        values = [profile.tau_at(s) for s in subset]
         rows.append(
             {
                 "d": d,
@@ -99,7 +101,7 @@ def golden_m3d() -> dict:
     rows = [
         {
             "d": d,
-            "taus": [str(v) for v in tau_table(f, LeafLink((3 * d, 0), 3 * d), subset).values()],
+            "taus": _taus(TauProfile(f, LeafLink((3 * d, 0), 3 * d)), subset),
             "self_intersection": str(surgery.self_intersection(m3d_presentation(d, 3))),
             "chern": [
                 str(surgery.chern_evaluation(m3d_presentation(d, rot))) for rot in (3, -3)

@@ -17,8 +17,8 @@ link, kappa^T Q^{-1} m = (kappa·w)/p and m^T Q^{-1} m = (m·w)/p, so
 
     tau = (min over kappa of kappa·w  -  m·w) / 2p:
 
-one integer dot product per candidate.  A row holds tau's integer
-numerator over 2p; ``tau_table`` and ``LazyTauTable`` make the Fraction.
+one integer dot product per candidate.  ``TauProfile`` holds tau as
+that integer numerator over 2p and makes the Fraction only when asked.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .plumbing import (
     IntersectionForm,
@@ -68,60 +68,47 @@ def leaf_link(f: IntersectionForm, strands: Mapping[str, int]) -> LeafLink:
     return LeafLink(m=tuple(m), ell=sum(m))
 
 
-def _tau_of(f: IntersectionForm, link: LeafLink):
-    """The link's checks, then (2|det Q|·tau, lex-least minimizer) at a class, from one w = a·m."""
-    f.require_negative_definite()
-    if len(link.m) != f.n:
-        raise ValueError("link multiplicity vector has wrong length")
-    a, p = f.qinv
-    w = [sum(map(mul, row, link.m)) for row in a]
-    mw = sum(map(mul, link.m, w))
+class TauProfile:
+    """Tau of a link at the spin-c classes of its form, as integers over ``den = 2|det Q|``.
 
-    def row(s: SpincClass) -> tuple[int, tuple[int, ...]]:
-        if s.form.q != f.q:
-            raise ValueError("spin-c class belongs to a different form")
-        # p > 0, so the integer k·w orders the candidates as k^T Q^{-1} m does
-        best, minimizer = min((sum(map(mul, k, w)), k) for k in s.realizing)
-        return best - mw, minimizer
-
-    return row
-
-
-def tau_table(
-    f: IntersectionForm, link: LeafLink, classes: Iterable[SpincClass]
-) -> dict[SpincClass, Fraction]:
-    """Tau value of each of the given classes, keyed in their order."""
-    row, den = _tau_of(f, link), 2 * f.qinv[1]
-    return {s: Fraction(row(s)[0], den) for s in classes}
-
-
-class LazyTauTable(Mapping):
-    """Tau of a link at every spin-c class of its form, each computed when first read.
-
-    It iterates in ``spinc_classes`` order, which builds every class; a
-    read builds none.  Its keys are the spin-c classes of forms with this
-    matrix.
+    The link's checks run once, when the profile is built.  ``row(s)`` is
+    computed on every call; ``num(s)`` keeps its numerator, so a class read
+    twice costs one row; ``tau_at(s)`` makes the Fraction.  Iterating the
+    profile visits ``spinc_classes`` of the form, which builds every class.
     """
 
-    def __init__(self, f: IntersectionForm, link: LeafLink):
-        f.require_box()  # what spinc_classes and class_of need, before Q^-1
-        self._form, self._row, self._values = f, _tau_of(f, link), {}
-        self._den = 2 * f.qinv[1]  # tau = row(s)[0] / den
+    __slots__ = ("form", "ell", "den", "_w", "_mw", "_nums")
 
-    def __getitem__(self, s: SpincClass) -> Fraction:
-        value = self._values.get(s)
+    def __init__(self, f: IntersectionForm, link: LeafLink):
+        f.require_negative_definite()
+        if len(link.m) != f.n:
+            raise ValueError("link multiplicity vector has wrong length")
+        a, p = f.qinv
+        self._w = [sum(map(mul, row, link.m)) for row in a]
+        self._mw = sum(map(mul, link.m, self._w))
+        self.form, self.ell, self.den, self._nums = f, link.ell, 2 * p, {}
+
+    def row(self, s: SpincClass) -> tuple[int, tuple[int, ...]]:
+        """(2|det Q|·tau, lex-least minimizer) at the class."""
+        if s.form.q != self.form.q:
+            raise ValueError("spin-c class belongs to a different form")
+        # p > 0, so the integer k·w orders the candidates as k^T Q^{-1} m does
+        w = self._w
+        best, minimizer = min((sum(map(mul, k, w)), k) for k in s.realizing)
+        return best - self._mw, minimizer
+
+    def num(self, s: SpincClass) -> int:
+        """2|det Q|·tau at the class, computed when first read."""
+        value = self._nums.get(s)
         if value is None:
-            try:
-                value = self._values[s] = Fraction(self._row(s)[0], self._den)
-            except (AttributeError, ValueError):  # not a class, or of another form
-                raise KeyError(s) from None
+            value = self._nums[s] = self.row(s)[0]
         return value
 
-    def __iter__(self):
-        return iter(spinc_classes(self._form))
+    def tau_at(self, s: SpincClass) -> Fraction:
+        return Fraction(self.num(s), self.den)
 
-    def __len__(self) -> int:
-        return self._form.qinv[1]
+    def __iter__(self) -> Iterator[SpincClass]:
+        return iter(spinc_classes(self.form))
 
 
 def d_zero_subset(f: IntersectionForm) -> list[SpincClass]:

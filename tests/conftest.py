@@ -23,7 +23,7 @@ from plumbtau.obstruct import (
 )
 from plumbtau.plumbing import IntersectionForm, PlumbingTree, SpincClass, _image, _require_box
 from plumbtau.surgery import BraidDatum, SurgeryComponent, SurgeryPresentation, linking_matrix
-from plumbtau.tau import _tau_of
+from plumbtau.tau import TauProfile
 
 DEFAULT_SEED = 20260814
 
@@ -203,11 +203,12 @@ def pairing(f, kappa, link) -> Fraction:
 def tau_detail(f, link, s):
     """Tau value together with its lexicographically least minimizing vector.
 
-    The row of ``tau._tau_of``, its numerator over 2|det Q| made the
-    ``Fraction`` that ``tau.tau_table`` keeps.
+    The row of ``tau.TauProfile``, its numerator over 2|det Q| made the
+    ``Fraction`` that ``TauProfile.tau_at`` makes.
     """
-    num, minimizer = _tau_of(f, link)(s)
-    return Fraction(num, 2 * f.qinv[1]), minimizer
+    profile = TauProfile(f, link)
+    num, minimizer = profile.row(s)
+    return Fraction(num, profile.den), minimizer
 
 
 def tau(f, link, s) -> Fraction:
@@ -215,8 +216,14 @@ def tau(f, link, s) -> Fraction:
     return tau_detail(f, link, s)[0]
 
 
+def tau_table(f, link, classes) -> dict:
+    """Tau of the link at each of ``classes``, keyed in their order, from one profile."""
+    profile = TauProfile(f, link)
+    return {s: profile.tau_at(s) for s in classes}
+
+
 def pairing_tau_detail(f, link, s):
-    """Reference for ``tau_detail`` and ``tau.tau_table``: (tau, lex-least minimizer).
+    """Reference for ``tau_detail`` and ``tau_table``: (tau, lex-least minimizer).
 
     One ``linalg.pair`` per d-realizing vector and one for m^T Q^{-1} m,
     each a Fraction, where the package takes integer dot products with

@@ -18,6 +18,7 @@ from conftest import (
     random_complex,
     random_presentation,
     tau,
+    tau_table,
 )
 from test_floer import predicted_dims, truncated_dims
 
@@ -37,7 +38,6 @@ from plumbtau.obstruct import (
     metaboliser_candidates,
     metaboliser_obstruction,
     pl_genus_lower_bound,
-    profile_from_link,
 )
 from plumbtau.paper import form_41, form_92, l2d_presentation, m3d_presentation
 from plumbtau.plumbing import class_of, solve_square, spinc_classes
@@ -51,7 +51,7 @@ from plumbtau.surgery import (
     tau_from_curve,
     tau_qp_braid,
 )
-from plumbtau.tau import d_zero_subset, leaf_link, tau_table
+from plumbtau.tau import TauProfile, d_zero_subset, leaf_link
 
 L41, L92 = form_41(), form_92()
 
@@ -80,7 +80,7 @@ def test_torus_link_family_tau_and_genus_bound():
         d0 = tau_table(L41, link, d_zero_subset(L41)).values()
         hi, lo = max(d0), min(d0)
         assert hi - lo == d
-        bound = pl_genus_lower_bound(profile_from_link(L41, link), d_zero_subset(L41))
+        bound = pl_genus_lower_bound(TauProfile(L41, link), d_zero_subset(L41))
         assert bound.genus == (d + 1) // 2 and bound.raw == Fraction(d, 2)
 
 
@@ -159,11 +159,11 @@ def test_obstruction_verdicts_on_chain_links():
     down = class_of(L92, (3, 0))
     candidates = metaboliser_candidates(L92)
     for k in range(1, 31):
-        profile = profile_from_link(L92, leaf_link(L92, {"v1": k}))
+        profile = TauProfile(L92, leaf_link(L92, {"v1": k}))
         assert metaboliser_obstruction(profile, down, candidates).verdict == FIRES
         fires = integrality_obstruction(profile.tau_at(down)).verdict == FIRES
         assert fires == (k % 3 != 0)
-    m3 = profile_from_link(L92, leaf_link(L92, {"v1": 3}))
+    m3 = TauProfile(L92, leaf_link(L92, {"v1": 3}))
     assert conjugation_obstruction(m3, class_of(L92, (-3, 0))).verdict == FIRES
 
 

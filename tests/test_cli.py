@@ -77,7 +77,7 @@ def test_tau_prints_one_row_per_selected_class(tmp_path, capsys):
 
 def test_tau_table_builds_no_fraction(tmp_path, capsys, monkeypatch):
     # a tau row is an integer over 2|det Q|, written with one gcd: CLI tau
-    # builds no Fraction in tau, and writes what str of tau_table's Fraction writes
+    # builds no Fraction in tau, and writes what str of TauProfile.tau_at writes
     from plumbtau import tau
     from plumbtau.plumbing import form_from_tree, spinc_classes
 
@@ -105,9 +105,9 @@ def test_tau_table_builds_no_fraction(tmp_path, capsys, monkeypatch):
         rc, out, err = run_cli(capsys, "tau", "--input", write_doc(tmp_path, doc))
         assert rc == 0 and made == [], (tree, err)
         classes = sorted(spinc_classes(f), key=lambda s: s.rep)
-        table = tau.tau_table(f, tau.leaf_link(f, strands), classes)
-        assert json.loads(out)["classes"] == [{"rep": list(s.rep), "tau": str(table[s])} for s in classes]
-        assert len(made) == len(classes)  # the library's table makes one per class
+        profile = tau.TauProfile(f, tau.leaf_link(f, strands))
+        assert json.loads(out)["classes"] == [{"rep": list(s.rep), "tau": str(profile.tau_at(s))} for s in classes]
+        assert len(made) == len(classes)  # the library's tau_at makes one per class
         made.clear()
 
 
@@ -802,7 +802,7 @@ def test_single_class_queries_build_one_class_and_its_conjugate(
     from plumbtau import tau
 
     counts = Counter()
-    scan, init, tau_of = plumbing._scan, plumbing.SpincClass.__init__, tau._tau_of
+    scan, init, row = plumbing._scan, plumbing.SpincClass.__init__, tau.TauProfile.row
 
     def counted_scan(f, keys=None):
         counts["walks"] += keys is None  # a scan without keys walks the whole box
@@ -812,18 +812,13 @@ def test_single_class_queries_build_one_class_and_its_conjugate(
         counts["classes"] += 1
         init(self, *args, **kwargs)
 
-    def counted_tau_of(f, link):
-        row = tau_of(f, link)
-
-        def counted(s):
-            counts["taus"] += 1
-            return row(s)
-
-        return counted
+    def counted_row(self, s):
+        counts["taus"] += 1
+        return row(self, s)
 
     monkeypatch.setattr(plumbing, "_scan", counted_scan)
     monkeypatch.setattr(plumbing.SpincClass, "__init__", made)
-    monkeypatch.setattr(tau, "_tau_of", counted_tau_of)
+    monkeypatch.setattr(tau.TauProfile, "row", counted_row)
     doc = {"plumbing": CHAIN_3333, "leaf_link": {"v1": 2, "v4": 1}, **doc}
     rc, _, err = run_cli(capsys, argv[0], "--input", write_doc(tmp_path, doc), *argv[1:])
     assert rc == 0, err

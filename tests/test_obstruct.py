@@ -2,7 +2,10 @@ import itertools
 import json
 import math
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from conftest import (
@@ -13,16 +16,16 @@ from conftest import (
     h1_residues,
     property_seed,
     random_tree,
+    tau_table,
 )
 
-from plumbtau import linalg, tau
+from plumbtau import linalg
 from plumbtau.obstruct import (
     CLEAR,
     FIRES,
     INCONCLUSIVE,
     SATISFIED,
     VIOLATED,
-    IncompleteProfileError,
     TauProfile,
     concordance_obstruction,
     conjugation_obstruction,
@@ -30,7 +33,6 @@ from plumbtau.obstruct import (
     metaboliser_candidates,
     metaboliser_obstruction,
     pl_genus_lower_bound,
-    profile_from_link,
     qhb4_filling_obstruction,
     slice_bennequin_check,
 )
@@ -42,7 +44,7 @@ from plumbtau.plumbing import (
     spinc_classes,
     spinc_translate,
 )
-from plumbtau.tau import LeafLink, d_zero_subset, leaf_link, tau_table
+from plumbtau.tau import LeafLink, d_zero_subset, leaf_link
 
 L41, L92 = form_41(), form_92()
 
@@ -62,21 +64,26 @@ def star(center: int, *leaves: int):
 
 
 def nk_profile(k: int) -> TauProfile:
-    return profile_from_link(L92, LeafLink((k, 0), k))
+    return TauProfile(L92, LeafLink((k, 0), k))
 
 
 def l2d_profile(d: int) -> TauProfile:
-    return profile_from_link(L41, LeafLink((2 * d,), 2 * d))
+    return TauProfile(L41, LeafLink((2 * d,), 2 * d))
 
 
 def test_profile_validation():
     p = nk_profile(3)
-    assert p.ell == 3 and len(p.tau) == 9
-    assert [s.rep for s in d_zero_subset(L92) if s in p.tau] == [(-3, 0), (-1, 2), (3, 0)]
-    with pytest.raises(ValueError):
-        TauProfile(tau={}, ell=-1)
-    with pytest.raises(IncompleteProfileError):
-        TauProfile(tau={}, ell=1).tau_at(class_of(L92, (3, 0)))
+    assert p.ell == 3 and p.den == 18 and len(list(p)) == 9
+    assert [s.rep for s in p if s.d_num == 0] == [(-3, 0), (-1, 2), (3, 0)]
+    assert [p.num(s) for s in d_zero_subset(L92)] == [36, 18, 0]  # tau = 2, 1, 0 over 18
+    # the link's checks run once, when the profile is built, in this order
+    indefinite = form_from_tree(PlumbingTree.path(-1, -1, -1))
+    with pytest.raises(ValueError, match="not negative definite"):
+        TauProfile(indefinite, LeafLink((1,), 1))
+    with pytest.raises(ValueError, match="wrong length"):
+        TauProfile(L92, LeafLink((1,), 1))
+    with pytest.raises(ValueError, match="different form"):
+        p.tau_at(class_of(L41, (-2,)))
 
 
 def test_profile_computes_tau_when_read(monkeypatch):
@@ -84,19 +91,13 @@ def test_profile_computes_tau_when_read(monkeypatch):
     # read, from one pairing vector, and as a whole it is tau_table over
     # every class, in spinc_classes order
     rng = random.Random(property_seed())
-    made, tau_of = [], tau._tau_of
+    made, row = Counter(), TauProfile.row
 
-    def counted_tau_of(f, link):
-        row, at = tau_of(f, link), len(made)
-        made.append(0)
+    def counted_row(self, s):
+        made[self] += 1
+        return row(self, s)
 
-        def counted(s):
-            made[at] += 1
-            return row(s)
-
-        return counted
-
-    monkeypatch.setattr(tau, "_tau_of", counted_tau_of)
+    monkeypatch.setattr(TauProfile, "row", counted_row)
     profiles = 0
     while profiles < 30:
         tree = random_tree(rng, rng.randint(1, 5), -6, -1)
@@ -107,15 +108,35 @@ def test_profile_computes_tau_when_read(monkeypatch):
         leaves = [v for v, _ in tree.vertices if tree.marking(v) == "unmarked_leaf"]
         link = leaf_link(f, {v: rng.randint(0, 4) for v in leaves})
         fresh = form_from_tree(tree)
-        p = profile_from_link(fresh, link)
+        p = TauProfile(fresh, link)
         s = class_of(fresh, [2 * rng.randint(-3, 3) - w for _, w in tree.vertices])
         value = p.tau_at(s)
-        assert made[-1] == 1 and "_class_index" not in fresh.__dict__
-        assert p.tau_at(s) == value and made[-1] == 1
+        assert made[p] == 1 and "_class_index" not in fresh.__dict__
+        assert p.tau_at(s) == value and made[p] == 1
         table = tau_table(f, link, spinc_classes(f))
-        assert list(p.tau.items()) == list(table.items()) and p.tau == table
-        assert made[-2] == len(table)  # one pairing vector per profile, one row per class
-    assert class_of(L41, (-2,)) not in nk_profile(1).tau and (-3, 0) not in nk_profile(1).tau
+        assert [(t, p.tau_at(t)) for t in p] == list(table.items())
+        assert made[p] == len(table)  # one row per class, s not read again
+
+
+def test_traced_benchmark_hook_counts_tau_at(monkeypatch):
+    # perfbench's tracer wraps obstruct.TauProfile.tau_at by that name; a
+    # rename would crash only the traced benchmark run, so check it here
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    from spans import Tracer
+
+    import plumbtau
+    from plumbtau import obstruct
+
+    tracer = Tracer(plumbtau)
+    tracer.install()
+    try:
+        value = obstruct.TauProfile(L92, LeafLink((3, 0), 3)).tau_at(class_of(L92, (-3, 0)))
+    finally:
+        tracer.uninstall()
+    assert value == 2
+    assert tracer.stats["obstruct.TauProfile.tau_at"].calls == 1
+    assert tracer.reads == {(-3, 0)}
 
 
 def test_slice_bennequin_check():
@@ -167,7 +188,7 @@ def test_metaboliser_candidates_l41_and_nonsquare():
     half = form_from_tree(PlumbingTree.path(-2))  # |H_1| = 2 is not a square
     assert metaboliser_candidates(half) == []
     verdict = metaboliser_obstruction(
-        profile_from_link(half, LeafLink((0,), 0)), class_of(half, (0,)), []
+        TauProfile(half, LeafLink((0,), 0)), class_of(half, (0,)), []
     )
     assert verdict.verdict == FIRES
     assert verdict.witness == "no metaboliser exists in a group of order 2"
@@ -228,15 +249,6 @@ def test_metaboliser_obstruction_curve_side():
         assert fired.verdict == FIRES
 
 
-def test_metaboliser_incomplete_profile():
-    p = nk_profile(2)
-    s1 = class_of(L92, (-3, 0))
-    s2 = class_of(L92, (3, 0))
-    partial = TauProfile(tau={s1: p.tau[s1], s2: p.tau[s2]}, ell=p.ell)
-    with pytest.raises(IncompleteProfileError, match=r"\(-1, 2\)"):
-        metaboliser_obstruction(partial, s2, metaboliser_candidates(L92))
-
-
 def test_conjugation_obstruction():
     p = nk_profile(3)  # tau = (2, 1, 0) at the three d = 0 classes
     s0 = class_of(L92, (-1, 2))
@@ -248,9 +260,6 @@ def test_conjugation_obstruction():
     assert self_conj.verdict == CLEAR and self_conj.slack == 0
     flat = conjugation_obstruction(nk_profile(0), s1)
     assert flat.verdict == CLEAR
-    partial = TauProfile(tau={s1: p.tau[s1]}, ell=p.ell)
-    missing = conjugation_obstruction(partial, s1)
-    assert missing.verdict == INCONCLUSIVE and "(3, 0)" in missing.witness
 
 
 def test_pl_genus_lower_bound():
@@ -262,14 +271,6 @@ def test_pl_genus_lower_bound():
     assert pl_genus_lower_bound(nk_profile(0), d_zero_subset(L92)) == (0, 0)
     with pytest.raises(ValueError):
         pl_genus_lower_bound(nk_profile(1), subset=[])
-
-
-def test_pl_genus_bound_shift_invariance():
-    p = nk_profile(4)
-    for c in (Fraction(7), Fraction(-5, 3)):
-        shifted = TauProfile(tau={s: v + c for s, v in p.tau.items()}, ell=p.ell)
-        d0 = d_zero_subset(L92)
-        assert pl_genus_lower_bound(shifted, d0) == pl_genus_lower_bound(p, d0)
 
 
 def test_genus_bounds_check():
@@ -285,8 +286,8 @@ def test_genus_bounds_check():
     # a genus-g surface from the unknot must absorb the whole tau spread
     for d in range(1, 6):
         p = l2d_profile(d)
-        hi = max(p.tau.values())
-        lo = min(p.tau[s] for s in d_zero_subset(L41))
+        hi = max(p.tau_at(s) for s in p)
+        lo = min(p.tau_at(s) for s in d_zero_subset(L41))
         g = (hi - lo + 1) // 2
         assert genus_bounds_check(hi - lo, 0, g, 1, 1, unlink=False).verdict == (
             SATISFIED if g >= hi - lo else VIOLATED
@@ -305,7 +306,7 @@ def test_adjunction_bound():
         # window width is twice the filtered degree g + ell - |F|
         lower = upper - 2 * (genus + 3 * d - (2 * d + 1))
         assert lower == Fraction(d * (d - 1), 2)
-        value = nk_profile(3 * d).tau[class_of(L92, (3, 0))]
+        value = nk_profile(3 * d).tau_at(class_of(L92, (3, 0)))
         assert lower <= value <= upper
 
 

@@ -425,6 +425,35 @@ def test_chain_d_invariants_match_lens_space_recursion():
         assert got == Counter(-_lens_d(p, q, i) for i in range(p)), weights
 
 
+def test_sum_of_d_matches_the_tree_formula():
+    # Summed over the classes, d has a closed form in Q alone (the
+    # Casson-Walker invariant of an L-space, Lescop's formula on the graph):
+    #   sum_s d(s) = (p/12)(sum e_v + 3|V| + sum (2 - deg v)(Q^-1)_vv),  p = |det Q|.
+    # A bad vertex (degree > -weight) lets reduced Floer homology in, and
+    # the sum then falls short of the formula by an even integer.
+    rng = random.Random(property_seed())
+    good = bad = short = 0
+    while good + bad < 400:
+        tree = random_tree(rng, rng.randint(1, 6), -7, -1)
+        f = form_from_tree(tree)
+        weights = [w for _, w in tree.vertices]
+        if not f.negative_definite or prod(-w for w in weights) > plumbing.MAX_BOX:
+            continue
+        a, p = f.qinv
+        degrees = [tree.degree(v) for v, _ in tree.vertices]
+        total = sum(Fraction(s.d_num, 4 * p) for s in spinc_classes(f))
+        diagonal = sum(Fraction((2 - deg) * a[i][i], p) for i, deg in enumerate(degrees))
+        gap = total - Fraction(p, 12) * (sum(weights) + 3 * len(weights) + diagonal)
+        if any(deg > -w for deg, w in zip(degrees, weights)):
+            bad += 1
+            short += gap != 0
+            assert gap.denominator == 1 and gap % 2 == 0 and gap <= 0, (tree, gap)
+        else:
+            good += 1
+            assert gap == 0, (tree, gap)
+    assert good >= 100 and bad >= 10 and short >= 1, (good, bad, short)
+
+
 def test_class_lookup_meets_the_indexed_class():
     # on a fresh form, class_of meets the box's heads and tails at one key and
     # at its conjugate: each class, reached from rep + 2Qx for an arbitrary x,

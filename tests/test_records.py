@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from plumbtau.linalg import SingularMatrixError
-from plumbtau.obstruct import MetaboliserCandidate, TauProfile, Verdict
+from plumbtau.obstruct import MetaboliserCandidate, Verdict
 from plumbtau.paper import form_41, form_92
 from plumbtau.plumbing import IntersectionForm, PlumbingTree, SpincClass, spinc_classes
 from plumbtau.surgery import (
@@ -133,16 +133,6 @@ RECORDS = [
              "a bounding curve has at least one boundary circle"),
             ({"chi": 3, "chern": 0, "self_int": 0, "boundary": 2},
              "Euler characteristic cannot exceed boundary count"),
-        ],
-    ),
-    row(
-        TauProfile,
-        ({S1: Fraction(1, 2)}, 1),
-        {"tau": {S1: Fraction(1, 2)}, "ell": 1},
-        [
-            ({"tau": {}, "ell": -1}, "component count must be non-negative"),
-            ({"tau": {S1.rep: 0}, "ell": 1}, "profile keys must be spin-c classes"),
-            ({"tau": {S1: 0.5}, "ell": 1}, "profile values must be exact rationals"),
         ],
     ),
     row(

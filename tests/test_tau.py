@@ -1,7 +1,9 @@
+import ast
 import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,9 +16,9 @@ from conftest import (
     sigma_square,
     tau,
     tau_detail,
+    tau_table,
 )
 from plumbtau import linalg
-from plumbtau.obstruct import profile_from_link
 from plumbtau.paper import form_41, form_92
 from plumbtau.plumbing import (
     PlumbingTree,
@@ -26,7 +28,7 @@ from plumbtau.plumbing import (
     spinc_classes,
     spinc_translate,
 )
-from plumbtau.tau import LeafLink, d_zero_subset, leaf_link, tau_table
+from plumbtau.tau import LeafLink, TauProfile, d_zero_subset, leaf_link
 
 L41, L92 = form_41(), form_92()
 
@@ -194,9 +196,16 @@ def test_profile_takes_no_pairing(monkeypatch):
             calls[_name] += 1
             return _f(*args)
         monkeypatch.setattr(linalg, name, counted)
-    profile = profile_from_link(f, leaf_link(f, {"v1": 2, "v4": 1}))
-    assert len(profile.tau) == 55
-    assert calls == {"inverse": 1}
+    row = TauProfile.row
+
+    def counted_row(self, s):
+        calls["row"] += 1
+        return row(self, s)
+
+    monkeypatch.setattr(TauProfile, "row", counted_row)
+    profile = TauProfile(f, leaf_link(f, {"v1": 2, "v4": 1}))
+    assert len([profile.tau_at(s) for s in profile]) == 55
+    assert calls == {"inverse": 1, "row": 55}
 
 
 def test_tau_of_a_leaf_fibre_from_d():
@@ -230,3 +239,21 @@ def test_tau_of_a_leaf_fibre_from_d():
                     assert gap >= 0 and gap.denominator == 1, (tree, v, ell, s.rep, gap)
         seen["chain" if k < 60 else "star"] += len(classes)
     assert seen["chain"] > 2000 and seen["star"] > 2000, seen
+
+
+def test_readme_library_block_runs():
+    # the README's Library example runs as shown, and each expression line
+    # gives the value its comment states
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace, shown = {}, []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            comment = lines[node.lineno - 1].split("#", 1)[1]
+            assert repr(value) in comment, (value, comment)
+            shown.append(value)
+        else:
+            exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), namespace)
+    assert shown == [["2", "1", "0"], 9, "fires"]
