@@ -16,9 +16,10 @@ is a subgroup of order sqrt(|H_1|) on which the linking form
 lambda(a, b) = -a^T Q^{-1} b mod Z vanishes.  The candidates are found by
 one search that joins one element at a time and visits only isotropic
 subgroups of order at most sqrt(|H_1|); it is exhaustive because every
-subgroup of a metaboliser is isotropic too.  ``metaboliser_candidates(f)``
-runs it, and ``metaboliser_obstruction(profile, s, candidates)`` takes its
-result; the CLI walks the short box in between when there are candidates.
+subgroup of a metaboliser is isotropic too, and it reaches each subgroup
+once, along its greedy generators.  ``metaboliser_candidates(f)`` runs it,
+and ``metaboliser_obstruction(profile, s, candidates)`` takes its result;
+the CLI walks the short box in between when there are candidates.
 """
 
 from __future__ import annotations
@@ -40,9 +41,11 @@ SATISFIED = "satisfied"
 VIOLATED = "violated"
 
 # Work limit of the metaboliser search, whose cost is exponential in the
-# 2-rank of H_1.  A step is a linking-form pairing test or a subgroup join,
-# about 11-13 us each on a Xeon server core, so a search that reaches the
-# limit stops in 1.1-1.3 s.  Past it the search raises ValueError (exit 3).
+# 2-rank of H_1; past it the search raises ValueError (exit 3).  A step is a
+# linking-form pairing test or a subgroup join.  The (-6; -2 x 10) star hits
+# the limit in 0.11-0.18 s in-process and exits 3 after 0.21-0.31 s of CLI
+# wall time; (-5; -2 x 8) answers in 98,852 steps and 0.75-0.83 s in-process
+# (5 runs each, shared two-core Xeon, Python 3.11).
 MAX_SEARCH_STEPS = 100_000
 
 
@@ -215,44 +218,39 @@ def metaboliser_candidates(f: IntersectionForm) -> list[MetaboliserCandidate]:
         step()
         return sum(map(operator.mul, lifts[r], images[t])) % p == 0
 
-    # Isotropy passes to subgroups, so a metaboliser G is reached from {0}
-    # by joining one element at a time through isotropic subgroups of G,
-    # none of order above |G|: visiting only those keeps the search
-    # exhaustive.  Each subgroup H carries the elements g with lambda(g, g)
-    # and every lambda(g, h), h in H, integral; only they may join H, and
-    # H + <g> keeps those of them that also pair integrally with g.
+    # Each isotropic subgroup K is reached once, along its greedy generators
+    # g_i = min(K \ <g_1, ..., g_{i-1}>): H + <g> is kept only when g is its
+    # least element outside H, and then only elements above g may join.
+    # K's chain <g_1> < <g_1, g_2> < ... < K is kept: each link is isotropic
+    # of order at most |K|, its list is a prefix of K's, and g_{i+1} > g_i.
+    # No other path is: an element of K below the next generator would be
+    # the least new one at a later join, below that join's own generator.
+    # The elements that may join pair integrally with every generator.
     zero = frozenset({tuple(0 for _ in diag)})
-    found = {zero}
-    frontier = [(zero, [g for g in lifts if integral(g, g)])]
+    found = []
+    frontier = [(zero, (), sorted(g for g in lifts if integral(g, g)))]
     while frontier:
-        h, allowed = frontier.pop()
-        for g in allowed:
+        h, gens, allowed = frontier.pop()
+        if len(h) == root:
+            found.append((tuple(sorted(h)), gens))
+            continue
+        for i, g in enumerate(allowed):
             if g in h:
                 continue
             step()
             k = _join(diag, h, g)
-            if len(k) <= root and k not in found:
-                found.add(k)
-                frontier.append((k, [x for x in allowed if integral(x, g)]))
-
-    out = []
-    for group in sorted((h for h in found if len(h) == root), key=sorted):
-        residues = tuple(sorted(group))
-        gens: list[tuple[int, ...]] = []
-        closed = zero
-        for r in residues:
-            if r not in closed:
-                gens.append(r)
-                closed = _join(diag, closed, r)
-        out.append(
-            MetaboliserCandidate(
-                generators=tuple(lifts[r] for r in gens),
-                order=root,
-                elements=tuple(lifts[r] for r in residues),
-                residues=residues,
-            )
+            if len(k) <= root and min(k - h) == g:
+                above = [x for x in allowed[i + 1 :] if integral(x, g)]
+                frontier.append((k, gens + (g,), above))
+    return [
+        MetaboliserCandidate(
+            generators=tuple(lifts[r] for r in gens),
+            order=root,
+            elements=tuple(lifts[r] for r in residues),
+            residues=residues,
         )
-    return out
+        for residues, gens in sorted(found)
+    ]
 
 
 def metaboliser_obstruction(

@@ -190,6 +190,22 @@ def random_tree(rng, n, low, high):
     return PlumbingTree(vertices=tuple(zip(ids, weights)), edges=edges)
 
 
+def lens_chain(p: int, q: int) -> PlumbingTree:
+    """The chain -a_1, ..., -a_n, ids v1..vn, with p/q = [a_1, ..., a_n]^-.
+
+    [a_1, ..., a_n]^- = a_1 - 1/(a_2 - 1/(... - 1/a_n)) with every a_i >= 2,
+    taken with a_i = ceil of the remaining fraction; the chain bounds -L(p, q).
+    """
+    if not 0 < q < p or math.gcd(p, q) != 1:
+        raise ValueError(f"L({p}, {q}) needs 0 < q < p coprime")
+    weights = []
+    while q:
+        a = -(-p // q)
+        weights.append(-a)
+        p, q = q, a * q - p
+    return PlumbingTree.path(*weights)
+
+
 def sigma_square(f, link) -> Fraction:
     """Self-pairing m^T Q^{-1} m of the fibre multiplicity vector."""
     return linalg.pair(f.qinv, link.m, link.m)

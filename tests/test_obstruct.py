@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from conftest import (
+    _close_subgroup,
     adjunction_bound,
     closure_metaboliser_candidates,
     det,
@@ -27,6 +28,7 @@ from plumbtau.obstruct import (
     SATISFIED,
     VIOLATED,
     TauProfile,
+    _h1_decomposition,
     concordance_obstruction,
     conjugation_obstruction,
     integrality_obstruction,
@@ -224,6 +226,36 @@ def test_metaboliser_search_on_order_144():
     assert cand.order == 12 and len(set(cand.residues)) == 12
     for a, b in itertools.combinations_with_replacement(cand.elements, 2):
         assert linalg.pair(f.qinv, a, b).denominator == 1
+
+
+def test_metaboliser_search_on_order_256():
+    # the (-5; -2 x 8) star: |H_1| = 256 with 2-rank 8 has 135 metabolisers,
+    # each reached once along its greedy generators within MAX_SEARCH_STEPS;
+    # the generators are checked against a greedy walk by closures
+    f = star(-5, *[-2] * 8)
+    cands = metaboliser_candidates(f)
+    assert len(cands) == 135 and {c.order for c in cands} == {16}
+    assert [c.residues for c in cands] == sorted(c.residues for c in cands)
+    assert len({frozenset(c.residues) for c in cands}) == 135
+    diag, s, _ = _h1_decomposition(f)
+
+    def residue(v):  # h1_residues(f, v) with one Smith form
+        return tuple(sum(a * x for a, x in zip(row, v)) % m for row, m in zip(s, diag))
+
+    rng = random.Random(property_seed())
+    for cand in cands:
+        assert list(cand.residues) == sorted(set(cand.residues))
+        assert [residue(e) for e in cand.elements] == list(cand.residues)
+        greedy, closed = [], frozenset({cand.residues[0]})
+        for r in cand.residues:
+            if r not in closed:
+                greedy.append(r)
+                closed = _close_subgroup(diag, closed | {r})
+        assert closed == frozenset(cand.residues)
+        assert [residue(g) for g in cand.generators] == greedy
+        for a, b in (rng.sample(cand.elements, 2) for _ in range(4)):
+            assert linalg.pair(f.qinv, a, b).denominator == 1
+            assert linalg.pair(f.qinv, a, a).denominator == 1
 
 
 def test_metaboliser_obstruction_nk():

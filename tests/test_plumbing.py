@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -12,6 +13,7 @@ from conftest import (
     fraction_classes,
     in_image_of,
     is_negative_definite,
+    lens_chain,
     mat_vec,
     property_seed,
     random_tree,
@@ -452,6 +454,36 @@ def test_sum_of_d_matches_the_tree_formula():
             good += 1
             assert gap == 0, (tree, gap)
     assert good >= 100 and bad >= 10 and short >= 1, (good, bad, short)
+
+
+def _sawtooth(x: Fraction) -> Fraction:
+    """((x)) = x - floor(x) - 1/2, and 0 at the integers."""
+    return Fraction(0) if x.denominator == 1 else x - math.floor(x) - Fraction(1, 2)
+
+
+def test_sum_of_d_on_chains_is_a_dedekind_sum():
+    # On the chain of p/q, which bounds -L(p, q), the sum of d over the
+    # classes is -p * s(q, p), with the Dedekind sum
+    #   s(q, p) = sum_{i=1}^{p-1} ((i/p)) ((q i/p)):
+    # every lens space with p < 40 whose box is within MAX_BOX
+    checked = skipped = 0
+    for p in range(2, 40):
+        for q in range(1, p):
+            if math.gcd(p, q) != 1:
+                continue
+            tree = lens_chain(p, q)
+            if prod(-w for _, w in tree.vertices) > plumbing.MAX_BOX:
+                skipped += 1
+                continue
+            f = form_from_tree(tree)
+            assert f.qinv[1] == p, (p, q)
+            total = sum(Fraction(s.d_num, 4 * p) for s in spinc_classes(f))
+            dedekind = sum(
+                _sawtooth(Fraction(i, p)) * _sawtooth(Fraction(q * i, p)) for i in range(1, p)
+            )
+            assert total == -p * dedekind, (p, q, total, dedekind)
+            checked += 1
+    assert checked >= 400 and checked + skipped == 473, (checked, skipped)
 
 
 def test_class_lookup_meets_the_indexed_class():
