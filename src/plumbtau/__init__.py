@@ -14,10 +14,20 @@ Subpackages:
 - ``obstruct``: decision procedures obstructing links from bounding
   holomorphic curves in Stein fillings.
 - ``paper``: the paper's examples in L(9,2) and L(4,1) and their golden tables.
-- ``cli``: JSON front end and regression tables.
+- ``cli``: JSON front end and regression tables; the handlers of
+  ``surgery`` and ``tau-qp`` (``cli_surgery``), ``floer`` (``cli_floer``),
+  ``obstruct`` (``cli_obstruct``) and ``paper-examples`` (``cli_paper``),
+  and the help and ``--format table`` code (``cli_help``), are modules of
+  their own.
 
 ``import plumbtau`` loads none of them: ``plumbtau.<layer>`` imports the
-layer on first use, so a CLI call loads only the layers its subcommand reads.
+layer on first use, so a CLI call loads only the layers its subcommand reads
+and, of the ``cli_*`` modules, only the one that runs it.  Where no ``.pyc``
+can be written, each module a call loads is compiled from source, so a
+``spinc`` or ``dinv`` call compiles ``cli``, ``plumbing`` and ``linalg``
+alone, and ``tau`` also ``tau``.  ``fractions`` (with ``decimal`` and
+``numbers``) is imported by the functions that make a Fraction, which no
+``spinc``, ``dinv`` or ``tau`` call runs.
 
 The package's records are NamedTuples or plain classes, never dataclasses:
 ``dataclasses`` imports ``inspect`` (and through it ``ast``, ``dis`` and

@@ -19,6 +19,18 @@ give it, so it neither imports nor builds argparse.  Every other call (help,
 an error, an abbreviated flag) goes to ``build_parser``, the argparse parser
 of every row, which prints the help and the errors.
 
+This module holds what every call runs: the reader and ``SCHEMA``, the
+argument table, the JSON writer, ``main``, and the ``tau``, ``dinv`` and
+``spinc`` handlers.  Every other handler is a module of its own
+(``cli_surgery`` for ``surgery`` and ``tau-qp``, ``cli_floer``,
+``cli_obstruct``, ``cli_paper``), and the help and ``--format table`` code
+is ``cli_help``; each is imported, and compiled where no ``.pyc`` can be
+written, only by the calls that run it.  They read the document and the
+form through this module (``cli.load_document``, ``cli.build_form``), so a
+wrapper bound to one of those names sees every call.  ``python -m
+plumbtau.cli`` runs the ``main`` of ``plumbtau.cli``, not of ``__main__``,
+so that it catches the exceptions those modules raise.
+
 Exit codes: 0 success, 2 malformed input (schema), 3 mathematical
 precondition failure or a work limit exceeded, 4 regenerated golden table
 differs from the committed fixture, 5 internal error.
@@ -44,7 +56,6 @@ from . import EXAMPLE_NAMES
 if TYPE_CHECKING:
     import argparse
 
-    from . import surgery
     from .plumbing import IntersectionForm
     from .tau import LeafLink
 
@@ -232,48 +243,6 @@ def build_link(doc: dict, f: IntersectionForm) -> LeafLink:
         return leaf_link(f, node)
 
 
-def build_presentation(doc: dict) -> surgery.SurgeryPresentation:
-    from . import linalg, surgery
-
-    node = _value(doc, "surgery")
-    raw, linking, vectors = _fields(node, "surgery", "components", "linking", "link_components")
-    components = []
-    for c in raw:
-        kind, tb, rot = _fields(c, "surgery.components", "kind", "tb", "rot")
-        with _named("surgery.components"):
-            components.append(surgery.SurgeryComponent(kind=kind, tb=tb, rot=rot))
-    try:
-        return surgery.SurgeryPresentation(
-            components=tuple(components),
-            linking=tuple(tuple(row) for row in linking),
-            link_vectors=tuple(tuple(v) for v in vectors),
-        )
-    except linalg.SingularMatrixError:
-        raise ValueError("surgery.linking: surgery matrix is singular")
-    except ValueError as e:
-        raise SchemaError(f"surgery: {e}")
-
-
-def build_braid(doc: dict) -> surgery.BraidDatum:
-    from . import surgery
-
-    # with no surgery object, the braid is what is missing
-    node = {} if doc.get("surgery") is None else _value(doc, "surgery")
-    braid = _value(node, "surgery.braid")
-    strands, writhe, components = _fields(braid, "surgery.braid", *BRAID)
-    with _named("surgery.braid", ValueError):
-        return surgery.BraidDatum(strands, writhe, components)
-
-
-def build_floer(doc: dict):
-    from .floer import parse_complex
-
-    lines = _value(doc, "floer_complex")
-    basepoints = _value(doc, "basepoints")
-    with _named("floer_complex"):
-        return parse_complex(lines, basepoints=basepoints)
-
-
 def _parse_rep_text(text: str, field: str) -> list[int]:
     """The integers of a representative such as ``-3,0``, ``[ -3, 0 ]`` or ``(66,)``.
 
@@ -307,13 +276,6 @@ def select_classes(f: IntersectionForm, doc: dict, flag: Optional[str], default:
 
     with _named(field, ValueError):
         return [class_of(f, rep) for rep in sel]
-
-
-def _one_class(f: IntersectionForm, doc: dict, check: str):
-    classes = select_classes(f, doc, None, None)
-    if len(classes) != 1:
-        raise SchemaError(f"subset: the {check} check needs exactly one spin-c class")
-    return classes[0]
 
 
 # --- subcommand handlers ---------------------------------------------------
@@ -370,196 +332,36 @@ def run_spinc(args) -> dict:
     return {"command": "spinc", "order": f.qinv[1], "classes": rows}
 
 
-def run_surgery(args) -> dict:
-    from . import surgery
+# Each of these handlers, with what only it reads, is its own module,
+# compiled only when the subcommand runs.
 
-    doc = load_document(args.input)
-    p = build_presentation(doc)
-    if args.what == "self-int":
-        value = surgery.self_intersection(p)
-    elif args.what == "chern":
-        value = surgery.chern_evaluation(p)
-    elif args.what == "sl":
-        b = build_braid(doc)
-        value = surgery.self_linking_shift(surgery.self_linking_braid(b), p)
-    else:  # tau-curve
-        b = build_braid(doc)
-        curve = surgery.CurveDatum(
-            chi=surgery.bennequin_euler(b.strands, b.writhe),
-            chern=surgery.chern_evaluation(p),
-            self_int=surgery.self_intersection(p),
-            boundary=b.components,
-        )
-        value = surgery.tau_from_curve(curve)
-    with _printing():
-        return {"command": "surgery", "what": args.what, "value": str(value)}
+
+def run_surgery(args) -> dict:
+    from .cli_surgery import run_surgery
+    return run_surgery(args)
 
 
 def run_tau_qp(args) -> dict:
-    from . import surgery
-
-    with _named("braid", ValueError):
-        b = surgery.BraidDatum(args.strands, args.writhe, args.components)
-        # the closure of n strands and l components has writhe congruent to n - l mod 2,
-        # and a quasi-positive one has writhe >= n - l
-        floor = b.strands - b.components
-        if (b.writhe - floor) % 2:
-            raise ValueError(
-                f"writhe {b.writhe} and strands - components = {floor} differ in parity,"
-                " which no braid closure has"
-            )
-        if b.writhe < floor:
-            raise ValueError(
-                f"writhe {b.writhe} is below strands - components = {floor},"
-                " which no quasi-positive closure has"
-            )
-    tau = surgery.tau_qp_braid(b)
-    with _printing():
-        return {
-            "command": "tau-qp",
-            "strands": b.strands,
-            "writhe": b.writhe,
-            "components": b.components,
-            "tau": str(tau),
-        }
+    from .cli_surgery import run_tau_qp
+    return run_tau_qp(args)
 
 
 def run_floer(args) -> dict:
-    from . import floer
-
-    doc = load_document(args.input)
-    c, filt = build_floer(doc)
-    # past floer.MAX_WORK every question, verify too, exits 3 with the counts
-    with _named("floer_complex", ValueError):
-        if args.what == "verify":
-            report = floer.verify_axioms(c)
-            return {
-                "command": "floer",
-                "what": "verify",
-                "ok": report.ok,
-                "failures": list(report.failures),
-            }
-        if args.what == "d":
-            value = floer.correction_term(c)
-        elif args.what == "tau-top":
-            value = floer.tau_top(c, filt)
-        else:  # tau-bot
-            value = floer.tau_bot(c, filt)
-    return {"command": "floer", "what": args.what, "value": str(value)}
+    from .cli_floer import run_floer
+    return run_floer(args)
 
 
 def run_obstruct(args) -> dict:
-    from . import obstruct
-
-    doc = load_document(args.input)
-    f = build_form(doc)
-    link = build_link(doc, f)
-    profile = obstruct.TauProfile(f, link)
-    check = args.check
-    if check == "pl-genus":
-        classes = select_classes(f, doc, None, "d0")
-        bound = obstruct.pl_genus_lower_bound(profile, classes)
-        with _printing():
-            return {
-                "command": "obstruct",
-                "check": "pl_genus",
-                "genus": bound.genus,
-                "raw": str(bound.raw),
-            }
-    if check == "concordance":
-        verdict = obstruct.concordance_obstruction(profile, select_classes(f, doc, None, "d0"))
-    elif check == "metaboliser":
-        # search first, and walk the box only when there are candidates: the
-        # walk keys the class and all its translates, read from the index, not
-        # met; a class the subset names badly is refused all the same before
-        # a search past its limit
-        from .plumbing import spinc_classes
-
-        try:
-            candidates = obstruct.metaboliser_candidates(f)
-            if candidates:
-                spinc_classes(f)
-        except ValueError:
-            _one_class(f, doc, check)
-            raise
-        verdict = obstruct.metaboliser_obstruction(profile, _one_class(f, doc, check), candidates)
-    else:
-        # every other check reads one class, checked before the braid
-        s = _one_class(f, doc, check)
-        if check == "slice-bennequin":
-            from . import surgery
-
-            b = build_braid(doc)
-            sl = surgery.self_linking_shift(surgery.self_linking_braid(b), build_presentation(doc))
-            verdict = obstruct.slice_bennequin_check(sl, profile.tau_at(s), link.ell)
-        elif check == "conjugation":
-            verdict = obstruct.conjugation_obstruction(profile, s)
-        else:  # integrality
-            verdict = obstruct.integrality_obstruction(profile.tau_at(s))
-    with _printing():
-        return {"command": "obstruct", **verdict.to_json()}
-
-
-# --- golden tables ---------------------------------------------------------
+    from .cli_obstruct import run_obstruct
+    return run_obstruct(args)
 
 
 def run_paper_examples(args) -> dict:
-    from . import paper
-
-    names = [args.example] if args.example else list(EXAMPLE_NAMES)
-    tables = {}
-    for name in names:
-        generated = paper.GOLDEN_GENERATORS[name]()
-        if generated != paper.committed_fixture(name):
-            raise GoldenMismatchError(
-                f"paper-examples: {name}: regenerated table differs from the committed fixture"
-            )
-        tables[name] = generated
-    return {"command": "paper-examples", "ok": True, "examples": tables}
+    from .cli_paper import run_paper_examples
+    return run_paper_examples(args)
 
 
 # --- output rendering ------------------------------------------------------
-
-
-def _cell(value) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, list):
-        return ",".join(_cell(x) for x in value) if value else "-"
-    return str(value)
-
-
-def _is_row_table(value) -> bool:
-    return (
-        isinstance(value, list)
-        and bool(value)
-        and all(isinstance(x, dict) for x in value)
-        and all(list(x) == list(value[0]) for x in value)
-    )
-
-
-def _emit_block(mapping: dict, indent: int, out: list):
-    pad = "  " * indent
-    for key, value in mapping.items():
-        if isinstance(value, dict):
-            out.append(f"{pad}{key}:")
-            _emit_block(value, indent + 1, out)
-        elif _is_row_table(value):
-            out.append(f"{pad}{key}:")
-            headers = list(value[0])
-            rows = [[_cell(r[h]) for h in headers] for r in value]
-            widths = [
-                max(len(h), max(len(row[i]) for row in rows))
-                for i, h in enumerate(headers)
-            ]
-            body = [headers] + rows
-            for line in body:
-                cells = (c.ljust(w) for c, w in zip(line, widths))
-                out.append((pad + "  " + "  ".join(cells)).rstrip())
-        else:
-            out.append(f"{pad}{key}: {_cell(value)}")
 
 
 # The text of each value whose class is exactly one of these, as json writes it
@@ -639,9 +441,8 @@ def _json(value, pad: str) -> str:
 def render(doc: dict, fmt: str) -> str:
     if fmt == "json":
         return _json(doc, "") + "\n"
-    out: list = []
-    _emit_block(doc, 0, out)
-    return "\n".join(out) + "\n"
+    from .cli_help import table_text
+    return table_text(doc)
 
 
 # --- argument parsing ------------------------------------------------------
@@ -686,21 +487,8 @@ def _table() -> dict:
 
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, which prints the help and the errors."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="plumbtau",
-        description="Exact tau-invariants and Stein-filling obstructions "
-        "for links in negative-definite plumbed rational homology spheres.",
-    )
-    # with prog given, argparse does not format the top usage line to derive it
-    sub = parser.add_subparsers(dest="command", required=True, prog="plumbtau")
-    for name, (handler, text, *specs) in _table().items():
-        p = sub.add_parser(name, help=text)
-        for flags, options in specs:
-            p.add_argument(*flags, **options)
-        p.set_defaults(handler=handler)
-    return parser
+    from .cli_help import build_parser
+    return build_parser()
 
 
 def _read_args(argv: list) -> Optional[SimpleNamespace]:
@@ -780,4 +568,9 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # run as ``python -m plumbtau.cli`` this file is ``__main__``, a second
+    # module beside the ``plumbtau.cli`` that the handler modules import and
+    # whose exception classes they raise: run that module's main
+    from .cli import main as package_main
+
+    sys.exit(package_main())

@@ -9,8 +9,11 @@ small symmetric forms this package works with.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
+
+# fractions is imported where a Fraction is made: see the note in plumbing
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Vector = Sequence[int]
 IntMatrix = Sequence[Sequence[int]]
@@ -69,6 +72,8 @@ def inverse(m: IntMatrix) -> Inverse:
 
 def pair(inv: Inverse, u: Vector, v: Vector) -> Fraction:
     """The bilinear pairing u^T m^{-1} v = (u^T a v) / p for inv = (a, p), exact."""
+    import fractions
+
     a, p = inv
     n = len(a)
     if len(u) != n or len(v) != n or any(len(row) != n for row in a):
@@ -77,7 +82,7 @@ def pair(inv: Inverse, u: Vector, v: Vector) -> Fraction:
     for ui, row in zip(u, a):
         if ui:
             total += ui * sum(x * y for x, y in zip(row, v))
-    return Fraction(total, p)
+    return fractions.Fraction(total, p)
 
 
 def smith_normal_form(m: IntMatrix):

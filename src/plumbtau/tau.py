@@ -24,15 +24,18 @@ that integer numerator over 2p and makes the Fraction only when asked.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 from operator import mul
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .plumbing import (
     IntersectionForm,
     SpincClass,
     spinc_classes,
 )
+
+# fractions is imported where a Fraction is made: see the note in plumbing
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class _LinkFields(NamedTuple):
@@ -105,7 +108,9 @@ class TauProfile:
         return value
 
     def tau_at(self, s: SpincClass) -> Fraction:
-        return Fraction(self.num(s), self.den)
+        import fractions
+
+        return fractions.Fraction(self.num(s), self.den)
 
     def __iter__(self) -> Iterator[SpincClass]:
         return iter(spinc_classes(self.form))

@@ -1,11 +1,16 @@
+import importlib
 import itertools
 import math
 import os
+import pkgutil
 import random
+import sys
+import types
 from fractions import Fraction
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
+import plumbtau
 from plumbtau import linalg
 from plumbtau.floer import (
     AlexanderFiltration,
@@ -31,6 +36,32 @@ DEFAULT_SEED = 20260814
 def property_seed() -> int:
     """Seed for randomized suites; override with the PLUMBTAU_SEED env var."""
     return int(os.environ.get("PLUMBTAU_SEED", DEFAULT_SEED))
+
+
+def count_fractions(monkeypatch) -> list:
+    """The arguments of each Fraction the package makes from now on in the test.
+
+    The package imports fractions in each function that makes a Fraction,
+    so that ``import fractions`` reads ``sys.modules`` at call time; a
+    stand-in module there hands out the counter as ``Fraction``.  The real
+    module is left as it is: ``Fraction.__new__`` reads its own class from
+    it (``super(Fraction, cls)``), so a counter there would break every
+    other Fraction, the test's own included.  A package module first
+    imported while the stand-in is in place would keep the counter as its
+    ``Fraction`` for the rest of the session, so every one is imported first.
+    """
+    for module in pkgutil.iter_modules(plumbtau.__path__):
+        importlib.import_module(f"plumbtau.{module.name}")
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    stand_in = types.ModuleType("fractions")
+    stand_in.Fraction = counted
+    monkeypatch.setitem(sys.modules, "fractions", stand_in)
+    return made
 
 
 def mat_mul(a, b):

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import hashlib
+import importlib
 import inspect
 import io
 import json
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import plumbtau
-from conftest import property_seed, random_tree
+from conftest import count_fractions, property_seed, random_tree
 from plumbtau import cli, floer, obstruct, paper, plumbing
 from plumbtau.cli import main
 
@@ -77,17 +78,11 @@ def test_tau_prints_one_row_per_selected_class(tmp_path, capsys):
 
 def test_tau_table_builds_no_fraction(tmp_path, capsys, monkeypatch):
     # a tau row is an integer over 2|det Q|, written with one gcd: CLI tau
-    # builds no Fraction in tau, and writes what str of TauProfile.tau_at writes
+    # builds no Fraction, and writes what str of TauProfile.tau_at writes
     from plumbtau import tau
     from plumbtau.plumbing import form_from_tree, spinc_classes
 
-    made = []
-
-    def counted(*args):
-        made.append(args)
-        return Fraction(*args)
-
-    monkeypatch.setattr(tau, "Fraction", counted)
+    made = count_fractions(monkeypatch)
     rng = random.Random(property_seed())
     tables = 0
     while tables < 30:
@@ -1093,30 +1088,43 @@ def _layers(*names):
     return {f"plumbtau.{name}" for name in names}
 
 
-def _absent(*names, also=()):
-    # no call builds its records with dataclasses, which imports inspect, and
-    # no well-formed argv builds the argparse parser
-    return _layers(*names) | {"dataclasses", "inspect", "argparse", *also}
+# the handler modules beside cli, each loaded only by the calls that run it
+HANDLERS = ("cli_surgery", "cli_floer", "cli_obstruct", "cli_paper")
+# a call that makes no Fraction imports none of fractions, decimal and numbers
+NO_FRACTION = ("fractions", "decimal", "numbers")
+
+
+def _absent(*names, runs=(), also=()):
+    # no call builds its records with dataclasses, which imports inspect, no
+    # well-formed argv builds the argparse parser, no JSON call loads the help
+    # and table module, and no call loads a handler module it does not run
+    handlers = [name for name in HANDLERS if name not in runs]
+    return _layers(*names, "cli_help", *handlers) | {"dataclasses", "inspect", "argparse", *also}
 
 
 @pytest.mark.parametrize(
     "argv, doc, absent",
     [
         (FLOER_D, {"floer_complex": STAIRCASE},
-         _absent("plumbing", "tau", "surgery", "obstruct", "paper", "linalg", also=["fractions"])),
+         _absent("plumbing", "tau", "surgery", "obstruct", "paper", "linalg", runs=["cli_floer"],
+                 also=NO_FRACTION)),
         (["tau-qp", "--strands", "2", "--writhe", "3", "--components", "1"], {},
-         _absent("plumbing", "tau", "floer", "obstruct", "paper")),
-        (DINV, {"plumbing": L92_PLUMBING}, _absent("floer", "obstruct", "surgery", "paper")),
-        (["spinc"], {"plumbing": L92_PLUMBING}, _absent("floer", "obstruct", "surgery", "paper")),
+         _absent("plumbing", "tau", "floer", "obstruct", "paper", runs=["cli_surgery"])),
+        (DINV, {"plumbing": L92_PLUMBING},
+         _absent("floer", "obstruct", "surgery", "paper", also=NO_FRACTION)),
+        (["spinc"], {"plumbing": L92_PLUMBING},
+         _absent("floer", "obstruct", "surgery", "paper", also=NO_FRACTION)),
         (TAU, {"plumbing": L92_PLUMBING, "leaf_link": {"v1": 3}},
-         _absent("floer", "obstruct", "surgery", "paper")),
-        (SLICE, {**SLICE_DOC, "surgery": {"braid": BRAID}}, _absent("floer", "paper")),
+         _absent("floer", "obstruct", "surgery", "paper", also=NO_FRACTION)),
+        # slice-bennequin reads the presentation and the braid with the surgery builders
+        (SLICE, {**SLICE_DOC, "surgery": {"braid": BRAID}},
+         _absent("floer", "paper", runs=["cli_obstruct", "cli_surgery"])),
         (["obstruct", "--check", "metaboliser"],
          {"plumbing": L92_PLUMBING, "leaf_link": {"v1": 2}, "subset": [[3, 0]]},
-         _absent("floer", "surgery", "paper")),
+         _absent("floer", "surgery", "paper", runs=["cli_obstruct"])),
         (["surgery", "--what", "chern"], surgery_doc(1),
-         _absent("plumbing", "tau", "floer", "obstruct", "paper")),
-        (["paper-examples"], {}, _absent("floer")),
+         _absent("plumbing", "tau", "floer", "obstruct", "paper", runs=["cli_surgery"])),
+        (["paper-examples"], {}, _absent("floer", runs=["cli_paper"])),
     ],
 )
 def test_subcommand_loads_only_its_layers(argv, doc, absent):
@@ -1142,9 +1150,58 @@ def _loaded(argv, doc):
     ids=["help", "bad-choice"],
 )
 def test_help_and_errors_load_argparse(argv, rc):
-    # argparse prints every help and every error: only then is it imported
+    # argparse prints every help and every error: only then is it, and the
+    # module that builds the parser, imported
     code, modules = _loaded(argv, {})
-    assert code == rc and "argparse" in modules
+    assert code == rc and {"argparse", "plumbtau.cli_help"}.issubset(modules)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["surgery", "--what", "chern", "--input", "-"],
+        ["floer", "--what", "d", "--input", "-"],
+        ["obstruct", "--check", "integrality", "--input", "-"],
+        ["tau", "--inp", "-"],  # an abbreviated option goes through argparse
+    ],
+    ids=["surgery", "floer", "obstruct", "tau-argparse"],
+)
+def test_module_run_exits_2_on_a_malformed_document(argv):
+    # under ``python -m plumbtau.cli`` the handler modules raise the
+    # exceptions of plumbtau.cli, which main must catch as its own
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "plumbtau.cli", *argv],
+        input="{}", capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1
+    assert "internal error" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, doc, readers",
+    [
+        (SLICE, {**SLICE_DOC, "surgery": {"braid": BRAID}}, ("load_document", "build_form", "render")),
+        (["surgery", "--what", "sl"], surgery_doc(1, braid=BRAID), ("load_document", "render")),
+        (FLOER_D, {"floer_complex": STAIRCASE}, ("load_document", "render")),
+    ],
+)
+def test_handler_modules_read_through_cli(argv, doc, readers, tmp_path, capsys, monkeypatch):
+    # perfbench/spans.py times the shared readers by rebinding their names in
+    # cli, so a handler in a module of its own must call them through cli; each
+    # is imported first, so a name it bound on import would miss the counter
+    for name in HANDLERS:
+        importlib.import_module(f"plumbtau.{name}")
+    calls = Counter()
+    for name in ("load_document", "build_form", "render"):
+        def counted(*args, _name=name, _f=getattr(cli, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(cli, name, counted)
+    rc, _, err = run_cli(capsys, *argv, "--input", write_doc(tmp_path, doc))
+    assert rc == 0, err
+    assert calls == dict.fromkeys(readers, 1)
 
 
 def test_layers_load_on_first_access():

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     box_classes,
+    count_fractions,
     det,
     fraction_classes,
     in_image_of,
@@ -375,17 +376,11 @@ def test_box_walk_matches_the_image_oracle():
 
 def test_classes_build_no_fraction_until_d_is_read(monkeypatch):
     # a class holds d as an integer over 4|det Q|: definiteness, the walk, the
-    # meet, conjugation and the d = 0 subset build no Fraction through plumbing,
-    # and reading d builds one there
+    # meet, conjugation and the d = 0 subset build no Fraction, and reading d
+    # builds one
     from plumbtau.tau import d_zero_subset
 
-    made = []
-
-    def counted(*args):
-        made.append(args)
-        return Fraction(*args)
-
-    monkeypatch.setattr(plumbing, "Fraction", counted)
+    made = count_fractions(monkeypatch)
     rng = random.Random(property_seed())
     trees = [PlumbingTree.path(-5, -2), _star(-2, -2, -3, -5), _star(-50, *[-1] * 20)]
     trees += [random_tree(rng, rng.randint(1, 6), -6, -1) for _ in range(40)]
