@@ -37,7 +37,13 @@ NamedTuple of its fields plus a subclass whose ``__new__`` runs them, as
 ``floer.FloerComplex`` is; ``_replace`` and ``_make`` skip ``__new__``, so
 the package uses neither.  ``IntersectionForm`` and ``SpincClass``
 (``plumbing``) are plain classes, since their equality leaves fields out and
-the form caches its inverse.
+the form caches what it reads from its tree.
+
+A record's fields are its independent inputs, and what follows from them is
+a property: a form is its tree (``order``, ``q``, ``negative_definite``), a
+link its multiplicities (``ell``), a metaboliser candidate its elements
+(``order``) and a complex its gradings (``generators``).  No constructor
+takes a value it could work out, so none checks that two copies agree.
 """
 
 __version__ = "0.1.0"

@@ -46,7 +46,6 @@ MAX_WORK = 4_500_000
 
 
 class _FloerFields(NamedTuple):
-    generators: tuple[str, ...]
     gradings: Mapping[str, int]
     entries: Mapping[tuple[str, str], int]
     basepoints: int = 1
@@ -55,11 +54,13 @@ class _FloerFields(NamedTuple):
 class FloerComplex(_FloerFields):
     """Free graded complex over F2[U].
 
-    ``entries`` maps (x, y) to the exponent m of the monomial U^m with
-    which y appears in the differential of x.  ``basepoints`` is the
-    number of basepoints of the underlying link diagram; it only enters
-    through the expected rank 2^(basepoints - 1) of the homology and
-    the grading gap between the two distinguished classes.
+    ``gradings`` maps each generator's name to its grading, and its keys,
+    in their order, are the generators.  ``entries`` maps (x, y) to the
+    exponent m of the monomial U^m with which y appears in the
+    differential of x.  ``basepoints`` is the number of basepoints of the
+    underlying link diagram; it only enters through the expected rank
+    2^(basepoints - 1) of the homology and the grading gap between the
+    two distinguished classes.
 
     The constructor checks shape only.  The three chain-complex axioms
     are report-valued (``verify_axioms``) so that broken complexes can
@@ -68,29 +69,26 @@ class FloerComplex(_FloerFields):
 
     __slots__ = ()
 
-    def __new__(cls, generators: tuple[str, ...], gradings: Mapping[str, int],
-                entries: Mapping[tuple[str, str], int], basepoints: int = 1):
-        self = super().__new__(cls, generators, gradings, entries, basepoints)
-        gset = set(self.generators)
-        if len(gset) != len(self.generators):
-            raise ValueError("generator names must be unique")
-        for g in self.generators:
+    def __new__(cls, gradings: Mapping[str, int], entries: Mapping[tuple[str, str], int],
+                basepoints: int = 1):
+        self = super().__new__(cls, gradings, entries, basepoints)
+        for g in self.gradings:
             # one word, not empty and without whitespace
             if g.split() != [g]:
                 raise ValueError(f"bad generator name {g!r}")
-            if g not in self.gradings:
-                raise ValueError(f"generator {g!r} has no grading")
-        for key in self.gradings:
-            if key not in gset:
-                raise ValueError(f"grading for unknown generator {key!r}")
         for (x, y), m in self.entries.items():
-            if x not in gset or y not in gset:
+            if x not in self.gradings or y not in self.gradings:
                 raise ValueError(f"differential entry ({x!r},{y!r}) off the basis")
             if not isinstance(m, int) or m < 0:
                 raise ValueError(f"entry ({x!r},{y!r}) needs an integer U-power >= 0")
         if self.basepoints < 1:
             raise ValueError("basepoint count must be >= 1")
         return self
+
+    @property
+    def generators(self) -> tuple[str, ...]:
+        """The generator names, in the order of ``gradings``: a new tuple per read."""
+        return tuple(self.gradings)
 
     def grading_of_chain(self, chain: Iterable[str]) -> int:
         """Common grading of a homogeneous F2-chain of generators."""
@@ -111,7 +109,7 @@ class AlexanderFiltration(NamedTuple):
     levels: Mapping[str, int]
 
     def check(self, c: FloerComplex) -> None:
-        for g in c.generators:
+        for g in c.gradings:
             if g not in self.levels:
                 raise ValueError(f"generator {g!r} has no filtration level")
         for (x, y), m in c.entries.items():
@@ -142,7 +140,7 @@ def _require_size(c: FloerComplex) -> None:
     pivots.  Reading and checking the entries, and the d^2 masks, cost a
     few steps per entry, measured at about 16 units of n^2.
     """
-    n, e = len(c.generators), len(c.entries)
+    n, e = len(c.gradings), len(c.entries)
     work = n * n + 16 * e
     if work > MAX_WORK:
         raise ValueError(
@@ -167,7 +165,7 @@ def _rows(c: FloerComplex) -> tuple[list[str], list[int], list[int]]:
     target's grading, so the lowest bit of a row is its (m, name)-least entry.
     """
     gr = c.gradings
-    names = sorted(c.generators, key=lambda g: (gr[g], g))
+    names = sorted(gr, key=lambda g: (gr[g], g))
     index = {g: i for i, g in enumerate(names)}
     out, inn = [0] * len(names), [0] * len(names)
     for x, y in c.entries:
@@ -226,7 +224,7 @@ def verify_axioms(c: FloerComplex) -> AxiomReport:
         return AxiomReport(ok=False, failures=tuple(failures))
     failures = []
     # 2^power is built only while it could equal the rank, at most #generators
-    if power >= len(c.generators).bit_length():
+    if power >= len(c.gradings).bit_length():
         failures.append(f"rank: homology has {rank} towers, expected 2^{power}")
     elif rank != 2**power:
         failures.append(f"rank: homology has {rank} towers, expected {2**power}")
@@ -392,10 +390,10 @@ class _HatSlice:
 
     def __init__(self, c: FloerComplex, grading: int):
         gr = c.gradings
-        self.gens = sorted(g for g in c.generators if gr[g] == grading)
-        self.bit = {g: i for i, g in enumerate(c.generators)}
+        self.gens = sorted(g for g in gr if gr[g] == grading)
+        self.bit = {g: i for i, g in enumerate(gr)}
         self.images = dict.fromkeys(self.gens, 0)
-        above = dict.fromkeys(sorted(g for g in c.generators if gr[g] == grading + 1), 0)
+        above = dict.fromkeys(sorted(g for g in gr if gr[g] == grading + 1), 0)
         for (x, y), m in c.entries.items():
             if m:
                 continue
@@ -510,7 +508,6 @@ def parse_complex(
     lines: Iterable[str], basepoints: int = 1
 ) -> tuple[FloerComplex, AlexanderFiltration]:
     """Read "name gr A" generator lines and "x -> y pow m" entry lines."""
-    gens: list[str] = []
     gradings: dict[str, int] = {}
     levels: dict[str, int] = {}
     entries: dict[tuple[str, str], int] = {}
@@ -538,10 +535,9 @@ def parse_complex(
                 raise ValueError(f"bad grading or level in line {line.strip()!r}")
             if name in gradings:
                 raise ValueError(f"duplicate generator {name!r}")
-            gens.append(name)
             gradings[name] = gr
             levels[name] = a
         elif n:
             raise ValueError(f"bad generator line {line.strip()!r}")
-    c = FloerComplex(tuple(gens), gradings, entries, basepoints)
+    c = FloerComplex(gradings, entries, basepoints)
     return c, AlexanderFiltration(levels)

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
-from .plumbing import IntersectionForm, SpincClass, conjugate, spinc_translate
+from .plumbing import IntersectionForm, SpincClass, conjugate, spinc_classes, spinc_translate
 from .tau import TauProfile
 
 FIRES = "fires"
@@ -118,7 +118,7 @@ def qhb4_filling_obstruction(
             },
             slack=slack,
         )
-    best_class = max(profile, key=lambda s: (profile.num(s), s.rep))
+    best_class = max(spinc_classes(profile.form), key=lambda s: (profile.num(s), s.rep))
     slack = Fraction(2 * profile.num(best_class) - ell * den, den) - best_sl
     return Verdict(
         check="qhb4_filling",
@@ -131,33 +131,20 @@ def qhb4_filling_obstruction(
     )
 
 
-class _CandidateFields(NamedTuple):
-    generators: tuple[tuple[int, ...], ...]
-    order: int
-    elements: tuple[tuple[int, ...], ...]
-    residues: tuple[tuple[int, ...], ...]
-
-
-class MetaboliserCandidate(_CandidateFields):
+class MetaboliserCandidate(NamedTuple):
     """Subgroup of H_1 of square-root order with integral linking pairings.
 
     Generators and elements are integer lifts to Z^n; residues are the
     corresponding coordinates in the invariant-factor decomposition.
     """
 
-    __slots__ = ()
+    generators: tuple[tuple[int, ...], ...]
+    elements: tuple[tuple[int, ...], ...]
+    residues: tuple[tuple[int, ...], ...]
 
-    def __new__(
-        cls,
-        generators: tuple[tuple[int, ...], ...],
-        order: int,
-        elements: tuple[tuple[int, ...], ...],
-        residues: tuple[tuple[int, ...], ...],
-    ):
-        self = super().__new__(cls, generators, order, elements, residues)
-        if self.order < 1 or len(self.elements) != self.order:
-            raise ValueError("element list must realize the stated order")
-        return self
+    @property
+    def order(self) -> int:
+        return len(self.elements)
 
 
 def _h1_decomposition(f: IntersectionForm):
@@ -245,7 +232,6 @@ def metaboliser_candidates(f: IntersectionForm) -> list[MetaboliserCandidate]:
     return [
         MetaboliserCandidate(
             generators=tuple(lifts[r] for r in gens),
-            order=root,
             elements=tuple(lifts[r] for r in residues),
             residues=residues,
         )

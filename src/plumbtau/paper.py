@@ -54,7 +54,7 @@ def _taus(profile: TauProfile, subset) -> list[str]:
 
 def golden_m3() -> dict:
     f = form_92()
-    profile = TauProfile(f, LeafLink((3, 0), 3))
+    profile = TauProfile(f, LeafLink((3, 0)))
     return {
         "plumbing": [-5, -2],
         "strands": [3, 0],
@@ -68,7 +68,7 @@ def golden_nk() -> dict:
     f = form_92()
     subset = d_zero_subset(f)
     rows = [
-        {"k": k, "taus": _taus(TauProfile(f, LeafLink((k, 0), k)), subset)} for k in range(1, 13)
+        {"k": k, "taus": _taus(TauProfile(f, LeafLink((k, 0))), subset)} for k in range(1, 13)
     ]
     return {"plumbing": [-5, -2], "classes": [list(s.rep) for s in subset], "rows": rows}
 
@@ -78,7 +78,7 @@ def golden_l2d() -> dict:
     subset = d_zero_subset(f)
     rows = []
     for d in range(1, 11):
-        profile = TauProfile(f, LeafLink((2 * d,), 2 * d))
+        profile = TauProfile(f, LeafLink((2 * d,)))
         values = [profile.tau_at(s) for s in subset]
         rows.append(
             {
@@ -101,7 +101,7 @@ def golden_m3d() -> dict:
     rows = [
         {
             "d": d,
-            "taus": _taus(TauProfile(f, LeafLink((3 * d, 0), 3 * d)), subset),
+            "taus": _taus(TauProfile(f, LeafLink((3 * d, 0))), subset),
             "self_intersection": str(surgery.self_intersection(m3d_presentation(d, 3))),
             "chern": [
                 str(surgery.chern_evaluation(m3d_presentation(d, rot))) for rot in (3, -3)

@@ -109,22 +109,19 @@ class _Frozen:
 
 
 class IntersectionForm(_Frozen):
-    """Symmetric matrix of a plumbing and whether it is negative definite.
+    """The intersection form of a plumbing tree: weights on the diagonal, 1 per edge.
 
-    Equality, hash and repr read ``q``, ``order`` and ``negative_definite``;
-    ``tree`` and the caches are left out: the inverse, the index of every
-    class, and the classes that ``_class_at`` met without the index.
+    The tree is the one field.  ``order``, ``q`` and ``negative_definite``
+    are read from it when first asked for, so a form that ``require_box``
+    refuses never holds its n x n matrix.  Equality, hash and repr read
+    ``q``, ``order`` and ``negative_definite``; ``tree`` and the caches are
+    left out: the inverse, the index of every class, and the classes that
+    ``_class_at`` met without the index.
     """
 
-    def __init__(
-        self,
-        q: tuple[tuple[int, ...], ...],
-        order: tuple[str, ...],
-        negative_definite: bool,
-        tree: Optional[PlumbingTree] = None,
-    ):
-        # through __dict__, where cached_property keeps the inverse and the classes
-        self.__dict__.update(q=q, order=order, negative_definite=negative_definite, tree=tree)
+    def __init__(self, tree: PlumbingTree):
+        # through __dict__, where cached_property keeps what is read from the tree
+        self.__dict__["tree"] = tree
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -143,6 +140,50 @@ class IntersectionForm(_Frozen):
             f"IntersectionForm(q={self.q!r}, order={self.order!r},"
             f" negative_definite={self.negative_definite!r})"
         )
+
+    @cached_property
+    def order(self) -> tuple[str, ...]:
+        """The vertex ids, in the order of the tree's vertices: row i of ``q`` is order[i]."""
+        return tuple(v for v, _ in self.tree.vertices)
+
+    @cached_property
+    def q(self) -> tuple[tuple[int, ...], ...]:
+        """The matrix, built one row at a time: n^2 entries held once."""
+        idx = {v: i for i, v in enumerate(self.order)}
+        n = len(idx)
+        neighbours = [[] for _ in range(n)]
+        for a, b in self.tree.edges:
+            neighbours[idx[a]].append(idx[b])
+            neighbours[idx[b]].append(idx[a])
+        q = []
+        for i, (_, w) in enumerate(self.tree.vertices):
+            row = [0] * n
+            row[i] = w
+            for j in neighbours[i]:
+                row[j] = 1
+            q.append(tuple(row))
+        return tuple(q)
+
+    @cached_property
+    def negative_definite(self) -> bool:
+        """Negative definiteness, by eliminating leaves toward a root, without ``q``.
+
+        Removing a leaf w with pivot p_w changes only its neighbour's weight,
+        to a_v - 1/p_w (edges carry 1), so the pivots are
+        p_v = a_v - sum of 1/p_w over the neighbours w eliminated before v,
+        and the form is negative definite iff every pivot is negative.  In
+        integers, p_v = D_v / P_v with D_v the determinant of v's subtree and
+        P_v the product of its children's D_w, so 1/p_w = P_w / D_w.
+        """
+        order, parent = _rooted(self.tree)
+        pivot = {v: (a, 1) for v, a in self.tree.vertices}  # p_v as (D_v, P_v)
+        for v in reversed(order):
+            d, q = pivot[v]
+            if d == 0 or (d < 0) == (q < 0):  # p_v >= 0; q != 0, as every D_w before v was
+                return False
+            if (u := parent[v]) is not None:
+                pivot[u] = (pivot[u][0] * d - q * pivot[u][1], pivot[u][1] * d)
+        return True
 
     @property
     def n(self) -> int:
@@ -170,7 +211,8 @@ class IntersectionForm(_Frozen):
         _require_definite(self.negative_definite)
 
     def require_box(self):
-        _require_box(self.negative_definite, [self.q[i][i] for i in range(self.n)])
+        """Refuse the form as ``_require_box`` does, from the tree's weights: no ``q`` is built."""
+        _require_box(self.negative_definite, [w for _, w in self.tree.vertices])
 
 
 def _rooted(t: PlumbingTree) -> tuple[list[str], dict[str, Optional[str]]]:
@@ -198,30 +240,9 @@ def _require_definite(negative_definite: bool) -> None:
         raise ValueError("intersection form is not negative definite")
 
 
-def _tree_negative_definite(t: PlumbingTree) -> bool:
-    """Negative definiteness of a tree's form, by eliminating leaves toward a root.
-
-    Removing a leaf w with pivot p_w changes only its neighbour's weight,
-    to a_v - 1/p_w (edges carry 1), so the pivots are
-    p_v = a_v - sum of 1/p_w over the neighbours w eliminated before v,
-    and the form is negative definite iff every pivot is negative.  In
-    integers, p_v = D_v / P_v with D_v the determinant of v's subtree and
-    P_v the product of its children's D_w, so 1/p_w = P_w / D_w.
-    """
-    order, parent = _rooted(t)
-    pivot = {v: (a, 1) for v, a in t.vertices}  # p_v as (D_v, P_v)
-    for v in reversed(order):
-        d, q = pivot[v]
-        if d == 0 or (d < 0) == (q < 0):  # p_v >= 0; q != 0, as every D_w before v was
-            return False
-        if (u := parent[v]) is not None:
-            pivot[u] = (pivot[u][0] * d - q * pivot[u][1], pivot[u][1] * d)
-    return True
-
-
 def form_from_tree(t: PlumbingTree) -> IntersectionForm:
     """Intersection form of a plumbing tree: weights on the diagonal, 1 per edge."""
-    return _form(t, _tree_negative_definite(t))
+    return IntersectionForm(t)
 
 
 def boxed_form(t: PlumbingTree) -> IntersectionForm:
@@ -229,27 +250,9 @@ def boxed_form(t: PlumbingTree) -> IntersectionForm:
 
     A refused plumbing costs no n x n matrix, and definiteness is decided once.
     """
-    negative_definite = _tree_negative_definite(t)
-    _require_box(negative_definite, [w for _, w in t.vertices])
-    return _form(t, negative_definite)
-
-
-def _form(t: PlumbingTree, negative_definite: bool) -> IntersectionForm:
-    order = tuple(v for v, _ in t.vertices)
-    idx = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    neighbours = [[] for _ in range(n)]
-    for a, b in t.edges:
-        neighbours[idx[a]].append(idx[b])
-        neighbours[idx[b]].append(idx[a])
-    q = []
-    for i, (_, w) in enumerate(t.vertices):  # one row at a time: n^2 entries held once
-        row = [0] * n
-        row[i] = w
-        for j in neighbours[i]:
-            row[j] = 1
-        q.append(tuple(row))
-    return IntersectionForm(q=tuple(q), order=order, negative_definite=negative_definite, tree=t)
+    f = IntersectionForm(t)
+    f.require_box()
+    return f
 
 
 def is_characteristic(f: IntersectionForm, kappa: Sequence[int]) -> bool:
@@ -311,7 +314,10 @@ class SpincClass(_Frozen):
 
     @property
     def d(self) -> Fraction:
-        return d_invariant(self)
+        """Correction term of the class: the max of (kappa^2 + n)/4 over its short vectors."""
+        import fractions
+
+        return fractions.Fraction(self.d_num, 4 * self.form.qinv[1])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -480,13 +486,6 @@ def spinc_translate(s: SpincClass, alpha: Sequence[int]) -> SpincClass:
     a, p = s.form.qinv
     key = tuple((t + 2 * sum(map(mul, row, alpha))) % (2 * p) for t, row in zip(s.key, a))
     return _class_at(s.form, key)
-
-
-def d_invariant(s: SpincClass) -> Fraction:
-    """Correction term of the class: the max of (kappa^2 + n)/4 over its short vectors."""
-    import fractions
-
-    return fractions.Fraction(s.d_num, 4 * s.form.qinv[1])
 
 
 def solve_square(f: IntersectionForm, target) -> list[tuple[int, ...]]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from operator import mul
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .plumbing import (
     IntersectionForm,
@@ -40,7 +40,6 @@ if TYPE_CHECKING:
 
 class _LinkFields(NamedTuple):
     m: tuple[int, ...]
-    ell: int
 
 
 class LeafLink(_LinkFields):
@@ -48,13 +47,16 @@ class LeafLink(_LinkFields):
 
     __slots__ = ()
 
-    def __new__(cls, m: tuple[int, ...], ell: int):
-        self = super().__new__(cls, m, ell)
+    def __new__(cls, m: tuple[int, ...]):
+        self = super().__new__(cls, m)
         if any(x < 0 for x in self.m):
             raise ValueError("multiplicities must be non-negative")
-        if self.ell != sum(self.m):
-            raise ValueError("component count must equal total multiplicity")
         return self
+
+    @property
+    def ell(self) -> int:
+        """The number of components: one per strand."""
+        return sum(self.m)
 
 
 def leaf_link(f: IntersectionForm, strands: Mapping[str, int]) -> LeafLink:
@@ -65,10 +67,10 @@ def leaf_link(f: IntersectionForm, strands: Mapping[str, int]) -> LeafLink:
             raise ValueError(f"unknown vertex {vid!r}")
         if count < 0:
             raise ValueError("strand counts must be non-negative")
-        if count > 0 and f.tree is not None and f.tree.marking(vid) != "unmarked_leaf":
+        if count > 0 and f.tree.marking(vid) != "unmarked_leaf":
             raise ValueError(f"vertex {vid!r} is not an unmarked leaf")
         m[f.index_of(vid)] = count
-    return LeafLink(m=tuple(m), ell=sum(m))
+    return LeafLink(tuple(m))
 
 
 class TauProfile:
@@ -76,8 +78,8 @@ class TauProfile:
 
     The link's checks run once, when the profile is built.  ``row(s)`` is
     computed on every call; ``num(s)`` keeps its numerator, so a class read
-    twice costs one row; ``tau_at(s)`` makes the Fraction.  Iterating the
-    profile visits ``spinc_classes`` of the form, which builds every class.
+    twice costs one row; ``tau_at(s)`` makes the Fraction.  The classes are
+    ``spinc_classes(profile.form)``.
     """
 
     __slots__ = ("form", "ell", "den", "_w", "_mw", "_nums")
@@ -111,9 +113,6 @@ class TauProfile:
         import fractions
 
         return fractions.Fraction(self.num(s), self.den)
-
-    def __iter__(self) -> Iterator[SpincClass]:
-        return iter(spinc_classes(self.form))
 
 
 def d_zero_subset(f: IntersectionForm) -> list[SpincClass]:

@@ -466,7 +466,6 @@ def image_classes(c: FloerComplex) -> tuple[frozenset, frozenset, tuple[frozense
 def hat_complex(c: FloerComplex) -> FloerComplex:
     """Set U = 0: keep only the exponent-zero differential entries."""
     return FloerComplex(
-        generators=c.generators,
         gradings=dict(c.gradings),
         entries={k: 0 for k, m in c.entries.items() if m == 0},
         basepoints=c.basepoints,
@@ -509,7 +508,6 @@ def dualize(
     """Transpose the differential and negate gradings and levels."""
     filt.check(c)
     dual = FloerComplex(
-        generators=c.generators,
         gradings={g: -v for g, v in c.gradings.items()},
         entries={(y, x): m for (x, y), m in c.entries.items()},
         basepoints=c.basepoints,
@@ -615,7 +613,6 @@ def random_complex(
     rng.shuffle(shuffled)
     rename = {old: f"g{shuffled[i]}" for i, old in enumerate(names)}
     c = FloerComplex(
-        generators=tuple(rename[n] for n in names),
         gradings={rename[n]: gr[n] for n in names},
         entries={(rename[x], rename[y]): m for (x, y), m in entries.items()},
         basepoints=ell,
@@ -865,7 +862,6 @@ def closure_metaboliser_candidates(f) -> list[MetaboliserCandidate]:
         out.append(
             MetaboliserCandidate(
                 generators=tuple(lift(r) for r in gens),
-                order=root,
                 elements=lifts,
                 residues=residues,
             )

@@ -131,7 +131,6 @@ def test_curve_route_matches_lattice_route():
 
 def test_filtered_complex_suite():
     c = FloerComplex(
-        generators=("a", "b", "c"),
         gradings={"a": 0, "b": -1, "c": -2},
         entries={("b", "a"): 1, ("b", "c"): 0},
     )

@@ -30,7 +30,6 @@ from plumbtau.plumbing import (
     _walk,
     class_of,
     conjugate,
-    d_invariant,
     form_from_tree,
     solve_square,
     spinc_classes,
@@ -46,6 +45,16 @@ def test_form_from_tree_matrices():
     two_chain = form_from_tree(PlumbingTree.path(-2, -2))
     assert two_chain.q == ((-2, 1), (1, -2))
     assert L92.negative_definite and L41.negative_definite
+
+
+def test_form_builds_its_matrix_only_when_read():
+    # definiteness and the box are read from the tree: the refused (-2) chain
+    # of 15,000 vertices never holds its 15,000 x 15,000 matrix
+    f = form_from_tree(PlumbingTree.path(*[-2] * 15_000))
+    assert f.negative_definite
+    with pytest.raises(ValueError, match="the short-vector box holds"):
+        f.require_box()
+    assert "q" not in f.__dict__
 
 
 def test_tree_validation():
@@ -89,7 +98,7 @@ def test_conjugate():
     assert conjugate(s0) == s0
     for s in spinc_classes(L92):
         assert conjugate(conjugate(s)) == s
-        assert d_invariant(conjugate(s)) == d_invariant(s)
+        assert conjugate(s).d == s.d
 
 
 def _square(f, kappa):
@@ -113,12 +122,12 @@ def test_square_and_d_candidate():
 
 
 def test_d_invariant():
-    assert d_invariant(class_of(L41, (4,))) == Fraction(-3, 4)
+    assert class_of(L41, (4,)).d == Fraction(-3, 4)
     for rep in [(-3, 0), (3, 0), (-1, 2)]:
-        assert d_invariant(class_of(L92, rep)) == 0
-    zeros_41 = [s for s in spinc_classes(L41) if d_invariant(s) == 0]
+        assert class_of(L92, rep).d == 0
+    zeros_41 = [s for s in spinc_classes(L41) if s.d == 0]
     assert len(zeros_41) == 2
-    zeros_92 = [s for s in spinc_classes(L92) if d_invariant(s) == 0]
+    zeros_92 = [s for s in spinc_classes(L92) if s.d == 0]
     assert len(zeros_92) == 3
 
 
@@ -308,7 +317,7 @@ def test_d_candidate_symmetry_and_class_count_property():
             (rep, d, realizing) for rep, _, d, realizing in oracle
         ]
         for s, (_, reps, _, _) in zip(classes, oracle):
-            assert d_invariant(conjugate(s)) == s.d
+            assert conjugate(s).d == s.d
             for k in reps:
                 assert _square(f, k) == _square(f, [-x for x in k])
                 assert _same_class(f, k, s.rep)
@@ -393,7 +402,8 @@ def test_classes_build_no_fraction_until_d_is_read(monkeypatch):
         found = class_of(fresh, rng.choice(classes).rep)
         sbar = conjugate(found)
         assert made == [], tree
-        assert sbar.d == d_invariant(sbar) == Fraction(sbar.d_num, 4 * f.qinv[1])
+        # each read of d makes its own Fraction
+        assert sbar.d == sbar.d == Fraction(sbar.d_num, 4 * f.qinv[1])
         assert made == [(sbar.d_num, 4 * f.qinv[1])] * 2, tree
         assert zero == [s for s in classes if s.d == 0]
         with pytest.raises(AttributeError):
@@ -418,7 +428,7 @@ def test_chain_d_invariants_match_lens_space_recursion():
         for a in reversed(weights):
             p, q = -a * p - q, p
         f = form_from_tree(PlumbingTree.path(*weights))
-        got = Counter(d_invariant(s) for s in spinc_classes(f))
+        got = Counter(s.d for s in spinc_classes(f))
         assert got == Counter(-_lens_d(p, q, i) for i in range(p)), weights
 
 

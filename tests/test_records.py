@@ -63,9 +63,10 @@ RECORDS = [
     ),
     row(
         IntersectionForm,
-        (F1.q, F1.order, True),
-        {"q": F1.q, "order": F1.order, "negative_definite": True, "tree": None},
-        twins=[F1, F2, IntersectionForm(F1.q, F1.order, True, tree=PlumbingTree.path(-4))],
+        (F1.tree,),
+        {"tree": F1.tree},
+        # the same tree with other markings: equality leaves the tree out
+        twins=[F1, F2, IntersectionForm(PlumbingTree(*F1.tree[:2], {"v1": "internal"}))],
         shown="IntersectionForm(q=((-5, 1), (1, -2)), order=('v1', 'v2'), negative_definite=True)",
     ),
     row(
@@ -77,12 +78,9 @@ RECORDS = [
     ),
     row(
         LeafLink,
-        ((3, 0), 3),
-        {"m": (3, 0), "ell": 3},
-        [
-            ({"m": (-1, 1), "ell": 0}, "multiplicities must be non-negative"),
-            ({"m": (3, 0), "ell": 2}, "component count must equal total multiplicity"),
-        ],
+        ((3, 0),),
+        {"m": (3, 0)},
+        [({"m": (-1, 1)}, "multiplicities must be non-negative")],
     ),
     row(
         SurgeryComponent,
@@ -142,14 +140,8 @@ RECORDS = [
     ),
     row(
         MetaboliserCandidate,
-        (((1,),), 2, ((0,), (1,)), ((0,), (1,))),
-        {"generators": ((1,),), "order": 2, "elements": ((0,), (1,)), "residues": ((0,), (1,))},
-        [
-            ({"generators": (), "order": 0, "elements": (), "residues": ()},
-             "element list must realize the stated order"),
-            ({"generators": (), "order": 2, "elements": ((0,),), "residues": ((0,),)},
-             "element list must realize the stated order"),
-        ],
+        (((1,),), ((0,), (1,)), ((0,), (1,))),
+        {"generators": ((1,),), "elements": ((0,), (1,)), "residues": ((0,), (1,))},
     ),
 ]
 
@@ -185,4 +177,3 @@ def test_tree_markings_are_not_shared():
     assert a == b and a.markings == {} and a.markings is not b.markings
     # equality and hash leave the tree out, but the form keeps it
     assert F1.tree == F2.tree and F1.tree is not F2.tree
-    assert IntersectionForm(F1.q, F1.order, False) != F1

@@ -38,8 +38,6 @@ def test_leaf_link_validation():
     assert link.m == (3, 0) and link.ell == 3
     with pytest.raises(ValueError):
         leaf_link(L92, {"v1": -1})
-    with pytest.raises(ValueError):
-        LeafLink(m=(2, 0), ell=1)
     # v2 of a longer chain is internal, no strands allowed there
     chain = form_from_tree(PlumbingTree.path(-2, -3, -2))
     with pytest.raises(ValueError):
@@ -48,18 +46,18 @@ def test_leaf_link_validation():
 
 def test_sigma_square():
     for d in range(1, 6):
-        assert sigma_square(L41, LeafLink((2 * d,), 2 * d)) == -d * d
+        assert sigma_square(L41, LeafLink((2 * d,))) == -d * d
     for k in range(1, 6):
-        assert sigma_square(L92, LeafLink((k, 0), k)) == Fraction(-2 * k * k, 9)
-    assert sigma_square(L92, LeafLink((0, 0), 0)) == 0
+        assert sigma_square(L92, LeafLink((k, 0))) == Fraction(-2 * k * k, 9)
+    assert sigma_square(L92, LeafLink((0, 0))) == 0
 
 
 def test_pairing():
     for k in range(1, 6):
-        link = LeafLink((k, 0), k)
+        link = LeafLink((k, 0))
         assert pairing(L92, (-3, 0), link) == Fraction(2 * k, 3)
         assert pairing(L92, (-1, 2), link) == 0
-    assert pairing(L92, (5, 2), LeafLink((0, 0), 0)) == 0
+    assert pairing(L92, (5, 2), LeafLink((0, 0))) == 0
 
 
 def test_tau_m3():
@@ -70,7 +68,7 @@ def test_tau_m3():
 
 def test_tau_nk_formulas():
     for k in range(1, 12):
-        link = LeafLink((k, 0), k)
+        link = LeafLink((k, 0))
         assert tau(L92, link, class_of(L92, (-3, 0))) == Fraction(k * k + 3 * k, 9)
         assert tau(L92, link, class_of(L92, (-1, 2))) == Fraction(k * k, 9)
         assert tau(L92, link, class_of(L92, (3, 0))) == Fraction(k * k - 3 * k, 9)
@@ -78,19 +76,19 @@ def test_tau_nk_formulas():
 
 def test_tau_l2d_formulas():
     for d in range(1, 8):
-        link = LeafLink((2 * d,), 2 * d)
+        link = LeafLink((2 * d,))
         assert tau(L41, link, class_of(L41, (-2,))) == Fraction(d * (d + 1), 2)
         assert tau(L41, link, class_of(L41, (2,))) == Fraction(d * (d - 1), 2)
 
 
 def test_tau_minimizer_reported():
-    link = LeafLink((3, 0), 3)
+    link = LeafLink((3, 0))
     value, minimizer = tau_detail(L92, link, class_of(L92, (-3, 0)))
     assert value == 2 and minimizer == (-3, 0)
 
 
 def test_tau_zero_link_vanishes():
-    empty_92 = LeafLink((0, 0), 0)
+    empty_92 = LeafLink((0, 0))
     assert all(v == 0 for v in tau_table(L92, empty_92, spinc_classes(L92)).values())
     d0 = tau_table(L92, empty_92, d_zero_subset(L92)).values()
     assert (max(d0), min(d0)) == (0, 0)
@@ -98,31 +96,31 @@ def test_tau_zero_link_vanishes():
 
 def test_tau_conjugation_symmetry():
     for k in range(1, 6):
-        link = LeafLink((k, 0), k)
+        link = LeafLink((k, 0))
         table = tau_table(L92, link, spinc_classes(L92))
         mirrored = sorted(table[conjugate(s)] for s in table)
         assert mirrored == sorted(table.values())
 
 
 def test_tau_scaling_regression():
-    base = tau_table(L92, LeafLink((1, 0), 1), spinc_classes(L92))
+    base = tau_table(L92, LeafLink((1, 0)), spinc_classes(L92))
     for c in range(1, 6):
-        scaled = tau_table(L92, LeafLink((c, 0), c), spinc_classes(L92))
+        scaled = tau_table(L92, LeafLink((c, 0)), spinc_classes(L92))
         for s in base:
             direct = scaled[s]
-            recomputed = tau(L92, LeafLink((c, 0), c), s)
+            recomputed = tau(L92, LeafLink((c, 0)), s)
             assert direct == recomputed
 
 
 def test_tau_denominator_bounded_by_det():
     for k in range(1, 8):
-        link = LeafLink((k, 0), k)
+        link = LeafLink((k, 0))
         for v in tau_table(L92, link, spinc_classes(L92)).values():
             assert (2 * abs(det(L92.q)) * v).denominator == 1
 
 
 def test_tau_extrema_and_subset():
-    link = LeafLink((6,), 6)  # L_2d with d = 3
+    link = LeafLink((6,))  # L_2d with d = 3
     d0 = tau_table(L41, link, d_zero_subset(L41)).values()
     hi, lo = max(d0), min(d0)
     assert (hi, lo) == (6, 3)
@@ -136,14 +134,14 @@ def test_tau_checks_run_in_order():
     other = form_from_tree(PlumbingTree.path(-2, -5))
     s = class_of(L92, (-3, 0))
     with pytest.raises(ValueError, match="not negative definite"):
-        tau_table(indefinite, LeafLink((1,), 1), [s])
+        tau_table(indefinite, LeafLink((1,)), [s])
     with pytest.raises(ValueError, match="wrong length"):
-        tau_table(L92, LeafLink((1,), 1), [s])
+        tau_table(L92, LeafLink((1,)), [s])
     with pytest.raises(ValueError, match="different form"):
-        tau_detail(other, LeafLink((1, 0), 1), s)
+        tau_detail(other, LeafLink((1, 0)), s)
     # the table checks each class before it yields the class's value
     with pytest.raises(ValueError, match="different form"):
-        tau_table(other, LeafLink((1, 0), 1), [spinc_classes(other)[0], s])
+        tau_table(other, LeafLink((1, 0)), [spinc_classes(other)[0], s])
 
 
 def _definite_forms(rng, count):
@@ -204,7 +202,7 @@ def test_profile_takes_no_pairing(monkeypatch):
 
     monkeypatch.setattr(TauProfile, "row", counted_row)
     profile = TauProfile(f, leaf_link(f, {"v1": 2, "v4": 1}))
-    assert len([profile.tau_at(s) for s in profile]) == 55
+    assert len([profile.tau_at(s) for s in spinc_classes(profile.form)]) == 55
     assert calls == {"inverse": 1, "row": 55}
 
 
