@@ -44,6 +44,12 @@ a property: a form is its tree (``order``, ``q``, ``negative_definite``), a
 link its multiplicities (``ell``), a metaboliser candidate its elements
 (``order``) and a complex its gradings (``generators``).  No constructor
 takes a value it could work out, so none checks that two copies agree.
+
+A record's checks are its methods (``IntersectionForm.require_box``), and an
+inverse it keeps is its attribute (``IntersectionForm.qinv``,
+``surgery.SurgeryPresentation.qinv``), never a module-level cache: a value
+cache is state shared between records, which a test must clear and a record
+built in between evicts.
 """
 
 __version__ = "0.1.0"

@@ -219,7 +219,7 @@ def load_document(path: str) -> dict:
 
 
 def build_form(doc: dict) -> IntersectionForm:
-    from .plumbing import PlumbingTree, boxed_form
+    from .plumbing import IntersectionForm, PlumbingTree
 
     node = _value(doc, "plumbing")
     vertices, edges, markings = _fields(node, "plumbing", "vertices", "edges", "markings")
@@ -232,7 +232,9 @@ def build_form(doc: dict) -> IntersectionForm:
     # every command that reads a plumbing enumerates its short-vector box, so
     # a refused one is reported before the rest of the document is read
     with _named("plumbing", ValueError):
-        return boxed_form(tree)
+        f = IntersectionForm(tree)
+        f.require_box()
+    return f
 
 
 def build_link(doc: dict, f: IntersectionForm) -> LeafLink:

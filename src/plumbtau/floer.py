@@ -28,6 +28,11 @@ Alexander-type filtration are the smallest level whose hat subcomplex
 contains a qualifying cycle.  One pass finds it: the generators of the
 relevant grading enter one F2 echelon in level order, each dependency
 closes a new cycle, and the first cycle that qualifies fixes the level.
+
+A complex that breaks the grading law or d^2 = 0 has its failures decided
+in one place, ``_failures``: their count, and their lines formatted as they
+are read.  ``verify_axioms`` lists the first ``MAX_LISTED_FAILURES`` lines
+and counts the rest; every other answer raises the first line.
 """
 
 from __future__ import annotations
@@ -185,25 +190,25 @@ def _d2_masks(names: list[str], out: list[int]) -> Iterator[tuple[str, int]]:
         yield names[i], square
 
 
-def _graded_d2_failures(c: FloerComplex) -> Iterator[str]:
-    """Failures of the grading law, else of d^2 = 0, in sorted order: the first costs one mask."""
-    graded, gr = True, c.gradings
-    for x, y, m in _ungraded(c):
-        graded = False
-        yield f"grading: entry {x} -> {y} pow {m} has gr {gr[y]} - 2*{m} != gr {gr[x]} - 1"
-    if graded:
-        names, out, _ = _rows(c)
-        for x, square in _d2_masks(names, out):
-            for z in sorted(names[k] for k in _bits(square)):
-                yield f"d_squared: d(d({x})) has a surviving {z} term"
+def _failures(c: FloerComplex) -> tuple[int, Iterator[str]]:
+    """How many failures of the grading law, else of d^2 = 0, ``c`` has, and their lines.
 
-
-def _failure_count(c: FloerComplex) -> int:
-    """How many failures ``_graded_d2_failures`` yields, none of them formatted."""
-    if ungraded := len(_ungraded(c)):
-        return ungraded
+    The count is the number of ungraded entries or the bits of the d^2
+    masks; the lines, in sorted order, are formatted only as they are read.
+    """
+    gr = c.gradings
+    if ungraded := _ungraded(c):
+        return len(ungraded), (
+            f"grading: entry {x} -> {y} pow {m} has gr {gr[y]} - 2*{m} != gr {gr[x]} - 1"
+            for x, y, m in ungraded
+        )
     names, out, _ = _rows(c)
-    return sum(square.bit_count() for _, square in _d2_masks(names, out))
+    squares = list(_d2_masks(names, out))
+    return sum(square.bit_count() for _, square in squares), (
+        f"d_squared: d(d({x})) has a surviving {z} term"
+        for x, square in squares
+        for z in sorted(names[k] for k in _bits(square))
+    )
 
 
 def verify_axioms(c: FloerComplex) -> AxiomReport:
@@ -216,11 +221,10 @@ def verify_axioms(c: FloerComplex) -> AxiomReport:
     try:
         rank, power = len(_eliminate(c)[0]), c.basepoints - 1
     except ValueError:
-        failures = list(islice(_graded_d2_failures(c), MAX_LISTED_FAILURES))
-        if len(failures) == MAX_LISTED_FAILURES:
-            more = _failure_count(c) - MAX_LISTED_FAILURES
-            if more:
-                failures.append(f"... and {more} more failures")
+        count, listing = _failures(c)
+        failures = list(islice(listing, MAX_LISTED_FAILURES))
+        if count > MAX_LISTED_FAILURES:
+            failures.append(f"... and {count - MAX_LISTED_FAILURES} more failures")
         return AxiomReport(ok=False, failures=tuple(failures))
     failures = []
     # 2^power is built only while it could equal the rank, at most #generators
@@ -232,8 +236,9 @@ def verify_axioms(c: FloerComplex) -> AxiomReport:
 
 
 def _require_valid(c: FloerComplex) -> None:
-    for failure in _graded_d2_failures(c):  # raise the first, if any
-        raise ValueError(failure)
+    count, listing = _failures(c)
+    if count:  # raise the first
+        raise ValueError(next(listing))
 
 
 def _eliminate(c: FloerComplex) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:

@@ -22,11 +22,7 @@ Inverse = tuple[list[list[int]], int]
 
 
 class SingularMatrixError(ValueError):
-    """Raised when an operation needs an invertible matrix; carries det = 0."""
-
-    def __init__(self, message: str = "matrix is singular"):
-        super().__init__(message)
-        self.det = 0
+    """Raised when an operation needs an invertible matrix."""
 
 
 def _check_square(m: IntMatrix) -> int:
@@ -58,7 +54,7 @@ def inverse(m: IntMatrix) -> Inverse:
     for k in range(n):
         piv = next((r for r in range(k, n) if a[r][k] != 0), None)
         if piv is None:
-            raise SingularMatrixError()
+            raise SingularMatrixError("matrix is singular")
         a[k], a[piv] = a[piv], a[k]
         p, pivot_row = a[k][k], a[k]
         for i in range(n):

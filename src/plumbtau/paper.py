@@ -12,18 +12,18 @@ import json
 from importlib import resources
 
 from . import EXAMPLE_NAMES, obstruct, surgery
-from .plumbing import IntersectionForm, PlumbingTree, form_from_tree, solve_square
+from .plumbing import IntersectionForm, PlumbingTree, solve_square
 from .tau import LeafLink, TauProfile, d_zero_subset
 
 
 def form_92() -> IntersectionForm:
     """The (-5,-2) plumbing, bounded by L(9,2); a new form, with no cached classes."""
-    return form_from_tree(PlumbingTree.path(-5, -2))
+    return IntersectionForm(PlumbingTree.path(-5, -2))
 
 
 def form_41() -> IntersectionForm:
     """The (-4) plumbing, bounded by L(4,1); a new form, with no cached classes."""
-    return form_from_tree(PlumbingTree.path(-4))
+    return IntersectionForm(PlumbingTree.path(-4))
 
 
 def l2d_presentation(d: int, rot: int) -> surgery.SurgeryPresentation:
@@ -80,16 +80,15 @@ def golden_l2d() -> dict:
     for d in range(1, 11):
         profile = TauProfile(f, LeafLink((2 * d,)))
         values = [profile.tau_at(s) for s in subset]
+        plus, minus = l2d_presentation(d, 2), l2d_presentation(d, -2)
         rows.append(
             {
                 "d": d,
                 "taus": [str(v) for v in values],
                 "spread": str(max(values) - min(values)),
                 "pl_genus": obstruct.pl_genus_lower_bound(profile, subset).genus,
-                "self_intersection": str(surgery.self_intersection(l2d_presentation(d, 2))),
-                "chern": [
-                    str(surgery.chern_evaluation(l2d_presentation(d, rot))) for rot in (2, -2)
-                ],
+                "self_intersection": str(surgery.self_intersection(plus)),
+                "chern": [str(surgery.chern_evaluation(p)) for p in (plus, minus)],
             }
         )
     return {"plumbing": [-4], "classes": [list(s.rep) for s in subset], "rows": rows}
@@ -98,18 +97,18 @@ def golden_l2d() -> dict:
 def golden_m3d() -> dict:
     f = form_92()
     subset = d_zero_subset(f)
-    rows = [
-        {
-            "d": d,
-            "taus": _taus(TauProfile(f, LeafLink((3 * d, 0))), subset),
-            "self_intersection": str(surgery.self_intersection(m3d_presentation(d, 3))),
-            "chern": [
-                str(surgery.chern_evaluation(m3d_presentation(d, rot))) for rot in (3, -3)
-            ],
-            "window": [str(d * (d - 1) // 2), str(3 * d * (d - 1) // 2)],
-        }
-        for d in range(1, 7)
-    ]
+    rows = []
+    for d in range(1, 7):
+        plus, minus = m3d_presentation(d, 3), m3d_presentation(d, -3)
+        rows.append(
+            {
+                "d": d,
+                "taus": _taus(TauProfile(f, LeafLink((3 * d, 0))), subset),
+                "self_intersection": str(surgery.self_intersection(plus)),
+                "chern": [str(surgery.chern_evaluation(p)) for p in (plus, minus)],
+                "window": [str(d * (d - 1) // 2), str(3 * d * (d - 1) // 2)],
+            }
+        )
     return {"plumbing": [-5, -2], "classes": [list(s.rep) for s in subset], "rows": rows}
 
 

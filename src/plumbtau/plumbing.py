@@ -7,6 +7,10 @@ boundary 3-manifold is a rational homology sphere whose spin-c
 structures correspond to cosets of characteristic vectors modulo
 2Q·Z^n.  Every coset meets the finite box a_i + 2 <= kappa_i <= -a_i,
 which makes all the enumerations below finite and exact.
+
+A form refuses itself: ``IntersectionForm.require_negative_definite`` and
+``require_box`` are its methods, and ``require_box`` reads only the tree's
+weights, so every enumeration checks its form before Q^{-1} is built.
 """
 
 from __future__ import annotations
@@ -208,11 +212,40 @@ class IntersectionForm(_Frozen):
         return self.order.index(vertex_id)
 
     def require_negative_definite(self):
-        _require_definite(self.negative_definite)
+        if not self.negative_definite:
+            raise ValueError("intersection form is not negative definite")
 
     def require_box(self):
-        """Refuse the form as ``_require_box`` does, from the tree's weights: no ``q`` is built."""
-        _require_box(self.negative_definite, [w for _, w in self.tree.vertices])
+        """Refuse an indefinite form, a box of more than ``MAX_BOX`` vectors, then too much work.
+
+        Only the tree's weights are read, so a refused form never builds ``q``.
+        The walk of ``_scan`` costs O(n) per vector of the box and Q^-1 costs
+        O(n^3), so the work is box * n + n^3.  Its limit is that of a box of
+        ``MAX_BOX`` vectors on m = floor(log2(MAX_BOX)) vertices: a tree whose
+        weights are all <= -2 has a box of at least 2^n, so every such tree
+        the box limit accepts has n <= m and passes.  Near the limit,
+        ``spinc_classes`` takes 1.05 s on the star (-100000; -1 x 15), most of
+        it for its 99,985 classes, and 0.25 s on the star (-117; -1 x 115),
+        n = 116, most of it for Q^-1 (in-process, minimum of 3, Intel Xeon,
+        Python 3.11).
+        """
+        self.require_negative_definite()
+        size = prod(-a for _, a in self.tree.vertices)
+        if size > MAX_BOX:
+            try:
+                shown = str(size)
+            except ValueError:  # more digits than sys.get_int_max_str_digits() converts
+                shown = f"at least 10^{sys.get_int_max_str_digits()}"
+            raise ValueError(
+                f"the short-vector box holds {shown} vectors, above the limit of {MAX_BOX}"
+            )
+        n, m = len(self.tree.vertices), MAX_BOX.bit_length() - 1
+        work, limit = size * n + n**3, MAX_BOX * m + m**3
+        if work > limit:
+            raise ValueError(
+                f"{n} vertices and a short-vector box of {size} vectors make"
+                f" box * n + n^3 = {work}, above the limit of {limit}"
+            )
 
 
 def _rooted(t: PlumbingTree) -> tuple[list[str], dict[str, Optional[str]]]:
@@ -235,59 +268,8 @@ def _rooted(t: PlumbingTree) -> tuple[list[str], dict[str, Optional[str]]]:
     return order, parent
 
 
-def _require_definite(negative_definite: bool) -> None:
-    if not negative_definite:
-        raise ValueError("intersection form is not negative definite")
-
-
-def form_from_tree(t: PlumbingTree) -> IntersectionForm:
-    """Intersection form of a plumbing tree: weights on the diagonal, 1 per edge."""
-    return IntersectionForm(t)
-
-
-def boxed_form(t: PlumbingTree) -> IntersectionForm:
-    """The tree's form, after refusing from the tree alone what the box walk would refuse.
-
-    A refused plumbing costs no n x n matrix, and definiteness is decided once.
-    """
-    f = IntersectionForm(t)
-    f.require_box()
-    return f
-
-
 def is_characteristic(f: IntersectionForm, kappa: Sequence[int]) -> bool:
     return len(kappa) == f.n and all((k - f.q[i][i]) % 2 == 0 for i, k in enumerate(kappa))
-
-
-def _require_box(negative_definite: bool, weights: Sequence[int]) -> None:
-    """Refuse an indefinite form, a box of more than ``MAX_BOX`` vectors, then too much work.
-
-    The walk of ``_scan`` costs O(n) per vector of the box and
-    Q^-1 costs O(n^3), so the work is box * n + n^3.  Its limit is that of
-    a box of ``MAX_BOX`` vectors on m = floor(log2(MAX_BOX)) vertices: a
-    tree whose weights are all <= -2 has a box of at least 2^n, so every
-    such tree the box limit accepts has n <= m and passes.  Near the limit,
-    ``spinc_classes`` takes 1.05 s on the star (-100000; -1 x 15), most of it
-    for its 99,985 classes, and 0.25 s on the star (-117; -1 x 115), n = 116,
-    most of it for Q^-1 (in-process, minimum of 3, Intel Xeon, Python 3.11).
-    """
-    _require_definite(negative_definite)
-    size = prod(-a for a in weights)
-    if size > MAX_BOX:
-        try:
-            shown = str(size)
-        except ValueError:  # more digits than sys.get_int_max_str_digits() converts
-            shown = f"at least 10^{sys.get_int_max_str_digits()}"
-        raise ValueError(
-            f"the short-vector box holds {shown} vectors, above the limit of {MAX_BOX}"
-        )
-    n, m = len(weights), MAX_BOX.bit_length() - 1
-    work, limit = size * n + n**3, MAX_BOX * m + m**3
-    if work > limit:
-        raise ValueError(
-            f"{n} vertices and a short-vector box of {size} vectors make"
-            f" box * n + n^3 = {work}, above the limit of {limit}"
-        )
 
 
 class SpincClass(_Frozen):

@@ -7,15 +7,14 @@ with the surgery link.  From the resulting matrix Q the module
 evaluates the capped-surface self-intersection [C]^2 = <S, Q^{-1} S>
 and the Chern-class evaluation c1[C] = -<rot, Q^{-1} S>, with S the
 sum of the link vectors (one pairing each), the self-linking numbers,
-and the quasi-positive braid identity tau = (w - n + l)/2.  Each
-presentation's Q^{-1} is computed once, when it is built, and every term
-reads it.
+and the quasi-positive braid identity tau = (w - n + l)/2.  A presentation
+keeps its own Q^{-1} as ``qinv``: it is computed once, when the presentation
+checks that Q is nonsingular, and every term reads it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from . import linalg
@@ -61,7 +60,13 @@ class _PresentationFields(NamedTuple):
 
 
 class SurgeryPresentation(_PresentationFields):
-    __slots__ = ()
+    """A surgery diagram: its components, their linking numbers and the link's vectors.
+
+    ``qinv`` is Q^{-1} of ``linking_matrix`` as (a, p), taken when the
+    constructor checks that Q is nonsingular and kept on the record, as
+    ``plumbing.IntersectionForm.qinv`` is; equality and hash read the
+    fields alone.  The record refuses assignment and deletion.
+    """
 
     def __new__(
         cls,
@@ -69,7 +74,6 @@ class SurgeryPresentation(_PresentationFields):
         linking: tuple[tuple[int, ...], ...],
         link_vectors: tuple[tuple[int, ...], ...],
     ):
-        # tuples throughout, so that the record hashes as the key of ``_inverse``
         self = super().__new__(
             cls, tuple(components), tuple(map(tuple, linking)), tuple(map(tuple, link_vectors))
         )
@@ -86,10 +90,16 @@ class SurgeryPresentation(_PresentationFields):
             if len(v) != t:
                 raise ValueError("link component vector has wrong length")
         try:
-            _inverse(self)
+            self.__dict__["qinv"] = linalg.inverse(linking_matrix(self))
         except linalg.SingularMatrixError:
             raise linalg.SingularMatrixError("surgery linking matrix is singular") from None
         return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def rot_vector(self) -> tuple[int, ...]:
@@ -102,16 +112,6 @@ def linking_matrix(p: SurgeryPresentation) -> list[list[int]]:
     for i, c in enumerate(p.components):
         q[i][i] = c.coefficient
     return q
-
-
-@lru_cache(maxsize=1)
-def _inverse(p: SurgeryPresentation) -> linalg.Inverse:
-    """Q^{-1} of the presentation as (a, p).
-
-    ``SurgeryPresentation`` computes it when it checks singularity, and the
-    cache of one keeps it for the terms of that presentation read next.
-    """
-    return linalg.inverse(linking_matrix(p))
 
 
 def _total_link_vector(p: SurgeryPresentation) -> list[int]:
@@ -129,12 +129,12 @@ def self_intersection(p: SurgeryPresentation) -> Fraction:
     det(Q_k) = -det(Q) <l_k, Q^{-1} l_k>, so the sum collapses to one pairing.
     """
     s = _total_link_vector(p)
-    return linalg.pair(_inverse(p), s, s)
+    return linalg.pair(p.qinv, s, s)
 
 
 def chern_evaluation(p: SurgeryPresentation) -> Fraction:
     """-<rot, Q^{-1} S> = -sum_k <rot, Q^{-1} l_k>, the Chern class on the capped surface."""
-    return -linalg.pair(_inverse(p), p.rot_vector, _total_link_vector(p))
+    return -linalg.pair(p.qinv, p.rot_vector, _total_link_vector(p))
 
 
 class _BraidFields(NamedTuple):
@@ -173,7 +173,7 @@ def self_linking_shift(sl_t0, p: SurgeryPresentation) -> Fraction:
     """
     s = _total_link_vector(p)
     rot_minus_s = [r - x for r, x in zip(p.rot_vector, s)]
-    return Fraction(sl_t0) + linalg.pair(_inverse(p), rot_minus_s, s)
+    return Fraction(sl_t0) + linalg.pair(p.qinv, rot_minus_s, s)
 
 
 def tau_qp_braid(b: BraidDatum) -> Fraction:

@@ -26,7 +26,7 @@ from plumbtau.obstruct import (
     Verdict,
     _h1_decomposition,
 )
-from plumbtau.plumbing import IntersectionForm, PlumbingTree, SpincClass, _image, _require_box
+from plumbtau.plumbing import IntersectionForm, PlumbingTree, SpincClass, _image
 from plumbtau.surgery import BraidDatum, SurgeryComponent, SurgeryPresentation, linking_matrix
 from plumbtau.tau import TauProfile
 
@@ -119,7 +119,7 @@ def solve_exact(m, b) -> list[Fraction]:
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
         if piv is None:
-            raise linalg.SingularMatrixError()
+            raise linalg.SingularMatrixError("matrix is singular")
         a[col], a[piv] = a[piv], a[col]
         pv = a[col][col]
         for r in range(n):
@@ -131,7 +131,7 @@ def solve_exact(m, b) -> list[Fraction]:
 
 
 def is_negative_definite(m) -> bool:
-    """Dense reference for the tree elimination of ``plumbing.form_from_tree``.
+    """Dense reference for the tree elimination of ``IntersectionForm.negative_definite``.
 
     True iff (-1)^k times the k-th leading principal minor is positive
     for all k; the pivots of Bareiss elimination without row swaps are
@@ -159,7 +159,7 @@ def is_negative_definite(m) -> bool:
 
 def short_char_vectors(f: IntersectionForm) -> list[tuple[int, ...]]:
     """All characteristic vectors in the box a_i + 2 <= kappa_i <= -a_i, lex order."""
-    _require_box(f.negative_definite, [f.q[i][i] for i in range(f.n)])
+    f.require_box()
     ranges = []
     for i in range(f.n):
         a = f.q[i][i]

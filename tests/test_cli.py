@@ -80,14 +80,14 @@ def test_tau_table_builds_no_fraction(tmp_path, capsys, monkeypatch):
     # a tau row is an integer over 2|det Q|, written with one gcd: CLI tau
     # builds no Fraction, and writes what str of TauProfile.tau_at writes
     from plumbtau import tau
-    from plumbtau.plumbing import form_from_tree, spinc_classes
+    from plumbtau.plumbing import IntersectionForm, spinc_classes
 
     made = count_fractions(monkeypatch)
     rng = random.Random(property_seed())
     tables = 0
     while tables < 30:
         tree = random_tree(rng, rng.randint(1, 5), -6, -1)
-        f = form_from_tree(tree)
+        f = IntersectionForm(tree)
         if not f.negative_definite:
             continue
         tables += 1
@@ -531,9 +531,9 @@ def test_short_vector_box_limit(tmp_path, capsys, monkeypatch):
         )
     # the limit is inclusive: a box of exactly MAX_BOX vectors passes, one more does not
     assert plumbing.MAX_BOX == 100_000
-    plumbing.boxed_form(plumbing.PlumbingTree.path(*[-10] * 5))
+    plumbing.IntersectionForm(plumbing.PlumbingTree.path(*[-10] * 5)).require_box()
     with pytest.raises(ValueError, match="holds 100001 vectors, above the limit of 100000$"):
-        plumbing.boxed_form(plumbing.PlumbingTree.path(-11, -9091))
+        plumbing.IntersectionForm(plumbing.PlumbingTree.path(-11, -9091)).require_box()
     # and a box of exactly MAX_BOX vectors is walked
     monkeypatch.setattr(plumbing, "MAX_BOX", 16)
     square = {"vertices": [["v1", -4], ["v2", -4]], "edges": [["v1", "v2"]]}
@@ -574,15 +574,19 @@ def test_lattice_work_limit(tmp_path, capsys):
         vertices=(("c", -100000), *((f"v{i}", -1) for i in range(15))),
         edges=tuple(("c", f"v{i}") for i in range(15)),
     )
-    assert plumbing.boxed_form(at_limit).n == 16
+    f = plumbing.IntersectionForm(at_limit)
+    f.require_box()
+    assert f.n == 16
     below = plumbing.PlumbingTree(  # 117 * 116 + 116^3 = 1,574,468
         vertices=(("c", -117), *((f"v{i}", -1) for i in range(115))),
         edges=tuple(("c", f"v{i}") for i in range(115)),
     )
-    assert plumbing.boxed_form(below).n == 116
+    f = plumbing.IntersectionForm(below)
+    f.require_box()
+    assert f.n == 116
     # a tree whose weights are all <= -2 and whose box passes has at most 16
     # vertices, and passes: here the chain (-2)x15, -3, whose box is 98,304
-    plumbing.boxed_form(plumbing.PlumbingTree.path(*[-2] * 15, -3))
+    plumbing.IntersectionForm(plumbing.PlumbingTree.path(*[-2] * 15, -3)).require_box()
 
 
 def test_box_limit_answers_before_the_matrix(tmp_path, capsys):
@@ -738,7 +742,7 @@ def test_each_matrix_is_inverted_once(argv, doc, matrices, tmp_path, capsys, mon
     # |det Q| is the denominator of Q^-1 and a presentation keeps its inverse
     # for every term, so a command inverts each matrix once; every public
     # linalg route is counted, so a determinant taken on the way would show
-    from plumbtau import linalg, surgery
+    from plumbtau import linalg
 
     calls, inverted = Counter(), Counter()
     for name, fn in vars(linalg).items():
@@ -749,7 +753,6 @@ def test_each_matrix_is_inverted_once(argv, doc, matrices, tmp_path, capsys, mon
                     inverted[tuple(map(tuple, args[0]))] += 1
                 return _f(*args)
             monkeypatch.setattr(linalg, name, counted)
-    surgery._inverse.cache_clear()  # an equal presentation built by an earlier test
     rc, _, err = run_cli(capsys, argv[0], "--input", write_doc(tmp_path, doc), *argv[1:])
     assert rc == 0, err
     assert calls["det"] == 0 and calls["inverse"] == len(inverted) == matrices, calls

@@ -636,7 +636,8 @@ def _check_elimination_against_listing(c: FloerComplex) -> bool:
         floer._eliminate(c)
     except ValueError as exc:
         assert listed and str(exc) == listed[0]
-        assert list(floer._graded_d2_failures(c)) == listed
+        count, listing = floer._failures(c)
+        assert count == len(listed) and list(listing) == listed
         want = listed[:MAX_LISTED_FAILURES]
         if len(listed) > MAX_LISTED_FAILURES:
             want.append(f"... and {len(listed) - MAX_LISTED_FAILURES} more failures")

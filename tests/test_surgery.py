@@ -32,7 +32,7 @@ def test_linking_matrices():
     empty = SurgeryPresentation(components=(), linking=(), link_vectors=())
     assert linking_matrix(empty) == []
     assert det(linking_matrix(empty)) == 1
-    # lists are taken as tuples: the presentation is hashable, its inverse cached by it
+    # lists are taken as tuples: the presentation is hashable and equals a tupled one
     listed = SurgeryPresentation([SurgeryComponent("surgery", -3, 2)], [[0]], [[1], [1]])
     assert listed == l2d_presentation(1, 2) and self_intersection(listed) == -1
 
@@ -98,7 +98,6 @@ def test_surgery_terms_take_one_inverse_and_one_pairing(monkeypatch):
                 calls[_name] += 1
                 return _f(*args)
             monkeypatch.setattr(surgery.linalg, name, counted)
-    surgery._inverse.cache_clear()  # an equal presentation built by an earlier test
     p = SurgeryPresentation(
         components=(
             SurgeryComponent(kind="surgery", tb=-2, rot=1),
@@ -117,6 +116,30 @@ def test_surgery_terms_take_one_inverse_and_one_pairing(monkeypatch):
         calls.clear()
         term(p)
         assert calls == {"pair": 1}, name
+
+
+def test_presentation_keeps_its_own_inverse(monkeypatch):
+    # Q^-1 is taken once, when a presentation is built, and kept on it: a
+    # presentation built in between does not make the first invert again
+    a = l2d_presentation(2, 2)
+    b = m3d_presentation(1, 3)
+    assert a != b
+    calls = Counter()
+
+    def counted(m, _f=linalg.inverse):
+        calls["inverse"] += 1
+        return _f(m)
+
+    monkeypatch.setattr(surgery.linalg, "inverse", counted)
+    assert self_intersection(a) == -4 and chern_evaluation(a) == 2
+    assert self_linking_shift(0, a) == 2
+    assert calls["inverse"] == 0
+    assert a.qinv == ([[-1]], 4) and b.qinv == ([[-2, -1], [-1, -5]], 9)
+    with pytest.raises(AttributeError):
+        a.qinv = b.qinv
+    with pytest.raises(AttributeError):
+        del a.qinv
+    assert a.qinv == ([[-1]], 4)
 
 
 def test_self_intersection_long_chain():

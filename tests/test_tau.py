@@ -21,10 +21,10 @@ from conftest import (
 from plumbtau import linalg
 from plumbtau.paper import form_41, form_92
 from plumbtau.plumbing import (
+    IntersectionForm,
     PlumbingTree,
     class_of,
     conjugate,
-    form_from_tree,
     spinc_classes,
     spinc_translate,
 )
@@ -39,7 +39,7 @@ def test_leaf_link_validation():
     with pytest.raises(ValueError):
         leaf_link(L92, {"v1": -1})
     # v2 of a longer chain is internal, no strands allowed there
-    chain = form_from_tree(PlumbingTree.path(-2, -3, -2))
+    chain = IntersectionForm(PlumbingTree.path(-2, -3, -2))
     with pytest.raises(ValueError):
         leaf_link(chain, {"v2": 1})
 
@@ -130,8 +130,8 @@ def test_tau_extrema_and_subset():
 
 
 def test_tau_checks_run_in_order():
-    indefinite = form_from_tree(PlumbingTree.path(-1, -1, -1))
-    other = form_from_tree(PlumbingTree.path(-2, -5))
+    indefinite = IntersectionForm(PlumbingTree.path(-1, -1, -1))
+    other = IntersectionForm(PlumbingTree.path(-2, -5))
     s = class_of(L92, (-3, 0))
     with pytest.raises(ValueError, match="not negative definite"):
         tau_table(indefinite, LeafLink((1,)), [s])
@@ -150,7 +150,7 @@ def _definite_forms(rng, count):
     class with several d-realizing vectors, which random trees rarely do."""
     forms = []
     while len(forms) < count:
-        f = form_from_tree(random_tree(rng, rng.randint(1, 5), -6, -1))
+        f = IntersectionForm(random_tree(rng, rng.randint(1, 5), -6, -1))
         if f.negative_definite:
             forms.append(f)
     for arms in itertools.combinations_with_replacement(range(-6, -1), 3):
@@ -158,7 +158,7 @@ def _definite_forms(rng, count):
         star = PlumbingTree(
             vertices=tuple(zip(ids, (-1, *arms))), edges=tuple(("v0", v) for v in ids[1:])
         )
-        f = form_from_tree(star)
+        f = IntersectionForm(star)
         if f.negative_definite:
             forms.append(f)
     return forms
@@ -187,7 +187,7 @@ def test_tau_matches_pairing_oracle():
 def test_profile_takes_no_pairing(monkeypatch):
     # (-3)x4 has 55 classes; with the one pairing vector w = a·m every
     # candidate is an integer dot product, so no linalg.pair call is made
-    f = form_from_tree(PlumbingTree.path(-3, -3, -3, -3))
+    f = IntersectionForm(PlumbingTree.path(-3, -3, -3, -3))
     calls = Counter()
     for name in ("inverse", "pair"):
         def counted(*args, _name=name, _f=getattr(linalg, name)):
@@ -221,7 +221,7 @@ def test_tau_of_a_leaf_fibre_from_d():
             ids = [f"v{i}" for i in range(rng.randint(4, 5))]
             weights = [rng.randint(-6, -2) for _ in ids]
             tree = PlumbingTree(tuple(zip(ids, weights)), tuple(("v0", v) for v in ids[1:]))
-        f = form_from_tree(tree)
+        f = IntersectionForm(tree)
         if not f.negative_definite:
             continue
         v = rng.choice([v for v, _ in tree.vertices if tree.marking(v) == "unmarked_leaf"])
