@@ -27,7 +27,11 @@ can be written, each module a call loads is compiled from source, so a
 ``spinc`` or ``dinv`` call compiles ``cli``, ``plumbing`` and ``linalg``
 alone, and ``tau`` also ``tau``.  ``fractions`` (with ``decimal`` and
 ``numbers``) is imported by the functions that make a Fraction, which no
-``spinc``, ``dinv`` or ``tau`` call runs.
+``spinc``, ``dinv``, ``tau`` or ``floer`` call runs, nor any ``obstruct``
+check but ``slice-bennequin``: every other exact value is an integer over a
+known denominator, written by ``linalg._quotient``.  No call but
+``paper-examples`` imports the ``json`` package: ``cli`` reads and writes
+JSON with the C functions of ``_json`` that it wraps.
 
 The package's records are NamedTuples or plain classes, never dataclasses:
 ``dataclasses`` imports ``inspect`` (and through it ``ast``, ``dis`` and

@@ -6,10 +6,13 @@ complex (as a string array in the textual format of ``floer``), and a
 spin-c subset selector ("all", "d0", or explicit representatives).
 Subcommands pick the pieces they need.  All rationals are printed as
 canonical fraction strings, never floats, and every table is sorted, so
-output is byte-for-byte reproducible.  JSON is written as
-``json.dumps(doc, indent=2)`` writes it; a row table, such as a class table
-whose rows share their keys and each column one kind of value, is written
-from one template per table instead of value by value (``_rows``).
+output is byte-for-byte reproducible.  JSON is read as ``json.loads`` reads
+it (``_loads``) and written as ``json.dumps(doc, indent=2)`` writes it, both
+through the C functions of ``_json`` that the ``json`` package wraps, so no
+call but ``paper-examples`` imports that package.  A row table, such as a
+class table whose rows share their keys and each column one kind of value,
+is written from one template per table instead of value by value
+(``_rows``).
 
 One table, ``_table``, gives each name in ``COMMANDS`` its handler, help
 line and argument specs; every subcommand takes the ``_FORMAT`` spec, and
@@ -38,13 +41,11 @@ differs from the committed fixture, 5 internal error.
 
 from __future__ import annotations
 
-import json
 import sys
+from _json import encode_basestring_ascii, make_scanner
 from contextlib import contextmanager
 from functools import partial
 from itertools import chain
-from json.encoder import encode_basestring_ascii
-from math import gcd
 from operator import itemgetter
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional
@@ -197,6 +198,54 @@ def _fields(node: dict, path: str, *names: str) -> list:
     return [_value(node, f"{path}.{name}") for name in names]
 
 
+# The scanner of ``json.loads``: the C scanner with json's defaults, NaN and
+# the infinities read as floats.  Only an error imports ``json.decoder``, for
+# its JSONDecodeError, which the C scanner also raises.  Some Pythons (3.11
+# among them) look that module up only in ``sys.modules`` and, without it,
+# fail with a SystemError; ``_loads`` then imports it and scans again.
+_scan = make_scanner(
+    SimpleNamespace(
+        strict=True,
+        object_hook=None,
+        object_pairs_hook=None,
+        parse_float=float,
+        parse_int=int,
+        parse_constant={"-Infinity": float("-inf"), "Infinity": float("inf"),
+                        "NaN": float("nan")}.__getitem__,
+    )
+)
+_SPACE = " \t\n\r"
+
+
+def _decode_error(message: str, text: str, pos: int) -> ValueError:
+    from json.decoder import JSONDecodeError
+
+    return JSONDecodeError(message, text, pos)
+
+
+def _loads(text: str):
+    """``json.loads(text)`` for a str: the same value, or the same error at the same place.
+
+    As ``JSONDecoder.decode`` does, it refuses a leading BOM, skips JSON
+    whitespace, scans one value, and refuses anything after it but whitespace.
+    """
+    if text.startswith("\ufeff"):
+        raise _decode_error("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    start = len(text) - len(text.lstrip(_SPACE))
+    try:
+        value, end = _scan(text, start)
+    except StopIteration as e:
+        raise _decode_error("Expecting value", text, e.value) from None
+    except SystemError:
+        import json.decoder  # noqa: F401  (the scanner's JSONDecodeError)
+
+        value, end = _scan(text, start)
+    end = len(text) - len(text[end:].lstrip(_SPACE))
+    if end != len(text):
+        raise _decode_error("Extra data", text, end)
+    return value
+
+
 def load_document(path: str) -> dict:
     try:
         if path == "-":
@@ -209,7 +258,7 @@ def load_document(path: str) -> dict:
     except OSError as e:
         raise SchemaError(f"input: cannot read {path!r}: {e}")
     try:
-        doc = json.loads(text)
+        doc = _loads(text)
     except (ValueError, RecursionError) as e:  # also too deep, or an int past 4,300 digits
         raise SchemaError(f"input: not valid JSON: {e}")
     if not isinstance(doc, dict):
@@ -283,17 +332,12 @@ def select_classes(f: IntersectionForm, doc: dict, flag: Optional[str], default:
 # --- subcommand handlers ---------------------------------------------------
 
 # Every value a layer returns is an int, a Fraction, or (d and tau) an integer
-# over a known denominator; ``str`` or ``_quotient`` writes the canonical
-# fraction string, so cli never imports ``fractions`` itself.
-
-
-def _quotient(num: int, den: int) -> str:
-    """``str(Fraction(num, den))`` for den > 0, written with one gcd and no Fraction."""
-    g = gcd(num, den)
-    return f"{num // g}/{den // g}" if g < den else str(num // g)
+# over a known denominator; ``str`` or ``linalg._quotient`` writes the
+# canonical fraction string, so cli never imports ``fractions`` itself.
 
 
 def run_tau(args) -> dict:
+    from .linalg import _quotient
     from .tau import TauProfile
 
     doc = load_document(args.input)
@@ -313,6 +357,7 @@ def run_tau(args) -> dict:
 
 
 def run_dinv(args) -> dict:
+    from .linalg import _quotient
     from .plumbing import spinc_classes
 
     doc = load_document(args.input)
@@ -335,32 +380,34 @@ def run_spinc(args) -> dict:
 
 
 # Each of these handlers, with what only it reads, is its own module,
-# compiled only when the subcommand runs.
+# compiled only when the subcommand runs.  Each stub reads its loaded module
+# with ``from . import cli_x``, in about half the time per call of ``from
+# .cli_x import run_x`` (timeit, Python 3.11).
 
 
 def run_surgery(args) -> dict:
-    from .cli_surgery import run_surgery
-    return run_surgery(args)
+    from . import cli_surgery
+    return cli_surgery.run_surgery(args)
 
 
 def run_tau_qp(args) -> dict:
-    from .cli_surgery import run_tau_qp
-    return run_tau_qp(args)
+    from . import cli_surgery
+    return cli_surgery.run_tau_qp(args)
 
 
 def run_floer(args) -> dict:
-    from .cli_floer import run_floer
-    return run_floer(args)
+    from . import cli_floer
+    return cli_floer.run_floer(args)
 
 
 def run_obstruct(args) -> dict:
-    from .cli_obstruct import run_obstruct
-    return run_obstruct(args)
+    from . import cli_obstruct
+    return cli_obstruct.run_obstruct(args)
 
 
 def run_paper_examples(args) -> dict:
-    from .cli_paper import run_paper_examples
-    return run_paper_examples(args)
+    from . import cli_paper
+    return cli_paper.run_paper_examples(args)
 
 
 # --- output rendering ------------------------------------------------------

@@ -37,7 +37,8 @@ and counts the rest; every other answer raises the first line.
 
 from __future__ import annotations
 
-import heapq
+# the C functions that heapq re-exports, without loading its Python module
+from _heapq import heappop, heappush
 from itertools import islice
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
@@ -269,7 +270,7 @@ def _eliminate(c: FloerComplex) -> tuple[list[tuple[int, int]], list[tuple[int, 
     position = {g: i for i, g in enumerate(c.generators)}
     hat = [1 << position[g] for g in names]
     heap: list[tuple] = []
-    pop, push = heapq.heappop, heapq.heappush
+    pop, push = heappop, heappush
     def offer(w: int) -> None:  # push w's least entry, if it has one
         row = out[w]
         if row:

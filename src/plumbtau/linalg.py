@@ -2,13 +2,16 @@
 
 All computations are over arbitrary-precision integers; a rational
 inverse is one integer matrix over one denominator, and only a pairing
-returns a ``fractions.Fraction``.  Nothing here ever touches floating
-point.  Matrices are dense lists of row lists, which is plenty for the
-small symmetric forms this package works with.
+returns a ``fractions.Fraction``.  ``_quotient`` writes an integer over a
+known denominator as ``str(Fraction)`` would, and is the package's one such
+writer.  Nothing here ever touches floating point.  Matrices are dense
+lists of row lists, which is plenty for the small symmetric forms this
+package works with.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import TYPE_CHECKING, Sequence
 
 # fractions is imported where a Fraction is made: see the note in plumbing
@@ -32,6 +35,14 @@ def _check_square(m: IntMatrix) -> int:
     if any(len(row) != n for row in m):
         raise ValueError("matrix is not square")
     return n
+
+
+# Private, though cli and obstruct call it: perfbench's tracer wraps every
+# public layer function, and one span per table cell would bury the table.
+def _quotient(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for den > 0, written with one gcd and no Fraction."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}" if g < den else str(num // g)
 
 
 def identity(n: int) -> list[list[int]]:

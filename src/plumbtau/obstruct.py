@@ -1,8 +1,14 @@
 """Decision procedures built on top of the per-class tau profile.
 
 The profile is ``tau.TauProfile``: the checks compare its integer
-numerators over 2|det Q| and make a Fraction only for a slack or a
-witness.  Every check returns a Verdict.  The obstruction-style checks
+numerators over 2|det Q|.  The integrality, conjugation, metaboliser,
+pl-genus and concordance checks keep each exact value as an integer over a
+known denominator (a ``Quotient``, or the ``num``/``den`` of a
+``PLGenusBound``), written by ``linalg._quotient``, and make no Fraction, so
+an ``obstruct`` call of theirs imports no ``fractions``; a slack or a raw
+bound becomes a Fraction only when read.  The slice-Bennequin and filling
+checks take Fractions from ``surgery`` and import ``fractions`` where they
+run.  Every check returns a Verdict.  The obstruction-style checks
 answer with "fires" / "does not fire" / "inconclusive" (they are
 one-directional: a firing check rules something out, a silent one proves
 nothing), while the plain inequality checks answer "satisfied" /
@@ -27,12 +33,22 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from . import linalg
-from .plumbing import IntersectionForm, SpincClass, conjugate, spinc_classes, spinc_translate
+from .plumbing import (
+    IntersectionForm,
+    SpincClass,
+    _Frozen,
+    conjugate,
+    spinc_classes,
+    spinc_translate,
+)
 from .tau import TauProfile
+
+# fractions is imported where a Fraction is made: see the note in plumbing
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 FIRES = "fires"
 CLEAR = "does not fire"
@@ -49,33 +65,73 @@ VIOLATED = "violated"
 MAX_SEARCH_STEPS = 100_000
 
 
+class Quotient(NamedTuple):
+    """The exact value num/den, den > 0, held as two integers.
+
+    ``str`` writes it as ``str(Fraction(num, den))`` does, with
+    ``linalg._quotient``, and only when asked, so ``to_json`` writes it
+    inside the CLI's guard on over-long numbers.
+    """
+
+    num: int
+    den: int
+
+    def __str__(self) -> str:
+        return linalg._quotient(self.num, self.den)
+
+
 def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, Quotient):
+        return str(value)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    return value
+    if value is None or isinstance(value, (str, int, float)):  # bool is an int
+        return value
+    return str(value)  # a Fraction
 
 
-class Verdict(NamedTuple):
+class _VerdictFields(NamedTuple):
     check: str
     verdict: str
     witness: object = None
-    slack: Optional[Fraction] = None
+    slack: object = None
+
+
+class Verdict(_VerdictFields):
+    """A check's verdict, its JSON-friendly witness, and its slack.
+
+    The checks that make no Fraction give each exact value, in the witness
+    and as the slack, as a ``Quotient``.  ``slack`` reads as a number: the
+    one given, or the Fraction of a Quotient, made then, as
+    ``TauProfile.tau_at`` makes tau.
+    """
+
+    __slots__ = ()
+
+    @property
+    def slack(self) -> Optional[Fraction]:
+        value = self[3]
+        if isinstance(value, Quotient):
+            import fractions
+
+            return fractions.Fraction(*value)
+        return value
 
     def to_json(self) -> dict:
         return {
             "check": self.check,
             "verdict": self.verdict,
             "witness": _jsonable(self.witness),
-            "slack": None if self.slack is None else str(Fraction(self.slack)),
+            "slack": None if self[3] is None else str(self[3]),
         }
 
 
 def slice_bennequin_check(sl, tau: Fraction, ell: int) -> Verdict:
     """Transverse bound sl <= 2*tau - ell; slack is the difference."""
+    from fractions import Fraction
+
     slack = 2 * Fraction(tau) - ell - Fraction(sl)
     return Verdict(
         check="slice_bennequin",
@@ -97,6 +153,8 @@ def qhb4_filling_obstruction(
     every spin-c class of the form is violated: otherwise an unviolated
     class could still be the contact one.
     """
+    from fractions import Fraction
+
     if not sl_values:
         return Verdict(
             check="qhb4_filling",
@@ -265,7 +323,6 @@ def metaboliser_obstruction(
         if best is None or margin > best[0]:
             best = (margin, cand)
     margin, cand = best
-    slack = Fraction(margin, profile.den)
     witness = {
         "class": list(s.rep),
         "metaboliser": [list(g) for g in cand.generators],
@@ -273,32 +330,63 @@ def metaboliser_obstruction(
     }
     return Verdict(
         check="metaboliser",
-        verdict=CLEAR if slack >= 0 else FIRES,
+        verdict=CLEAR if margin >= 0 else FIRES,
         witness=witness,
-        slack=slack,
+        slack=Quotient(margin, profile.den),
     )
 
 
 def conjugation_obstruction(profile: TauProfile, s: SpincClass) -> Verdict:
     """Holomorphic curves for both J and -J force tau(s) = tau(conjugate)."""
     sbar = conjugate(s)
-    gap = profile.num(s) - profile.num(sbar)
+    num, num_bar, den = profile.num(s), profile.num(sbar), profile.den
     return Verdict(
         check="conjugation",
-        verdict=FIRES if gap != 0 else CLEAR,
+        verdict=FIRES if num != num_bar else CLEAR,
         witness={
             "class": list(s.rep),
             "conjugate": list(sbar.rep),
-            "tau": profile.tau_at(s),
-            "tau_conjugate": profile.tau_at(sbar),
+            "tau": Quotient(num, den),
+            "tau_conjugate": Quotient(num_bar, den),
         },
-        slack=Fraction(gap, profile.den),
+        slack=Quotient(num - num_bar, den),
     )
 
 
-class PLGenusBound(NamedTuple):
-    genus: int
-    raw: Fraction
+class PLGenusBound(_Frozen):
+    """The raw PL genus bound num/den, held as integers, and its ceiling ``genus``.
+
+    ``raw`` makes its Fraction when read.  The record unpacks, compares and
+    hashes as the pair (genus, raw).
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: int, den: int):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    @property
+    def genus(self) -> int:
+        return -(-self.num // self.den)
+
+    @property
+    def raw(self) -> Fraction:
+        import fractions
+
+        return fractions.Fraction(self.num, self.den)
+
+    def __iter__(self):
+        return iter((self.genus, self.raw))
+
+    def __eq__(self, other):
+        return tuple(self) == other
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return f"PLGenusBound(genus={self.genus!r}, raw={self.raw!r})"
 
 
 def pl_genus_lower_bound(profile: TauProfile, subset: Sequence[SpincClass]) -> PLGenusBound:
@@ -310,17 +398,20 @@ def pl_genus_lower_bound(profile: TauProfile, subset: Sequence[SpincClass]) -> P
     if not subset:
         raise ValueError("subset of spin-c classes must be non-empty")
     values = [profile.num(s) for s in subset]
-    raw = Fraction(max(values) - min(values), 2 * profile.den)
-    return PLGenusBound(genus=math.ceil(raw), raw=raw)
+    return PLGenusBound(max(values) - min(values), 2 * profile.den)
 
 
-def integrality_obstruction(tau) -> Verdict:
-    """A link bounding a curve with the given contact class has integral tau."""
-    value = Fraction(tau)
+def integrality_obstruction(tau, den: int = 1) -> Verdict:
+    """A link bounding a curve with the given contact class has integral tau.
+
+    ``tau`` is an int or a Fraction, and the value read is ``tau / den``, so
+    a caller holding an integer over a known denominator makes no Fraction.
+    """
+    num, den = tau.numerator, tau.denominator * den
     return Verdict(
         check="integrality",
-        verdict=FIRES if value.denominator != 1 else CLEAR,
-        witness={"tau": value},
+        verdict=FIRES if num % den else CLEAR,
+        witness={"tau": Quotient(num, den)},
     )
 
 
@@ -337,6 +428,6 @@ def concordance_obstruction(profile: TauProfile, subset: Sequence[SpincClass]) -
     return Verdict(
         check="concordance",
         verdict=FIRES if hi != lo else CLEAR,
-        witness={"tau_max": Fraction(hi, den), "tau_min": Fraction(lo, den)},
-        slack=Fraction(hi - lo, den),
+        witness={"tau_max": Quotient(hi, den), "tau_min": Quotient(lo, den)},
+        slack=Quotient(hi - lo, den),
     )

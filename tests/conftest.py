@@ -20,13 +20,23 @@ from plumbtau.floer import (
     _theta_classes,
 )
 from plumbtau.obstruct import (
+    CLEAR,
+    FIRES,
+    INCONCLUSIVE,
     SATISFIED,
     VIOLATED,
     MetaboliserCandidate,
     Verdict,
     _h1_decomposition,
 )
-from plumbtau.plumbing import IntersectionForm, PlumbingTree, SpincClass, _image
+from plumbtau.plumbing import (
+    IntersectionForm,
+    PlumbingTree,
+    SpincClass,
+    _image,
+    conjugate,
+    spinc_translate,
+)
 from plumbtau.surgery import BraidDatum, SurgeryComponent, SurgeryPresentation, linking_matrix
 from plumbtau.tau import TauProfile
 
@@ -923,4 +933,99 @@ def adjunction_bound(tau_alpha, g: int, ell2: int, sizeF: int, c1F, FF) -> Fract
         + ell2
         - sizeF
         - (Fraction(c1F) + Fraction(FF)) / 2
+    )
+
+
+# --- the integer obstruction checks, computed with Fractions ----------------
+# The Fraction bodies of obstruct's integrality, conjugation, metaboliser,
+# pl-genus and concordance checks, which now keep each value as an integer
+# over a known denominator; tests compare the two.
+
+
+class FractionPLGenusBound(NamedTuple):
+    genus: int
+    raw: Fraction
+
+
+def fraction_metaboliser_obstruction(
+    profile: TauProfile, s: SpincClass, candidates: list[MetaboliserCandidate]
+) -> Verdict:
+    if not candidates:
+        return Verdict(
+            check="metaboliser",
+            verdict=FIRES,
+            witness=f"no metaboliser exists in a group of order {s.form.qinv[1]}",
+        )
+    base = profile.num(s)
+    best = None
+    for cand in candidates:
+        margin = min(
+            base - abs(profile.num(spinc_translate(s, alpha))) for alpha in cand.elements
+        )
+        if best is None or margin > best[0]:
+            best = (margin, cand)
+    margin, cand = best
+    slack = Fraction(margin, profile.den)
+    witness = {
+        "class": list(s.rep),
+        "metaboliser": [list(g) for g in cand.generators],
+        "subgroup_order": cand.order,
+    }
+    return Verdict(
+        check="metaboliser",
+        verdict=CLEAR if slack >= 0 else FIRES,
+        witness=witness,
+        slack=slack,
+    )
+
+
+def fraction_conjugation_obstruction(profile: TauProfile, s: SpincClass) -> Verdict:
+    sbar = conjugate(s)
+    gap = profile.num(s) - profile.num(sbar)
+    return Verdict(
+        check="conjugation",
+        verdict=FIRES if gap != 0 else CLEAR,
+        witness={
+            "class": list(s.rep),
+            "conjugate": list(sbar.rep),
+            "tau": profile.tau_at(s),
+            "tau_conjugate": profile.tau_at(sbar),
+        },
+        slack=Fraction(gap, profile.den),
+    )
+
+
+def fraction_pl_genus_lower_bound(
+    profile: TauProfile, subset: Sequence[SpincClass]
+) -> FractionPLGenusBound:
+    if not subset:
+        raise ValueError("subset of spin-c classes must be non-empty")
+    values = [profile.num(s) for s in subset]
+    raw = Fraction(max(values) - min(values), 2 * profile.den)
+    return FractionPLGenusBound(genus=math.ceil(raw), raw=raw)
+
+
+def fraction_integrality_obstruction(tau) -> Verdict:
+    value = Fraction(tau)
+    return Verdict(
+        check="integrality",
+        verdict=FIRES if value.denominator != 1 else CLEAR,
+        witness={"tau": value},
+    )
+
+
+def fraction_concordance_obstruction(profile: TauProfile, subset: Sequence[SpincClass]) -> Verdict:
+    if not subset:
+        return Verdict(
+            check="concordance",
+            verdict=INCONCLUSIVE,
+            witness="no spin-c classes supplied",
+        )
+    values = [profile.num(s) for s in subset]
+    hi, lo, den = max(values), min(values), profile.den
+    return Verdict(
+        check="concordance",
+        verdict=FIRES if hi != lo else CLEAR,
+        witness={"tau_max": Fraction(hi, den), "tau_min": Fraction(lo, den)},
+        slack=Fraction(hi - lo, den),
     )

@@ -17,6 +17,7 @@ from conftest import (
     random_braid,
     random_complex,
     random_presentation,
+    random_tree,
     tau,
     tau_table,
 )
@@ -40,9 +41,10 @@ from plumbtau.obstruct import (
     pl_genus_lower_bound,
 )
 from plumbtau.paper import form_41, form_92, l2d_presentation, m3d_presentation
-from plumbtau.plumbing import class_of, solve_square, spinc_classes
+from plumbtau.plumbing import IntersectionForm, PlumbingTree, class_of, solve_square, spinc_classes
 from plumbtau.surgery import (
     CurveDatum,
+    SurgeryComponent,
     SurgeryPresentation,
     bennequin_euler,
     chern_evaluation,
@@ -127,6 +129,61 @@ def test_curve_route_matches_lattice_route():
                 boundary=k,
             )
             assert tau_from_curve(datum) == tau(L92, link, class_of(L92, (rot, 0)))
+
+
+def stein_tau(f, rot, m) -> Fraction:
+    """tau_xi of the Stein structure with rotation vector ``rot`` on the plumbing of ``f``,
+    from the curve route: m_v push-offs of the core of each vertex v, each bounding a disk.
+
+    A tree with weights <= -2 is Legendrian surgery on unknots with tb = a_v + 1,
+    linked once along each edge, and c1 = rot (Gompf 1998).
+    """
+    components = tuple(SurgeryComponent("surgery", f.q[i][i] + 1, rot[i]) for i in range(f.n))
+    linking = tuple(tuple(0 if i == j else f.q[i][j] for j in range(f.n)) for i in range(f.n))
+    vectors = tuple(tuple(int(j == i) for j in range(f.n)) for i in range(f.n) for _ in range(m[i]))
+    p = SurgeryPresentation(components, linking, vectors)
+    ell = sum(m)
+    datum = CurveDatum(chi=ell, chern=chern_evaluation(p), self_int=self_intersection(p), boundary=ell)
+    return tau_from_curve(datum)
+
+
+def test_stein_vectors_realise_d_and_the_curve_gives_lattice_tau():
+    # the contact class of rot is class_of(f, rot); rot realises d there, and
+    # where it is the class's minimiser tau_xi from the curve is the lattice tau
+    rng = random.Random(property_seed())
+    pairs = minimisers = 0
+    while pairs < 1_500:
+        f = IntersectionForm(random_tree(rng, rng.randint(1, 5), -6, -2))
+        if not f.negative_definite:  # the star (-2; -2, -2, -2, -2) is not
+            continue
+        leaves = [v for v, _ in f.tree.vertices if f.tree.marking(v) == "unmarked_leaf"]
+        link = leaf_link(f, {v: rng.randint(0, 3) for v in leaves})
+        if link.ell == 0:
+            continue
+        profile = TauProfile(f, link)
+        for _ in range(3):
+            rot = tuple(rng.randrange(a + 2, -a - 1, 2) for a in (f.q[i][i] for i in range(f.n)))
+            s = class_of(f, rot)
+            assert rot in s.realizing, (f.tree, rot)
+            tau_xi, (_, minimiser) = stein_tau(f, rot, link.m), profile.row(s)
+            assert tau_xi >= profile.tau_at(s), (f.tree, rot, link)
+            if minimiser == rot:
+                assert tau_xi == profile.tau_at(s), (f.tree, rot, link)
+                minimisers += 1
+            pairs += 1
+    assert minimisers > pairs // 2
+    # the star (-2; -3, -2, -2, -2) with one strand on the -3 leaf: its two
+    # Stein vectors realise d in one class, and only one is the minimiser
+    ids = ("v0", "v1", "v2", "v3", "v4")
+    star = IntersectionForm(
+        PlumbingTree(tuple(zip(ids, (-2, -3, -2, -2, -2))), tuple(("v0", v) for v in ids[1:]))
+    )
+    link = leaf_link(star, {"v1": 1})
+    down, up = (0, -1, 0, 0, 0), (0, 1, 0, 0, 0)
+    s = class_of(star, down)
+    assert s == class_of(star, up) and {down, up} <= set(s.realizing)
+    assert TauProfile(star, link).row(s) == (0, up)
+    assert (stein_tau(star, down, link.m), stein_tau(star, up, link.m)) == (1, 0)
 
 
 def test_filtered_complex_suite():

@@ -494,6 +494,73 @@ def test_schema_errors(tmp_path, capsys, monkeypatch):
     assert rc == 2 and err.startswith("plumbtau: input: not UTF-8 text: "), err
 
 
+def _decoded(read, text):
+    """What ``read(text)`` gives: the value's repr (NaN equals no NaN), or the error's type and message."""
+    try:
+        return repr(read(text))
+    except (ValueError, RecursionError) as e:
+        return type(e), str(e)
+
+
+# documents like the ones the commands read, and what a mutation inserts
+READER_DOCS = [
+    {"plumbing": L92_PLUMBING, "leaf_link": {"v1": 3}, "subset": [[-3, 0]]},
+    {"plumbing": {"vertices": [["c", -2], ["a", -3]], "edges": [["c", "a"]],
+                  "markings": {"c": "internal"}}, "subset": "d0", "basepoints": 2},
+    {"floer_complex": ["a 0 0", "b -1 0", "b a 1"], "surgery": {"braid": BRAID}},
+    {"surgery": {"components": [{"kind": "surgery", "tb": -4, "rot": 1}],
+                 "linking": [[0]], "link_components": [[10**30]]}},
+]
+READER_CHARS = '{}[]",:0123456789-+.eE tfnrualsNIy\\/\n\t\r\x00\x0c\x7f\ufeff\u00e9\u2028\ud800'
+READER_CASES = [
+    "", " \t\n\r", "\ufeff", "\ufeff{}", " \ufeff{}", "\u00a0{}", "{}\x0c", "{} \u2028",
+    "NaN", "Infinity", "-Infinity", "[NaN, Infinity, -Infinity]", '{"a": -Infinity}', "-NaN",
+    "1 2", "{} {}", "[] ]", '"\\ud800"', '"\\udc00\\ud800x"', '"a\x01b"', '"tab\there"',
+    "[" * 100_000, "[" * 100_000 + "]" * 100_000, "[" * 200 + "]" * 200, '{"a": ' * 200,
+    "1" + "0" * 5_000, "01", "-0", "1e400", "tru", "nul", '{"a" 1}', '{"a": 1,}', "[1,]",
+]
+
+
+def test_reader_agrees_with_json_loads():
+    # cli._loads stands in for json.loads on every document: the same value,
+    # or the same exception with the same message, which input errors quote
+    rng = random.Random(property_seed())
+    texts = list(READER_CASES)
+    for _ in range(3_000):
+        text = json.dumps(rng.choice(READER_DOCS), indent=rng.choice([None, 2]))
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(text) + 1)
+            if rng.random() < 0.5:
+                text = text[:at] + rng.choice(READER_CHARS) + text[at:]
+            else:
+                text = text[:at] + text[at + rng.randint(1, 5):]
+        texts.append(text)
+    for text in texts:
+        assert _decoded(cli._loads, text) == _decoded(json.loads, text), text[:80]
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ('{"plumbing": ', "Expecting value: line 1 column 14 (char 13)"),
+        ('{"plumbing": {"vertices": [["v1", -2]', "Expecting ',' delimiter: line 1 column 38 (char 37)"),
+        ('{"plumbing": "v1', "Unterminated string starting at: line 1 column 14 (char 13)"),
+        ("{} {}", "Extra data: line 1 column 4 (char 3)"),
+    ],
+    ids=["value", "delimiter", "string", "extra"],
+)
+def test_malformed_document_names_its_place(text, where):
+    # in a new interpreter, where no json module is loaded until the error
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "plumbtau.cli", "dinv"],
+        input=text, capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"plumbtau: input: not valid JSON: {where}\n"
+    )
+
+
 def test_math_errors(tmp_path, capsys):
     indefinite = write_doc(tmp_path, {"plumbing": {"vertices": [["v1", 5]]}})
     rc, _, err = run_cli(capsys, "dinv", "--input", indefinite)
@@ -856,6 +923,7 @@ SURFACE_EXEMPT = {
     "obstruct.qhb4_filling_obstruction": "to be run by obstruct --check qhb4-filling",
     "floer.tau_alpha": "to be run by floer --what tau-alpha",
     "plumbing.SpincClass.d": "the one route to d as a Fraction; the package reads the integer d_num",
+    "obstruct.Verdict.slack": "the slack as a number; the package writes its Quotient",
 }
 
 
@@ -1095,14 +1163,20 @@ def _layers(*names):
 HANDLERS = ("cli_surgery", "cli_floer", "cli_obstruct", "cli_paper")
 # a call that makes no Fraction imports none of fractions, decimal and numbers
 NO_FRACTION = ("fractions", "decimal", "numbers")
+# cli reads and writes JSON through _json, the C module under the json package
+NO_JSON = ("json", "json.decoder", "json.scanner", "json.encoder")
 
 
 def _absent(*names, runs=(), also=()):
     # no call builds its records with dataclasses, which imports inspect, no
     # well-formed argv builds the argparse parser, no JSON call loads the help
-    # and table module, and no call loads a handler module it does not run
+    # and table module, no call loads a handler module it does not run, and
+    # only paper-examples, which reads its fixtures with json, loads json
     handlers = [name for name in HANDLERS if name not in runs]
-    return _layers(*names, "cli_help", *handlers) | {"dataclasses", "inspect", "argparse", *also}
+    absent = {"dataclasses", "inspect", "argparse", *also}
+    if "cli_paper" not in runs:
+        absent.update(NO_JSON)
+    return _layers(*names, "cli_help", *handlers) | absent
 
 
 @pytest.mark.parametrize(
@@ -1110,7 +1184,7 @@ def _absent(*names, runs=(), also=()):
     [
         (FLOER_D, {"floer_complex": STAIRCASE},
          _absent("plumbing", "tau", "surgery", "obstruct", "paper", "linalg", runs=["cli_floer"],
-                 also=NO_FRACTION)),
+                 also=(*NO_FRACTION, "heapq"))),
         (["tau-qp", "--strands", "2", "--writhe", "3", "--components", "1"], {},
          _absent("plumbing", "tau", "floer", "obstruct", "paper", runs=["cli_surgery"])),
         (DINV, {"plumbing": L92_PLUMBING},
@@ -1124,7 +1198,15 @@ def _absent(*names, runs=(), also=()):
          _absent("floer", "paper", runs=["cli_obstruct", "cli_surgery"])),
         (["obstruct", "--check", "metaboliser"],
          {"plumbing": L92_PLUMBING, "leaf_link": {"v1": 2}, "subset": [[3, 0]]},
-         _absent("floer", "surgery", "paper", runs=["cli_obstruct"])),
+         _absent("floer", "surgery", "paper", runs=["cli_obstruct"], also=NO_FRACTION)),
+        # the integer checks write each exact value from its integers
+        *[
+            (["obstruct", "--check", check],
+             {"plumbing": L92_PLUMBING, "leaf_link": {"v1": 2}, "subset": subset},
+             _absent("floer", "surgery", "paper", runs=["cli_obstruct"], also=NO_FRACTION))
+            for check, subset in (("integrality", [[3, 0]]), ("conjugation", [[3, 0]]),
+                                  ("pl-genus", "d0"), ("concordance", "d0"))
+        ],
         (["surgery", "--what", "chern"], surgery_doc(1),
          _absent("plumbing", "tau", "floer", "obstruct", "paper", runs=["cli_surgery"])),
         (["paper-examples"], {}, _absent("floer", runs=["cli_paper"])),

@@ -13,6 +13,11 @@ from conftest import (
     adjunction_bound,
     closure_metaboliser_candidates,
     det,
+    fraction_concordance_obstruction,
+    fraction_conjugation_obstruction,
+    fraction_integrality_obstruction,
+    fraction_metaboliser_obstruction,
+    fraction_pl_genus_lower_bound,
     genus_bounds_check,
     h1_residues,
     property_seed,
@@ -381,3 +386,53 @@ def test_verdict_json():
     fired = verdicts[3].to_json()
     assert fired["witness"]["tau"] == "4/9"
     assert fired["slack"] == "2/3"
+
+
+def _oracle_forms(rng):
+    """Seeded random definite trees, 40 of them with a square |det Q|, so that
+    metabolisers exist, and 120 more."""
+    forms = {True: [], False: []}
+    while len(forms[True]) < 40 or len(forms[False]) < 120:
+        f = IntersectionForm(random_tree(rng, rng.randint(1, 4), -6, -1))
+        if f.negative_definite:
+            forms[math.isqrt(f.qinv[1]) ** 2 == f.qinv[1]].append(f)
+    return forms[True][:40] + forms[False][:120]
+
+
+def test_integer_checks_match_fraction_oracles():
+    # the five checks keep their values as integers over a known denominator;
+    # the Fraction bodies they replaced must give the same verdicts and numbers
+    rng = random.Random(property_seed())
+    seen = Counter()
+    for f in _oracle_forms(rng):
+        leaves = [v for v, _ in f.tree.vertices if f.tree.marking(v) == "unmarked_leaf"]
+        profile = TauProfile(f, leaf_link(f, {v: rng.randint(0, 4) for v in leaves}))
+        classes = spinc_classes(f)
+        candidates = metaboliser_candidates(f)
+        for s in rng.sample(classes, min(len(classes), 6)):
+            tau = profile.tau_at(s)
+            for got, want in (
+                (metaboliser_obstruction(profile, s, candidates),
+                 fraction_metaboliser_obstruction(profile, s, candidates)),
+                (conjugation_obstruction(profile, s), fraction_conjugation_obstruction(profile, s)),
+                (integrality_obstruction(profile.num(s), profile.den),
+                 fraction_integrality_obstruction(tau)),
+                (integrality_obstruction(tau), fraction_integrality_obstruction(tau)),
+            ):
+                assert got.to_json() == want.to_json(), (f.tree, s)
+                assert got.slack == want.slack and type(got.slack) is type(want.slack)
+                seen["negative slack"] += got.slack is not None and got.slack < 0
+            seen["negative non-integral tau"] += tau < 0 and tau.denominator != 1
+        for subset in ([], d_zero_subset(f), classes, rng.sample(classes, rng.randint(1, len(classes)))):
+            got, want = concordance_obstruction(profile, subset), fraction_concordance_obstruction(profile, subset)
+            assert got.to_json() == want.to_json() and got.slack == want.slack, (f.tree, subset)
+            if not subset:
+                with pytest.raises(ValueError):
+                    pl_genus_lower_bound(profile, subset)
+                continue
+            bound, want = pl_genus_lower_bound(profile, subset), fraction_pl_genus_lower_bound(profile, subset)
+            assert bound == want and (bound.genus, bound.raw) == tuple(want), (f.tree, subset)
+            assert hash(bound) == hash(want)
+            assert repr(bound) == f"PLGenusBound(genus={want.genus}, raw={want.raw!r})"
+            seen["odd raw denominator"] += bound.raw.denominator % 2 == 1 and bound.raw.denominator > 1
+    assert min(seen.values()) >= 5, seen
