@@ -31,7 +31,10 @@ alone, and ``tau`` also ``tau``.  ``fractions`` (with ``decimal`` and
 check but ``slice-bennequin``: every other exact value is an integer over a
 known denominator, written by ``linalg._quotient``.  No call but
 ``paper-examples`` imports the ``json`` package: ``cli`` reads and writes
-JSON with the C functions of ``_json`` that it wraps.
+JSON with the C functions of ``_json`` that it wraps.  A call run as the
+program (``cli.main()`` with no argv) registers ``gc.freeze`` as an exit
+hook, so the interpreter's exit-time collections skip every object still
+alive; an in-process ``main(argv)`` touches neither ``gc`` nor ``atexit``.
 
 The package's records are NamedTuples or plain classes, never dataclasses:
 ``dataclasses`` imports ``inspect`` (and through it ``ast``, ``dis`` and

@@ -594,6 +594,13 @@ def _read_args(argv: list) -> Optional[SimpleNamespace]:
 
 def main(argv=None) -> int:
     if argv is None:
+        # main is the program, so the interpreter exits after it: freeze the
+        # collector at exit, and the exit-time collections skip every object
+        # still alive; an in-process main(argv) touches neither gc nor atexit
+        import atexit
+        import gc
+
+        atexit.register(gc.freeze)
         argv = sys.argv[1:]
     args = _read_args(argv) or build_parser().parse_args(argv)
     try:

@@ -19,6 +19,17 @@ link, kappa^T Q^{-1} m = (kappa·w)/p and m^T Q^{-1} m = (m·w)/p, so
 
 one integer dot product per candidate.  ``TauProfile`` holds tau as
 that integer numerator over 2p and makes the Fraction only when asked.
+
+The short box a_v + 2 <= kappa_v <= -a_v (a_v the weight of v, kappa_v =
+K·v) gives the minimum over every maximiser of the class, by reflection.
+kappa ± 2Q·e_v lies in the class of kappa and has square kappa^2 ±
+4·kappa_v + 4·a_v, so a maximiser has a_v <= kappa_v <= -a_v.  One with
+kappa_v = a_v reflects to kappa' = kappa - 2Q·e_v, a maximiser with
+kappa'_v = -a_v, and kappa^T Q^{-1} m = kappa'^T Q^{-1} m + 2·m_v.
+Reflecting while some coordinate sits at a_v walks kappa - 2Q·x with x >= 0
+growing, so it never repeats a vector among the finitely many maximisers
+and ends in the short box, its pairing never raised since m >= 0
+(``LeafLink`` refuses a negative strand).
 """
 
 from __future__ import annotations

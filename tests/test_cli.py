@@ -1,5 +1,7 @@
 import argparse
 import ast
+import atexit
+import gc
 import hashlib
 import importlib
 import inspect
@@ -1155,6 +1157,32 @@ def run_python(code: str, *argv: str, stdin: str = "") -> str:
     return proc.stdout.splitlines()[-1]
 
 
+@pytest.mark.parametrize(
+    "argv, doc, rc",
+    [(FLOER_D, {"floer_complex": STAIRCASE}, 0), (DINV, {"plumbing": INDEFINITE}, 3),
+     (DINV, {}, 2)],
+    ids=["floer", "refused", "schema"],
+)
+def test_program_run_freezes_the_collector_at_exit(argv, doc, rc, tmp_path, capsys):
+    # run as the benchmark launches it; exit hooks run last in, first out, so
+    # a probe registered before main reads the collector after main's hook ran
+    code = (
+        "import atexit, gc, sys\n"
+        "frozen = gc.get_freeze_count()\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > frozen, file=sys.stderr))\n"
+        "from plumbtau.cli import main\n"
+        "sys.exit(main())"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv, "--input", "-"],
+        input=json.dumps(doc).encode(), capture_output=True, env=env, timeout=60,
+    )
+    code, out, err = run_cli(capsys, *argv, "--input", write_doc(tmp_path, doc))
+    assert code == rc
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out.encode(), f"{err}True\n".encode())
+
+
 def _layers(*names):
     return {f"plumbtau.{name}" for name in names}
 
@@ -1529,11 +1557,18 @@ def test_every_subcommand_keeps_its_arguments():
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):
+    # main() is the program, so it registers gc.freeze to run at exit; an
+    # in-process main(argv) registers nothing, and this process is never frozen
+    # (3.12 starts with a few hundred objects already in the permanent generation)
+    hooks, frozen = [], gc.get_freeze_count()
+    monkeypatch.setattr(atexit, "register", hooks.append)
     argv = ["tau-qp", "--strands", "2", "--writhe", "3", "--components", "1"]
     monkeypatch.setattr(sys, "argv", ["plumbtau", *argv])
     assert (main(), *capsys.readouterr()) == (main(argv), *capsys.readouterr())
+    assert hooks == [gc.freeze]  # main()'s alone
     monkeypatch.setattr(sys, "argv", ["plumbtau", "nope"])
     with pytest.raises(SystemExit) as exit_:
         main()
     assert exit_.value.code == 2
     assert "invalid choice: 'nope'" in capsys.readouterr().err
+    assert hooks == [gc.freeze, gc.freeze] and gc.get_freeze_count() == frozen

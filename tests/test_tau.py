@@ -1,8 +1,10 @@
 import ast
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -182,6 +184,41 @@ def test_tau_matches_pairing_oracle():
             classes += 1
             ties += len(s.realizing) > 1
     assert classes > 10_000 and ties >= 10
+
+
+def test_short_box_attains_every_class_maximum():
+    # the reflection argument of the tau docstring: every maximiser of a class
+    # lies in a_i <= kappa_i <= -a_i, and the short box, a step narrower at the
+    # bottom, loses no d and no least pairing.  The box a step wider on both
+    # sides, a_i <= kappa_i <= -a_i + 2, gives each class the same d_num and
+    # the same tau numerator as the package, on random trees and leaf links
+    rng = random.Random(property_seed())
+    classes = reflected = 0
+    for _ in range(400):
+        tree = random_tree(rng, rng.randint(1, 4), -5, -1)
+        weights = [w for _, w in tree.vertices]
+        f = IntersectionForm(tree)
+        if math.prod(2 - w for w in weights) > 3000 or not f.negative_definite:
+            continue
+        leaves = [v for v, _ in tree.vertices if tree.marking(v) == "unmarked_leaf"]
+        link = leaf_link(f, {v: rng.randint(0, 4) for v in leaves})
+        profile = TauProfile(f, link)
+        a, p = f.qinv
+        w = [sum(map(mul, row, link.m)) for row in a]
+        found = {s: [] for s in spinc_classes(f)}  # (square, pairing, kappa) per class
+        for kappa in itertools.product(*(range(x, 3 - x, 2) for x in weights)):
+            square = sum(map(mul, kappa, [sum(map(mul, row, kappa)) for row in a]))
+            found[class_of(f, kappa)].append((square, sum(map(mul, kappa, w)), kappa))
+        for s, vectors in found.items():
+            top = max(square for square, _, _ in vectors)
+            maximisers = [(pairing, kappa) for square, pairing, kappa in vectors if square == top]
+            assert s.d_num == top + f.n * p, (tree, s)
+            least = min(pairing for pairing, _ in maximisers)
+            assert profile.row(s)[0] == least - sum(map(mul, link.m, w)), (tree, link, s)
+            classes += 1
+            # a maximiser on the box's lower face, which the short box leaves out
+            reflected += any(k == x for _, kappa in maximisers for k, x in zip(kappa, weights))
+    assert classes > 5000 and reflected > 1000, (classes, reflected)
 
 
 def test_profile_takes_no_pairing(monkeypatch):
