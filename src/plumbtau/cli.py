@@ -14,13 +14,17 @@ class table whose rows share their keys and each column one kind of value,
 is written from one template per table instead of value by value
 (``_rows``).
 
-One table, ``_table``, gives each name in ``COMMANDS`` its handler, help
-line and argument specs; every subcommand takes the ``_FORMAT`` spec, and
-each that reads a document the ``_INPUT`` spec.  A well-formed call is read
-straight from its row by ``_read_args``, to the namespace argparse would
-give it, so it neither imports nor builds argparse.  Every other call (help,
-an error, an abbreviated flag) goes to ``build_parser``, the argparse parser
-of every row, which prints the help and the errors.
+One table, ``_TABLE``, is the only place that says which code runs a
+subcommand: it gives each name in ``COMMANDS`` the module of its handler,
+its help line and its argument specs.  The handler is that module's
+``run_<name>`` (``-`` read as ``_``), looked up when the call runs, so a
+wrapper bound to ``cli.run_tau`` is the one run.  Every subcommand takes
+the ``_FORMAT`` spec, and each that reads a document the ``_INPUT`` spec.
+A well-formed call is read straight from its row by ``_read_args``, to the
+namespace argparse would give it, so it neither imports nor builds
+argparse.  Every other call (help, an error, an abbreviated flag) goes to
+``cli_help.build_parser``, the argparse parser of every row, which prints
+the help and the errors.
 
 This module holds what every call runs: the reader and ``SCHEMA``, the
 argument table, the JSON writer, ``main``, and the ``tau``, ``dinv`` and
@@ -55,8 +59,6 @@ from . import EXAMPLE_NAMES
 # Each handler imports the layers it calls, so a call of one subcommand
 # loads no other subcommand's layers (a ``floer`` call loads only floer).
 if TYPE_CHECKING:
-    import argparse
-
     from .plumbing import IntersectionForm
     from .tau import LeafLink
 
@@ -379,37 +381,6 @@ def run_spinc(args) -> dict:
     return {"command": "spinc", "order": f.qinv[1], "classes": rows}
 
 
-# Each of these handlers, with what only it reads, is its own module,
-# compiled only when the subcommand runs.  Each stub reads its loaded module
-# with ``from . import cli_x``, in about half the time per call of ``from
-# .cli_x import run_x`` (timeit, Python 3.11).
-
-
-def run_surgery(args) -> dict:
-    from . import cli_surgery
-    return cli_surgery.run_surgery(args)
-
-
-def run_tau_qp(args) -> dict:
-    from . import cli_surgery
-    return cli_surgery.run_tau_qp(args)
-
-
-def run_floer(args) -> dict:
-    from . import cli_floer
-    return cli_floer.run_floer(args)
-
-
-def run_obstruct(args) -> dict:
-    from . import cli_obstruct
-    return cli_obstruct.run_obstruct(args)
-
-
-def run_paper_examples(args) -> dict:
-    from . import cli_paper
-    return cli_paper.run_paper_examples(args)
-
-
 # --- output rendering ------------------------------------------------------
 
 
@@ -497,9 +468,6 @@ def render(doc: dict, fmt: str) -> str:
 # --- argument parsing ------------------------------------------------------
 
 
-COMMANDS = ("tau", "dinv", "spinc", "surgery", "tau-qp", "floer", "obstruct", "paper-examples")
-
-
 def _arg(*flags: str, **options) -> tuple:
     """One argument spec of a subcommand: the flags and keywords of its ``add_argument``."""
     return flags, options
@@ -508,40 +476,31 @@ def _arg(*flags: str, **options) -> tuple:
 _INPUT = _arg("--input", default="-", help="input JSON document, - for stdin")
 _FORMAT = _arg("--format", choices=("json", "table"), default="json")
 
-
-def _table() -> dict:
-    """name: (handler, help, argument specs in --help order) for each name in ``COMMANDS``.
-
-    Built at each call, so a wrapper bound to ``cli.run_*`` is the one run.
-    """
-    return {
-        "tau": (run_tau, "per-class tau table of a leaf-fibre link", _INPUT, _FORMAT,
-            _arg("--spinc", default=None, help="all | d0 | representative like -3,0")),
-        "dinv": (run_dinv, "correction-term table of the boundary", _INPUT, _FORMAT),
-        "spinc": (run_spinc, "spin-c classes and conjugation pairing", _INPUT, _FORMAT),
-        "surgery": (run_surgery, "linking-matrix quantities of a presentation", _INPUT, _FORMAT,
-            _arg("--what", choices=("self-int", "chern", "sl", "tau-curve"), required=True)),
-        "tau-qp": (run_tau_qp, "tau of a quasi-positive braid closure",
-            _arg("--strands", type=int, required=True), _arg("--writhe", type=int, required=True),
-            _arg("--components", type=int, required=True), _FORMAT),
-        "floer": (run_floer, "invariants of a filtered chain complex", _INPUT, _FORMAT,
-            _arg("--what", choices=("d", "tau-top", "tau-bot", "verify"), required=True)),
-        "obstruct": (run_obstruct, "obstruction verdicts from the tau profile", _INPUT, _FORMAT,
-            _arg("--check", required=True, choices=("slice-bennequin", "metaboliser",
-                "conjugation", "pl-genus", "integrality", "concordance"))),
-        "paper-examples": (run_paper_examples, "regenerate and diff the golden tables",
-            _arg("example", nargs="?", choices=EXAMPLE_NAMES, default=None), _FORMAT),
-    }
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, which prints the help and the errors."""
-    from .cli_help import build_parser
-    return build_parser()
+# name: (module of its handler, help, argument specs in --help order).  A row
+# names a module, not a function, so a call imports its own handler's alone.
+_TABLE = {
+    "tau": ("cli", "per-class tau table of a leaf-fibre link", _INPUT, _FORMAT,
+        _arg("--spinc", default=None, help="all | d0 | representative like -3,0")),
+    "dinv": ("cli", "correction-term table of the boundary", _INPUT, _FORMAT),
+    "spinc": ("cli", "spin-c classes and conjugation pairing", _INPUT, _FORMAT),
+    "surgery": ("cli_surgery", "linking-matrix quantities of a presentation", _INPUT, _FORMAT,
+        _arg("--what", choices=("self-int", "chern", "sl", "tau-curve"), required=True)),
+    "tau-qp": ("cli_surgery", "tau of a quasi-positive braid closure",
+        _arg("--strands", type=int, required=True), _arg("--writhe", type=int, required=True),
+        _arg("--components", type=int, required=True), _FORMAT),
+    "floer": ("cli_floer", "invariants of a filtered chain complex", _INPUT, _FORMAT,
+        _arg("--what", choices=("d", "tau-top", "tau-bot", "verify"), required=True)),
+    "obstruct": ("cli_obstruct", "obstruction verdicts from the tau profile", _INPUT, _FORMAT,
+        _arg("--check", required=True, choices=("slice-bennequin", "metaboliser",
+            "conjugation", "pl-genus", "integrality", "concordance"))),
+    "paper-examples": ("cli_paper", "regenerate and diff the golden tables",
+        _arg("example", nargs="?", choices=EXAMPLE_NAMES, default=None), _FORMAT),
+}
+COMMANDS = tuple(_TABLE)
 
 
 def _read_args(argv: list) -> Optional[SimpleNamespace]:
-    """The namespace ``build_parser().parse_args(argv)`` reads, or None to leave argv to it.
+    """The namespace the argparse parser reads from argv, or None to leave argv to it.
 
     It reads only argv that argparse reads to the same namespace: a name in
     ``COMMANDS``, then flags of that row spelled exactly, as ``--flag value``
@@ -552,9 +511,9 @@ def _read_args(argv: list) -> Optional[SimpleNamespace]:
     an abbreviation, a repeat, ``--``, a bad value, a missing or extra
     argument) is argparse's to read or refuse.
     """
-    if not argv or argv[0] not in COMMANDS:
+    if not argv or argv[0] not in _TABLE:
         return None
-    handler, _, *specs = _table()[argv[0]]
+    _, _, *specs = _TABLE[argv[0]]
     names = {flags[0] for flags, _ in specs}
     positional = next((name for name in names if not name.startswith("-")), None)
     read = {}
@@ -589,7 +548,7 @@ def _read_args(argv: list) -> Optional[SimpleNamespace]:
             if choices is not None and value not in choices:
                 return None
         values[name.lstrip("-").replace("-", "_")] = value
-    return SimpleNamespace(**values, handler=handler)
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
@@ -602,9 +561,16 @@ def main(argv=None) -> int:
 
         atexit.register(gc.freeze)
         argv = sys.argv[1:]
-    args = _read_args(argv) or build_parser().parse_args(argv)
+    args = _read_args(argv)
+    if args is None:
+        from .cli_help import build_parser
+
+        args = build_parser().parse_args(argv)
     try:
-        doc = args.handler(args)
+        # the row's module, imported by this call alone, and its run_<name>
+        module = f"{__package__}.{_TABLE[args.command][0]}"
+        __import__(module)
+        doc = getattr(sys.modules[module], "run_" + args.command.replace("-", "_"))(args)
     except SchemaError as e:
         print(f"plumbtau: {e}", file=sys.stderr)
         return SCHEMA_EXIT

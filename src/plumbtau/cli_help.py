@@ -2,7 +2,7 @@
 
 ``cli`` imports this module on those paths alone, so a well-formed call
 that writes JSON never compiles it: ``build_parser`` builds the argparse
-parser of every row of ``cli._table``, and ``table_text`` writes a
+parser of every row of ``cli._TABLE``, and ``table_text`` writes a
 document as an aligned table.  Only ``build_parser`` imports argparse.
 """
 
@@ -27,11 +27,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # with prog given, argparse does not format the top usage line to derive it
     sub = parser.add_subparsers(dest="command", required=True, prog="plumbtau")
-    for name, (handler, text, *specs) in cli._table().items():
+    for name, (_, text, *specs) in cli._TABLE.items():
         p = sub.add_parser(name, help=text)
         for flags, options in specs:
             p.add_argument(*flags, **options)
-        p.set_defaults(handler=handler)
     return parser
 
 

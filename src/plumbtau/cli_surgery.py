@@ -62,19 +62,7 @@ def run_surgery(args) -> dict:
 def run_tau_qp(args) -> dict:
     with _named("braid", ValueError):
         b = surgery.BraidDatum(args.strands, args.writhe, args.components)
-        # the closure of n strands and l components has writhe congruent to n - l mod 2,
-        # and a quasi-positive one has writhe >= n - l
-        floor = b.strands - b.components
-        if (b.writhe - floor) % 2:
-            raise ValueError(
-                f"writhe {b.writhe} and strands - components = {floor} differ in parity,"
-                " which no braid closure has"
-            )
-        if b.writhe < floor:
-            raise ValueError(
-                f"writhe {b.writhe} is below strands - components = {floor},"
-                " which no quasi-positive closure has"
-            )
+        b.require_quasi_positive()
     tau = surgery.tau_qp_braid(b)
     with _printing():
         return {

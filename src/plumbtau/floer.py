@@ -124,8 +124,12 @@ class AlexanderFiltration(NamedTuple):
 
 
 class AxiomReport(NamedTuple):
-    ok: bool
     failures: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        """The complex passes every check: no failure is listed."""
+        return not self.failures
 
 
 def _ungraded(c: FloerComplex) -> list[tuple[str, str, int]]:
@@ -226,14 +230,14 @@ def verify_axioms(c: FloerComplex) -> AxiomReport:
         failures = list(islice(listing, MAX_LISTED_FAILURES))
         if count > MAX_LISTED_FAILURES:
             failures.append(f"... and {count - MAX_LISTED_FAILURES} more failures")
-        return AxiomReport(ok=False, failures=tuple(failures))
+        return AxiomReport(tuple(failures))
     failures = []
     # 2^power is built only while it could equal the rank, at most #generators
     if power >= len(c.gradings).bit_length():
         failures.append(f"rank: homology has {rank} towers, expected 2^{power}")
     elif rank != 2**power:
         failures.append(f"rank: homology has {rank} towers, expected {2**power}")
-    return AxiomReport(ok=not failures, failures=tuple(failures))
+    return AxiomReport(tuple(failures))
 
 
 def _require_valid(c: FloerComplex) -> None:

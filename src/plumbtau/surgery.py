@@ -157,6 +157,24 @@ class BraidDatum(_BraidFields):
             raise ValueError("a braid closure has at most one component per strand")
         return self
 
+    def require_quasi_positive(self):
+        """Refuse a writhe that no braid closure, or no quasi-positive one, has.
+
+        The closure of n strands and l components has writhe congruent to
+        n - l mod 2, and a quasi-positive one has writhe >= n - l.
+        """
+        floor = self.strands - self.components
+        if (self.writhe - floor) % 2:
+            raise ValueError(
+                f"writhe {self.writhe} and strands - components = {floor} differ in parity,"
+                " which no braid closure has"
+            )
+        if self.writhe < floor:
+            raise ValueError(
+                f"writhe {self.writhe} is below strands - components = {floor},"
+                " which no quasi-positive closure has"
+            )
+
 
 def self_linking_braid(b: BraidDatum) -> int:
     """Self-linking number of a braid closure: writhe minus strand count."""

@@ -8,7 +8,7 @@ import sys
 import types
 from fractions import Fraction
 from math import comb
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import plumbtau
 from plumbtau import linalg
@@ -229,6 +229,35 @@ def random_tree(rng, n, low, high):
     weights = [rng.randint(low, high) for _ in range(n)]
     edges = tuple((ids[i], ids[rng.randrange(i)]) for i in range(1, n))
     return PlumbingTree(vertices=tuple(zip(ids, weights)), edges=edges)
+
+
+def blow_up(tree: PlumbingTree, rng) -> tuple[PlumbingTree, Callable]:
+    """A random blow-up of ``tree``, and the map phi it induces on characteristic vectors.
+
+    Neumann's plumbing calculus keeps the boundary under either move, and
+    both keep the form negative definite: at a vertex w, a -1 leaf e on w
+    and a_w - 1; on an edge u-v, u-e-v with e of weight -1 and a_u - 1,
+    a_v - 1.  e is the new tree's last vertex.  phi(K) sets K'_e = 1,
+    lowers K'_w (K'_u and K'_v) by 1 and keeps every other coordinate, so
+    K'^2 = K^2 - 1 and n' = n + 1 keep d class by class, and a strand on a
+    leaf the move leaves alone keeps its pairing.
+    """
+    ids = [v for v, _ in tree.vertices]
+    e = next(f"e{i}" for i in itertools.count() if f"e{i}" not in ids)
+    if tree.edges and rng.random() < 0.5:
+        k = rng.randrange(len(tree.edges))
+        lowered = tree.edges[k]
+        edges = tree.edges[:k] + ((lowered[0], e), (e, lowered[1])) + tree.edges[k + 1:]
+    else:
+        lowered = (rng.choice(ids),)
+        edges = tree.edges + ((lowered[0], e),)
+    vertices = tuple((v, a - (v in lowered)) for v, a in tree.vertices) + ((e, -1),)
+    at = [ids.index(v) for v in lowered]
+
+    def phi(kappa: Sequence[int]) -> tuple[int, ...]:
+        return (*(k - (i in at) for i, k in enumerate(kappa)), 1)
+
+    return PlumbingTree(vertices, edges), phi
 
 
 def lens_chain(p: int, q: int) -> PlumbingTree:

@@ -21,7 +21,7 @@ import pytest
 
 import plumbtau
 from conftest import count_fractions, property_seed, random_tree
-from plumbtau import cli, floer, obstruct, paper, plumbing
+from plumbtau import cli, cli_help, floer, obstruct, paper, plumbing
 from plumbtau.cli import main
 
 L92_PLUMBING = {
@@ -922,6 +922,10 @@ SURFACE_EXEMPT = {
         f"paper.golden_{name}": "GOLDEN_GENERATORS looks it up by name"
         for name in plumbtau.EXAMPLE_NAMES
     },
+    **{
+        f"{module}.run_{name.replace('-', '_')}": "the table names its module"
+        for name, (module, *_) in cli._TABLE.items()
+    },
     "obstruct.qhb4_filling_obstruction": "to be run by obstruct --check qhb4-filling",
     "floer.tau_alpha": "to be run by floer --what tau-alpha",
     "plumbing.SpincClass.d": "the one route to d as a Fraction; the package reads the integer d_num",
@@ -1188,7 +1192,7 @@ def _layers(*names):
 
 
 # the handler modules beside cli, each loaded only by the calls that run it
-HANDLERS = ("cli_surgery", "cli_floer", "cli_obstruct", "cli_paper")
+HANDLERS = tuple(dict.fromkeys(module for module, *_ in cli._TABLE.values() if module != "cli"))
 # a call that makes no Fraction imports none of fractions, decimal and numbers
 NO_FRACTION = ("fractions", "decimal", "numbers")
 # cli reads and writes JSON through _json, the C module under the json package
@@ -1332,7 +1336,7 @@ def test_layers_load_on_first_access():
 
 
 def test_paper_examples_choices():
-    parser = cli.build_parser()
+    parser = cli_help.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     example = next(a for a in sub.choices["paper-examples"]._actions if a.dest == "example")
     assert example.choices == paper.EXAMPLE_NAMES == tuple(paper.GOLDEN_GENERATORS)
@@ -1387,7 +1391,7 @@ def _read_as_full_parser(parser, argv, capsys):
 def test_one_command_parser_agrees_with_full_parser(argv, capsys):
     # the one-command route is the reader: a call that parses is read from its
     # row of the table, and every other goes to the full parser unchanged
-    read, full = _read_as_full_parser(cli.build_parser(), argv, capsys)
+    read, full = _read_as_full_parser(cli_help.build_parser(), argv, capsys)
     assert (read is None) == isinstance(full, tuple)
 
 
@@ -1468,8 +1472,8 @@ def test_reader_agrees_with_full_parser_on_seeded_argv(capsys):
     # every other to argparse: a reader that took an abbreviation or skipped a
     # choices check would read some of these where it must not
     rng = random.Random(property_seed())
-    parser = cli.build_parser()
-    for name, (_, _, *specs) in cli._table().items():
+    parser = cli_help.build_parser()
+    for name, (_, _, *specs) in cli._TABLE.items():
         for kind in range(10):
             for _ in range(4):
                 units = _well_formed(rng, specs)
@@ -1484,40 +1488,40 @@ INPUT_SPEC = (
 )
 FORMAT_SPEC = ("format", ("--format",), ("json", "table"), "json", False, None, None, None)
 
-# name: (help line, handler, the (dest, option strings, choices, default,
-# required, type, nargs, help) of each argument in order), read off the
-# actions, not the --help text, whose layout differs between Python versions
+# name: (help line, handler module, the (dest, option strings, choices,
+# default, required, type, nargs, help) of each argument in order), read off
+# the actions, not the --help text, whose layout differs between Python versions
 ARGUMENTS = {
-    "tau": ("per-class tau table of a leaf-fibre link", "run_tau", [
+    "tau": ("per-class tau table of a leaf-fibre link", "cli", [
         INPUT_SPEC, FORMAT_SPEC,
         ("spinc", ("--spinc",), None, None, False, None, None,
          "all | d0 | representative like -3,0"),
     ]),
-    "dinv": ("correction-term table of the boundary", "run_dinv", [INPUT_SPEC, FORMAT_SPEC]),
-    "spinc": ("spin-c classes and conjugation pairing", "run_spinc", [INPUT_SPEC, FORMAT_SPEC]),
-    "surgery": ("linking-matrix quantities of a presentation", "run_surgery", [
+    "dinv": ("correction-term table of the boundary", "cli", [INPUT_SPEC, FORMAT_SPEC]),
+    "spinc": ("spin-c classes and conjugation pairing", "cli", [INPUT_SPEC, FORMAT_SPEC]),
+    "surgery": ("linking-matrix quantities of a presentation", "cli_surgery", [
         INPUT_SPEC, FORMAT_SPEC,
         ("what", ("--what",), ("self-int", "chern", "sl", "tau-curve"),
          None, True, None, None, None),
     ]),
-    "tau-qp": ("tau of a quasi-positive braid closure", "run_tau_qp", [
+    "tau-qp": ("tau of a quasi-positive braid closure", "cli_surgery", [
         ("strands", ("--strands",), None, None, True, "int", None, None),
         ("writhe", ("--writhe",), None, None, True, "int", None, None),
         ("components", ("--components",), None, None, True, "int", None, None),
         FORMAT_SPEC,
     ]),
-    "floer": ("invariants of a filtered chain complex", "run_floer", [
+    "floer": ("invariants of a filtered chain complex", "cli_floer", [
         INPUT_SPEC, FORMAT_SPEC,
         ("what", ("--what",), ("d", "tau-top", "tau-bot", "verify"),
          None, True, None, None, None),
     ]),
-    "obstruct": ("obstruction verdicts from the tau profile", "run_obstruct", [
+    "obstruct": ("obstruction verdicts from the tau profile", "cli_obstruct", [
         INPUT_SPEC, FORMAT_SPEC,
         ("check", ("--check",), ("slice-bennequin", "metaboliser", "conjugation",
                                  "pl-genus", "integrality", "concordance"),
          None, True, None, None, None),
     ]),
-    "paper-examples": ("regenerate and diff the golden tables", "run_paper_examples", [
+    "paper-examples": ("regenerate and diff the golden tables", "cli_paper", [
         ("example", (), ("l2d", "m3d", "nk", "m3", "eq72"), None, False, None, "?", None),
         FORMAT_SPEC,
     ]),
@@ -1528,7 +1532,7 @@ def _arguments(parser):
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     lines = {a.dest: a.help for a in sub._choices_actions}
     return {
-        name: (lines[name], p.get_default("handler").__name__, [
+        name: (lines[name], cli._TABLE[name][0], [
             (a.dest, tuple(a.option_strings), a.choices and tuple(a.choices), a.default,
              a.required, getattr(a.type, "__name__", a.type), a.nargs, a.help)
             for a in p._actions
@@ -1538,11 +1542,18 @@ def _arguments(parser):
     }
 
 
-def test_every_subcommand_keeps_its_arguments():
+def test_every_subcommand_keeps_its_arguments(monkeypatch, capsys):
     # a change to the table shows here, in the full parser and in the reader
-    assert list(ARGUMENTS) == list(cli.COMMANDS)
-    assert _arguments(cli.build_parser()) == ARGUMENTS
-    for name, (_, handler, specs) in ARGUMENTS.items():
+    assert list(ARGUMENTS) == list(cli.COMMANDS) == list(cli._TABLE)
+    assert _arguments(cli_help.build_parser()) == ARGUMENTS
+    calls = []
+    for name, (_, module, specs) in ARGUMENTS.items():
+        # the table names the module, the module has the handler, and main runs
+        # the one bound to its name when the call runs
+        handlers = importlib.import_module(f"plumbtau.{module}")
+        handler = f"run_{name}".replace("-", "_")
+        assert callable(getattr(handlers, handler)), name
+        monkeypatch.setattr(handlers, handler, lambda args, _name=name: calls.append(_name) or {})
         # each required flag with its first choice, or 1 for an int
         argv = [name] + [
             token
@@ -1551,9 +1562,11 @@ def test_every_subcommand_keeps_its_arguments():
             for token in (flags[0], choices[0] if choices else "1")
         ]
         read = vars(cli._read_args(argv))
-        assert list(read) == ["command", *(spec[0] for spec in specs), "handler"]
-        assert read["handler"].__name__ == handler
-        assert read == vars(cli.build_parser().parse_args(argv))
+        assert list(read) == ["command", *(spec[0] for spec in specs)]
+        assert read == vars(cli_help.build_parser().parse_args(argv))
+        assert main(argv) == 0 and calls.pop() == name
+        assert capsys.readouterr() == ("{}\n", "")
+    assert calls == []
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):

@@ -146,7 +146,7 @@ def test_records_keep_their_fields_and_stay_frozen():
         (filt, ("levels",)),
         (dec.towers[0], ("grading", "chain")),
         (dec, ("towers", "torsion")),
-        (report, ("ok", "failures")),
+        (report, ("failures",)),
     ]
     for record, fields in records:
         assert record._fields == fields

@@ -213,6 +213,28 @@ def test_tau_qp_equals_sl_identity():
         assert tau_qp_braid(b) == Fraction(self_linking_braid(b) + b.components, 2)
 
 
+def test_braid_refuses_what_no_quasi_positive_closure_has():
+    # the record builds any braid, so surgery --what sl and tau-curve read it;
+    # only tau-qp asks it for a quasi-positive closure
+    BraidDatum(2, 3, 1).require_quasi_positive()
+    refused = [
+        # a closure's writhe has the parity of strands - components
+        ((2, 2, 1), "writhe 2 and strands - components = 1 differ in parity,"
+         " which no braid closure has"),
+        # a quasi-positive one's is at least that
+        ((5, 0, 1), "writhe 0 is below strands - components = 4,"
+         " which no quasi-positive closure has"),
+        # below the floor and of the wrong parity: the parity is named first
+        ((5, 1, 1), "writhe 1 and strands - components = 4 differ in parity,"
+         " which no braid closure has"),
+    ]
+    for args, message in refused:
+        b = BraidDatum(*args)
+        with pytest.raises(ValueError) as caught:
+            b.require_quasi_positive()
+        assert str(caught.value) == message, args
+
+
 def test_tau_from_curve():
     disk = CurveDatum(chi=1, chern=Fraction(0), self_int=Fraction(0), boundary=1)
     assert tau_from_curve(disk) == 0

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    blow_up,
     det,
     pairing,
     pairing_tau_detail,
@@ -219,6 +220,41 @@ def test_short_box_attains_every_class_maximum():
             # a maximiser on the box's lower face, which the short box leaves out
             reflected += any(k == x for _, kappa in maximisers for k, x in zip(kappa, weights))
     assert classes > 5000 and reflected > 1000, (classes, reflected)
+
+
+def test_blow_ups_keep_every_class():
+    # a blow-up (conftest.blow_up) keeps the boundary, so the classes, d and
+    # tau must agree class by class through phi, though the new tree has its
+    # own box, Q^-1 and -1 vertex; the links are the 2-strand ones on the
+    # leaves the move leaves alone
+    rng = random.Random(property_seed())
+    classes = pairs = 0
+    for _ in range(300):
+        tree = random_tree(rng, rng.randint(1, 5), -6, -1)
+        f = IntersectionForm(tree)
+        if not f.negative_definite:
+            continue
+        grown, phi = blow_up(tree, rng)
+        g = IntersectionForm(grown)
+        before, after = spinc_classes(f), spinc_classes(g)
+        image = [class_of(g, phi(s.rep)) for s in before]
+        # equal counts and every class met: phi is a bijection of the classes
+        assert len(before) == len(after) and set(image) == set(after), (tree, grown)
+        for s, t in zip(before, image):
+            assert s.d_num == t.d_num, (tree, grown, s)
+        classes += len(before)
+        weights = dict(grown.vertices)
+        untouched = [
+            v for v, a in tree.vertices if tree.marking(v) == "unmarked_leaf" and weights[v] == a
+        ]
+        for leaves in itertools.combinations_with_replacement(untouched, 2):
+            strands = Counter(leaves)
+            profile = TauProfile(f, leaf_link(f, strands))
+            grown_profile = TauProfile(g, leaf_link(g, strands))
+            for s, t in zip(before, image):
+                assert profile.tau_at(s) == grown_profile.tau_at(t), (tree, grown, strands, s)
+            pairs += len(before)
+    assert classes > 10000 and pairs > 20000, (classes, pairs)
 
 
 def test_profile_takes_no_pairing(monkeypatch):
