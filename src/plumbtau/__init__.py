@@ -21,17 +21,20 @@ Subpackages:
   their own.
 
 ``import plumbtau`` loads none of them: ``plumbtau.<layer>`` imports the
-layer on first use, so a CLI call loads only the layers its subcommand reads
-and, of the ``cli_*`` modules, only the one that runs it.  Where no ``.pyc``
-can be written, each module a call loads is compiled from source, so a
-``spinc`` or ``dinv`` call compiles ``cli``, ``plumbing`` and ``linalg``
-alone, and ``tau`` also ``tau``.  ``fractions`` (with ``decimal`` and
-``numbers``) is imported by the functions that make a Fraction, which no
-``spinc``, ``dinv``, ``tau`` or ``floer`` call runs, nor any ``obstruct``
-check but ``slice-bennequin``: every other exact value is an integer over a
-known denominator, written by ``linalg._quotient``.  No call but
-``paper-examples`` imports the ``json`` package: ``cli`` reads and writes
-JSON with the C functions of ``_json`` that it wraps.  A call run as the
+layer on first use, with ``__import__`` rather than ``importlib``, so a CLI
+call loads only the layers its subcommand reads and, of the ``cli_*``
+modules, only the one that runs it.  Where no ``.pyc`` can be written, each
+module a call loads is compiled from source, so a ``spinc`` or ``dinv``
+call compiles ``cli``, ``plumbing`` and ``linalg`` alone, ``tau`` also
+``tau``, and ``tau-qp`` ``cli``, ``cli_surgery`` and ``surgery`` alone.
+``fractions`` (with ``decimal`` and ``numbers``) is imported by the
+functions that make a Fraction, which no ``spinc``, ``dinv``, ``tau``,
+``tau-qp`` or ``floer`` call runs, nor any ``obstruct`` check but
+``slice-bennequin``: every other exact value is an integer over a known
+denominator, written by ``linalg._quotient``, or, for ``tau-qp``, an
+integer.  No call but ``paper-examples`` imports the ``json`` package or
+``importlib``: ``cli`` reads and writes JSON with the C functions of
+``_json`` that it wraps.  A call run as the
 program (``cli.main()`` with no argv) registers ``gc.freeze`` as an exit
 hook, so the interpreter's exit-time collections skip every object still
 alive; an in-process ``main(argv)`` touches neither ``gc`` nor ``atexit``.
@@ -70,7 +73,11 @@ _LAYERS = frozenset({"linalg", "plumbing", "tau", "surgery", "floer", "obstruct"
 
 def __getattr__(name: str):
     if name in _LAYERS:
-        from importlib import import_module
+        # __import__ and sys.modules, not importlib.import_module: the import
+        # system runs this on every ``from . import <layer>`` of a layer not
+        # yet loaded, and importlib is a module a call would load for it
+        import sys
 
-        return import_module(f"{__name__}.{name}")
+        __import__(f"{__name__}.{name}")
+        return sys.modules[f"{__name__}.{name}"]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -3,11 +3,13 @@
 
 from __future__ import annotations
 
-from . import cli, linalg, surgery
+from . import cli, surgery
 from .cli import BRAID, SchemaError, _fields, _named, _printing, _value
 
 
 def build_presentation(doc: dict) -> surgery.SurgeryPresentation:
+    from .linalg import SingularMatrixError
+
     node = _value(doc, "surgery")
     raw, linking, vectors = _fields(node, "surgery", "components", "linking", "link_components")
     components = []
@@ -21,7 +23,7 @@ def build_presentation(doc: dict) -> surgery.SurgeryPresentation:
             linking=tuple(tuple(row) for row in linking),
             link_vectors=tuple(tuple(v) for v in vectors),
         )
-    except linalg.SingularMatrixError:
+    except SingularMatrixError:
         raise ValueError("surgery.linking: surgery matrix is singular")
     except ValueError as e:
         raise SchemaError(f"surgery: {e}")

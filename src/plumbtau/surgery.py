@@ -10,14 +10,19 @@ sum of the link vectors (one pairing each), the self-linking numbers,
 and the quasi-positive braid identity tau = (w - n + l)/2.  A presentation
 keeps its own Q^{-1} as ``qinv``: it is computed once, when the presentation
 checks that Q is nonsingular, and every term reads it.
+
+``linalg`` is imported by the code that inverts or pairs, and ``fractions``
+by the code that makes a Fraction, so a ``tau-qp`` call, whose braid has an
+integral tau, loads neither: ``cli``, ``cli_surgery`` and this module alone.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from . import linalg
+# linalg and fractions are imported where they are used: see the note above
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 KINDS = ("surgery", "handle")
 
@@ -89,6 +94,8 @@ class SurgeryPresentation(_PresentationFields):
         for v in self.link_vectors:
             if len(v) != t:
                 raise ValueError("link component vector has wrong length")
+        from . import linalg
+
         try:
             self.__dict__["qinv"] = linalg.inverse(linking_matrix(self))
         except linalg.SingularMatrixError:
@@ -128,12 +135,16 @@ def self_intersection(p: SurgeryPresentation) -> Fraction:
     bordered by l_k with top-left entry 0: by the Schur complement,
     det(Q_k) = -det(Q) <l_k, Q^{-1} l_k>, so the sum collapses to one pairing.
     """
+    from . import linalg
+
     s = _total_link_vector(p)
     return linalg.pair(p.qinv, s, s)
 
 
 def chern_evaluation(p: SurgeryPresentation) -> Fraction:
     """-<rot, Q^{-1} S> = -sum_k <rot, Q^{-1} l_k>, the Chern class on the capped surface."""
+    from . import linalg
+
     return -linalg.pair(p.qinv, p.rot_vector, _total_link_vector(p))
 
 
@@ -187,16 +198,30 @@ def self_linking_shift(sl_t0, p: SurgeryPresentation) -> Fraction:
     Inverts the shift sl(T) = sl(L) + c1[C'] + [C']^2 along the surgery
     cobordism: sl(L) = sl(T0) - chern_evaluation - self_intersection, and
     -c1[C] - [C]^2 = <rot, Q^{-1} S> - <S, Q^{-1} S> = <rot - S, Q^{-1} S>
-    takes one pairing.
+    takes one pairing, already a Fraction.
     """
+    from . import linalg
+
     s = _total_link_vector(p)
     rot_minus_s = [r - x for r, x in zip(p.rot_vector, s)]
-    return Fraction(sl_t0) + linalg.pair(p.qinv, rot_minus_s, s)
+    return linalg.pair(p.qinv, rot_minus_s, s) + sl_t0
 
 
-def tau_qp_braid(b: BraidDatum) -> Fraction:
-    """Tau of a quasi-positive braid closure: (writhe - strands + components)/2."""
-    return Fraction(b.writhe - b.strands + b.components, 2)
+def tau_qp_braid(b: BraidDatum) -> int | Fraction:
+    """Tau of a quasi-positive braid closure: (writhe - strands + components)/2.
+
+    A closure of n strands and l components has writhe w = n - l mod 2
+    (``BraidDatum.require_quasi_positive`` checks it), so w - n + l is even
+    and tau is the int (w - n + l) // 2.  Only a braid that no closure has
+    gets a Fraction with denominator 2; ``str`` writes both as
+    ``str(Fraction(w - n + l, 2))`` does.
+    """
+    num = b.writhe - b.strands + b.components
+    if num % 2:
+        import fractions
+
+        return fractions.Fraction(num, 2)
+    return num // 2
 
 
 class _CurveFields(NamedTuple):
@@ -222,7 +247,9 @@ class CurveDatum(_CurveFields):
 
 def tau_from_curve(c: CurveDatum) -> Fraction:
     """Tau from curve data: -(chi - |T| + c1[C] + [C]^2) / 2."""
-    return -(Fraction(c.chi - c.boundary) + c.chern + c.self_int) / 2
+    import fractions
+
+    return -(fractions.Fraction(c.chi - c.boundary) + c.chern + c.self_int) / 2
 
 
 def bennequin_euler(points: int, bands: int) -> int:

@@ -1150,11 +1150,12 @@ def test_output_is_deterministic(tmp_path, capsys):
 LAYERS = ("linalg", "plumbing", "tau", "surgery", "floer", "obstruct", "paper", "cli")
 
 
-def run_python(code: str, *argv: str, stdin: str = "") -> str:
-    """Last stdout line of ``code`` run in a fresh interpreter on this package."""
+def run_python(code: str, *argv: str, stdin: str = "", flags=()) -> str:
+    """Last stdout line of ``code`` run in a fresh interpreter on this package,
+    started with the interpreter options ``flags``."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-c", code, *argv],
+        [sys.executable, *flags, "-c", code, *argv],
         input=stdin, capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -1203,11 +1204,13 @@ def _absent(*names, runs=(), also=()):
     # no call builds its records with dataclasses, which imports inspect, no
     # well-formed argv builds the argparse parser, no JSON call loads the help
     # and table module, no call loads a handler module it does not run, and
-    # only paper-examples, which reads its fixtures with json, loads json
+    # only paper-examples, which reads its fixtures with json and
+    # importlib.resources, loads json or importlib
     handlers = [name for name in HANDLERS if name not in runs]
     absent = {"dataclasses", "inspect", "argparse", *also}
     if "cli_paper" not in runs:
         absent.update(NO_JSON)
+        absent.add("importlib")
     return _layers(*names, "cli_help", *handlers) | absent
 
 
@@ -1217,8 +1220,10 @@ def _absent(*names, runs=(), also=()):
         (FLOER_D, {"floer_complex": STAIRCASE},
          _absent("plumbing", "tau", "surgery", "obstruct", "paper", "linalg", runs=["cli_floer"],
                  also=(*NO_FRACTION, "heapq"))),
+        # a closure's tau is an integer: no Fraction, and no linalg to invert or pair
         (["tau-qp", "--strands", "2", "--writhe", "3", "--components", "1"], {},
-         _absent("plumbing", "tau", "floer", "obstruct", "paper", runs=["cli_surgery"])),
+         _absent("plumbing", "tau", "floer", "obstruct", "paper", "linalg", runs=["cli_surgery"],
+                 also=NO_FRACTION)),
         (DINV, {"plumbing": L92_PLUMBING},
          _absent("floer", "obstruct", "surgery", "paper", also=NO_FRACTION)),
         (["spinc"], {"plumbing": L92_PLUMBING},
@@ -1252,13 +1257,18 @@ def test_subcommand_loads_only_its_layers(argv, doc, absent):
 
 
 def _loaded(argv, doc):
-    """main's exit code in a fresh interpreter, and the modules the call loaded."""
+    """main's exit code in a fresh interpreter, and the modules the call loaded.
+
+    The interpreter runs with -S: ``site`` preloads a different set of stdlib
+    modules on each interpreter (this one's about 70, importlib among them),
+    and a module it preloaded would hide that the call itself imports it.
+    """
     code = (
         "import sys; before = set(sys.modules); from plumbtau.cli import main\n"
         "try:\n    rc = main(sys.argv[1:])\nexcept SystemExit as e:\n    rc = e.code\n"
         "print(rc, *set(sys.modules) - before)"
     )
-    rc, *modules = run_python(code, *argv, stdin=json.dumps(doc)).split()
+    rc, *modules = run_python(code, *argv, stdin=json.dumps(doc), flags=["-S"]).split()
     return rc, modules
 
 

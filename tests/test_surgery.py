@@ -7,8 +7,14 @@ from collections import Counter
 
 import pytest
 
-from conftest import bordered_matrix, bordered_self_intersection, det, random_presentation
-from plumbtau import linalg, surgery
+from conftest import (
+    bordered_matrix,
+    bordered_self_intersection,
+    det,
+    property_seed,
+    random_presentation,
+)
+from plumbtau import linalg
 from plumbtau.paper import l2d_presentation, m3d_presentation
 from plumbtau.surgery import (
     BraidDatum,
@@ -97,7 +103,7 @@ def test_surgery_terms_take_one_inverse_and_one_pairing(monkeypatch):
             def counted(*args, _name=name, _f=fn):
                 calls[_name] += 1
                 return _f(*args)
-            monkeypatch.setattr(surgery.linalg, name, counted)
+            monkeypatch.setattr(linalg, name, counted)
     p = SurgeryPresentation(
         components=(
             SurgeryComponent(kind="surgery", tb=-2, rot=1),
@@ -130,7 +136,7 @@ def test_presentation_keeps_its_own_inverse(monkeypatch):
         calls["inverse"] += 1
         return _f(m)
 
-    monkeypatch.setattr(surgery.linalg, "inverse", counted)
+    monkeypatch.setattr(linalg, "inverse", counted)
     assert self_intersection(a) == -4 and chern_evaluation(a) == 2
     assert self_linking_shift(0, a) == 2
     assert calls["inverse"] == 0
@@ -203,6 +209,27 @@ def test_tau_qp_braid():
     assert tau_qp_braid(BraidDatum(2, 3, 1)) == 1
     for d in range(2, 7):
         assert tau_qp_braid(BraidDatum(d, d * (d - 1), d)) == Fraction(d * (d - 1), 2)
+    # a closure's writhe has the parity of strands - components, so its tau is
+    # an int; only a braid that no closure has gets a half-integer Fraction
+    rng = random.Random(property_seed())
+    closures = halves = 0
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        b = BraidDatum(n, rng.randint(-6, 20), rng.randint(1, n))
+        tau = tau_qp_braid(b)
+        want = Fraction(b.writhe - b.strands + b.components, 2)
+        assert tau == want and str(tau) == str(want), b
+        if want.denominator == 2:
+            assert type(tau) is Fraction and tau.denominator == 2, b
+            with pytest.raises(ValueError):
+                b.require_quasi_positive()
+            halves += 1
+        else:
+            assert type(tau) is int, b
+            if b.writhe >= b.strands - b.components:
+                b.require_quasi_positive()
+                closures += 1
+    assert closures > 50 and halves > 50, (closures, halves)
 
 
 def test_tau_qp_equals_sl_identity():

@@ -22,6 +22,7 @@ from conftest import (
     tau_table,
 )
 from plumbtau import linalg
+from plumbtau.obstruct import metaboliser_candidates
 from plumbtau.paper import form_41, form_92
 from plumbtau.plumbing import (
     IntersectionForm,
@@ -226,9 +227,10 @@ def test_blow_ups_keep_every_class():
     # a blow-up (conftest.blow_up) keeps the boundary, so the classes, d and
     # tau must agree class by class through phi, though the new tree has its
     # own box, Q^-1 and -1 vertex; the links are the 2-strand ones on the
-    # leaves the move leaves alone
+    # leaves the move leaves alone.  It keeps H_1 and its linking form too, so
+    # a square order has as many metaboliser candidates on both trees
     rng = random.Random(property_seed())
-    classes = pairs = 0
+    classes = pairs = squares = 0
     for _ in range(300):
         tree = random_tree(rng, rng.randint(1, 5), -6, -1)
         f = IntersectionForm(tree)
@@ -243,6 +245,10 @@ def test_blow_ups_keep_every_class():
         for s, t in zip(before, image):
             assert s.d_num == t.d_num, (tree, grown, s)
         classes += len(before)
+        if math.isqrt(len(before)) ** 2 == len(before):  # |H_1|, one class per element
+            candidates = len(metaboliser_candidates(f))
+            assert candidates == len(metaboliser_candidates(g)), (tree, grown)
+            squares += 1
         weights = dict(grown.vertices)
         untouched = [
             v for v, a in tree.vertices if tree.marking(v) == "unmarked_leaf" and weights[v] == a
@@ -254,7 +260,19 @@ def test_blow_ups_keep_every_class():
             for s, t in zip(before, image):
                 assert profile.tau_at(s) == grown_profile.tau_at(t), (tree, grown, strands, s)
             pairs += len(before)
-    assert classes > 10000 and pairs > 20000, (classes, pairs)
+    assert classes > 10000 and pairs > 20000 and squares > 20, (classes, pairs, squares)
+    # the seeded trees of square order have one candidate each; these stars of
+    # -2 arms have 2-torsion in H_1, and 3 or 15 candidates
+    for center, arms in ((-2, 3), (-3, 5), (-4, 6), (-6, 4)):
+        ids = [f"a{i}" for i in range(arms)]
+        star = PlumbingTree(
+            vertices=(("c", center), *((v, -2) for v in ids)), edges=tuple(("c", v) for v in ids)
+        )
+        candidates = len(metaboliser_candidates(IntersectionForm(star)))
+        assert candidates > 1, star
+        for _ in range(5):
+            grown, _ = blow_up(star, rng)
+            assert len(metaboliser_candidates(IntersectionForm(grown))) == candidates, grown
 
 
 def test_profile_takes_no_pairing(monkeypatch):
