@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from . import cli, linalg, obstruct
+from . import cli, obstruct
 from .cli import SchemaError, _printing
 
 if TYPE_CHECKING:
@@ -31,8 +31,8 @@ def run_obstruct(args) -> dict:
             return {
                 "command": "obstruct",
                 "check": "pl_genus",
-                "genus": bound.genus,
-                "raw": linalg._quotient(bound.num, bound.den),
+                "genus": bound.ceil,
+                "raw": str(bound),
             }
     if check == "concordance":
         verdict = obstruct.concordance_obstruction(profile, cli.select_classes(f, doc, None, "d0"))
@@ -64,6 +64,6 @@ def run_obstruct(args) -> dict:
         elif check == "conjugation":
             verdict = obstruct.conjugation_obstruction(profile, s)
         else:  # integrality
-            verdict = obstruct.integrality_obstruction(profile.num(s), profile.den)
+            verdict = obstruct.integrality_obstruction(obstruct.Quotient(profile.num(s), profile.den))
     with _printing():
         return {"command": "obstruct", **verdict.to_json()}

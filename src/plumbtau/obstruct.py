@@ -3,18 +3,18 @@
 The profile is ``tau.TauProfile``: the checks compare its integer
 numerators over 2|det Q|.  The integrality, conjugation, metaboliser,
 pl-genus and concordance checks keep each exact value as an integer over a
-known denominator (a ``Quotient``, or the ``num``/``den`` of a
-``PLGenusBound``), written by ``linalg._quotient``, and make no Fraction, so
-an ``obstruct`` call of theirs imports no ``fractions``; a slack or a raw
-bound becomes a Fraction only when read.  The slice-Bennequin and filling
-checks take Fractions from ``surgery`` and import ``fractions`` where they
-run.  Every check returns a Verdict.  The obstruction-style checks
-answer with "fires" / "does not fire" / "inconclusive" (they are
-one-directional: a firing check rules something out, a silent one proves
-nothing), while the plain inequality checks answer "satisfied" /
-"violated".  Each verdict carries a slack (the exact margin by which the
-deciding inequality holds or fails, when one exists) and a JSON-friendly
-witness.
+known denominator, a ``Quotient``, written by ``linalg._quotient``, and
+make no Fraction, so an ``obstruct`` call of theirs imports no
+``fractions``; a slack becomes a Fraction only when read.  The pl-genus
+bound is the raw Quotient, and its ``ceil`` the genus.  The
+slice-Bennequin and filling checks take Fractions from ``surgery`` and
+import ``fractions`` where they run.  Every check returns a Verdict.  The
+obstruction-style checks answer with "fires" / "does not fire" /
+"inconclusive" (they are one-directional: a firing check rules something
+out, a silent one proves nothing), while the plain inequality checks
+answer "satisfied" / "violated".  Each verdict carries a slack (the exact
+margin by which the deciding inequality holds or fails, when one exists)
+and a JSON-friendly witness.
 
 The metaboliser machinery works in the invariant-factor decomposition of
 H_1 = Z^n / Q Z^n obtained from the Smith normal form of Q.  A metaboliser
@@ -39,7 +39,6 @@ from . import linalg
 from .plumbing import (
     IntersectionForm,
     SpincClass,
-    _Frozen,
     conjugate,
     spinc_classes,
     spinc_translate,
@@ -78,6 +77,11 @@ class Quotient(NamedTuple):
 
     def __str__(self) -> str:
         return linalg._quotient(self.num, self.den)
+
+    @property
+    def ceil(self) -> int:
+        """The least integer at or above num/den."""
+        return -(-self.num // self.den)
 
 
 def _jsonable(value):
@@ -353,65 +357,25 @@ def conjugation_obstruction(profile: TauProfile, s: SpincClass) -> Verdict:
     )
 
 
-class PLGenusBound(_Frozen):
-    """The raw PL genus bound num/den, held as integers, and its ceiling ``genus``.
-
-    ``raw`` makes its Fraction when read.  The record unpacks, compares and
-    hashes as the pair (genus, raw).
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: int, den: int):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    @property
-    def genus(self) -> int:
-        return -(-self.num // self.den)
-
-    @property
-    def raw(self) -> Fraction:
-        import fractions
-
-        return fractions.Fraction(self.num, self.den)
-
-    def __iter__(self):
-        return iter((self.genus, self.raw))
-
-    def __eq__(self, other):
-        return tuple(self) == other
-
-    def __hash__(self):
-        return hash(tuple(self))
-
-    def __repr__(self):
-        return f"PLGenusBound(genus={self.genus!r}, raw={self.raw!r})"
-
-
-def pl_genus_lower_bound(profile: TauProfile, subset: Sequence[SpincClass]) -> PLGenusBound:
+def pl_genus_lower_bound(profile: TauProfile, subset: Sequence[SpincClass]) -> Quotient:
     """Lower bound |tau_max - tau_min| / 2 over ``subset`` for the PL slice genus.
 
-    The raw rational bound comes with its ceiling, since a genus is an
-    integer.
+    The bound is the raw Quotient; a genus is an integer, so its ``ceil``
+    bounds the genus too.
     """
     if not subset:
         raise ValueError("subset of spin-c classes must be non-empty")
     values = [profile.num(s) for s in subset]
-    return PLGenusBound(max(values) - min(values), 2 * profile.den)
+    return Quotient(max(values) - min(values), 2 * profile.den)
 
 
-def integrality_obstruction(tau, den: int = 1) -> Verdict:
-    """A link bounding a curve with the given contact class has integral tau.
-
-    ``tau`` is an int or a Fraction, and the value read is ``tau / den``, so
-    a caller holding an integer over a known denominator makes no Fraction.
-    """
-    num, den = tau.numerator, tau.denominator * den
+def integrality_obstruction(tau: Quotient) -> Verdict:
+    """A link bounding a curve with the given contact class has integral tau."""
+    num, den = tau
     return Verdict(
         check="integrality",
         verdict=FIRES if num % den else CLEAR,
-        witness={"tau": Quotient(num, den)},
+        witness={"tau": tau},
     )
 
 

@@ -86,7 +86,7 @@ def golden_l2d() -> dict:
                 "d": d,
                 "taus": [str(v) for v in values],
                 "spread": str(max(values) - min(values)),
-                "pl_genus": obstruct.pl_genus_lower_bound(profile, subset).genus,
+                "pl_genus": obstruct.pl_genus_lower_bound(profile, subset).ceil,
                 "self_intersection": str(surgery.self_intersection(plus)),
                 "chern": [str(surgery.chern_evaluation(p)) for p in (plus, minus)],
             }

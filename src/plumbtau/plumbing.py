@@ -117,10 +117,10 @@ class IntersectionForm(_Frozen):
 
     The tree is the one field.  ``order``, ``q`` and ``negative_definite``
     are read from it when first asked for, so a form that ``require_box``
-    refuses never holds its n x n matrix.  Equality, hash and repr read
-    ``q``, ``order`` and ``negative_definite``; ``tree`` and the caches are
-    left out: the inverse, the index of every class, and the classes that
-    ``_class_at`` met without the index.
+    refuses never holds its n x n matrix.  Equality and hash read ``q`` and
+    ``order``; repr shows ``negative_definite`` too, which ``q`` decides.
+    ``tree`` and the caches are left out: the inverse, the index of every
+    class, and the classes that ``_class_at`` met without the index.
     """
 
     def __init__(self, tree: PlumbingTree):
@@ -130,14 +130,10 @@ class IntersectionForm(_Frozen):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.q, self.order, self.negative_definite) == (
-            other.q,
-            other.order,
-            other.negative_definite,
-        )
+        return (self.q, self.order) == (other.q, other.order)
 
     def __hash__(self):
-        return hash((self.q, self.order, self.negative_definite))
+        return hash((self.q, self.order))
 
     def __repr__(self):
         return (
@@ -313,16 +309,14 @@ class SpincClass(_Frozen):
         return f"SpincClass{self.rep}"
 
 
-def _image(f: IntersectionForm, kappa: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """Class key and square numerator of kappa, from y = a·kappa where Q^{-1} = a/p.
+def _image(f: IntersectionForm, kappa: Sequence[int]) -> tuple[int, ...]:
+    """Class key of kappa, from y = a·kappa where Q^{-1} = a/p.
 
     Characteristic u and v lie in the same coset of 2Q·Z^n exactly when
-    Q^{-1}(u - v) = (y_u - y_v)/p is in 2Z^n, so the key is y mod 2p;
-    and kappa^T Q^{-1} kappa = (kappa·y)/p.
+    Q^{-1}(u - v) = (y_u - y_v)/p is in 2Z^n, so the key is y mod 2p.
     """
     a, p = f.qinv
-    y = [sum(map(mul, row, kappa)) for row in a]
-    return tuple(v % (2 * p) for v in y), sum(map(mul, kappa, y))
+    return tuple(sum(map(mul, row, kappa)) % (2 * p) for row in a)
 
 
 def _walk(f: IntersectionForm, head_cost: int = 1):
@@ -450,7 +444,7 @@ def class_of(f: IntersectionForm, kappa: Sequence[int]) -> SpincClass:
         raise ValueError(f"{tuple(kappa)} is not characteristic for this form")
     if "_class_index" not in f.__dict__:
         f.require_box()  # before Q^-1, as the walk checks
-    return _class_at(f, _image(f, kappa)[0])
+    return _class_at(f, _image(f, kappa))
 
 
 def conjugate(s: SpincClass) -> SpincClass:

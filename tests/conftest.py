@@ -180,13 +180,16 @@ def short_char_vectors(f: IntersectionForm) -> list[tuple[int, ...]]:
 def box_classes(f: IntersectionForm) -> dict[tuple[int, ...], SpincClass]:
     """Reference for ``plumbing._scan``: the built box, keyed by one ``_image`` each.
 
-    Each vector pays an n x n product where the walk pays O(n); the keys,
+    Each vector's square is its ``linalg.pair`` with itself, a route apart
+    from the key's.  Each vector pays n x n products where the walk pays
+    O(n); the keys,
     their order, the reps, d and the realizing tuples must agree.
     """
     box = short_char_vectors(f)
+    p = f.qinv[1]  # |det Q|
     groups: dict[tuple[int, ...], list] = {}  # key -> [rep, best numerator, its vectors]
     for k in box:  # lex order: a group's first vector is its rep
-        key, num = _image(f, k)
+        key, num = _image(f, k), int(linalg.pair(f.qinv, k, k) * p)
         group = groups.get(key)
         if group is None:
             groups[key] = [k, num, [k]]
@@ -194,7 +197,6 @@ def box_classes(f: IntersectionForm) -> dict[tuple[int, ...], SpincClass]:
             group[1:] = [num, [k]]
         elif num == group[1]:
             group[2].append(k)
-    p = f.qinv[1]  # |det Q|
     if len(groups) != p:
         raise RuntimeError("class count must equal |det Q|")
     return {

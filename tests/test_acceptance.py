@@ -34,6 +34,7 @@ from plumbtau.floer import (
 )
 from plumbtau.obstruct import (
     FIRES,
+    Quotient,
     conjugation_obstruction,
     integrality_obstruction,
     metaboliser_candidates,
@@ -83,7 +84,7 @@ def test_torus_link_family_tau_and_genus_bound():
         hi, lo = max(d0), min(d0)
         assert hi - lo == d
         bound = pl_genus_lower_bound(TauProfile(L41, link), d_zero_subset(L41))
-        assert bound.genus == (d + 1) // 2 and bound.raw == Fraction(d, 2)
+        assert bound.ceil == (d + 1) // 2 and Fraction(*bound) == Fraction(d, 2)
 
 
 def test_square_minus_two_solutions():
@@ -217,7 +218,7 @@ def test_obstruction_verdicts_on_chain_links():
     for k in range(1, 31):
         profile = TauProfile(L92, leaf_link(L92, {"v1": k}))
         assert metaboliser_obstruction(profile, down, candidates).verdict == FIRES
-        fires = integrality_obstruction(profile.tau_at(down)).verdict == FIRES
+        fires = integrality_obstruction(Quotient(profile.num(down), profile.den)).verdict == FIRES
         assert fires == (k % 3 != 0)
     m3 = TauProfile(L92, leaf_link(L92, {"v1": 3}))
     assert conjugation_obstruction(m3, class_of(L92, (-3, 0))).verdict == FIRES

@@ -32,6 +32,7 @@ from plumbtau.obstruct import (
     INCONCLUSIVE,
     SATISFIED,
     VIOLATED,
+    Quotient,
     TauProfile,
     _h1_decomposition,
     concordance_obstruction,
@@ -302,10 +303,12 @@ def test_conjugation_obstruction():
 def test_pl_genus_lower_bound():
     for d in range(1, 7):
         bound = pl_genus_lower_bound(l2d_profile(d), d_zero_subset(L41))
-        assert bound.raw == Fraction(d, 2)
-        assert bound.genus == (d + 1) // 2
-    assert pl_genus_lower_bound(nk_profile(3), d_zero_subset(L92)) == (1, 1)
-    assert pl_genus_lower_bound(nk_profile(0), d_zero_subset(L92)) == (0, 0)
+        assert Fraction(*bound) == Fraction(d, 2)
+        assert bound.ceil == (d + 1) // 2
+    bound = pl_genus_lower_bound(nk_profile(3), d_zero_subset(L92))
+    assert (bound.ceil, Fraction(*bound)) == (1, 1)
+    bound = pl_genus_lower_bound(nk_profile(0), d_zero_subset(L92))
+    assert (bound.ceil, Fraction(*bound)) == (0, 0)
     with pytest.raises(ValueError):
         pl_genus_lower_bound(nk_profile(1), subset=[])
 
@@ -349,11 +352,26 @@ def test_adjunction_bound():
 
 def test_integrality_obstruction():
     for k in range(1, 13):
-        v = integrality_obstruction(Fraction(k * k + 3 * k, 9))
+        v = integrality_obstruction(Quotient(k * k + 3 * k, 9))
         assert v.verdict == (FIRES if k % 3 else CLEAR)
-    assert integrality_obstruction(Fraction(0)).verdict == CLEAR
-    assert integrality_obstruction(Fraction(4, 9)).verdict == FIRES
-    assert integrality_obstruction(2).verdict == CLEAR
+    assert integrality_obstruction(Quotient(0, 1)).verdict == CLEAR
+    assert integrality_obstruction(Quotient(4, 9)).verdict == FIRES
+    assert integrality_obstruction(Quotient(2, 1)).verdict == CLEAR
+    # a quotient not in lowest terms is read by its value and written reduced
+    assert integrality_obstruction(Quotient(18, 9)).verdict == CLEAR
+    negative = integrality_obstruction(Quotient(-8, 18))
+    assert negative.verdict == FIRES and negative.to_json()["witness"] == {"tau": "-4/9"}
+
+
+def test_quotient_ceil_matches_fraction():
+    rng = random.Random(property_seed())
+    signs = Counter()
+    for _ in range(2000):
+        num = rng.randint(-20, 20) * rng.choice((1, rng.randint(1, 10**8)))
+        den = rng.randint(1, rng.choice((6, 10**4)))
+        assert Quotient(num, den).ceil == math.ceil(Fraction(num, den)), (num, den)
+        signs[(num > 0) - (num < 0)] += 1
+    assert min(signs[-1], signs[0], signs[1]) >= 10, signs
 
 
 def test_concordance_obstruction():
@@ -376,7 +394,7 @@ def test_verdict_json():
         qhb4_filling_obstruction(p, []),
         metaboliser_obstruction(p, class_of(L92, (3, 0)), metaboliser_candidates(L92)),
         conjugation_obstruction(p, class_of(L92, (-3, 0))),
-        integrality_obstruction(Fraction(4, 9)),
+        integrality_obstruction(Quotient(4, 9)),
         concordance_obstruction(p, d_zero_subset(L92)),
     ]
     for v in verdicts:
@@ -415,9 +433,10 @@ def test_integer_checks_match_fraction_oracles():
                 (metaboliser_obstruction(profile, s, candidates),
                  fraction_metaboliser_obstruction(profile, s, candidates)),
                 (conjugation_obstruction(profile, s), fraction_conjugation_obstruction(profile, s)),
-                (integrality_obstruction(profile.num(s), profile.den),
+                (integrality_obstruction(Quotient(profile.num(s), profile.den)),
                  fraction_integrality_obstruction(tau)),
-                (integrality_obstruction(tau), fraction_integrality_obstruction(tau)),
+                (integrality_obstruction(Quotient(tau.numerator, tau.denominator)),
+                 fraction_integrality_obstruction(tau)),
             ):
                 assert got.to_json() == want.to_json(), (f.tree, s)
                 assert got.slack == want.slack and type(got.slack) is type(want.slack)
@@ -431,8 +450,7 @@ def test_integer_checks_match_fraction_oracles():
                     pl_genus_lower_bound(profile, subset)
                 continue
             bound, want = pl_genus_lower_bound(profile, subset), fraction_pl_genus_lower_bound(profile, subset)
-            assert bound == want and (bound.genus, bound.raw) == tuple(want), (f.tree, subset)
-            assert hash(bound) == hash(want)
-            assert repr(bound) == f"PLGenusBound(genus={want.genus}, raw={want.raw!r})"
-            seen["odd raw denominator"] += bound.raw.denominator % 2 == 1 and bound.raw.denominator > 1
+            raw = Fraction(*bound)
+            assert (bound.ceil, raw) == tuple(want) and str(bound) == str(want.raw), (f.tree, subset)
+            seen["odd raw denominator"] += raw.denominator % 2 == 1 and raw.denominator > 1
     assert min(seen.values()) >= 5, seen
