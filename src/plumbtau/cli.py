@@ -20,6 +20,10 @@ its help line and its argument specs.  The handler is that module's
 ``run_<name>`` (``-`` read as ``_``), looked up when the call runs, so a
 wrapper bound to ``cli.run_tau`` is the one run.  Every subcommand takes
 the ``_FORMAT`` spec, and each that reads a document the ``_INPUT`` spec.
+``main`` owns the frame of every call: it imports the row's module, reads
+the document of a row with ``_INPUT`` (``None`` for the others), calls
+``run_<name>(args, doc)``, and writes the answer as ``{"command": name,
+**fields}``; a handler returns only its answer's fields.
 A well-formed call is read straight from its row by ``_read_args``, to the
 namespace argparse would give it, so it neither imports nor builds
 argparse.  Every other call (help, an error, an abbreviated flag) goes to
@@ -32,9 +36,10 @@ argument table, the JSON writer, ``main``, and the ``tau``, ``dinv`` and
 (``cli_surgery`` for ``surgery`` and ``tau-qp``, ``cli_floer``,
 ``cli_obstruct``, ``cli_paper``), and the help and ``--format table`` code
 is ``cli_help``; each is imported, and compiled where no ``.pyc`` can be
-written, only by the calls that run it.  They read the document and the
-form through this module (``cli.load_document``, ``cli.build_form``), so a
-wrapper bound to one of those names sees every call.  ``python -m
+written, only by the calls that run it.  ``main`` reads the document
+through this module's ``load_document``, and ``cli_obstruct`` the form
+through ``cli.build_form``, so a wrapper bound to one of those names sees
+every call.  ``python -m
 plumbtau.cli`` runs the ``main`` of ``plumbtau.cli``, not of ``__main__``,
 so that it catches the exceptions those modules raise.
 
@@ -338,11 +343,10 @@ def select_classes(f: IntersectionForm, doc: dict, flag: Optional[str], default:
 # canonical fraction string, so cli never imports ``fractions`` itself.
 
 
-def run_tau(args) -> dict:
+def run_tau(args, doc: dict) -> dict:
     from .linalg import _quotient
     from .tau import TauProfile
 
-    doc = load_document(args.input)
     f = build_form(doc)
     link = build_link(doc, f)
     classes = select_classes(f, doc, args.spinc, "all")
@@ -355,30 +359,28 @@ def run_tau(args) -> dict:
             {"rep": list(s.rep), "tau": _quotient(row(s)[0], den)}
             for s in sorted(classes, key=lambda s: s.rep)
         ]
-    return {"command": "tau", "ell": link.ell, "classes": rows}
+    return {"ell": link.ell, "classes": rows}
 
 
-def run_dinv(args) -> dict:
+def run_dinv(args, doc: dict) -> dict:
     from .linalg import _quotient
     from .plumbing import spinc_classes
 
-    doc = load_document(args.input)
     f = build_form(doc)
     den = 4 * f.qinv[1]  # d = d_num / den
     rows = [{"rep": list(s.rep), "d": _quotient(s.d_num, den)} for s in spinc_classes(f)]
-    return {"command": "dinv", "order": f.qinv[1], "classes": rows}
+    return {"order": f.qinv[1], "classes": rows}
 
 
-def run_spinc(args) -> dict:
+def run_spinc(args, doc: dict) -> dict:
     from .plumbing import conjugate, spinc_classes
 
-    doc = load_document(args.input)
     f = build_form(doc)
     rows = [
         {"rep": list(s.rep), "conjugate": list(conjugate(s).rep)}
         for s in spinc_classes(f)
     ]
-    return {"command": "spinc", "order": f.qinv[1], "classes": rows}
+    return {"order": f.qinv[1], "classes": rows}
 
 
 # --- output rendering ------------------------------------------------------
@@ -567,10 +569,13 @@ def main(argv=None) -> int:
 
         args = build_parser().parse_args(argv)
     try:
-        # the row's module, imported by this call alone, and its run_<name>
-        module = f"{__package__}.{_TABLE[args.command][0]}"
+        # the row's module, imported by this call alone, then the document if
+        # the row reads one, and the fields its run_<name> answers
+        module, _, *specs = _TABLE[args.command]
+        module = f"{__package__}.{module}"
         __import__(module)
-        doc = getattr(sys.modules[module], "run_" + args.command.replace("-", "_"))(args)
+        doc = load_document(args.input) if _INPUT in specs else None
+        fields = getattr(sys.modules[module], "run_" + args.command.replace("-", "_"))(args, doc)
     except SchemaError as e:
         print(f"plumbtau: {e}", file=sys.stderr)
         return SCHEMA_EXIT
@@ -585,7 +590,7 @@ def main(argv=None) -> int:
         detail = " ".join(str(e).split())
         print(f"plumbtau: internal error: {type(e).__name__}: {detail}", file=sys.stderr)
         return INTERNAL_EXIT
-    sys.stdout.write(render(doc, args.format))
+    sys.stdout.write(render({"command": args.command, **fields}, args.format))
     return 0
 
 

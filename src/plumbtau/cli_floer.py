@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from . import cli, floer
+from . import floer
 from .cli import _named, _value
 
 
@@ -13,23 +13,17 @@ def build_floer(doc: dict):
         return floer.parse_complex(lines, basepoints=basepoints)
 
 
-def run_floer(args) -> dict:
-    doc = cli.load_document(args.input)
+def run_floer(args, doc: dict) -> dict:
     c, filt = build_floer(doc)
     # past floer.MAX_WORK every question, verify too, exits 3 with the counts
     with _named("floer_complex", ValueError):
         if args.what == "verify":
             report = floer.verify_axioms(c)
-            return {
-                "command": "floer",
-                "what": "verify",
-                "ok": report.ok,
-                "failures": list(report.failures),
-            }
+            return {"what": "verify", "ok": report.ok, "failures": list(report.failures)}
         if args.what == "d":
             value = floer.correction_term(c)
         elif args.what == "tau-top":
             value = floer.tau_top(c, filt)
         else:  # tau-bot
             value = floer.tau_bot(c, filt)
-    return {"command": "floer", "what": args.what, "value": str(value)}
+    return {"what": args.what, "value": str(value)}

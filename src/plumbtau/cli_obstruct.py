@@ -18,8 +18,7 @@ def _one_class(f: IntersectionForm, doc: dict, check: str):
     return classes[0]
 
 
-def run_obstruct(args) -> dict:
-    doc = cli.load_document(args.input)
+def run_obstruct(args, doc: dict) -> dict:
     f = cli.build_form(doc)
     link = cli.build_link(doc, f)
     profile = obstruct.TauProfile(f, link)
@@ -28,12 +27,7 @@ def run_obstruct(args) -> dict:
         classes = cli.select_classes(f, doc, None, "d0")
         bound = obstruct.pl_genus_lower_bound(profile, classes)
         with _printing():
-            return {
-                "command": "obstruct",
-                "check": "pl_genus",
-                "genus": bound.ceil,
-                "raw": str(bound),
-            }
+            return {"check": "pl_genus", "genus": bound.ceil, "raw": str(bound)}
     if check == "concordance":
         verdict = obstruct.concordance_obstruction(profile, cli.select_classes(f, doc, None, "d0"))
     elif check == "metaboliser":
@@ -66,4 +60,4 @@ def run_obstruct(args) -> dict:
         else:  # integrality
             verdict = obstruct.integrality_obstruction(obstruct.Quotient(profile.num(s), profile.den))
     with _printing():
-        return {"command": "obstruct", **verdict.to_json()}
+        return verdict.to_json()

@@ -6,7 +6,7 @@ from . import EXAMPLE_NAMES, paper
 from .cli import GoldenMismatchError
 
 
-def run_paper_examples(args) -> dict:
+def run_paper_examples(args, doc: None) -> dict:
     names = [args.example] if args.example else list(EXAMPLE_NAMES)
     tables = {}
     for name in names:
@@ -16,4 +16,4 @@ def run_paper_examples(args) -> dict:
                 f"paper-examples: {name}: regenerated table differs from the committed fixture"
             )
         tables[name] = generated
-    return {"command": "paper-examples", "ok": True, "examples": tables}
+    return {"ok": True, "examples": tables}

@@ -3,7 +3,7 @@
 
 from __future__ import annotations
 
-from . import cli, surgery
+from . import surgery
 from .cli import BRAID, SchemaError, _fields, _named, _printing, _value
 
 
@@ -38,8 +38,7 @@ def build_braid(doc: dict) -> surgery.BraidDatum:
         return surgery.BraidDatum(strands, writhe, components)
 
 
-def run_surgery(args) -> dict:
-    doc = cli.load_document(args.input)
+def run_surgery(args, doc: dict) -> dict:
     p = build_presentation(doc)
     if args.what == "self-int":
         value = surgery.self_intersection(p)
@@ -58,19 +57,14 @@ def run_surgery(args) -> dict:
         )
         value = surgery.tau_from_curve(curve)
     with _printing():
-        return {"command": "surgery", "what": args.what, "value": str(value)}
+        return {"what": args.what, "value": str(value)}
 
 
-def run_tau_qp(args) -> dict:
+def run_tau_qp(args, doc: None) -> dict:
     with _named("braid", ValueError):
         b = surgery.BraidDatum(args.strands, args.writhe, args.components)
         b.require_quasi_positive()
     tau = surgery.tau_qp_braid(b)
     with _printing():
-        return {
-            "command": "tau-qp",
-            "strands": b.strands,
-            "writhe": b.writhe,
-            "components": b.components,
-            "tau": str(tau),
-        }
+        return {"strands": b.strands, "writhe": b.writhe, "components": b.components,
+                "tau": str(tau)}

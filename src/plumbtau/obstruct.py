@@ -69,7 +69,9 @@ class Quotient(NamedTuple):
 
     ``str`` writes it as ``str(Fraction(num, den))`` does, with
     ``linalg._quotient``, and only when asked, so ``to_json`` writes it
-    inside the CLI's guard on over-long numbers.
+    inside the CLI's guard on over-long numbers.  Two Quotients are equal,
+    and hash alike, when their values are: ``Quotient(18, 9) ==
+    Quotient(2, 1)``.
     """
 
     num: int
@@ -77,6 +79,18 @@ class Quotient(NamedTuple):
 
     def __str__(self) -> str:
         return linalg._quotient(self.num, self.den)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Quotient):
+            return NotImplemented
+        return self.num * other.den == other.num * self.den
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        g = math.gcd(self.num, self.den)
+        return hash((self.num // g, self.den // g))
 
     @property
     def ceil(self) -> int:

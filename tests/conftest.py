@@ -44,8 +44,8 @@ DEFAULT_SEED = 20260814
 
 
 def property_seed() -> int:
-    """Seed for randomized suites; override with the PLUMBTAU_SEED env var."""
-    return int(os.environ.get("PLUMBTAU_SEED", DEFAULT_SEED))
+    """Seed for randomized suites; override with the PLUMBTAU_SEED env var (unset or empty: default)."""
+    return int(os.environ.get("PLUMBTAU_SEED") or DEFAULT_SEED)
 
 
 def count_fractions(monkeypatch) -> list:
@@ -564,6 +564,85 @@ def format_complex(c: FloerComplex, filt: AlexanderFiltration) -> list[str]:
         f"{x} -> {y} pow {m}" for (x, y), m in sorted(c.entries.items())
     )
     return lines
+
+
+def _times(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer polynomials, coefficients from the constant term up."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _divide(num: list[int], den: list[int]) -> list[int]:
+    """num / den for integer polynomials, den monic; the division must be exact."""
+    rest, quotient = list(num), [0] * (len(num) - len(den) + 1)
+    for i in reversed(range(len(quotient))):
+        c = quotient[i] = rest[i + len(den) - 1]
+        for j, d in enumerate(den):
+            rest[i + j] -= c * d
+    if any(rest):
+        raise ValueError("the division leaves a remainder")
+    return quotient
+
+
+def torus_staircase(p: int, q: int) -> tuple[FloerComplex, AlexanderFiltration]:
+    """The staircase complex of the torus knot T(p, q), read off its Alexander polynomial.
+
+    Delta = (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)), by exact integer
+    division, is sum (-1)^k t^(g + n_k) with n_0 = g.  Generator x_k has level
+    n_k; gr(x_0) = 0, gr(x_2l+1) = gr(x_2l) - 2(n_2l - n_2l+1) + 1 and
+    gr(x_2l+2) = gr(x_2l+1) - 1; the entries are x_2l+1 -> x_2l and
+    x_2l+1 -> x_2l+2, each U-power the one the gradings force (Ozsvath-Szabo,
+    Topology 2005).
+    """
+
+    def less_one(n):  # t^n - 1
+        return [-1] + [0] * (n - 1) + [1]
+
+    delta = _divide(_times(less_one(p * q), less_one(1)), _times(less_one(p), less_one(q)))
+    g = (p - 1) * (q - 1) // 2
+    terms = [(e - g, c) for e, c in reversed(list(enumerate(delta))) if c]
+    if [c for _, c in terms] != [(-1) ** k for k in range(len(terms))]:
+        raise ValueError(f"T({p}, {q}) is not a knot: its coefficients do not alternate")
+    levels = [n for n, _ in terms]
+    gradings = [0]
+    for k in range(1, len(levels)):
+        step = 2 * (levels[k - 1] - levels[k]) - 1 if k % 2 else 1
+        gradings.append(gradings[-1] - step)
+    names = [f"x{k}" for k in range(len(levels))]
+    entries = {
+        (names[k], names[j]): (gradings[j] - gradings[k] + 1) // 2
+        for k in range(1, len(names), 2)
+        for j in (k - 1, k + 1)
+    }
+    return (
+        FloerComplex(dict(zip(names, gradings)), entries),
+        AlexanderFiltration(dict(zip(names, levels))),
+    )
+
+
+def tensor(
+    k1: tuple[FloerComplex, AlexanderFiltration], k2: tuple[FloerComplex, AlexanderFiltration]
+) -> tuple[FloerComplex, AlexanderFiltration]:
+    """The complex of a connected sum: generators x.y, gradings and levels add, d = d1 + d2."""
+    (c1, f1), (c2, f2) = k1, k2
+    pairs = [(x, y) for x in c1.generators for y in c2.generators]
+    entries = {}
+    for (x, z), m in c1.entries.items():
+        entries.update({(f"{x}.{y}", f"{z}.{y}"): m for y in c2.generators})
+    for (y, z), m in c2.entries.items():
+        entries.update({(f"{x}.{y}", f"{x}.{z}"): m for x in c1.generators})
+    return (
+        FloerComplex({f"{x}.{y}": c1.gradings[x] + c2.gradings[y] for x, y in pairs}, entries),
+        AlexanderFiltration({f"{x}.{y}": f1.levels[x] + f2.levels[y] for x, y in pairs}),
+    )
+
+
+def mirror(knot: tuple[FloerComplex, AlexanderFiltration]) -> tuple[FloerComplex, AlexanderFiltration]:
+    """The complex of the mirror knot: the dual (``dualize``)."""
+    return dualize(*knot)
 
 
 def _apply_basis_change(entries: dict, e: str, f: str, delta: int) -> None:

@@ -292,6 +292,14 @@ def test_floer_work_limit(tmp_path, capsys, monkeypatch):
     floer._require_size(floer.parse_complex(at)[0])
 
 
+@pytest.mark.parametrize("what", ["tau-top", "tau-bot"])
+def test_tau_of_a_complex_without_a_free_part_exits_3(tmp_path, capsys, what):
+    # an acyclic complex has no tower, so no class to read tau from
+    path = write_doc(tmp_path, {"floer_complex": ["a 0 0", "b 1 0", "b -> a"]})
+    rc, out, err = run_cli(capsys, "floer", "--input", path, "--what", what)
+    assert (rc, out, err) == (3, "", "plumbtau: floer_complex: homology has no free part\n")
+
+
 def test_obstruct_commands(tmp_path, capsys):
     nk = write_doc(
         tmp_path,
@@ -323,6 +331,30 @@ def test_obstruct_commands(tmp_path, capsys):
     }
     rc, out, _ = run_cli(capsys, "obstruct", "--input", l2d, "--check", "concordance")
     assert json.loads(out)["verdict"] == "fires"
+
+
+def test_metaboliser_witness_keeps_its_integers(tmp_path, capsys):
+    # the witness's class, generators and subgroup order are JSON integers, not strings
+    path = write_doc(tmp_path, {"plumbing": L41_PLUMBING, "leaf_link": {"v1": 2}, "subset": [[-2]]})
+    rc, out, err = run_cli(capsys, "obstruct", "--input", path, "--check", "metaboliser")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["witness"] == {"class": [-2], "metaboliser": [[-2]], "subgroup_order": 2}
+    assert '\n    "subgroup_order": 2\n' in out
+
+
+def test_explicit_markings_reach_the_link(tmp_path, capsys):
+    # plumbing.markings: an explicit unmarked leaf carries strands as a default
+    # one does, and a leaf marked otherwise refuses them
+    doc = {"plumbing": L92_PLUMBING, "leaf_link": {"v1": 3}}
+    rc, want, err = run_cli(capsys, "tau", "--input", write_doc(tmp_path, doc))
+    assert (rc, err) == (0, "")
+    for markings in ({"v1": "unmarked_leaf"}, {"v1": "unmarked_leaf", "v2": "marked"}):
+        marked = {**doc, "plumbing": {**L92_PLUMBING, "markings": markings}}
+        assert run_cli(capsys, "tau", "--input", write_doc(tmp_path, marked)) == (0, want, "")
+    for kind in ("marked", "internal"):
+        marked = {**doc, "plumbing": {**L92_PLUMBING, "markings": {"v1": kind}}}
+        assert run_cli(capsys, "tau", "--input", write_doc(tmp_path, marked)) == (
+            2, "", "plumbtau: leaf_link: vertex 'v1' is not an unmarked leaf\n")
 
 
 def test_obstruct_slice_bennequin(tmp_path, capsys):
@@ -1563,7 +1595,7 @@ def test_every_subcommand_keeps_its_arguments(monkeypatch, capsys):
         handlers = importlib.import_module(f"plumbtau.{module}")
         handler = f"run_{name}".replace("-", "_")
         assert callable(getattr(handlers, handler)), name
-        monkeypatch.setattr(handlers, handler, lambda args, _name=name: calls.append(_name) or {})
+        monkeypatch.setattr(handlers, handler, lambda args, doc, _name=name: calls.append((_name, doc)) or {})
         # each required flag with its first choice, or 1 for an int
         argv = [name] + [
             token
@@ -1574,9 +1606,48 @@ def test_every_subcommand_keeps_its_arguments(monkeypatch, capsys):
         read = vars(cli._read_args(argv))
         assert list(read) == ["command", *(spec[0] for spec in specs)]
         assert read == vars(cli_help.build_parser().parse_args(argv))
-        assert main(argv) == 0 and calls.pop() == name
-        assert capsys.readouterr() == ("{}\n", "")
+        # main reads the document of a row that takes --input, and names the command
+        monkeypatch.setattr(sys, "stdin", io.StringIO('{"subset": "d0"}'))
+        doc = {"subset": "d0"} if "input" in (dest for dest, *_ in specs) else None
+        assert main(argv) == 0 and calls.pop() == (name, doc)
+        assert capsys.readouterr() == (f'{{\n  "command": "{name}"\n}}\n', "")
     assert calls == []
+
+
+# one well-formed call per row of cli._TABLE: its flags and its document, if it reads one
+ROW_CALLS = {
+    "tau": (["--spinc", "d0"], {"plumbing": L92_PLUMBING, "leaf_link": {"v1": 3}}),
+    "dinv": ([], {"plumbing": L41_PLUMBING}),
+    "spinc": ([], {"plumbing": L92_PLUMBING}),
+    "surgery": (["--what", "chern"], surgery_doc(1)),
+    "tau-qp": (["--strands", "2", "--writhe", "3", "--components", "1"], None),
+    "floer": (["--what", "tau-top"], {"floer_complex": STAIRCASE}),
+    "obstruct": (["--check", "integrality"],
+                 {"plumbing": L92_PLUMBING, "leaf_link": {"v1": 1}, "subset": [[-3, 0]]}),
+    "paper-examples": (["l2d"], None),
+}
+
+
+def test_every_answer_opens_with_its_command(tmp_path, capsys, monkeypatch):
+    # main names the command of every answer; a handler returns only its
+    # answer's fields, none of them "command"
+    assert list(ROW_CALLS) == list(cli._TABLE)
+    fields = {}
+    for name, (module, *_) in cli._TABLE.items():
+        handlers = importlib.import_module(f"plumbtau.{module}")
+        handler = "run_" + name.replace("-", "_")
+
+        def recorded(args, doc, _name=name, _run=getattr(handlers, handler)):
+            fields[_name] = _run(args, doc)
+            return fields[_name]
+
+        monkeypatch.setattr(handlers, handler, recorded)
+    for name, (argv, doc) in ROW_CALLS.items():
+        document = [] if doc is None else ["--input", write_doc(tmp_path, doc)]
+        rc, out, err = run_cli(capsys, name, *argv, *document)
+        assert (rc, err) == (0, ""), name
+        assert out.startswith(f'{{\n  "command": "{name}",\n'), name
+        assert "command" not in fields[name] and list(json.loads(out)) == ["command", *fields[name]]
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):

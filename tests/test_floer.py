@@ -20,15 +20,19 @@ from conftest import (
     image_classes,
     is_theta_star_supported,
     is_theta_supported,
+    mirror,
     property_seed,
     random_complex,
     scan_decompose,
     sweep_cycle_space,
     sweep_tau_alpha,
     sweep_tau_theta,
+    tensor,
+    torus_staircase,
 )
 
-from plumbtau import floer
+from plumbtau import floer, surgery
+from plumbtau.cli import main
 from plumbtau.floer import (
     MAX_LISTED_FAILURES,
     AlexanderFiltration,
@@ -388,6 +392,48 @@ def test_text_format():
         parse_complex(["x 0 0", "x 1 0"])
     with pytest.raises(ValueError):
         parse_complex(["x 0 0", "y 1 0", "y -> x pow 0", "y -> x pow 0"])
+
+
+# torus knots T(p, q) and their generator counts: the smaller ones make the sums
+TORUS_KNOTS = {(2, 3): 3, (2, 5): 5, (3, 4): 5, (2, 7): 7, (3, 5): 7, (4, 5): 7}
+LARGER_TORUS_KNOTS = {(2, 9): 9, (3, 7): 9, (5, 6): 9, (4, 7): 11, (5, 7): 17, (7, 9): 31}
+
+
+def test_torus_knot_staircases_and_their_sums(tmp_path, capsys):
+    # an L-space knot's staircase, read off its Alexander polynomial, has
+    # d = 0 and tau = g = (p - 1)(q - 1)/2, the tau of the closure of the
+    # p-braid (s_1 ... s_p-1)^q (Ozsvath-Szabo 2003); a connected sum is the
+    # tensor product, a mirror the dual, and tau is additive
+    c, filt = torus_staircase(2, 3)
+    trefoil, levels = staircase()
+    assert (list(c.gradings.values()), list(filt.levels.values())) == (
+        list(trefoil.gradings.values()), list(levels.levels.values()))
+    for (p, q), n in {**TORUS_KNOTS, **LARGER_TORUS_KNOTS}.items():
+        c, filt = torus_staircase(p, q)
+        filt.check(c)
+        g = (p - 1) * (q - 1) // 2
+        assert len(c.generators) == n and verify_axioms(c).ok and correction_term(c) == 0
+        assert tau_top(c, filt) == tau_bot(c, filt) == g
+        assert surgery.tau_qp_braid(surgery.BraidDatum(p, (p - 1) * q, 1)) == g
+    rng = random.Random(property_seed())
+    signs = set()
+    for i in range(60):
+        summands = [(rng.choice(list(TORUS_KNOTS)), rng.choice((1, -1))) for _ in range(rng.randint(2, 3))]
+        knot = None
+        for (p, q), sign in summands:
+            k = torus_staircase(p, q) if sign > 0 else mirror(torus_staircase(p, q))
+            knot = k if knot is None else tensor(knot, k)
+        c, filt = knot
+        tau = sum(sign * (p - 1) * (q - 1) // 2 for (p, q), sign in summands)
+        signs.add((tau > 0) - (tau < 0))
+        assert tau_top(c, filt) == tau_bot(c, filt) == tau, summands
+        assert correction_term(c) == 0, summands
+        if i < 4:  # and through the CLI
+            path = tmp_path / "sum.json"
+            path.write_text(json.dumps({"floer_complex": format_complex(c, filt)}), encoding="utf-8")
+            assert main(["floer", "--what", "tau-top", "--input", str(path)]) == 0
+            assert json.loads(capsys.readouterr().out) == {"command": "floer", "what": "tau-top", "value": str(tau)}
+    assert signs == {-1, 0, 1}, signs
 
 
 def test_random_corpus_properties():

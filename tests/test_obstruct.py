@@ -374,6 +374,57 @@ def test_quotient_ceil_matches_fraction():
     assert min(signs[-1], signs[0], signs[1]) >= 10, signs
 
 
+def test_quotient_compares_and_hashes_by_value():
+    # a Quotient is its value, not the pair (num, den) it is written from
+    assert Quotient(18, 9) == Quotient(2, 1) and hash(Quotient(18, 9)) == hash(Quotient(2, 1))
+    assert not Quotient(18, 9) != Quotient(2, 1)
+    rng = random.Random(property_seed())
+    equal = 0
+    for _ in range(2000):
+        num, den = rng.randint(-12, 12), rng.randint(1, 12)
+        k = rng.randint(1, 10**6)
+        q, scaled = Quotient(num, den), Quotient(k * num, k * den)
+        assert q == scaled and not q != scaled and hash(q) == hash(scaled), (num, den, k)
+        assert str(q) == str(scaled)
+        other = Quotient(rng.randint(-12, 12), rng.randint(1, 12))
+        same = Fraction(*q) == Fraction(*other)
+        assert (q == other, q != other) == (same, not same), (q, other)
+        equal += same
+    assert equal >= 10, equal
+    assert len({Quotient(k, 3 * k) for k in range(1, 50)} | {Quotient(-1, 3)}) == 2
+
+
+def test_metaboliser_ties_go_to_the_first_candidate():
+    # of the candidates with the best margin, the first in the order
+    # metaboliser_candidates gives them is the witness
+    def star(centre, arms):
+        return IntersectionForm(PlumbingTree(
+            (("c", centre),) + tuple((f"a{i}", w) for i, w in enumerate(arms)),
+            tuple(("c", f"a{i}") for i in range(len(arms))),
+        ))
+
+    ties = Counter()
+    for f in (star(-2, [-2] * 3), star(-6, [-2] * 4)):
+        candidates = metaboliser_candidates(f)
+        profile = TauProfile(f, leaf_link(f, {"a0": 1}))
+        for s in spinc_classes(f):
+            base = profile.num(s)
+            margins = [
+                min(base - abs(profile.num(spinc_translate(s, a))) for a in cand.elements)
+                for cand in candidates
+            ]
+            first = margins.index(max(margins))
+            witness = metaboliser_obstruction(profile, s, candidates).witness
+            assert witness["metaboliser"] == [list(g) for g in candidates[first].generators], s.rep
+            ties[margins.count(max(margins)) > 1] += 1
+    # (-2; -2 x 3) at the class (0, 0, 0, 0): all three candidates tie at margin 0
+    f = star(-2, [-2] * 3)
+    v = metaboliser_obstruction(TauProfile(f, leaf_link(f, {"a0": 1})), class_of(f, (0, 0, 0, 0)),
+                                metaboliser_candidates(f))
+    assert v.witness["metaboliser"] == [[0, 0, 0, -1]] and v.verdict == CLEAR
+    assert ties[True] >= 5, ties
+
+
 def test_concordance_obstruction():
     for d in range(1, 7):
         assert concordance_obstruction(l2d_profile(d), d_zero_subset(L41)).verdict == FIRES

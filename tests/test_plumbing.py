@@ -143,6 +143,60 @@ def test_solve_square():
     assert solve_square(L92, 1) == []
 
 
+def test_solve_square_matches_a_brute_force_search():
+    # every characteristic kappa with kappa Q^-1 kappa = target, found in a box
+    # two wider than solve_square's bound, and by a Fraction solve: a boundary
+    # value of the box and the target 0 (kappa = 0 on an even form) included
+    assert solve_square(L41, 0) == [(0,)] and solve_square(L92, 0) == []
+    rng = random.Random(property_seed())
+    reach, forms, zeros, on_edge = 4, 0, 0, 0
+    while forms < 40:
+        f = IntersectionForm(random_tree(rng, rng.randint(1, 3), -6, -1))
+        if not f.negative_definite:
+            continue
+        forms += 1
+        weights = [f.q[i][i] for i in range(f.n)]
+        squares = {}
+        for k in itertools.product(*(range(-math.isqrt(reach * -a) - 2, math.isqrt(reach * -a) + 3)
+                                     for a in weights)):
+            if all((k_i - a) % 2 == 0 for k_i, a in zip(k, weights)):
+                square = sum(map(Fraction.__mul__, map(Fraction, k), solve_exact(f.q, list(k))))
+                if square >= -reach:
+                    squares.setdefault(square, []).append(k)
+        for target in {0, -reach, Fraction(-1, 3), *rng.sample(sorted(squares), min(3, len(squares)))}:
+            want = sorted(squares.get(target, []))
+            assert solve_square(f, target) == want, (f.tree, target)
+            zeros += target == 0 and want != []
+            on_edge += any(k_i * k_i == -target * -a for k in want for k_i, a in zip(k, weights))
+    assert zeros and on_edge, (zeros, on_edge)
+
+
+def test_explicit_markings_are_honoured():
+    # a marking given for a vertex is the one it has, "unmarked_leaf" on a leaf
+    # included; only a vertex of degree > 1 refuses "unmarked_leaf", and only an
+    # unmarked leaf carries strands
+    from plumbtau.tau import leaf_link
+
+    vertices, edges = (("v1", -2), ("v2", -3), ("v3", -4)), (("v1", "v2"), ("v2", "v3"))
+    defaults = {"v1": "unmarked_leaf", "v2": "internal", "v3": "unmarked_leaf"}
+    for v in defaults:
+        for kind in plumbing.MARKINGS:
+            if kind == "unmarked_leaf" and v == "v2":
+                with pytest.raises(ValueError, match="'v2' has degree > 1"):
+                    PlumbingTree(vertices, edges, {v: kind})
+                continue
+            tree = PlumbingTree(vertices, edges, {v: kind})
+            assert {u: tree.marking(u) for u in defaults} == {**defaults, v: kind}
+            f = IntersectionForm(tree)
+            if kind == "unmarked_leaf":
+                assert leaf_link(f, {v: 2}).m == tuple(2 * (u == v) for u in defaults)
+            else:
+                with pytest.raises(ValueError, match=f"vertex '{v}' is not an unmarked leaf"):
+                    leaf_link(f, {v: 2})
+    single = PlumbingTree((("v1", -2),), (), {"v1": "unmarked_leaf"})
+    assert single.marking("v1") == "unmarked_leaf"
+
+
 def test_spinc_translate():
     assert spinc_translate(class_of(L41, (-2,)), [2]).rep == (2,)
     # translating by a vector in Q·Z^n fixes the class

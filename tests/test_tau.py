@@ -48,6 +48,16 @@ def test_leaf_link_validation():
         leaf_link(chain, {"v2": 1})
 
 
+def test_a_zero_strand_count_is_allowed_on_any_vertex():
+    # no strand is no strand: a zero count on an internal or marked vertex is
+    # accepted and gives the link without it
+    chain = IntersectionForm(PlumbingTree.path(-2, -3, -2))
+    assert leaf_link(chain, {"v2": 0}).m == (0, 0, 0)
+    assert leaf_link(chain, {"v1": 1, "v2": 0}) == leaf_link(chain, {"v1": 1}) == LeafLink((1, 0, 0))
+    marked = IntersectionForm(PlumbingTree(chain.tree.vertices, chain.tree.edges, {"v3": "marked"}))
+    assert leaf_link(marked, {"v3": 0, "v1": 2}).m == (2, 0, 0)
+
+
 def test_sigma_square():
     for d in range(1, 6):
         assert sigma_square(L41, LeafLink((2 * d,))) == -d * d
