@@ -3,9 +3,11 @@
 Subpackages:
 
 - ``linalg``: exact integer/rational matrix arithmetic (fraction-free
-  Gauss–Jordan inverses over the denominator |det|, Smith normal form).
-- ``plumbing``: plumbing trees, intersection forms, characteristic vectors,
-  boundary spin-c classes and correction terms.
+  Gauss–Jordan inverses over the denominator |det| of surgery matrices,
+  Smith transforms and indefinite forms; Smith normal form).
+- ``plumbing``: plumbing trees, intersection forms (Q^-1 of a definite one
+  from its tree's branch determinants), characteristic vectors, boundary
+  spin-c classes and correction terms.
 - ``tau``: the lattice tau-invariant of leaf-fibre links, held as one integer profile.
 - ``surgery``: linking-matrix formulas for surgery presentations, self-linking
   numbers, braid and curve identities.
@@ -56,10 +58,10 @@ link its multiplicities (``ell``), a metaboliser candidate its elements
 takes a value it could work out, so none checks that two copies agree.
 
 A record's checks are its methods (``IntersectionForm.require_box``), and an
-inverse it keeps is its attribute (``IntersectionForm.qinv``,
-``surgery.SurgeryPresentation.qinv``), never a module-level cache: a value
-cache is state shared between records, which a test must clear and a record
-built in between evicts.
+inverse it keeps is its attribute (``IntersectionForm.qinv``, read from a
+definite form's tree, and ``surgery.SurgeryPresentation.qinv``), never a
+module-level cache: a value cache is state shared between records, which a
+test must clear and a record built in between evicts.
 """
 
 __version__ = "0.1.0"

@@ -56,8 +56,11 @@ def inverse(m: IntMatrix) -> Inverse:
     row: the entries stay minors of [m | I], so each division by the
     previous pivot is exact.  At the end the left block is d·I and the
     right block d·m^{-1}, where d = ±det(m) is the last pivot; the sign
-    goes into a so that p = |det m|.  This is the package's only route to
-    a determinant.  The empty matrix gives ([], 1).
+    goes into a so that p = |det m|.  It costs O(n^3) steps.  The package
+    inverts with it a surgery linking matrix, the transform of a Smith
+    form, and a plumbing form that is not negative definite; a definite
+    plumbing's Q^{-1} comes from its tree (``IntersectionForm.qinv``).
+    The empty matrix gives ([], 1).
     """
     n = _check_square(m)
     a = [list(map(int, row)) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]

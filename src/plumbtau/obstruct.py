@@ -69,9 +69,10 @@ class Quotient(NamedTuple):
 
     ``str`` writes it as ``str(Fraction(num, den))`` does, with
     ``linalg._quotient``, and only when asked, so ``to_json`` writes it
-    inside the CLI's guard on over-long numbers.  Two Quotients are equal,
-    and hash alike, when their values are: ``Quotient(18, 9) ==
-    Quotient(2, 1)``.
+    inside the CLI's guard on over-long numbers.  Two Quotients compare by
+    their values, by cross-multiplication, and equal ones hash alike:
+    ``Quotient(18, 9) == Quotient(2, 1)`` and ``Quotient(2, 4) < Quotient(1, 1)``.
+    A Quotient equals no plain tuple, and orders against none.
     """
 
     num: int
@@ -80,13 +81,33 @@ class Quotient(NamedTuple):
     def __str__(self) -> str:
         return linalg._quotient(self.num, self.den)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Quotient):
+    def _compare(self, other, op):
+        if isinstance(other, Quotient):
+            return op(self.num * other.den, other.num * self.den)  # both den > 0
+        if not isinstance(other, tuple):
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        # a plain tuple, which would otherwise answer as tuple does
+        if op is operator.eq:
+            return False
+        raise TypeError(f"a Quotient orders against Quotients only, not {type(other).__name__}")
+
+    def __eq__(self, other) -> bool:
+        return self._compare(other, operator.eq)
 
     def __ne__(self, other) -> bool:
         return not self == other
+
+    def __lt__(self, other) -> bool:
+        return self._compare(other, operator.lt)
+
+    def __le__(self, other) -> bool:
+        return self._compare(other, operator.le)
+
+    def __gt__(self, other) -> bool:
+        return self._compare(other, operator.gt)
+
+    def __ge__(self, other) -> bool:
+        return self._compare(other, operator.ge)
 
     def __hash__(self) -> int:
         g = math.gcd(self.num, self.den)

@@ -117,8 +117,9 @@ class IntersectionForm(_Frozen):
 
     The tree is the one field.  ``order``, ``q`` and ``negative_definite``
     are read from it when first asked for, so a form that ``require_box``
-    refuses never holds its n x n matrix.  Equality and hash read ``q`` and
-    ``order``; repr shows ``negative_definite`` too, which ``q`` decides.
+    refuses never holds its n x n matrix, and neither does a definite form's
+    ``qinv``.  Equality and hash read ``q`` and ``order``; repr shows
+    ``negative_definite`` too, which ``q`` (so the tree) decides.
     ``tree`` and the caches are left out: the inverse, the index of every
     class, and the classes that ``_class_at`` met without the index.
     """
@@ -165,25 +166,31 @@ class IntersectionForm(_Frozen):
         return tuple(q)
 
     @cached_property
-    def negative_definite(self) -> bool:
-        """Negative definiteness, by eliminating leaves toward a root, without ``q``.
+    def _branches(self) -> Optional[tuple[list[str], dict, dict[str, tuple[int, int]]]]:
+        """The tree hung from its first vertex with each subtree's (D_v, P_v), or None.
 
-        Removing a leaf w with pivot p_w changes only its neighbour's weight,
-        to a_v - 1/p_w (edges carry 1), so the pivots are
-        p_v = a_v - sum of 1/p_w over the neighbours w eliminated before v,
-        and the form is negative definite iff every pivot is negative.  In
-        integers, p_v = D_v / P_v with D_v the determinant of v's subtree and
-        P_v the product of its children's D_w, so 1/p_w = P_w / D_w.
+        D_v is det(-Q) on the subtree of v, a down-branch, and P_v the product
+        of its children's D_w.  Removing a leaf w with pivot D_w / P_w changes
+        only its neighbour's diagonal, by -P_w / D_w (edges carry 1), so one
+        post-order pass gives D_v / P_v = -a_v - sum of P_w / D_w over the
+        children w.  -Q is positive definite iff every pivot is positive, and
+        so, by induction on P_v > 0, iff every D_v is: otherwise this is None.
+        det(-Q) = |det Q| is the root's D.  ``q`` is never built.
         """
         order, parent = _rooted(self.tree)
-        pivot = {v: (a, 1) for v, a in self.tree.vertices}  # p_v as (D_v, P_v)
+        pivot = {v: (-a, 1) for v, a in self.tree.vertices}  # (D_v, P_v) so far
         for v in reversed(order):
-            d, q = pivot[v]
-            if d == 0 or (d < 0) == (q < 0):  # p_v >= 0; q != 0, as every D_w before v was
-                return False
+            d, p = pivot[v]
+            if d <= 0:
+                return None
             if (u := parent[v]) is not None:
-                pivot[u] = (pivot[u][0] * d - q * pivot[u][1], pivot[u][1] * d)
-        return True
+                pivot[u] = (pivot[u][0] * d - p * pivot[u][1], pivot[u][1] * d)
+        return order, parent, pivot
+
+    @property
+    def negative_definite(self) -> bool:
+        """Negative definiteness, read from the tree's down-branches: see ``_branches``."""
+        return self._branches is not None
 
     @property
     def n(self) -> int:
@@ -191,8 +198,13 @@ class IntersectionForm(_Frozen):
 
     @cached_property
     def qinv(self) -> linalg.Inverse:
-        """Q^{-1} as (a, p): one integer matrix over the denominator p = |det Q|."""
-        return linalg.inverse(self.q)
+        """Q^{-1} as (a, p): one integer matrix over the denominator p = |det Q|.
+
+        A negative-definite form takes it from its branch determinants in
+        O(n^2) steps (``_tree_inverse``), without ``q``; any other form from
+        ``linalg.inverse(q)``, which raises ``SingularMatrixError`` on a singular Q.
+        """
+        return linalg.inverse(self.q) if self._branches is None else _tree_inverse(self)
 
     @cached_property
     def _class_index(self) -> dict[tuple[int, ...], "SpincClass"]:
@@ -215,15 +227,17 @@ class IntersectionForm(_Frozen):
         """Refuse an indefinite form, a box of more than ``MAX_BOX`` vectors, then too much work.
 
         Only the tree's weights are read, so a refused form never builds ``q``.
-        The walk of ``_scan`` costs O(n) per vector of the box and Q^-1 costs
-        O(n^3), so the work is box * n + n^3.  Its limit is that of a box of
-        ``MAX_BOX`` vectors on m = floor(log2(MAX_BOX)) vertices: a tree whose
-        weights are all <= -2 has a box of at least 2^n, so every such tree
-        the box limit accepts has n <= m and passes.  Near the limit,
-        ``spinc_classes`` takes 1.05 s on the star (-100000; -1 x 15), most of
-        it for its 99,985 classes, and 0.25 s on the star (-117; -1 x 115),
-        n = 116, most of it for Q^-1 (in-process, minimum of 3, Intel Xeon,
-        Python 3.11).
+        The walk of ``_scan`` costs O(n) per vector of the box, and Q^-1 of
+        a definite tree, from its branch determinants, O(n^2) steps on
+        integers of at most about log2|det Q| bits.  The work is still
+        bounded by box * n + n^3, the bound of a dense Q^-1.  Its limit is
+        that of a box of ``MAX_BOX`` vectors on m = floor(log2(MAX_BOX))
+        vertices: a tree whose weights are all <= -2 has a box of at least
+        2^n, so every such tree the box limit accepts has n <= m and passes.
+        Near the limit, ``spinc_classes`` takes 0.74 s on the star
+        (-100000; -1 x 15), nearly all of it for its 99,985 classes, and
+        6 ms on the star (-117; -1 x 115), n = 116, 2.5 ms of it for Q^-1
+        (in-process, minimum of 3, shared Intel Xeon, Python 3.11).
         """
         self.require_negative_definite()
         size = prod(-a for _, a in self.tree.vertices)
@@ -264,8 +278,46 @@ def _rooted(t: PlumbingTree) -> tuple[list[str], dict[str, Optional[str]]]:
     return order, parent
 
 
+def _tree_inverse(f: IntersectionForm) -> linalg.Inverse:
+    """Q^{-1} = a/p of a negative-definite form from its branch determinants.
+
+    By Eisenbud–Neumann, -a_uv is det(-Q) off the path [u, v]: the product
+    of the branch determinants D(y|x) = det(-Q on the component of T - x
+    that holds y), over the path's vertices x and their neighbours y off
+    the path.  The down-branches are ``_branches``'; a rerooting pass gives
+    each up-branch from the edge expansion det(-Q) = D(u|v)·D(v|u) -
+    E(u|v)·E(v|u), where E(y|x) is the product of the branches at y but the
+    one holding x.  Then one walk from each u steps from x to y by dividing
+    out D(y|x) and multiplying in E(y|x).  Every branch determinant is
+    positive, so each division is exact.
+    """
+    order, parent, pivot = f._branches
+    branch = {v: {} for v in order}  # branch[x][y] = D(y|x)
+    det = pivot[order[0]][0]
+    for v in order[1:]:
+        u, (d, p) = parent[v], pivot[v]
+        above = branch[u][parent[u]] if parent[u] is not None else 1  # D(parent u|u)
+        branch[u][v], branch[v][u] = d, (det + pivot[u][1] // d * above * p) // d
+    col = {v: i for i, v in enumerate(f.order)}
+    whole = {x: prod(b.values()) for x, b in branch.items()}
+    steps = {x: [(y, col[y], d, whole[y] // branch[y][x]) for y, d in b.items()]
+             for x, b in branch.items()}
+    a = []
+    for u in f.order:
+        row = [0] * len(col)
+        row[col[u]] = -whole[u]
+        walk = [(u, None, whole[u])]
+        for x, back, off in walk:  # off = det(-Q) off the path [u, x]
+            for y, j, d, e in steps[x]:
+                if y != back:
+                    row[j] = -(rest := off // d * e)
+                    walk.append((y, x, rest))
+        a.append(row)
+    return a, det
+
+
 def is_characteristic(f: IntersectionForm, kappa: Sequence[int]) -> bool:
-    return len(kappa) == f.n and all((k - f.q[i][i]) % 2 == 0 for i, k in enumerate(kappa))
+    return len(kappa) == f.n and all((k - a) % 2 == 0 for k, (_, a) in zip(kappa, f.tree.vertices))
 
 
 class SpincClass(_Frozen):
@@ -335,7 +387,7 @@ def _walk(f: IntersectionForm, head_cost: int = 1):
     n = f.n
     f.require_box()
     a, p = f.qinv
-    ranges = [range(f.q[i][i] + 2, -f.q[i][i] + 1, 2) for i in range(n)]
+    ranges = [range(w + 2, -w + 1, 2) for _, w in f.tree.vertices]
     sizes = list(itertools.accumulate(map(len, ranges), mul, initial=1))
     # least head_cost·heads + tails, and of those the fewest tails: only the tails are held
     s = min(range(n, -1, -1), key=lambda i: head_cost * sizes[i] + sizes[-1] // sizes[i])
@@ -479,8 +531,7 @@ def solve_square(f: IntersectionForm, target) -> list[tuple[int, ...]]:
         return []
     c = -target
     ranges = []
-    for i in range(f.n):
-        a = f.q[i][i]
+    for _, a in f.tree.vertices:
         bound = isqrt(int(c * abs(a)))  # floor of the real bound
         lo = -bound if (-bound - a) % 2 == 0 else -bound + 1
         ranges.append(range(lo, bound + 1, 2))

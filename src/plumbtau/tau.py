@@ -106,7 +106,7 @@ class TauProfile:
 
     def row(self, s: SpincClass) -> tuple[int, tuple[int, ...]]:
         """(2|det Q|·tau, lex-least minimizer) at the class."""
-        if s.form.q != self.form.q:
+        if s.form is not self.form and s.form.q != self.form.q:
             raise ValueError("spin-c class belongs to a different form")
         # p > 0, so the integer k·w orders the candidates as k^T Q^{-1} m does
         w = self._w

@@ -34,6 +34,7 @@ from plumbtau.plumbing import (
     PlumbingTree,
     SpincClass,
     _image,
+    _rooted,
     conjugate,
     spinc_translate,
 )
@@ -94,7 +95,8 @@ def det(m) -> int:
     Intermediate values stay integral: after step k every entry is a
     k-th leading minor of the original matrix, so the divisions below
     are exact.  Empty matrices have det 1 by convention.  The package
-    reads |det Q| off the denominator of ``linalg.inverse``; this is the
+    reads |det Q| off the denominator of ``IntersectionForm.qinv`` (a
+    tree's branch determinants) or of ``linalg.inverse``; this is the
     second route the tests check it against.
     """
     n = len(m)
@@ -164,6 +166,28 @@ def is_negative_definite(m) -> bool:
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * p - a[i][k] * a[k][j]) // prev
         prev = p
+    return True
+
+
+def pivots_negative_definite(tree: PlumbingTree) -> bool:
+    """Reference for ``IntersectionForm.negative_definite``: leaf elimination on Q itself.
+
+    Removing a leaf w with pivot p_w changes only its neighbour's weight,
+    to a_v - 1/p_w (edges carry 1), so the pivots are
+    p_v = a_v - sum of 1/p_w over the neighbours w eliminated before v,
+    and the form is negative definite iff every pivot is negative.  In
+    integers, p_v = D_v / P_v with D_v the determinant of v's subtree of Q
+    and P_v the product of its children's D_w, so 1/p_w = P_w / D_w.  The
+    package runs the same pass on -Q, where every D_v must be positive.
+    """
+    order, parent = _rooted(tree)
+    pivot = {v: (a, 1) for v, a in tree.vertices}  # p_v as (D_v, P_v)
+    for v in reversed(order):
+        d, q = pivot[v]
+        if d == 0 or (d < 0) == (q < 0):  # p_v >= 0; q != 0, as every D_w before v was
+            return False
+        if (u := parent[v]) is not None:
+            pivot[u] = (pivot[u][0] * d - q * pivot[u][1], pivot[u][1] * d)
     return True
 
 

@@ -842,7 +842,8 @@ def test_internal_error_exit(tmp_path, capsys, monkeypatch):
 def test_each_matrix_is_inverted_once(argv, doc, matrices, tmp_path, capsys, monkeypatch):
     # |det Q| is the denominator of Q^-1 and a presentation keeps its inverse
     # for every term, so a command inverts each matrix once; every public
-    # linalg route is counted, so a determinant taken on the way would show
+    # linalg route is counted, so a determinant taken on the way would show.
+    # A definite plumbing's Q^-1 comes from its tree, counted with linalg.inverse
     from plumbtau import linalg
 
     calls, inverted = Counter(), Counter()
@@ -854,16 +855,26 @@ def test_each_matrix_is_inverted_once(argv, doc, matrices, tmp_path, capsys, mon
                     inverted[tuple(map(tuple, args[0]))] += 1
                 return _f(*args)
             monkeypatch.setattr(linalg, name, counted)
+
+    def tree_inverse(f, _f=plumbing._tree_inverse):
+        calls["_tree_inverse"] += 1
+        inverted[plumbing.IntersectionForm(f.tree).q] += 1
+        return _f(f)
+
+    monkeypatch.setattr(plumbing, "_tree_inverse", tree_inverse)
     rc, _, err = run_cli(capsys, argv[0], "--input", write_doc(tmp_path, doc), *argv[1:])
     assert rc == 0, err
-    assert calls["det"] == 0 and calls["inverse"] == len(inverted) == matrices, calls
+    assert calls["det"] == 0, calls
+    assert calls["inverse"] + calls["_tree_inverse"] == len(inverted) == matrices, calls
     if "plumbing" in doc:
-        assert inverted[cli.build_form(doc).q] == 1
+        assert inverted[cli.build_form(doc).q] == calls["_tree_inverse"] == 1
 
 
 def test_package_takes_no_determinant():
-    # the package's one determinant is the denominator p = |det Q| of
-    # linalg.inverse; Bareiss elimination lives in the tests as its oracle
+    # the package's determinants are the denominators p = |det Q| of its
+    # inverses: of a plumbing's Q^-1 from the branch determinants of its tree
+    # (IntersectionForm.qinv), and of linalg.inverse; Bareiss elimination
+    # lives in the tests as their oracle
     package = Path(cli.__file__).parent
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))

@@ -394,6 +394,40 @@ def test_quotient_compares_and_hashes_by_value():
     assert len({Quotient(k, 3 * k) for k in range(1, 50)} | {Quotient(-1, 3)}) == 2
 
 
+def test_quotient_orders_by_value_and_equals_no_tuple():
+    # <, <=, > and >= compare num/den as Fraction does, not the pair (num, den)
+    assert Quotient(2, 4) < Quotient(1, 1)
+    assert sorted([Quotient(1, 1), Quotient(2, 4)]) == [Quotient(1, 2), Quotient(1, 1)]
+    rng = random.Random(property_seed())
+    orders = Counter()
+    for _ in range(2000):
+        u = Quotient(rng.randint(-30, 30) * rng.choice((1, 10**9)), rng.randint(1, 40))
+        v = Quotient(rng.randint(-30, 30) * rng.choice((1, 10**9)), rng.randint(1, 40))
+        if rng.random() < 0.2:  # the same value, written over another denominator
+            k = rng.randint(1, 7)
+            v = Quotient(k * u.num, k * u.den)
+        x, y = Fraction(*u), Fraction(*v)
+        assert (u < v, u <= v, u > v, u >= v) == (x < y, x <= y, x > y, x >= y), (u, v)
+        assert (u == v, u != v) == (x == y, x != y), (u, v)
+        orders[(x > y) - (x < y)] += 1
+        # the tuple order disagrees with the value order on some pairs
+        orders["tuple differs"] += (tuple(u) < tuple(v)) != (x < y)
+    assert min(orders[-1], orders[0], orders[1], orders["tuple differs"]) >= 20, orders
+    values = [Quotient(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(200)]
+    assert [Fraction(*q) for q in sorted(values)] == sorted(Fraction(*q) for q in values)
+    # a Quotient is not the plain pair it is written from, from either side
+    for pair in ((2, 1), (1, 2), (0, 1)):
+        assert Quotient(*pair) != pair and pair != Quotient(*pair)
+        assert not Quotient(*pair) == pair and not pair == Quotient(*pair)
+        for compare in (lambda a, b: a < b, lambda a, b: a <= b, lambda a, b: a > b,
+                        lambda a, b: a >= b):
+            with pytest.raises(TypeError):
+                compare(Quotient(*pair), pair)
+            with pytest.raises(TypeError):
+                compare(pair, Quotient(*pair))
+    assert {Quotient(2, 1), (2, 1)} == {Quotient(4, 2), (2, 1)} and len({Quotient(2, 1), (2, 1)}) == 2
+
+
 def test_metaboliser_ties_go_to_the_first_candidate():
     # of the candidates with the best margin, the first in the order
     # metaboliser_candidates gives them is the witness

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -8,6 +9,7 @@ from math import prod
 import pytest
 
 from conftest import (
+    blow_up,
     box_classes,
     count_fractions,
     det,
@@ -16,12 +18,13 @@ from conftest import (
     is_negative_definite,
     lens_chain,
     mat_vec,
+    pivots_negative_definite,
     property_seed,
     random_tree,
     short_char_vectors,
     solve_exact,
 )
-from plumbtau import linalg, plumbing
+from plumbtau import cli, linalg, plumbing
 from plumbtau.paper import form_41, form_92
 from plumbtau.plumbing import (
     IntersectionForm,
@@ -35,6 +38,7 @@ from plumbtau.plumbing import (
     spinc_classes,
     spinc_translate,
 )
+from plumbtau.tau import TauProfile, leaf_link
 
 L41, L92 = form_41(), form_92()
 
@@ -47,7 +51,7 @@ def test_form_from_tree_matrices():
     assert L92.negative_definite and L41.negative_definite
 
 
-def test_form_builds_its_matrix_only_when_read():
+def test_form_builds_its_matrix_only_when_read(tmp_path, capsys, monkeypatch):
     # definiteness and the box are read from the tree: the refused (-2) chain
     # of 15,000 vertices never holds its 15,000 x 15,000 matrix
     f = IntersectionForm(PlumbingTree.path(*[-2] * 15_000))
@@ -55,6 +59,106 @@ def test_form_builds_its_matrix_only_when_read():
     with pytest.raises(ValueError, match="the short-vector box holds"):
         f.require_box()
     assert "q" not in f.__dict__
+    # Q^-1 of a definite tree, its classes, a class lookup and tau read the tree too
+    reads = [
+        lambda f: f.qinv,
+        spinc_classes,
+        lambda f: class_of(f, (-3, 0)),
+        lambda f: conjugate(class_of(f, (3, 0))),
+        lambda f: [TauProfile(f, leaf_link(f, {"v1": 1})).tau_at(s) for s in spinc_classes(f)],
+        lambda f: TauProfile(f, leaf_link(f, {"v1": 2})).row(class_of(f, (-1, 0))),
+    ]
+    for read in reads:
+        f = IntersectionForm(PlumbingTree.path(-5, -2))
+        read(f)
+        assert "qinv" in f.__dict__ and "q" not in f.__dict__
+    # and so do the CLI commands that read a plumbing's classes, d or tau
+    built = []
+    build_form = cli.build_form
+    monkeypatch.setattr(cli, "build_form", lambda doc: built.append(build_form(doc)) or built[-1])
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({
+        "plumbing": {"vertices": [["v1", -5], ["v2", -2]], "edges": [["v1", "v2"]]},
+        "leaf_link": {"v1": 1},
+    }), encoding="utf-8")
+    for argv in (["dinv"], ["spinc"], ["tau"], ["tau", "--spinc=-3,0"], ["tau", "--spinc", "d0"]):
+        assert cli.main([*argv, "--input", str(path)]) == 0, capsys.readouterr().err
+        assert "q" not in built.pop().__dict__, argv
+    capsys.readouterr()
+
+
+def test_tree_definiteness_matches_the_pivot_rule():
+    # the down-branch pass on -Q against the pivot rule on Q that it replaced
+    rng = random.Random(property_seed())
+    trees = [random_tree(rng, rng.randint(1, 30), -5, 1) for _ in range(300)]
+    trees += [random_tree(rng, rng.randint(1, 60), -6, -2) for _ in range(100)]
+    # blow-ups keep a definite form definite and add -1 vertices
+    for t in trees[-100:]:
+        for _ in range(rng.randint(1, 10)):
+            t, _ = blow_up(t, rng)
+        trees.append(t)
+    named = [
+        (_star(-2, -2, -2, -2), True),  # D4
+        (_star(-2, -2, -2, -2, -2), False),  # affine D4: semidefinite
+        (_star(-1, -2, -3, -7), True),  # bounded by Sigma(2,3,7): |det| = 1
+        (PlumbingTree.path(-1, -1), False),  # semidefinite
+        (PlumbingTree.path(*[-2] * 15_000), True),
+        (PlumbingTree.path(*[-2] * 7_500, -1, *[-2] * 7_499), False),
+        (PlumbingTree.path(*[-2] * 14_999, -1), True),  # |det| = 1
+    ]
+    for t, definite in named:
+        assert IntersectionForm(t).negative_definite == pivots_negative_definite(t) == definite
+    kinds = Counter()
+    for t in trees:
+        f = IntersectionForm(t)
+        assert f.negative_definite == pivots_negative_definite(t), t
+        kinds[f.negative_definite] += 1
+    assert kinds[True] >= 50 and kinds[False] >= 50, kinds
+
+
+def test_tree_inverse_matches_the_dense_inverse():
+    # the branch determinants give Q^-1 = a/p exactly as the Gauss-Jordan
+    # pass does, both a and p, on chains, stars with -1 arms, random trees
+    # and both kinds of blow-up of them
+    rng = random.Random(property_seed())
+    trees = [PlumbingTree.path(*[w] * n) for w in (-2, -3) for n in (1, 2, 7, 31, 60)]
+    trees += [PlumbingTree.path(*[rng.randint(-9, -2) for _ in range(n)]) for n in (5, 20, 60)]
+    trees += [_star(-(k + 1), *[-1] * k) for k in (1, 4, 20, 59)]
+    trees += [_star(-k, *[-1] * (k - 2), -2, -3) for k in (4, 12, 40)]
+    random_trees = []
+    while len(random_trees) < 120:
+        n = rng.choice((rng.randint(1, 10), rng.randint(11, 45)))
+        t = random_tree(rng, n, -6, -1 if n <= 10 else -2)
+        if IntersectionForm(t).negative_definite:
+            random_trees.append(t)
+    trees += random_trees
+    sides = Counter()
+    for t in random_trees[:60] + trees[:10]:
+        for _ in range(rng.randint(1, 12)):
+            t, _ = blow_up(t, rng)
+            e = t.vertices[-1][0]
+            sides[t.degree(e)] += 1  # 1 at a vertex, 2 on an edge
+        trees.append(t)
+    assert sides[1] >= 20 and sides[2] >= 20, sides
+    assert max(len(t.vertices) for t in trees) >= 60
+    for t in trees:
+        f = IntersectionForm(t)
+        assert f.negative_definite, t
+        a, p = f.qinv
+        assert (a, p) == linalg.inverse(f.q), t
+        assert p == det([[-x for x in row] for row in f.q])
+    # a form that is not negative definite falls back to the dense pass,
+    # with its answer or its error
+    indefinite = 0
+    for _ in range(200):
+        f = IntersectionForm(random_tree(rng, rng.randint(1, 8), -3, 1))
+        if f.negative_definite or det(f.q) == 0:
+            continue
+        assert f.qinv == linalg.inverse(f.q), f.tree
+        indefinite += 1
+    assert indefinite >= 20, indefinite
+    with pytest.raises(linalg.SingularMatrixError):
+        IntersectionForm(PlumbingTree.path(-1, -1)).qinv
 
 
 def test_tree_validation():
@@ -306,7 +410,7 @@ def test_tree_definiteness_matches_dense_elimination():
     trees += [
         _star(-2, -2, -2, -2),  # D4: definite
         _star(-2, -2, -2, -2, -2),  # affine D4: semidefinite
-        _star(-1, -2, -3, -7),  # bounded by Sigma(2,3,7): indefinite, |det| = 1
+        _star(-1, -2, -3, -7),  # bounded by Sigma(2,3,7): definite, |det| = 1
         _star(-1, -2, -3, -6),  # semidefinite
         _star(-1, -2, -2, -2),  # indefinite
         PlumbingTree.path(-1, -1),  # semidefinite
