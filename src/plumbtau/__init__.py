@@ -3,8 +3,8 @@
 Subpackages:
 
 - ``linalg``: exact integer/rational matrix arithmetic (fraction-free
-  Gauss–Jordan inverses over the denominator |det| of surgery matrices,
-  Smith transforms and indefinite forms; Smith normal form).
+  Gauss–Jordan inverses over the denominator |det| of surgery matrices
+  and Smith transforms; Smith normal form).
 - ``plumbing``: plumbing trees, intersection forms (Q^-1 of a definite one
   from its tree's branch determinants), characteristic vectors, boundary
   spin-c classes and correction terms.
@@ -26,9 +26,10 @@ Subpackages:
 layer on first use, with ``__import__`` rather than ``importlib``, so a CLI
 call loads only the layers its subcommand reads and, of the ``cli_*``
 modules, only the one that runs it.  Where no ``.pyc`` can be written, each
-module a call loads is compiled from source, so a ``spinc`` or ``dinv``
-call compiles ``cli``, ``plumbing`` and ``linalg`` alone, ``tau`` also
-``tau``, and ``tau-qp`` ``cli``, ``cli_surgery`` and ``surgery`` alone.
+module a call loads is compiled from source, so a ``spinc`` call
+compiles ``cli`` and ``plumbing`` alone, ``dinv`` also ``linalg``, ``tau``
+also ``linalg`` and ``tau``, and ``tau-qp`` ``cli``, ``cli_surgery`` and
+``surgery`` alone.
 ``fractions`` (with ``decimal`` and ``numbers``) is imported by the
 functions that make a Fraction, which no ``spinc``, ``dinv``, ``tau``,
 ``tau-qp`` or ``floer`` call runs, nor any ``obstruct`` check but
@@ -49,7 +50,11 @@ NamedTuple of its fields plus a subclass whose ``__new__`` runs them, as
 ``floer.FloerComplex`` is; ``_replace`` and ``_make`` skip ``__new__``, so
 the package uses neither.  ``IntersectionForm`` and ``SpincClass``
 (``plumbing``) are plain classes, since their equality leaves fields out and
-the form caches what it reads from its tree.
+the form caches what it reads from its tree.  Both refuse assignment through
+``_Frozen``, defined here, as ``surgery.SurgeryPresentation`` does, a
+NamedTuple that keeps its inverse in its ``__dict__``.  A value that is only
+a tuple is returned as one: ``floer.verify_axioms`` gives its failures, and
+a complex passes when there are none.
 
 A record's fields are its independent inputs, and what follows from them is
 a property: a form is its tree (``order``, ``q``, ``negative_definite``), a
@@ -71,6 +76,22 @@ __version__ = "0.1.0"
 EXAMPLE_NAMES = ("l2d", "m3d", "nk", "m3", "eq72")
 
 _LAYERS = frozenset({"linalg", "plumbing", "tau", "surgery", "floer", "obstruct", "paper", "cli"})
+
+
+class _Frozen:
+    """Refuses assignment and deletion of any attribute.
+
+    A record sets its fields past it: with ``object.__setattr__``, through
+    ``__dict__``, or as the tuple a NamedTuple's ``__new__`` builds.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def __getattr__(name: str):

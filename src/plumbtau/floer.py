@@ -69,8 +69,8 @@ class FloerComplex(_FloerFields):
     two distinguished classes.
 
     The constructor checks shape only.  The three chain-complex axioms
-    are report-valued (``verify_axioms``) so that broken complexes can
-    be built and diagnosed.
+    are checked by ``verify_axioms``, which lists what fails, so that
+    broken complexes can be built and diagnosed.
     """
 
     __slots__ = ()
@@ -121,15 +121,6 @@ class AlexanderFiltration(NamedTuple):
         for (x, y), m in c.entries.items():
             if self.levels[y] - m > self.levels[x]:
                 raise ValueError(f"entry {x} -> {y} pow {m} raises the filtration level")
-
-
-class AxiomReport(NamedTuple):
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        """The complex passes every check: no failure is listed."""
-        return not self.failures
 
 
 def _ungraded(c: FloerComplex) -> list[tuple[str, str, int]]:
@@ -216,11 +207,12 @@ def _failures(c: FloerComplex) -> tuple[int, Iterator[str]]:
     )
 
 
-def verify_axioms(c: FloerComplex) -> AxiomReport:
+def verify_axioms(c: FloerComplex) -> tuple[str, ...]:
     """Check the size, the grading law and d^2 = 0 (by eliminating), then the rank.
 
-    The first ``MAX_LISTED_FAILURES`` failures are listed, then one line
-    ``... and N more failures`` if there are more.
+    Returns the failures, empty for a valid complex: the first
+    ``MAX_LISTED_FAILURES``, then one line ``... and N more failures`` if
+    there are more.
     """
     _require_size(c)
     try:
@@ -230,14 +222,14 @@ def verify_axioms(c: FloerComplex) -> AxiomReport:
         failures = list(islice(listing, MAX_LISTED_FAILURES))
         if count > MAX_LISTED_FAILURES:
             failures.append(f"... and {count - MAX_LISTED_FAILURES} more failures")
-        return AxiomReport(tuple(failures))
+        return tuple(failures)
     failures = []
     # 2^power is built only while it could equal the rank, at most #generators
     if power >= len(c.gradings).bit_length():
         failures.append(f"rank: homology has {rank} towers, expected 2^{power}")
     elif rank != 2**power:
         failures.append(f"rank: homology has {rank} towers, expected {2**power}")
-    return AxiomReport(tuple(failures))
+    return tuple(failures)
 
 
 def _require_valid(c: FloerComplex) -> None:

@@ -1,12 +1,14 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer and rational linear algebra for surgery matrices and Smith forms.
 
 All computations are over arbitrary-precision integers; a rational
 inverse is one integer matrix over one denominator, and only a pairing
-returns a ``fractions.Fraction``.  ``_quotient`` writes an integer over a
-known denominator as ``str(Fraction)`` would, and is the package's one such
-writer.  Nothing here ever touches floating point.  Matrices are dense
-lists of row lists, which is plenty for the small symmetric forms this
-package works with.
+returns a ``fractions.Fraction``.  ``inverse`` serves a surgery linking
+matrix and the transform of a Smith form, and ``pair`` the surgery terms;
+a plumbing form's Q^{-1} comes from its tree
+(``plumbing.IntersectionForm.qinv``), which needs nothing here.  ``_quotient`` writes an integer over a known denominator as
+``str(Fraction)`` would, and is the package's one such writer.  Nothing
+here ever touches floating point.  Matrices are dense lists of row lists,
+which is plenty for the small matrices this package works with.
 """
 
 from __future__ import annotations
@@ -57,9 +59,8 @@ def inverse(m: IntMatrix) -> Inverse:
     previous pivot is exact.  At the end the left block is d·I and the
     right block d·m^{-1}, where d = ±det(m) is the last pivot; the sign
     goes into a so that p = |det m|.  It costs O(n^3) steps.  The package
-    inverts with it a surgery linking matrix, the transform of a Smith
-    form, and a plumbing form that is not negative definite; a definite
-    plumbing's Q^{-1} comes from its tree (``IntersectionForm.qinv``).
+    inverts with it a surgery linking matrix and the transform of a Smith
+    form; a plumbing's Q^{-1} comes from its tree (``IntersectionForm.qinv``).
     The empty matrix gives ([], 1).
     """
     n = _check_square(m)

@@ -273,7 +273,7 @@ def _join(diag, group, g):
 
 def metaboliser_candidates(f: IntersectionForm) -> list[MetaboliserCandidate]:
     """Order-sqrt(|H_1|) subgroups on which the linking form is integral."""
-    order = f.qinv[1]  # |det Q|; a singular form raises SingularMatrixError
+    order = f.qinv[1]  # |det Q|; a form that is not negative definite is refused
     root = math.isqrt(order)
     if root * root != order:
         return []

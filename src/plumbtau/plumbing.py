@@ -22,14 +22,18 @@ from math import isqrt, prod
 from operator import add, mod, mul, sub
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
-from . import linalg
+from . import _Frozen
 
 # fractions (with decimal and numbers) is imported in each function that makes
 # a Fraction, so a spinc, dinv or tau call, which makes none, never imports it.
 # ``import fractions`` there costs about 0.1 us a call, against 0.6 us for
 # ``from fractions import Fraction``, which looks up a ``__path__`` it lacks.
+# linalg is named only in annotations: Q^-1 comes from the tree, and every
+# test of a square is an integer one.
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    from . import linalg
 
 MARKINGS = ("marked", "unmarked_leaf", "internal")
 # Most short characteristic vectors an enumeration may walk.  Near the limit
@@ -100,25 +104,13 @@ class PlumbingTree(_TreeFields):
         )
 
 
-class _Frozen:
-    """Refuses assignment: ``__init__`` sets the fields with ``object.__setattr__``."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
 class IntersectionForm(_Frozen):
     """The intersection form of a plumbing tree: weights on the diagonal, 1 per edge.
 
     The tree is the one field.  ``order``, ``q`` and ``negative_definite``
     are read from it when first asked for, so a form that ``require_box``
-    refuses never holds its n x n matrix, and neither does a definite form's
-    ``qinv``.  Equality and hash read ``q`` and ``order``; repr shows
+    refuses never holds its n x n matrix, and ``qinv``, which only a
+    negative-definite form has, never builds it.  Equality and hash read ``q`` and ``order``; repr shows
     ``negative_definite`` too, which ``q`` (so the tree) decides.
     ``tree`` and the caches are left out: the inverse, the index of every
     class, and the classes that ``_class_at`` met without the index.
@@ -200,11 +192,13 @@ class IntersectionForm(_Frozen):
     def qinv(self) -> linalg.Inverse:
         """Q^{-1} as (a, p): one integer matrix over the denominator p = |det Q|.
 
-        A negative-definite form takes it from its branch determinants in
-        O(n^2) steps (``_tree_inverse``), without ``q``; any other form from
-        ``linalg.inverse(q)``, which raises ``SingularMatrixError`` on a singular Q.
+        It is taken from the tree's branch determinants in O(n^2) steps
+        (``_tree_inverse``), without ``q``.  A form that is not negative
+        definite, a singular one included, is refused as
+        ``require_negative_definite`` refuses it.
         """
-        return linalg.inverse(self.q) if self._branches is None else _tree_inverse(self)
+        self.require_negative_definite()
+        return _tree_inverse(self)
 
     @cached_property
     def _class_index(self) -> dict[tuple[int, ...], "SpincClass"]:
@@ -216,9 +210,6 @@ class IntersectionForm(_Frozen):
         """Classes that ``_class_at`` met without the index, by the same keys."""
         return {}
 
-    def index_of(self, vertex_id: str) -> int:
-        return self.order.index(vertex_id)
-
     def require_negative_definite(self):
         if not self.negative_definite:
             raise ValueError("intersection form is not negative definite")
@@ -229,8 +220,9 @@ class IntersectionForm(_Frozen):
         Only the tree's weights are read, so a refused form never builds ``q``.
         The walk of ``_scan`` costs O(n) per vector of the box, and Q^-1 of
         a definite tree, from its branch determinants, O(n^2) steps on
-        integers of at most about log2|det Q| bits.  The work is still
-        bounded by box * n + n^3, the bound of a dense Q^-1.  Its limit is
+        integers of at most about log2|det Q| bits.  The work is bounded
+        by box * n + n^3, looser than these costs need; box * n + n^2 would
+        accept forms that this bound refuses, a change of its own.  Its limit is
         that of a box of ``MAX_BOX`` vectors on m = floor(log2(MAX_BOX))
         vertices: a tree whose weights are all <= -2 has a box of at least
         2^n, so every such tree the box limit accepts has n <= m and passes.
@@ -517,27 +509,26 @@ def spinc_translate(s: SpincClass, alpha: Sequence[int]) -> SpincClass:
 
 
 def solve_square(f: IntersectionForm, target) -> list[tuple[int, ...]]:
-    """All characteristic vectors kappa with kappa^T Q^{-1} kappa = target.
+    """All characteristic vectors kappa with kappa^T Q^{-1} kappa = target, in lex order.
 
-    Negative definiteness bounds the search: kappa_i^2 <= (-target)·|a_i|
+    ``target`` is an int or a Fraction, num/den.  With Q^{-1} = a/p the test
+    is kappa·a·kappa·den == num·p, in integers.  Negative definiteness
+    bounds the search: kappa_i^2 <= (-target)·|w_i| for the weight w_i,
     because the maximum of x_i^2 on the ellipsoid x^T(-Q^{-1})x <= c is
     c times the i-th diagonal entry of (-Q^{-1})^{-1} = -Q.
     """
-    import fractions
-
-    f.require_negative_definite()
-    target = fractions.Fraction(target)
-    if target > 0:
+    a, p = f.qinv
+    num, den = target.numerator, target.denominator
+    if num > 0:
         return []
-    c = -target
     ranges = []
-    for _, a in f.tree.vertices:
-        bound = isqrt(int(c * abs(a)))  # floor of the real bound
-        lo = -bound if (-bound - a) % 2 == 0 else -bound + 1
+    for _, w in f.tree.vertices:
+        bound = isqrt(num * w // den)  # floor of the real bound
+        lo = -bound if (-bound - w) % 2 == 0 else -bound + 1
         ranges.append(range(lo, bound + 1, 2))
-    out = [
+    square = num * p
+    return [
         k
-        for k in itertools.product(*ranges)
-        if linalg.pair(f.qinv, k, k) == target
+        for k in itertools.product(*ranges)  # the ranges ascend, so in lex order
+        if sum(x * sum(map(mul, row, k)) for x, row in zip(k, a) if x) * den == square
     ]
-    return sorted(out)

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
+from . import _Frozen
+
 # linalg and fractions are imported where they are used: see the note above
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -64,7 +66,7 @@ class _PresentationFields(NamedTuple):
     link_vectors: tuple[tuple[int, ...], ...]  # one vector per transverse component
 
 
-class SurgeryPresentation(_PresentationFields):
+class SurgeryPresentation(_Frozen, _PresentationFields):
     """A surgery diagram: its components, their linking numbers and the link's vectors.
 
     ``qinv`` is Q^{-1} of ``linking_matrix`` as (a, p), taken when the
@@ -101,12 +103,6 @@ class SurgeryPresentation(_PresentationFields):
         except linalg.SingularMatrixError:
             raise linalg.SingularMatrixError("surgery linking matrix is singular") from None
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def rot_vector(self) -> tuple[int, ...]:

@@ -80,7 +80,7 @@ def leaf_link(f: IntersectionForm, strands: Mapping[str, int]) -> LeafLink:
             raise ValueError("strand counts must be non-negative")
         if count > 0 and f.tree.marking(vid) != "unmarked_leaf":
             raise ValueError(f"vertex {vid!r} is not an unmarked leaf")
-        m[f.index_of(vid)] = count
+        m[f.order.index(vid)] = count
     return LeafLink(tuple(m))
 
 
@@ -96,10 +96,9 @@ class TauProfile:
     __slots__ = ("form", "ell", "den", "_w", "_mw", "_nums")
 
     def __init__(self, f: IntersectionForm, link: LeafLink):
-        f.require_negative_definite()
+        a, p = f.qinv  # refuses a form that is not negative definite
         if len(link.m) != f.n:
             raise ValueError("link multiplicity vector has wrong length")
-        a, p = f.qinv
         self._w = [sum(map(mul, row, link.m)) for row in a]
         self._mw = sum(map(mul, link.m, self._w))
         self.form, self.ell, self.den, self._nums = f, link.ell, 2 * p, {}

@@ -1269,8 +1269,9 @@ def _absent(*names, runs=(), also=()):
                  also=NO_FRACTION)),
         (DINV, {"plumbing": L92_PLUMBING},
          _absent("floer", "obstruct", "surgery", "paper", also=NO_FRACTION)),
+        # a class table writes only integers, and Q^-1 comes from the tree: no linalg
         (["spinc"], {"plumbing": L92_PLUMBING},
-         _absent("floer", "obstruct", "surgery", "paper", also=NO_FRACTION)),
+         _absent("floer", "obstruct", "surgery", "paper", "linalg", also=NO_FRACTION)),
         (TAU, {"plumbing": L92_PLUMBING, "leaf_link": {"v1": 3}},
          _absent("floer", "obstruct", "surgery", "paper", also=NO_FRACTION)),
         # slice-bennequin reads the presentation and the braid with the surgery builders

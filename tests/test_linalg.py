@@ -156,3 +156,10 @@ def test_smith_normal_form_random():
 def test_smith_normal_form_known():
     s, d, t = linalg.smith_normal_form([[-5, 1], [1, -2]])
     assert [d[0][0], d[1][1]] == [1, 9]
+    # a diagonal whose entries do not divide each other is folded into the
+    # chain 1 | 6: the divisibility check reads every column past the pivot
+    m = [[2, 0], [0, 3]]
+    s, d, t = linalg.smith_normal_form(m)
+    assert d == [[1, 0], [0, 6]] and mat_mul(mat_mul(s, m), t) == d
+    # the empty matrix has no rows, so no columns: every part is empty
+    assert linalg.smith_normal_form([]) == ([], [], [])

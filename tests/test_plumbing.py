@@ -147,18 +147,21 @@ def test_tree_inverse_matches_the_dense_inverse():
         a, p = f.qinv
         assert (a, p) == linalg.inverse(f.q), t
         assert p == det([[-x for x in row] for row in f.q])
-    # a form that is not negative definite falls back to the dense pass,
-    # with its answer or its error
+    # a form that is not negative definite has no Q^-1 here: it is refused,
+    # an invertible one and the singular chain (-1, -1) alike
     indefinite = 0
     for _ in range(200):
         f = IntersectionForm(random_tree(rng, rng.randint(1, 8), -3, 1))
         if f.negative_definite or det(f.q) == 0:
             continue
-        assert f.qinv == linalg.inverse(f.q), f.tree
+        with pytest.raises(ValueError, match="^intersection form is not negative definite$"):
+            f.qinv
         indefinite += 1
     assert indefinite >= 20, indefinite
-    with pytest.raises(linalg.SingularMatrixError):
-        IntersectionForm(PlumbingTree.path(-1, -1)).qinv
+    singular = IntersectionForm(PlumbingTree.path(-1, -1))
+    assert det(singular.q) == 0
+    with pytest.raises(ValueError, match="^intersection form is not negative definite$"):
+        singular.qinv
 
 
 def test_tree_validation():
@@ -245,6 +248,11 @@ def test_solve_square():
     assert solve_square(L92, -2) == [(-3, 0), (-1, 2), (1, -2), (3, 0)]
     assert solve_square(L41, -1) == [(-2,), (2,)]
     assert solve_square(L92, 1) == []
+    # an indefinite form is refused before any target is read, a positive one too
+    indefinite = IntersectionForm(PlumbingTree.path(-2, 1))
+    for target in (-2, 1, Fraction(-1, 3)):
+        with pytest.raises(ValueError, match="^intersection form is not negative definite$"):
+            solve_square(indefinite, target)
 
 
 def test_solve_square_matches_a_brute_force_search():

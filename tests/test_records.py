@@ -1,4 +1,4 @@
-"""The immutable records of plumbing, tau, surgery, floer and obstruct.
+"""The immutable records of plumbing, tau, surgery and obstruct.
 
 Each row builds one record positionally with its defaults left out and by
 keyword with every field spelled out, and lists every check of its
@@ -10,7 +10,6 @@ from fractions import Fraction
 
 import pytest
 
-from plumbtau.floer import AxiomReport
 from plumbtau.linalg import SingularMatrixError
 from plumbtau.obstruct import MetaboliserCandidate, Verdict
 from plumbtau.paper import form_41, form_92
@@ -134,8 +133,6 @@ RECORDS = [
              "Euler characteristic cannot exceed boundary count"),
         ],
     ),
-    # a report is its failures: ``ok`` is a property
-    row(AxiomReport, ((),), {"failures": ()}),
     row(
         Verdict,
         ("integrality", "fires"),
