@@ -11,9 +11,12 @@ domain F2[U] (elimination with the globally U-minimal pivot is Smith
 normal form: each cancelled pair contributes either nothing or one
 U-power torsion summand, and the untouched generators are the free
 towers).  The elimination keeps each generator's targets and sources
-as Python ints, one bit per generator in (grading, name) order, and
-derives every exponent from the gradings: a pivot costs one XOR per row
-it changes, and a heap of each row's least entry pops the next pivot.
+as Python ints, one bit per generator in (grading, name) order, built in
+one walk over the entries that also checks the grading law, and derives
+every exponent from the gradings.  A pivot costs one XOR per row it
+changes, and a heap of plain ints pops the next pivot: one key
+m n^2 + rank(x) n + y per row's least entry x -> y pow m, where n counts
+the generators and rank(x) is the place of x in name order.
 
 Setting U = 0 gives the hat complex over F2.  The tower classes reduce
 to independent nonzero classes there; the top and bottom reductions
@@ -38,8 +41,8 @@ and counts the rest; every other answer raises the first line.
 from __future__ import annotations
 
 # the C functions that heapq re-exports, without loading its Python module
-from _heapq import heappop, heappush
-from itertools import islice
+from _heapq import heapify, heappop, heappush
+from itertools import count, islice
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 # Most failures ``verify_axioms`` lists; one last line counts the rest, so a
@@ -54,7 +57,7 @@ MAX_WORK = 4_500_000
 class _FloerFields(NamedTuple):
     gradings: Mapping[str, int]
     entries: Mapping[tuple[str, str], int]
-    basepoints: int = 1
+    basepoints: int
 
 
 class FloerComplex(_FloerFields):
@@ -115,18 +118,13 @@ class AlexanderFiltration(NamedTuple):
     levels: Mapping[str, int]
 
     def check(self, c: FloerComplex) -> None:
+        levels = self.levels
         for g in c.gradings:
-            if g not in self.levels:
+            if g not in levels:
                 raise ValueError(f"generator {g!r} has no filtration level")
         for (x, y), m in c.entries.items():
-            if self.levels[y] - m > self.levels[x]:
+            if levels[y] - m > levels[x]:
                 raise ValueError(f"entry {x} -> {y} pow {m} raises the filtration level")
-
-
-def _ungraded(c: FloerComplex) -> list[tuple[str, str, int]]:
-    """Entries x -> y pow m that break the grading law, sorted; a graded complex sorts nothing."""
-    gr = c.gradings
-    return sorted((x, y, m) for (x, y), m in c.entries.items() if gr[y] - 2 * m != gr[x] - 1)
 
 
 def _require_size(c: FloerComplex) -> None:
@@ -158,25 +156,32 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _rows(c: FloerComplex) -> tuple[list[str], list[int], list[int]]:
-    """The generators in (grading, name) order, and their bit rows ``out`` and ``inn``.
+def _rows(c: FloerComplex) -> tuple[tuple, tuple, tuple, list[int], list[int], list]:
+    """The generators in (grading, name) order, as their gradings, names and
+    positions in ``c.generators``; their bit rows ``out`` and ``inn``; and
+    the entries x -> y pow m that break the grading law, sorted.
 
     Bit j of ``out[i]``, and bit i of ``inn[j]``, is set when names[i] ->
     names[j] is an entry.  The grading law makes the exponent grow with the
     target's grading, so the lowest bit of a row is its (m, name)-least entry.
     """
     gr = c.gradings
-    names = sorted(gr, key=lambda g: (gr[g], g))
-    index = {g: i for i, g in enumerate(names)}
+    # names are distinct, so no position is compared
+    grs, names, pos = zip(*sorted(zip(gr.values(), gr, count()))) if gr else ((), (), ())
+    index = dict(zip(names, count()))
+    bit = [1 << i for i in range(len(names))]
     out, inn = [0] * len(names), [0] * len(names)
-    for x, y in c.entries:
+    ungraded = []
+    for (x, y), m in c.entries.items():
         i, j = index[x], index[y]
-        out[i] |= 1 << j
-        inn[j] |= 1 << i
-    return names, out, inn
+        out[i] |= bit[j]
+        inn[j] |= bit[i]
+        if grs[j] - grs[i] != 2 * m - 1:
+            ungraded.append((x, y, m))
+    return grs, names, pos, out, inn, sorted(ungraded)
 
 
-def _d2_masks(names: list[str], out: list[int]) -> Iterator[tuple[str, int]]:
+def _d2_masks(names: tuple[str, ...], out: list[int]) -> Iterator[tuple[str, int]]:
     """Each source x in name order, with d(d(x)) as a mask over ``names``: the
     XOR of the rows of x's targets, as the grading law pins each exponent."""
     for i in sorted(range(len(names)), key=names.__getitem__):
@@ -193,12 +198,12 @@ def _failures(c: FloerComplex) -> tuple[int, Iterator[str]]:
     masks; the lines, in sorted order, are formatted only as they are read.
     """
     gr = c.gradings
-    if ungraded := _ungraded(c):
+    _, names, _, out, _, ungraded = _rows(c)
+    if ungraded:
         return len(ungraded), (
             f"grading: entry {x} -> {y} pow {m} has gr {gr[y]} - 2*{m} != gr {gr[x]} - 1"
             for x, y, m in ungraded
         )
-    names, out, _ = _rows(c)
     squares = list(_d2_masks(names, out))
     return sum(square.bit_count() for _, square in squares), (
         f"d_squared: d(d({x})) has a surviving {z} term"
@@ -247,10 +252,10 @@ def _eliminate(c: FloerComplex) -> tuple[list[tuple[int, int]], list[tuple[int, 
     stands for ``c.generators[i]``; towers are sorted by grading, highest
     first, then by mask.  Each torsion summand is (grading, U-power).
 
-    The rows are those of ``_rows``; the grading law, checked first, pins
-    each exponent, and the graded basis changes keep it, and D^2 up to
-    conjugation.  So the elimination is the d^2 check: d^2 = 0 makes every
-    pivot pair split off, and if all do, d^2 = 0.
+    The rows are those of ``_rows``, which checks the grading law as it
+    builds them; the law pins each exponent, and the graded basis changes
+    keep it, and D^2 up to conjugation.  So the elimination is the d^2
+    check: d^2 = 0 makes every pivot pair split off, and if all do, d^2 = 0.
 
     A pivot x -> y pow a does ``out[w] ^= out[x]`` for each other source w
     of y and ``inn[z] ^= inn[y]`` for each other target z of x.  As the
@@ -259,69 +264,85 @@ def _eliminate(c: FloerComplex) -> tuple[list[tuple[int, int]], list[tuple[int, 
     exponent 0: only then does the reduction of w gain that of x.  The row
     clear changes only the representative of y, which leaves with x.
     """
-    if _ungraded(c):
+    grs, names, pos, out, inn, ungraded = _rows(c)
+    if ungraded:
         _require_valid(c)
-    names, out, inn = _rows(c)
-    grs = [c.gradings[g] for g in names]
-    position = {g: i for i, g in enumerate(c.generators)}
-    hat = [1 << position[g] for g in names]
-    heap: list[tuple] = []
-    pop, push = heappop, heappush
-    def offer(w: int) -> None:  # push w's least entry, if it has one
-        row = out[w]
-        if row:
-            z = (row & -row).bit_length() - 1
-            push(heap, ((grs[z] - grs[w] + 1) // 2, names[w], names[z], w, 1 << z))
-
+    n = len(names)
+    nn = n * n
+    bit = [1 << i for i in range(n)]
     # Pivots pop in (m, x, y) order, the globally U-minimal entry with ties
     # broken by name, as a plain minimum over all entries would: that fixes
     # the cycle of each tower, so the theta classes, tau and every output
-    # byte.  Each row's least entry is pushed whenever it changes, enough as
-    # a pivot ends its row; a popped entry is stale unless still its lowest.
-    for w in range(len(names)):
-        offer(w)
-    alive = set(range(len(names)))
+    # byte.  The key of a row's least entry w -> z pow m is the int
+    # m n^2 + rank(w) n + z, with z the target's row: the targets of one
+    # exponent share a grading, where rows run in name order.  Twice the key
+    # is a target part plus a source part.  A row's least entry is pushed
+    # whenever it changes, enough as a pivot ends its row; a popped key is
+    # stale unless its target is still its row's lowest bit.
+    by_rank = sorted(range(n), key=names.__getitem__)
+    source = [0] * n
+    for r, w in enumerate(by_rank):
+        source[w] = (1 - grs[w]) * nn + 2 * n * r
+    target = [g * nn + 2 * z for z, g in enumerate(grs)]
+    heap = [target[(row & -row).bit_length() - 1] + source[w] for w, row in enumerate(out) if row]
+    heapify(heap)
+    pop, push = heappop, heappush
+    hat = [bit[p] for p in pos]
     torsion: list[tuple[int, int]] = []
     while heap:
-        a, _, _, x, ybit = pop(heap)
-        row = out[x]
+        key = pop(heap) >> 1
+        y, x = key % n, by_rank[key // n % n]
+        row, ybit = out[x], bit[y]
         if row & -row != ybit:
             continue
-        y, xbit = ybit.bit_length() - 1, 1 << x
+        xbit = bit[x]
         column, gx, hx = inn[y], grs[x], hat[x]
         # clear the column of y: each other source w becomes w + U^delta x,
         # so w loses y and gains the other targets of x; y is row's lowest bit
         incoming = inn[x]
-        for w in _bits(column ^ xbit):
-            out[w] ^= row
-            if not out[w] & (ybit - 1):  # w's least entry was w -> y
-                offer(w)
+        mask = column ^ xbit
+        while mask:
+            w = mask.bit_length() - 1
+            mask ^= bit[w]
+            new = out[w] = out[w] ^ row
+            if new and not new & (ybit - 1):  # w's least entry was w -> y
+                push(heap, target[(new & -new).bit_length() - 1] + source[w])
             if grs[w] == gx:
                 hat[w] ^= hx
             incoming ^= inn[w]
         # the same change gives each source v of w an arrow v -> x, and
         # d^2 = 0 makes these cancel the arrows into x: nothing maps to x
-        for v in _bits(inn[x]):
-            out[v] ^= xbit
-            if not out[v] & (xbit - 1):  # v's least entry was v -> x
-                offer(v)
+        mask = inn[x]
+        while mask:
+            v = mask.bit_length() - 1
+            mask ^= bit[v]
+            new = out[v] = out[v] ^ xbit
+            if new and not new & (xbit - 1):  # v's least entry was v -> x
+                push(heap, target[(new & -new).bit_length() - 1] + source[v])
         # clear the row of x: y <- y + sum of U^delta z over its other
         # targets z, and d^2 = 0 makes the new y a cycle
         outgoing = out[y]
-        for z in _bits(row ^ ybit):
+        mask = row ^ ybit
+        while mask:
+            z = mask.bit_length() - 1
+            mask ^= bit[z]
             outgoing ^= out[z]
             inn[z] ^= column
         if incoming or outgoing:
             # d^2 != 0, so the listing finds a failure unless this code is wrong
             _require_valid(c)
             raise RuntimeError(f"pivot {names[x]} -> {names[y]} does not split off")
-        for t in _bits(out[y]):
+        mask = out[y]
+        while mask:
+            t = mask.bit_length() - 1
+            mask ^= bit[t]
             inn[t] ^= ybit
-        out[x] = out[y] = inn[x] = inn[y] = 0
-        alive -= {x, y}
-        if a >= 1:
-            torsion.append((grs[y], a))
-    towers = sorted(((grs[g], hat[g]) for g in alive), key=lambda t: (-t[0], t[1]))
+        # a pivot's pair leaves with a zero reduction; the reductions stay
+        # independent, so every live one is nonzero
+        out[x] = out[y] = inn[x] = inn[y] = hat[x] = hat[y] = 0
+        if key >= nn:
+            torsion.append((grs[y], key // nn))
+    towers = sorted(((g, h) for g, h in zip(grs, hat) if h), key=lambda t: (-t[0], t[1]))
     return towers, sorted(torsion, key=lambda t: (-t[0], t[1]))
 
 
@@ -518,7 +539,8 @@ def parse_complex(
         line = raw.split("#", 1)[0] if "#" in raw else raw
         parts = line.split()
         n = len(parts)
-        if n in (3, 5) and parts[1] == "->" and (n == 3 or parts[3] == "pow"):
+        # 5-token entry lines, most of a document, are tested first
+        if n == 5 and parts[1] == "->" and parts[3] == "pow" or n == 3 and parts[1] == "->":
             key = parts[0], parts[2]
             try:
                 m = int(parts[4]) if n == 5 else 0

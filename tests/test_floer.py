@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from conftest import (
     Tower,
+    _apply_basis_change,
     d2_listing,
     dualize,
     format_complex,
@@ -517,6 +518,40 @@ def test_indexed_elimination_matches_scan_oracle():
         )
         assert len(c.entries) > n * n / 3
         assert floer._eliminate(c) == hat_view(c, scan_decompose(c))
+    # the edges of the pivot key m n^2 + rank(x) n + y: one generator and no
+    # entries, so n = 1 and nothing is pushed
+    lone = FloerComplex({"z": 3}, {})
+    assert floer._eliminate(lone) == ([(3, 1)], []) == hat_view(lone, scan_decompose(lone))
+    # and U-power 0 throughout, so rank(x) alone orders the pivots, with
+    # names numbered from 2 in grading order: g2..g9 take the low gradings
+    # and g10.. the high ones, which sort first by name, so the rank of a
+    # row and its index disagree
+    disagree = 0
+    for _ in range(60):
+        gr: dict[str, int] = {}
+        entries: dict[tuple[str, str], int] = {}
+        for j in range(rng.randint(4, 12)):
+            gr[f"x{j}"] = rng.randint(1, 3)
+            gr[f"y{j}"] = gr[f"x{j}"] - 1
+            entries[(f"x{j}", f"y{j}")] = 0
+        for j in range(rng.randint(2, 4)):
+            gr[f"t{j}"] = rng.randint(0, 3)
+        # graded changes e <- e + f within one grading keep every exponent 0
+        for _ in range(rng.randint(20, 120)):
+            e, f = rng.sample(sorted(gr), 2)
+            if gr[e] == gr[f]:
+                _apply_basis_change(entries, e, f, 0)
+        order = sorted(gr, key=lambda g: (gr[g], rng.random()))
+        name = {g: f"g{i + 2}" for i, g in enumerate(order)}
+        c = FloerComplex(
+            {name[g]: gr[g] for g in rng.sample(order, len(order))},
+            {(name[x], name[y]): m for (x, y), m in entries.items()},
+        )
+        assert set(c.entries.values()) <= {0}
+        sources = sorted({x for x, _ in c.entries})
+        disagree += sources != sorted(sources, key=lambda g: (c.gradings[g], g))
+        assert floer._eliminate(c) == hat_view(c, scan_decompose(c))
+    assert disagree >= 40
 
 
 def test_a_pivot_that_takes_a_row_s_least_entry_offers_the_next():

@@ -145,8 +145,9 @@ def test_smith_normal_form_random():
             for j in range(cols):
                 if i != j:
                     assert d[i][j] == 0
+        # every invariant factor is nonnegative, the last one included
+        assert all(a >= 0 for a in diag), diag
         for a, b in zip(diag, diag[1:]):
-            assert a >= 0
             if a != 0:
                 assert b % a == 0
             else:
