@@ -26,16 +26,15 @@ Subpackages:
 layer on first use, with ``__import__`` rather than ``importlib``, so a CLI
 call loads only the layers its subcommand reads and, of the ``cli_*``
 modules, only the one that runs it.  Where no ``.pyc`` can be written, each
-module a call loads is compiled from source, so a ``spinc`` call
-compiles ``cli`` and ``plumbing`` alone, ``dinv`` also ``linalg``, ``tau``
-also ``linalg`` and ``tau``, and ``tau-qp`` ``cli``, ``cli_surgery`` and
-``surgery`` alone.
+module a call loads is compiled from source, so a ``spinc`` or ``dinv``
+call compiles ``cli`` and ``plumbing`` alone, ``tau`` also ``tau``, and
+``tau-qp`` ``cli``, ``cli_surgery`` and ``surgery`` alone.
 ``fractions`` (with ``decimal`` and ``numbers``) is imported by the
 functions that make a Fraction, which no ``spinc``, ``dinv``, ``tau``,
 ``tau-qp`` or ``floer`` call runs, nor any ``obstruct`` check but
 ``slice-bennequin``: every other exact value is an integer over a known
-denominator, written by ``linalg._quotient``, or, for ``tau-qp``, an
-integer.  No call but ``paper-examples`` imports the ``json`` package or
+denominator, written by ``_quotient``, defined here, or, for ``tau-qp``,
+an integer.  No call but ``paper-examples`` imports the ``json`` package or
 ``importlib``: ``cli`` reads and writes JSON with the C functions of
 ``_json`` that it wraps.  A call run as the
 program (``cli.main()`` with no argv) registers ``gc.freeze`` as an exit
@@ -92,6 +91,18 @@ class _Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+# Here, not in ``linalg``, so a d or tau table loads no linear algebra to write
+# its values.
+def _quotient(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for den > 0, written with one gcd and no Fraction."""
+    # imported here, at about 0.15 us a call, so that a floer or tau-qp call,
+    # which writes no quotient, loads no math module
+    import math
+
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}" if g < den else str(num // g)
 
 
 def __getattr__(name: str):

@@ -59,7 +59,7 @@ from operator import itemgetter
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional
 
-from . import EXAMPLE_NAMES
+from . import EXAMPLE_NAMES, _quotient
 
 # Each handler imports the layers it calls, so a call of one subcommand
 # loads no other subcommand's layers (a ``floer`` call loads only floer).
@@ -339,12 +339,11 @@ def select_classes(f: IntersectionForm, doc: dict, flag: Optional[str], default:
 # --- subcommand handlers ---------------------------------------------------
 
 # Every value a layer returns is an int, a Fraction, or (d and tau) an integer
-# over a known denominator; ``str`` or ``linalg._quotient`` writes the
+# over a known denominator; ``str`` or ``plumbtau._quotient`` writes the
 # canonical fraction string, so cli never imports ``fractions`` itself.
 
 
 def run_tau(args, doc: dict) -> dict:
-    from .linalg import _quotient
     from .tau import TauProfile
 
     f = build_form(doc)
@@ -363,7 +362,6 @@ def run_tau(args, doc: dict) -> dict:
 
 
 def run_dinv(args, doc: dict) -> dict:
-    from .linalg import _quotient
     from .plumbing import spinc_classes
 
     f = build_form(doc)

@@ -24,9 +24,10 @@ are the distinguished classes used to test cycles for theta support.
 Nothing downstream reads more of a tower cycle than its reduction, so
 the elimination tracks only that: a basis change by U^delta with
 delta > 0 leaves every reduction as it was.  A reduction is a mask over
-the complex's generator order, bit i for ``generators[i]``, and every
-hat chain below is numbered the same way, so the distinguished classes
-reach tau as the elimination returns them.  The tau invariants of an
+the rows, bit i for the i-th generator in (grading, name) order, and
+every hat chain below is numbered the same way: the hat slice of a
+grading is cut from the same rows, so the distinguished classes reach
+tau as the elimination returns them.  The tau invariants of an
 Alexander-type filtration are the smallest level whose hat subcomplex
 contains a qualifying cycle.  One pass finds it: the generators of the
 relevant grading enter one F2 echelon in level order, each dependency
@@ -40,7 +41,8 @@ and counts the rest; every other answer raises the first line.
 
 from __future__ import annotations
 
-# the C functions that heapq re-exports, without loading its Python module
+# the C functions that bisect and heapq re-export, without loading their Python modules
+from _bisect import bisect_left
 from _heapq import heapify, heappop, heappush
 from itertools import count, islice
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
@@ -101,7 +103,10 @@ class FloerComplex(_FloerFields):
 
     def grading_of_chain(self, chain: Iterable[str]) -> int:
         """Common grading of a homogeneous F2-chain of generators."""
-        grs = {self.gradings[g] for g in chain}
+        try:  # in name order, so the least unknown name is the one named
+            grs = {self.gradings[g] for g in sorted(chain)}
+        except KeyError as unknown:
+            raise ValueError(f"unknown generator {unknown.args[0]!r}") from None
         if len(grs) != 1:
             raise ValueError("chain is not homogeneous")
         return grs.pop()
@@ -156,18 +161,20 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _rows(c: FloerComplex) -> tuple[tuple, tuple, tuple, list[int], list[int], list]:
-    """The generators in (grading, name) order, as their gradings, names and
-    positions in ``c.generators``; their bit rows ``out`` and ``inn``; and
-    the entries x -> y pow m that break the grading law, sorted.
+def _rows(c: FloerComplex) -> tuple[tuple, tuple, list[int], list[int], list]:
+    """The one view of ``c`` that its answers read, after ``_require_size``.
 
-    Bit j of ``out[i]``, and bit i of ``inn[j]``, is set when names[i] ->
-    names[j] is an entry.  The grading law makes the exponent grow with the
-    target's grading, so the lowest bit of a row is its (m, name)-least entry.
+    Returns the generators in (grading, name) order, as their gradings and
+    names; their bit rows ``out`` and ``inn``; and the entries x -> y pow m
+    that break the grading law, sorted.  Bit j of ``out[i]``, and bit i of
+    ``inn[j]``, is set when names[i] -> names[j] is an entry; every mask in
+    this module is numbered so, bit i for row i.  The grading law makes the
+    exponent grow with the target's grading, so the lowest bit of a row is
+    its (m, name)-least entry, and each grading's rows are one run.
     """
+    _require_size(c)
     gr = c.gradings
-    # names are distinct, so no position is compared
-    grs, names, pos = zip(*sorted(zip(gr.values(), gr, count()))) if gr else ((), (), ())
+    grs, names = zip(*sorted(zip(gr.values(), gr))) if gr else ((), ())
     index = dict(zip(names, count()))
     bit = [1 << i for i in range(len(names))]
     out, inn = [0] * len(names), [0] * len(names)
@@ -178,7 +185,7 @@ def _rows(c: FloerComplex) -> tuple[tuple, tuple, tuple, list[int], list[int], l
         inn[j] |= bit[i]
         if grs[j] - grs[i] != 2 * m - 1:
             ungraded.append((x, y, m))
-    return grs, names, pos, out, inn, sorted(ungraded)
+    return grs, names, out, inn, sorted(ungraded)
 
 
 def _d2_masks(names: tuple[str, ...], out: list[int]) -> Iterator[tuple[str, int]]:
@@ -198,7 +205,7 @@ def _failures(c: FloerComplex) -> tuple[int, Iterator[str]]:
     masks; the lines, in sorted order, are formatted only as they are read.
     """
     gr = c.gradings
-    _, names, _, out, _, ungraded = _rows(c)
+    _, names, out, _, ungraded = _rows(c)
     if ungraded:
         return len(ungraded), (
             f"grading: entry {x} -> {y} pow {m} has gr {gr[y]} - 2*{m} != gr {gr[x]} - 1"
@@ -219,9 +226,9 @@ def verify_axioms(c: FloerComplex) -> tuple[str, ...]:
     ``MAX_LISTED_FAILURES``, then one line ``... and N more failures`` if
     there are more.
     """
-    _require_size(c)
+    rows = _rows(c)
     try:
-        rank, power = len(_eliminate(c)[0]), c.basepoints - 1
+        rank, power = len(_eliminate(c, rows)[0]), c.basepoints - 1
     except ValueError:
         count, listing = _failures(c)
         failures = list(islice(listing, MAX_LISTED_FAILURES))
@@ -243,19 +250,20 @@ def _require_valid(c: FloerComplex) -> None:
         raise ValueError(next(listing))
 
 
-def _eliminate(c: FloerComplex) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+def _eliminate(c: FloerComplex, rows) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """Gaussian cancellation over F2[U], tracking the hat part of each cycle.
 
     Raises the first failure ``verify_axioms`` lists, if any, as a
     ``ValueError``.  Returns (towers, torsion).  Each tower is (grading,
-    hat reduction of its cycle), the reduction a bitmask whose bit i
-    stands for ``c.generators[i]``; towers are sorted by grading, highest
+    hat reduction of its cycle), the reduction a bitmask over the rows of
+    ``rows``, which is ``_rows(c)``; towers are sorted by grading, highest
     first, then by mask.  Each torsion summand is (grading, U-power).
 
-    The rows are those of ``_rows``, which checks the grading law as it
-    builds them; the law pins each exponent, and the graded basis changes
-    keep it, and D^2 up to conjugation.  So the elimination is the d^2
-    check: d^2 = 0 makes every pivot pair split off, and if all do, d^2 = 0.
+    It works on copies of the rows, so a hat slice can read them after, and
+    each hat starts as its own row's bit.  ``_rows`` checks the grading law
+    as it builds them; the law pins each exponent, and the graded basis
+    changes keep it, and D^2 up to conjugation.  So the elimination is the
+    d^2 check: d^2 = 0 makes every pivot pair split off, and if all do, d^2 = 0.
 
     A pivot x -> y pow a does ``out[w] ^= out[x]`` for each other source w
     of y and ``inn[z] ^= inn[y]`` for each other target z of x.  As the
@@ -264,9 +272,10 @@ def _eliminate(c: FloerComplex) -> tuple[list[tuple[int, int]], list[tuple[int, 
     exponent 0: only then does the reduction of w gain that of x.  The row
     clear changes only the representative of y, which leaves with x.
     """
-    grs, names, pos, out, inn, ungraded = _rows(c)
+    grs, names, out, inn, ungraded = rows
     if ungraded:
         _require_valid(c)
+    out, inn = out[:], inn[:]
     n = len(names)
     nn = n * n
     bit = [1 << i for i in range(n)]
@@ -287,7 +296,7 @@ def _eliminate(c: FloerComplex) -> tuple[list[tuple[int, int]], list[tuple[int, 
     heap = [target[(row & -row).bit_length() - 1] + source[w] for w, row in enumerate(out) if row]
     heapify(heap)
     pop, push = heappop, heappush
-    hat = [bit[p] for p in pos]
+    hat = bit[:]
     torsion: list[tuple[int, int]] = []
     while heap:
         key = pop(heap) >> 1
@@ -348,21 +357,19 @@ def _eliminate(c: FloerComplex) -> tuple[list[tuple[int, int]], list[tuple[int, 
 
 def correction_term(c: FloerComplex) -> int:
     """Maximal grading of a cycle whose class is not U-torsion."""
-    _require_size(c)
-    towers, _ = _eliminate(c)
+    towers, _ = _eliminate(c, _rows(c))
     if not towers:
         raise ValueError("homology has no free part, correction term undefined")
     return towers[0][0]
 
 
-def _theta_classes(c: FloerComplex) -> tuple[int, int, int]:
-    """(d, theta_top, theta_bot) from a single decomposition.
+def _theta_classes(c: FloerComplex, rows) -> tuple[int, int, int]:
+    """(d, theta_top, theta_bot) from a single decomposition of ``rows``, ``_rows(c)``.
 
     theta_top is the hat reduction of the tower at the correction term d,
-    theta_bot that of the tower at d - basepoints + 1, as masks over ``c.generators``.
+    theta_bot that of the tower at d - basepoints + 1, as masks over the rows.
     """
-    _require_size(c)
-    towers, _ = _eliminate(c)
+    towers, _ = _eliminate(c, rows)
     if not towers:
         raise ValueError("homology has no free part")
     d = towers[0][0]
@@ -409,23 +416,23 @@ def _express(pivots: dict, v: int) -> Optional[int]:
 
 
 class _HatSlice:
-    """F2 linear algebra of the hat complex in one fixed grading, on masks over ``c.generators``."""
+    """F2 linear algebra of the hat complex in one fixed grading, on masks over the rows.
 
-    def __init__(self, c: FloerComplex, grading: int):
-        gr = c.gradings
-        self.gens = sorted(g for g in gr if gr[g] == grading)
-        self.bit = {g: i for i, g in enumerate(gr)}
-        self.images = dict.fromkeys(self.gens, 0)
-        above = dict.fromkeys(sorted(g for g in gr if gr[g] == grading + 1), 0)
-        for (x, y), m in c.entries.items():
-            if m:
-                continue
-            if x in self.images and gr[y] == grading - 1:
-                self.images[x] ^= 1 << self.bit[y]
-            elif x in above and gr[y] == grading:
-                above[x] ^= 1 << self.bit[y]
-        # boundaries landing in this grading
-        self.boundaries = [v for v in above.values() if v]
+    ``rows`` is ``_rows(c)`` of a complex that keeps the grading law, which
+    puts every U^0 entry exactly one grading down: the image of a generator
+    is its row's part in the grading below, and the boundaries are the
+    nonzero parts in this grading of the rows above, in row order.
+    """
+
+    def __init__(self, rows, grading: int):
+        grs, names, out, _, _ = rows
+        # the rows of gradings g - 1, g and g + 1 are the runs [lo, mid), [mid, hi), [hi, top)
+        lo, mid, hi, top = (bisect_left(grs, g) for g in range(grading - 1, grading + 3))
+        self.gens = names[mid:hi]
+        self.bit = dict(zip(self.gens, range(mid, hi)))
+        below, here = (1 << mid) - (1 << lo), (1 << hi) - (1 << mid)
+        self.images = {names[i]: out[i] & below for i in range(mid, hi)}
+        self.boundaries = [v for v in (out[j] & here for j in range(hi, top)) if v]
 
     def vector(self, chain: Iterable[str]) -> int:
         v = 0
@@ -448,7 +455,8 @@ class _HatSlice:
         cycles of the sublevel, so ``found`` must be decided by that span.
         """
         pivots: dict = {}
-        for g in sorted(self.gens, key=lambda g: (levels[g], g)):
+        # the generators run in name order, and the sort keeps it within a level
+        for g in sorted(self.gens, key=levels.__getitem__):
             mask = _echelon_insert(pivots, self.images[g], 1 << self.bit[g])
             if mask is not None and found(mask):
                 return levels[g]
@@ -458,7 +466,7 @@ class _HatSlice:
         """Coefficient of the distinguished class in a fixed homology basis.
 
         The basis lists the boundary space first, then the distinguished
-        cycle, then standard vectors in generator order; the returned
+        cycle, then standard vectors in name order; the returned
         function maps a cycle vector to its distinguished coordinate.
         """
         pivots: dict = {}
@@ -479,10 +487,11 @@ class _HatSlice:
 
 
 def _tau_theta(c: FloerComplex, filt: AlexanderFiltration, bottom: bool) -> int:
-    d, theta_top, theta_bot = _theta_classes(c)
+    rows = _rows(c)
+    d, theta_top, theta_bot = _theta_classes(c, rows)
     grading = d - c.basepoints + 1 if bottom else d
     theta = theta_bot if bottom else theta_top
-    slice_ = _HatSlice(c, grading)
+    slice_ = _HatSlice(rows, grading)
     functional = slice_.class_functional(theta)
     filt.check(c)
     return slice_.first_level(filt.levels, functional)
@@ -500,13 +509,13 @@ def tau_bot(c: FloerComplex, filt: AlexanderFiltration) -> int:
 
 def tau_alpha(c: FloerComplex, filt: AlexanderFiltration, alpha: Iterable[str]) -> int:
     """Least filtration level holding a cycle in the class of ``alpha``."""
-    _require_size(c)
-    _eliminate(c)  # the d^2 = 0 check, as for every other answer
+    rows = _rows(c)
+    _eliminate(c, rows)  # the d^2 = 0 check, as for every other answer
     chain = frozenset(alpha)
     if not chain:
         raise ValueError("alpha must be a nonzero class")
     grading = c.grading_of_chain(chain)
-    slice_ = _HatSlice(c, grading)
+    slice_ = _HatSlice(rows, grading)
     if not slice_.is_cycle(chain):
         raise ValueError("alpha is not a cycle of the hat complex")
     target = slice_.vector(chain)

@@ -3,7 +3,7 @@
 The profile is ``tau.TauProfile``: the checks compare its integer
 numerators over 2|det Q|.  The integrality, conjugation, metaboliser,
 pl-genus and concordance checks keep each exact value as an integer over a
-known denominator, a ``Quotient``, written by ``linalg._quotient``, and
+known denominator, a ``Quotient``, written by ``plumbtau._quotient``, and
 make no Fraction, so an ``obstruct`` call of theirs imports no
 ``fractions``; a slack becomes a Fraction only when read.  The pl-genus
 bound is the raw Quotient, and its ``ceil`` the genus.  The
@@ -35,7 +35,7 @@ import math
 import operator
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from . import linalg
+from . import _quotient, linalg
 from .plumbing import (
     IntersectionForm,
     SpincClass,
@@ -68,7 +68,7 @@ class Quotient(NamedTuple):
     """The exact value num/den, den > 0, held as two integers.
 
     ``str`` writes it as ``str(Fraction(num, den))`` does, with
-    ``linalg._quotient``, and only when asked, so ``to_json`` writes it
+    ``plumbtau._quotient``, and only when asked, so ``to_json`` writes it
     inside the CLI's guard on over-long numbers.  Two Quotients compare by
     their values, by cross-multiplication, and equal ones hash alike:
     ``Quotient(18, 9) == Quotient(2, 1)`` and ``Quotient(2, 4) < Quotient(1, 1)``.
@@ -79,7 +79,7 @@ class Quotient(NamedTuple):
     den: int
 
     def __str__(self) -> str:
-        return linalg._quotient(self.num, self.den)
+        return _quotient(self.num, self.den)
 
     def _compare(self, other, op):
         if isinstance(other, Quotient):

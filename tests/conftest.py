@@ -17,6 +17,7 @@ from plumbtau.floer import (
     FloerComplex,
     _HatSlice,
     _require_valid,
+    _rows,
     _theta_classes,
 )
 from plumbtau.obstruct import (
@@ -458,13 +459,38 @@ def hat_view(c: FloerComplex, decomposition) -> tuple[list[tuple[int, int]], lis
     """A ``scan_decompose`` result in the form ``floer._eliminate`` returns.
 
     Each tower chain becomes its hat reduction, the exponent-zero part,
-    as a bitmask whose bit i stands for ``c.generators[i]``; towers are
-    sorted by grading, highest first, then by mask.
+    as a bitmask whose bit i stands for the i-th generator in (grading,
+    name) order, the rows of ``floer._rows``; towers are sorted by grading,
+    highest first, then by mask.
     """
-    bit = {g: 1 << i for i, g in enumerate(c.generators)}
+    order = sorted(c.generators, key=lambda g: (c.gradings[g], g))
+    bit = {g: 1 << i for i, g in enumerate(order)}
     towers, torsion = decomposition
     hats = [(gr, sum(bit[g] for g, e in chain if e == 0)) for gr, chain in towers]
     return sorted(hats, key=lambda t: (-t[0], t[1])), torsion
+
+
+def entry_slice(c: FloerComplex, grading: int) -> tuple[list, dict, list]:
+    """Reference for ``floer._HatSlice``, read off the entries by name.
+
+    Walks every entry for the U^0 ones that leave the grading or land in it
+    from the one above, as the slice did before it was cut from the rows.
+    Returns the generators of the grading, sorted; each one's image in the
+    grading below; and the nonzero boundaries from the grading above, in
+    the name order of their sources; each image and boundary a frozenset of
+    names.
+    """
+    gr = c.gradings
+    images: dict[str, frozenset] = {g: frozenset() for g in sorted(gr) if gr[g] == grading}
+    above: dict[str, frozenset] = {g: frozenset() for g in sorted(gr) if gr[g] == grading + 1}
+    for (x, y), m in c.entries.items():
+        if m:
+            continue
+        if x in images and gr[y] == grading - 1:
+            images[x] ^= {y}
+        elif x in above and gr[y] == grading:
+            above[x] ^= {y}
+    return list(images), images, [v for v in above.values() if v]
 
 
 # --- full F2[U] homology and the hat classes, from the scan oracle --------
@@ -538,7 +564,8 @@ def hat_complex(c: FloerComplex) -> FloerComplex:
 
 
 def _theta_test(c: FloerComplex, cycle: Iterable[str], bottom: bool) -> bool:
-    d, theta_top, theta_bot = _theta_classes(c)
+    rows = _rows(c)
+    d, theta_top, theta_bot = _theta_classes(c, rows)
     chain = frozenset(cycle)
     for g in chain:
         if g not in c.gradings:
@@ -548,7 +575,7 @@ def _theta_test(c: FloerComplex, cycle: Iterable[str], bottom: bool) -> bool:
     grading = c.grading_of_chain(chain)
     target_grading = d - c.basepoints + 1 if bottom else d
     theta = theta_bot if bottom else theta_top
-    slice_ = _HatSlice(c, grading)
+    slice_ = _HatSlice(rows, grading)
     if not slice_.is_cycle(chain):
         raise ValueError("chain is not a cycle of the hat complex")
     if grading != target_grading:
@@ -822,10 +849,11 @@ def sweep_tau_theta(c: FloerComplex, filt: AlexanderFiltration, bottom: bool) ->
     distinct filtration level, lowest first, and stops at the first
     level holding a cycle with a nonzero distinguished coordinate.
     """
-    d, theta_top, theta_bot = _theta_classes(c)
+    rows = _rows(c)
+    d, theta_top, theta_bot = _theta_classes(c, rows)
     grading = d - c.basepoints + 1 if bottom else d
     theta = theta_bot if bottom else theta_top
-    slice_ = _HatSlice(c, grading)
+    slice_ = _HatSlice(rows, grading)
     functional = slice_.class_functional(theta)
 
     def qualifies(allowed: list[str]) -> bool:
@@ -847,7 +875,7 @@ def sweep_tau_alpha(c: FloerComplex, filt: AlexanderFiltration, alpha) -> int:
     if not chain:
         raise ValueError("alpha must be a nonzero class")
     grading = c.grading_of_chain(chain)
-    slice_ = _HatSlice(c, grading)
+    slice_ = _HatSlice(_rows(c), grading)
     if not slice_.is_cycle(chain):
         raise ValueError("alpha is not a cycle of the hat complex")
     target = slice_.vector(chain)

@@ -477,6 +477,10 @@ SCHEMA_CASES = [
     (FLOER_D, {}, 2, f"floer_complex: {REQUIRED}"),
     (FLOER_D, {"floer_complex": "a 0 1"}, 2, "floer_complex: must be a list of strings"),
     (FLOER_D, {"floer_complex": ["a 0"]}, 2, "floer_complex: bad generator line 'a 0'"),
+    (FLOER_D, {"floer_complex": ["a 1 0", "b 0 0", "a -> z"]}, 2,
+     "floer_complex: differential entry ('a','z') off the basis"),
+    (FLOER_D, {"floer_complex": ["a 1 0", "b 0 0", "a -> b pow -1"]}, 2,
+     "floer_complex: entry ('a','b') needs an integer U-power >= 0"),
     (FLOER_D, {"floer_complex": STAIRCASE, "basepoints": "2"}, 2,
      "basepoints: must be an integer >= 1"),
     (FLOER_D, {"floer_complex": STAIRCASE, "basepoints": 0}, 2, "basepoints: must be an integer >= 1"),
@@ -814,7 +818,7 @@ def test_metaboliser_check_selects_its_class_after_the_search(tmp_path, capsys, 
 
 
 def test_internal_error_exit(tmp_path, capsys, monkeypatch):
-    def broken(c):
+    def broken(c, rows):
         raise RuntimeError("pivot target y is not a cycle\nsecond line")
 
     monkeypatch.setattr(floer, "_eliminate", broken)
@@ -1262,18 +1266,19 @@ def _absent(*names, runs=(), also=()):
     [
         (FLOER_D, {"floer_complex": STAIRCASE},
          _absent("plumbing", "tau", "surgery", "obstruct", "paper", "linalg", runs=["cli_floer"],
-                 also=(*NO_FRACTION, "heapq"))),
+                 also=(*NO_FRACTION, "heapq", "bisect"))),
         # a closure's tau is an integer: no Fraction, and no linalg to invert or pair
         (["tau-qp", "--strands", "2", "--writhe", "3", "--components", "1"], {},
          _absent("plumbing", "tau", "floer", "obstruct", "paper", "linalg", runs=["cli_surgery"],
                  also=NO_FRACTION)),
+        # d and tau are written by plumbtau._quotient, so no table loads linalg
         (DINV, {"plumbing": L92_PLUMBING},
-         _absent("floer", "obstruct", "surgery", "paper", also=NO_FRACTION)),
+         _absent("floer", "obstruct", "surgery", "paper", "linalg", also=NO_FRACTION)),
         # a class table writes only integers, and Q^-1 comes from the tree: no linalg
         (["spinc"], {"plumbing": L92_PLUMBING},
          _absent("floer", "obstruct", "surgery", "paper", "linalg", also=NO_FRACTION)),
         (TAU, {"plumbing": L92_PLUMBING, "leaf_link": {"v1": 3}},
-         _absent("floer", "obstruct", "surgery", "paper", also=NO_FRACTION)),
+         _absent("floer", "obstruct", "surgery", "paper", "linalg", also=NO_FRACTION)),
         # slice-bennequin reads the presentation and the braid with the surgery builders
         (SLICE, {**SLICE_DOC, "surgery": {"braid": BRAID}},
          _absent("floer", "paper", runs=["cli_obstruct", "cli_surgery"])),

@@ -14,6 +14,7 @@ from conftest import (
     _apply_basis_change,
     d2_listing,
     dualize,
+    entry_slice,
     format_complex,
     hat_complex,
     hat_view,
@@ -326,6 +327,11 @@ def test_tau_values():
         tau_alpha(c, filt, ["c"])  # boundary, hence the zero class
     with pytest.raises(ValueError):
         tau_alpha(c, filt, [])
+    # a name off the basis is a ValueError, not a KeyError, and the least
+    # such name is the one named
+    for chain, named in ((["zz"], "zz"), (["a", "zz"], "zz"), (["zz", "a", "yy"], "yy")):
+        with pytest.raises(ValueError, match=f"^unknown generator {named!r}$"):
+            tau_alpha(c, filt, chain)
 
     # one tower and two basepoints: a top class at d, none at d - 1 for the bottom
     lone = FloerComplex({"z": 0}, {}, basepoints=2)
@@ -354,7 +360,7 @@ def test_tau_alpha_refuses_a_broken_complex_as_the_elimination_does():
     )
     for c in (ungraded, unsquared):
         with pytest.raises(ValueError) as eliminated:
-            floer._eliminate(c)
+            floer._eliminate(c, floer._rows(c))
         with pytest.raises(ValueError) as answered:
             tau_alpha(c, AlexanderFiltration(dict.fromkeys(c.generators, 0)), ["a"])
         assert str(answered.value) == str(eliminated.value)
@@ -499,7 +505,7 @@ def test_indexed_elimination_matches_scan_oracle():
     sizes = []
     for _ in range(150):
         c, _ = random_complex(rng, max_generators=60, max_basepoints=3, max_changes=400)
-        assert floer._eliminate(c) == hat_view(c, scan_decompose(c))
+        assert floer._eliminate(c, floer._rows(c)) == hat_view(c, scan_decompose(c))
         sizes.append((len(c.generators), len(c.entries)))
     # far past the default draws, which stop at six generators
     assert max(n for n, _ in sizes) > 30
@@ -517,11 +523,12 @@ def test_indexed_elimination_matches_scan_oracle():
             {(x, y): 0 for x in a for y in b if rng.random() < 0.5},
         )
         assert len(c.entries) > n * n / 3
-        assert floer._eliminate(c) == hat_view(c, scan_decompose(c))
+        assert floer._eliminate(c, floer._rows(c)) == hat_view(c, scan_decompose(c))
     # the edges of the pivot key m n^2 + rank(x) n + y: one generator and no
     # entries, so n = 1 and nothing is pushed
     lone = FloerComplex({"z": 3}, {})
-    assert floer._eliminate(lone) == ([(3, 1)], []) == hat_view(lone, scan_decompose(lone))
+    assert floer._eliminate(lone, floer._rows(lone)) == ([(3, 1)], [])
+    assert hat_view(lone, scan_decompose(lone)) == ([(3, 1)], [])
     # and U-power 0 throughout, so rank(x) alone orders the pivots, with
     # names numbered from 2 in grading order: g2..g9 take the low gradings
     # and g10.. the high ones, which sort first by name, so the rank of a
@@ -550,7 +557,7 @@ def test_indexed_elimination_matches_scan_oracle():
         assert set(c.entries.values()) <= {0}
         sources = sorted({x for x, _ in c.entries})
         disagree += sources != sorted(sources, key=lambda g: (c.gradings[g], g))
-        assert floer._eliminate(c) == hat_view(c, scan_decompose(c))
+        assert floer._eliminate(c, floer._rows(c)) == hat_view(c, scan_decompose(c))
     assert disagree >= 40
 
 
@@ -562,7 +569,8 @@ def test_a_pivot_that_takes_a_row_s_least_entry_offers_the_next():
         {"t": 0, "v": 2, "a": 1, "b": 1, "y": 0},
         {("v", "a"): 0, ("v", "b"): 0, ("a", "y"): 0, ("b", "y"): 0},
     )
-    assert floer._eliminate(c) == ([(0, 0b00001)], []) == hat_view(c, scan_decompose(c))
+    got = floer._eliminate(c, floer._rows(c))
+    assert got == ([(0, 0b00001)], []) == hat_view(c, scan_decompose(c))
     assert verify_axioms(c) == () and correction_term(c) == 0
 
 
@@ -574,8 +582,8 @@ def _outcome(fn, *args):
 
 
 def test_answers_do_not_follow_the_order_of_gradings():
-    # the keys of ``gradings`` number the hat masks; reversed or shuffled,
-    # they change the numbering and no answer
+    # the keys of ``gradings`` give the generators' order; reversed or
+    # shuffled, they change no answer
     rng = random.Random(property_seed())
     for draw in range(300):
         c, filt = random_complex(
@@ -616,14 +624,14 @@ def test_single_pass_tau_matches_per_level_oracle():
             distinguished_pairs=0 if draw < 1000 else rng.randint(2, 8),
         )
         if draw >= 1000:
-            top_sizes.append(len(floer._HatSlice(c, correction_term(c)).gens))
+            top_sizes.append(len(floer._HatSlice(floer._rows(c), correction_term(c)).gens))
         if rng.random() < 0.1:
             # a random filtration, often incompatible with the differential
             filt = AlexanderFiltration({g: rng.randint(-3, 3) for g in c.generators})
         for bottom, fn in ((False, tau_top), (True, tau_bot)):
             assert _outcome(fn, c, filt) == _outcome(sweep_tau_theta, c, filt, bottom)
         for grading in sorted(set(c.gradings.values())):
-            slice_ = floer._HatSlice(c, grading)
+            slice_ = floer._HatSlice(floer._rows(c), grading)
             cycles = sweep_cycle_space(slice_, slice_.gens)
             alphas = [rng.sample(slice_.gens, rng.randint(1, len(slice_.gens)))]
             for _ in range(3 if cycles else 0):
@@ -646,6 +654,39 @@ def test_single_pass_tau_matches_per_level_oracle():
     assert sum(n >= 3 for n in top_sizes) >= 0.75 * len(top_sizes)
 
 
+def test_row_slice_matches_the_entry_walk():
+    # the hat slice is cut from the rows by grading alone; the entry walk
+    # picks the U^0 entries of the three gradings, and the two agree by name
+    rng = random.Random(property_seed())
+    nonempty = 0
+    for draw in range(300):
+        c, _ = random_complex(
+            rng,
+            max_generators=rng.randint(4, 30),
+            max_basepoints=3,
+            max_changes=rng.randint(0, 60),
+            distinguished_pairs=rng.randint(0, 4),
+        )
+        rows = floer._rows(c)
+        names = rows[1]
+
+        def named(mask: int) -> frozenset:
+            return frozenset(names[i] for i in floer._bits(mask))
+
+        grs = set(c.gradings.values())
+        # one grading past each end as well, where the slice is empty
+        for grading in range(min(grs) - 1, max(grs) + 2):
+            slice_ = floer._HatSlice(rows, grading)
+            gens, images, boundaries = entry_slice(c, grading)
+            assert list(slice_.gens) == gens, draw
+            assert all(names[slice_.bit[g]] == g for g in gens)
+            assert {g: named(v) for g, v in slice_.images.items()} == images, draw
+            assert [named(v) for v in slice_.boundaries] == boundaries, draw
+            nonempty += bool(boundaries) and any(images.values())
+    # about 200 slices on each seed tried have both images and boundaries
+    assert nonempty >= 150
+
+
 def test_equal_power_pivots_pop_in_name_order():
     # x -> a and x -> b tie at U^1.  The pivot (1, x, a) comes first and
     # folds b into a's row, so b carries the tower; taking (1, x, b)
@@ -657,9 +698,9 @@ def test_equal_power_pivots_pop_in_name_order():
     dec = homology_minus(c)
     assert dec.towers == (Tower(1, (("b", 0),)),)
     assert dec.torsion == ((1, 1),)
-    # the kernel keeps b's hat reduction: bit 1, for c.generators[1]
-    assert floer._eliminate(c) == ([(1, 0b010)], [(1, 1)])
-    assert floer._eliminate(c) == hat_view(c, scan_decompose(c))
+    # the kernel keeps b's hat reduction: bit 2, as the rows run x, a, b
+    assert floer._eliminate(c, floer._rows(c)) == ([(1, 0b100)], [(1, 1)])
+    assert floer._eliminate(c, floer._rows(c)) == hat_view(c, scan_decompose(c))
 
 
 def test_floer_answers_do_not_follow_the_hash_seed(tmp_path):
@@ -684,7 +725,7 @@ def test_floer_answers_do_not_follow_the_hash_seed(tmp_path):
         "    with open(path, encoding='utf-8') as f:\n"
         "        doc = json.load(f)\n"
         "    c, _ = floer.parse_complex(doc['floer_complex'], doc['basepoints'])\n"
-        "    print(floer._eliminate(c))"
+        "    print(floer._eliminate(c, floer._rows(c)))"
     )
     outputs = set()
     for seed in ("0", "1"):
@@ -730,7 +771,7 @@ def _check_elimination_against_listing(c: FloerComplex) -> bool:
     lists, and that ``verify_axioms`` lists and counts what the oracle does."""
     listed = d2_listing(c)
     try:
-        floer._eliminate(c)
+        floer._eliminate(c, floer._rows(c))
     except ValueError as exc:
         assert listed and str(exc) == listed[0]
         count, listing = floer._failures(c)
