@@ -35,14 +35,17 @@ closes a new cycle, and the first cycle that qualifies fixes the level.
 
 A complex that breaks the grading law or d^2 = 0 has its failures decided
 in one place, ``_failures``: their count, and their lines formatted as they
-are read.  ``verify_axioms`` lists the first ``MAX_LISTED_FAILURES`` lines
-and counts the rest; every other answer raises the first line.
+are read, from the rows the answer has already built, so every answer,
+valid or refused, builds them once.  ``verify_axioms`` lists the first
+``MAX_LISTED_FAILURES`` lines and counts the rest; every other answer
+raises the first line.
 """
 
 from __future__ import annotations
 
-# the C functions that bisect and heapq re-export, without loading their Python modules
-from _bisect import bisect_left
+# the C functions that heapq re-exports, without loading its Python module;
+# ``_HatSlice`` imports bisect's the same way, so an answer that cuts no slice
+# loads no ``_bisect``
 from _heapq import heapify, heappop, heappush
 from itertools import count, islice
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
@@ -198,14 +201,15 @@ def _d2_masks(names: tuple[str, ...], out: list[int]) -> Iterator[tuple[str, int
         yield names[i], square
 
 
-def _failures(c: FloerComplex) -> tuple[int, Iterator[str]]:
+def _failures(c: FloerComplex, rows) -> tuple[int, Iterator[str]]:
     """How many failures of the grading law, else of d^2 = 0, ``c`` has, and their lines.
 
-    The count is the number of ungraded entries or the bits of the d^2
-    masks; the lines, in sorted order, are formatted only as they are read.
+    ``rows`` is ``_rows(c)``, read as built.  The count is the number of
+    ungraded entries or the bits of the d^2 masks; the lines, in sorted
+    order, are formatted only as they are read.
     """
     gr = c.gradings
-    _, names, out, _, ungraded = _rows(c)
+    _, names, out, _, ungraded = rows
     if ungraded:
         return len(ungraded), (
             f"grading: entry {x} -> {y} pow {m} has gr {gr[y]} - 2*{m} != gr {gr[x]} - 1"
@@ -224,13 +228,13 @@ def verify_axioms(c: FloerComplex) -> tuple[str, ...]:
 
     Returns the failures, empty for a valid complex: the first
     ``MAX_LISTED_FAILURES``, then one line ``... and N more failures`` if
-    there are more.
+    there are more.  The elimination and the listing read the same rows.
     """
     rows = _rows(c)
     try:
         rank, power = len(_eliminate(c, rows)[0]), c.basepoints - 1
     except ValueError:
-        count, listing = _failures(c)
+        count, listing = _failures(c, rows)
         failures = list(islice(listing, MAX_LISTED_FAILURES))
         if count > MAX_LISTED_FAILURES:
             failures.append(f"... and {count - MAX_LISTED_FAILURES} more failures")
@@ -244,20 +248,16 @@ def verify_axioms(c: FloerComplex) -> tuple[str, ...]:
     return tuple(failures)
 
 
-def _require_valid(c: FloerComplex) -> None:
-    count, listing = _failures(c)
-    if count:  # raise the first
-        raise ValueError(next(listing))
-
-
 def _eliminate(c: FloerComplex, rows) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """Gaussian cancellation over F2[U], tracking the hat part of each cycle.
 
     Raises the first failure ``verify_axioms`` lists, if any, as a
-    ``ValueError``.  Returns (towers, torsion).  Each tower is (grading,
-    hat reduction of its cycle), the reduction a bitmask over the rows of
-    ``rows``, which is ``_rows(c)``; towers are sorted by grading, highest
-    first, then by mask.  Each torsion summand is (grading, U-power).
+    ``ValueError``, read by ``_failures`` from ``rows``, which is
+    ``_rows(c)`` and which the elimination leaves as they were.  Returns
+    (towers, torsion).  Each tower is (grading, hat reduction of its
+    cycle), the reduction a bitmask over the rows; towers are sorted by
+    grading, highest first, then by mask.  Each torsion summand is
+    (grading, U-power).
 
     It works on copies of the rows, so a hat slice can read them after, and
     each hat starts as its own row's bit.  ``_rows`` checks the grading law
@@ -274,7 +274,7 @@ def _eliminate(c: FloerComplex, rows) -> tuple[list[tuple[int, int]], list[tuple
     """
     grs, names, out, inn, ungraded = rows
     if ungraded:
-        _require_valid(c)
+        raise ValueError(next(_failures(c, rows)[1]))
     out, inn = out[:], inn[:]
     n = len(names)
     nn = n * n
@@ -339,7 +339,8 @@ def _eliminate(c: FloerComplex, rows) -> tuple[list[tuple[int, int]], list[tuple
             inn[z] ^= column
         if incoming or outgoing:
             # d^2 != 0, so the listing finds a failure unless this code is wrong
-            _require_valid(c)
+            for failure in _failures(c, rows)[1]:
+                raise ValueError(failure)
             raise RuntimeError(f"pivot {names[x]} -> {names[y]} does not split off")
         mask = out[y]
         while mask:
@@ -425,6 +426,8 @@ class _HatSlice:
     """
 
     def __init__(self, rows, grading: int):
+        from _bisect import bisect_left
+
         grs, names, out, _, _ = rows
         # the rows of gradings g - 1, g and g + 1 are the runs [lo, mid), [mid, hi), [hi, top)
         lo, mid, hi, top = (bisect_left(grs, g) for g in range(grading - 1, grading + 3))

@@ -190,7 +190,10 @@ def qhb4_filling_obstruction(
     Fires when some supplied self-linking number exceeds 2*tau - ell at the
     contact class.  With no contact class given, the verdict fires only if
     every spin-c class of the form is violated: otherwise an unviolated
-    class could still be the contact one.
+    class could still be the contact one.  So one class is read: the
+    contact class, else the class of greatest (tau, rep), whose bound is the
+    loosest.  The witness names the class and its bound when the class was
+    given, else the surviving class when there is one.
     """
     from fractions import Fraction
 
@@ -201,30 +204,19 @@ def qhb4_filling_obstruction(
             witness="no transverse representatives supplied",
         )
     best_sl = max(Fraction(v) for v in sl_values)
-    den, ell = profile.den, profile.ell
-    if contact_class is not None:
-        bound = Fraction(2 * profile.num(contact_class) - ell * den, den)  # 2*tau - ell
-        slack = bound - best_sl
-        return Verdict(
-            check="qhb4_filling",
-            verdict=FIRES if slack < 0 else CLEAR,
-            witness={
-                "class": list(contact_class.rep),
-                "sl": best_sl,
-                "bound": bound,
-            },
-            slack=slack,
-        )
-    best_class = max(spinc_classes(profile.form), key=lambda s: (profile.num(s), s.rep))
-    slack = Fraction(2 * profile.num(best_class) - ell * den, den) - best_sl
+    given = contact_class is not None
+    if given:
+        cls = contact_class
+    else:
+        cls = max(spinc_classes(profile.form), key=lambda s: (profile.num(s), s.rep))
+    bound = Fraction(2 * profile.num(cls) - profile.ell * profile.den, profile.den)  # 2*tau - ell
+    slack = bound - best_sl
+    if given:
+        witness = {"class": list(cls.rep), "sl": best_sl, "bound": bound}
+    else:
+        witness = {"sl": best_sl, "surviving_class": None if slack < 0 else list(cls.rep)}
     return Verdict(
-        check="qhb4_filling",
-        verdict=FIRES if slack < 0 else CLEAR,
-        witness={
-            "sl": best_sl,
-            "surviving_class": None if slack < 0 else list(best_class.rep),
-        },
-        slack=slack,
+        check="qhb4_filling", verdict=FIRES if slack < 0 else CLEAR, witness=witness, slack=slack
     )
 
 

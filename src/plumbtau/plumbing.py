@@ -67,22 +67,26 @@ class PlumbingTree(_TreeFields):
         # a new dict per tree: no default is shared between instances
         self = super().__new__(cls, vertices, edges, {} if markings is None else markings)
         ids = [v for v, _ in self.vertices]
-        if len(set(ids)) != len(ids):
+        # each vertex's degree, counted in the one walk over the edges, which
+        # the markings read: O(n + m) for any number of markings
+        degree = dict.fromkeys(ids, 0)
+        if len(degree) != len(ids):
             raise ValueError("vertex ids must be unique")
-        idset = set(ids)
         for a, b in self.edges:
-            if a not in idset or b not in idset or a == b:
+            if a not in degree or b not in degree or a == b:
                 raise ValueError(f"bad edge ({a},{b})")
+            degree[a] += 1
+            degree[b] += 1
         if len(self.edges) != len(ids) - 1:
             raise ValueError("a tree needs exactly |V| - 1 edges")
         if len(_rooted(self)[0]) != len(ids):
             raise ValueError("plumbing graph must be connected")
         for v, mk in self.markings.items():
-            if v not in idset:
+            if v not in degree:
                 raise ValueError(f"marking on unknown vertex {v!r}")
             if mk not in MARKINGS:
                 raise ValueError(f"unknown marking {mk!r}")
-            if mk == "unmarked_leaf" and self.degree(v) > 1:
+            if mk == "unmarked_leaf" and degree[v] > 1:
                 raise ValueError(f"vertex {v!r} has degree > 1, cannot be an unmarked leaf")
         return self
 

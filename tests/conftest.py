@@ -15,8 +15,8 @@ from plumbtau import linalg
 from plumbtau.floer import (
     AlexanderFiltration,
     FloerComplex,
+    _failures,
     _HatSlice,
-    _require_valid,
     _rows,
     _theta_classes,
 )
@@ -37,6 +37,7 @@ from plumbtau.plumbing import (
     _image,
     _rooted,
     conjugate,
+    spinc_classes,
     spinc_translate,
 )
 from plumbtau.surgery import BraidDatum, SurgeryComponent, SurgeryPresentation, linking_matrix
@@ -397,6 +398,11 @@ def d2_rows(c: FloerComplex) -> list[tuple[str, list[str]]]:
     return rows
 
 
+def require_valid(c: FloerComplex) -> None:  # raise the first listed failure, if any
+    for failure in _failures(c, _rows(c))[1]:
+        raise ValueError(failure)
+
+
 def d2_listing(c: FloerComplex) -> list[str]:
     """Every d^2 failure line that ``verify_axioms`` may list, in its order (``d2_rows``)."""
     return [f"d_squared: d(d({x})) has a surviving {z} term" for x, zs in d2_rows(c) for z in zs]
@@ -410,7 +416,7 @@ def scan_decompose(c: FloerComplex) -> tuple[list[tuple[int, frozenset]], list[t
     (towers, torsion) where each tower is (grading, chain in the
     original basis) and each torsion summand is (grading, U-power).
     """
-    _require_valid(c)
+    require_valid(c)
     entries: dict[tuple[str, str], int] = dict(c.entries)
     gr = dict(c.gradings)
     alive = set(c.generators)
@@ -870,7 +876,7 @@ def sweep_tau_alpha(c: FloerComplex, filt: AlexanderFiltration, alpha) -> int:
     of the boundaries and the sublevel cycles from nothing and tests
     whether alpha lies in its span.
     """
-    _require_valid(c)
+    require_valid(c)
     chain = frozenset(alpha)
     if not chain:
         raise ValueError("alpha must be a nonzero class")
@@ -1190,4 +1196,42 @@ def fraction_concordance_obstruction(profile: TauProfile, subset: Sequence[Spinc
         verdict=FIRES if hi != lo else CLEAR,
         witness={"tau_max": Fraction(hi, den), "tau_min": Fraction(lo, den)},
         slack=Fraction(hi - lo, den),
+    )
+
+
+def two_branch_filling_obstruction(
+    profile: TauProfile, sl_values: Sequence, contact_class=None
+) -> Verdict:
+    """Reference for ``obstruct.qhb4_filling_obstruction``: a bound and a verdict per branch."""
+    if not sl_values:
+        return Verdict(
+            check="qhb4_filling",
+            verdict=INCONCLUSIVE,
+            witness="no transverse representatives supplied",
+        )
+    best_sl = max(Fraction(v) for v in sl_values)
+    den, ell = profile.den, profile.ell
+    if contact_class is not None:
+        bound = Fraction(2 * profile.num(contact_class) - ell * den, den)  # 2*tau - ell
+        slack = bound - best_sl
+        return Verdict(
+            check="qhb4_filling",
+            verdict=FIRES if slack < 0 else CLEAR,
+            witness={
+                "class": list(contact_class.rep),
+                "sl": best_sl,
+                "bound": bound,
+            },
+            slack=slack,
+        )
+    best_class = max(spinc_classes(profile.form), key=lambda s: (profile.num(s), s.rep))
+    slack = Fraction(2 * profile.num(best_class) - ell * den, den) - best_sl
+    return Verdict(
+        check="qhb4_filling",
+        verdict=FIRES if slack < 0 else CLEAR,
+        witness={
+            "sl": best_sl,
+            "surviving_class": None if slack < 0 else list(best_class.rep),
+        },
+        slack=slack,
     )

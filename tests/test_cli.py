@@ -1266,7 +1266,7 @@ def _absent(*names, runs=(), also=()):
     [
         (FLOER_D, {"floer_complex": STAIRCASE},
          _absent("plumbing", "tau", "surgery", "obstruct", "paper", "linalg", runs=["cli_floer"],
-                 also=(*NO_FRACTION, "heapq", "bisect"))),
+                 also=(*NO_FRACTION, "heapq", "bisect", "_bisect"))),
         # a closure's tau is an integer: no Fraction, and no linalg to invert or pair
         (["tau-qp", "--strands", "2", "--writhe", "3", "--components", "1"], {},
          _absent("plumbing", "tau", "floer", "obstruct", "paper", "linalg", runs=["cli_surgery"],

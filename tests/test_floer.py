@@ -233,6 +233,46 @@ def test_verify_lists_at_most_the_cap():
     assert failures[-1] == "... and 999900 more failures"
 
 
+def test_each_answer_builds_the_rows_once(monkeypatch):
+    # a refused answer lists its failures from the rows it has already built
+    rows = floer._rows
+    built = []
+
+    def counted(c):
+        built.append(c)
+        return rows(c)
+
+    monkeypatch.setattr(floer, "_rows", counted)
+    valid, filt = staircase()
+    ungraded = FloerComplex(valid.gradings, {**valid.entries, ("a", "c"): 0})
+    star = _star(3, 2)
+    flat = AlexanderFiltration(dict.fromkeys(star.gradings, 0))
+    answers = {
+        "verify": lambda c, f, alpha: verify_axioms(c),
+        "d": lambda c, f, alpha: correction_term(c),
+        "tau-top": lambda c, f, alpha: tau_top(c, f),
+        "tau-bot": lambda c, f, alpha: tau_bot(c, f),
+        "tau-alpha": tau_alpha,
+    }
+    want = {"verify": (), "d": 0, "tau-top": 1, "tau-bot": 1, "tau-alpha": 1}
+    for name, answer in answers.items():
+        built.clear()
+        assert answer(valid, filt, ["a"]) == want[name]
+        assert built == [valid], name
+        for c, f, alpha, first in [
+            (ungraded, filt, ["a"], "grading: entry a -> c pow 0 has gr -2 - 2*0 != gr 0 - 1"),
+            (star, flat, ["a0"], "d_squared: d(d(a0)) has a surviving c0 term"),
+        ]:
+            built.clear()
+            if name == "verify":
+                assert answer(c, f, alpha)[0] == first
+            else:
+                with pytest.raises(ValueError) as refused:
+                    answer(c, f, alpha)
+                assert str(refused.value) == first
+            assert built == [c], name
+
+
 def test_homology_minus():
     single = FloerComplex({"z": 4}, {})
     dec = homology_minus(single)
@@ -774,7 +814,7 @@ def _check_elimination_against_listing(c: FloerComplex) -> bool:
         floer._eliminate(c, floer._rows(c))
     except ValueError as exc:
         assert listed and str(exc) == listed[0]
-        count, listing = floer._failures(c)
+        count, listing = floer._failures(c, floer._rows(c))
         assert count == len(listed) and list(listing) == listed
         want = listed[:MAX_LISTED_FAILURES]
         if len(listed) > MAX_LISTED_FAILURES:

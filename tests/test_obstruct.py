@@ -23,6 +23,7 @@ from conftest import (
     property_seed,
     random_tree,
     tau_table,
+    two_branch_filling_obstruction,
 )
 
 from plumbtau import linalg
@@ -175,6 +176,30 @@ def test_qhb4_filling_obstruction():
         assert fired.verdict == FIRES and fired.slack == -1
     empty = qhb4_filling_obstruction(l2d_profile(2), [])
     assert empty.verdict == INCONCLUSIVE and empty.slack is None
+
+
+def test_filling_obstruction_matches_two_branch_oracle():
+    # one class is read, the contact one or else the one of greatest (tau, rep),
+    # and one bound and one verdict made: the same verdict, witness and slack
+    # as the oracle's two branches
+    rng = random.Random(property_seed())
+    seen = Counter()
+    for f in _oracle_forms(rng):
+        leaves = [v for v, _ in f.tree.vertices if f.tree.marking(v) == "unmarked_leaf"]
+        profile = TauProfile(f, leaf_link(f, {v: rng.randint(0, 4) for v in leaves}))
+        classes = spinc_classes(f)
+        taus = Counter(profile.num(s) for s in classes)
+        seen["tie at the greatest tau"] += taus[max(taus)] > 1
+        for contact in [None, *rng.sample(classes, min(len(classes), 3))]:
+            for size in (0, 1, rng.randint(2, 5)):
+                sl = [Fraction(rng.randint(-16, 8), rng.choice((1, 2))) for _ in range(size)]
+                got = qhb4_filling_obstruction(profile, sl, contact)
+                want = two_branch_filling_obstruction(profile, sl, contact)
+                assert got == want and got.to_json() == want.to_json(), (f.tree, sl, contact)
+                assert got.slack == want.slack and type(got.slack) is type(want.slack)
+                seen[got.verdict, contact is None] += 1
+    # three verdicts with and without a contact class, and the ties
+    assert min(seen.values()) >= 5 and len(seen) == 7, seen
 
 
 def test_metaboliser_candidates_l92():

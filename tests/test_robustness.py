@@ -8,14 +8,18 @@ added, a Floer line altered) or numerically (a weight in -12..1, an added
 vertex, a strand count, a subset representative).  Every input must answer
 within its alarm with exit 0, 2 or 3: output and no stderr on 0, one stderr
 line and no internal error otherwise.  ``PLUMBTAU_SEED`` varies the corpus.
+The same alarm bounds the build of a plumbing tree of 50,000 marked leaves.
 """
 
+import contextlib
 import copy
 import io
 import json
 import random
 import signal
 import sys
+
+import pytest
 
 from conftest import (
     format_complex,
@@ -26,6 +30,7 @@ from conftest import (
     random_tree,
 )
 from plumbtau.cli import main
+from plumbtau.plumbing import PlumbingTree
 from test_cli import SCHEMA_CASES
 
 INPUTS = 500
@@ -48,6 +53,18 @@ class Hung(BaseException):
 
 def _alarm(signum, frame):
     raise Hung()
+
+
+@contextlib.contextmanager
+def alarmed():
+    """Raise ``Hung`` in the block once ``ALARM_S`` seconds have passed."""
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(ALARM_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _scalar(rng):
@@ -261,13 +278,8 @@ def run(argv, doc, capsys, monkeypatch):
     if doc is not None:
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
         argv = [argv[0], "--input", "-", *argv[1:]]
-    previous = signal.signal(signal.SIGALRM, _alarm)
-    signal.alarm(ALARM_S)
-    try:
+    with alarmed():
         rc = main(argv)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     out, err = capsys.readouterr()
     return rc, out, err
 
@@ -289,3 +301,19 @@ def test_mutated_documents_exit_cleanly(capsys, monkeypatch):
         if not ok:
             bad.append((argv, json.dumps(doc)[:300], rc, err[:300]))
     assert not bad, f"{len(bad)} of {INPUTS} inputs: {bad[:3]}"
+
+
+def test_marked_star_builds_within_the_alarm():
+    # each vertex's degree is counted in the one walk over the edges: one edge
+    # scan per marking takes minutes on this star of 50,000 marked leaves
+    leaves = [f"a{i}" for i in range(50_000)]
+    vertices = (("c", -2), *((v, -2) for v in leaves))
+    edges = tuple(("c", v) for v in leaves)
+    with alarmed():
+        tree = PlumbingTree(vertices, edges, dict.fromkeys(leaves, "unmarked_leaf"))
+    assert tree.marking("a0") == "unmarked_leaf" and tree.marking("c") == "internal"
+    # a0 gets a second edge, to b: degree 2 refuses its marking, with the same message
+    with alarmed(), pytest.raises(ValueError) as refused:
+        PlumbingTree((*vertices, ("b", -2)), (*edges, ("a0", "b")),
+                     dict.fromkeys(leaves, "unmarked_leaf"))
+    assert str(refused.value) == "vertex 'a0' has degree > 1, cannot be an unmarked leaf"
