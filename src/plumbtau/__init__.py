@@ -3,8 +3,8 @@
 Subpackages:
 
 - ``linalg``: exact integer/rational matrix arithmetic (fraction-free
-  Gauss–Jordan inverses over the denominator |det| of surgery matrices
-  and Smith transforms; Smith normal form).
+  Gauss–Jordan inverses over the denominator |det|, of surgery matrices
+  alone; Smith normal form, whose s^-1 the metaboliser reads off s·Q·t = D).
 - ``plumbing``: plumbing trees, intersection forms (Q^-1 of a definite one
   from its tree's branch determinants), characteristic vectors, boundary
   spin-c classes and correction terms.

@@ -2,8 +2,10 @@
 
 All computations are over arbitrary-precision integers; a rational
 inverse is one integer matrix over one denominator, and only a pairing
-returns a ``fractions.Fraction``.  ``inverse`` serves a surgery linking
-matrix and the transform of a Smith form, and ``pair`` the surgery terms;
+returns a ``fractions.Fraction``.  ``inverse`` serves surgery linking
+matrices alone, and ``pair`` the surgery terms; a Smith form carries its
+transforms in the one matrix it eliminates on, and the metaboliser reads
+s^{-1} off s·Q·t = D (``obstruct._h1_decomposition``);
 a plumbing form's Q^{-1} comes from its tree
 (``plumbing.IntersectionForm.qinv``), which needs nothing here, and an
 integer over a known denominator is written by ``plumbtau._quotient``, so
@@ -43,6 +45,12 @@ def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _augmented(m: IntMatrix) -> list[list[int]]:
+    # [m | I], each row of m followed by its row of the identity
+    n = len(m)
+    return [list(map(int, row)) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+
+
 def inverse(m: IntMatrix) -> Inverse:
     """Exact inverse (a, p), m^{-1} = a/p, by one fraction-free Gauss–Jordan pass on [m | I].
 
@@ -51,12 +59,12 @@ def inverse(m: IntMatrix) -> Inverse:
     previous pivot is exact.  At the end the left block is d·I and the
     right block d·m^{-1}, where d = ±det(m) is the last pivot; the sign
     goes into a so that p = |det m|.  It costs O(n^3) steps.  The package
-    inverts with it a surgery linking matrix and the transform of a Smith
-    form; a plumbing's Q^{-1} comes from its tree (``IntersectionForm.qinv``).
+    inverts with it surgery linking matrices alone; a plumbing's Q^{-1}
+    comes from its tree (``IntersectionForm.qinv``).
     The empty matrix gives ([], 1).
     """
     n = _check_square(m)
-    a = [list(map(int, row)) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    a = _augmented(m)
     prev = 1
     for k in range(n):
         piv = next((r for r in range(k, n) if a[r][k] != 0), None)
@@ -92,36 +100,25 @@ def smith_normal_form(m: IntMatrix):
     """Integer Smith normal form.
 
     Returns (s, d, t) with s·m·t = d, s and t unimodular, and d diagonal
-    with non-negative entries d_1 | d_2 | ... .
+    with non-negative entries d_1 | d_2 | ... .  The elimination works on
+    one matrix, [m | I] stacked over [I | 0]: a row operation on the top
+    rows acts on m and s together, a column operation on the left columns
+    on m and t together, so s and t are read off the blocks at the end.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    a = [list(map(int, row)) for row in m]
-    s = identity(rows)
-    t = identity(cols)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        s[i], s[j] = s[j], s[i]
+    a = _augmented(m) + [row + [0] * rows for row in identity(cols)]
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in t:
-            row[i], row[j] = row[j], row[i]
 
-    def add_row(src, dst, q):
-        # row dst += q * row src
-        for c in range(cols):
-            a[dst][c] += q * a[src][c]
-        for c in range(rows):
-            s[dst][c] += q * s[src][c]
+    def add_row(src, dst, q):  # row dst += q * row src
+        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
 
-    def add_col(src, dst, q):
-        for r in range(rows):
-            a[r][dst] += q * a[r][src]
-        for r in range(cols):
-            t[r][dst] += q * t[r][src]
+    def add_col(src, dst, q):  # column dst += q * column src
+        for row in a:
+            row[dst] += q * row[src]
 
     k = 0
     while k < min(rows, cols):
@@ -133,7 +130,7 @@ def smith_normal_form(m: IntMatrix):
                     best = (i, j)
         if best is None:
             break
-        swap_rows(k, best[0])
+        a[k], a[best[0]] = a[best[0]], a[k]
         swap_cols(k, best[1])
         dirty = True
         while dirty:
@@ -142,7 +139,7 @@ def smith_normal_form(m: IntMatrix):
                 if a[i][k] != 0:
                     add_row(k, i, -(a[i][k] // a[k][k]))
                     if a[i][k] != 0:
-                        swap_rows(k, i)
+                        a[k], a[i] = a[i], a[k]
                         dirty = True
             for j in range(k + 1, cols):
                 if a[k][j] != 0:
@@ -157,9 +154,7 @@ def smith_normal_form(m: IntMatrix):
             add_row(bad[0], k, 1)
             continue
         if a[k][k] < 0:
-            for c in range(cols):
-                a[k][c] = -a[k][c]
-            for c in range(rows):
-                s[k][c] = -s[k][c]
+            a[k] = [-x for x in a[k]]
         k += 1
-    return s, a, t
+    s, d = [row[cols:] for row in a[:rows]], [row[:cols] for row in a[:rows]]
+    return s, d, [row[:cols] for row in a[rows:]]

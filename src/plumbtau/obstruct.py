@@ -119,18 +119,6 @@ class Quotient(NamedTuple):
         return -(-self.num // self.den)
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, Quotient):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if value is None or isinstance(value, (str, int, float)):  # bool is an int
-        return value
-    return str(value)  # a Fraction
-
-
 class _VerdictFields(NamedTuple):
     check: str
     verdict: str
@@ -141,9 +129,13 @@ class _VerdictFields(NamedTuple):
 class Verdict(_VerdictFields):
     """A check's verdict, its JSON-friendly witness, and its slack.
 
-    The checks that make no Fraction give each exact value, in the witness
-    and as the slack, as a ``Quotient``.  ``slack`` reads as a number: the
-    one given, or the Fraction of a Quotient, made then, as
+    A witness is None, a str, or a str-keyed dict whose values are each
+    None, an int, a list of ints, a str or an exact value: a ``Quotient``,
+    or a ``Fraction`` from the checks that take surgery's.  ``to_json``
+    writes each exact value, the slack too, as its string, in one pass over
+    the witness.  The checks that make no Fraction give each exact value,
+    in the witness and as the slack, as a ``Quotient``.  ``slack`` reads as
+    a number: the one given, or the Fraction of a Quotient, made then, as
     ``TauProfile.tau_at`` makes tau.
     """
 
@@ -159,12 +151,12 @@ class Verdict(_VerdictFields):
         return value
 
     def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "verdict": self.verdict,
-            "witness": _jsonable(self.witness),
-            "slack": None if self[3] is None else str(self[3]),
-        }
+        witness = self.witness
+        if isinstance(witness, dict):  # each exact value, a Quotient or a Fraction, as its string
+            witness = {k: v if v is None or isinstance(v, (int, list, str)) else str(v)
+                       for k, v in witness.items()}
+        slack = None if self[3] is None else str(self[3])
+        return {"check": self.check, "verdict": self.verdict, "witness": witness, "slack": slack}
 
 
 def slice_bennequin_check(sl, tau: Fraction, ell: int) -> Verdict:
@@ -240,11 +232,14 @@ def _h1_decomposition(f: IntersectionForm):
     """Invariant factors of Z^n / Q Z^n with maps to and from residues.
 
     Smith form s*Q*t = D gives x in Q*Z^n iff s*x in D*Z^n, so the residue
-    map is x -> s*x mod diag(D) and s^{-1} lifts residues back.
+    map is x -> s*x mod diag(D) and s^{-1} lifts residues back.  s^{-1} is
+    read off the same identity, Q*t = s^{-1}*D: column i of Q*t is d_i times
+    column i of s^{-1}, and every d_i > 0 because Q is definite.
     """
-    s, dmat, _ = linalg.smith_normal_form(f.q)
+    s, dmat, t = linalg.smith_normal_form(f.q)
     diag = tuple(dmat[i][i] for i in range(f.n))
-    sinv, _ = linalg.inverse(s)  # s is unimodular, so the denominator is 1
+    columns = list(zip(*t))
+    sinv = [[sum(map(operator.mul, row, c)) // d for c, d in zip(columns, diag)] for row in f.q]
     return diag, s, sinv
 
 

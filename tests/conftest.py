@@ -27,6 +27,7 @@ from plumbtau.obstruct import (
     SATISFIED,
     VIOLATED,
     MetaboliserCandidate,
+    Quotient,
     Verdict,
     _h1_decomposition,
 )
@@ -1045,6 +1046,105 @@ def closure_metaboliser_candidates(f) -> list[MetaboliserCandidate]:
             )
         )
     return out
+
+
+# --- the Smith form on three matrices, and the recursive witness writer ----
+# ``linalg.smith_normal_form`` eliminates on one matrix, [m | I] over [I | 0],
+# and ``Verdict.to_json`` writes a witness in one pass; these are the bodies
+# they replaced, which keep s, m and t apart and walk every value.
+
+
+def three_matrix_smith_normal_form(m):
+    """Reference for ``linalg.smith_normal_form``: s, m and t updated in lock-step."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    a = [list(map(int, row)) for row in m]
+    s = linalg.identity(rows)
+    t = linalg.identity(cols)
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        s[i], s[j] = s[j], s[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in t:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, q):
+        for c in range(cols):
+            a[dst][c] += q * a[src][c]
+        for c in range(rows):
+            s[dst][c] += q * s[src][c]
+
+    def add_col(src, dst, q):
+        for r in range(rows):
+            a[r][dst] += q * a[r][src]
+        for r in range(cols):
+            t[r][dst] += q * t[r][src]
+
+    k = 0
+    while k < min(rows, cols):
+        best = None
+        for i in range(k, rows):
+            for j in range(k, cols):
+                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        swap_rows(k, best[0])
+        swap_cols(k, best[1])
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(k + 1, rows):
+                if a[i][k] != 0:
+                    add_row(k, i, -(a[i][k] // a[k][k]))
+                    if a[i][k] != 0:
+                        swap_rows(k, i)
+                        dirty = True
+            for j in range(k + 1, cols):
+                if a[k][j] != 0:
+                    add_col(k, j, -(a[k][j] // a[k][k]))
+                    if a[k][j] != 0:
+                        swap_cols(k, j)
+                        dirty = True
+        bad = next(((i, j) for i in range(k + 1, rows) for j in range(k + 1, cols)
+                    if a[i][j] % a[k][k] != 0), None)
+        if bad is not None:
+            add_row(bad[0], k, 1)
+            continue
+        if a[k][k] < 0:
+            for c in range(cols):
+                a[k][c] = -a[k][c]
+            for c in range(rows):
+                s[k][c] = -s[k][c]
+        k += 1
+    return s, a, t
+
+
+def recursive_jsonable(value):
+    """Reference for the witness that ``Verdict.to_json`` writes: every value walked."""
+    if isinstance(value, dict):
+        return {k: recursive_jsonable(v) for k, v in value.items()}
+    if isinstance(value, Quotient):
+        return str(value)
+    if isinstance(value, (list, tuple)):
+        return [recursive_jsonable(v) for v in value]
+    if value is None or isinstance(value, (str, int, float)):  # bool is an int
+        return value
+    return str(value)  # a Fraction
+
+
+def recursive_verdict_json(v: Verdict) -> dict:
+    """Reference for ``Verdict.to_json``, with ``recursive_jsonable`` on the witness."""
+    return {
+        "check": v.check,
+        "verdict": v.verdict,
+        "witness": recursive_jsonable(v.witness),
+        "slack": None if v[3] is None else str(v[3]),
+    }
 
 
 # --- obstruction formulas no CLI check runs yet -----------------------------

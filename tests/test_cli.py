@@ -835,8 +835,8 @@ def test_internal_error_exit(tmp_path, capsys, monkeypatch):
         (["spinc"], {"plumbing": L92_PLUMBING}, 1),
         (TAU, tau_doc(), 1),
         (["obstruct", "--check", "pl-genus"], tau_doc(), 1),
-        # Q and the unimodular transform of its Smith form
-        (["obstruct", "--check", "metaboliser"], tau_doc(subset=[[3, 0]]), 2),
+        # Q alone: s^-1 is read off s·Q·t = D
+        (["obstruct", "--check", "metaboliser"], tau_doc(subset=[[3, 0]]), 1),
         # Q and the surgery matrix, here the empty one
         (SLICE, {**SLICE_DOC, "surgery": {"braid": BRAID}}, 2),
         (["surgery", "--what", "tau-curve"],

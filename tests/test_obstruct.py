@@ -22,11 +22,13 @@ from conftest import (
     h1_residues,
     property_seed,
     random_tree,
+    recursive_verdict_json,
     tau_table,
+    three_matrix_smith_normal_form,
     two_branch_filling_obstruction,
 )
 
-from plumbtau import linalg
+from plumbtau import cli, linalg
 from plumbtau.obstruct import (
     CLEAR,
     FIRES,
@@ -564,3 +566,108 @@ def test_integer_checks_match_fraction_oracles():
             assert (bound.ceil, raw) == tuple(want) and str(bound) == str(want.raw), (f.tree, subset)
             seen["odd raw denominator"] += raw.denominator % 2 == 1 and raw.denominator > 1
     assert min(seen.values()) >= 5, seen
+
+
+def _smith_inputs(rng):
+    """Seeded matrices of at most 5 x 5 with entries in -12..12: the empty one,
+    r x 0 shapes, zero matrices, and random ones, some with a row or a column
+    repeated (negated or not) or zeroed, which makes them rank-deficient."""
+    yield []
+    for r in range(1, 6):
+        yield [[] for _ in range(r)]
+        c = rng.randint(1, 5)
+        yield [[0] * c for _ in range(r)]
+    for _ in range(400):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        m = [[rng.randint(-12, 12) for _ in range(c)] for _ in range(r)]
+        kind = rng.randrange(4)
+        if kind == 1 and r > 1:
+            i, j = rng.sample(range(r), 2)
+            m[j] = [rng.choice((1, -1)) * x for x in m[i]]
+        elif kind == 2 and c > 1:
+            i, j = rng.sample(range(c), 2)
+            for row in m:
+                row[j] = row[i]
+        elif kind == 3:
+            m[rng.randrange(r)] = [0] * c
+        yield m
+
+
+def _smith_forms(rng):
+    """Seeded definite trees of at most 9 vertices that ``require_box`` accepts,
+    25 with a square |det Q| and 50 without: random trees, and stars whose
+    equal leaves give H_1 more than one invariant factor."""
+    forms = {True: [], False: []}
+    while len(forms[True]) < 25 or len(forms[False]) < 50:
+        if rng.random() < 0.5:
+            f = IntersectionForm(random_tree(rng, rng.randint(1, 7), -9, -1))
+        else:
+            f = star(rng.randint(-9, -1), *rng.choices((-2, -3, -4), k=rng.randint(2, 8)))
+        try:
+            f.require_box()
+        except ValueError:
+            continue
+        forms[math.isqrt(f.qinv[1]) ** 2 == f.qinv[1]].append(f)
+    return forms[True][:25] + forms[False][:50]
+
+
+def test_smith_form_on_one_matrix_matches_three():
+    # the elimination on [m | I] over [I | 0] runs the integer operations of
+    # the three lock-step matrices in their order, so (s, d, t) is the same;
+    # s^-1 read off s·Q·t = D is the inverse of s.  Dense matrices of 6 x 6
+    # and more, and trees past MAX_BOX, are left out: the entries of this
+    # elimination can grow for minutes there
+    rng = random.Random(property_seed())
+    seen = Counter()
+    for m in _smith_inputs(rng):
+        got = linalg.smith_normal_form(m)
+        assert got == three_matrix_smith_normal_form(m), m
+        short = min(len(m), len(m[0]) if m else 0)
+        rank = sum(1 for i in range(short) if got[1][i][i])
+        seen["rank-deficient" if rank < short else "full rank"] += 1
+    for f in _smith_forms(rng):
+        assert linalg.smith_normal_form(f.q) == three_matrix_smith_normal_form(f.q), f.tree
+        diag, s, sinv = _h1_decomposition(f)
+        assert linalg.inverse(s) == (sinv, 1), f.tree
+        seen["non-cyclic H_1"] += sum(x > 1 for x in diag) > 1
+    assert min(seen.values()) >= 5, seen
+
+
+def test_verdict_json_matches_the_recursive_writer():
+    # to_json writes each exact value of a dict witness as its string in one
+    # pass; the recursive writer it replaced walks every value, and the CLI's
+    # writer must write the result as json.dumps writes the oracle's
+    rng = random.Random(property_seed())
+    seen = Counter()
+    for f in _oracle_forms(rng)[::4]:
+        leaves = [v for v, _ in f.tree.vertices if f.tree.marking(v) == "unmarked_leaf"]
+        profile = TauProfile(f, leaf_link(f, {v: rng.randint(0, 4) for v in leaves}))
+        classes = spinc_classes(f)
+        candidates = metaboliser_candidates(f)
+        sl = [Fraction(rng.randint(-16, 8), rng.choice((1, 2))) for _ in range(rng.randint(1, 3))]
+        s = rng.choice(classes)
+        verdicts = [
+            slice_bennequin_check(sl[0], profile.tau_at(s), profile.ell),
+            qhb4_filling_obstruction(profile, sl),
+            qhb4_filling_obstruction(profile, sl, s),
+            qhb4_filling_obstruction(profile, []),
+            metaboliser_obstruction(profile, s, candidates),
+            conjugation_obstruction(profile, s),
+            integrality_obstruction(Quotient(profile.num(s), profile.den)),
+            concordance_obstruction(profile, classes),
+            concordance_obstruction(profile, []),
+            genus_bounds_check(profile.tau_at(s), sl[0], 2, profile.ell, 1, rng.random() < 0.5),
+        ]
+        for v in verdicts:
+            got, want = v.to_json(), recursive_verdict_json(v)
+            assert got == want, (f.tree, v)
+            assert cli._json(got, "") == json.dumps(want, indent=2), (f.tree, v)
+            shape = sorted(v.witness) if isinstance(v.witness, dict) else type(v.witness).__name__
+            seen[v.check, str(shape)] += 1
+    # both filling witnesses and its refusal, and the metaboliser with and
+    # without candidates
+    assert seen["qhb4_filling", str(["bound", "class", "sl"])] >= 5, seen
+    assert seen["qhb4_filling", str(["sl", "surviving_class"])] >= 5, seen
+    assert seen["metaboliser", str(["class", "metaboliser", "subgroup_order"])] >= 5, seen
+    assert seen["metaboliser", "str"] >= 5 and seen["concordance", "str"] >= 5, seen
+    assert len(seen) == 11, seen
