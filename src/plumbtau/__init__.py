@@ -45,9 +45,13 @@ The package's records are NamedTuples or plain classes, never dataclasses:
 ``dataclasses`` imports ``inspect`` (and through it ``ast``, ``dis`` and
 ``tokenize``), 9-11.5 ms of every CLI call, and builds each class in about
 1 ms, against 0.1-0.2 ms for a NamedTuple.  A record with checks is a
-NamedTuple of its fields plus a subclass whose ``__new__`` runs them, as
-``floer.FloerComplex`` is; ``_replace`` and ``_make`` skip ``__new__``, so
-the package uses neither.  ``IntersectionForm`` and ``SpincClass``
+NamedTuple of its fields, which states each field and default once, plus a
+subclass of ``_Checked``, defined here, whose ``_check`` runs them, as
+``floer.FloerComplex`` is; ``_replace`` and ``_make`` run no check, so the
+package uses neither.  A record that normalises its fields, a tree's fresh
+markings or a presentation's tuples and inverse, keeps a ``__new__`` of its
+own (``plumbing.PlumbingTree``, ``surgery.SurgeryPresentation``).
+``IntersectionForm`` and ``SpincClass``
 (``plumbing``) are plain classes, since their equality leaves fields out and
 the form caches what it reads from its tree.  Both refuse assignment through
 ``_Frozen``, defined here, as ``surgery.SurgeryPresentation`` does, a
@@ -91,6 +95,21 @@ class _Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Checked:
+    """Runs the record's ``_check`` once its NamedTuple has set the fields.
+
+    ``_check(self)`` raises on a bad record.  It runs however the record is
+    built, positionally, by keyword or with its defaults left out, since
+    ``__init__`` follows the NamedTuple's ``__new__``; ``_make`` and
+    ``_replace`` call no ``__init__``, so they run no check.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        self._check()
 
 
 # Here, not in ``linalg``, so a d or tau table loads no linear algebra to write

@@ -50,6 +50,8 @@ from _heapq import heapify, heappop, heappush
 from itertools import count, islice
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
+from . import _Checked
+
 # Most failures ``verify_axioms`` lists; one last line counts the rest, so a
 # broken complex of e entries reports in bounded output, not e^2 lines.
 MAX_LISTED_FAILURES = 100
@@ -62,10 +64,10 @@ MAX_WORK = 4_500_000
 class _FloerFields(NamedTuple):
     gradings: Mapping[str, int]
     entries: Mapping[tuple[str, str], int]
-    basepoints: int
+    basepoints: int = 1
 
 
-class FloerComplex(_FloerFields):
+class FloerComplex(_Checked, _FloerFields):
     """Free graded complex over F2[U].
 
     ``gradings`` maps each generator's name to its grading, and its keys,
@@ -76,16 +78,15 @@ class FloerComplex(_FloerFields):
     2^(basepoints - 1) of the homology and the grading gap between the
     two distinguished classes.
 
-    The constructor checks shape only.  The three chain-complex axioms
-    are checked by ``verify_axioms``, which lists what fails, so that
-    broken complexes can be built and diagnosed.
+    ``_check``, run by ``_Checked`` on every complex built, checks shape
+    only: names, entries off the basis, U-powers and the basepoint count.
+    The three chain-complex axioms are checked by ``verify_axioms``, which
+    lists what fails, so that broken complexes can be built and diagnosed.
     """
 
     __slots__ = ()
 
-    def __new__(cls, gradings: Mapping[str, int], entries: Mapping[tuple[str, str], int],
-                basepoints: int = 1):
-        self = super().__new__(cls, gradings, entries, basepoints)
+    def _check(self):
         for g in self.gradings:
             # one word, not empty and without whitespace
             if g.split() != [g]:
@@ -97,7 +98,6 @@ class FloerComplex(_FloerFields):
                 raise ValueError(f"entry ({x!r},{y!r}) needs an integer U-power >= 0")
         if self.basepoints < 1:
             raise ValueError("basepoint count must be >= 1")
-        return self
 
     @property
     def generators(self) -> tuple[str, ...]:

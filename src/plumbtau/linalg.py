@@ -5,11 +5,13 @@ inverse is one integer matrix over one denominator, and only a pairing
 returns a ``fractions.Fraction``.  ``inverse`` serves surgery linking
 matrices alone, and ``pair`` the surgery terms; a Smith form carries its
 transforms in the one matrix it eliminates on, and the metaboliser reads
-s^{-1} off s·Q·t = D (``obstruct._h1_decomposition``);
+s^{-1} off s·Q·t = D (``obstruct._h1_decomposition``, which imports this
+module where it runs);
 a plumbing form's Q^{-1} comes from its tree
 (``plumbing.IntersectionForm.qinv``), which needs nothing here, and an
 integer over a known denominator is written by ``plumbtau._quotient``, so
-a ``dinv`` or ``tau`` call loads nothing here.  Nothing here ever touches
+a ``dinv`` or ``tau`` call loads nothing here, nor does an ``obstruct``
+check but the metaboliser and slice-Bennequin.  Nothing here ever touches
 floating point.  Matrices are dense lists of row lists,
 which is plenty for the small matrices this package works with.
 """

@@ -35,7 +35,7 @@ import math
 import operator
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from . import _quotient, linalg
+from . import _quotient
 from .plumbing import (
     IntersectionForm,
     SpincClass,
@@ -236,6 +236,10 @@ def _h1_decomposition(f: IntersectionForm):
     read off the same identity, Q*t = s^{-1}*D: column i of Q*t is d_i times
     column i of s^{-1}, and every d_i > 0 because Q is definite.
     """
+    # linalg is imported here, its one reader, so that a check other than
+    # the metaboliser and slice-Bennequin loads no linear algebra
+    from . import linalg
+
     s, dmat, t = linalg.smith_normal_form(f.q)
     diag = tuple(dmat[i][i] for i in range(f.n))
     columns = list(zip(*t))
@@ -341,14 +345,14 @@ def metaboliser_obstruction(
             witness=f"no metaboliser exists in a group of order {s.form.qinv[1]}",
         )
     base = profile.num(s)
-    best = None
-    for cand in candidates:
-        margin = min(
-            base - abs(profile.num(spinc_translate(s, alpha))) for alpha in cand.elements
-        )
-        if best is None or margin > best[0]:
-            best = (margin, cand)
-    margin, cand = best
+    # candidates share elements: each distinct translate is read once
+    margins = {
+        a: base - abs(profile.num(spinc_translate(s, a)))
+        for a in dict.fromkeys(a for c in candidates for a in c.elements)
+    }
+    best = {c: min(map(margins.__getitem__, c.elements)) for c in candidates}
+    cand = max(best, key=best.get)  # the first of the candidates with the best margin
+    margin = best[cand]
     witness = {
         "class": list(s.rep),
         "metaboliser": [list(g) for g in cand.generators],

@@ -49,7 +49,7 @@ MAX_BOX = 100_000
 class _TreeFields(NamedTuple):
     vertices: tuple[tuple[str, int], ...]
     edges: tuple[tuple[str, str], ...]
-    markings: Optional[Mapping[str, str]] = None
+    markings: Mapping[str, str]
 
 
 class PlumbingTree(_TreeFields):

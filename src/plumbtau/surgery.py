@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from . import _Frozen
+from . import _Checked, _Frozen
 
 # linalg and fractions are imported where they are used: see the note above
 if TYPE_CHECKING:
@@ -35,7 +35,7 @@ class _ComponentFields(NamedTuple):
     rot: int = 0
 
 
-class SurgeryComponent(_ComponentFields):
+class SurgeryComponent(_Checked, _ComponentFields):
     """One component of the surgery diagram.
 
     kind "surgery" is a contact (-1)-surgery with coefficient tb - 1;
@@ -44,8 +44,7 @@ class SurgeryComponent(_ComponentFields):
 
     __slots__ = ()
 
-    def __new__(cls, kind: str, tb: int = 0, rot: int = 0):
-        self = super().__new__(cls, kind, tb, rot)
+    def _check(self):
         if self.kind not in KINDS:
             raise ValueError(
                 f"unknown component kind {self.kind!r}; only integral "
@@ -53,7 +52,6 @@ class SurgeryComponent(_ComponentFields):
             )
         if self.kind == "handle" and self.rot != 0:
             raise ValueError("1-handle components carry rot = 0")
-        return self
 
     @property
     def coefficient(self) -> int:
@@ -75,12 +73,8 @@ class SurgeryPresentation(_Frozen, _PresentationFields):
     fields alone.  The record refuses assignment and deletion.
     """
 
-    def __new__(
-        cls,
-        components: tuple[SurgeryComponent, ...],
-        linking: tuple[tuple[int, ...], ...],
-        link_vectors: tuple[tuple[int, ...], ...],
-    ):
+    # the fields' types are _PresentationFields'
+    def __new__(cls, components, linking, link_vectors):
         self = super().__new__(
             cls, tuple(components), tuple(map(tuple, linking)), tuple(map(tuple, link_vectors))
         )
@@ -150,19 +144,17 @@ class _BraidFields(NamedTuple):
     components: int
 
 
-class BraidDatum(_BraidFields):
+class BraidDatum(_Checked, _BraidFields):
     """Braid bookkeeping: strand count, writhe (signed band count), components."""
 
     __slots__ = ()
 
-    def __new__(cls, strands: int, writhe: int, components: int):
-        self = super().__new__(cls, strands, writhe, components)
+    def _check(self):
         if self.strands < 1 or self.components < 1:
             raise ValueError("braids need at least one strand and one component")
         if self.components > self.strands:
             # each component of the closure takes at least one strand
             raise ValueError("a braid closure has at most one component per strand")
-        return self
 
     def require_quasi_positive(self):
         """Refuse a writhe that no braid closure, or no quasi-positive one, has.
@@ -227,18 +219,16 @@ class _CurveFields(NamedTuple):
     boundary: int
 
 
-class CurveDatum(_CurveFields):
+class CurveDatum(_Checked, _CurveFields):
     """Caller-supplied invariants of a bounding curve: the geometry stays outside."""
 
     __slots__ = ()
 
-    def __new__(cls, chi: int, chern: Fraction, self_int: Fraction, boundary: int):
-        self = super().__new__(cls, chi, chern, self_int, boundary)
+    def _check(self):
         if self.boundary < 1:
             raise ValueError("a bounding curve has at least one boundary circle")
         if self.chi > self.boundary:
             raise ValueError("Euler characteristic cannot exceed boundary count")
-        return self
 
 
 def tau_from_curve(c: CurveDatum) -> Fraction:

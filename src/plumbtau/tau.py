@@ -38,6 +38,7 @@ from collections.abc import Mapping
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
+from . import _Checked
 from .plumbing import (
     IntersectionForm,
     SpincClass,
@@ -53,16 +54,14 @@ class _LinkFields(NamedTuple):
     m: tuple[int, ...]
 
 
-class LeafLink(_LinkFields):
+class LeafLink(_Checked, _LinkFields):
     """Fibre multiplicities over the tree vertices; each strand is a component."""
 
     __slots__ = ()
 
-    def __new__(cls, m: tuple[int, ...]):
-        self = super().__new__(cls, m)
+    def _check(self):
         if any(x < 0 for x in self.m):
             raise ValueError("multiplicities must be non-negative")
-        return self
 
     @property
     def ell(self) -> int:

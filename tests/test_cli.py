@@ -1285,11 +1285,13 @@ def _absent(*names, runs=(), also=()):
         (["obstruct", "--check", "metaboliser"],
          {"plumbing": L92_PLUMBING, "leaf_link": {"v1": 2}, "subset": [[3, 0]]},
          _absent("floer", "surgery", "paper", runs=["cli_obstruct"], also=NO_FRACTION)),
-        # the integer checks write each exact value from its integers
+        # the integer checks write each exact value from its integers, and
+        # only the metaboliser's Smith form loads linalg
         *[
             (["obstruct", "--check", check],
              {"plumbing": L92_PLUMBING, "leaf_link": {"v1": 2}, "subset": subset},
-             _absent("floer", "surgery", "paper", runs=["cli_obstruct"], also=NO_FRACTION))
+             _absent("floer", "surgery", "paper", "linalg", runs=["cli_obstruct"],
+                     also=NO_FRACTION))
             for check, subset in (("integrality", [[3, 0]]), ("conjugation", [[3, 0]]),
                                   ("pl-genus", "d0"), ("concordance", "d0"))
         ],

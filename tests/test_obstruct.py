@@ -28,7 +28,7 @@ from conftest import (
     two_branch_filling_obstruction,
 )
 
-from plumbtau import cli, linalg
+from plumbtau import cli, linalg, obstruct
 from plumbtau.obstruct import (
     CLEAR,
     FIRES,
@@ -484,6 +484,28 @@ def test_metaboliser_ties_go_to_the_first_candidate():
                                 metaboliser_candidates(f))
     assert v.witness["metaboliser"] == [[0, 0, 0, -1]] and v.verdict == CLEAR
     assert ties[True] >= 5, ties
+
+
+def test_metaboliser_verdict_reads_each_translate_once(monkeypatch):
+    # the 135 candidates of the (-5; -2 x 8) star hold 2,160 elements, 128 of
+    # them distinct: each distinct element is translated once
+    f = star(-5, *[-2] * 8)
+    candidates = metaboliser_candidates(f)
+    profile = TauProfile(f, leaf_link(f, {"v1": 1}))
+    s = spinc_classes(f)[0]
+    want = fraction_metaboliser_obstruction(profile, s, candidates)
+    calls = Counter()
+
+    def counted(s, alpha):
+        calls[alpha] += 1
+        return spinc_translate(s, alpha)
+
+    monkeypatch.setattr(obstruct, "spinc_translate", counted)
+    got = metaboliser_obstruction(profile, s, candidates)
+    assert sum(len(c.elements) for c in candidates) == 2160
+    assert len(calls) == 128 and set(calls.values()) == {1}
+    assert calls.keys() == {a for c in candidates for a in c.elements}
+    assert got.to_json() == want.to_json() and got.slack == want.slack
 
 
 def test_concordance_obstruction():

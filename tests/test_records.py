@@ -1,4 +1,4 @@
-"""The immutable records of plumbing, tau, surgery and obstruct.
+"""The immutable records of plumbing, tau, surgery, floer and obstruct.
 
 Each row builds one record positionally with its defaults left out and by
 keyword with every field spelled out, and lists every check of its
@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import pytest
 
+from plumbtau import floer, linalg, obstruct, plumbing, surgery, tau
+from plumbtau.floer import FloerComplex
 from plumbtau.linalg import SingularMatrixError
 from plumbtau.obstruct import MetaboliserCandidate, Verdict
 from plumbtau.paper import form_41, form_92
@@ -30,6 +32,7 @@ V3 = V2 + (("v3", -2),)
 E3 = (("v1", "v2"), ("v2", "v3"))
 HANDLE = SurgeryComponent("handle")
 SURGERY = SurgeryComponent("surgery", -2, 1)
+GRADINGS, ENTRIES = {"a": 1, "b": 0}, {("a", "b"): 0}
 
 
 def row(cls, positional, keywords, errors=(), twins=(), shown=None):
@@ -134,6 +137,20 @@ RECORDS = [
         ],
     ),
     row(
+        FloerComplex,
+        (GRADINGS, ENTRIES),
+        {"gradings": GRADINGS, "entries": ENTRIES, "basepoints": 1},
+        [
+            ({"gradings": {"a b": 0}, "entries": {}}, "bad generator name 'a b'"),
+            ({"gradings": GRADINGS, "entries": {("a", "c"): 0}},
+             "differential entry ('a','c') off the basis"),
+            ({"gradings": GRADINGS, "entries": {("a", "b"): -1}},
+             "entry ('a','b') needs an integer U-power >= 0"),
+            ({"gradings": GRADINGS, "entries": ENTRIES, "basepoints": 0},
+             "basepoint count must be >= 1"),
+        ],
+    ),
+    row(
         Verdict,
         ("integrality", "fires"),
         {"check": "integrality", "verdict": "fires", "witness": None, "slack": None},
@@ -177,3 +194,22 @@ def test_tree_markings_are_not_shared():
     assert a == b and a.markings == {} and a.markings is not b.markings
     # equality and hash leave the tree out, but the form keeps it
     assert F1.tree == F2.tree and F1.tree is not F2.tree
+
+
+def test_defaults_are_the_named_tuples():
+    # a record built with its defaulted fields left out holds the defaults its
+    # NamedTuple states, so no second copy of a default can drift from them
+    records = {p.values[0]: p.values[1] for p in RECORDS}
+    defaulted = [
+        cls for module in (linalg, plumbing, tau, surgery, floer, obstruct)
+        for cls in vars(module).values()
+        if isinstance(cls, type) and issubclass(cls, tuple) and getattr(cls, "_field_defaults", None)
+        and cls.__module__ == module.__name__ and not cls.__name__.startswith("_")
+    ]
+    assert {SurgeryComponent, FloerComplex, Verdict}.issubset(defaulted)
+    for cls in defaulted:
+        positional = records[cls]  # every defaulted record has a row
+        assert len(positional) == len(cls._fields) - len(cls._field_defaults), cls
+        record = cls(*positional)
+        for name, default in cls._field_defaults.items():
+            assert getattr(record, name) == default, (cls, name)
