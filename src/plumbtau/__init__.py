@@ -54,10 +54,12 @@ own (``plumbing.PlumbingTree``, ``surgery.SurgeryPresentation``).
 ``IntersectionForm`` and ``SpincClass``
 (``plumbing``) are plain classes, since their equality leaves fields out and
 the form caches what it reads from its tree.  Both refuse assignment through
-``_Frozen``, defined here, as ``surgery.SurgeryPresentation`` does, a
-NamedTuple that keeps its inverse in its ``__dict__``.  A value that is only
-a tuple is returned as one: ``floer.verify_axioms`` gives its failures, and
-a complex passes when there are none.
+``_Frozen``, defined here, as ``surgery.SurgeryPresentation`` and
+``floer.FloerComplex`` do, NamedTuples that keep a derived value in their
+``__dict__``: the presentation its inverse, the complex its row view
+``_rows``, built when first read.  A value that is only a tuple is returned
+as one: ``floer.verify_axioms`` gives its failures, and a complex passes
+when there are none.
 
 A record's fields are its independent inputs, and what follows from them is
 a property: a form is its tree (``order``, ``q``, ``negative_definite``), a
@@ -65,10 +67,11 @@ link its multiplicities (``ell``), a metaboliser candidate its elements
 (``order``) and a complex its gradings (``generators``).  No constructor
 takes a value it could work out, so none checks that two copies agree.
 
-A record's checks are its methods (``IntersectionForm.require_box``), and an
-inverse it keeps is its attribute (``IntersectionForm.qinv``, read from a
-definite form's tree, and ``surgery.SurgeryPresentation.qinv``), never a
-module-level cache: a value cache is state shared between records, which a
+A record's checks are its methods (``IntersectionForm.require_box``,
+``FloerComplex.require_size``), and an inverse or a view it keeps is its
+attribute (``IntersectionForm.qinv``, read from a definite form's tree,
+``surgery.SurgeryPresentation.qinv`` and ``floer.FloerComplex._rows``), never
+a module-level cache: a value cache is state shared between records, which a
 test must clear and a record built in between evicts.
 """
 

@@ -10,11 +10,13 @@ computed by exact Gaussian cancellation over the principal ideal
 domain F2[U] (elimination with the globally U-minimal pivot is Smith
 normal form: each cancelled pair contributes either nothing or one
 U-power torsion summand, and the untouched generators are the free
-towers).  The elimination keeps each generator's targets and sources
-as Python ints, one bit per generator in (grading, name) order, built in
-one walk over the entries that also checks the grading law, and derives
-every exponent from the gradings.  A pivot costs one XOR per row it
-changes, and a heap of plain ints pops the next pivot: one key
+towers).  The elimination reads each generator's targets and sources
+as Python ints, one bit per generator in (grading, name) order: the
+complex's row view ``FloerComplex._rows``, built once per complex, after
+its size check, in one walk over the entries that also checks the
+grading law.  It derives every exponent from the gradings.  A pivot
+costs one XOR per row it changes, and a heap of plain ints pops the
+next pivot: one key
 m n^2 + rank(x) n + y per row's least entry x -> y pow m, where n counts
 the generators and rank(x) is the place of x in name order.
 
@@ -33,12 +35,12 @@ contains a qualifying cycle.  One pass finds it: the generators of the
 relevant grading enter one F2 echelon in level order, each dependency
 closes a new cycle, and the first cycle that qualifies fixes the level.
 
-A complex that breaks the grading law or d^2 = 0 has its failures decided
-in one place, ``_failures``: their count, and their lines formatted as they
-are read, from the rows the answer has already built, so every answer,
-valid or refused, builds them once.  ``verify_axioms`` lists the first
-``MAX_LISTED_FAILURES`` lines and counts the rest; every other answer
-raises the first line.
+A complex that breaks the grading law or d^2 = 0 has its failure lines
+written in one place, ``_failures``, as they are read from the complex's
+rows.  Every answer but ``verify_axioms`` raises the first line, reading
+the d^2 masks only up to the first nonzero one; ``verify_axioms`` lists
+the masks once, counts every failure from them and lists the first
+``MAX_LISTED_FAILURES`` lines.
 """
 
 from __future__ import annotations
@@ -47,17 +49,18 @@ from __future__ import annotations
 # ``_HatSlice`` imports bisect's the same way, so an answer that cuts no slice
 # loads no ``_bisect``
 from _heapq import heapify, heappop, heappush
+from functools import cached_property
 from itertools import count, islice
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from . import _Checked
+from . import _Checked, _Frozen
 
 # Most failures ``verify_axioms`` lists; one last line counts the rest, so a
 # broken complex of e entries reports in bounded output, not e^2 lines.
 MAX_LISTED_FAILURES = 100
 
 # Most work n^2 + 16 e a complex of n generators and e entries may ask for
-# (``_require_size``); the largest allowed complexes answer in about 1 s.
+# (``FloerComplex.require_size``); the largest allowed complexes answer in about 1 s.
 MAX_WORK = 4_500_000
 
 
@@ -67,7 +70,7 @@ class _FloerFields(NamedTuple):
     basepoints: int = 1
 
 
-class FloerComplex(_Checked, _FloerFields):
+class FloerComplex(_Checked, _Frozen, _FloerFields):
     """Free graded complex over F2[U].
 
     ``gradings`` maps each generator's name to its grading, and its keys,
@@ -82,9 +85,11 @@ class FloerComplex(_Checked, _FloerFields):
     only: names, entries off the basis, U-powers and the basepoint count.
     The three chain-complex axioms are checked by ``verify_axioms``, which
     lists what fails, so that broken complexes can be built and diagnosed.
+    ``_rows``, the view every answer reads, is built after ``require_size``
+    when first read and kept in the record's ``__dict__``, as
+    ``surgery.SurgeryPresentation`` keeps ``qinv``; the record refuses
+    assignment and deletion.
     """
-
-    __slots__ = ()
 
     def _check(self):
         for g in self.gradings:
@@ -98,6 +103,54 @@ class FloerComplex(_Checked, _FloerFields):
                 raise ValueError(f"entry ({x!r},{y!r}) needs an integer U-power >= 0")
         if self.basepoints < 1:
             raise ValueError("basepoint count must be >= 1")
+
+    def require_size(self) -> None:
+        """Refuse n generators and e entries whose work n^2 + 16 e exceeds ``MAX_WORK``.
+
+        A pivot x -> y XORs two rows per other source of y and per other target
+        of x, and one per source of x and per target of y.  The grading law puts
+        the sources of x and of y in gradings of opposite parity, and so their
+        targets: a pivot among m live generators XORs at most 4(m - 2) rows of
+        n bits, each with at most one heap push, and the n/2 pivots fewer than
+        n^2.  A hat slice of tau costs as much, n vectors reduced against n
+        pivots.  Reading and checking the entries, and the d^2 masks, cost a
+        few steps per entry, measured at about 16 units of n^2.
+        """
+        n, e = len(self.gradings), len(self.entries)
+        work = n * n + 16 * e
+        if work > MAX_WORK:
+            raise ValueError(
+                f"{n} generators and {e} entries make n^2 + 16 e = {work},"
+                f" above the limit of {MAX_WORK}"
+            )
+
+    @cached_property
+    def _rows(self) -> tuple:
+        """The one view of the complex that its answers read, after ``require_size``.
+
+        Five parts: the gradings and the names of the generators in (grading,
+        name) order; their bit rows ``out`` and ``inn``, lists of ints; and the
+        entries x -> y pow m that break the grading law, sorted.  Bit j of
+        ``out[i]``, and bit i of ``inn[j]``, is set when names[i] -> names[j] is
+        an entry; every mask in this module is numbered so, bit i for row i.
+        The grading law makes the exponent grow with the target's grading, so
+        the lowest bit of a row is its (m, name)-least entry, and each
+        grading's rows are one run.
+        """
+        self.require_size()
+        gr = self.gradings
+        grs, names = zip(*sorted(zip(gr.values(), gr))) if gr else ((), ())
+        index = dict(zip(names, count()))
+        bit = [1 << i for i in range(len(names))]
+        out, inn = [0] * len(names), [0] * len(names)
+        ungraded = []
+        for (x, y), m in self.entries.items():
+            i, j = index[x], index[y]
+            out[i] |= bit[j]
+            inn[j] |= bit[i]
+            if grs[j] - grs[i] != 2 * m - 1:
+                ungraded.append((x, y, m))
+        return grs, names, out, inn, sorted(ungraded)
 
     @property
     def generators(self) -> tuple[str, ...]:
@@ -135,27 +188,6 @@ class AlexanderFiltration(NamedTuple):
                 raise ValueError(f"entry {x} -> {y} pow {m} raises the filtration level")
 
 
-def _require_size(c: FloerComplex) -> None:
-    """Refuse n generators and e entries whose work n^2 + 16 e exceeds ``MAX_WORK``.
-
-    A pivot x -> y XORs two rows per other source of y and per other target
-    of x, and one per source of x and per target of y.  The grading law puts
-    the sources of x and of y in gradings of opposite parity, and so their
-    targets: a pivot among m live generators XORs at most 4(m - 2) rows of
-    n bits, each with at most one heap push, and the n/2 pivots fewer than
-    n^2.  A hat slice of tau costs as much, n vectors reduced against n
-    pivots.  Reading and checking the entries, and the d^2 masks, cost a
-    few steps per entry, measured at about 16 units of n^2.
-    """
-    n, e = len(c.gradings), len(c.entries)
-    work = n * n + 16 * e
-    if work > MAX_WORK:
-        raise ValueError(
-            f"{n} generators and {e} entries make n^2 + 16 e = {work},"
-            f" above the limit of {MAX_WORK}"
-        )
-
-
 def _bits(mask: int) -> Iterator[int]:
     """The positions of the set bits of ``mask``, lowest first."""
     while mask:
@@ -164,59 +196,38 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _rows(c: FloerComplex) -> tuple[tuple, tuple, list[int], list[int], list]:
-    """The one view of ``c`` that its answers read, after ``_require_size``.
-
-    Returns the generators in (grading, name) order, as their gradings and
-    names; their bit rows ``out`` and ``inn``; and the entries x -> y pow m
-    that break the grading law, sorted.  Bit j of ``out[i]``, and bit i of
-    ``inn[j]``, is set when names[i] -> names[j] is an entry; every mask in
-    this module is numbered so, bit i for row i.  The grading law makes the
-    exponent grow with the target's grading, so the lowest bit of a row is
-    its (m, name)-least entry, and each grading's rows are one run.
-    """
-    _require_size(c)
-    gr = c.gradings
-    grs, names = zip(*sorted(zip(gr.values(), gr))) if gr else ((), ())
-    index = dict(zip(names, count()))
-    bit = [1 << i for i in range(len(names))]
-    out, inn = [0] * len(names), [0] * len(names)
-    ungraded = []
-    for (x, y), m in c.entries.items():
-        i, j = index[x], index[y]
-        out[i] |= bit[j]
-        inn[j] |= bit[i]
-        if grs[j] - grs[i] != 2 * m - 1:
-            ungraded.append((x, y, m))
-    return grs, names, out, inn, sorted(ungraded)
+def _square(out: list[int], i: int) -> int:
+    """d(d(x)) for the generator x of row i, as a mask over the rows: the XOR
+    of the rows of x's targets, as the grading law pins each exponent."""
+    square = 0
+    for j in _bits(out[i]):
+        square ^= out[j]
+    return square
 
 
-def _d2_masks(names: tuple[str, ...], out: list[int]) -> Iterator[tuple[str, int]]:
-    """Each source x in name order, with d(d(x)) as a mask over ``names``: the
-    XOR of the rows of x's targets, as the grading law pins each exponent."""
+def _d2_masks(c: FloerComplex) -> Iterator[tuple[str, int]]:
+    """Each source x of ``c`` in name order, with its ``_square``: the listing
+    ``verify_axioms`` counts and reads."""
+    _, names, out, _, _ = c._rows
     for i in sorted(range(len(names)), key=names.__getitem__):
-        square = 0
-        for j in _bits(out[i]):
-            square ^= out[j]
-        yield names[i], square
+        yield names[i], _square(out, i)
 
 
-def _failures(c: FloerComplex, rows) -> tuple[int, Iterator[str]]:
-    """How many failures of the grading law, else of d^2 = 0, ``c`` has, and their lines.
+def _failures(c: FloerComplex, squares) -> Iterator[str]:
+    """The lines of ``c``'s failures of the grading law, else of d^2 = 0, formatted as read.
 
-    ``rows`` is ``_rows(c)``, read as built.  The count is the number of
-    ungraded entries or the bits of the d^2 masks; the lines, in sorted
-    order, are formatted only as they are read.
+    They are its entries that break the grading law, sorted, else each term
+    that survives in the d^2 masks ``squares`` of its sources in name order,
+    which are read only as far as the lines are.
     """
-    gr = c.gradings
-    _, names, out, _, ungraded = rows
+    _, names, _, _, ungraded = c._rows
     if ungraded:
-        return len(ungraded), (
+        gr = c.gradings
+        return (
             f"grading: entry {x} -> {y} pow {m} has gr {gr[y]} - 2*{m} != gr {gr[x]} - 1"
             for x, y, m in ungraded
         )
-    squares = list(_d2_masks(names, out))
-    return sum(square.bit_count() for _, square in squares), (
+    return (
         f"d_squared: d(d({x})) has a surviving {z} term"
         for x, square in squares
         for z in sorted(names[k] for k in _bits(square))
@@ -228,36 +239,34 @@ def verify_axioms(c: FloerComplex) -> tuple[str, ...]:
 
     Returns the failures, empty for a valid complex: the first
     ``MAX_LISTED_FAILURES``, then one line ``... and N more failures`` if
-    there are more.  The elimination and the listing read the same rows.
+    there are more.  The count and the lines read one listing of the d^2 masks.
     """
-    rows = _rows(c)
+    ungraded = c._rows[4]  # outside the try: a size refusal raises
     try:
-        rank, power = len(_eliminate(c, rows)[0]), c.basepoints - 1
+        rank, power = len(_eliminate(c)[0]), c.basepoints - 1
     except ValueError:
-        count, listing = _failures(c, rows)
-        failures = list(islice(listing, MAX_LISTED_FAILURES))
+        squares = () if ungraded else list(_d2_masks(c))
+        count = len(ungraded) or sum(square.bit_count() for _, square in squares)
+        failures = list(islice(_failures(c, squares), MAX_LISTED_FAILURES))
         if count > MAX_LISTED_FAILURES:
             failures.append(f"... and {count - MAX_LISTED_FAILURES} more failures")
         return tuple(failures)
-    failures = []
     # 2^power is built only while it could equal the rank, at most #generators
     if power >= len(c.gradings).bit_length():
-        failures.append(f"rank: homology has {rank} towers, expected 2^{power}")
-    elif rank != 2**power:
-        failures.append(f"rank: homology has {rank} towers, expected {2**power}")
-    return tuple(failures)
+        return (f"rank: homology has {rank} towers, expected 2^{power}",)
+    return () if rank == 2**power else (f"rank: homology has {rank} towers, expected {2**power}",)
 
 
-def _eliminate(c: FloerComplex, rows) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+def _eliminate(c: FloerComplex) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """Gaussian cancellation over F2[U], tracking the hat part of each cycle.
 
     Raises the first failure ``verify_axioms`` lists, if any, as a
-    ``ValueError``, read by ``_failures`` from ``rows``, which is
-    ``_rows(c)`` and which the elimination leaves as they were.  Returns
-    (towers, torsion).  Each tower is (grading, hat reduction of its
-    cycle), the reduction a bitmask over the rows; towers are sorted by
-    grading, highest first, then by mask.  Each torsion summand is
-    (grading, U-power).
+    ``ValueError``, read by ``_failures`` from the complex's ``_rows``, which
+    the elimination leaves as they were, and from its d^2 masks up to the
+    first nonzero one.  Returns (towers, torsion).  Each tower is (grading,
+    hat reduction of its cycle), the reduction a bitmask over the rows;
+    towers are sorted by grading, highest first, then by mask.  Each torsion
+    summand is (grading, U-power).
 
     It works on copies of the rows, so a hat slice can read them after, and
     each hat starts as its own row's bit.  ``_rows`` checks the grading law
@@ -272,10 +281,10 @@ def _eliminate(c: FloerComplex, rows) -> tuple[list[tuple[int, int]], list[tuple
     exponent 0: only then does the reduction of w gain that of x.  The row
     clear changes only the representative of y, which leaves with x.
     """
-    grs, names, out, inn, ungraded = rows
+    grs, names, rows, inn, ungraded = c._rows
     if ungraded:
-        raise ValueError(next(_failures(c, rows)[1]))
-    out, inn = out[:], inn[:]
+        raise ValueError(next(_failures(c, ())))
+    out, inn = rows[:], inn[:]
     n = len(names)
     nn = n * n
     bit = [1 << i for i in range(n)]
@@ -338,8 +347,9 @@ def _eliminate(c: FloerComplex, rows) -> tuple[list[tuple[int, int]], list[tuple
             outgoing ^= out[z]
             inn[z] ^= column
         if incoming or outgoing:
-            # d^2 != 0, so the listing finds a failure unless this code is wrong
-            for failure in _failures(c, rows)[1]:
+            # d^2 != 0: the d^2 masks of the sources in name order, read up to the
+            # first nonzero one, give the first failure unless this code is wrong
+            for failure in _failures(c, ((names[w], _square(rows, w)) for w in by_rank)):
                 raise ValueError(failure)
             raise RuntimeError(f"pivot {names[x]} -> {names[y]} does not split off")
         mask = out[y]
@@ -358,19 +368,19 @@ def _eliminate(c: FloerComplex, rows) -> tuple[list[tuple[int, int]], list[tuple
 
 def correction_term(c: FloerComplex) -> int:
     """Maximal grading of a cycle whose class is not U-torsion."""
-    towers, _ = _eliminate(c, _rows(c))
+    towers, _ = _eliminate(c)
     if not towers:
         raise ValueError("homology has no free part, correction term undefined")
     return towers[0][0]
 
 
-def _theta_classes(c: FloerComplex, rows) -> tuple[int, int, int]:
-    """(d, theta_top, theta_bot) from a single decomposition of ``rows``, ``_rows(c)``.
+def _theta_classes(c: FloerComplex) -> tuple[int, int, int]:
+    """(d, theta_top, theta_bot) from a single decomposition of ``c``.
 
     theta_top is the hat reduction of the tower at the correction term d,
     theta_bot that of the tower at d - basepoints + 1, as masks over the rows.
     """
-    towers, _ = _eliminate(c, rows)
+    towers, _ = _eliminate(c)
     if not towers:
         raise ValueError("homology has no free part")
     d = towers[0][0]
@@ -419,16 +429,16 @@ def _express(pivots: dict, v: int) -> Optional[int]:
 class _HatSlice:
     """F2 linear algebra of the hat complex in one fixed grading, on masks over the rows.
 
-    ``rows`` is ``_rows(c)`` of a complex that keeps the grading law, which
+    It is cut from the ``_rows`` of a complex that keeps the grading law, which
     puts every U^0 entry exactly one grading down: the image of a generator
     is its row's part in the grading below, and the boundaries are the
     nonzero parts in this grading of the rows above, in row order.
     """
 
-    def __init__(self, rows, grading: int):
+    def __init__(self, c: FloerComplex, grading: int):
         from _bisect import bisect_left
 
-        grs, names, out, _, _ = rows
+        grs, names, out, _, _ = c._rows
         # the rows of gradings g - 1, g and g + 1 are the runs [lo, mid), [mid, hi), [hi, top)
         lo, mid, hi, top = (bisect_left(grs, g) for g in range(grading - 1, grading + 3))
         self.gens = names[mid:hi]
@@ -490,11 +500,10 @@ class _HatSlice:
 
 
 def _tau_theta(c: FloerComplex, filt: AlexanderFiltration, bottom: bool) -> int:
-    rows = _rows(c)
-    d, theta_top, theta_bot = _theta_classes(c, rows)
+    d, theta_top, theta_bot = _theta_classes(c)
     grading = d - c.basepoints + 1 if bottom else d
     theta = theta_bot if bottom else theta_top
-    slice_ = _HatSlice(rows, grading)
+    slice_ = _HatSlice(c, grading)
     functional = slice_.class_functional(theta)
     filt.check(c)
     return slice_.first_level(filt.levels, functional)
@@ -512,13 +521,12 @@ def tau_bot(c: FloerComplex, filt: AlexanderFiltration) -> int:
 
 def tau_alpha(c: FloerComplex, filt: AlexanderFiltration, alpha: Iterable[str]) -> int:
     """Least filtration level holding a cycle in the class of ``alpha``."""
-    rows = _rows(c)
-    _eliminate(c, rows)  # the d^2 = 0 check, as for every other answer
+    _eliminate(c)  # the d^2 = 0 check, as for every other answer
     chain = frozenset(alpha)
     if not chain:
         raise ValueError("alpha must be a nonzero class")
     grading = c.grading_of_chain(chain)
-    slice_ = _HatSlice(rows, grading)
+    slice_ = _HatSlice(c, grading)
     if not slice_.is_cycle(chain):
         raise ValueError("alpha is not a cycle of the hat complex")
     target = slice_.vector(chain)

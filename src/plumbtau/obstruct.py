@@ -270,7 +270,7 @@ def metaboliser_candidates(f: IntersectionForm) -> list[MetaboliserCandidate]:
         return []
     diag, _, sinv = _h1_decomposition(f)
     lifts = {  # every residue with its integer lift to Z^n
-        r: tuple(sum(sinv[i][j] * r[j] for j in range(f.n)) for i in range(f.n))
+        r: tuple(sum(map(operator.mul, row, r)) for row in sinv)
         for r in itertools.product(*[range(x) for x in diag])
     }
 

@@ -15,9 +15,9 @@ from plumbtau import linalg
 from plumbtau.floer import (
     AlexanderFiltration,
     FloerComplex,
+    _d2_masks,
     _failures,
     _HatSlice,
-    _rows,
     _theta_classes,
 )
 from plumbtau.obstruct import (
@@ -400,7 +400,7 @@ def d2_rows(c: FloerComplex) -> list[tuple[str, list[str]]]:
 
 
 def require_valid(c: FloerComplex) -> None:  # raise the first listed failure, if any
-    for failure in _failures(c, _rows(c))[1]:
+    for failure in _failures(c, _d2_masks(c)):
         raise ValueError(failure)
 
 
@@ -467,7 +467,7 @@ def hat_view(c: FloerComplex, decomposition) -> tuple[list[tuple[int, int]], lis
 
     Each tower chain becomes its hat reduction, the exponent-zero part,
     as a bitmask whose bit i stands for the i-th generator in (grading,
-    name) order, the rows of ``floer._rows``; towers are sorted by grading,
+    name) order, the rows of ``FloerComplex._rows``; towers are sorted by grading,
     highest first, then by mask.
     """
     order = sorted(c.generators, key=lambda g: (c.gradings[g], g))
@@ -571,8 +571,7 @@ def hat_complex(c: FloerComplex) -> FloerComplex:
 
 
 def _theta_test(c: FloerComplex, cycle: Iterable[str], bottom: bool) -> bool:
-    rows = _rows(c)
-    d, theta_top, theta_bot = _theta_classes(c, rows)
+    d, theta_top, theta_bot = _theta_classes(c)
     chain = frozenset(cycle)
     for g in chain:
         if g not in c.gradings:
@@ -582,7 +581,7 @@ def _theta_test(c: FloerComplex, cycle: Iterable[str], bottom: bool) -> bool:
     grading = c.grading_of_chain(chain)
     target_grading = d - c.basepoints + 1 if bottom else d
     theta = theta_bot if bottom else theta_top
-    slice_ = _HatSlice(rows, grading)
+    slice_ = _HatSlice(c, grading)
     if not slice_.is_cycle(chain):
         raise ValueError("chain is not a cycle of the hat complex")
     if grading != target_grading:
@@ -856,11 +855,10 @@ def sweep_tau_theta(c: FloerComplex, filt: AlexanderFiltration, bottom: bool) ->
     distinct filtration level, lowest first, and stops at the first
     level holding a cycle with a nonzero distinguished coordinate.
     """
-    rows = _rows(c)
-    d, theta_top, theta_bot = _theta_classes(c, rows)
+    d, theta_top, theta_bot = _theta_classes(c)
     grading = d - c.basepoints + 1 if bottom else d
     theta = theta_bot if bottom else theta_top
-    slice_ = _HatSlice(rows, grading)
+    slice_ = _HatSlice(c, grading)
     functional = slice_.class_functional(theta)
 
     def qualifies(allowed: list[str]) -> bool:
@@ -882,7 +880,7 @@ def sweep_tau_alpha(c: FloerComplex, filt: AlexanderFiltration, alpha) -> int:
     if not chain:
         raise ValueError("alpha must be a nonzero class")
     grading = c.grading_of_chain(chain)
-    slice_ = _HatSlice(_rows(c), grading)
+    slice_ = _HatSlice(c, grading)
     if not slice_.is_cycle(chain):
         raise ValueError("alpha is not a cycle of the hat complex")
     target = slice_.vector(chain)
@@ -1335,3 +1333,58 @@ def two_branch_filling_obstruction(
         },
         slack=slack,
     )
+
+
+def sub_complex(c: FloerComplex, filt: AlexanderFiltration, s: int) -> FloerComplex:
+    """The subcomplex A_s^- of a knot complex, on the basis U^(a_x) x with a_x = max(0, A(x) - s).
+
+    Its gradings are gr(x) - 2 a_x, and each entry x -> y pow m becomes
+    pow m + a_x - a_y, which is >= 0 because the filtration holds
+    (A(y) - m <= A(x)).  V_s = (d(C) - d(A_s^-)) / 2 (Ni-Wu; Rasmussen's
+    local h-invariants).
+    """
+    a = {x: max(0, level - s) for x, level in filt.levels.items()}
+    return FloerComplex(
+        {x: g - 2 * a[x] for x, g in c.gradings.items()},
+        {(x, y): m + a[x] - a[y] for (x, y), m in c.entries.items()},
+    )
+
+
+def torsion_coefficient(knot: tuple[FloerComplex, AlexanderFiltration], s: int) -> int:
+    """V_s = sum over j >= 1 of j a_(s+j), the torsion coefficient of the Alexander
+    polynomial sum a_j t^j, read off the complex as its graded Euler characteristic
+    sum (-1)^gr(x) t^A(x); it holds at every s, negative ones too."""
+    c, filt = knot
+    return sum(
+        (-1) ** (g % 2) * (filt.levels[x] - s)
+        for x, g in c.gradings.items()
+        if filt.levels[x] > s
+    )
+
+
+def torus_surgery_star(p: int, q: int, n: int) -> PlumbingTree:
+    """A star whose boundary is -S^3_n(T(p, q)), for coprime p, q >= 2 and 0 < n < pq.
+
+    Its centre c has weight -2, and three legs hang off it by their first
+    vertex: the chains of p/b1 and q/b2 (``lens_chain``), where
+    b1 q + b2 p = pq + 1, and pq - n - 1 vertices of weight -2 (no third leg
+    when n = pq - 1).
+    """
+    if not 0 < n < p * q:
+        raise ValueError(f"S^3_{n}(T({p}, {q})) needs 0 < n < pq")
+    # b1 q = 1 mod p and b2 p = 1 mod q, so b1 q + b2 p = 1 mod pq, and it lies in (0, 2pq)
+    b1, b2 = pow(q, -1, p), pow(p, -1, q)
+    legs = [
+        [w for _, w in lens_chain(p, b1).vertices],
+        [w for _, w in lens_chain(q, b2).vertices],
+        [-2] * (p * q - n - 1),
+    ]
+    vertices, edges = [("c", -2)], []
+    for k, leg in enumerate(legs):
+        previous = "c"
+        for i, weight in enumerate(leg):
+            v = f"l{k}.{i}"
+            vertices.append((v, weight))
+            edges.append((previous, v))
+            previous = v
+    return PlumbingTree(vertices, edges)

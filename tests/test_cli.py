@@ -192,7 +192,7 @@ STAIRCASE = ["a 0 1", "b -1 0", "c -2 -1", "b -> a pow 1", "b -> c"]
 
 def test_floer_commands(tmp_path, capsys, monkeypatch):
     # the elimination is the d^2 check: a valid complex builds no d^2 row
-    def no_rows(names, out):
+    def no_rows(c):
         raise AssertionError("d^2 masks built for a valid complex")
 
     monkeypatch.setattr(floer, "_d2_masks", no_rows)
@@ -270,9 +270,9 @@ def test_floer_work_limit(tmp_path, capsys, monkeypatch):
     lines += ["t 0 0"] + [f"a{i} -> b{(i + k) % 1000}" for i in range(1000) for k in range(31)]
 
     def never(*args):
-        raise AssertionError("eliminated or listed d^2 past the work limit")
+        raise AssertionError("built a heap or listed d^2 past the work limit")
 
-    monkeypatch.setattr(floer, "_eliminate", never)
+    monkeypatch.setattr(floer, "heapify", never)
     monkeypatch.setattr(floer, "_d2_masks", never)
     path = write_doc(tmp_path, {"floer_complex": lines})
     refusal = (
@@ -289,7 +289,7 @@ def test_floer_work_limit(tmp_path, capsys, monkeypatch):
     # the limit, which passes
     at = [line for line in lines if line != "t 0 0"]
     at += [f"a{i} -> b{(i + 31) % 1000}" for i in range(250)]
-    floer._require_size(floer.parse_complex(at)[0])
+    floer.parse_complex(at)[0].require_size()
 
 
 @pytest.mark.parametrize("what", ["tau-top", "tau-bot"])
@@ -484,6 +484,11 @@ SCHEMA_CASES = [
     (FLOER_D, {"floer_complex": STAIRCASE, "basepoints": "2"}, 2,
      "basepoints: must be an integer >= 1"),
     (FLOER_D, {"floer_complex": STAIRCASE, "basepoints": 0}, 2, "basepoints: must be an integer >= 1"),
+    # the grading law is refused before any d^2 mask, the filtration after the elimination
+    (FLOER_D, {"floer_complex": ["a 0 0", "b 0 0", "a -> b"]}, 3,
+     "floer_complex: grading: entry a -> b pow 0 has gr 0 - 2*0 != gr 0 - 1"),
+    (["floer", "--what", "tau-top"], {"floer_complex": ["t 0 0", "a 0 1", "b 1 0", "b -> a"]}, 3,
+     "floer_complex: entry b -> a pow 0 raises the filtration level"),
     (TAU, tau_doc(subset="x"), 2, "subset: bad class representative 'x'"),
     (TAU, tau_doc(subset=[[3, "0"]]), 2, f"subset: {SELECT}"),
     (TAU + ["--spinc", "[]"], tau_doc(), 2, f"spinc: {SELECT}"),
@@ -818,7 +823,7 @@ def test_metaboliser_check_selects_its_class_after_the_search(tmp_path, capsys, 
 
 
 def test_internal_error_exit(tmp_path, capsys, monkeypatch):
-    def broken(c, rows):
+    def broken(c):
         raise RuntimeError("pivot target y is not a cycle\nsecond line")
 
     monkeypatch.setattr(floer, "_eliminate", broken)

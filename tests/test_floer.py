@@ -1,5 +1,6 @@
 """Homology decompositions, theta classes and tau of filtered complexes."""
 
+import functools
 import json
 import os
 import random
@@ -26,10 +27,12 @@ from conftest import (
     property_seed,
     random_complex,
     scan_decompose,
+    sub_complex,
     sweep_cycle_space,
     sweep_tau_alpha,
     sweep_tau_theta,
     tensor,
+    torsion_coefficient,
     torus_staircase,
 )
 
@@ -218,6 +221,35 @@ def test_first_failure_stops_the_check():
     assert time.perf_counter() - start < 0.5
 
 
+def test_a_refused_complex_is_listed_once(monkeypatch):
+    # 10^6 d^2 failures: verify lists the masks once, for its count and its
+    # lines, and every answer raises the first line after reading the masks
+    # only up to the first nonzero one, a0's
+    listings, squares = [], []
+    d2_masks, square = floer._d2_masks, floer._square
+
+    def listed(c):
+        listings.append(c)
+        return d2_masks(c)
+
+    def read(out, i):
+        squares.append(i)
+        return square(out, i)
+
+    monkeypatch.setattr(floer, "_d2_masks", listed)
+    monkeypatch.setattr(floer, "_square", read)
+    star = _star(1000, 1000)
+    failures = verify_axioms(star)
+    assert failures[0] == "d_squared: d(d(a0)) has a surviving c0 term"
+    assert listings == [star] and len(squares) == 1 + len(star.gradings)
+    for answer in (correction_term, lambda c: tau_top(c, None), lambda c: tau_bot(c, None)):
+        listings.clear()
+        squares.clear()
+        with pytest.raises(ValueError, match=r"^d_squared: d\(d\(a0\)\) has a surviving c0 term$"):
+            answer(star)
+        assert listings == [] and len(squares) == 1
+
+
 def test_verify_lists_at_most_the_cap():
     assert MAX_LISTED_FAILURES == 100
     exact = verify_axioms(_star(10, 10))
@@ -234,19 +266,18 @@ def test_verify_lists_at_most_the_cap():
 
 
 def test_each_answer_builds_the_rows_once(monkeypatch):
-    # a refused answer lists its failures from the rows it has already built
-    rows = floer._rows
+    # the row view is the complex's own: each answer, valid or refused, builds
+    # it once on a new complex, a refusal lists its failures from it, and an
+    # answer on a complex that holds it builds none
+    view = FloerComplex._rows
+    rows = view.func
     built = []
 
     def counted(c):
         built.append(c)
         return rows(c)
 
-    monkeypatch.setattr(floer, "_rows", counted)
-    valid, filt = staircase()
-    ungraded = FloerComplex(valid.gradings, {**valid.entries, ("a", "c"): 0})
-    star = _star(3, 2)
-    flat = AlexanderFiltration(dict.fromkeys(star.gradings, 0))
+    monkeypatch.setattr(view, "func", counted)
     answers = {
         "verify": lambda c, f, alpha: verify_axioms(c),
         "d": lambda c, f, alpha: correction_term(c),
@@ -256,7 +287,13 @@ def test_each_answer_builds_the_rows_once(monkeypatch):
     }
     want = {"verify": (), "d": 0, "tau-top": 1, "tau-bot": 1, "tau-alpha": 1}
     for name, answer in answers.items():
+        # new complexes per answer, which hold no rows yet
+        valid, filt = staircase()
+        ungraded = FloerComplex(valid.gradings, {**valid.entries, ("a", "c"): 0})
+        star = _star(3, 2)
+        flat = AlexanderFiltration(dict.fromkeys(star.gradings, 0))
         built.clear()
+        assert answer(valid, filt, ["a"]) == want[name]
         assert answer(valid, filt, ["a"]) == want[name]
         assert built == [valid], name
         for c, f, alpha, first in [
@@ -400,7 +437,7 @@ def test_tau_alpha_refuses_a_broken_complex_as_the_elimination_does():
     )
     for c in (ungraded, unsquared):
         with pytest.raises(ValueError) as eliminated:
-            floer._eliminate(c, floer._rows(c))
+            floer._eliminate(c)
         with pytest.raises(ValueError) as answered:
             tau_alpha(c, AlexanderFiltration(dict.fromkeys(c.generators, 0)), ["a"])
         assert str(answered.value) == str(eliminated.value)
@@ -462,6 +499,32 @@ TORUS_KNOTS = {(2, 3): 3, (2, 5): 5, (3, 4): 5, (2, 7): 7, (3, 5): 7, (4, 5): 7}
 LARGER_TORUS_KNOTS = {(2, 9): 9, (3, 7): 9, (5, 6): 9, (4, 7): 11, (5, 7): 17, (7, 9): 31}
 
 
+def _v(knot, s: int) -> int:
+    """V_s from the complex: (d(C) - d(A_s^-)) / 2, two eliminations."""
+    c, filt = knot
+    drop = correction_term(c) - correction_term(sub_complex(c, filt, s))
+    assert drop >= 0 and drop % 2 == 0, s
+    return drop // 2
+
+
+def _genus(p: int, q: int) -> int:
+    return (p - 1) * (q - 1) // 2
+
+
+def _random_sum(rng, mirrors: bool):
+    """A connected sum of 2-3 torus knots of ``TORUS_KNOTS``, with its summands
+    as (p, q, sign); a mirror, sign -1, only when ``mirrors``."""
+    summands = [
+        (*rng.choice(list(TORUS_KNOTS)), rng.choice((1, -1)) if mirrors else 1)
+        for _ in range(rng.randint(2, 3))
+    ]
+    knot = None
+    for p, q, sign in summands:
+        k = torus_staircase(p, q) if sign > 0 else mirror(torus_staircase(p, q))
+        knot = k if knot is None else tensor(knot, k)
+    return knot, summands
+
+
 def test_torus_knot_staircases_and_their_sums(tmp_path, capsys):
     # an L-space knot's staircase, read off its Alexander polynomial, has
     # d = 0 and tau = g = (p - 1)(q - 1)/2, the tau of the closure of the
@@ -474,20 +537,15 @@ def test_torus_knot_staircases_and_their_sums(tmp_path, capsys):
     for (p, q), n in {**TORUS_KNOTS, **LARGER_TORUS_KNOTS}.items():
         c, filt = torus_staircase(p, q)
         filt.check(c)
-        g = (p - 1) * (q - 1) // 2
+        g = _genus(p, q)
         assert len(c.generators) == n and verify_axioms(c) == () and correction_term(c) == 0
         assert tau_top(c, filt) == tau_bot(c, filt) == g
         assert surgery.tau_qp_braid(surgery.BraidDatum(p, (p - 1) * q, 1)) == g
     rng = random.Random(property_seed())
     signs = set()
     for i in range(60):
-        summands = [(rng.choice(list(TORUS_KNOTS)), rng.choice((1, -1))) for _ in range(rng.randint(2, 3))]
-        knot = None
-        for (p, q), sign in summands:
-            k = torus_staircase(p, q) if sign > 0 else mirror(torus_staircase(p, q))
-            knot = k if knot is None else tensor(knot, k)
-        c, filt = knot
-        tau = sum(sign * (p - 1) * (q - 1) // 2 for (p, q), sign in summands)
+        (c, filt), summands = _random_sum(rng, mirrors=True)
+        tau = sum(sign * _genus(p, q) for p, q, sign in summands)
         signs.add((tau > 0) - (tau < 0))
         assert tau_top(c, filt) == tau_bot(c, filt) == tau, summands
         assert correction_term(c) == 0, summands
@@ -497,6 +555,53 @@ def test_torus_knot_staircases_and_their_sums(tmp_path, capsys):
             assert main(["floer", "--what", "tau-top", "--input", str(path)]) == 0
             assert json.loads(capsys.readouterr().out) == {"command": "floer", "what": "tau-top", "value": str(tau)}
     assert signs == {-1, 0, 1}, signs
+
+
+def _convolution(v1, g1: int, v2, g2: int):
+    """s -> the least v1(s1) + v2(s2) over s1 + s2 = s, for V functions of knots
+    of genus g1 and g2.  Past its genus a V is 0 and below it V only grows, so
+    s1 runs from s - g2 - 1 to g1 + 1."""
+    return lambda s: min(v1(t) + v2(s - t) for t in range(s - g2 - 1, g1 + 2))
+
+
+def test_v_of_torus_knots_is_the_torsion_of_delta():
+    # an L-space knot's V_s is the torsion coefficient of its Alexander
+    # polynomial, and V_-s = V_s + s (Ni-Wu; Rasmussen)
+    for p, q in {**TORUS_KNOTS, **LARGER_TORUS_KNOTS}:
+        knot, g = torus_staircase(p, q), _genus(p, q)
+        v = {s: _v(knot, s) for s in range(-g - 1, g + 2)}
+        assert v == {s: torsion_coefficient(knot, s) for s in v}, (p, q)
+        assert v[g] == v[g + 1] == 0 and v[0] > 0, (p, q)
+        assert all(v[-s] == v[s] + s for s in range(g + 2)), (p, q)
+
+
+def test_v_of_a_sum_of_torus_knots_is_the_infimal_convolution():
+    # V_s(K1 # K2) = min over s1 + s2 = s of V_s1(K1) + V_s2(K2) for L-space
+    # knots (Borodzik-Livingston), each V from its Alexander polynomial: a
+    # route that runs no elimination
+    rng = random.Random(property_seed())
+    for _ in range(30):
+        knot, summands = _random_sum(rng, mirrors=False)
+        v, genus = None, 0
+        for p, q, _ in summands:
+            summand = functools.partial(torsion_coefficient, torus_staircase(p, q))
+            v = summand if v is None else _convolution(v, genus, summand, _genus(p, q))
+            genus += _genus(p, q)
+        for s in range(-genus - 1, genus + 2):
+            assert _v(knot, s) == v(s), (summands, s)
+
+
+def test_v_steps_down_by_at_most_one():
+    # V_s+1 <= V_s <= V_s+1 + 1 at every s, on sums with mirrors too; V_s is 0
+    # past the top level and grows by one a step below the bottom one
+    rng = random.Random(property_seed())
+    for _ in range(40):
+        knot, summands = _random_sum(rng, mirrors=True)
+        levels = knot[1].levels.values()
+        low, high = min(levels), max(levels)
+        v = [_v(knot, s) for s in range(low - 2, high + 2)]
+        assert all(b <= a <= b + 1 for a, b in zip(v, v[1:])), summands
+        assert v[-1] == v[-2] == 0 and v[0] == v[1] + 1, summands
 
 
 def test_random_corpus_properties():
@@ -545,7 +650,7 @@ def test_indexed_elimination_matches_scan_oracle():
     sizes = []
     for _ in range(150):
         c, _ = random_complex(rng, max_generators=60, max_basepoints=3, max_changes=400)
-        assert floer._eliminate(c, floer._rows(c)) == hat_view(c, scan_decompose(c))
+        assert floer._eliminate(c) == hat_view(c, scan_decompose(c))
         sizes.append((len(c.generators), len(c.entries)))
     # far past the default draws, which stop at six generators
     assert max(n for n, _ in sizes) > 30
@@ -563,11 +668,11 @@ def test_indexed_elimination_matches_scan_oracle():
             {(x, y): 0 for x in a for y in b if rng.random() < 0.5},
         )
         assert len(c.entries) > n * n / 3
-        assert floer._eliminate(c, floer._rows(c)) == hat_view(c, scan_decompose(c))
+        assert floer._eliminate(c) == hat_view(c, scan_decompose(c))
     # the edges of the pivot key m n^2 + rank(x) n + y: one generator and no
     # entries, so n = 1 and nothing is pushed
     lone = FloerComplex({"z": 3}, {})
-    assert floer._eliminate(lone, floer._rows(lone)) == ([(3, 1)], [])
+    assert floer._eliminate(lone) == ([(3, 1)], [])
     assert hat_view(lone, scan_decompose(lone)) == ([(3, 1)], [])
     # and U-power 0 throughout, so rank(x) alone orders the pivots, with
     # names numbered from 2 in grading order: g2..g9 take the low gradings
@@ -597,7 +702,7 @@ def test_indexed_elimination_matches_scan_oracle():
         assert set(c.entries.values()) <= {0}
         sources = sorted({x for x, _ in c.entries})
         disagree += sources != sorted(sources, key=lambda g: (c.gradings[g], g))
-        assert floer._eliminate(c, floer._rows(c)) == hat_view(c, scan_decompose(c))
+        assert floer._eliminate(c) == hat_view(c, scan_decompose(c))
     assert disagree >= 40
 
 
@@ -609,7 +714,7 @@ def test_a_pivot_that_takes_a_row_s_least_entry_offers_the_next():
         {"t": 0, "v": 2, "a": 1, "b": 1, "y": 0},
         {("v", "a"): 0, ("v", "b"): 0, ("a", "y"): 0, ("b", "y"): 0},
     )
-    got = floer._eliminate(c, floer._rows(c))
+    got = floer._eliminate(c)
     assert got == ([(0, 0b00001)], []) == hat_view(c, scan_decompose(c))
     assert verify_axioms(c) == () and correction_term(c) == 0
 
@@ -664,14 +769,14 @@ def test_single_pass_tau_matches_per_level_oracle():
             distinguished_pairs=0 if draw < 1000 else rng.randint(2, 8),
         )
         if draw >= 1000:
-            top_sizes.append(len(floer._HatSlice(floer._rows(c), correction_term(c)).gens))
+            top_sizes.append(len(floer._HatSlice(c, correction_term(c)).gens))
         if rng.random() < 0.1:
             # a random filtration, often incompatible with the differential
             filt = AlexanderFiltration({g: rng.randint(-3, 3) for g in c.generators})
         for bottom, fn in ((False, tau_top), (True, tau_bot)):
             assert _outcome(fn, c, filt) == _outcome(sweep_tau_theta, c, filt, bottom)
         for grading in sorted(set(c.gradings.values())):
-            slice_ = floer._HatSlice(floer._rows(c), grading)
+            slice_ = floer._HatSlice(c, grading)
             cycles = sweep_cycle_space(slice_, slice_.gens)
             alphas = [rng.sample(slice_.gens, rng.randint(1, len(slice_.gens)))]
             for _ in range(3 if cycles else 0):
@@ -707,8 +812,7 @@ def test_row_slice_matches_the_entry_walk():
             max_changes=rng.randint(0, 60),
             distinguished_pairs=rng.randint(0, 4),
         )
-        rows = floer._rows(c)
-        names = rows[1]
+        names = c._rows[1]
 
         def named(mask: int) -> frozenset:
             return frozenset(names[i] for i in floer._bits(mask))
@@ -716,7 +820,7 @@ def test_row_slice_matches_the_entry_walk():
         grs = set(c.gradings.values())
         # one grading past each end as well, where the slice is empty
         for grading in range(min(grs) - 1, max(grs) + 2):
-            slice_ = floer._HatSlice(rows, grading)
+            slice_ = floer._HatSlice(c, grading)
             gens, images, boundaries = entry_slice(c, grading)
             assert list(slice_.gens) == gens, draw
             assert all(names[slice_.bit[g]] == g for g in gens)
@@ -739,8 +843,8 @@ def test_equal_power_pivots_pop_in_name_order():
     assert dec.towers == (Tower(1, (("b", 0),)),)
     assert dec.torsion == ((1, 1),)
     # the kernel keeps b's hat reduction: bit 2, as the rows run x, a, b
-    assert floer._eliminate(c, floer._rows(c)) == ([(1, 0b100)], [(1, 1)])
-    assert floer._eliminate(c, floer._rows(c)) == hat_view(c, scan_decompose(c))
+    assert floer._eliminate(c) == ([(1, 0b100)], [(1, 1)])
+    assert floer._eliminate(c) == hat_view(c, scan_decompose(c))
 
 
 def test_floer_answers_do_not_follow_the_hash_seed(tmp_path):
@@ -765,7 +869,7 @@ def test_floer_answers_do_not_follow_the_hash_seed(tmp_path):
         "    with open(path, encoding='utf-8') as f:\n"
         "        doc = json.load(f)\n"
         "    c, _ = floer.parse_complex(doc['floer_complex'], doc['basepoints'])\n"
-        "    print(floer._eliminate(c, floer._rows(c)))"
+        "    print(floer._eliminate(c))"
     )
     outputs = set()
     for seed in ("0", "1"):
@@ -811,11 +915,10 @@ def _check_elimination_against_listing(c: FloerComplex) -> bool:
     lists, and that ``verify_axioms`` lists and counts what the oracle does."""
     listed = d2_listing(c)
     try:
-        floer._eliminate(c, floer._rows(c))
+        floer._eliminate(c)
     except ValueError as exc:
         assert listed and str(exc) == listed[0]
-        count, listing = floer._failures(c, floer._rows(c))
-        assert count == len(listed) and list(listing) == listed
+        assert list(floer._failures(c, floer._d2_masks(c))) == listed
         want = listed[:MAX_LISTED_FAILURES]
         if len(listed) > MAX_LISTED_FAILURES:
             want.append(f"... and {len(listed) - MAX_LISTED_FAILURES} more failures")

@@ -23,6 +23,9 @@ from conftest import (
     random_tree,
     short_char_vectors,
     solve_exact,
+    torsion_coefficient,
+    torus_staircase,
+    torus_surgery_star,
 )
 from plumbtau import cli, linalg, plumbing
 from plumbtau.paper import form_41, form_92
@@ -596,6 +599,29 @@ def test_chain_d_invariants_match_lens_space_recursion():
         f = IntersectionForm(PlumbingTree.path(*weights))
         got = Counter(s.d for s in spinc_classes(f))
         assert got == Counter(-_lens_d(p, q, i) for i in range(p)), weights
+
+
+def test_torus_knot_surgery_stars_match_ni_wu():
+    # -S^3_n(T(p, q)) bounds torus_surgery_star(p, q, n), and for 0 <= i < n
+    # d(S^3_n(K), i) = d(L(n, 1), i) - 2 max(V_i, V_n-i) (Ni-Wu), V_i the
+    # torsion coefficient of the Alexander polynomial: a second route for d on
+    # stars, checked at every n the box admits
+    refused = []
+    for p, q in ((2, 3), (2, 5), (3, 4), (2, 7), (3, 5)):
+        knot = torus_staircase(p, q)
+        v = [torsion_coefficient(knot, i) for i in range(p * q)]
+        for n in range(1, p * q):
+            f = IntersectionForm(torus_surgery_star(p, q, n))
+            try:
+                f.require_box()
+            except ValueError:
+                refused.append((p, q, n))
+                continue
+            got = Counter(s.d for s in spinc_classes(f))
+            want = Counter(-_lens_d(n, 1, i) + 2 * max(v[i], v[n - i]) for i in range(n))
+            assert got == want, (p, q, n)
+    # the third leg of n = 1 is a chain of pq - 2 vertices of weight -2
+    assert refused == [(2, 7, 1), (3, 5, 1), (3, 5, 2)]
 
 
 def test_sum_of_d_matches_the_tree_formula():
